@@ -18,6 +18,7 @@ trajectory cross-check of the claimed envelope.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Sequence
@@ -25,7 +26,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import linalg
-from .errors import DimensionMismatchError, ZeroTrajectoryError
+from .errors import (
+    DimensionMismatchError,
+    InvalidArgumentError,
+    ZeroTrajectoryError,
+)
 from .lyapunov import solve_lyapunov
 from .odeint import (
     Delay,
@@ -169,8 +174,7 @@ def shifted_matrices(sys: DelaySystem, alpha: float):
     Constant systems get arrays; time-varying ones get ``t -> ndarray``
     callables.  Exact arithmetic per the defining formulas.
     """
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
+    _check_rate(alpha)
     n = sys.dimension
     eye = np.eye(n)
     if not sys.time_varying:
@@ -184,6 +188,12 @@ def shifted_matrices(sys: DelaySystem, alpha: float):
     ais = [(lambda t, _f=f, _s=float(np.exp(alpha * lag)): _s * _f(t))
            for (lag, _), f in zip(sys.delays, fns)]
     return a0a, ais
+
+
+def _check_rate(alpha: float) -> None:
+    if not (math.isfinite(alpha) and alpha >= 0.0):
+        raise InvalidArgumentError(
+            f"alpha must be finite and nonnegative, got {alpha!r}")
 
 
 def _rde_defect(a0a: np.ndarray, aias: Sequence[np.ndarray], p: np.ndarray,
@@ -224,18 +234,21 @@ def rde_residual(sys: DelaySystem, alpha: float, p,
     eye = np.eye(n)
     q = p.values[1:-1] + eye
     qt = np.swapaxes(q, 1, 2)
-    a0s = _stack(a0a, times, n)
-    defect = p.derivative() + np.swapaxes(a0s, 1, 2) @ q + q @ a0s + m * eye
+    a0s = _stack(a0a, times)
+    defect = p.derivative() + np.swapaxes(a0s, -1, -2) @ q + q @ a0s + m * eye
     for aia in aias:
-        ais = _stack(aia, times, n)
-        defect = defect + q @ (ais @ np.swapaxes(ais, 1, 2)) @ qt
+        ais = _stack(aia, times)
+        defect = defect + q @ (ais @ np.swapaxes(ais, -1, -2)) @ qt
     return float(np.linalg.svd(defect, compute_uv=False).max())
 
 
-def _stack(matrix_or_fn, times: np.ndarray, n: int) -> np.ndarray:
-    if callable(matrix_or_fn):
-        return np.stack([matrix_or_fn(float(t)) for t in times])
-    return np.broadcast_to(matrix_or_fn, (len(times), n, n))
+def _stack(matrix_or_fn, times: np.ndarray) -> np.ndarray:
+    """A coefficient on a time grid: ``(N, n, n)``, or ``(n, n)`` if constant.
+
+    Coefficient functions here are compiled grids (or constants), which
+    evaluate a whole array of times in one call.
+    """
+    return matrix_or_fn(times) if callable(matrix_or_fn) else matrix_or_fn
 
 
 def solve_delay_lyapunov(a0, m: int) -> np.ndarray:
@@ -247,8 +260,13 @@ def solve_delay_lyapunov(a0, m: int) -> np.ndarray:
 def rate_inequality_lhs(eta: float, p_norm: float, a_norm_sq: float,
                         m: int, h: float, alpha: float) -> float:
     """Left side of the convergence-rate inequality; feasible iff <= 0."""
-    return eta + alpha * p_norm \
-        + 0.5 * m * np.exp(2.0 * alpha * h) * p_norm**2 * a_norm_sq
+    if p_norm == 0.0 or a_norm_sq == 0.0:  # no delayed feedback term
+        return eta + alpha * p_norm
+    try:
+        growth = math.exp(2.0 * alpha * h)
+    except OverflowError:  # too large a rate: the left side is +inf
+        growth = math.inf
+    return eta + alpha * p_norm + 0.5 * m * growth * p_norm**2 * a_norm_sq
 
 
 def max_alpha(eta: float, p_norm: float, a_norm_sq: float, m: int,
@@ -286,22 +304,19 @@ class RateInputs:
 def rate_bound_inputs(sys: DelaySystem, p,
                       t_grid: tuple[float, float, int] = SUP_GRID) -> RateInputs:
     """Compute (eta, ||P+I||, ||A||^2, m, h) for the rate inequality."""
-    n = sys.dimension
-    eye = np.eye(n)
+    eye = np.eye(sys.dimension)
     if sys.time_varying:
         times = np.linspace(*t_grid)
-        a0 = sys.a0_fn()
-        eta = max(linalg.matrix_measure(a0(t)) for t in times)
-        a_norm_sq = 0.0
-        for fn in sys.delay_fns():
-            a_norm_sq = max(a_norm_sq,
-                            max(linalg.spectral_norm(fn(t)) for t in times)**2)
+        eta = np.max(linalg.matrix_measure(_stack(sys.a0_fn(), times)))
+        a_norm_sq = max(
+            float(np.max(linalg.spectral_norm(_stack(fn, times))))**2
+            for fn in sys.delay_fns())
     else:
         eta = linalg.matrix_measure(np.asarray(sys.a0, dtype=float))
         a_norm_sq = max(linalg.spectral_norm(np.asarray(c, dtype=float))**2
                         for _, c in sys.delays)
     if isinstance(p, SampledMatrixFunction):
-        p_norm = max(linalg.spectral_norm(v + eye) for v in p.values)
+        p_norm = np.max(linalg.spectral_norm(p.values + eye))
     else:
         p_norm = linalg.spectral_norm(linalg.as_matrix(p, square=True) + eye)
     return RateInputs(float(eta), float(p_norm), float(a_norm_sq),
@@ -391,8 +406,9 @@ class AlphaCertificate:
 
 def _p_semidefinite(p) -> bool:
     if isinstance(p, SampledMatrixFunction):
-        return all(float(np.linalg.eigvalsh(0.5 * (v + v.T))[0]) >= -1e-9
-                   for v in p.values)
+        v = p.values
+        lowest = np.linalg.eigvalsh(0.5 * (v + np.swapaxes(v, 1, 2)))[:, 0]
+        return bool(np.all(lowest >= -1e-9))
     pm = linalg.as_matrix(p, square=True)
     return linalg.definiteness(pm).is_positive_semidefinite
 
@@ -404,8 +420,8 @@ def _lyapunov_defect(sys: DelaySystem, p) -> float:
         times = p.times[1:-1]
         pv = p.values[1:-1]
         a0s = _stack(sys.a0_fn() if sys.time_varying
-                     else np.asarray(sys.a0, dtype=float), times, n)
-        defect = p.derivative() + np.swapaxes(a0s, 1, 2) @ pv \
+                     else np.asarray(sys.a0, dtype=float), times)
+        defect = p.derivative() + np.swapaxes(a0s, -1, -2) @ pv \
             + pv @ a0s + m * np.eye(n)
         return float(np.linalg.svd(defect, compute_uv=False).max())
     pm = linalg.as_matrix(p, square=True)
@@ -427,6 +443,7 @@ def certify(sys: DelaySystem, alpha: float, route: CertificateRoute,
     ``history`` (default: constant ones) and required to stay under a fitted
     ``c * exp(-alpha t)`` envelope.
     """
+    _check_rate(alpha)
     inputs = None
     margin = None
     if route in (CertificateRoute.RDE, CertificateRoute.ALGEBRAIC_RDE):

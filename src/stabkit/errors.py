@@ -11,6 +11,10 @@ class StabkitError(Exception):
     """Base class for all toolkit errors."""
 
 
+class InvalidArgumentError(StabkitError, ValueError):
+    """An argument is outside its valid range (for example negative or NaN)."""
+
+
 # --- matrix kernel -----------------------------------------------------------
 
 class NonSquareError(StabkitError):

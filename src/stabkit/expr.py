@@ -26,6 +26,8 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .errors import (
     ArityMismatchError,
     DomainError,
@@ -474,6 +476,13 @@ _COMPILE_NS = {
     "_pow": math.pow, "_div": _checked_div,
 }
 
+#: numpy counterparts of ``_COMPILE_NS`` for batch evaluators over arrays
+VEC_NS = {
+    "_sin": np.sin, "_cos": np.cos, "_tan": np.tan, "_exp": np.exp,
+    "_log": np.log, "_sqrt": np.sqrt, "_abs": np.abs,
+    "_pow": np.power, "_div": np.divide,
+}
+
 
 def compile_expr(e: Expr, params: Mapping[str, float] | None = None,
                  ) -> Callable[[Sequence[float], float], float]:
@@ -514,26 +523,19 @@ def compile_expr_vec(e: Expr, params: Mapping[str, float] | None = None):
     expressions; use :func:`compile_expr` when per-point error attribution
     matters.
     """
-    import numpy as _np
-
     params = dict(params or {})
     src = _codegen(e, params)
-    ns = {
-        "_sin": _np.sin, "_cos": _np.cos, "_tan": _np.tan, "_exp": _np.exp,
-        "_log": _np.log, "_sqrt": _np.sqrt, "_abs": _np.abs,
-        "_pow": _np.power, "_div": _np.divide,
-    }
     fn = eval(compile(f"lambda x, t: {src}", "<stabkit-expr-vec>", "eval"),
-              {"__builtins__": {}, **ns})
+              {"__builtins__": {}, **VEC_NS})
 
     def wrapped(X, t):
-        cols = _np.asarray(X, dtype=float).T
-        with _np.errstate(all="ignore"):
+        cols = np.asarray(X, dtype=float).T
+        with np.errstate(all="ignore"):
             value = fn(cols, t)
-        value = _np.asarray(value, dtype=float)
+        value = np.asarray(value, dtype=float)
         if value.ndim == 0:
-            value = _np.full(cols.shape[1] if cols.ndim > 1 else 1, float(value))
-        if not _np.all(_np.isfinite(value)):
+            value = np.full(cols.shape[1] if cols.ndim > 1 else 1, float(value))
+        if not np.all(np.isfinite(value)):
             raise DomainError("non-finite value in batch evaluation", e)
         return value
 

@@ -52,18 +52,24 @@ class PeriodicSystem:
         self._spot_check_period()
 
     def _spot_check_period(self):
-        for t in np.linspace(0.137, self.period, 16):
-            a = self._at(float(t))
-            b = self._at(float(t) + self.period)
-            if np.linalg.norm(a - b, "fro") > 1e-9 * (1.0 + np.linalg.norm(a, "fro")):
-                raise ValueError(
-                    f"entries are not {self.period}-periodic (checked t={t:.4f})")
+        ts = np.linspace(0.137, self.period, 16)
+        # interleaved (t, t + T) so a domain error names the time the
+        # time-by-time check would have reached first
+        both = self._at(np.column_stack([ts, ts + self.period]).ravel())
+        a, b = both[0::2], both[1::2]
+        gaps = np.linalg.norm(a - b, "fro", axis=(1, 2))
+        bad = gaps > 1e-9 * (1.0 + np.linalg.norm(a, "fro", axis=(1, 2)))
+        if bad.any():
+            t = ts[np.argmax(bad)]
+            raise ValueError(
+                f"entries are not {self.period}-periodic (checked t={t:.4f})")
 
     @property
     def dimension(self) -> int:
         return len(self.entries)
 
-    def coefficient_at(self, t: float) -> np.ndarray:
+    def coefficient_at(self, t):
+        """``P(t)``; a 1-D array of times gives the ``(N, n, n)`` stack."""
         return self._at(t)
 
     def trace_at(self, t: float) -> float:
@@ -116,7 +122,7 @@ def liouville_check(sys: PeriodicSystem, mults, h: float | None = None,
     if panels % 2 == 1:
         panels += 1
     ts = np.linspace(0.0, sys.period, panels + 1)
-    traces = np.array([sys.trace_at(float(t)) for t in ts])
+    traces = np.trace(sys.coefficient_at(ts), axis1=1, axis2=2)
     w = np.ones(panels + 1)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0

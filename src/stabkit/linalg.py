@@ -34,10 +34,15 @@ NORM_FLOOR = 1e-12
 
 def as_matrix(a, square: bool = False) -> np.ndarray:
     """Validate and return ``a`` as a float64 2-D array with finite entries."""
+    return _checked(a, square, stack=False)
+
+
+def _checked(a, square: bool, stack: bool) -> np.ndarray:
     m = np.asarray(a, dtype=float)
-    if m.ndim != 2:
-        raise NonSquareError(f"expected a 2-D matrix, got shape {m.shape}")
-    if square and m.shape[0] != m.shape[1]:
+    if m.ndim != 2 and not (stack and m.ndim == 3):
+        want = "a 2-D matrix or an (N, r, c) stack" if stack else "a 2-D matrix"
+        raise NonSquareError(f"expected {want}, got shape {m.shape}")
+    if square and m.shape[-2] != m.shape[-1]:
         raise NonSquareError(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
@@ -126,22 +131,25 @@ def principal_minors(s) -> np.ndarray:
     return np.array([float(np.linalg.det(a[:k, :k])) for k in range(1, n + 1)])
 
 
-def matrix_measure(a) -> float:
+def matrix_measure(a):
     """Matrix measure: half the largest eigenvalue of ``a + a.T``.
 
     A one-sided growth bound: ``d||x||/dt <= measure(a) * ||x||`` along
-    solutions of ``x' = a x``.
+    solutions of ``x' = a x``.  An ``(N, n, n)`` stack gives the N measures
+    as an array.
     """
-    m = as_matrix(a, square=True)
-    return 0.5 * float(np.linalg.eigvalsh(m + m.T)[-1])
+    m = _checked(a, square=True, stack=True)
+    top = 0.5 * np.linalg.eigvalsh(m + np.swapaxes(m, -1, -2))[..., -1]
+    return float(top) if m.ndim == 2 else top
 
 
-def spectral_norm(a) -> float:
-    """Largest singular value."""
-    m = as_matrix(a)
-    if m.size == 0:
-        return 0.0
-    return float(np.linalg.norm(m, 2))
+def spectral_norm(a):
+    """Largest singular value; an ``(N, r, c)`` stack gives N of them."""
+    m = _checked(a, square=False, stack=True)
+    if m.shape[-2] == 0 or m.shape[-1] == 0:
+        return 0.0 if m.ndim == 2 else np.zeros(m.shape[0])
+    top = np.linalg.svd(m, compute_uv=False).max(axis=-1)
+    return float(top) if m.ndim == 2 else top
 
 
 def solve_dense(a, b, tol: float = NORM_FLOOR):

@@ -1,10 +1,17 @@
 """Deterministic fixed-step integration.
 
 Classical RK4 for vector ODEs and fundamental-matrix ODEs, plus the method
-of steps for linear multi-delay equations.  Fixed step, no adaptivity: the
-point is bit-reproducible trajectories, not efficiency.  A state component
-beyond ``ESCAPE_THRESHOLD`` (or non-finite) aborts the run with
-:class:`NonFiniteStateError`, which doubles as the finite-time-escape verdict.
+of steps for linear multi-delay equations.  Fixed step, no adaptivity.
+Linear systems advance by per-step RK4 maps: the coefficients are evaluated
+over whole chunks of stage times at once, each step's RK4 update is formed
+as one matrix ``W_k``, and a step is then one product with ``W_k``.  The
+result is deterministic from run to run and agrees with the stage-by-stage
+RK4 loop (which nonlinear right-hand sides and trailing partial steps still
+take) to within rounding: about 1e-15 of the state's scale, below 2e-14
+after 2e4 to 6e4 steps.  A state component beyond
+``ESCAPE_THRESHOLD`` (or non-finite) aborts the run with
+:class:`NonFiniteStateError` at the first escaping step, which doubles as
+the finite-time-escape verdict.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ import numpy as np
 from . import expr as ex
 from .errors import (
     DimensionMismatchError,
+    DomainError,
     HistoryGapError,
     NonFiniteStateError,
     SampleCapError,
@@ -31,6 +39,8 @@ __all__ = [
 
 ESCAPE_THRESHOLD = 1e12
 SAMPLE_CAP = 10_000_000
+#: steps per batch of RK4 step maps; bounds the (CHUNK, n, M) map stacks
+CHUNK = 1024
 
 
 # --- system definitions --------------------------------------------------------
@@ -42,16 +52,55 @@ def _expr_grid(entries, params) -> tuple[tuple[ex.Expr, ...], ...]:
     return tuple(tuple(ex.as_expr(e, params) for e in row) for row in entries)
 
 
+def _batch_filler(grid, params: Mapping[str, float]):
+    """One generated function ``fill(x, t, out)`` writing every entry of the
+    grid at the times ``t`` into the columns of ``out`` (shape ``(N, n*n)``)."""
+    body = "".join(f"\n    out[:, {j}] = {ex._codegen(e, params)}"
+                   for j, e in enumerate(e for row in grid for e in row))
+    namespace = {"__builtins__": {}, **ex.VEC_NS}
+    exec(compile(f"def fill(x, t, out):{body or ' pass'}", "<stabkit-grid>",
+                 "exec"), namespace)
+    return namespace["fill"]
+
+
 def compile_matrix(entries: Sequence[Sequence[ExprEntry]],
                    params: Mapping[str, float] | None = None,
-                   ) -> Callable[[float], np.ndarray]:
-    """Compile a grid of expression entries to a fast ``t -> ndarray``."""
-    grid = _expr_grid(entries, set(params or ()))
+                   ) -> Callable[[float | np.ndarray], np.ndarray]:
+    """Compile a grid of expression entries to a fast ``t -> ndarray``.
+
+    A scalar ``t`` gives the ``(n, n)`` matrix from per-entry compiled
+    closures.  A 1-D array of ``N`` times gives the ``(N, n, n)`` stack from
+    one numpy pass over the whole grid.  A pass that raises a floating-point
+    flag other than underflow, or yields a non-finite entry, is redone time
+    by time through the scalar closures, so :class:`DomainError` is raised
+    exactly when, and as, the scalar evaluation raises it.
+    """
+    params = dict(params or {})
+    grid = _expr_grid(entries, set(params))
     fns = [[ex.compile_expr(e, params) for e in row] for row in grid]
+    shape = (len(grid), len(grid[0]) if grid else 0)
+    fill = None
     empty: tuple[float, ...] = ()
 
-    def at(t: float) -> np.ndarray:
+    def scalar(t: float) -> np.ndarray:
         return np.array([[f(empty, t) for f in row] for row in fns])
+
+    def at(t):
+        nonlocal fill
+        if not (isinstance(t, np.ndarray) and t.ndim == 1):
+            return scalar(t)
+        if fill is None:  # compiled on first use: many grids see only scalars
+            fill = _batch_filler(grid, params)
+        out = np.empty((len(t), shape[0] * shape[1]))
+        try:
+            with np.errstate(all="raise", under="ignore"):
+                fill(empty, t, out)
+        except FloatingPointError:
+            pass
+        else:
+            if np.isfinite(out).all():
+                return out.reshape((len(t),) + shape)
+        return np.stack([scalar(v) for v in t.tolist()])
 
     return at
 
@@ -207,22 +256,10 @@ class SystemDef:
 
     def rhs_callable(self) -> Callable[[np.ndarray, float], np.ndarray]:
         """Compiled evaluator of the undelayed right-hand side."""
-        rhs = self.rhs
-        if isinstance(rhs, LinearConstant):
-            a = rhs.a
-
-            def f(x: np.ndarray, t: float) -> np.ndarray:
-                return a @ x
-
-            return f
-        if isinstance(rhs, LinearTimeVarying):
-            p = compile_matrix(rhs.entries, self.params)
-
-            def f(x: np.ndarray, t: float) -> np.ndarray:
-                return p(t) @ x
-
-            return f
-        fns = [ex.compile_expr(c, self.params) for c in rhs.components]
+        a = _linear_coefficient(self)
+        if a is not None:
+            return _matrix_rhs(a)
+        fns = [ex.compile_expr(c, self.params) for c in self.rhs.components]
 
         def f(x: np.ndarray, t: float) -> np.ndarray:
             return np.array([fn(x, t) for fn in fns])
@@ -332,14 +369,16 @@ class HistoryFn:
     def span(self) -> float:
         return -float(self.times[0])
 
-    def __call__(self, t: float) -> np.ndarray:
+    def __call__(self, t):
+        """State at ``t``; a 1-D array of times gives one row per time."""
         ts = self.times
-        if t < ts[0] - 1e-12 or t > ts[-1] + 1e-12:
-            raise HistoryGapError(f"history not defined at t={t!r}")
-        j = int(np.searchsorted(ts, t, side="right")) - 1
-        j = min(max(j, 0), len(ts) - 2)
-        w = (t - ts[j]) / (ts[j + 1] - ts[j])
-        w = min(max(w, 0.0), 1.0)
+        tt = np.asarray(t, dtype=float)
+        outside = (tt < ts[0] - 1e-12) | (tt > ts[-1] + 1e-12)
+        if outside.any():
+            bad = t if tt.ndim == 0 else float(tt[outside][0])
+            raise HistoryGapError(f"history not defined at t={bad!r}")
+        j = np.clip(np.searchsorted(ts, tt, side="right") - 1, 0, len(ts) - 2)
+        w = np.clip((tt - ts[j]) / (ts[j + 1] - ts[j]), 0.0, 1.0)[..., None]
         return (1.0 - w) * self.values[j] + w * self.values[j + 1]
 
 
@@ -362,7 +401,8 @@ def _grid(t0: float, t1: float, h: float) -> tuple[int, float]:
 
 
 def _check_state(x: np.ndarray, t: float) -> None:
-    if not np.all(np.isfinite(x)) or np.any(np.abs(x) > ESCAPE_THRESHOLD):
+    # one reduction: a NaN propagates through max and fails the comparison
+    if not np.abs(x).max() <= ESCAPE_THRESHOLD:
         raise NonFiniteStateError(t)
 
 
@@ -407,34 +447,131 @@ def integrate(sys: SystemDef, x0, t0: float, t1: float, h: float) -> Trajectory:
     return Trajectory(np.array(times), np.vstack(states), h)
 
 
+def _linear_coefficient(sys: SystemDef):
+    """``A`` of a linear right-hand side: the constant matrix, or the compiled
+    grid ``t -> A(t)``; None for a nonlinear one."""
+    rhs = sys.rhs
+    if isinstance(rhs, LinearConstant):
+        return rhs.a
+    if isinstance(rhs, LinearTimeVarying):
+        return compile_matrix(rhs.entries, sys.params)
+    return None
+
+
+def _at(coeff, t):
+    """A coefficient (constant array or compiled grid) at time(s) ``t``."""
+    return coeff if isinstance(coeff, np.ndarray) else coeff(t)
+
+
+def _matrix_rhs(a) -> Callable[[np.ndarray, float], np.ndarray]:
+    if isinstance(a, np.ndarray):
+        return lambda x, t: a @ x
+    return lambda x, t: a(t) @ x
+
+
+def _step_maps(a, delays: Sequence, stages, h: float) -> np.ndarray:
+    """RK4 step maps for ``x' = A(t) x + sum_i D_i(t) x(t - lag_i)``.
+
+    ``stages`` holds the step starts, midpoints and ends; coefficients that
+    vary are evaluated there in one batch each.  Returns ``W`` of shape
+    ``(..., n, n (1 + 2m))`` with ``x_{k+1} = W_k [x_k, y_1, y_1', ...]``,
+    where ``y_i`` and ``y_i'`` are the grid nodes at ``t_k - lag_i`` and one
+    step later (the midpoint stages read their mean, as the stage loop does).
+    Without varying coefficients ``W`` is one ``(n, M)`` matrix.
+    """
+    t_now, t_mid, t_end = stages
+    a_mid = _at(a, t_mid)
+    n = a_mid.shape[-1]
+    width = n * (1 + 2 * len(delays))
+    eye = np.eye(n, width)
+
+    def delayed(t, w_now: float, w_next: float):
+        if not delays:
+            return 0.0
+        values = [_at(d, t) for d in delays]
+        out = np.zeros(np.broadcast_shapes(*(v.shape for v in values))[:-2]
+                       + (n, width))
+        for i, v in enumerate(values):
+            lo = n * (1 + 2 * i)
+            if w_now:
+                out[..., lo:lo + n] = w_now * v
+            if w_next:
+                out[..., lo + n:lo + 2 * n] = w_next * v
+        return out
+
+    # k1 + 2 k2 + 2 k3 + k4 accumulates in place to keep the stacks few
+    b_mid = delayed(t_mid, 0.5, 0.5)
+    k = _at(a, t_now) @ eye + delayed(t_now, 1.0, 0.0)
+    total = k.copy()
+    k = a_mid @ (eye + 0.5 * h * k) + b_mid
+    total += 2.0 * k
+    k = a_mid @ (eye + 0.5 * h * k) + b_mid
+    total += 2.0 * k
+    k = _at(a, t_end) @ (eye + h * k) + delayed(t_end, 0.0, 1.0)
+    total += k
+    return eye + (h / 6.0) * total
+
+
+def _map_chunks(a, delays: Sequence, n_full: int, stage_times, h: float):
+    """Yield ``(start, stop, maps)`` over the full steps, CHUNK steps at a time.
+
+    ``maps`` stacks ``W_k`` for steps ``start .. stop-1``; it is None when
+    the system is nonlinear, or when a coefficient or map entry is not finite
+    on the chunk.  The caller then takes those steps through the stage loop,
+    which raises what it raises (a :class:`DomainError`, or an escape first).
+    """
+    def maps(stages):
+        if a is None:
+            return None
+        try:
+            with np.errstate(all="ignore"):
+                w = _step_maps(a, delays, stages, h)
+        except DomainError:
+            return None
+        return w if np.isfinite(w).all() else None
+
+    fixed = a is None or \
+        all(isinstance(c, np.ndarray) for c in (a, *delays))
+    w = maps((None, None, None)) if fixed else None
+    for start in range(0, n_full, CHUNK):
+        stop = min(start + CHUNK, n_full)
+        if not fixed:
+            w = maps(stage_times(np.arange(start, stop, dtype=float)))
+        if w is not None and w.ndim == 2:
+            yield start, stop, np.broadcast_to(w, (stop - start,) + w.shape)
+        else:
+            yield start, stop, w
+
+
 def integrate_matrix(sys: SystemDef, t0: float, t1: float, h: float) -> np.ndarray:
     """Fundamental matrix ``X(t1)`` with ``X(t0) = I`` for a linear system.
 
     Columns are the fundamental system of solutions (unit initial
-    conditions), advanced together by matrix-valued RK4.
+    conditions), advanced together by matrix-valued RK4: one product with
+    the step map ``W_k`` per step.
     """
-    rhs = sys.rhs
-    if isinstance(rhs, LinearConstant):
-        a = rhs.a
-
-        def f(X: np.ndarray, t: float) -> np.ndarray:
-            return a @ X
-    elif isinstance(rhs, LinearTimeVarying):
-        p = compile_matrix(rhs.entries, sys.params)
-
-        def f(X: np.ndarray, t: float) -> np.ndarray:
-            return p(t) @ X
-    else:
+    a = _linear_coefficient(sys)
+    if a is None:
         raise ValueError("integrate_matrix requires a linear system")
+    f = _matrix_rhs(a)
     n_full, rem = _grid(t0, t1, h)
     X = np.eye(sys.dimension)
-    t = t0
-    for i in range(n_full):
-        X = _rk4_step(f, X, t, h)
-        t = t0 + (i + 1) * h
-        _check_state(X, t)
+
+    def stage_times(ks):
+        tk = t0 + ks * h
+        return tk, tk + 0.5 * h, tk + h
+
+    for start, stop, maps in _map_chunks(a, (), n_full, stage_times, h):
+        if maps is None:
+            for k in range(start, stop):
+                X = _rk4_step(f, X, t0 + k * h, h)
+                _check_state(X, t0 + (k + 1) * h)
+            continue
+        for k, w in zip(range(start, stop), maps):
+            X = w @ X
+            _check_state(X, t0 + (k + 1) * h)
     if rem > 0.0:
-        X = _rk4_step(f, X, t, rem)
+        X = _rk4_step(f, X, t0 + n_full * h, rem)
         _check_state(X, t1)
     return X
 
@@ -469,14 +606,19 @@ def integrate_dde(sys: SystemDef, history: HistoryFn, t1: float,
         raise HistoryGapError(
             f"history covers [{-history.span}, 0] but max lag is {sys.max_lag}")
 
-    f0 = sys.rhs_callable()
-    coeffs = sys.delay_coeff_callables()
+    a = _linear_coefficient(sys)
+    f0 = sys.rhs_callable() if a is None else _matrix_rhs(a)
+    coeffs = [d.coeff if isinstance(d.coeff, np.ndarray)
+              else compile_matrix(d.coeff, sys.params) for d in sys.delays]
     lag_steps = [round(lag / h) for lag in lags]
 
+    n_full, rem = _grid(0.0, t1, h)
     n_hist = round(sys.max_lag / h)
-    buf: list[np.ndarray] = [history(-(n_hist - j) * h) for j in range(n_hist)]
-    buf.append(history(0.0))
-    base = len(buf) - 1  # index of the t=0 grid node
+    base = n_hist  # index of the t=0 grid node
+    if base + 1 + n_full > SAMPLE_CAP:
+        raise SampleCapError(f"trajectory would exceed {SAMPLE_CAP} samples")
+    buf = np.empty((base + 1 + n_full, sys.dimension))
+    buf[:base + 1] = history(-(n_hist - np.arange(n_hist + 1)) * h)
 
     def delayed(node: int, cfrac: float, steps_back: int) -> np.ndarray:
         # value at (node + cfrac)*h - lag; cfrac in units of h within [0, 1]
@@ -490,8 +632,8 @@ def integrate_dde(sys: SystemDef, history: HistoryFn, t1: float,
     def rhs(x: np.ndarray, node: int, cfrac: float) -> np.ndarray:
         t = (node + cfrac) * h
         dx = f0(x, t)
-        for fn, sb in zip(coeffs, lag_steps):
-            dx = dx + fn(t) @ delayed(node, cfrac, sb)
+        for c, sb in zip(coeffs, lag_steps):
+            dx = dx + _at(c, t) @ delayed(node, cfrac, sb)
         return dx
 
     def step(x: np.ndarray, node: int, hh: float) -> np.ndarray:
@@ -503,24 +645,29 @@ def integrate_dde(sys: SystemDef, history: HistoryFn, t1: float,
         k4 = rhs(x + hh * k3, node, full)
         return x + (hh / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-    n_full, rem = _grid(0.0, t1, h)
-    times = [0.0]
-    states = [buf[-1]]
-    x = buf[-1]
-    for i in range(n_full):
-        x = step(x, i, h)
-        t = (i + 1) * h
-        _check_state(x, t)
-        buf.append(x)
-        times.append(t)
-        states.append(x)
-        if len(buf) > SAMPLE_CAP:
-            raise SampleCapError(f"trajectory would exceed {SAMPLE_CAP} samples")
+    def stage_times(ks):
+        return ks * h, (ks + 0.5) * h, (ks + 1.0) * h
+
+    # rows of buf a step map reads: x_k, then each lag's node pair
+    reads = base + np.array([0] + [o for sb in lag_steps for o in (-sb, 1 - sb)])
+    for start, stop, maps in _map_chunks(a, coeffs, n_full, stage_times, h):
+        if maps is None:
+            for k in range(start, stop):
+                x = step(buf[base + k], k, h)
+                _check_state(x, (k + 1) * h)
+                buf[base + k + 1] = x
+            continue
+        for k, w in zip(range(start, stop), maps):
+            x = w @ buf.take(reads + k, axis=0).ravel()
+            _check_state(x, (k + 1) * h)
+            buf[base + k + 1] = x
+    times = np.arange(n_full + 1) * h
+    states = buf[base:]
     if rem > 0.0:
         # trailing partial step: delayed lookups interpolate inside the last
         # grid cell, and the off-grid result never enters the lookup buffer
-        x = step(x, n_full, rem)
+        x = step(buf[-1], n_full, rem)
         _check_state(x, t1)
-        times.append(t1)
-        states.append(x)
-    return Trajectory(np.array(times), np.vstack(states), h)
+        times = np.append(times, t1)
+        states = np.vstack([states, x])
+    return Trajectory(times, states, h)

@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from stabkit import alpha as al
-from stabkit import odeint
-from stabkit.errors import ZeroTrajectoryError
+from stabkit import linalg, odeint
+from stabkit.errors import InvalidArgumentError, ZeroTrajectoryError
 from conftest import gallery_system
 
 
@@ -204,3 +206,50 @@ def test_certify_rejects_missing_p_on_residual_routes():
     with pytest.raises(ValueError):
         al.certify(gallery_system("delay_two_lag"), 0.5,
                    al.CertificateRoute.ALGEBRAIC_RDE)
+
+
+@pytest.mark.parametrize("alpha", [-1.0, -1e-12, math.nan, math.inf])
+@pytest.mark.parametrize("route", list(al.CertificateRoute))
+def test_certify_rejects_negative_or_nonfinite_alpha(alpha, route):
+    ds = gallery_system("delay_coupled")
+    p = al.solve_delay_lyapunov(ds.a0, ds.m)
+    with pytest.raises(InvalidArgumentError, match="alpha must be finite"):
+        al.certify(ds, alpha, route, p=p, horizon=0.0)
+
+
+def test_max_alpha_two_lag_overflow_reads_infeasible():
+    # lag 4.0 at the bisection's upper end: exp(2 * 100 * 4) overflows
+    ds = gallery_system("delay_two_lag")
+    p = al.solve_delay_lyapunov(ds.a0, ds.m)
+    inputs = al.rate_bound_inputs(ds, p)
+    assert inputs.h == 4.0
+    lhs = al.rate_inequality_lhs(inputs.eta, inputs.p_norm, inputs.a_norm_sq,
+                                 inputs.m, inputs.h, 100.0)
+    assert lhs == math.inf
+    got = al.max_alpha(inputs.eta, inputs.p_norm, inputs.a_norm_sq,
+                       inputs.m, inputs.h)
+    assert got is not None and 0.0 < got < 100.0
+    args = (inputs.eta, inputs.p_norm, inputs.a_norm_sq, inputs.m, inputs.h)
+    assert al.rate_inequality_lhs(*args, got) <= 0.0
+    assert al.rate_inequality_lhs(*args, got + 1e-8) > 0.0
+
+
+def test_rate_inequality_without_delayed_gain_is_linear():
+    assert al.rate_inequality_lhs(-1.0, 2.0, 0.0, 2, 4.0, 1000.0) == 1999.0
+
+
+def test_rate_bound_inputs_match_per_time_scan():
+    ds = gallery_system("delay_rotating")
+    p = al.SampledMatrixFunction.from_callable(
+        lambda t: np.exp(-t) * np.eye(2), 0.0, 5.0, 101)
+    grid = (0.0, 5.0, 201)
+    got = al.rate_bound_inputs(ds, p, t_grid=grid)
+    times = np.linspace(*grid)
+    a0 = ds.a0_fn()
+    eta = max(linalg.matrix_measure(a0(float(t))) for t in times)
+    a_norm_sq = max(max(linalg.spectral_norm(fn(float(t))) for t in times) ** 2
+                    for fn in ds.delay_fns())
+    p_norm = max(linalg.spectral_norm(v + np.eye(2)) for v in p.values)
+    assert got.eta == pytest.approx(eta, rel=1e-14)
+    assert got.a_norm_sq == pytest.approx(a_norm_sq, rel=1e-14)
+    assert got.p_norm == pytest.approx(p_norm, rel=1e-14)

@@ -218,3 +218,24 @@ def test_deterministic_output_and_seed_env_is_inert(tmp_path):
     a, b = json.loads(first.stdout), json.loads(second.stdout)
     a.pop("wall_time_s"), b.pop("wall_time_s")
     assert a == b
+
+
+@pytest.mark.parametrize("alpha", ["-1", "nan", "inf"])
+@pytest.mark.parametrize("route", ["rate-inequality", "rde", "algebraic-rde"])
+def test_alpha_rejects_negative_or_nonfinite_rate(tmp_path, capsys, alpha, route):
+    pfile = tmp_path / "p.json"
+    pfile.write_text(json.dumps({"matrix": [[0.5, 0.0], [0.0, 0.25]]}))
+    rc = cli.run(["alpha", "--system", str(gallery_file("delay_coupled")),
+                  f"--alpha={alpha}", "--route", route, "--p-file", str(pfile),
+                  "--horizon", "0"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "alpha must be finite and nonnegative" in captured.err
+
+
+def test_alpha_negative_rate_without_p_file_exits_2(capsys):
+    rc = cli.run(["alpha", "--system", str(gallery_file("delay_coupled")),
+                  "--alpha=-1", "--route", "rate-inequality", "--horizon", "0"])
+    assert rc == 2
+    assert capsys.readouterr().out == ""

@@ -138,3 +138,33 @@ def test_full_report():
 def test_gallery_period_matches_entries():
     doc = gallery_doc("periodic_rotation")
     assert doc.document["period"] == pytest.approx(2 * math.pi)
+
+
+def test_liouville_integrates_batched_traces_like_the_per_time_scan():
+    sysd = gallery_system("periodic_rotation")
+    mults = fl.multipliers(fl.monodromy(sysd, 1e-3))
+    _, rhs, _ = fl.liouville_check(sysd, mults, panels=200)
+    ts = np.linspace(0.0, sysd.period, 201)
+    w = np.ones(201)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    traces = np.array([sysd.trace_at(float(t)) for t in ts])
+    want = math.exp(sysd.period / 200 / 3.0 * (w @ traces))
+    assert rhs == pytest.approx(want, rel=1e-14)
+
+
+def test_constant_coefficient_multipliers_are_exp_t_lambda():
+    # metamorphic: P(t) = A gives multipliers exp(T lambda_i); the period is
+    # not a multiple of the step, so the trailing partial step is taken too
+    a = np.array([[-0.5, 2.0], [-1.0, -0.3]])
+    T = 1.7005
+    mults = fl.multipliers(fl.monodromy(constant_system(a, T), 1e-3))
+    want = sorted(np.exp(T * np.linalg.eigvals(a)),
+                  key=lambda z: (z.real, z.imag))
+    got = sorted(mults, key=lambda z: (z.real, z.imag))
+    np.testing.assert_allclose(got, want, rtol=1e-10)
+
+
+def test_periodicity_spot_check_names_first_failing_time():
+    with pytest.raises(ValueError, match=r"checked t=0\.1370"):
+        fl.PeriodicSystem((("sin(t)", "t"), ("0", "0")), period=1.0)

@@ -143,3 +143,29 @@ def test_solve_dense():
 def test_solve_dense_singular():
     with pytest.raises(SingularError):
         linalg.solve_dense([[1.0, 2.0], [2.0, 4.0]], [1.0, 1.0])
+
+
+def test_stacked_measure_and_norm_match_per_matrix():
+    rng = np.random.default_rng(5)
+    stack = rng.normal(size=(7, 3, 3))
+    assert np.array_equal(linalg.matrix_measure(stack),
+                          [linalg.matrix_measure(m) for m in stack])
+    assert np.array_equal(linalg.spectral_norm(stack),
+                          [linalg.spectral_norm(m) for m in stack])
+    assert isinstance(linalg.spectral_norm(stack[0]), float)
+    assert linalg.spectral_norm(rng.normal(size=(4, 2, 3))).shape == (4,)
+
+
+def test_stacked_measure_and_norm_reject_bad_input():
+    stack = np.ones((3, 2, 2))
+    stack[2, 1, 0] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        linalg.matrix_measure(stack)
+    with pytest.raises(ValueError, match="finite"):
+        linalg.spectral_norm(stack)
+    with pytest.raises(NonSquareError):
+        linalg.matrix_measure(np.ones((3, 2, 3)))
+    with pytest.raises(NonSquareError):
+        linalg.spectral_norm(np.ones((2, 2, 2, 2)))
+    with pytest.raises(NonSquareError):
+        linalg.as_matrix(np.ones((3, 2, 2)))

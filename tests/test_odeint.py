@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from stabkit import odeint
-from stabkit.errors import HistoryGapError, NonFiniteStateError
+from stabkit.errors import DomainError, HistoryGapError, NonFiniteStateError
 from stabkit.odeint import (
     Delay,
     HistoryFn,
@@ -13,12 +13,14 @@ from stabkit.odeint import (
     LinearTimeVarying,
     Nonlinear,
     SystemDef,
+    compile_matrix,
     dde_step,
     integrate,
     integrate_dde,
     integrate_matrix,
 )
-from conftest import gallery_system
+from stabkit.schema import load_system
+from conftest import GALLERY, gallery_system
 
 
 def scalar_decay():
@@ -170,3 +172,226 @@ def test_delays_must_be_sorted():
     with pytest.raises(Exception):
         SystemDef(1, Nonlinear(("0",)),
                   delays=(Delay(1.0, [[1.0]]), Delay(0.5, [[1.0]])))
+
+
+# --- escape check -------------------------------------------------------------
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e13, -1e13])
+@pytest.mark.parametrize("where", [0, -1])
+def test_check_state_rejects_nonfinite_and_escaped(bad, where):
+    x = np.full(4, 0.5)
+    x[where] = bad
+    with pytest.raises(NonFiniteStateError) as err:
+        odeint._check_state(x, 2.5)
+    assert err.value.t == 2.5
+
+
+def test_check_state_accepts_threshold():
+    odeint._check_state(np.array([odeint.ESCAPE_THRESHOLD, -1.0, 0.0]), 0.0)
+
+
+# --- history lookups ------------------------------------------------------------
+
+def test_history_time_array_matches_scalar_calls():
+    times = np.linspace(-2.0, 0.0, 9)
+    hist = HistoryFn(times, np.column_stack([np.sin(times), times ** 2]))
+    ts = np.linspace(-2.0, 0.0, 101)
+    batch = hist(ts)
+    assert batch.shape == (101, 2)
+    assert np.array_equal(batch, np.stack([hist(float(t)) for t in ts]))
+    assert hist(-1.0).shape == (2,)
+
+
+def test_history_time_array_gap():
+    hist = HistoryFn.constant([1.0, 2.0], 1.0)
+    with pytest.raises(HistoryGapError, match="t=-1.5"):
+        hist(np.array([-0.5, -1.5, 0.5]))
+    with pytest.raises(HistoryGapError, match="t=0.25"):
+        hist(0.25)
+
+
+# --- batched coefficient grids ---------------------------------------------------
+
+def _time_varying_gallery_grids():
+    for path in sorted(GALLERY.glob("*.json")):
+        doc = load_system(path).document
+        params = doc.get("params", {})
+        if doc["kind"] == "periodic":
+            grids = [doc["coefficients"]]
+        elif doc["kind"] == "delay":
+            grids = [doc["a"]] + [d["coefficients"] for d in doc["delays"]]
+        else:
+            continue
+        for i, grid in enumerate(grids):
+            if odeint.fold_constant_grid(grid, params) is None:
+                yield f"{path.stem}[{i}]", grid, params
+
+
+def test_gallery_has_time_varying_grids():
+    names = {label.split("[")[0] for label, _, _ in _time_varying_gallery_grids()}
+    assert {"periodic_rotation", "delay_rotating",
+            "delay_gain_scheduled"} <= names
+
+
+@pytest.mark.parametrize("label,grid,params", list(_time_varying_gallery_grids()))
+def test_compile_matrix_batch_matches_scalar(label, grid, params):
+    at = compile_matrix(grid, params)
+    times = np.linspace(0.0, 12.0, 1001)
+    batch = at(times)
+    stacked = np.stack([at(float(t)) for t in times])
+    assert batch.shape == stacked.shape == (len(times),) + stacked.shape[1:]
+    np.testing.assert_array_max_ulp(batch, stacked, maxulp=4)
+
+
+def _first_scalar_error(at, times):
+    for t in times:
+        try:
+            at(float(t))
+        except DomainError as exc:
+            return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("entry,times", [
+    ("log(t - 1)", np.linspace(3.0, -1.0, 41)),
+    ("log(t - 1)", np.linspace(-1.0, 3.0, 41)),
+    ("sqrt(0.5 - t)", np.linspace(0.0, 1.0, 41)),
+    ("sqrt(0.5 - t)", np.linspace(1.0, 0.0, 41)),
+    ("1/exp(800*t)", np.linspace(0.0, 2.0, 41)),
+    ("1/exp(800*t)", np.linspace(-2.0, 0.0, 41)),
+])
+def test_compile_matrix_batch_domain_error_parity(entry, times):
+    at = compile_matrix([[entry, "t"], ["1", "cos(t)"]])
+    want = _first_scalar_error(at, times)
+    assert want is not None
+    with pytest.raises(DomainError) as err:
+        at(times)
+    assert str(err.value) == want
+
+
+def test_compile_matrix_batch_ignores_underflow():
+    at = compile_matrix([["exp(-800*t)"]])
+    times = np.array([0.0, 1.0, 2.0])
+    assert np.array_equal(at(times)[:, 0, 0],
+                          [at(float(t))[0, 0] for t in times])
+
+
+# --- step-map integrators against the stage-by-stage RK4 loop --------------------
+
+A_TEST = np.array([[-1.0, 0.5], [-0.3, -2.0]])
+LAGS = (Delay(0.5, [[0.3, 0.0], [0.1, 0.2]]),
+        Delay(1.25, [[-0.2, 0.05], [0.0, 0.1]]))
+
+
+def _stage_loop_matrix(sysd, t0, t1, h):
+    """Matrix RK4 taken stage by stage, as the integrators once did."""
+    f = sysd.rhs_callable()
+    n_full, rem = odeint._grid(t0, t1, h)
+    X = np.eye(sysd.dimension)
+    for k in range(n_full):
+        X = odeint._rk4_step(f, X, t0 + k * h, h)
+        odeint._check_state(X, t0 + (k + 1) * h)
+    if rem > 0.0:
+        X = odeint._rk4_step(f, X, t0 + n_full * h, rem)
+        odeint._check_state(X, t1)
+    return X
+
+
+def test_dde_step_maps_match_stage_loop():
+    history = HistoryFn.constant([1.0, -0.5], 1.25)
+    general = SystemDef(2, Nonlinear(("-x1 + 0.5*x2", "-0.3*x1 - 2*x2")),
+                        delays=LAGS)
+    linear = SystemDef(2, LinearConstant(A_TEST), delays=LAGS)
+    t1 = 3.0005  # over two chunks of steps, plus a trailing partial step
+    want = integrate_dde(general, history, t1, 1e-3)
+    got = integrate_dde(linear, history, t1, 1e-3)
+    assert len(got.times) > 2 * odeint.CHUNK
+    assert np.array_equal(got.times, want.times)
+    # atol covers components passing through zero; the states are O(1)
+    np.testing.assert_allclose(got.states, want.states, rtol=1e-12, atol=1e-14)
+
+
+def test_time_varying_dde_step_maps_match_stage_loop():
+    lags = (Delay(0.5, [["0.3*sin(t)", "0"], ["0.1", "0.2*cos(2*t)"]]),)
+    history = HistoryFn.constant([1.0, -0.5], 0.5)
+    general = SystemDef(2, Nonlinear(("-x1 + sin(t)*x2", "-0.3*x1 - 2*x2")),
+                        delays=lags)
+    linear = SystemDef(2, LinearTimeVarying((("-1", "sin(t)"),
+                                             ("-0.3", "-2"))), delays=lags)
+    want = integrate_dde(general, history, 2.5, 1e-3)
+    got = integrate_dde(linear, history, 2.5, 1e-3)
+    np.testing.assert_allclose(got.states, want.states, rtol=1e-12, atol=1e-14)
+
+
+def test_matrix_step_maps_match_stage_loop():
+    sysd = SystemDef(2, LinearTimeVarying((("-1 + sin(t)", "0.5"),
+                                           ("-0.3", "-2*cos(t)"))))
+    want = _stage_loop_matrix(sysd, 0.25, 2.7505, 1e-3)
+    got = integrate_matrix(sysd, 0.25, 2.7505, 1e-3)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
+    const = SystemDef(2, LinearConstant(A_TEST))
+    np.testing.assert_allclose(integrate_matrix(const, 0.0, 2.5, 1e-3),
+                               _stage_loop_matrix(const, 0.0, 2.5, 1e-3),
+                               rtol=1e-12, atol=1e-14)
+
+
+def test_periodic_rotation_monodromy_matches_stage_loop_values():
+    # the stage-by-stage loop's monodromy at h = 1e-4, to full precision
+    want = np.array([
+        [0.00511876895717718, -0.0014788356883865253, -0.01064069620070947],
+        [0.010640696200709624, 0.006597604645563659, -0.001478835688386332],
+        [0.01211953188909609, 0.01064069620070968, 0.0051187689571772724]])
+    sysd = gallery_system("periodic_rotation")
+    got = integrate_matrix(sysd.as_systemdef(), 0.0, sysd.period, 1e-4)
+    assert np.abs(got - want).max() <= 1e-14
+
+
+def test_step_maps_fall_back_to_stage_loop_on_domain_error():
+    sysd = SystemDef(1, LinearTimeVarying((("log(2 - t)",),)))
+    with pytest.raises(DomainError) as want:
+        _stage_loop_matrix(sysd, 0.0, 3.0, 0.1)
+    with pytest.raises(DomainError) as got:
+        integrate_matrix(sysd, 0.0, 3.0, 0.1)
+    assert str(got.value) == str(want.value)
+
+
+def test_step_maps_escape_before_a_later_domain_error():
+    # x = exp(exp(t) - 1) escapes near t = 3.3, long before exp(t) overflows
+    sysd = SystemDef(1, LinearTimeVarying((("exp(t)",),)))
+    with pytest.raises(NonFiniteStateError) as want:
+        _stage_loop_matrix(sysd, 0.0, 800.0, 0.01)
+    with pytest.raises(NonFiniteStateError) as got:
+        integrate_matrix(sysd, 0.0, 800.0, 0.01)
+    assert got.value.t == want.value.t
+
+
+def test_step_maps_fall_back_to_stage_loop_when_a_map_overflows():
+    # h^4 A^4 / 24 overflows the map, yet a zero state stays zero
+    sysd = SystemDef(1, LinearConstant(np.array([[-1e200]])),
+                     delays=(Delay(0.5, [[1.0]]),))
+    traj = integrate_dde(sysd, HistoryFn.constant([0.0], 0.5), 1.0, 1e-3)
+    assert not traj.states.any()
+
+
+def test_delay_rotating_escape_time_unchanged():
+    ds = gallery_system("delay_rotating")
+    with pytest.raises(NonFiniteStateError) as err:
+        integrate_dde(ds.as_systemdef(), HistoryFn.constant(np.ones(2), 1.0),
+                      10.0, dde_step([0.5, 1.0]))
+    assert str(err.value) == "state escaped to non-finite values at t=8.146"
+
+
+# --- metamorphic ------------------------------------------------------------------
+
+@pytest.mark.parametrize("rhs", [
+    LinearConstant(A_TEST),
+    LinearTimeVarying((("-1", "0.5*sin(t)"), ("-0.3", "-2"))),
+])
+def test_dde_with_zero_delay_coefficients_matches_ode(rhs):
+    sysd = SystemDef(2, rhs, delays=(Delay(0.5, [[0.0, 0.0], [0.0, 0.0]]),))
+    x0 = [1.0, -0.5]
+    traj = integrate_dde(sysd, HistoryFn.constant(x0, 0.5), 2.0, 1e-3)
+    plain = integrate(SystemDef(2, rhs), x0, 0.0, 2.0, 1e-3)
+    assert np.array_equal(traj.times, plain.times)
+    np.testing.assert_allclose(traj.states, plain.states, rtol=1e-12,
+                               atol=1e-14)
