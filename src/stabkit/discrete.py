@@ -15,13 +15,21 @@ from enum import Enum
 import numpy as np
 
 from . import expr as ex
-from .errors import DimensionMismatchError, NotAFixedPointError
-from .lyapunov import CandidateV, Probe, ScanConfig, _fit_lower_bound
+from .errors import DimensionMismatchError, DomainError, NotAFixedPointError
+from .lyapunov import (
+    BLOCK,
+    CandidateV,
+    Probe,
+    ScanConfig,
+    _fit_lower_bound,
+    _require_samples,
+)
 from .odeint import (
     ESCAPE_THRESHOLD,
     LinearConstant,
     Nonlinear,
     SystemDef,
+    _write_csv,
 )
 from .sampling import ball_points
 
@@ -51,10 +59,17 @@ class DiscreteSystem:
                     f"beyond dimension {self.dimension}")
         self.update = comps
         self._fns = [ex.compile_expr(c, self.params) for c in comps]
+        self._vec = None
 
     def step(self, x, k: float = 0.0) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         return np.array([fn(x, k) for fn in self._fns])
+
+    def steps(self, X: np.ndarray, k: float = 0.0) -> np.ndarray:
+        """The update applied to every row of ``X`` (strict batch evaluation)."""
+        if self._vec is None:
+            self._vec = [ex.compile_expr_vec(c, self.params) for c in self.update]
+        return np.column_stack([fn(X, k) for fn in self._vec])
 
 
 @dataclass(frozen=True)
@@ -66,21 +81,8 @@ class Orbit:
     escaped: bool
 
     def to_csv(self, target) -> None:
-        close = False
-        if isinstance(target, (str, bytes)) or hasattr(target, "__fspath__"):
-            fh = open(target, "w", encoding="utf-8")
-            close = True
-        else:
-            fh = target
-        try:
-            names = ",".join(f"x{i + 1}" for i in range(self.states.shape[1]))
-            fh.write(f"k,{names}\n")
-            for k, row in zip(self.indices, self.states):
-                cells = ",".join(repr(float(v)) for v in row)
-                fh.write(f"{int(k)},{cells}\n")
-        finally:
-            if close:
-                fh.close()
+        """Write ``k,x1,...,xn`` rows at full precision."""
+        _write_csv(target, "k", map(int, self.indices.tolist()), self.states)
 
 
 def euler_discretize(sys: SystemDef, T: float) -> DiscreteSystem:
@@ -146,6 +148,19 @@ def delta_v(sys: DiscreteSystem, v: CandidateV, x, k: int = 0) -> float:
     return v.value(sys.step(x, float(k)), float(k + 1)) - v.value(x, float(k))
 
 
+def _batch_deltas(sys: DiscreteSystem, v: CandidateV, X: np.ndarray,
+                  k: int) -> tuple[np.ndarray, np.ndarray]:
+    """V and Delta V at every row of ``X``, ``BLOCK`` rows per batch."""
+    v_vals = np.empty(len(X))
+    d_vals = np.empty(len(X))
+    for s in range(0, len(X), BLOCK):
+        x = X[s:s + BLOCK]
+        v_vals[s:s + BLOCK] = v.values(x, float(k))
+        after = v.values(sys.steps(x, float(k)), float(k + 1))
+        d_vals[s:s + BLOCK] = after - v_vals[s:s + BLOCK]
+    return v_vals, d_vals
+
+
 class DiscreteConclusion(Enum):
     STABLE = "stable"
     ASYMPTOTICALLY_STABLE = "asymptotically-stable"
@@ -174,6 +189,7 @@ def classify_discrete(sys: DiscreteSystem, v: CandidateV, radius: float = 0.3,
     matches the scale at which local sign analyses of cubic-term updates
     hold.
     """
+    _require_samples(samples)
     zero = np.zeros(sys.dimension)
     if float(np.linalg.norm(sys.step(zero, float(k0)))) > 1e-12:
         raise NotAFixedPointError("update(0) != 0: origin is not a fixed point")
@@ -181,9 +197,11 @@ def classify_discrete(sys: DiscreteSystem, v: CandidateV, radius: float = 0.3,
     T = np.full(samples, float(k0))
     norms = np.linalg.norm(X, axis=1)
     scan = ScanConfig(points=samples, t0=float(k0), time_span=0.0)
-
-    v_vals = np.array([v.value(x, float(k0)) for x in X])
-    d_vals = np.array([delta_v(sys, v, x, k0) for x in X])
+    try:
+        v_vals, d_vals = _batch_deltas(sys, v, X, k0)
+    except DomainError:  # redone point by point to raise it where it occurs
+        v_vals = np.array([v.value(x, float(k0)) for x in X])
+        d_vals = np.array([delta_v(sys, v, x, k0) for x in X])
 
     v_positive = _fit_lower_bound(v_vals, norms, T, False, scan, X)
     worst = float(d_vals.max())

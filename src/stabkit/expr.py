@@ -516,12 +516,18 @@ def compile_expr(e: Expr, params: Mapping[str, float] | None = None,
 def compile_expr_vec(e: Expr, params: Mapping[str, float] | None = None):
     """Compile to a batch evaluator ``f(X, t) -> ndarray``.
 
-    ``X`` has one sample per row; ``t`` is a scalar or a per-row array.
-    Backed by numpy ufuncs, so invalid operands surface as non-finite
-    outputs, which raise a single :class:`DomainError` for the batch.
-    Intended for dense scans of well-behaved (polynomial/trigonometric)
-    expressions; use :func:`compile_expr` when per-point error attribution
-    matters.
+    ``X`` has one sample per row; ``t`` is a scalar or a per-row array.  The
+    pass runs on numpy ufuncs under strict flags: a floating-point flag other
+    than underflow (division by zero, an invalid operand, overflow), or any
+    non-finite output, raises one :class:`DomainError` for the whole batch.
+    That is the "overflow is an error" rule of the grammar.  It is stricter
+    than :func:`compile_expr`, which lets an intermediate overflow to ``inf``
+    and checks only the final value, so a batch that passes holds the values
+    the scalar closure returns (numpy's ``exp``, ``log`` and ``pow`` may
+    differ from libm's in the last bit).  A batch error names no sample: a
+    caller that needs the failing point and the scalar error message redoes
+    its scan through :func:`compile_expr`, which raises exactly where and as
+    the per-point evaluation does.
     """
     params = dict(params or {})
     src = _codegen(e, params)
@@ -530,12 +536,15 @@ def compile_expr_vec(e: Expr, params: Mapping[str, float] | None = None):
 
     def wrapped(X, t):
         cols = np.asarray(X, dtype=float).T
-        with np.errstate(all="ignore"):
-            value = fn(cols, t)
+        try:
+            with np.errstate(all="raise", under="ignore"):
+                value = fn(cols, t)
+        except FloatingPointError as exc:
+            raise DomainError(f"{exc} in batch evaluation", e) from None
         value = np.asarray(value, dtype=float)
         if value.ndim == 0:
             value = np.full(cols.shape[1] if cols.ndim > 1 else 1, float(value))
-        if not np.all(np.isfinite(value)):
+        if not np.isfinite(value).all():
             raise DomainError("non-finite value in batch evaluation", e)
         return value
 

@@ -8,6 +8,16 @@ violating sample is conclusive for "not definite".  Conclusions only ever
 claim what the sufficient conditions support; a failed candidate yields
 ``NO_CONCLUSION``, never "unstable".
 
+The scans are evaluated in batches over all sample rows, ``BLOCK`` rows per
+call of the strict batch evaluator :func:`~stabkit.expr.compile_expr_vec`:
+V at every (x, t), Vdot by central differences on the stacked rows
+``x +- h e_i`` (summed in the order of :func:`vdot_along`), the quadratic
+forms of the Sylvester scan with one determinant call per leading block, and
+the level ladder of the attraction estimate.  A batch that raises
+:class:`DomainError` is redone through the per-point scalar loop, so a domain
+error is raised at the sample, and with the message, of the per-point
+evaluation.
+
 The module also owns the continuous Lyapunov matrix equation (solved by
 Kronecker vectorization), the generalized time-varying Sylvester scan for
 quadratic forms, instability witnesses, and sublevel-set estimation of the
@@ -26,6 +36,7 @@ from . import linalg
 from .errors import (
     DimensionMismatchError,
     DomainError,
+    InvalidArgumentError,
     InvalidCandidateError,
     NoRegionError,
     NotAnEquilibriumError,
@@ -45,6 +56,8 @@ __all__ = [
 MARGIN = 1e-4
 #: probes on time windows must keep at least this fraction of their bound
 TREND_FLOOR = 0.5
+#: rows per batch evaluation in the sampled scans; bounds their memory
+BLOCK = 16384
 
 
 def solve_lyapunov(a, q) -> np.ndarray:
@@ -113,6 +126,7 @@ class CandidateV:
         return self._fn(np.asarray(x, dtype=float), t)
 
     def values(self, X: np.ndarray, t) -> np.ndarray:
+        """V over the rows of ``X`` at one time or at per-row times ``t``."""
         if self._vec is None:
             self._vec = ex.compile_expr_vec(self.expression, self.params)
         return self._vec(X, t)
@@ -149,6 +163,59 @@ def vdot_along(sys: SystemDef, v: CandidateV):
         return float(total)
 
     return vdot
+
+
+def _batch_values(sys: SystemDef, v: CandidateV, X: np.ndarray,
+                  T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """V and Vdot at the sample rows ``(X[k], T[k])``, in batches.
+
+    Each block stacks the rows ``x``, ``x + h e_i``, ``x - h e_i`` (and
+    ``t +- h`` when V mentions t) into one call of the batch evaluator and
+    sums the central differences in the order of :func:`vdot_along`.
+    Raises :class:`DomainError` when any batch does.
+    """
+    n = sys.dimension
+    h = v.fd_step
+    f = sys.rhs_vectorized()
+    shifts = h * np.eye(n)
+    copies = 2 * n + 1 + 2 * v.time_dependent
+    v_vals = np.empty(len(X))
+    vd_vals = np.empty(len(X))
+    per = max(1, BLOCK // copies)
+    for s in range(0, len(X), per):
+        x, t = X[s:s + per], T[s:s + per]
+        rows = [x] + [x + e for e in shifts] + [x - e for e in shifts]
+        times = [t] * (2 * n + 1)
+        if v.time_dependent:
+            rows += [x, x]
+            times += [t + h, t - h]
+        vals = v.values(np.concatenate(rows), np.concatenate(times))
+        vals = vals.reshape(copies, len(x))
+        fx = f(x, t)
+        total = np.zeros(len(x))
+        for i in range(n):
+            total += (vals[1 + i] - vals[1 + n + i]) / (2.0 * h) * fx[:, i]
+        if v.time_dependent:
+            total += (vals[-2] - vals[-1]) / (2.0 * h)
+        v_vals[s:s + per] = vals[0]
+        vd_vals[s:s + per] = total
+    return v_vals, vd_vals
+
+
+def _sample_values(sys: SystemDef, v: CandidateV, X: np.ndarray,
+                   T: np.ndarray, vdot) -> tuple[np.ndarray, np.ndarray]:
+    """V and Vdot at every sample row; a batch domain error is redone point
+    by point, which raises it where and as the scalar evaluation does."""
+    try:
+        return _batch_values(sys, v, X, T)
+    except DomainError:
+        return (np.array([v.value(x, t) for x, t in zip(X, T)]),
+                np.array([vdot(x, t) for x, t in zip(X, T)]))
+
+
+def _require_samples(count: int) -> None:
+    if not count >= 1:
+        raise InvalidArgumentError(f"need at least one sample, got {count}")
 
 
 # --- scan reports ----------------------------------------------------------------
@@ -391,14 +458,13 @@ def check_candidate(sys: SystemDef, v: CandidateV, radius: float = 1.0,
     for autonomous systems uniformity is vacuous and the plain labels of the
     autonomous theory are reported.
     """
+    _require_samples(scan.points)
     _check_origin_equilibrium(sys, scan)
     _check_candidate_zero(v, sys.dimension, scan)
     X, T, time_dep = _scan_points(sys, v, radius, scan)
     norms = np.linalg.norm(X, axis=1)
     vdot = vdot_along(sys, v)
-
-    v_vals = np.array([v.value(x, t) for x, t in zip(X, T)])
-    vd_vals = np.array([vdot(x, t) for x, t in zip(X, T)])
+    v_vals, vd_vals = _sample_values(sys, v, X, T, vdot)
 
     v_positive = _fit_lower_bound(v_vals, norms, T, time_dep, scan, X)
     notes: list[str] = []
@@ -494,12 +560,12 @@ def check_instability(sys: SystemDef, w: CandidateV, radius: float = 1.0,
     every one holds with margin.  The conditions are sufficient, not
     necessary: a False result does not certify stability.
     """
+    _require_samples(scan.points)
     _check_origin_equilibrium(sys, scan)
     X, T, time_dep = _scan_points(sys, w, radius, scan)
     norms = np.linalg.norm(X, axis=1)
     wdot = vdot_along(sys, w)
-    w_vals = np.array([w.value(x, t) for x, t in zip(X, T)])
-    wd_vals = np.array([wdot(x, t) for x, t in zip(X, T)])
+    w_vals, wd_vals = _sample_values(sys, w, X, T, wdot)
 
     zero = np.zeros(sys.dimension)
     w_zero = all(abs(w.value(zero, t)) <= 1e-9
@@ -547,6 +613,7 @@ class QuadraticFormTV:
         self.entries = tuple(tuple(row) for row in grid)
         self._fns = [[ex.compile_expr(e, self.params) for e in row]
                      for row in self.entries]
+        self._vec = None
 
     @property
     def dimension(self) -> int:
@@ -555,6 +622,18 @@ class QuadraticFormTV:
     def matrix_at(self, x, t: float) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         return np.array([[f(x, t) for f in row] for row in self._fns])
+
+    def matrices(self, X: np.ndarray, T: np.ndarray) -> np.ndarray:
+        """The ``(N, n, n)`` coefficient matrices at the rows ``(X[k], T[k])``."""
+        n = self.dimension
+        if self._vec is None:
+            self._vec = [(i, j, ex.compile_expr_vec(self.entries[i][j],
+                                                   self.params))
+                         for i in range(n) for j in range(i, n)]
+        out = np.empty((len(X), n, n))
+        for i, j, fn in self._vec:
+            out[:, i, j] = out[:, j, i] = fn(X, T)
+        return out
 
 
 @dataclass(frozen=True)
@@ -574,8 +653,11 @@ def sylvester_tv(q: QuadraticFormTV, t0: float, time_span: float = 50.0,
 
     Positive definite iff every leading minor of the coefficient matrix
     stays at or above its delta across the sampled region
-    ``sum x_j^2 < mu, t in [t0, t0 + time_span]``.
+    ``sum x_j^2 < mu, t in [t0, t0 + time_span]``.  Raises
+    :class:`InvalidArgumentError` for fewer than one point or time sample.
     """
+    _require_samples(x_points)
+    _require_samples(time_samples)
     n = q.dimension
     if np.isscalar(deltas):
         deltas_t = tuple(float(deltas) for _ in range(n))
@@ -585,19 +667,52 @@ def sylvester_tv(q: QuadraticFormTV, t0: float, time_span: float = 50.0,
             raise DimensionMismatchError("need one delta per minor")
     X = ball_points(x_points, n, np.sqrt(mu) * (1.0 - 1e-12))
     times = t0 + np.linspace(0.0, time_span, time_samples)
-    min_minors = np.full(n, np.inf)
-    worst_x = tuple(X[0])
-    worst_t = float(times[0])
-    for x in X:
-        for t in times:
-            minors = linalg.principal_minors(q.matrix_at(x, t))
-            k = int(np.argmin(minors - min_minors))
-            if minors[k] < min_minors[k]:
-                worst_x, worst_t = tuple(x), float(t)
-            min_minors = np.minimum(min_minors, minors)
+    try:
+        min_minors, worst = _sylvester_batch(q, X, times)
+    except DomainError:
+        min_minors, worst = _sylvester_loop(q, X, times)
+    x_row, t_col = divmod(worst, len(times))
+    worst_x, worst_t = tuple(X[x_row]), float(times[t_col])
     ok = bool(np.all(min_minors >= np.asarray(deltas_t)))
     return SylvesterReport(ok, tuple(float(v) for v in min_minors), deltas_t,
                            worst_x, worst_t, x_points * time_samples)
+
+
+def _sylvester_batch(q: QuadraticFormTV, X: np.ndarray, times: np.ndarray):
+    """Running minima of the leading minors over the rows ``(x, t)``, x outer.
+
+    Returns the minima and the worst row: the last row at which some minor
+    sets a strict new running minimum (the sequential rule of
+    :func:`_sylvester_loop`).  One determinant call per leading block size.
+    """
+    n = q.dimension
+    rows = len(X) * len(times)
+    running = np.full(n, np.inf)
+    worst = 0
+    for s in range(0, rows, BLOCK):
+        r = np.arange(s, min(s + BLOCK, rows))
+        m = q.matrices(X[r // len(times)], times[r % len(times)])
+        minors = np.column_stack([np.linalg.det(m[:, :k, :k])
+                                  for k in range(1, n + 1)])
+        prior = np.minimum.accumulate(np.vstack([running, minors]), axis=0)
+        hits = np.flatnonzero((minors < prior[:-1]).any(axis=1))
+        if hits.size:
+            worst = s + int(hits[-1])
+        running = prior[-1]
+    return running, worst
+
+
+def _sylvester_loop(q: QuadraticFormTV, X: np.ndarray, times: np.ndarray):
+    """Point-by-point :func:`_sylvester_batch`; raises domain errors per point."""
+    min_minors = np.full(q.dimension, np.inf)
+    worst = 0
+    for row, (x, t) in enumerate((x, t) for x in X for t in times):
+        minors = linalg.principal_minors(q.matrix_at(x, t))
+        k = int(np.argmin(minors - min_minors))
+        if minors[k] < min_minors[k]:
+            worst = row
+        min_minors = np.minimum(min_minors, minors)
+    return min_minors, worst
 
 
 # --- domain of attraction -----------------------------------------------------------
@@ -612,8 +727,19 @@ def attraction_region(sys: SystemDef, p, cmax: float, levels: int = 48,
     ``iterations`` rounds.  The region certified by one quadratic V is in
     general only part of the true domain of attraction.  Raises
     :class:`NoRegionError` when violations appear arbitrarily close to the
-    origin.
+    origin.  Raises :class:`InvalidArgumentError` unless ``levels`` and
+    ``directions`` are at least 1 and ``cmax`` is finite and positive.
+
+    The ladder is checked in batches of levels (``BLOCK`` sample rows per
+    call); a batch that raises :class:`DomainError` is redone level by
+    level, so a failing level still wins over a domain error on a later one.
     """
+    if levels < 1 or directions < 1:
+        raise InvalidArgumentError(
+            f"need levels >= 1 and directions >= 1, got {levels} and "
+            f"{directions}")
+    if not (np.isfinite(cmax) and cmax > 0.0):
+        raise InvalidArgumentError(f"cmax must be finite and > 0, got {cmax!r}")
     pm = linalg.as_matrix(p, square=True)
     verdict = linalg.definiteness(pm)
     if not verdict.is_positive_definite:
@@ -625,18 +751,27 @@ def attraction_region(sys: SystemDef, p, cmax: float, levels: int = 48,
     fv = sys.rhs_vectorized()
     dirs = sphere_directions(directions, sys.dimension)
     quad = np.einsum("ij,jk,ik->i", dirs, pm, dirs)  # d'Pd per direction
+    per = max(1, BLOCK // directions)  # levels per batch
+
+    def negative(c: float, ladder: np.ndarray) -> bool:
+        """Vdot < 0 at every sampled point of the levels ``c * ladder``."""
+        X = dirs * np.sqrt(c * ladder[:, None] / levels / quad)[..., None]
+        pts = X[np.linalg.norm(X, axis=-1) > 1e-6]
+        if not len(pts):
+            return True
+        vdot = 2.0 * np.einsum("ij,ij->i", pts @ pm, fv(pts, t))
+        return bool(np.all(vdot < 0.0))
 
     def passes(c: float) -> bool:
-        for j in range(1, levels + 1):
-            cj = c * j / levels
-            X = dirs * np.sqrt(cj / quad)[:, None]
-            keep = np.linalg.norm(X, axis=1) > 1e-6
-            if not np.any(keep):
-                continue
-            pts = X[keep]
-            vdot = 2.0 * np.einsum("ij,ij->i", pts @ pm, fv(pts, t))
-            if not np.all(vdot < 0.0):
-                return False
+        for first in range(1, levels + 1, per):
+            ladder = np.arange(first, min(first + per, levels + 1))
+            try:
+                if not negative(c, ladder):
+                    return False
+            except DomainError:
+                if not all(negative(c, ladder[i:i + 1])
+                           for i in range(len(ladder))):
+                    return False
         return True
 
     if passes(cmax):

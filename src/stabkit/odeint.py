@@ -267,20 +267,25 @@ class SystemDef:
         return f
 
     def rhs_vectorized(self) -> Callable[[np.ndarray, float], np.ndarray]:
-        """Batch evaluator ``F(X, t) -> (N, n)`` over rows of sample points."""
+        """Batch evaluator ``F(X, t) -> (N, n)`` over rows of sample points.
+
+        ``t`` is one time for every row or a 1-D array of per-row times.
+        """
         rhs = self.rhs
         if isinstance(rhs, LinearConstant):
             a = rhs.a
 
-            def fv(X: np.ndarray, t: float) -> np.ndarray:
+            def fv(X: np.ndarray, t) -> np.ndarray:
                 return X @ a.T
 
             return fv
         if isinstance(rhs, LinearTimeVarying):
             p = compile_matrix(rhs.entries, self.params)
 
-            def fv(X: np.ndarray, t: float) -> np.ndarray:
-                return X @ p(t).T
+            def fv(X: np.ndarray, t) -> np.ndarray:
+                if np.ndim(t) == 0:
+                    return X @ p(t).T
+                return np.einsum("kij,kj->ki", p(np.asarray(t, dtype=float)), X)
 
             return fv
         fns = [ex.compile_expr_vec(c, self.params) for c in rhs.components]
@@ -323,21 +328,26 @@ class Trajectory:
 
     def to_csv(self, target) -> None:
         """Write ``t,x1,...,xn`` rows at full precision."""
-        close = False
-        if isinstance(target, (str, bytes)) or hasattr(target, "__fspath__"):
-            fh = open(target, "w", encoding="utf-8")
-            close = True
-        else:
-            fh = target
-        try:
-            names = ",".join(f"x{i + 1}" for i in range(self.dimension))
-            fh.write(f"t,{names}\n")
-            for t, row in zip(self.times, self.states):
-                cells = ",".join(repr(float(v)) for v in row)
-                fh.write(f"{float(t)!r},{cells}\n")
-        finally:
-            if close:
-                fh.close()
+        times = np.asarray(self.times, dtype=float).tolist()
+        _write_csv(target, "t", map(repr, times), self.states)
+
+
+def _write_csv(target, index_name: str, labels, states) -> None:
+    """Write ``index_name,x1,...,xn`` and one row per state, led by its label.
+
+    ``target`` is a path or an open text file; values print as
+    ``repr(float)``, the shortest string that reads back to the same double.
+    """
+    rows = np.asarray(states, dtype=float)
+    names = ",".join(f"x{i + 1}" for i in range(rows.shape[1]))
+    lines = [f"{index_name},{names}\n"]
+    lines += [f"{label},{','.join(map(repr, row))}\n"
+              for label, row in zip(labels, rows.tolist())]
+    if isinstance(target, (str, bytes)) or hasattr(target, "__fspath__"):
+        with open(target, "w", encoding="utf-8") as fh:
+            fh.writelines(lines)
+    else:
+        target.writelines(lines)
 
 
 @dataclass(frozen=True)

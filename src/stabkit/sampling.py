@@ -9,22 +9,67 @@ rather than a hope.
 
 from __future__ import annotations
 
+import functools
+import math
+
 import numpy as np
+
+from .errors import InvalidArgumentError
 
 __all__ = ["halton", "ball_points", "sphere_directions"]
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
-def _radical_inverse(index: int, base: int) -> float:
-    inv = 0.0
+#: the lowest digits of an index are read from a table of this many entries
+_TABLE = 4096
+
+
+@functools.cache
+def _low_digit_sums(base: int) -> tuple[int, np.ndarray, float]:
+    """Radical-inverse sums over the lowest K digits of 0 .. base^K - 1.
+
+    ``base^K <= _TABLE``.  Returns ``base^K``, the sums, and the digit
+    weight ``f`` the digit loop holds after K steps.
+    """
+    span, digits = 1, 0
+    while span * base <= _TABLE:
+        span, digits = span * base, digits + 1
+    inv = np.zeros(span)
     f = 1.0 / base
-    i = index
-    while i > 0:
+    i = np.arange(span)
+    for _ in range(digits):
         inv += f * (i % base)
         i //= base
         f /= base
-    return inv
+    inv.flags.writeable = False  # shared by every later call
+    return span, inv, f
+
+
+def _radical_inverse(start: int, count: int, base: int) -> np.ndarray:
+    """Van der Corput radical inverses of ``start .. start+count-1``.
+
+    Every value is bit-identical to the per-index recurrence
+    ``inv += f*(i % base); i //= base; f /= base``, run from ``inv = 0.0``,
+    ``f = 1/base`` while ``i > 0``: the same operations in the same order.
+    The sums over the lowest K digits depend only on ``i % base^K`` and come
+    from a table built by that loop; each run of ``base^K`` consecutive
+    indices shares its higher digits, whose terms are added to the whole run
+    as scalars.
+    """
+    span, low, f_low = _low_digit_sums(base)
+    out = np.empty(count)
+    stop = start + count
+    for high in range(start // span, -(-stop // span)):
+        first, last = max(start, high * span), min(stop, (high + 1) * span)
+        run = low[first - high * span:last - high * span].copy()
+        i, f = high, f_low
+        while i > 0:
+            run += f * (i % base)
+            i //= base
+            f /= base
+        out[first - start:last - start] = run
+    return out
 
 
 def halton(count: int, dims: int, start: int = 1) -> np.ndarray:
@@ -33,8 +78,7 @@ def halton(count: int, dims: int, start: int = 1) -> np.ndarray:
         raise ValueError(f"halton sampling supports up to {len(_PRIMES)} dimensions")
     out = np.empty((count, dims))
     for j in range(dims):
-        base = _PRIMES[j]
-        out[:, j] = [_radical_inverse(i, base) for i in range(start, start + count)]
+        out[:, j] = _radical_inverse(start, count, _PRIMES[j])
     return out
 
 
@@ -44,8 +88,16 @@ def ball_points(count: int, dim: int, radius: float,
 
     Cube points are drawn from the Halton sequence and rejected outside the
     ball; the accepted set is a deterministic function of (count, dim,
-    radius, exclude) and is prefix-stable in ``count``.
+    radius, exclude) and is prefix-stable in ``count``.  Raises
+    :class:`InvalidArgumentError` unless ``radius`` is finite and
+    ``radius > exclude >= 0`` (an empty shell would never accept a point).
     """
+    if count < 0:
+        raise InvalidArgumentError(f"point count must be >= 0, got {count}")
+    if not (math.isfinite(radius) and radius > exclude >= 0.0):
+        raise InvalidArgumentError(
+            f"need a finite radius > exclude >= 0, got radius {radius!r} "
+            f"and exclude {exclude!r}")
     points = np.empty((count, dim))
     got = 0
     # index 1 maps to a coordinate of exactly 0.0 in base 2 (radical inverse

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import signal
 from pathlib import Path
 
 import pytest
@@ -27,3 +29,18 @@ def gallery_doc(name: str) -> SystemFile:
 @pytest.fixture
 def build():
     return gallery_system
+
+
+@contextlib.contextmanager
+def deadline(seconds: float):
+    """Fail with TimeoutError instead of hanging when the body overruns."""
+    def expire(signum, frame):
+        raise TimeoutError(f"did not finish within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

@@ -9,7 +9,7 @@ import pytest
 
 from stabkit import cli
 from stabkit.schema import load_system, report_schema, save_system, system_schema
-from conftest import GALLERY, gallery_file
+from conftest import GALLERY, deadline, gallery_file
 
 
 def run_cli(argv, capsys):
@@ -239,3 +239,40 @@ def test_alpha_negative_rate_without_p_file_exits_2(capsys):
                   "--alpha=-1", "--route", "rate-inequality", "--horizon", "0"])
     assert rc == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["lyapunov", "--system", "cubic_damping", "--candidate", "x1^2 + x2^2",
+     "--radius", "0"],
+    ["lyapunov", "--system", "cubic_damping", "--candidate", "x1^2 + x2^2",
+     "--radius=-1"],
+    ["discrete", "--system", "cubic_map", "--candidate", "x1^2 + x2^2",
+     "--radius", "0"],
+    ["lyapunov", "--system", "cubic_damping", "--candidate", "x1^2 + x2^2",
+     "--samples", "0"],
+    ["lyapunov", "--system", "cubic_damping", "--candidate", "x1^2 + x2^2",
+     "--samples=-5"],
+    ["lyapunov", "--system", "uniform_growth", "--instability", "x1^2 + x2^2",
+     "--samples", "0"],
+    ["discrete", "--system", "cubic_map", "--candidate", "x1^2 + x2^2",
+     "--samples", "0"],
+    ["discrete", "--system", "cubic_map", "--candidate", "x1^2 + x2^2",
+     "--samples=-1"],
+    ["attraction", "--system", "vanderpol", "--cmax", "1.0", "--levels", "0"],
+    ["attraction", "--system", "vanderpol", "--cmax", "1.0",
+     "--directions", "0"],
+    ["attraction", "--system", "vanderpol", "--cmax=-1"],
+    ["attraction", "--system", "vanderpol", "--cmax", "0"],
+    ["attraction", "--system", "vanderpol", "--cmax", "nan"],
+    ["attraction", "--system", "vanderpol", "--cmax", "inf"],
+], ids=lambda argv: " ".join(argv[0:1] + argv[3:]))
+def test_invalid_scan_arguments_exit_2(capsys, argv):
+    argv = [str(gallery_file(a)) if i == 2 else a for i, a in enumerate(argv)]
+    with deadline(10.0):
+        rc = cli.run(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "input error" in captured.err
+    assert "zero-size" not in captured.err
+    assert "negative dimensions" not in captured.err

@@ -198,6 +198,30 @@ def test_vectorized_matches_scalar():
     assert np.allclose(got, want, rtol=1e-15, atol=0)
 
 
+@pytest.mark.parametrize("text, row", [
+    ("1/(1/x1)", [0.0]),                 # divide flag, finite output 0
+    ("exp(500*x1)*exp(500*x1)", [1.0]),  # overflow in a product
+    ("log(x1)", [-1.0]),                 # invalid operand
+    ("sqrt(x1)", [-4.0]),
+    ("x1^0.5", [-2.0]),
+    ("0*log(x1)", [0.0]),                # 0 * -inf
+])
+def test_vectorized_flags_raise_domain_error(text, row):
+    import numpy as np
+
+    vec = ex.compile_expr_vec(ex.parse(text))
+    X = np.array([[0.5], row, [2.0]])
+    with pytest.raises(DomainError):
+        vec(X, 0.0)
+
+
+def test_vectorized_underflow_is_not_an_error():
+    import numpy as np
+
+    vec = ex.compile_expr_vec(ex.parse("exp(-800*x1) + x1"))
+    assert vec(np.array([[1.0], [2.0]]), 0.0).tolist() == [1.0, 2.0]
+
+
 def test_substitute():
     tree = ex.parse("t + x1")
     replaced = ex.substitute(tree, "t", ex.parse("2*k"))

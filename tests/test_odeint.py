@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from stabkit import discrete as dc
 from stabkit import odeint
 from stabkit.errors import DomainError, HistoryGapError, NonFiniteStateError
 from stabkit.odeint import (
@@ -166,6 +167,31 @@ def test_trajectory_csv():
     assert len(lines) == len(traj.times) + 1
     t, x = (float(v) for v in lines[-1].split(","))
     assert t == traj.times[-1] and x == traj.states[-1][0]
+
+
+def _csv_reference(index_name, labels, states) -> str:
+    """The row format both CSV writers have always produced."""
+    names = ",".join(f"x{i + 1}" for i in range(states.shape[1]))
+    rows = [f"{index_name},{names}\n"]
+    rows += [f"{label},{','.join(repr(float(v)) for v in row)}\n"
+             for label, row in zip(labels, states)]
+    return "".join(rows)
+
+
+def test_csv_writers_keep_their_bytes(tmp_path):
+    traj = integrate(gallery_system("pendulum"), [1.0, 0.0], 0.0, 2.0, 1e-3)
+    orbit = dc.iterate(gallery_system("cubic_map"), [0.2, -0.1], 50)
+    traj.to_csv(tmp_path / "trajectory.csv")
+    orbit.to_csv(tmp_path / "orbit.csv")
+    want = _csv_reference("t", [repr(float(t)) for t in traj.times],
+                          traj.states)
+    assert (tmp_path / "trajectory.csv").read_bytes() == want.encode()
+    buf = io.StringIO()
+    traj.to_csv(buf)
+    assert buf.getvalue() == want
+    want = _csv_reference("k", [str(int(k)) for k in orbit.indices],
+                          orbit.states)
+    assert (tmp_path / "orbit.csv").read_bytes() == want.encode()
 
 
 def test_delays_must_be_sorted():
