@@ -20,7 +20,6 @@ from .errors import (
     ContinuumOfEquilibriaError,
     NotAnEquilibriumError,
     SingularError,
-    SingularMatrixError,
 )
 from .odeint import SystemDef
 
@@ -126,7 +125,8 @@ def classify_critical_point_2d(a, tol: float = linalg.DEFAULT_TOL,
     """Critical-point taxonomy for a planar linear system.
 
     Requires a nonsingular matrix: a singular one means the equilibrium is
-    a continuum of points, reported as :class:`SingularMatrixError`.
+    a continuum of points, reported as
+    :class:`ContinuumOfEquilibriaError`.
     """
     m = linalg.as_matrix(a, square=True)
     if m.shape != (2, 2):
@@ -134,7 +134,8 @@ def classify_critical_point_2d(a, tol: float = linalg.DEFAULT_TOL,
     scale = 1.0 + float(np.linalg.norm(m, "fro"))
     band = tol * scale
     if abs(np.linalg.det(m)) <= band * scale:
-        raise SingularMatrixError("singular matrix: continuum of equilibria")
+        raise ContinuumOfEquilibriaError(
+            "singular matrix: continuum of equilibria")
     l1, l2 = linalg.eigenvalues(m, tol)
     if abs(l1.imag) > band or abs(l2.imag) > band:
         if abs(l1.real) <= band:
@@ -271,6 +272,6 @@ def local_stability(sys: SystemDef, x_star, tol: float = 1e-8,
     if sys.dimension == 2:
         try:
             kind2d = classify_critical_point_2d(jac)
-        except SingularMatrixError:
+        except ContinuumOfEquilibriaError:
             kind2d = None
     return LocalStabilityReport(x, jac, verdict, conclusion, kind2d, True, note)

@@ -107,10 +107,6 @@ class SampleCapError(StabkitError):
 
 # --- classification / direct method ------------------------------------------
 
-class SingularMatrixError(StabkitError):
-    """The equilibrium is a continuum of points (singular coefficient matrix)."""
-
-
 class ContinuumOfEquilibriaError(StabkitError):
     """Singular state matrix: the equilibrium set is a continuum, not a point."""
 

@@ -58,31 +58,68 @@ MARGIN = 1e-4
 TREND_FLOOR = 0.5
 #: rows per batch evaluation in the sampled scans; bounds their memory
 BLOCK = 16384
+#: relative eigen-sum separation that lets ``solve_lyapunov`` skip its
+#: O(n^6) singular-value test: 100 times that test's 1e-12
+SKIP_MARGIN = 1e-10
 
 
 def solve_lyapunov(a, q) -> np.ndarray:
     """Solve the continuous Lyapunov matrix equation ``A'P + PA = -Q``.
 
-    Vectorized as ``(I (x) A' + A' (x) I) vec(P) = -vec(Q)`` and solved
-    densely; fine for the n <= ~50 systems this toolkit targets.  Raises
-    :class:`SingularLyapunovOperatorError` when A and -A share an eigenvalue
-    (the operator is singular and no unique solution exists).  The result is
-    symmetrized before return.
+    Vectorized as ``L vec(P) = -vec(Q)`` with the Kronecker operator
+    ``L = I (x) A' + A' (x) I`` and solved densely; fine for the n <= ~50
+    systems this toolkit targets.  The result is symmetrized before return.
+
+    Raises :class:`SingularLyapunovOperatorError` when A and -A share an
+    eigenvalue, that is when the singular values of L have
+    ``sigma_min <= 1e-12 sigma_max`` (no unique solution), and
+    :class:`DimensionMismatchError` for an empty A or a Q of another size.
+
+    The singular values of L cost O(n^6), so they are skipped when an O(n^3)
+    bound already shows the test would pass.  With ``A = V diag(lam) V^-1``
+    the operator is similar to the diagonal of the sums ``lam_i + lam_j``,
+    which gives ``sigma_min(L) >= min |lam_i + lam_j| / kappa_2(V)^2``, and
+    ``sigma_max(L) <= 2 ||A||_2``.  The skip needs
+    ``min |lam_i + lam_j| > 1e-10 kappa_2(V)^2 2 ||A||_2``: 100 times the
+    test's own threshold, which leaves room for the rounding of ``eig`` and
+    of the singular values the test would compute.  Defective, strongly
+    non-normal and nearly singular A miss the bound, and in that gray zone
+    the singular-value test decides as before: a rule on the eigen-sums
+    alone would change which inputs are refused.  Either way the same
+    operator is solved, so P does not depend on which path decided.
     """
     am = linalg.as_matrix(a, square=True)
     qm = linalg.as_matrix(q, square=True)
     n = am.shape[0]
+    if n == 0:
+        raise DimensionMismatchError("A must be at least 1 x 1")
     if qm.shape != (n, n):
         raise DimensionMismatchError("A and Q must have equal size")
     eye = np.eye(n)
     op = np.kron(eye, am.T) + np.kron(am.T, eye)
-    sv = np.linalg.svd(op, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] <= 1e-12 * sv[0]:
-        raise SingularLyapunovOperatorError(
-            "A and -A share an eigenvalue: no unique Lyapunov solution")
+    if not _separation_certified(am):
+        sv = np.linalg.svd(op, compute_uv=False)
+        if sv[0] == 0.0 or sv[-1] <= 1e-12 * sv[0]:
+            raise SingularLyapunovOperatorError(
+                "A and -A share an eigenvalue: no unique Lyapunov solution")
     vec_p = np.linalg.solve(op, -qm.reshape(-1, order="F"))
     p = vec_p.reshape((n, n), order="F")
     return 0.5 * (p + p.T)
+
+
+def _separation_certified(am: np.ndarray) -> bool:
+    """True when the eigen-sum bound of :func:`solve_lyapunov` proves that
+    its singular-value test accepts ``am``; False when it cannot tell."""
+    try:
+        lam, vecs = np.linalg.eig(am)
+    except np.linalg.LinAlgError:
+        return False
+    sv = np.linalg.svd(vecs, compute_uv=False)
+    if not sv[-1] > 0.0:
+        return False
+    kappa = float(sv[0]) / float(sv[-1])  # Python floats: inf, no warning
+    sep = float(np.abs(lam[:, None] + lam[None, :]).min())
+    return sep > SKIP_MARGIN * kappa * kappa * 2.0 * float(np.linalg.norm(am, 2))
 
 
 # --- candidate functions ---------------------------------------------------------
@@ -222,12 +259,35 @@ def _require_samples(count: int) -> None:
 
 @dataclass(frozen=True)
 class ScanConfig:
-    """Scan resolution: Halton points in the ball x a time window."""
+    """Scan resolution: Halton points in the ball x a time window.
+
+    Raises :class:`InvalidArgumentError` unless ``t0`` is finite and
+    ``time_span`` finite and non-negative; the scans also refuse an empty
+    window when the system or the candidate depends on t.
+    """
 
     points: int = 4096
     time_samples: int = 32
     t0: float = 0.0
     time_span: float = 50.0
+
+    def __post_init__(self):
+        _check_window(self.t0, self.time_span)
+
+
+def _check_window(t0: float, time_span: float,
+                  time_dependent: bool = False) -> None:
+    """Reject a non-finite or negative window, and an empty one when the
+    problem depends on t (it would sample no time variation)."""
+    if not np.isfinite(t0):
+        raise InvalidArgumentError(f"t0 must be finite, got {t0!r}")
+    if not (np.isfinite(time_span) and time_span >= 0.0):
+        raise InvalidArgumentError(
+            f"time span must be finite and >= 0, got {time_span!r}")
+    if time_dependent and time_span == 0.0:
+        raise InvalidArgumentError(
+            "time span must be > 0 when the system or the candidate "
+            "depends on t")
 
 
 class SignVerdict(Enum):
@@ -304,12 +364,16 @@ class LyapunovReport:
 
 # --- scan machinery ---------------------------------------------------------------
 
+def _time_dependent(sys: SystemDef, v: CandidateV) -> bool:
+    return (not sys.is_autonomous()) or v.time_dependent
+
+
 def _scan_points(sys: SystemDef, v: CandidateV, radius: float,
                  scan: ScanConfig):
     """Joint (x, t) samples: ball points paired with Halton times."""
     n = sys.dimension
     X = ball_points(scan.points, n, radius, exclude=1e-9 * radius)
-    time_dep = (not sys.is_autonomous()) or v.time_dependent
+    time_dep = _time_dependent(sys, v)
     if time_dep:
         u = halton(scan.points, 1, start=11)[:, 0]
         T = scan.t0 + scan.time_span * u
@@ -459,6 +523,7 @@ def check_candidate(sys: SystemDef, v: CandidateV, radius: float = 1.0,
     autonomous theory are reported.
     """
     _require_samples(scan.points)
+    _check_window(scan.t0, scan.time_span, _time_dependent(sys, v))
     _check_origin_equilibrium(sys, scan)
     _check_candidate_zero(v, sys.dimension, scan)
     X, T, time_dep = _scan_points(sys, v, radius, scan)
@@ -561,6 +626,7 @@ def check_instability(sys: SystemDef, w: CandidateV, radius: float = 1.0,
     necessary: a False result does not certify stability.
     """
     _require_samples(scan.points)
+    _check_window(scan.t0, scan.time_span, _time_dependent(sys, w))
     _check_origin_equilibrium(sys, scan)
     X, T, time_dep = _scan_points(sys, w, radius, scan)
     norms = np.linalg.norm(X, axis=1)
@@ -614,6 +680,8 @@ class QuadraticFormTV:
         self._fns = [[ex.compile_expr(e, self.params) for e in row]
                      for row in self.entries]
         self._vec = None
+        self.time_dependent = "t" not in self.params and any(
+            "t" in ex.free_vars(e) for row in self.entries for e in row)
 
     @property
     def dimension(self) -> int:
@@ -654,10 +722,13 @@ def sylvester_tv(q: QuadraticFormTV, t0: float, time_span: float = 50.0,
     Positive definite iff every leading minor of the coefficient matrix
     stays at or above its delta across the sampled region
     ``sum x_j^2 < mu, t in [t0, t0 + time_span]``.  Raises
-    :class:`InvalidArgumentError` for fewer than one point or time sample.
+    :class:`InvalidArgumentError` for fewer than one point or time sample,
+    a non-finite ``t0``, a non-finite or negative ``time_span``, and a zero
+    ``time_span`` when the form depends on t.
     """
     _require_samples(x_points)
     _require_samples(time_samples)
+    _check_window(t0, time_span, q.time_dependent)
     n = q.dimension
     if np.isscalar(deltas):
         deltas_t = tuple(float(deltas) for _ in range(n))

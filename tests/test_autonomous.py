@@ -5,7 +5,6 @@ from stabkit import autonomous as aut
 from stabkit.errors import (
     ContinuumOfEquilibriaError,
     NotAnEquilibriumError,
-    SingularMatrixError,
 )
 from stabkit.autonomous import CriticalPointKind as CP, StabilityKind as SK
 from conftest import gallery_system
@@ -66,7 +65,7 @@ def test_taxonomy_verdict_consistency():
         a = rng.normal(size=(2, 2))
         try:
             cp = aut.classify_critical_point_2d(a)
-        except SingularMatrixError:
+        except ContinuumOfEquilibriaError:
             continue
         kind = aut.classify_linear(a).kind
         if cp is CP.SADDLE:
@@ -80,7 +79,7 @@ def test_taxonomy_verdict_consistency():
 
 
 def test_critical_point_singular_matrix():
-    with pytest.raises(SingularMatrixError):
+    with pytest.raises(ContinuumOfEquilibriaError):
         aut.classify_critical_point_2d([[1.0, 2.0], [2.0, 4.0]])
 
 

@@ -80,6 +80,13 @@ def test_lyapunov_solve_singular_exits_3(capsys):
     assert rc == 3
 
 
+def test_lyapunov_empty_window_on_autonomous_problem_exits_0(capsys):
+    rc, rep = run_cli(["lyapunov", "--system", gallery_file("cubic_damping"),
+                       "--candidate", "x1^2 + x2^2", "--tspan", "0"], capsys)
+    assert rc == 0
+    assert rep["result"]["time_window"] == [0.0, 0.0]
+
+
 def test_lyapunov_candidate_command(capsys):
     rc, rep = run_cli(["lyapunov", "--system", gallery_file("cubic_damping"),
                        "--candidate", "x1^2 + x2^2"], capsys)
@@ -265,6 +272,22 @@ def test_alpha_negative_rate_without_p_file_exits_2(capsys):
     ["attraction", "--system", "vanderpol", "--cmax", "0"],
     ["attraction", "--system", "vanderpol", "--cmax", "nan"],
     ["attraction", "--system", "vanderpol", "--cmax", "inf"],
+    ["lyapunov", "--system", "cubic_modulated", "--candidate", "x1^2",
+     "--tspan", "0"],
+    ["lyapunov", "--system", "cubic_modulated", "--candidate", "x1^2",
+     "--tspan=-1"],
+    ["lyapunov", "--system", "cubic_modulated", "--instability", "x1^2",
+     "--tspan", "0"],
+    ["lyapunov", "--system", "cubic_damping", "--candidate", "x1^2 + x2^2",
+     "--tspan", "nan"],
+    ["lyapunov", "--system", "cubic_damping", "--candidate", "x1^2 + x2^2",
+     "--tspan", "inf"],
+    ["lyapunov", "--system", "cubic_damping", "--candidate", "x1^2 + x2^2",
+     "--tspan=-1"],
+    ["lyapunov", "--system", "cubic_damping", "--candidate", "x1^2 + x2^2",
+     "--t0", "nan"],
+    ["lyapunov", "--system", "cubic_modulated", "--candidate", "x1^2",
+     "--t0=-inf"],
 ], ids=lambda argv: " ".join(argv[0:1] + argv[3:]))
 def test_invalid_scan_arguments_exit_2(capsys, argv):
     argv = [str(gallery_file(a)) if i == 2 else a for i, a in enumerate(argv)]

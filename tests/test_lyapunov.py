@@ -5,6 +5,7 @@ from stabkit import autonomous as aut
 from stabkit import linalg
 from stabkit import lyapunov as ly
 from stabkit.errors import (
+    InvalidArgumentError,
     InvalidCandidateError,
     NoRegionError,
     NotAnEquilibriumError,
@@ -258,3 +259,42 @@ def test_attraction_region_requires_pd_weight():
     with pytest.raises(ValueError):
         ly.attraction_region(gallery_system("vanderpol"),
                              np.diag([1.0, -1.0]), 1.0)
+
+
+@pytest.mark.parametrize("t0, span", [
+    (float("nan"), 50.0), (float("inf"), 50.0), (0.0, float("nan")),
+    (0.0, float("inf")), (0.0, -1.0), (0.0, -1e-12),
+])
+def test_scan_config_rejects_bad_windows(t0, span):
+    with pytest.raises(InvalidArgumentError):
+        ly.ScanConfig(t0=t0, time_span=span)
+    form = ly.QuadraticFormTV((("1", "0"), ("0", "1")))
+    with pytest.raises(InvalidArgumentError):
+        ly.sylvester_tv(form, t0, time_span=span)
+
+
+def test_empty_window_rejected_when_anything_depends_on_t():
+    empty = ly.ScanConfig(time_span=0.0)
+    modulated = gallery_system("cubic_modulated")
+    with pytest.raises(InvalidArgumentError):
+        ly.check_candidate(modulated, ly.CandidateV("x1^2"), scan=empty)
+    with pytest.raises(InvalidArgumentError):
+        ly.check_instability(modulated, ly.CandidateV("x1^2"), scan=empty)
+    damping = gallery_system("cubic_damping")
+    with pytest.raises(InvalidArgumentError):  # V carries the t-dependence
+        ly.check_candidate(damping, ly.CandidateV("(2 + sin(t))*x1^2 + x2^2"),
+                           scan=empty)
+    with pytest.raises(InvalidArgumentError):
+        ly.sylvester_tv(ly.QuadraticFormTV((("2 + sin(t)", "0"), ("0", "1"))),
+                        0.0, time_span=0.0)
+
+
+def test_empty_window_allowed_when_nothing_depends_on_t():
+    empty = ly.ScanConfig(time_span=0.0, points=512)
+    damping = gallery_system("cubic_damping")
+    rep = ly.check_candidate(damping, ly.CandidateV("x1^2 + x2^2"), scan=empty)
+    assert rep.conclusion is not ly.Conclusion.NO_CONCLUSION
+    assert rep.time_window == (0.0, 0.0)
+    rep = ly.sylvester_tv(ly.QuadraticFormTV((("2", "0"), ("0", "1"))), 0.0,
+                          time_span=0.0, x_points=8, time_samples=2)
+    assert rep.positive_definite
