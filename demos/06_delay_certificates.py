@@ -12,7 +12,7 @@ from stabkit import alpha as al
 from stabkit.schema import bundled_system
 
 ds = bundled_system("delay_coupled").build()
-p = al.solve_delay_lyapunov(np.asarray(ds.a0, dtype=float), ds.m)
+p = al.solve_delay_lyapunov(ds.rhs.a, len(ds.delays))
 inputs = al.rate_bound_inputs(ds, p)
 print("scalar inputs of the rate inequality:")
 print(f"  matrix measure eta = {inputs.eta:.6f}")

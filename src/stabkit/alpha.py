@@ -12,6 +12,10 @@ Three certificate routes are implemented:
   the largest rate alpha satisfying the scalar inequality
   ``eta(A0) + alpha ||P+I|| + (m/2) e^(2 alpha h) ||P+I||^2 ||A||^2 <= 0``.
 
+The system is a :class:`~stabkit.odeint.SystemDef` with a linear
+right-hand side (constant ``A0`` or an expression grid ``A0(t)``) and at
+least one delay; a ``delay`` definition file builds exactly that.  Every
+entry point raises :class:`InvalidArgumentError` for any other system.
 Certificates embed every scalar input, and optionally a simulated
 trajectory cross-check of the claimed envelope.
 """
@@ -19,9 +23,9 @@ trajectory cross-check of the claimed envelope.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -33,20 +37,21 @@ from .errors import (
 )
 from .lyapunov import solve_lyapunov
 from .odeint import (
-    Delay,
     HistoryFn,
-    SystemDef,
-    LinearConstant,
     LinearTimeVarying,
+    Nonlinear,
+    SystemDef,
     Trajectory,
-    compile_matrix,
+    _at,
+    _delay_coefficients,
+    _linear_coefficient,
     dde_step,
-    fold_constant_grid,
     integrate_dde,
 )
+from .odeint import compile_matrix  # noqa: F401  (the perfbench tracer wraps it)
 
 __all__ = [
-    "DelaySystem", "SampledMatrixFunction", "shifted_matrices", "rde_residual",
+    "SampledMatrixFunction", "shifted_matrices", "rde_residual",
     "solve_delay_lyapunov", "rate_inequality_lhs", "max_alpha", "RateInputs",
     "rate_bound_inputs", "EnvelopeFit", "fit_envelope", "CertificateRoute",
     "AlphaCertificate", "certify",
@@ -56,76 +61,26 @@ __all__ = [
 SUP_GRID = (0.0, 50.0, 4001)
 
 
-@dataclass
-class DelaySystem:
-    """Linear multi-delay system; coefficients constant or expressions of t."""
-
-    a0: object
-    delays: tuple[tuple[float, object], ...]
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self._sysdef = SystemDef(
-            dimension=self._dim(),
-            rhs=self._rhs(),
-            delays=tuple(Delay(lag, coeff) for lag, coeff in self.delays),
-            params=self.params,
-        )
-        self.a0 = self._sysdef.rhs.a if isinstance(self._sysdef.rhs, LinearConstant) \
-            else self._sysdef.rhs.entries
-        self.delays = tuple((d.lag, d.coeff) for d in self._sysdef.delays)
-        if not self.delays:
-            raise DimensionMismatchError("a delay system needs at least one delay")
-
-    def _dim(self) -> int:
-        return len(self.a0)
-
-    def _rhs(self):
-        if _is_numeric_grid(self.a0):
-            return LinearConstant(np.asarray(self.a0, dtype=float))
-        folded = fold_constant_grid(self.a0, self.params)
-        if folded is not None:
-            return LinearConstant(folded)
-        return LinearTimeVarying(tuple(tuple(row) for row in self.a0))
-
-    @property
-    def dimension(self) -> int:
-        return self._sysdef.dimension
-
-    @property
-    def m(self) -> int:
-        return len(self.delays)
-
-    @property
-    def max_lag(self) -> float:
-        return max(lag for lag, _ in self.delays)
-
-    @property
-    def time_varying(self) -> bool:
-        return isinstance(self._sysdef.rhs, LinearTimeVarying) or \
-            any(not isinstance(c, np.ndarray) for _, c in self.delays)
-
-    def as_systemdef(self) -> SystemDef:
-        return self._sysdef
-
-    def a0_fn(self) -> Callable[[float], np.ndarray]:
-        rhs = self._sysdef.rhs
-        if isinstance(rhs, LinearConstant):
-            a = rhs.a
-            return lambda t: a
-        return compile_matrix(rhs.entries, self.params)
-
-    def delay_fns(self) -> list[Callable[[float], np.ndarray]]:
-        return self._sysdef.delay_coeff_callables()
+def _check_delay_system(sys: SystemDef) -> None:
+    if not sys.delays:
+        raise InvalidArgumentError("alpha certificates need a delay system; "
+                                   "this system has no delays")
+    if isinstance(sys.rhs, Nonlinear):
+        raise InvalidArgumentError("alpha certificates need a linear "
+                                   "right-hand side")
 
 
-def _is_numeric_grid(grid) -> bool:
-    if isinstance(grid, np.ndarray) and grid.dtype != object:
-        return True
-    try:
-        return all(isinstance(v, (int, float)) for row in grid for v in row)
-    except TypeError:
-        return False
+def _coefficients(sys: SystemDef) -> list:
+    """``[A0, A_1, ..., A_m]`` as arrays or compiled grids ``t -> A(t)``,
+    which evaluate a whole array of times in one call."""
+    _check_delay_system(sys)
+    return [_linear_coefficient(sys), *_delay_coefficients(sys)]
+
+
+def _varies(sys: SystemDef) -> bool:
+    """Whether ``A0`` or any ``A_i`` depends on t."""
+    return isinstance(sys.rhs, LinearTimeVarying) or any(
+        not isinstance(d.coeff, np.ndarray) for d in sys.delays)
 
 
 @dataclass(frozen=True)
@@ -168,25 +123,21 @@ class SampledMatrixFunction:
         return (self.values[2:] - self.values[:-2]) / (2.0 * self.step)
 
 
-def shifted_matrices(sys: DelaySystem, alpha: float):
+def shifted_matrices(sys: SystemDef, alpha: float):
     """Rate-shifted coefficients ``A0 + alpha I`` and ``exp(alpha h_i) A_i``.
 
     Constant systems get arrays; time-varying ones get ``t -> ndarray``
     callables.  Exact arithmetic per the defining formulas.
     """
     _check_rate(alpha)
-    n = sys.dimension
-    eye = np.eye(n)
-    if not sys.time_varying:
-        a0a = np.asarray(sys.a0, dtype=float) + alpha * eye
-        ais = [np.exp(alpha * lag) * np.asarray(c, dtype=float)
-               for lag, c in sys.delays]
-        return a0a, ais
-    a0 = sys.a0_fn()
-    fns = sys.delay_fns()
-    a0a = lambda t: a0(t) + alpha * eye
-    ais = [(lambda t, _f=f, _s=float(np.exp(alpha * lag)): _s * _f(t))
-           for (lag, _), f in zip(sys.delays, fns)]
+    a0, *coeffs = _coefficients(sys)
+    eye = np.eye(sys.dimension)
+    scales = [float(np.exp(alpha * d.lag)) for d in sys.delays]
+    if not _varies(sys):
+        return a0 + alpha * eye, [s * c for s, c in zip(scales, coeffs)]
+    a0a = lambda t: _at(a0, t) + alpha * eye
+    ais = [(lambda t, _c=c, _s=s: _s * _at(_c, t))
+           for s, c in zip(scales, coeffs)]
     return a0a, ais
 
 
@@ -208,7 +159,7 @@ def _rde_defect(a0a: np.ndarray, aias: Sequence[np.ndarray], p: np.ndarray,
     return out
 
 
-def rde_residual(sys: DelaySystem, alpha: float, p,
+def rde_residual(sys: SystemDef, alpha: float, p,
                  t_grid: tuple[float, float, int] = (0.0, 5.0, 80001)) -> float:
     """Defect norm of a claimed Riccati-equation solution.
 
@@ -216,10 +167,11 @@ def rde_residual(sys: DelaySystem, alpha: float, p,
     sampled P(t) the residual is the supremum of the defect spectral norm
     over interior grid nodes, with dP/dt by central differences.
     """
-    m = sys.m
+    _check_delay_system(sys)
+    m = len(sys.delays)
     if isinstance(p, np.ndarray) and p.ndim == 2:
         pm = linalg.as_matrix(p, square=True)
-        if sys.time_varying:
+        if _varies(sys):
             raise DimensionMismatchError(
                 "time-varying system needs a sampled P(t)")
         a0a, aias = shifted_matrices(sys, alpha)
@@ -234,21 +186,12 @@ def rde_residual(sys: DelaySystem, alpha: float, p,
     eye = np.eye(n)
     q = p.values[1:-1] + eye
     qt = np.swapaxes(q, 1, 2)
-    a0s = _stack(a0a, times)
+    a0s = _at(a0a, times)
     defect = p.derivative() + np.swapaxes(a0s, -1, -2) @ q + q @ a0s + m * eye
     for aia in aias:
-        ais = _stack(aia, times)
+        ais = _at(aia, times)
         defect = defect + q @ (ais @ np.swapaxes(ais, -1, -2)) @ qt
     return float(np.linalg.svd(defect, compute_uv=False).max())
-
-
-def _stack(matrix_or_fn, times: np.ndarray) -> np.ndarray:
-    """A coefficient on a time grid: ``(N, n, n)``, or ``(n, n)`` if constant.
-
-    Coefficient functions here are compiled grids (or constants), which
-    evaluate a whole array of times in one call.
-    """
-    return matrix_or_fn(times) if callable(matrix_or_fn) else matrix_or_fn
 
 
 def solve_delay_lyapunov(a0, m: int) -> np.ndarray:
@@ -301,26 +244,25 @@ class RateInputs:
     h: float
 
 
-def rate_bound_inputs(sys: DelaySystem, p,
+def rate_bound_inputs(sys: SystemDef, p,
                       t_grid: tuple[float, float, int] = SUP_GRID) -> RateInputs:
-    """Compute (eta, ||P+I||, ||A||^2, m, h) for the rate inequality."""
+    """Compute (eta, ||P+I||, ||A||^2, m, h) for the rate inequality.
+
+    A coefficient that varies with t enters through its supremum over the
+    grid ``t_grid``; a constant one through its single value.
+    """
     eye = np.eye(sys.dimension)
-    if sys.time_varying:
-        times = np.linspace(*t_grid)
-        eta = np.max(linalg.matrix_measure(_stack(sys.a0_fn(), times)))
-        a_norm_sq = max(
-            float(np.max(linalg.spectral_norm(_stack(fn, times))))**2
-            for fn in sys.delay_fns())
-    else:
-        eta = linalg.matrix_measure(np.asarray(sys.a0, dtype=float))
-        a_norm_sq = max(linalg.spectral_norm(np.asarray(c, dtype=float))**2
-                        for _, c in sys.delays)
+    a0, *coeffs = _coefficients(sys)
+    times = np.linspace(*t_grid)
+    eta = np.max(linalg.matrix_measure(_at(a0, times)))
+    a_norm_sq = max(float(np.max(linalg.spectral_norm(_at(c, times))))**2
+                    for c in coeffs)
     if isinstance(p, SampledMatrixFunction):
         p_norm = np.max(linalg.spectral_norm(p.values + eye))
     else:
         p_norm = linalg.spectral_norm(linalg.as_matrix(p, square=True) + eye)
     return RateInputs(float(eta), float(p_norm), float(a_norm_sq),
-                      sys.m, sys.max_lag)
+                      len(coeffs), sys.max_lag)
 
 
 # --- envelopes --------------------------------------------------------------------
@@ -413,23 +355,23 @@ def _p_semidefinite(p) -> bool:
     return linalg.definiteness(pm).is_positive_semidefinite
 
 
-def _lyapunov_defect(sys: DelaySystem, p) -> float:
-    m = sys.m
-    n = sys.dimension
+def _lyapunov_defect(sys: SystemDef, p) -> float:
+    m = len(sys.delays)
+    eye = np.eye(sys.dimension)
+    a0 = _coefficients(sys)[0]
     if isinstance(p, SampledMatrixFunction):
-        times = p.times[1:-1]
         pv = p.values[1:-1]
-        a0s = _stack(sys.a0_fn() if sys.time_varying
-                     else np.asarray(sys.a0, dtype=float), times)
+        a0s = _at(a0, p.times[1:-1])
         defect = p.derivative() + np.swapaxes(a0s, -1, -2) @ pv \
-            + pv @ a0s + m * np.eye(n)
+            + pv @ a0s + m * eye
         return float(np.linalg.svd(defect, compute_uv=False).max())
     pm = linalg.as_matrix(p, square=True)
-    a = np.asarray(sys.a0, dtype=float)
-    return linalg.spectral_norm(a.T @ pm + pm @ a + m * np.eye(n))
+    if callable(a0):
+        raise DimensionMismatchError("time-varying system needs a sampled P(t)")
+    return linalg.spectral_norm(a0.T @ pm + pm @ a0 + m * eye)
 
 
-def certify(sys: DelaySystem, alpha: float, route: CertificateRoute,
+def certify(sys: SystemDef, alpha: float, route: CertificateRoute,
             p=None, history: HistoryFn | None = None, horizon: float = 20.0,
             residual_tol: float = 1e-6, step_target: float = 1e-3,
             rde_grid: tuple[float, float, int] = (0.0, 5.0, 80001),
@@ -444,6 +386,10 @@ def certify(sys: DelaySystem, alpha: float, route: CertificateRoute,
     ``c * exp(-alpha t)`` envelope.
     """
     _check_rate(alpha)
+    if not (math.isfinite(horizon) and horizon >= 0.0):
+        raise InvalidArgumentError(
+            f"horizon must be finite and nonnegative, got {horizon!r}")
+    _check_delay_system(sys)
     inputs = None
     margin = None
     if route in (CertificateRoute.RDE, CertificateRoute.ALGEBRAIC_RDE):
@@ -455,10 +401,10 @@ def certify(sys: DelaySystem, alpha: float, route: CertificateRoute,
         p_kind = "sampled" if isinstance(p, SampledMatrixFunction) else "constant"
     elif route is CertificateRoute.RATE_INEQUALITY:
         if p is None:
-            if sys.time_varying:
+            if _varies(sys):
                 raise ValueError(
                     "time-varying rate route verifies a supplied P(t)")
-            p = solve_delay_lyapunov(np.asarray(sys.a0, dtype=float), sys.m)
+            p = solve_delay_lyapunov(sys.rhs.a, len(sys.delays))
         if callable(p) and not isinstance(p, SampledMatrixFunction):
             p = SampledMatrixFunction.from_callable(p, *rde_grid)
         residual = _lyapunov_defect(sys, p)
@@ -472,11 +418,10 @@ def certify(sys: DelaySystem, alpha: float, route: CertificateRoute,
 
     check = None
     if horizon > 0.0:
-        lags = [lag for lag, _ in sys.delays]
         if history is None:
-            history = HistoryFn.constant(np.ones(sys.dimension), max(lags))
-        h = dde_step(lags, step_target)
-        traj = integrate_dde(sys.as_systemdef(), history, horizon, h)
+            history = HistoryFn.constant(np.ones(sys.dimension), sys.max_lag)
+        h = dde_step([d.lag for d in sys.delays], step_target)
+        traj = integrate_dde(sys, history, horizon, h)
         check = envelope_cross_check(traj, alpha)
 
     return AlphaCertificate(

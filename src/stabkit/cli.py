@@ -8,13 +8,13 @@ Eight subcommands map onto the library: ``classify``, ``linearize``,
 2 input/schema errors, 3 analysis errors.
 
 Output is deterministic for identical inputs: all sampling rides a fixed
-Halton sequence.  The ``STABKIT_SEED`` environment variable is reserved
-for future randomized modes and is currently ignored.
+Halton sequence.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__, alpha as alpha_mod, autonomous, discrete as discrete_mod
 from . import floquet as floquet_mod, linalg, lyapunov as lyap_mod
 from .errors import NonFiniteStateError, SchemaError, StabkitError
-from .odeint import HistoryFn, SystemDef, dde_step, integrate, integrate_dde
+from .odeint import HistoryFn, dde_step, integrate, integrate_dde
 from .schema import build_report, load_system
 
 SCHEMA_POINTER = "see stabkit/schemas/system.schema.json for the file format"
@@ -215,10 +215,8 @@ def _cmd_floquet(args, argv) -> dict:
     started = time.perf_counter()
     sf, sys_obj = _load(args.system)
     _require_kind(sf, "periodic")
-    if args.period is not None and \
-            abs(args.period - sys_obj.period) > 1e-12 * max(1.0, args.period):
-        sys_obj = floquet_mod.PeriodicSystem(sys_obj.entries, args.period,
-                                             params=dict(sys_obj.params))
+    if args.period is not None:
+        sys_obj = dataclasses.replace(sys_obj, period=args.period)
     report = floquet_mod.floquet_report(sys_obj, h=args.step, tol=args.tol)
     result = {
         "monodromy": report.monodromy,
@@ -274,17 +272,14 @@ def _cmd_simulate(args, argv) -> dict:
     x0 = _parse_vector(args.x0)
     try:
         if sf.kind == "delay":
-            sd: SystemDef = sys_obj.as_systemdef()
-            lags = [d.lag for d in sd.delays]
             history = HistoryFn.constant(
                 x0 if args.history is None else _parse_vector(args.history),
-                max(lags))
-            step = args.step if args.step else dde_step(lags)
-            traj = integrate_dde(sd, history, args.t1, step)
+                sys_obj.max_lag)
+            step = args.step if args.step else \
+                dde_step([d.lag for d in sys_obj.delays])
+            traj = integrate_dde(sys_obj, history, args.t1, step)
         else:
             _require_kind(sf, "linear", "nonlinear", "periodic")
-            if sf.kind == "periodic":
-                sys_obj = sys_obj.as_systemdef()
             traj = integrate(sys_obj, x0, args.t0, args.t1, args.step or 1e-3)
         if args.csv:
             traj.to_csv(args.csv)

@@ -6,79 +6,41 @@ stability by their moduli against the unit circle.  Because the monodromy
 matrix comes from numerical integration, every report carries an accuracy
 check: the multiplier product must match the exponential of the integrated
 trace (the Liouville formula), computed on an independent quadrature grid.
+
+The system is a :class:`~stabkit.odeint.SystemDef` with a linear,
+undelayed right-hand side and a ``period``, which ``SystemDef`` validates
+and spot-checks for periodicity when it is built; a ``periodic``
+definition file builds exactly that.  Every entry point raises
+:class:`InvalidArgumentError` for any other system.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from . import expr as ex
 from . import linalg
-from .errors import DimensionMismatchError
-from .odeint import LinearTimeVarying, SystemDef, compile_matrix, integrate_matrix
+from .errors import InvalidArgumentError
+from .odeint import (Nonlinear, SystemDef, _at, _linear_coefficient,
+                     integrate_matrix)
+from .odeint import compile_matrix  # noqa: F401  (the perfbench tracer wraps it)
 
 __all__ = [
-    "PeriodicSystem", "PeriodicVerdict", "FloquetReport",
+    "PeriodicVerdict", "FloquetReport",
     "monodromy", "multipliers", "liouville_check", "classify_periodic",
     "floquet_report",
 ]
 
 
-@dataclass
-class PeriodicSystem:
-    """``x' = P(t) x`` with entries periodic in t of fixed period.
-
-    Periodicity is the caller's assertion; it is spot-checked on 16 sample
-    times at tolerance 1e-9 during construction.
-    """
-
-    entries: tuple[tuple[ex.Expr, ...], ...]
-    period: float
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.period <= 0:
-            raise ValueError("period must be positive")
-        grid = tuple(tuple(ex.as_expr(e, set(self.params)) for e in row)
-                     for row in self.entries)
-        n = len(grid)
-        if any(len(row) != n for row in grid):
-            raise DimensionMismatchError("coefficient matrix must be square")
-        self.entries = grid
-        self._at = compile_matrix(grid, self.params)
-        self._spot_check_period()
-
-    def _spot_check_period(self):
-        ts = np.linspace(0.137, self.period, 16)
-        # interleaved (t, t + T) so a domain error names the time the
-        # time-by-time check would have reached first
-        both = self._at(np.column_stack([ts, ts + self.period]).ravel())
-        a, b = both[0::2], both[1::2]
-        gaps = np.linalg.norm(a - b, "fro", axis=(1, 2))
-        bad = gaps > 1e-9 * (1.0 + np.linalg.norm(a, "fro", axis=(1, 2)))
-        if bad.any():
-            t = ts[np.argmax(bad)]
-            raise ValueError(
-                f"entries are not {self.period}-periodic (checked t={t:.4f})")
-
-    @property
-    def dimension(self) -> int:
-        return len(self.entries)
-
-    def coefficient_at(self, t):
-        """``P(t)``; a 1-D array of times gives the ``(N, n, n)`` stack."""
-        return self._at(t)
-
-    def trace_at(self, t: float) -> float:
-        return float(np.trace(self._at(t)))
-
-    def as_systemdef(self) -> SystemDef:
-        return SystemDef(dimension=self.dimension,
-                         rhs=LinearTimeVarying(self.entries),
-                         period=self.period, params=self.params)
+def _check_periodic(sys: SystemDef) -> None:
+    if sys.period is None:
+        raise InvalidArgumentError("Floquet analysis needs a system with a "
+                                   "period")
+    if isinstance(sys.rhs, Nonlinear) or sys.delays:
+        raise InvalidArgumentError("Floquet analysis needs a linear "
+                                   "right-hand side without delays")
 
 
 class PeriodicVerdict(Enum):
@@ -87,13 +49,14 @@ class PeriodicVerdict(Enum):
     UNSTABLE = "unstable"
 
 
-def monodromy(sys: PeriodicSystem, h: float) -> np.ndarray:
+def monodromy(sys: SystemDef, h: float) -> np.ndarray:
     """Fundamental matrix after one period, ``X(T)`` with ``X(0) = I``.
 
     ``h`` should divide the period; a trailing partial step is taken
     otherwise (the integrator trims it automatically).
     """
-    return integrate_matrix(sys.as_systemdef(), 0.0, sys.period, h)
+    _check_periodic(sys)
+    return integrate_matrix(sys, 0.0, sys.period, h)
 
 
 def multipliers(a) -> list[complex]:
@@ -101,7 +64,7 @@ def multipliers(a) -> list[complex]:
     return linalg.eigenvalues(a)
 
 
-def liouville_check(sys: PeriodicSystem, mults, h: float | None = None,
+def liouville_check(sys: SystemDef, mults, h: float | None = None,
                     panels: int = 10_000) -> tuple[float, float, float]:
     """Accuracy check: multiplier product against the integrated trace.
 
@@ -111,6 +74,7 @@ def liouville_check(sys: PeriodicSystem, mults, h: float | None = None,
     the coefficient matrix over one period by composite Simpson on its own
     grid, independent of the ODE discretization.
     """
+    _check_periodic(sys)
     prod = complex(1.0, 0.0)
     for m in mults:
         prod *= complex(m)
@@ -122,7 +86,9 @@ def liouville_check(sys: PeriodicSystem, mults, h: float | None = None,
     if panels % 2 == 1:
         panels += 1
     ts = np.linspace(0.0, sys.period, panels + 1)
-    traces = np.trace(sys.coefficient_at(ts), axis1=1, axis2=2)
+    # a constant A has one trace, filled in over the grid
+    traces = np.full(ts.shape, np.trace(_at(_linear_coefficient(sys), ts),
+                                        axis1=-2, axis2=-1))
     w = np.ones(panels + 1)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
@@ -161,7 +127,7 @@ class FloquetReport:
     modulus_tol: float
 
 
-def floquet_report(sys: PeriodicSystem, h: float = 1e-4,
+def floquet_report(sys: SystemDef, h: float = 1e-4,
                    tol: float = 1e-6) -> FloquetReport:
     """One-call analysis: monodromy, multipliers, accuracy check, verdict."""
     a = monodromy(sys, h)

@@ -27,6 +27,7 @@ from .errors import (
     DimensionMismatchError,
     DomainError,
     HistoryGapError,
+    InvalidArgumentError,
     NonFiniteStateError,
     SampleCapError,
 )
@@ -34,7 +35,7 @@ from .errors import (
 __all__ = [
     "LinearConstant", "LinearTimeVarying", "Nonlinear", "Delay", "SystemDef",
     "Trajectory", "HistoryFn", "integrate", "integrate_matrix", "integrate_dde",
-    "compile_matrix", "dde_step",
+    "compile_matrix", "coefficient_grid", "dde_step",
 ]
 
 ESCAPE_THRESHOLD = 1e12
@@ -105,23 +106,25 @@ def compile_matrix(entries: Sequence[Sequence[ExprEntry]],
     return at
 
 
-def fold_constant_grid(entries, params: Mapping[str, float]):
-    """Evaluate an expression grid to floats when no entry depends on time.
+def coefficient_grid(entries, n: int, params: Mapping[str, float]):
+    """An ``n x n`` coefficient from a grid of numbers or expressions.
 
-    Lets definition files spell constants exactly ("exp(-0.4)/3") while the
-    system is still recognized as time-invariant.  Returns an ndarray, or
-    None when some entry genuinely varies with t.
+    Returns a float ndarray when no entry depends on ``t`` or the state, so
+    definition files may spell constants exactly ("exp(-0.4)/3") and still
+    describe a time-invariant coefficient; otherwise the expression grid.
     """
-    grid = _expr_grid(entries, set(params))
-    names = set()
-    for row in grid:
-        for e in row:
-            names |= ex.free_vars(e)
-    if (names - set(params)) & {"t", "k"} or \
-            any(name.startswith("x") for name in names - set(params)):
-        return None
-    fn = compile_matrix(grid, params)
-    return fn(0.0)
+    rows = entries.tolist() if isinstance(entries, np.ndarray) else entries
+    if not isinstance(rows, (list, tuple)) or len(rows) != n or not all(
+            isinstance(row, (list, tuple)) and len(row) == n for row in rows):
+        raise DimensionMismatchError(f"coefficient must be an {n}x{n} matrix")
+    if not all(isinstance(v, (int, float)) for row in rows for v in row):
+        grid = _expr_grid(rows, set(params))
+        names = set().union(*(ex.free_vars(e) for row in grid for e in row))
+        names -= set(params)
+        if names & {"t", "k"} or any(name.startswith("x") for name in names):
+            return grid
+        rows = compile_matrix(grid, params)(0.0)
+    return np.asarray(rows, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -157,8 +160,11 @@ class Delay:
 class SystemDef:
     """A continuous system: undelayed right-hand side plus optional delays.
 
-    Construction normalizes entries (strings parse, numbers wrap) and
-    validates dimensions; instances are treated as immutable after that.
+    One type covers autonomous, time-varying, delayed and periodic systems.
+    Construction normalizes entries (strings parse, numbers wrap, delay
+    coefficients go through :func:`coefficient_grid`) and validates
+    dimensions, lags and the period; instances are treated as immutable
+    after that.
     """
 
     dimension: int
@@ -200,42 +206,41 @@ class SystemDef:
         else:
             raise TypeError(f"unsupported rhs {rhs!r}")
 
-        delays = []
         last = 0.0
         for d in self.delays:
-            if d.lag <= 0:
-                raise DimensionMismatchError("delay lags must be positive")
+            if not (math.isfinite(d.lag) and d.lag > 0):
+                raise InvalidArgumentError(
+                    f"delay lags must be finite and positive, got {d.lag!r}")
             if d.lag < last:
                 raise DimensionMismatchError("delays must be sorted ascending")
             last = d.lag
-            delays.append(Delay(float(d.lag), self._coerce_coeff(d.coeff)))
-        self.delays = tuple(delays)
+        self.delays = tuple(Delay(float(d.lag),
+                                  coefficient_grid(d.coeff, n, self.params))
+                            for d in self.delays)
+        if self.period is not None:
+            self._check_period()
 
-    def _coerce_coeff(self, coeff):
-        n = self.dimension
-        if isinstance(coeff, np.ndarray) and coeff.dtype != object:
-            arr = np.asarray(coeff, dtype=float)
-            if arr.shape != (n, n):
-                raise DimensionMismatchError("delay coefficient must be n x n")
-            return arr
-        if isinstance(coeff, (list, tuple)) and coeff and \
-                not isinstance(coeff[0], (list, tuple)):
-            raise DimensionMismatchError("delay coefficient must be a matrix")
-        if isinstance(coeff, (list, tuple)):
-            if all(isinstance(v, (int, float)) for row in coeff for v in row):
-                arr = np.asarray(coeff, dtype=float)
-                if arr.shape != (n, n):
-                    raise DimensionMismatchError("delay coefficient must be n x n")
-                return arr
-            grid = _expr_grid(coeff, set(self.params))
-            if len(grid) != n or any(len(row) != n for row in grid):
-                raise DimensionMismatchError("delay coefficient must be n x n")
-            folded = fold_constant_grid(grid, self.params)
-            return grid if folded is None else folded
-        arr = np.asarray(coeff, dtype=float)
-        if arr.shape != (n, n):
-            raise DimensionMismatchError("delay coefficient must be n x n")
-        return arr
+    def _check_period(self) -> None:
+        """Validate the period; spot-check periodicity of a varying grid on
+        16 sample times at tolerance 1e-9."""
+        if not (math.isfinite(self.period) and self.period > 0):
+            raise InvalidArgumentError(
+                f"period must be finite and positive, got {self.period!r}")
+        self.period = float(self.period)
+        if not isinstance(self.rhs, LinearTimeVarying):
+            return
+        ts = np.linspace(0.137, self.period, 16)
+        # interleaved (t, t + T) so a domain error names the time the
+        # time-by-time check would have reached first
+        at = compile_matrix(self.rhs.entries, self.params)
+        both = at(np.column_stack([ts, ts + self.period]).ravel())
+        a, b = both[0::2], both[1::2]
+        gaps = np.linalg.norm(a - b, "fro", axis=(1, 2))
+        bad = gaps > 1e-9 * (1.0 + np.linalg.norm(a, "fro", axis=(1, 2)))
+        if bad.any():
+            t = ts[np.argmax(bad)]
+            raise InvalidArgumentError(
+                f"entries are not {self.period}-periodic (checked t={t:.4f})")
 
     # -- helpers ---------------------------------------------------------------
 
@@ -294,16 +299,6 @@ class SystemDef:
             return np.column_stack([fn(X, t) for fn in fns])
 
         return fv
-
-    def delay_coeff_callables(self) -> list[Callable[[float], np.ndarray]]:
-        out = []
-        for d in self.delays:
-            if isinstance(d.coeff, np.ndarray):
-                const = d.coeff
-                out.append(lambda t, _c=const: _c)
-            else:
-                out.append(compile_matrix(d.coeff, self.params))
-        return out
 
 
 # --- trajectories ---------------------------------------------------------------
@@ -396,17 +391,22 @@ class HistoryFn:
 
 def _grid(t0: float, t1: float, h: float) -> tuple[int, float]:
     """Number of full steps and the (possibly zero) trailing remainder."""
-    if h <= 0:
-        raise ValueError("step must be positive")
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise InvalidArgumentError(
+            f"t0 and t1 must be finite, got t0={t0!r}, t1={t1!r}")
+    if not (math.isfinite(h) and h > 0):
+        raise InvalidArgumentError(f"step must be finite and positive, got {h!r}")
     if t1 <= t0:
-        raise ValueError("t1 must exceed t0")
+        raise InvalidArgumentError("t1 must exceed t0")
     span = t1 - t0
+    # n_full + 2 <= SAMPLE_CAP, checked before the int conversion so that an
+    # overflowing span (inf) fails here too
+    if not span / h + 1e-9 < SAMPLE_CAP - 1:
+        raise SampleCapError(f"trajectory would exceed {SAMPLE_CAP} samples")
     n_full = int(math.floor(span / h + 1e-9))
     rem = span - n_full * h
     if rem < 1e-9 * max(1.0, abs(t1)):
         rem = 0.0
-    if n_full + 2 > SAMPLE_CAP:
-        raise SampleCapError(f"trajectory would exceed {SAMPLE_CAP} samples")
     return n_full, rem
 
 
@@ -466,6 +466,12 @@ def _linear_coefficient(sys: SystemDef):
     if isinstance(rhs, LinearTimeVarying):
         return compile_matrix(rhs.entries, sys.params)
     return None
+
+
+def _delay_coefficients(sys: SystemDef) -> list:
+    """``[A_1, ..., A_m]``: constant arrays, or compiled grids ``t -> A_i(t)``."""
+    return [d.coeff if isinstance(d.coeff, np.ndarray)
+            else compile_matrix(d.coeff, sys.params) for d in sys.delays]
 
 
 def _at(coeff, t):
@@ -608,6 +614,7 @@ def integrate_dde(sys: SystemDef, history: HistoryFn, t1: float,
     """
     if not sys.delays:
         raise ValueError("system has no delays; use integrate")
+    n_full, rem = _grid(0.0, t1, h)
     lags = [d.lag for d in sys.delays]
     for lag in lags:
         if abs(lag - round(lag / h) * h) > 1e-9:
@@ -618,11 +625,9 @@ def integrate_dde(sys: SystemDef, history: HistoryFn, t1: float,
 
     a = _linear_coefficient(sys)
     f0 = sys.rhs_callable() if a is None else _matrix_rhs(a)
-    coeffs = [d.coeff if isinstance(d.coeff, np.ndarray)
-              else compile_matrix(d.coeff, sys.params) for d in sys.delays]
+    coeffs = _delay_coefficients(sys)
     lag_steps = [round(lag / h) for lag in lags]
 
-    n_full, rem = _grid(0.0, t1, h)
     n_hist = round(sys.max_lag / h)
     base = n_hist  # index of the t=0 grid node
     if base + 1 + n_full > SAMPLE_CAP:

@@ -5,13 +5,16 @@ delayed, periodic, and discrete.  Matrices are row-major nested arrays;
 time-varying entries are expression strings.  Loading validates against the
 published schema (shipped in ``stabkit/schemas/``) and keeps the original
 document around so files round-trip without loss.
+Every continuous kind (``linear``, ``nonlinear``, ``delay``, ``periodic``)
+builds one :class:`~stabkit.odeint.SystemDef`; ``discrete`` builds a
+:class:`~stabkit.discrete.DiscreteSystem`.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, is_dataclass, asdict
+from dataclasses import asdict, dataclass, is_dataclass
 from enum import Enum
 from importlib import resources
 from pathlib import Path
@@ -20,11 +23,10 @@ from typing import Any
 import numpy as np
 
 from . import __version__
-from .alpha import DelaySystem
 from .discrete import DiscreteSystem
 from .errors import SchemaError, StabkitError
-from .floquet import PeriodicSystem
-from .odeint import Delay, LinearConstant, Nonlinear, SystemDef
+from .odeint import (Delay, LinearConstant, LinearTimeVarying, Nonlinear,
+                     SystemDef, coefficient_grid)
 
 __all__ = ["SystemFile", "load_system", "save_system", "build_report",
            "to_jsonable", "KINDS"]
@@ -42,7 +44,9 @@ class SystemFile:
     document: dict
 
     def build(self):
-        """Instantiate the toolkit object this file describes."""
+        """Instantiate the toolkit object this file describes: a
+        :class:`~stabkit.odeint.SystemDef` for every continuous kind, a
+        :class:`~stabkit.discrete.DiscreteSystem` for ``discrete``."""
         doc = self.document
         params = dict(doc.get("params", {}))
         n = self.dimension
@@ -54,12 +58,15 @@ class SystemFile:
             return SystemDef(n, Nonlinear(tuple(doc["expressions"])),
                              params=params)
         if self.kind == "delay":
-            delays = tuple((float(d["lag"]), d["coefficients"])
+            a = coefficient_grid(doc["a"], n, params)
+            rhs = LinearConstant(a) if isinstance(a, np.ndarray) \
+                else LinearTimeVarying(a)
+            delays = tuple(Delay(float(d["lag"]), d["coefficients"])
                            for d in doc["delays"])
-            return DelaySystem(doc["a"], delays, params=params)
+            return SystemDef(n, rhs, delays=delays, params=params)
         if self.kind == "periodic":
-            return PeriodicSystem(tuple(tuple(row) for row in doc["coefficients"]),
-                                  float(doc["period"]), params=params)
+            return SystemDef(n, LinearTimeVarying(doc["coefficients"]),
+                             period=float(doc["period"]), params=params)
         if self.kind == "discrete":
             return DiscreteSystem(n, tuple(doc["expressions"]), params=params)
         raise SchemaError(f"unknown kind {self.kind!r}")

@@ -98,7 +98,7 @@ def test_criterion_03_floquet():
 def test_criterion_04_alpha_stability_pipeline():
     c = Checks(4, "delay-system rate certificates and residuals")
     coupled = gallery_system("delay_coupled")
-    p = al.solve_delay_lyapunov(np.asarray(coupled.a0, dtype=float), coupled.m)
+    p = al.solve_delay_lyapunov(coupled.rhs.a, len(coupled.delays))
     inputs = al.rate_bound_inputs(coupled, p)
     c.expect(abs(inputs.eta - (-3.0 + 0.5 * math.sqrt(4.25))) < 1e-9,
              f"eta = {inputs.eta}")

@@ -5,7 +5,11 @@ import pytest
 
 from stabkit import alpha as al
 from stabkit import linalg, odeint
-from stabkit.errors import InvalidArgumentError, ZeroTrajectoryError
+from stabkit.errors import (
+    DimensionMismatchError,
+    InvalidArgumentError,
+    ZeroTrajectoryError,
+)
 from conftest import gallery_system
 
 
@@ -24,16 +28,16 @@ def test_shifted_matrices_two_lag():
 def test_shifted_matrices_identity_at_zero_rate():
     ds = gallery_system("delay_coupled")
     a0a, ais = al.shifted_matrices(ds, 0.0)
-    assert np.allclose(a0a, ds.a0)
-    for aia, (_, coeff) in zip(ais, ds.delays):
-        assert np.allclose(aia, coeff)
+    assert np.allclose(a0a, ds.rhs.a)
+    for aia, d in zip(ais, ds.delays):
+        assert np.allclose(aia, d.coeff)
 
 
 def test_shifted_matrices_time_varying():
     ds = gallery_system("delay_gain_scheduled")
     a0a, _ = al.shifted_matrices(ds, 1.0)
     got = a0a(0.3)
-    a0 = ds.a0_fn()(0.3)
+    a0 = odeint.compile_matrix(ds.rhs.entries, ds.params)(0.3)
     assert np.allclose(got, a0 + np.eye(2), atol=1e-14)
     assert got[1, 1] == pytest.approx(-6.5)
 
@@ -195,10 +199,9 @@ def test_certified_trajectories_decay():
          np.array([[1.0, -1.0], [-1.0, 1.0]])),
     ]:
         ds = gallery_system(name)
-        sd = ds.as_systemdef()
-        h = odeint.dde_step([lag for lag, _ in ds.delays])
+        h = odeint.dde_step([d.lag for d in ds.delays])
         traj = odeint.integrate_dde(
-            sd, odeint.HistoryFn.constant(np.ones(2), ds.max_lag), 20.0, h)
+            ds, odeint.HistoryFn.constant(np.ones(2), ds.max_lag), 20.0, h)
         assert traj.norms()[-1] < 1e-2 * traj.norms()[0]
 
 
@@ -212,7 +215,7 @@ def test_certify_rejects_missing_p_on_residual_routes():
 @pytest.mark.parametrize("route", list(al.CertificateRoute))
 def test_certify_rejects_negative_or_nonfinite_alpha(alpha, route):
     ds = gallery_system("delay_coupled")
-    p = al.solve_delay_lyapunov(ds.a0, ds.m)
+    p = al.solve_delay_lyapunov(ds.rhs.a, len(ds.delays))
     with pytest.raises(InvalidArgumentError, match="alpha must be finite"):
         al.certify(ds, alpha, route, p=p, horizon=0.0)
 
@@ -220,7 +223,7 @@ def test_certify_rejects_negative_or_nonfinite_alpha(alpha, route):
 def test_max_alpha_two_lag_overflow_reads_infeasible():
     # lag 4.0 at the bisection's upper end: exp(2 * 100 * 4) overflows
     ds = gallery_system("delay_two_lag")
-    p = al.solve_delay_lyapunov(ds.a0, ds.m)
+    p = al.solve_delay_lyapunov(ds.rhs.a, len(ds.delays))
     inputs = al.rate_bound_inputs(ds, p)
     assert inputs.h == 4.0
     lhs = al.rate_inequality_lhs(inputs.eta, inputs.p_norm, inputs.a_norm_sq,
@@ -245,11 +248,67 @@ def test_rate_bound_inputs_match_per_time_scan():
     grid = (0.0, 5.0, 201)
     got = al.rate_bound_inputs(ds, p, t_grid=grid)
     times = np.linspace(*grid)
-    a0 = ds.a0_fn()
+    a0 = odeint.compile_matrix(ds.rhs.entries, ds.params)
     eta = max(linalg.matrix_measure(a0(float(t))) for t in times)
+    fns = [odeint.compile_matrix(d.coeff, ds.params) for d in ds.delays]
     a_norm_sq = max(max(linalg.spectral_norm(fn(float(t))) for t in times) ** 2
-                    for fn in ds.delay_fns())
+                    for fn in fns)
     p_norm = max(linalg.spectral_norm(v + np.eye(2)) for v in p.values)
     assert got.eta == pytest.approx(eta, rel=1e-14)
     assert got.a_norm_sq == pytest.approx(a_norm_sq, rel=1e-14)
     assert got.p_norm == pytest.approx(p_norm, rel=1e-14)
+
+
+# --- systems the certificates refuse --------------------------------------------
+
+A_STABLE = np.array([[-2.0, 0.5], [-1.0, -4.0]])
+REFUSED = {
+    "no delays": odeint.SystemDef(2, odeint.LinearConstant(A_STABLE)),
+    "nonlinear": odeint.SystemDef(
+        2, odeint.Nonlinear(("-2*x1 + x2^3", "-4*x2")),
+        delays=(odeint.Delay(0.5, np.eye(2) / 10),)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSED))
+@pytest.mark.parametrize("call", [
+    lambda s: al.shifted_matrices(s, 0.1),
+    lambda s: al.rde_residual(s, 0.1, np.eye(2)),
+    lambda s: al.rate_bound_inputs(s, np.eye(2)),
+    lambda s: al.certify(s, 0.1, al.CertificateRoute.RATE_INEQUALITY,
+                         horizon=0.0),
+    lambda s: al.certify(s, 0.1, al.CertificateRoute.ALGEBRAIC_RDE,
+                         p=np.eye(2), horizon=0.0),
+], ids=["shifted", "rde", "rate_inputs", "certify_rate", "certify_rde"])
+def test_entry_points_refuse_systems_without_linear_delays(name, call):
+    with pytest.raises(InvalidArgumentError, match="alpha certificates need"):
+        call(REFUSED[name])
+
+
+@pytest.mark.parametrize("horizon", [math.inf, math.nan, -1.0])
+def test_certify_rejects_nonfinite_or_negative_horizon(horizon):
+    with pytest.raises(InvalidArgumentError, match="horizon must be finite"):
+        al.certify(gallery_system("delay_coupled"), 0.4,
+                   al.CertificateRoute.RATE_INEQUALITY, horizon=horizon)
+
+
+@pytest.mark.parametrize("route", list(al.CertificateRoute))
+def test_constant_p_on_time_varying_a0_is_a_typed_error(route):
+    with pytest.raises(DimensionMismatchError, match="sampled P"):
+        al.certify(gallery_system("delay_rotating"), 0.1, route,
+                   p=np.eye(2), horizon=0.0)
+
+
+def test_delay_files_build_one_system_type():
+    for name in ("delay_coupled", "delay_two_lag"):
+        ds = gallery_system(name)
+        assert isinstance(ds, odeint.SystemDef)
+        assert isinstance(ds.rhs, odeint.LinearConstant)
+        assert all(isinstance(d.coeff, np.ndarray) for d in ds.delays)
+    # "exp(-0.4)/3" folds to the constant it spells
+    assert gallery_system("delay_coupled").delays[0].coeff[0, 0] == \
+        math.exp(-0.4) / 3
+    for name in ("delay_rotating", "delay_gain_scheduled"):
+        ds = gallery_system(name)
+        assert isinstance(ds.rhs, odeint.LinearTimeVarying)
+        assert ds.period is None and ds.max_lag == 1.0

@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 
@@ -215,13 +214,11 @@ def test_missing_file_exits_2(capsys):
     assert rc == 2
 
 
-def test_deterministic_output_and_seed_env_is_inert(tmp_path):
-    env = dict(os.environ)
+def test_deterministic_output(tmp_path):
     cmd = [sys.executable, "-m", "stabkit.cli", "classify",
            "--system", str(gallery_file("coupled_decay"))]
-    first = subprocess.run(cmd, capture_output=True, text=True, env=env)
-    env["STABKIT_SEED"] = "12345"  # reserved; sampling is deterministic Halton
-    second = subprocess.run(cmd, capture_output=True, text=True, env=env)
+    first = subprocess.run(cmd, capture_output=True, text=True)
+    second = subprocess.run(cmd, capture_output=True, text=True)
     a, b = json.loads(first.stdout), json.loads(second.stdout)
     a.pop("wall_time_s"), b.pop("wall_time_s")
     assert a == b
@@ -299,3 +296,85 @@ def test_invalid_scan_arguments_exit_2(capsys, argv):
     assert "input error" in captured.err
     assert "zero-size" not in captured.err
     assert "negative dimensions" not in captured.err
+
+
+@pytest.mark.parametrize("argv,word", [
+    (["simulate", "--system", "pendulum", "--x0", "0.5,0", "--t1", "inf"], "t1"),
+    (["simulate", "--system", "delay_coupled", "--x0", "1,1", "--t1", "inf"],
+     "t1"),
+    (["simulate", "--system", "pendulum", "--x0", "0.5,0", "--t1", "nan"], "t1"),
+    (["simulate", "--system", "delay_coupled", "--x0", "1,1", "--t1", "nan"],
+     "t1"),
+    (["simulate", "--system", "pendulum", "--x0", "0.5,0", "--t0", "nan"], "t0"),
+    (["simulate", "--system", "pendulum", "--x0", "0.5,0", "--step", "nan"],
+     "step"),
+    (["simulate", "--system", "pendulum", "--x0", "0.5,0", "--step", "inf"],
+     "step"),
+    (["simulate", "--system", "delay_coupled", "--x0", "1,1", "--step", "nan"],
+     "step"),
+    (["simulate", "--system", "delay_coupled", "--x0", "1,1", "--step", "inf"],
+     "step"),
+    (["simulate", "--system", "periodic_rotation", "--x0", "1,1,1",
+      "--t1", "inf"], "t1"),
+    (["alpha", "--system", "delay_coupled", "--alpha", "0.4",
+      "--horizon", "inf"], "horizon"),
+    (["alpha", "--system", "delay_coupled", "--alpha", "0.4",
+      "--horizon", "nan"], "horizon"),
+    (["alpha", "--system", "delay_coupled", "--alpha", "0.4",
+      "--horizon=-1"], "horizon"),
+    (["floquet", "--system", "periodic_rotation", "--step", "inf"], "step"),
+    (["floquet", "--system", "periodic_rotation", "--step", "nan"], "step"),
+    (["floquet", "--system", "periodic_rotation", "--step", "0"], "step"),
+    (["floquet", "--system", "periodic_rotation", "--period", "nan"], "period"),
+    (["floquet", "--system", "periodic_rotation", "--period", "inf"], "period"),
+    (["floquet", "--system", "periodic_rotation", "--period", "0"], "period"),
+    (["floquet", "--system", "periodic_rotation", "--period=-1"], "period"),
+], ids=lambda v: " ".join(v[0:1] + v[3:]) if isinstance(v, list) else v)
+def test_nonfinite_time_arguments_exit_2(capsys, argv, word):
+    argv = [str(gallery_file(a)) if i == 2 else a for i, a in enumerate(argv)]
+    with deadline(10.0):
+        rc = cli.run(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "input error" in captured.err and word in captured.err
+    assert "Traceback" not in captured.err
+    assert "convert float NaN" not in captured.err
+
+
+def test_period_override_runs_on_the_given_period(capsys):
+    system = gallery_file("periodic_rotation")
+    rc, doubled = run_cli(["floquet", "--system", system, "--step", "1e-3",
+                           "--period", repr(4 * np.pi)], capsys)
+    assert rc == 0
+    rc, same = run_cli(["floquet", "--system", system, "--step", "1e-3",
+                        "--period", repr(2 * np.pi)], capsys)
+    rc, base = run_cli(["floquet", "--system", system, "--step", "1e-3"],
+                       capsys)
+    assert same["result"] == base["result"]
+    assert doubled["result"]["liouville_rhs"] == pytest.approx(
+        base["result"]["liouville_rhs"] ** 2, rel=1e-9)
+
+
+@pytest.mark.parametrize("name,edit,word", [
+    ("periodic_rotation", lambda d: d.update(period=float("nan")), "period"),
+    ("periodic_rotation", lambda d: d.update(period=float("inf")), "period"),
+    ("delay_coupled", lambda d: d["delays"][0].update(lag=float("nan")),
+     "lags"),
+    ("delay_coupled", lambda d: d["delays"][1].update(lag=float("inf")),
+     "lags"),
+])
+def test_nonfinite_period_or_lag_in_file_exits_2(tmp_path, capsys, name,
+                                                  edit, word):
+    doc = json.loads(gallery_file(name).read_text())
+    edit(doc)
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps(doc))  # writes NaN / Infinity literals
+    cmd = "floquet" if name.startswith("periodic") else "alpha"
+    argv = [cmd, "--system", str(path)] + \
+        ([] if cmd == "floquet" else ["--alpha", "0.4"])
+    rc = cli.run(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert word in captured.err and "finite and positive" in captured.err

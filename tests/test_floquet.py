@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,13 +6,25 @@ import pytest
 
 from stabkit import autonomous as aut
 from stabkit import floquet as fl
+from stabkit.errors import InvalidArgumentError
+from stabkit.odeint import (
+    Delay,
+    LinearConstant,
+    LinearTimeVarying,
+    Nonlinear,
+    SystemDef,
+    compile_matrix,
+)
 from conftest import gallery_doc, gallery_system
 
 
+def periodic(entries, period):
+    return SystemDef(len(entries), LinearTimeVarying(entries), period=period)
+
+
 def constant_system(a, period=1.0):
-    n = len(a)
     entries = tuple(tuple(repr(float(v)) for v in row) for row in a)
-    return fl.PeriodicSystem(entries, period)
+    return periodic(entries, period)
 
 
 def test_monodromy_constant_diagonal():
@@ -75,8 +88,7 @@ def test_liouville_constant_decay():
 
 def test_liouville_gap_shrinks_with_step():
     # fourth-order integrator: the determinant defect falls ~16x per halving
-    sysd = fl.PeriodicSystem((("-0.2", "sin(t)"), ("cos(t)", "-0.4")),
-                             2 * math.pi)
+    sysd = periodic((("-0.2", "sin(t)"), ("cos(t)", "-0.4")), 2 * math.pi)
 
     def gap(h):
         mults = fl.multipliers(fl.monodromy(sysd, h))
@@ -114,7 +126,7 @@ def test_constant_coefficient_consistency():
 def test_period_doubling_squares_multipliers():
     sysd = gallery_system("periodic_rotation")
     base = fl.multipliers(fl.monodromy(sysd, 1e-3))
-    doubled_sys = fl.PeriodicSystem(sysd.entries, 2 * sysd.period)
+    doubled_sys = dataclasses.replace(sysd, period=2 * sysd.period)
     doubled = fl.multipliers(fl.monodromy(doubled_sys, 1e-3))
     want = sorted((m * m for m in base), key=lambda z: (z.real, z.imag))
     got = sorted(doubled, key=lambda z: (z.real, z.imag))
@@ -124,7 +136,7 @@ def test_period_doubling_squares_multipliers():
 
 def test_periodicity_spot_check():
     with pytest.raises(ValueError):
-        fl.PeriodicSystem((("t",),), period=1.0)  # not periodic in t
+        periodic((("t",),), period=1.0)  # not periodic in t
 
 
 def test_full_report():
@@ -148,7 +160,8 @@ def test_liouville_integrates_batched_traces_like_the_per_time_scan():
     w = np.ones(201)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
-    traces = np.array([sysd.trace_at(float(t)) for t in ts])
+    at = compile_matrix(sysd.rhs.entries, sysd.params)
+    traces = np.array([np.trace(at(float(t))) for t in ts])
     want = math.exp(sysd.period / 200 / 3.0 * (w @ traces))
     assert rhs == pytest.approx(want, rel=1e-14)
 
@@ -167,4 +180,50 @@ def test_constant_coefficient_multipliers_are_exp_t_lambda():
 
 def test_periodicity_spot_check_names_first_failing_time():
     with pytest.raises(ValueError, match=r"checked t=0\.1370"):
-        fl.PeriodicSystem((("sin(t)", "t"), ("0", "0")), period=1.0)
+        periodic((("sin(t)", "t"), ("0", "0")), period=1.0)
+
+
+def test_periodic_file_builds_a_systemdef():
+    sysd = gallery_system("periodic_rotation")
+    assert isinstance(sysd, SystemDef)
+    assert isinstance(sysd.rhs, LinearTimeVarying)
+    assert sysd.period == gallery_doc("periodic_rotation").document["period"]
+    assert sysd.delays == ()
+
+
+def test_period_override_rebuilds_and_rechecks():
+    sysd = gallery_system("periodic_rotation")
+    with pytest.raises(ValueError, match=r"checked t=0\.1370"):
+        dataclasses.replace(sysd, period=1.0)
+    with pytest.raises(ValueError, match="period must be finite"):
+        dataclasses.replace(sysd, period=math.nan)
+
+
+def test_constant_rhs_with_period_matches_its_expression_grid():
+    a = np.array([[-0.5, 2.0], [-1.0, -0.3]])
+    const = SystemDef(2, LinearConstant(a), period=1.7)
+    grid = constant_system(a, 1.7)
+    mults = fl.multipliers(fl.monodromy(const, 1e-3))
+    assert fl.liouville_check(const, mults) == fl.liouville_check(grid, mults)
+
+
+REFUSED = {
+    "no period": SystemDef(2, LinearTimeVarying((("-1", "sin(t)"),
+                                                 ("0", "-1")))),
+    "nonlinear": SystemDef(2, Nonlinear(("-x1 + sin(t)*x2", "-x2^3")),
+                           period=2 * math.pi),
+    "delays": SystemDef(2, LinearConstant(-np.eye(2)),
+                        delays=(Delay(0.5, np.eye(2) / 10),),
+                        period=1.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSED))
+@pytest.mark.parametrize("call", [
+    lambda s: fl.monodromy(s, 1e-2),
+    lambda s: fl.liouville_check(s, [1.0, 1.0]),
+    lambda s: fl.floquet_report(s, h=1e-2),
+], ids=["monodromy", "liouville", "report"])
+def test_entry_points_refuse_non_periodic_systems(name, call):
+    with pytest.raises(InvalidArgumentError, match="Floquet analysis needs"):
+        call(REFUSED[name])

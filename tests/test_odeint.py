@@ -6,7 +6,14 @@ import pytest
 
 from stabkit import discrete as dc
 from stabkit import odeint
-from stabkit.errors import DomainError, HistoryGapError, NonFiniteStateError
+from stabkit.errors import (
+    DimensionMismatchError,
+    DomainError,
+    HistoryGapError,
+    InvalidArgumentError,
+    NonFiniteStateError,
+    SampleCapError,
+)
 from stabkit.odeint import (
     Delay,
     HistoryFn,
@@ -200,6 +207,93 @@ def test_delays_must_be_sorted():
                   delays=(Delay(1.0, [[1.0]]), Delay(0.5, [[1.0]])))
 
 
+# --- argument checks ------------------------------------------------------------
+
+@pytest.mark.parametrize("lag", [math.nan, math.inf, 0.0, -1.0])
+def test_delay_lags_must_be_finite_and_positive(lag):
+    with pytest.raises(InvalidArgumentError, match="lags must be finite"):
+        SystemDef(1, LinearConstant(np.array([[-1.0]])),
+                  delays=(Delay(lag, [[0.5]]),))
+
+
+@pytest.mark.parametrize("period", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_period_must_be_finite_and_positive(period):
+    with pytest.raises(InvalidArgumentError, match="period must be finite"):
+        SystemDef(1, LinearTimeVarying((("sin(t)",),)), period=period)
+
+
+def test_period_is_kept_as_float_and_checked_on_every_rhs():
+    sysd = SystemDef(1, LinearConstant(np.array([[-1.0]])), period=2)
+    assert sysd.period == 2.0 and isinstance(sysd.period, float)
+    with pytest.raises(InvalidArgumentError):
+        SystemDef(1, Nonlinear(("-x1",)), period=math.nan)
+
+
+@pytest.mark.parametrize("t0,t1,h,word", [
+    (0.0, math.inf, 1e-3, "t1"), (0.0, math.nan, 1e-3, "t1"),
+    (math.nan, 1.0, 1e-3, "t0"), (-math.inf, 1.0, 1e-3, "t0"),
+    (0.0, 1.0, math.inf, "step"), (0.0, 1.0, math.nan, "step"),
+    (0.0, 1.0, 0.0, "step"), (0.0, 1.0, -1e-3, "step"),
+    (1.0, 1.0, 1e-3, "t1 must exceed t0"),
+])
+def test_nonfinite_time_arguments_rejected_by_every_integrator(t0, t1, h, word):
+    linear = SystemDef(1, LinearConstant(np.array([[-1.0]])))
+    delayed = SystemDef(1, LinearConstant(np.array([[-1.0]])),
+                        delays=(Delay(0.5, [[0.1]]),))
+    with pytest.raises(InvalidArgumentError, match=word):
+        integrate(scalar_decay(), [1.0], t0, t1, h)
+    with pytest.raises(InvalidArgumentError, match=word):
+        integrate_matrix(linear, t0, t1, h)
+    if t0 == 0.0:  # the delay integrator always starts at t = 0
+        with pytest.raises(InvalidArgumentError, match=word):
+            integrate_dde(delayed, HistoryFn.constant([1.0], 0.5), t1, h)
+
+
+def test_overflowing_span_hits_the_sample_cap():
+    with pytest.raises(SampleCapError):
+        integrate(scalar_decay(), [1.0], -1e308, 1e308, 1.0)
+    with pytest.raises(SampleCapError):
+        integrate(scalar_decay(), [1.0], 0.0, 1.0, 1e-320)
+
+
+# --- coefficient grids ------------------------------------------------------------
+
+def test_coefficient_grid_folds_constants_exactly():
+    got = odeint.coefficient_grid([["exp(-0.4)/3", 0], [1, "2*k0"]], 2,
+                                  {"k0": 1.5})
+    assert isinstance(got, np.ndarray) and got.dtype == float
+    assert got.tolist() == [[math.exp(-0.4) / 3, 0.0], [1.0, 3.0]]
+    numeric = odeint.coefficient_grid([[1, 2.5], [0, -1]], 2, {})
+    assert numeric.tolist() == [[1.0, 2.5], [0.0, -1.0]]
+    arr = np.array([[1.0, 2.0], [3.0, 4.0]])
+    assert np.array_equal(odeint.coefficient_grid(arr, 2, {}), arr)
+
+
+def test_coefficient_grid_keeps_varying_entries_as_expressions():
+    grid = odeint.coefficient_grid([["sin(t)", 0], [0, 1]], 2, {})
+    assert not isinstance(grid, np.ndarray)
+    assert compile_matrix(grid)(0.5)[0, 0] == math.sin(0.5)
+    # a parameter named t shadows time
+    assert isinstance(odeint.coefficient_grid([["t"]], 1, {"t": 2.0}),
+                      np.ndarray)
+
+
+@pytest.mark.parametrize("entries", [
+    [1.0, 2.0], 3.0, [[1.0, 2.0]], [["t", "0"]], np.zeros((2, 3)),
+])
+def test_coefficient_grid_rejects_non_square_shapes(entries):
+    with pytest.raises(DimensionMismatchError):
+        odeint.coefficient_grid(entries, 2, {})
+
+
+def test_delay_coefficients_go_through_coefficient_grid():
+    sysd = SystemDef(1, LinearConstant(np.array([[-1.0]])),
+                     delays=(Delay(0.5, [["exp(-1)"]]),
+                             Delay(1.0, [["cos(t)"]])))
+    assert sysd.delays[0].coeff.tolist() == [[math.exp(-1)]]
+    assert not isinstance(sysd.delays[1].coeff, np.ndarray)
+
+
 # --- escape check -------------------------------------------------------------
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e13, -1e13])
@@ -249,7 +343,8 @@ def _time_varying_gallery_grids():
         else:
             continue
         for i, grid in enumerate(grids):
-            if odeint.fold_constant_grid(grid, params) is None:
+            folded = odeint.coefficient_grid(grid, len(grid), params)
+            if not isinstance(folded, np.ndarray):
                 yield f"{path.stem}[{i}]", grid, params
 
 
@@ -368,7 +463,7 @@ def test_periodic_rotation_monodromy_matches_stage_loop_values():
         [0.010640696200709624, 0.006597604645563659, -0.001478835688386332],
         [0.01211953188909609, 0.01064069620070968, 0.0051187689571772724]])
     sysd = gallery_system("periodic_rotation")
-    got = integrate_matrix(sysd.as_systemdef(), 0.0, sysd.period, 1e-4)
+    got = integrate_matrix(sysd, 0.0, sysd.period, 1e-4)
     assert np.abs(got - want).max() <= 1e-14
 
 
@@ -402,7 +497,7 @@ def test_step_maps_fall_back_to_stage_loop_when_a_map_overflows():
 def test_delay_rotating_escape_time_unchanged():
     ds = gallery_system("delay_rotating")
     with pytest.raises(NonFiniteStateError) as err:
-        integrate_dde(ds.as_systemdef(), HistoryFn.constant(np.ones(2), 1.0),
+        integrate_dde(ds, HistoryFn.constant(np.ones(2), 1.0),
                       10.0, dde_step([0.5, 1.0]))
     assert str(err.value) == "state escaped to non-finite values at t=8.146"
 

@@ -76,11 +76,20 @@ def test_bundled_gallery_access():
     assert sysd.dimension == 2
 
 
-def test_doc_schemas_match_packaged_copies():
-    from pathlib import Path
+def test_every_gallery_file_builds_one_system_type():
+    from stabkit.discrete import DiscreteSystem
+    from stabkit.odeint import SystemDef
 
-    from stabkit.schema import report_schema, system_schema
-
-    docs = Path(__file__).resolve().parent.parent / "docs"
-    assert json.loads((docs / "system.schema.json").read_text()) == system_schema()
-    assert json.loads((docs / "report.schema.json").read_text()) == report_schema()
+    for name in bundled_names():
+        sf = bundled_system(name)
+        want = DiscreteSystem if sf.kind == "discrete" else SystemDef
+        built = sf.build()
+        assert isinstance(built, want), name
+        if sf.kind == "delay":
+            assert len(built.delays) == len(sf.document["delays"])
+            assert built.period is None
+        elif sf.kind == "periodic":
+            assert built.period == sf.document["period"]
+            assert built.delays == ()
+        elif sf.kind != "discrete":
+            assert built.delays == () and built.period is None
