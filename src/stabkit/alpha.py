@@ -129,7 +129,7 @@ def shifted_matrices(sys: SystemDef, alpha: float):
     Constant systems get arrays; time-varying ones get ``t -> ndarray``
     callables.  Exact arithmetic per the defining formulas.
     """
-    _check_rate(alpha)
+    linalg.check_nonnegative(alpha, "alpha")
     a0, *coeffs = _coefficients(sys)
     eye = np.eye(sys.dimension)
     scales = [float(np.exp(alpha * d.lag)) for d in sys.delays]
@@ -139,12 +139,6 @@ def shifted_matrices(sys: SystemDef, alpha: float):
     ais = [(lambda t, _c=c, _s=s: _s * _at(_c, t))
            for s, c in zip(scales, coeffs)]
     return a0a, ais
-
-
-def _check_rate(alpha: float) -> None:
-    if not (math.isfinite(alpha) and alpha >= 0.0):
-        raise InvalidArgumentError(
-            f"alpha must be finite and nonnegative, got {alpha!r}")
 
 
 def _rde_defect(a0a: np.ndarray, aias: Sequence[np.ndarray], p: np.ndarray,
@@ -385,10 +379,9 @@ def certify(sys: SystemDef, alpha: float, route: CertificateRoute,
     ``history`` (default: constant ones) and required to stay under a fitted
     ``c * exp(-alpha t)`` envelope.
     """
-    _check_rate(alpha)
-    if not (math.isfinite(horizon) and horizon >= 0.0):
-        raise InvalidArgumentError(
-            f"horizon must be finite and nonnegative, got {horizon!r}")
+    linalg.check_nonnegative(alpha, "alpha")
+    linalg.check_nonnegative(horizon, "horizon")
+    linalg.check_nonnegative(residual_tol, "residual_tol")
     _check_delay_system(sys)
     inputs = None
     margin = None
@@ -398,7 +391,6 @@ def certify(sys: SystemDef, alpha: float, route: CertificateRoute,
         if callable(p) and not isinstance(p, SampledMatrixFunction):
             p = SampledMatrixFunction.from_callable(p, *rde_grid)
         residual = rde_residual(sys, alpha, p, t_grid=rde_grid)
-        p_kind = "sampled" if isinstance(p, SampledMatrixFunction) else "constant"
     elif route is CertificateRoute.RATE_INEQUALITY:
         if p is None:
             if _varies(sys):
@@ -412,9 +404,9 @@ def certify(sys: SystemDef, alpha: float, route: CertificateRoute,
         margin = rate_inequality_lhs(inputs.eta, inputs.p_norm,
                                      inputs.a_norm_sq, inputs.m, inputs.h,
                                      alpha)
-        p_kind = "sampled" if isinstance(p, SampledMatrixFunction) else "constant"
     else:
         raise ValueError(f"unknown route {route!r}")
+    p_kind = "sampled" if isinstance(p, SampledMatrixFunction) else "constant"
 
     check = None
     if horizon > 0.0:

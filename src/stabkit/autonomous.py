@@ -18,6 +18,7 @@ import numpy as np
 from . import linalg
 from .errors import (
     ContinuumOfEquilibriaError,
+    DomainError,
     NotAnEquilibriumError,
     SingularError,
 )
@@ -91,6 +92,7 @@ def classify_linear(a, tol: float = linalg.DEFAULT_TOL) -> StabilityVerdict:
     are reported inconclusive.  The band used is ``tol * (1 + ||A||_F)``
     and travels with the verdict.
     """
+    linalg.check_nonnegative(tol)
     m = linalg.as_matrix(a, square=True)
     vals = linalg.eigenvalues(m, tol)
     band = tol * (1.0 + float(np.linalg.norm(m, "fro")))
@@ -198,8 +200,7 @@ def find_equilibria(sys: SystemDef, seeds, tol: float = 1e-10,
     collapse to the first representative after lexicographic sorting, which
     makes the result order deterministic.
     """
-    from .errors import DomainError
-
+    linalg.check_nonnegative(tol)
     f = sys.rhs_callable()
     roots: list[np.ndarray] = []
     for seed in seeds:
@@ -254,6 +255,7 @@ def local_stability(sys: SystemDef, x_star, tol: float = 1e-8,
     the linearization says nothing there.  For planar systems the
     critical-point taxonomy of the Jacobian is attached when it applies.
     """
+    linalg.check_nonnegative(tol)
     x = np.asarray(x_star, dtype=float)
     f = sys.rhs_callable()
     residual = float(np.linalg.norm(f(x, 0.0)))

@@ -23,7 +23,8 @@ import numpy as np
 
 from . import __version__, alpha as alpha_mod, autonomous, discrete as discrete_mod
 from . import floquet as floquet_mod, linalg, lyapunov as lyap_mod
-from .errors import NonFiniteStateError, SchemaError, StabkitError
+from .errors import (ArityMismatchError, NonFiniteStateError, ParseError,
+                     SchemaError, StabkitError, UnknownIdentifierError)
 from .odeint import HistoryFn, dde_step, integrate, integrate_dde
 from .schema import build_report, load_system
 
@@ -58,6 +59,15 @@ def _emit(report: dict, out: str | None) -> None:
 def _load(path: str):
     sf = load_system(path)
     return sf, sf.build()
+
+
+def _orbit(sys_obj, args, steps: int) -> dict:
+    """Iterate a discrete system from ``--x0``; export ``--csv`` if given."""
+    orbit = discrete_mod.iterate(sys_obj, _parse_vector(args.x0), steps)
+    if args.csv:
+        orbit.to_csv(args.csv)
+    return {"steps": int(orbit.indices[-1]), "escaped": orbit.escaped,
+            "final_state": orbit.states[-1], "csv": args.csv}
 
 
 def _require_kind(sf, *kinds: str):
@@ -237,14 +247,8 @@ def _cmd_discrete(args, argv) -> dict:
     if args.iterate is not None:
         if args.x0 is None:
             raise SchemaError("--iterate needs --x0")
-        orbit = discrete_mod.iterate(sys_obj, _parse_vector(args.x0),
-                                     args.iterate)
-        if args.csv:
-            orbit.to_csv(args.csv)
-        result = {"steps": int(orbit.indices[-1]), "escaped": orbit.escaped,
-                  "final_state": orbit.states[-1],
-                  "csv": args.csv}
-        return build_report("discrete", argv, sf.meta(), result, {}, started)
+        return build_report("discrete", argv, sf.meta(),
+                            _orbit(sys_obj, args, args.iterate), {}, started)
     if not args.candidate:
         raise SchemaError("provide --candidate EXPR or --iterate K --x0 ...")
     v = lyap_mod.CandidateV(args.candidate, params=dict(sys_obj.params))
@@ -262,25 +266,21 @@ def _cmd_simulate(args, argv) -> dict:
     if sf.kind == "discrete":
         if args.steps is None:
             raise SchemaError("discrete systems simulate with --steps K")
-        orbit = discrete_mod.iterate(sys_obj, _parse_vector(args.x0), args.steps)
-        if args.csv:
-            orbit.to_csv(args.csv)
-        result.update({"escaped": orbit.escaped, "steps": int(orbit.indices[-1]),
-                       "final_state": orbit.states[-1]})
-        return build_report("simulate", argv, sf.meta(), result,
+        return build_report("simulate", argv, sf.meta(),
+                            _orbit(sys_obj, args, args.steps),
                             {"steps": args.steps}, started)
     x0 = _parse_vector(args.x0)
+    step = 1e-3 if args.step is None else args.step  # the integrators refuse 0
     try:
         if sf.kind == "delay":
             history = HistoryFn.constant(
                 x0 if args.history is None else _parse_vector(args.history),
                 sys_obj.max_lag)
-            step = args.step if args.step else \
-                dde_step([d.lag for d in sys_obj.delays])
-            traj = integrate_dde(sys_obj, history, args.t1, step)
+            traj = integrate_dde(sys_obj, history, args.t1, dde_step(
+                [d.lag for d in sys_obj.delays]) if args.step is None else step)
         else:
             _require_kind(sf, "linear", "nonlinear", "periodic")
-            traj = integrate(sys_obj, x0, args.t0, args.t1, args.step or 1e-3)
+            traj = integrate(sys_obj, x0, args.t0, args.t1, step)
         if args.csv:
             traj.to_csv(args.csv)
         result.update({
@@ -294,8 +294,8 @@ def _cmd_simulate(args, argv) -> dict:
         result.update({"escaped": True, "escape_time": exc.t,
                        "note": "state escaped the finite range "
                                "(finite-time escape or divergence)"})
-    return build_report("simulate", argv, sf.meta(), result,
-                        {"step": args.step or 1e-3}, started)
+    return build_report("simulate", argv, sf.meta(), result, {"step": step},
+                        started)
 
 
 # --- parser -------------------------------------------------------------------------
@@ -402,8 +402,8 @@ def run(argv: list[str]) -> int:
         return int(exc.code or 0)
     try:
         report = _HANDLERS[args.cmd](args, argv)
-    except (SchemaError, ValueError, FileNotFoundError,
-            json.JSONDecodeError) as exc:
+    except (SchemaError, ValueError, FileNotFoundError, json.JSONDecodeError,
+            ParseError, UnknownIdentifierError, ArityMismatchError) as exc:
         print(f"stabkit: input error: {exc}\n{SCHEMA_POINTER}", file=sys.stderr)
         return 2
     except StabkitError as exc:

@@ -15,13 +15,14 @@ from enum import Enum
 import numpy as np
 
 from . import expr as ex
-from .errors import DimensionMismatchError, DomainError, NotAFixedPointError
+from .errors import DimensionMismatchError, NotAFixedPointError
 from .lyapunov import (
     BLOCK,
     CandidateV,
     Probe,
     ScanConfig,
     _fit_lower_bound,
+    _require_dimension,
     _require_samples,
 )
 from .odeint import (
@@ -144,8 +145,7 @@ def iterate(sys: DiscreteSystem, x0, K: int) -> Orbit:
 
 def delta_v(sys: DiscreteSystem, v: CandidateV, x, k: int = 0) -> float:
     """One-step difference of the candidate: ``V(f(x,k), k+1) - V(x, k)``."""
-    x = np.asarray(x, dtype=float)
-    return v.value(sys.step(x, float(k)), float(k + 1)) - v.value(x, float(k))
+    return float(_batch_deltas(sys, v, np.asarray(x, dtype=float)[None], k)[1][0])
 
 
 def _batch_deltas(sys: DiscreteSystem, v: CandidateV, X: np.ndarray,
@@ -187,21 +187,22 @@ def classify_discrete(sys: DiscreteSystem, v: CandidateV, radius: float = 0.3,
     asymptotic stability; anything else is no conclusion, with the same
     one-sided semantics as the continuous scans.  The default radius 0.3
     matches the scale at which local sign analyses of cubic-term updates
-    hold.
+    hold.  A :class:`DomainError` names the first failing sample of V, else
+    of Delta V.
     """
     _require_samples(samples)
-    zero = np.zeros(sys.dimension)
-    if float(np.linalg.norm(sys.step(zero, float(k0)))) > 1e-12:
+    _require_dimension(v, sys.dimension)
+    zero = np.zeros((1, sys.dimension))
+    if float(np.linalg.norm(sys.steps(zero, float(k0)))) > 1e-12:
         raise NotAFixedPointError("update(0) != 0: origin is not a fixed point")
     X = ball_points(samples, sys.dimension, radius, exclude=1e-9 * radius)
     T = np.full(samples, float(k0))
     norms = np.linalg.norm(X, axis=1)
     scan = ScanConfig(points=samples, t0=float(k0), time_span=0.0)
-    try:
-        v_vals, d_vals = _batch_deltas(sys, v, X, k0)
-    except DomainError:  # redone point by point to raise it where it occurs
-        v_vals = np.array([v.value(x, float(k0)) for x in X])
-        d_vals = np.array([delta_v(sys, v, x, k0) for x in X])
+    v_vals, d_vals = ex.strict_rows(
+        lambda r: _batch_deltas(sys, v, X[r], k0), samples,
+        lambda i: f"x={tuple(float(c) for c in X[i])}, k={k0}",
+        prior=(lambda r: v.values(X[r], float(k0)),))
 
     v_positive = _fit_lower_bound(v_vals, norms, T, False, scan, X)
     worst = float(d_vals.max())

@@ -74,11 +74,12 @@ class ArityMismatchError(ExprError):
 
 
 class DomainError(ExprError):
-    """Evaluation produced a non-finite value or hit an invalid operand."""
+    """Non-finite value or invalid operand (``row``: a batch's failing row)."""
 
-    def __init__(self, message: str, node=None):
-        super().__init__(message)
-        self.node = node
+    def __init__(self, reason: str, node=None, row: int | None = None,
+                 at: str | None = None):
+        super().__init__(reason if at is None else f"{reason} at {at}")
+        self.reason, self.node, self.row = reason, node, row
 
 
 class UnboundVariableError(ExprError):

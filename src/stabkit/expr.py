@@ -38,8 +38,8 @@ from .errors import (
 
 __all__ = [
     "Number", "Var", "Unary", "Binary", "Call", "Expr",
-    "EvalContext", "parse", "evaluate", "to_string", "free_vars",
-    "substitute", "compile_expr", "FUNCTIONS",
+    "parse", "to_string", "free_vars", "substitute", "compile_expr",
+    "compile_expr_vec", "strict_rows", "failing_rows", "FUNCTIONS",
 ]
 
 # function name -> arity
@@ -81,19 +81,6 @@ class Call:
 
 
 Expr = Number | Var | Unary | Binary | Call
-
-
-@dataclass
-class EvalContext:
-    """Bindings for one evaluation: state vector, time, and parameters.
-
-    ``state[k-1]`` backs ``xk``; ``time`` backs both ``t`` and the discrete
-    index ``k``; everything else is looked up in ``params``.
-    """
-
-    state: Sequence[float] = ()
-    time: float | None = None
-    params: Mapping[str, float] | None = None
 
 
 # --- tokenizer ----------------------------------------------------------------
@@ -178,6 +165,8 @@ class _Parser:
     def prefix(self) -> Expr:
         kind, value, pos = self.advance()
         if kind == "num":
+            if math.isinf(float(value)):
+                raise ParseError(f"numeric literal {value!r} overflows", pos)
             return Number(float(value))
         if kind == "op" and value == "-":
             return Unary("-", self.expression(_UNARY_BP))
@@ -239,98 +228,6 @@ def parse(text: str, params: Iterable[str] | None = None) -> Expr:
     if not text or not text.strip():
         raise ParseError("empty expression", 0)
     return _Parser(text, params).parse()
-
-
-# --- evaluation ---------------------------------------------------------------
-
-def _check_finite(value: float, node: Expr) -> float:
-    if not math.isfinite(value):
-        raise DomainError(f"non-finite value from {to_string(node)!r}", node)
-    return value
-
-
-def _apply_call(name: str, args: list[float], node: Expr) -> float:
-    try:
-        if name == "sin":
-            return math.sin(args[0])
-        if name == "cos":
-            return math.cos(args[0])
-        if name == "tan":
-            return math.tan(args[0])
-        if name == "exp":
-            return math.exp(args[0])
-        if name == "log":
-            if args[0] <= 0.0:
-                raise DomainError(f"log of non-positive value {args[0]!r}", node)
-            return math.log(args[0])
-        if name == "sqrt":
-            if args[0] < 0.0:
-                raise DomainError(f"sqrt of negative value {args[0]!r}", node)
-            return math.sqrt(args[0])
-        if name == "abs":
-            return abs(args[0])
-        if name == "pow":
-            return math.pow(args[0], args[1])
-    except (ValueError, OverflowError) as exc:
-        raise DomainError(f"{name}() failed: {exc}", node) from None
-    raise UnknownIdentifierError(name)
-
-
-def evaluate(e: Expr, ctx: EvalContext) -> float:
-    """Evaluate the tree at the given context.
-
-    Raises :class:`DomainError` on division by zero, invalid function
-    operands, or any non-finite intermediate, and
-    :class:`UnboundVariableError` when a variable has no binding.
-    """
-    if isinstance(e, Number):
-        return e.value
-    if isinstance(e, Var):
-        return _lookup(e.name, ctx)
-    if isinstance(e, Unary):
-        return -evaluate(e.child, ctx)
-    if isinstance(e, Binary):
-        a = evaluate(e.left, ctx)
-        b = evaluate(e.right, ctx)
-        if e.op == "+":
-            return _check_finite(a + b, e)
-        if e.op == "-":
-            return _check_finite(a - b, e)
-        if e.op == "*":
-            return _check_finite(a * b, e)
-        if e.op == "/":
-            if b == 0.0:
-                raise DomainError("division by zero", e)
-            return _check_finite(a / b, e)
-        if e.op == "^":
-            try:
-                return _check_finite(math.pow(a, b), e)
-            except (ValueError, OverflowError) as exc:
-                raise DomainError(f"power failed: {exc}", e) from None
-    if isinstance(e, Call):
-        args = [evaluate(a, ctx) for a in e.args]
-        return _check_finite(_apply_call(e.func, args, e), e)
-    raise TypeError(f"not an expression node: {e!r}")
-
-
-def _lookup(name: str, ctx: EvalContext) -> float:
-    if name == "t":
-        if ctx.time is None:
-            raise UnboundVariableError(name)
-        return float(ctx.time)
-    m = _VAR_RE.match(name)
-    if m:
-        idx = int(m.group(1))
-        if idx > len(ctx.state):
-            raise UnboundVariableError(name)
-        return float(ctx.state[idx - 1])
-    if ctx.params is not None and name in ctx.params:
-        return float(ctx.params[name])
-    if name == "k":  # discrete orbit index, unless declared as a parameter
-        if ctx.time is None:
-            raise UnboundVariableError(name)
-        return float(ctx.time)
-    raise UnboundVariableError(name)
 
 
 # --- structure helpers ----------------------------------------------------------
@@ -401,9 +298,8 @@ def to_string(e: Expr) -> str:
         return e.name
     if isinstance(e, Unary):
         child = to_string(e.child)
-        # operand at lower-or-equal precedence needs parens (e.g. -(x + 1));
-        # equal matters for -(x^2) which must not print as -x^2's... it does:
-        # unary bp 25 < '^' 30 so x^2 prints bare, and -(-x) needs parens.
+        # parens at lower or equal precedence: -(x + 1), -(-x); x^2 binds
+        # tighter than unary minus and prints bare
         if _prec(e.child) <= _UNARY_BP:
             child = f"({child})"
         return f"-{child}"
@@ -486,13 +382,13 @@ VEC_NS = {
 
 def compile_expr(e: Expr, params: Mapping[str, float] | None = None,
                  ) -> Callable[[Sequence[float], float], float]:
-    """Compile the tree to a fast ``f(state, t) -> float``.
+    """Compile the tree to a fast scalar ``f(state, t) -> float``.
 
-    Parameter values are frozen in at compile time.  The compiled function
-    applies the same IEEE operations as :func:`evaluate` (results are
-    bit-identical); non-finite results and invalid operands raise
-    :class:`DomainError` like the tree walker, with the finiteness check
-    applied to the final value rather than per node.
+    Parameter values are frozen in at compile time.  It serves the
+    sequential marches only (RK4 stage loops, orbit iteration, Newton, a
+    coefficient grid at one time); sampled scans use :func:`compile_expr_vec`.
+    Invalid operands and a non-finite final value raise :class:`DomainError`;
+    an intermediate that overflows is not checked.
     """
     params = dict(params or {})
     src = _codegen(e, params)
@@ -518,16 +414,10 @@ def compile_expr_vec(e: Expr, params: Mapping[str, float] | None = None):
 
     ``X`` has one sample per row; ``t`` is a scalar or a per-row array.  The
     pass runs on numpy ufuncs under strict flags: a floating-point flag other
-    than underflow (division by zero, an invalid operand, overflow), or any
-    non-finite output, raises one :class:`DomainError` for the whole batch.
-    That is the "overflow is an error" rule of the grammar.  It is stricter
-    than :func:`compile_expr`, which lets an intermediate overflow to ``inf``
-    and checks only the final value, so a batch that passes holds the values
-    the scalar closure returns (numpy's ``exp``, ``log`` and ``pow`` may
-    differ from libm's in the last bit).  A batch error names no sample: a
-    caller that needs the failing point and the scalar error message redoes
-    its scan through :func:`compile_expr`, which raises exactly where and as
-    the per-point evaluation does.
+    than underflow (division by zero, an invalid operand, overflow) on any
+    intermediate, or a non-finite output, raises one :class:`DomainError`
+    for the whole batch, the "overflow is an error" rule of the grammar.
+    :func:`strict_rows` then names the first sample that raises on its own.
     """
     params = dict(params or {})
     src = _codegen(e, params)
@@ -540,15 +430,60 @@ def compile_expr_vec(e: Expr, params: Mapping[str, float] | None = None):
             with np.errstate(all="raise", under="ignore"):
                 value = fn(cols, t)
         except FloatingPointError as exc:
-            raise DomainError(f"{exc} in batch evaluation", e) from None
+            raise DomainError(str(exc), e) from None
         value = np.asarray(value, dtype=float)
         if value.ndim == 0:
             value = np.full(cols.shape[1] if cols.ndim > 1 else 1, float(value))
         if not np.isfinite(value).all():
-            raise DomainError("non-finite value in batch evaluation", e)
+            raise DomainError("non-finite evaluation result", e)
         return value
 
     return wrapped
+
+
+# --- strict row evaluation --------------------------------------------------------
+
+def failing_rows(fn, count: int, first: bool = False) -> dict[int, DomainError]:
+    """The rows ``0 .. count-1`` that raise on their own under strict flags,
+    with their errors: every range ``fn(slice)`` raises on is halved (rows
+    must not depend on each other).  With ``first``, only the first row."""
+    found: dict[int, DomainError] = {}
+
+    def search(lo: int, hi: int) -> None:
+        if first and found:
+            return
+        try:
+            with np.errstate(all="raise", under="ignore"):
+                fn(slice(lo, hi))
+            return
+        except (FloatingPointError, DomainError) as exc:
+            error = exc if isinstance(exc, DomainError) else DomainError(str(exc))
+        if hi - lo <= 1:
+            found[lo] = error
+        else:
+            search(lo, (lo + hi) // 2)
+            search((lo + hi) // 2, hi)
+
+    search(0, count)
+    return found
+
+
+def strict_rows(fn, count: int, label: Callable[[int], str], prior=()):
+    """``fn(slice(0, count))`` with every floating-point flag but underflow
+    an error, as in :func:`compile_expr_vec`: scans and coefficient grids
+    run their rows, generated code and the arithmetic around it, through
+    this.  On failure, the :class:`DomainError` of the first row failing on
+    its own, by each of ``prior`` over all rows and then by ``fn``, is
+    raised with ``row`` set and ``label(row)`` ending its message."""
+    try:
+        with np.errstate(all="raise", under="ignore"):
+            return fn(slice(0, count))
+    except (FloatingPointError, DomainError) as exc:
+        error = exc
+    for stage in (*prior, fn):
+        for row, cause in failing_rows(stage, count, first=True).items():
+            raise DomainError(cause.reason, cause.node, row, label(row))
+    raise DomainError(str(error), getattr(error, "node", None))
 
 
 def as_expr(entry: "Expr | float | int | str",

@@ -130,6 +130,7 @@ class FloquetReport:
 def floquet_report(sys: SystemDef, h: float = 1e-4,
                    tol: float = 1e-6) -> FloquetReport:
     """One-call analysis: monodromy, multipliers, accuracy check, verdict."""
+    linalg.check_nonnegative(tol)
     a = monodromy(sys, h)
     mults = multipliers(a)
     lhs, rhs, gap = liouville_check(sys, mults)

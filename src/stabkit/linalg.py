@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import (
     AsymmetricError,
+    InvalidArgumentError,
     NoConvergenceError,
     NonSquareError,
     SingularError,
@@ -22,14 +23,22 @@ from .errors import (
 
 __all__ = [
     "DEFAULT_TOL", "Definiteness", "DefinitenessVerdict",
-    "as_matrix", "eigenvalues", "definiteness", "principal_minors",
-    "matrix_measure", "spectral_norm", "solve_dense",
+    "check_nonnegative", "as_matrix", "eigenvalues", "definiteness",
+    "principal_minors", "matrix_measure", "spectral_norm", "solve_dense",
 ]
 
 #: relative tolerance for sign decisions, applied against the Frobenius norm
 DEFAULT_TOL = 1e-9
 #: absolute floor guarding the zero-matrix norm
 NORM_FLOOR = 1e-12
+
+
+def check_nonnegative(value: float, name: str = "tolerance") -> None:
+    """Raise :class:`InvalidArgumentError` unless ``value`` is finite and
+    >= 0: every comparison against a NaN tolerance is False."""
+    if not (np.isfinite(value) and value >= 0.0):
+        raise InvalidArgumentError(
+            f"{name} must be finite and nonnegative, got {value!r}")
 
 
 def as_matrix(a, square: bool = False) -> np.ndarray:

@@ -8,15 +8,12 @@ violating sample is conclusive for "not definite".  Conclusions only ever
 claim what the sufficient conditions support; a failed candidate yields
 ``NO_CONCLUSION``, never "unstable".
 
-The scans are evaluated in batches over all sample rows, ``BLOCK`` rows per
-call of the strict batch evaluator :func:`~stabkit.expr.compile_expr_vec`:
-V at every (x, t), Vdot by central differences on the stacked rows
-``x +- h e_i`` (summed in the order of :func:`vdot_along`), the quadratic
-forms of the Sylvester scan with one determinant call per leading block, and
-the level ladder of the attraction estimate.  A batch that raises
-:class:`DomainError` is redone through the per-point scalar loop, so a domain
-error is raised at the sample, and with the message, of the per-point
-evaluation.
+The scans are evaluated in batches, ``BLOCK`` rows per call of the strict
+batch evaluator :func:`~stabkit.expr.compile_expr_vec`, each batch under
+:func:`~stabkit.expr.strict_rows`: V and Vdot (central differences on the
+stacked rows ``x +- h e_i``), the Sylvester minors, the attraction ladder,
+the origin checks, the W3 stencil and the radial rays.  A domain error
+names the first failing sample in the order of a point-by-point scan.
 
 The module also owns the continuous Lyapunov matrix equation (solved by
 Kronecker vectorization), the generalized time-varying Sylvester scan for
@@ -46,7 +43,7 @@ from .odeint import SystemDef
 from .sampling import ball_points, halton, sphere_directions
 
 __all__ = [
-    "solve_lyapunov", "CandidateV", "vdot_along", "ScanConfig",
+    "solve_lyapunov", "CandidateV", "ScanConfig",
     "SignVerdict", "Probe", "Conclusion", "LyapunovReport", "check_candidate",
     "InstabilityReport", "check_instability", "QuadraticFormTV",
     "SylvesterReport", "sylvester_tv", "attraction_region",
@@ -138,8 +135,7 @@ class CandidateV:
 
     def __post_init__(self):
         self.expression = ex.as_expr(self.expression, set(self.params))
-        self._fn = ex.compile_expr(self.expression, self.params)
-        self._vec = None
+        self._vec = ex.compile_expr_vec(self.expression, self.params)
         self.time_dependent = "t" in ex.free_vars(self.expression) \
             and "t" not in self.params
 
@@ -159,57 +155,24 @@ class CandidateV:
                 terms = term if terms is None else ex.Binary("+", terms, term)
         return cls(terms if terms is not None else ex.Number(0.0))
 
-    def value(self, x, t: float = 0.0) -> float:
-        return self._fn(np.asarray(x, dtype=float), t)
+    def value(self, x, t: float = 0.0) -> float:  # one row of ``values``
+        return float(self.values(np.asarray(x, dtype=float)[None], t)[0])
 
     def values(self, X: np.ndarray, t) -> np.ndarray:
         """V over the rows of ``X`` at one time or at per-row times ``t``."""
-        if self._vec is None:
-            self._vec = ex.compile_expr_vec(self.expression, self.params)
         return self._vec(X, t)
 
     def max_state_index(self) -> int:
         return ex.max_state_index(self.expression)
 
 
-def vdot_along(sys: SystemDef, v: CandidateV):
-    """Evaluator of the derivative of V along trajectories of ``sys``.
-
-    ``Vdot(x, t) = grad_x V . f(x, t) + dV/dt``, with both the gradient and
-    the time partial taken by central differences (the time term only when
-    V actually mentions t).
-    """
-    if v.max_state_index() > sys.dimension:
-        raise DimensionMismatchError(
-            "candidate references state variables beyond the system dimension")
-    f = sys.rhs_callable()
-    n = sys.dimension
-    h = v.fd_step
-    has_t = v.time_dependent
-
-    def vdot(x, t: float = 0.0) -> float:
-        x = np.asarray(x, dtype=float)
-        fx = f(x, t)
-        total = 0.0
-        for i in range(n):
-            e = np.zeros(n)
-            e[i] = h
-            total += (v.value(x + e, t) - v.value(x - e, t)) / (2.0 * h) * fx[i]
-        if has_t:
-            total += (v.value(x, t + h) - v.value(x, t - h)) / (2.0 * h)
-        return float(total)
-
-    return vdot
-
-
 def _batch_values(sys: SystemDef, v: CandidateV, X: np.ndarray,
                   T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """V and Vdot at the sample rows ``(X[k], T[k])``, in batches.
 
-    Each block stacks the rows ``x``, ``x + h e_i``, ``x - h e_i`` (and
-    ``t +- h`` when V mentions t) into one call of the batch evaluator and
-    sums the central differences in the order of :func:`vdot_along`.
-    Raises :class:`DomainError` when any batch does.
+    ``Vdot = grad_x V . f + dV/dt`` by central differences: each block
+    stacks the rows ``x``, ``x +- h e_i`` (and ``t +- h`` when V mentions t)
+    into one call of the batch evaluator.
     """
     n = sys.dimension
     h = v.fd_step
@@ -240,19 +203,27 @@ def _batch_values(sys: SystemDef, v: CandidateV, X: np.ndarray,
 
 
 def _sample_values(sys: SystemDef, v: CandidateV, X: np.ndarray,
-                   T: np.ndarray, vdot) -> tuple[np.ndarray, np.ndarray]:
-    """V and Vdot at every sample row; a batch domain error is redone point
-    by point, which raises it where and as the scalar evaluation does."""
-    try:
-        return _batch_values(sys, v, X, T)
-    except DomainError:
-        return (np.array([v.value(x, t) for x, t in zip(X, T)]),
-                np.array([vdot(x, t) for x, t in zip(X, T)]))
+                   T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """V and Vdot at every sample row.  A domain error names the first
+    sample at which V fails, or else the first at which Vdot does."""
+    return ex.strict_rows(lambda r: _batch_values(sys, v, X[r], T[r]),
+                          len(X), lambda k: _sample_label(X[k], T[k]),
+                          prior=(lambda r: v.values(X[r], T[r]),))
+
+
+def _sample_label(x, t) -> str:
+    return f"x={tuple(float(c) for c in x)}, t={float(t)!r}"
 
 
 def _require_samples(count: int) -> None:
     if not count >= 1:
         raise InvalidArgumentError(f"need at least one sample, got {count}")
+
+
+def _require_dimension(v: CandidateV, n: int) -> None:
+    if v.max_state_index() > n:
+        raise DimensionMismatchError(
+            "candidate references state variables beyond the system dimension")
 
 
 # --- scan reports ----------------------------------------------------------------
@@ -304,16 +275,10 @@ class Conclusion(Enum):
     NO_CONCLUSION = "no-conclusion"
 
 
-_LEVELS = {
-    Conclusion.STABLE: ("stable",),
-    Conclusion.UNIFORMLY_STABLE: ("stable", "uniformly-stable"),
-    Conclusion.UNIFORMLY_ASYMPTOTICALLY_STABLE:
-        ("stable", "uniformly-stable", "uniformly-asymptotically-stable"),
-    Conclusion.EXPONENTIALLY_STABLE:
-        ("stable", "uniformly-stable", "uniformly-asymptotically-stable",
-         "exponentially-stable"),
-    Conclusion.NO_CONCLUSION: (),
-}
+# each verdict of the ladder implies the ones declared before it
+_LEVELS = {c: tuple(d.value for d in list(Conclusion)[:i + 1])
+           for i, c in enumerate(Conclusion)}
+_LEVELS[Conclusion.NO_CONCLUSION] = ()
 
 _THEOREM = {
     Conclusion.STABLE: "direct-method:stability",
@@ -382,6 +347,20 @@ def _scan_points(sys: SystemDef, v: CandidateV, radius: float,
     return X, T, time_dep
 
 
+def _scan(sys: SystemDef, v: CandidateV, radius: float, scan: ScanConfig,
+          zero_at_origin: bool):
+    """Checks, then ``(X, T, time_dep, norms, V, Vdot)`` on the samples."""
+    _require_samples(scan.points)
+    _require_dimension(v, sys.dimension)
+    _check_window(scan.t0, scan.time_span, _time_dependent(sys, v))
+    _check_origin_equilibrium(sys, scan)
+    if zero_at_origin:
+        _check_candidate_zero(v, sys.dimension, scan)
+    X, T, time_dep = _scan_points(sys, v, radius, scan)
+    return (X, T, time_dep, np.linalg.norm(X, axis=1),
+            *_sample_values(sys, v, X, T))
+
+
 def _fit_lower_bound(values: np.ndarray, norms: np.ndarray, T: np.ndarray,
                      time_dep: bool, scan: ScanConfig, X: np.ndarray,
                      exponents=(2, 4)) -> Probe:
@@ -416,44 +395,50 @@ def _fit_lower_bound(values: np.ndarray, norms: np.ndarray, T: np.ndarray,
                  "no sampled power bound with margin")
 
 
+def _origin_values(fn, n: int, times: np.ndarray) -> np.ndarray:
+    zero = np.zeros((len(times), n))
+    return ex.strict_rows(lambda r: fn(zero[r], times[r]), len(times),
+                          lambda k: f"t={float(times[k])!r}")
+
+
 def _check_origin_equilibrium(sys: SystemDef, scan: ScanConfig,
                               tol: float = 1e-9) -> None:
-    f = sys.rhs_callable()
-    zero = np.zeros(sys.dimension)
     times = np.linspace(scan.t0, scan.t0 + scan.time_span, 16) \
-        if not sys.is_autonomous() else [scan.t0]
-    worst = max(float(np.linalg.norm(f(zero, t))) for t in times)
+        if not sys.is_autonomous() else np.array([scan.t0])
+    f0 = _origin_values(sys.rhs_vectorized(), sys.dimension, times)
+    worst = float(np.linalg.norm(f0, axis=1).max())
     if worst >= tol:
         raise NotAnEquilibriumError(
             f"||f(0, t)|| reaches {worst:.3e}; origin is not an equilibrium")
 
 
 def _check_candidate_zero(v: CandidateV, n: int, scan: ScanConfig) -> None:
-    zero = np.zeros(n)
-    for t in np.linspace(scan.t0, scan.t0 + scan.time_span, 16):
-        if abs(v.value(zero, t)) > 1e-9:
-            raise InvalidCandidateError("candidate must satisfy V(0, t) = 0")
+    times = np.linspace(scan.t0, scan.t0 + scan.time_span, 16)
+    if np.abs(_origin_values(v.values, n, times)).max() > 1e-9:
+        raise InvalidCandidateError("candidate must satisfy V(0, t) = 0")
 
 
-def _w3_quadratic_minors(vdot, n: int, t0: float,
-                         step: float = 1e-3) -> tuple[float, ...] | None:
-    """Leading minors of the quadratic form fitted to -Vdot(., t0) at 0."""
-    h = step
-    hess = np.empty((n, n))
+def _w3_quadratic_minors(sys: SystemDef, v: CandidateV, t0: float,
+                         h: float = 1e-3) -> tuple[float, ...] | None:
+    """Leading minors of the quadratic form fitted to -Vdot(., t0) at 0, from
+    Vdot at 0, ``+-h e_i`` and ``+-h e_i +-h e_j``; None on a domain error."""
+    n = sys.dimension
+    e = h * np.eye(n)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    stencil = np.array([np.zeros(n), *e, *(-e), *(
+        s * e[i] + u * e[j] for i, j in pairs
+        for s, u in ((1, 1), (1, -1), (-1, 1), (-1, -1)))])
     try:
-        for i in range(n):
-            ei = np.zeros(n)
-            ei[i] = h
-            f0 = vdot(np.zeros(n), t0)
-            hess[i, i] = (vdot(ei, t0) - 2.0 * f0 + vdot(-ei, t0)) / h**2
-            for j in range(i + 1, n):
-                ej = np.zeros(n)
-                ej[j] = h
-                hess[i, j] = hess[j, i] = (
-                    vdot(ei + ej, t0) - vdot(ei - ej, t0)
-                    - vdot(-ei + ej, t0) + vdot(-ei - ej, t0)) / (4.0 * h**2)
+        vd = ex.strict_rows(lambda r: _batch_values(
+            sys, v, stencil[r], np.full(len(stencil[r]), t0))[1],
+            len(stencil), lambda k: _sample_label(stencil[k], t0))
     except DomainError:
         return None
+    hess = np.empty((n, n))
+    for i in range(n):
+        hess[i, i] = (vd[1 + i] - 2.0 * vd[0] + vd[1 + n + i]) / h**2
+    for (i, j), (pp, pm, mp, mm) in zip(pairs, vd[1 + 2 * n:].reshape(-1, 4)):
+        hess[i, j] = hess[j, i] = (pp - pm - mp + mm) / (4.0 * h**2)
     m = -0.5 * hess
     return tuple(float(v) for v in linalg.principal_minors(m))
 
@@ -469,7 +454,8 @@ def _decrescent_probe(sys: SystemDef, v: CandidateV, radius: float,
     mid = scan.t0 + 0.5 * scan.time_span
     vals = np.empty((len(times), len(X)))
     for i, t in enumerate(times):
-        vals[i] = v.values(X, t)
+        vals[i] = ex.strict_rows(lambda r: v.values(X[r], t), len(X),
+                                 lambda k: _sample_label(X[k], t))
     norms2 = np.einsum("ij,ij->i", X, X)
     sup_all = np.abs(vals).max(axis=0)
     coefficient = float((sup_all / norms2).max())
@@ -486,25 +472,22 @@ def _decrescent_probe(sys: SystemDef, v: CandidateV, radius: float,
 
 
 def _radial_probe(v: CandidateV, n: int, t0: float, radius: float) -> bool:
-    """Does V grow without bound along rays out to radius 1e3?"""
+    """Does V grow without bound along rays out to radius 1e3?  A ray whose
+    V grows and then leaves float range counts as unbounded."""
     dirs = sphere_directions(32, n)
-    radii = [max(radius, 1.0), 10.0, 100.0, 1000.0]
-    for d in dirs:
-        vals = []
-        overflow = False
-        for r in radii:
-            try:
-                vals.append(v.value(r * d, t0))
-            except DomainError:
-                overflow = True  # blew past float range while growing
-                break
-        if overflow and len(vals) >= 2 and vals[-1] > vals[0]:
-            continue
-        if overflow:
+    radii = np.array([max(radius, 1.0), 10.0, 100.0, 1000.0])
+    points = (dirs[:, None, :] * radii[:, None]).reshape(-1, n)
+    failed = np.isin(np.arange(len(points)), list(ex.failing_rows(
+        lambda r: v.values(points[r], t0), len(points))))
+    values = np.zeros(len(points))
+    values[~failed] = v.values(points[~failed], t0)
+    for ray, bad in zip(values.reshape(len(dirs), -1),
+                        failed.reshape(len(dirs), -1)):
+        grown = ray[:int(bad.argmax())]  # up to the first failing radius
+        if bad.any() and not (len(grown) >= 2 and grown[-1] > grown[0]):
             return False
-        if any(vals[i + 1] < vals[i] for i in range(len(vals) - 1)):
-            return False
-        if vals[-1] < 100.0 * max(vals[0], 1e-12):
+        if not bad.any() and (np.any(ray[1:] < ray[:-1])
+                              or ray[-1] < 100.0 * max(ray[0], 1e-12)):
             return False
     return True
 
@@ -522,14 +505,7 @@ def check_candidate(sys: SystemDef, v: CandidateV, radius: float = 1.0,
     for autonomous systems uniformity is vacuous and the plain labels of the
     autonomous theory are reported.
     """
-    _require_samples(scan.points)
-    _check_window(scan.t0, scan.time_span, _time_dependent(sys, v))
-    _check_origin_equilibrium(sys, scan)
-    _check_candidate_zero(v, sys.dimension, scan)
-    X, T, time_dep = _scan_points(sys, v, radius, scan)
-    norms = np.linalg.norm(X, axis=1)
-    vdot = vdot_along(sys, v)
-    v_vals, vd_vals = _sample_values(sys, v, X, T, vdot)
+    X, T, time_dep, norms, v_vals, vd_vals = _scan(sys, v, radius, scan, True)
 
     v_positive = _fit_lower_bound(v_vals, norms, T, time_dep, scan, X)
     notes: list[str] = []
@@ -569,13 +545,12 @@ def check_candidate(sys: SystemDef, v: CandidateV, radius: float = 1.0,
                 conclusion = Conclusion.STABLE
             else:
                 conclusion = Conclusion.UNIFORMLY_ASYMPTOTICALLY_STABLE
-                if _exponential_fit(v_vals, vd_vals, norms, vdot_margin,
-                                    v_positive):
+                if _exponential_fit(v_vals, norms, vdot_margin):
                     conclusion = Conclusion.EXPONENTIALLY_STABLE
 
     w3 = None
     if vdot_verdict is SignVerdict.NEGATIVE_DEFINITE:
-        w3 = _w3_quadratic_minors(vdot, sys.dimension, scan.t0)
+        w3 = _w3_quadratic_minors(sys, v, scan.t0)
 
     return LyapunovReport(
         conclusion=conclusion,
@@ -596,7 +571,7 @@ def check_candidate(sys: SystemDef, v: CandidateV, radius: float = 1.0,
     )
 
 
-def _exponential_fit(v_vals, vd_vals, norms, vdot_margin, v_positive) -> bool:
+def _exponential_fit(v_vals, norms, vdot_margin) -> bool:
     """Power bounds K1 ||x||^2 <= V <= K2 ||x||^2 and Vdot <= -K3 ||x||^2."""
     if vdot_margin is None or vdot_margin.exponent != 2:
         return False
@@ -625,17 +600,10 @@ def check_instability(sys: SystemDef, w: CandidateV, radius: float = 1.0,
     every one holds with margin.  The conditions are sufficient, not
     necessary: a False result does not certify stability.
     """
-    _require_samples(scan.points)
-    _check_window(scan.t0, scan.time_span, _time_dependent(sys, w))
-    _check_origin_equilibrium(sys, scan)
-    X, T, time_dep = _scan_points(sys, w, radius, scan)
-    norms = np.linalg.norm(X, axis=1)
-    wdot = vdot_along(sys, w)
-    w_vals, wd_vals = _sample_values(sys, w, X, T, wdot)
-
-    zero = np.zeros(sys.dimension)
-    w_zero = all(abs(w.value(zero, t)) <= 1e-9
-                 for t in np.linspace(scan.t0, scan.t0 + scan.time_span, 8))
+    X, T, time_dep, norms, w_vals, wd_vals = _scan(sys, w, radius, scan, False)
+    times = np.linspace(scan.t0, scan.t0 + scan.time_span, 8)
+    w_zero = bool(np.abs(_origin_values(w.values, sys.dimension,
+                                        times)).max() <= 1e-9)
     scale = float(np.abs(w_vals).max()) if len(w_vals) else 0.0
     w_nonneg = bool(w_vals.min() >= -1e-9 * (1.0 + scale))
     w_nontrivial = bool(w_vals.max() > 1e-9 * (1.0 + scale))
@@ -677,9 +645,8 @@ class QuadraticFormTV:
             for j in range(i + 1, n):
                 grid[j][i] = grid[i][j]
         self.entries = tuple(tuple(row) for row in grid)
-        self._fns = [[ex.compile_expr(e, self.params) for e in row]
-                     for row in self.entries]
-        self._vec = None
+        self._vec = [(i, j, ex.compile_expr_vec(grid[i][j], self.params))
+                     for i in range(n) for j in range(i, n)]
         self.time_dependent = "t" not in self.params and any(
             "t" in ex.free_vars(e) for row in self.entries for e in row)
 
@@ -687,17 +654,9 @@ class QuadraticFormTV:
     def dimension(self) -> int:
         return len(self.entries)
 
-    def matrix_at(self, x, t: float) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return np.array([[f(x, t) for f in row] for row in self._fns])
-
     def matrices(self, X: np.ndarray, T: np.ndarray) -> np.ndarray:
         """The ``(N, n, n)`` coefficient matrices at the rows ``(X[k], T[k])``."""
         n = self.dimension
-        if self._vec is None:
-            self._vec = [(i, j, ex.compile_expr_vec(self.entries[i][j],
-                                                   self.params))
-                         for i in range(n) for j in range(i, n)]
         out = np.empty((len(X), n, n))
         for i, j, fn in self._vec:
             out[:, i, j] = out[:, j, i] = fn(X, T)
@@ -738,10 +697,7 @@ def sylvester_tv(q: QuadraticFormTV, t0: float, time_span: float = 50.0,
             raise DimensionMismatchError("need one delta per minor")
     X = ball_points(x_points, n, np.sqrt(mu) * (1.0 - 1e-12))
     times = t0 + np.linspace(0.0, time_span, time_samples)
-    try:
-        min_minors, worst = _sylvester_batch(q, X, times)
-    except DomainError:
-        min_minors, worst = _sylvester_loop(q, X, times)
+    min_minors, worst = _sylvester_batch(q, X, times)
     x_row, t_col = divmod(worst, len(times))
     worst_x, worst_t = tuple(X[x_row]), float(times[t_col])
     ok = bool(np.all(min_minors >= np.asarray(deltas_t)))
@@ -753,8 +709,8 @@ def _sylvester_batch(q: QuadraticFormTV, X: np.ndarray, times: np.ndarray):
     """Running minima of the leading minors over the rows ``(x, t)``, x outer.
 
     Returns the minima and the worst row: the last row at which some minor
-    sets a strict new running minimum (the sequential rule of
-    :func:`_sylvester_loop`).  One determinant call per leading block size.
+    sets a strict new running minimum, as a point-by-point scan finds it.
+    One determinant call per leading block size.
     """
     n = q.dimension
     rows = len(X) * len(times)
@@ -762,28 +718,21 @@ def _sylvester_batch(q: QuadraticFormTV, X: np.ndarray, times: np.ndarray):
     worst = 0
     for s in range(0, rows, BLOCK):
         r = np.arange(s, min(s + BLOCK, rows))
-        m = q.matrices(X[r // len(times)], times[r % len(times)])
-        minors = np.column_stack([np.linalg.det(m[:, :k, :k])
-                                  for k in range(1, n + 1)])
+        xs, ts = X[r // len(times)], times[r % len(times)]
+
+        def leading_minors(k):
+            m = q.matrices(xs[k], ts[k])
+            return np.column_stack([np.linalg.det(m[:, :j, :j])
+                                    for j in range(1, n + 1)])
+
+        minors = ex.strict_rows(leading_minors, len(r),
+                                lambda k: _sample_label(xs[k], ts[k]))
         prior = np.minimum.accumulate(np.vstack([running, minors]), axis=0)
         hits = np.flatnonzero((minors < prior[:-1]).any(axis=1))
         if hits.size:
             worst = s + int(hits[-1])
         running = prior[-1]
     return running, worst
-
-
-def _sylvester_loop(q: QuadraticFormTV, X: np.ndarray, times: np.ndarray):
-    """Point-by-point :func:`_sylvester_batch`; raises domain errors per point."""
-    min_minors = np.full(q.dimension, np.inf)
-    worst = 0
-    for row, (x, t) in enumerate((x, t) for x in X for t in times):
-        minors = linalg.principal_minors(q.matrix_at(x, t))
-        k = int(np.argmin(minors - min_minors))
-        if minors[k] < min_minors[k]:
-            worst = row
-        min_minors = np.minimum(min_minors, minors)
-    return min_minors, worst
 
 
 # --- domain of attraction -----------------------------------------------------------
@@ -802,8 +751,8 @@ def attraction_region(sys: SystemDef, p, cmax: float, levels: int = 48,
     ``directions`` are at least 1 and ``cmax`` is finite and positive.
 
     The ladder is checked in batches of levels (``BLOCK`` sample rows per
-    call); a batch that raises :class:`DomainError` is redone level by
-    level, so a failing level still wins over a domain error on a later one.
+    call); a :class:`DomainError` names the first level that meets it,
+    unless a lower level already fails the check.
     """
     if levels < 1 or directions < 1:
         raise InvalidArgumentError(
@@ -815,34 +764,35 @@ def attraction_region(sys: SystemDef, p, cmax: float, levels: int = 48,
     verdict = linalg.definiteness(pm)
     if not verdict.is_positive_definite:
         raise ValueError("P must be positive definite")
-    f = sys.rhs_callable()
-    zero = np.zeros(sys.dimension)
-    if float(np.linalg.norm(f(zero, t))) >= 1e-9:
-        raise NotAnEquilibriumError("origin is not an equilibrium")
     fv = sys.rhs_vectorized()
+    if float(np.linalg.norm(fv(np.zeros((1, sys.dimension)), t))) >= 1e-9:
+        raise NotAnEquilibriumError("origin is not an equilibrium")
     dirs = sphere_directions(directions, sys.dimension)
     quad = np.einsum("ij,jk,ik->i", dirs, pm, dirs)  # d'Pd per direction
     per = max(1, BLOCK // directions)  # levels per batch
 
-    def negative(c: float, ladder: np.ndarray) -> bool:
-        """Vdot < 0 at every sampled point of the levels ``c * ladder``."""
-        X = dirs * np.sqrt(c * ladder[:, None] / levels / quad)[..., None]
-        pts = X[np.linalg.norm(X, axis=-1) > 1e-6]
-        if not len(pts):
-            return True
-        vdot = 2.0 * np.einsum("ij,ij->i", pts @ pm, fv(pts, t))
-        return bool(np.all(vdot < 0.0))
-
     def passes(c: float) -> bool:
         for first in range(1, levels + 1, per):
             ladder = np.arange(first, min(first + per, levels + 1))
+
+            def negative(r) -> bool:  # Vdot < 0 on the levels ladder[r]
+                X = dirs * np.sqrt(c * ladder[r, None] / levels / quad)[..., None]
+                pts = X[np.linalg.norm(X, axis=-1) > 1e-6]
+                if not len(pts):
+                    return True
+                vdot = 2.0 * np.einsum("ij,ij->i", pts @ pm, fv(pts, t))
+                if not np.isfinite(vdot).all():  # einsum raises no flag
+                    raise DomainError("non-finite value of x'P f(x)")
+                return bool(np.all(vdot < 0.0))
+
             try:
-                if not negative(c, ladder):
+                if not ex.strict_rows(negative, len(ladder), lambda k: (
+                        f"level c={float(c) * int(ladder[k]) / levels!r}")):
                     return False
-            except DomainError:
-                if not all(negative(c, ladder[i:i + 1])
-                           for i in range(len(ladder))):
+            except DomainError as exc:
+                if exc.row is not None and not negative(slice(0, exc.row)):
                     return False
+                raise
         return True
 
     if passes(cmax):

@@ -70,11 +70,11 @@ def compile_matrix(entries: Sequence[Sequence[ExprEntry]],
     """Compile a grid of expression entries to a fast ``t -> ndarray``.
 
     A scalar ``t`` gives the ``(n, n)`` matrix from per-entry compiled
-    closures.  A 1-D array of ``N`` times gives the ``(N, n, n)`` stack from
-    one numpy pass over the whole grid.  A pass that raises a floating-point
-    flag other than underflow, or yields a non-finite entry, is redone time
-    by time through the scalar closures, so :class:`DomainError` is raised
-    exactly when, and as, the scalar evaluation raises it.
+    closures (the RK4 stage loops step through these).  A 1-D array of
+    ``N`` times gives the ``(N, n, n)`` stack from one numpy pass over the
+    whole grid under :func:`~stabkit.expr.strict_rows`: a floating-point
+    flag other than underflow, or a non-finite entry, raises
+    :class:`DomainError` naming the first of the given times that fails.
     """
     params = dict(params or {})
     grid = _expr_grid(entries, set(params))
@@ -83,25 +83,21 @@ def compile_matrix(entries: Sequence[Sequence[ExprEntry]],
     fill = None
     empty: tuple[float, ...] = ()
 
-    def scalar(t: float) -> np.ndarray:
-        return np.array([[f(empty, t) for f in row] for row in fns])
-
     def at(t):
         nonlocal fill
         if not (isinstance(t, np.ndarray) and t.ndim == 1):
-            return scalar(t)
+            return np.array([[f(empty, t) for f in row] for row in fns])
         if fill is None:  # compiled on first use: many grids see only scalars
             fill = _batch_filler(grid, params)
         out = np.empty((len(t), shape[0] * shape[1]))
-        try:
-            with np.errstate(all="raise", under="ignore"):
-                fill(empty, t, out)
-        except FloatingPointError:
-            pass
-        else:
-            if np.isfinite(out).all():
-                return out.reshape((len(t),) + shape)
-        return np.stack([scalar(v) for v in t.tolist()])
+
+        def rows(r):
+            fill(empty, t[r], out[r])
+            if not np.isfinite(out[r]).all():
+                raise DomainError("non-finite evaluation result")
+
+        ex.strict_rows(rows, len(t), lambda k: f"t={float(t[k])!r}")
+        return out.reshape((len(t),) + shape)
 
     return at
 
@@ -276,29 +272,22 @@ class SystemDef:
 
         ``t`` is one time for every row or a 1-D array of per-row times.
         """
-        rhs = self.rhs
-        if isinstance(rhs, LinearConstant):
-            a = rhs.a
-
-            def fv(X: np.ndarray, t) -> np.ndarray:
-                return X @ a.T
-
-            return fv
-        if isinstance(rhs, LinearTimeVarying):
-            p = compile_matrix(rhs.entries, self.params)
+        a = _linear_coefficient(self)
+        if isinstance(a, np.ndarray):
+            return lambda X, t: X @ a.T
+        if a is not None:
 
             def fv(X: np.ndarray, t) -> np.ndarray:
                 if np.ndim(t) == 0:
-                    return X @ p(t).T
-                return np.einsum("kij,kj->ki", p(np.asarray(t, dtype=float)), X)
+                    return X @ a(t).T
+                out = np.einsum("kij,kj->ki", a(np.asarray(t, dtype=float)), X)
+                if not np.isfinite(out).all():  # einsum raises no flag
+                    raise DomainError("non-finite evaluation result")
+                return out
 
             return fv
-        fns = [ex.compile_expr_vec(c, self.params) for c in rhs.components]
-
-        def fv(X: np.ndarray, t: float) -> np.ndarray:
-            return np.column_stack([fn(X, t) for fn in fns])
-
-        return fv
+        fns = [ex.compile_expr_vec(c, self.params) for c in self.rhs.components]
+        return lambda X, t: np.column_stack([fn(X, t) for fn in fns])
 
 
 # --- trajectories ---------------------------------------------------------------
@@ -317,9 +306,6 @@ class Trajectory:
 
     def norms(self) -> np.ndarray:
         return np.linalg.norm(self.states, axis=1)
-
-    def at_end(self) -> np.ndarray:
-        return self.states[-1]
 
     def to_csv(self, target) -> None:
         """Write ``t,x1,...,xn`` rows at full precision."""
@@ -357,11 +343,6 @@ class HistoryFn:
         v = np.atleast_1d(np.asarray(value, dtype=float))
         times = np.array([-float(span), 0.0])
         return cls(times, np.vstack([v, v]))
-
-    @classmethod
-    def from_callable(cls, fn, span: float, samples: int = 256) -> "HistoryFn":
-        times = np.linspace(-float(span), 0.0, samples)
-        return cls(times, np.vstack([np.atleast_1d(fn(t)) for t in times]))
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)

@@ -90,7 +90,8 @@ def ball_points(count: int, dim: int, radius: float,
     ball; the accepted set is a deterministic function of (count, dim,
     radius, exclude) and is prefix-stable in ``count``.  Raises
     :class:`InvalidArgumentError` unless ``radius`` is finite and
-    ``radius > exclude >= 0`` (an empty shell would never accept a point).
+    ``radius > exclude >= 0`` (an empty shell would never accept a point)
+    and ``radius^2 * dim`` is finite (past it the norms overflow).
     """
     if count < 0:
         raise InvalidArgumentError(f"point count must be >= 0, got {count}")
@@ -98,6 +99,9 @@ def ball_points(count: int, dim: int, radius: float,
         raise InvalidArgumentError(
             f"need a finite radius > exclude >= 0, got radius {radius!r} "
             f"and exclude {exclude!r}")
+    if not math.isfinite(radius * radius * dim):
+        raise InvalidArgumentError(
+            f"radius {radius!r} is too large: sample norms overflow")
     points = np.empty((count, dim))
     got = 0
     # index 1 maps to a coordinate of exactly 0.0 in base 2 (radical inverse

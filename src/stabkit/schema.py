@@ -135,7 +135,7 @@ def load_system(source) -> SystemFile:
     if kind == "linear":
         _check_grid(_require(doc, "a", kind), n, "'a'", allow_expr=False)
         _forbid(doc, ("expressions", "coefficients", "period", "delays"), kind)
-    elif kind == "nonlinear":
+    elif kind in ("nonlinear", "discrete"):
         exprs = _require(doc, "expressions", kind)
         if not isinstance(exprs, list) or len(exprs) != n or \
                 not all(isinstance(e, str) for e in exprs):
@@ -162,12 +162,6 @@ def load_system(source) -> SystemFile:
         if not isinstance(period, (int, float)) or period <= 0:
             raise SchemaError("'period' must be a positive number")
         _forbid(doc, ("a", "b", "expressions", "delays"), kind)
-    elif kind == "discrete":
-        exprs = _require(doc, "expressions", kind)
-        if not isinstance(exprs, list) or len(exprs) != n or \
-                not all(isinstance(e, str) for e in exprs):
-            raise SchemaError(f"'expressions' must be {n} strings")
-        _forbid(doc, ("a", "b", "coefficients", "period", "delays"), kind)
 
     sf = SystemFile(name, kind, dimension, dict(doc))
     try:

@@ -1,10 +1,11 @@
-"""Batched sample scans against the point-by-point loops they replace.
+"""Batched sample scans against point-by-point scans on the scalar oracle.
 
 The scans evaluate V, Vdot, Delta V, the Sylvester minors and the attraction
-ladder over all sample rows at once.  These tests pin them to the scalar
-recurrences: Halton bit for bit, V within rtol 1e-12, finite differences
-within their rounding floor, verdicts equal, and domain errors raised at the
-same sample with the same message.
+ladder over all sample rows at once.  These tests pin them to per-point
+recurrences on the tree-walking oracle of ``scalar_oracle``: Halton bit for
+bit, V within rtol 1e-12, finite differences within their rounding floor,
+verdicts equal, and a domain error named at the first sample where the
+oracle meets one.
 """
 
 import numpy as np
@@ -15,8 +16,9 @@ from stabkit import lyapunov as ly
 from stabkit import odeint
 from stabkit.errors import DomainError, InvalidArgumentError, NoRegionError
 from stabkit.lyapunov import CandidateV, ScanConfig
-from stabkit.sampling import ball_points, halton
+from stabkit.sampling import ball_points, halton, sphere_directions
 from stabkit.schema import to_jsonable
+import scalar_oracle as oracle
 from conftest import deadline, gallery_system
 from golden_helpers import compare
 
@@ -69,10 +71,6 @@ def _system(name):
     return gallery_system(name)
 
 
-def _refuse(*args, **kwargs):
-    raise DomainError("batch refused")
-
-
 def _same_report(got, want):
     diffs = compare(to_jsonable(got), to_jsonable(want))
     assert not diffs, "\n".join(diffs[:20])
@@ -104,9 +102,7 @@ def test_batched_v_and_vdot_match_scalar_loop(monkeypatch, name, expression,
     v = CandidateV(expression, params=params)
     X, T, _ = ly._scan_points(sysd, v, radius, FAST_SCAN)
     v_batch, vd_batch = ly._batch_values(sysd, v, X, T)
-    vdot = ly.vdot_along(sysd, v)
-    v_loop = np.array([v.value(x, t) for x, t in zip(X, T)])
-    vd_loop = np.array([vdot(x, t) for x, t in zip(X, T)])
+    v_loop, vd_loop = oracle.sample_values(sysd, v, X, T)
     np.testing.assert_allclose(v_batch, v_loop, rtol=1e-12, atol=0.0)
     # numpy's exp/log/pow may differ from libm's in the last bits, and a
     # central difference divides a change of V by the step h
@@ -124,7 +120,7 @@ def test_batched_candidate_report_matches_scalar_loop(monkeypatch, name,
     sysd = _system(name)
     batch = ly.check_candidate(sysd, CandidateV(expression, params=params),
                                radius=radius, scan=FAST_SCAN)
-    monkeypatch.setattr(ly, "_batch_values", _refuse)
+    monkeypatch.setattr(ly, "_batch_values", oracle.sample_values)
     loop = ly.check_candidate(sysd, CandidateV(expression, params=params),
                               radius=radius, scan=FAST_SCAN)
     assert batch.conclusion is loop.conclusion
@@ -139,7 +135,7 @@ def test_batched_instability_report_matches_scalar_loop(monkeypatch, name,
                                                         expression):
     sysd = gallery_system(name)
     batch = ly.check_instability(sysd, CandidateV(expression), scan=FAST_SCAN)
-    monkeypatch.setattr(ly, "_batch_values", _refuse)
+    monkeypatch.setattr(ly, "_batch_values", oracle.sample_values)
     loop = ly.check_instability(sysd, CandidateV(expression), scan=FAST_SCAN)
     assert batch.unstable == loop.unstable
     _same_report(batch, loop)
@@ -152,14 +148,13 @@ def test_batched_delta_v_matches_scalar_loop(monkeypatch, name):
     v = CandidateV(DISCRETE_V)
     X = ball_points(1024, 2, 0.3, exclude=0.3e-9)
     v_batch, d_batch = dc._batch_deltas(sysd, v, X, 0)
-    v_loop = np.array([v.value(x, 0.0) for x in X])
-    d_loop = np.array([dc.delta_v(sysd, v, x, 0) for x in X])
+    v_loop, d_loop = oracle.delta_values(sysd, v, X, 0)
     np.testing.assert_allclose(v_batch, v_loop, rtol=1e-12, atol=0.0)
     # Delta V is a difference of two V values, each within a few ulps
     np.testing.assert_allclose(d_batch, d_loop, rtol=1e-12,
                                atol=4.0 * EPS * np.abs(v_loop).max())
     batch = dc.classify_discrete(sysd, v, samples=1024)
-    monkeypatch.setattr(dc, "_batch_deltas", _refuse)
+    monkeypatch.setattr(dc, "_batch_deltas", oracle.delta_values)
     loop = dc.classify_discrete(sysd, v, samples=1024)
     assert batch.conclusion is loop.conclusion
     _same_report(batch, loop)
@@ -167,66 +162,120 @@ def test_batched_delta_v_matches_scalar_loop(monkeypatch, name):
 
 # --- domain errors --------------------------------------------------------------
 
+# V leaves its domain where x1 >= 0.5; the right-hand side where x1 >= 0.3
 FAILING = "x1^2 + x2^2 + 0*log(0.5 - x1)"
+FAILING_RHS = ("-x1 + 0*log(0.3 - x1)", "-x2")
 
 
-def _first_failure(fn, rows):
-    """Index and error of the first row at which ``fn`` raises."""
-    for k, row in enumerate(rows):
-        try:
-            fn(*row)
-        except DomainError as exc:
-            return k, exc
-    raise AssertionError("no row fails")
+def _first_of_several(fn, rows):
+    """Index of the first row at which ``fn`` raises.  Asserts that it fails
+    mid-scan and that a later row fails too, so that a locator naming any
+    other failing row is caught."""
+    rows = list(rows)
+    found = oracle.first_failure(fn, rows)
+    assert found is not None
+    k = found[0]
+    assert 0 < k and oracle.first_failure(fn, rows[k + 1:]) is not None
+    return k
+
+
+def _assert_names(err, k, where):
+    assert err.row == k
+    assert str(err).endswith(f" at {where}")
+
+
+def _scan_failure_parity(check, sysd, v):
+    # the per-point scan order: V at every sample, then Vdot
+    X, T, _ = ly._scan_points(sysd, v, 1.0, FAST_SCAN)
+    rows = list(zip(X, T))
+    if oracle.first_failure(lambda x, t: oracle.value(v, x, t), rows):
+        k = _first_of_several(lambda x, t: oracle.value(v, x, t), rows)
+    else:
+        k = _first_of_several(oracle.vdot_along(sysd, v), rows)
+    with pytest.raises(DomainError) as got:
+        check(sysd, v, scan=FAST_SCAN)
+    _assert_names(got.value, k, f"x={tuple(X[k].tolist())}, t={float(T[k])!r}")
 
 
 @pytest.mark.parametrize("check", [ly.check_candidate, ly.check_instability])
 def test_domain_error_parity_mid_scan(check):
-    sysd = gallery_system("cubic_damping")
-    v = CandidateV(FAILING)
-    X, T, _ = ly._scan_points(sysd, v, 1.0, FAST_SCAN)
-    k, want = _first_failure(v.value, zip(X, T))
-    assert 0 < k < len(X) - 1  # fails mid-scan
+    _scan_failure_parity(check, gallery_system("cubic_damping"),
+                         CandidateV(FAILING))
+
+
+@pytest.mark.parametrize("check", [ly.check_candidate, ly.check_instability])
+@pytest.mark.parametrize("candidate", ["x1^2 + x2^2", FAILING])
+def test_domain_error_parity_vdot_after_v(check, candidate):
+    # Vdot fails from x1 = 0.3 on; where V fails too (x1 >= 0.5), the first
+    # V failure is named although an earlier sample's Vdot fails
+    sysd = odeint.SystemDef(2, odeint.Nonlinear(FAILING_RHS))
+    _scan_failure_parity(check, sysd, CandidateV(candidate))
+
+
+def _discrete_failure_parity(sysd, v):
+    # V at every sample, then Delta V
+    X = ball_points(1024, 2, 0.3, exclude=0.3e-9)
+    rows = [(x,) for x in X]
+    if oracle.first_failure(lambda x: oracle.value(v, x, 0.0), rows):
+        k = _first_of_several(lambda x: oracle.value(v, x, 0.0), rows)
+    else:
+        k = _first_of_several(
+            lambda x: oracle.delta_values(sysd, v, [x], 0), rows)
     with pytest.raises(DomainError) as got:
-        check(sysd, v, scan=FAST_SCAN)
-    assert type(got.value) is type(want)
-    assert str(got.value) == str(want)
+        dc.classify_discrete(sysd, v, samples=1024)
+    _assert_names(got.value, k, f"x={tuple(X[k].tolist())}, k=0")
 
 
 def test_domain_error_parity_discrete():
-    sysd = gallery_system("cubic_map")
-    v = CandidateV("x1^2 + x2^2 + 0*log(0.1 - x1)")
-    X = ball_points(1024, 2, 0.3, exclude=0.3e-9)
-    k, want = _first_failure(v.value, ((x, 0.0) for x in X))
-    assert 0 < k < len(X) - 1
-    with pytest.raises(DomainError) as got:
-        dc.classify_discrete(sysd, v, samples=1024)
-    assert str(got.value) == str(want)
+    _discrete_failure_parity(gallery_system("cubic_map"),
+                             CandidateV("x1^2 + x2^2 + 0*log(0.1 - x1)"))
+
+
+def test_domain_error_parity_discrete_delta_v():
+    sysd = dc.DiscreteSystem(2, ("x1 + x2 + 0*log(0.1 - x1)",
+                                 "-pow(x1,3) + 0.5*x2"))
+    _discrete_failure_parity(sysd, CandidateV("x1^2 + x2^2"))
 
 
 def test_domain_error_parity_sylvester():
     form = ly.QuadraticFormTV((("1 + 0*log(0.5 - x1)", "0"), ("0", "t")))
     X = ball_points(64, 2, 1.0 - 1e-12)
     times = 1.0 + np.linspace(0.0, 50.0, 16)
-    k, want = _first_failure(form.matrix_at,
-                             ((x, t) for x in X for t in times))
-    assert 0 < k < len(X) * len(times) - 1
+    k = _first_of_several(lambda x, t: oracle.matrix_at(form, x, t),
+                          [(x, t) for x in X for t in times])
     with pytest.raises(DomainError) as got:
         ly.sylvester_tv(form, t0=1.0, x_points=64, time_samples=16)
-    assert str(got.value) == str(want)
+    x, t = X[k // len(times)], times[k % len(times)]
+    _assert_names(got.value, k, f"x={tuple(x.tolist())}, t={float(t)!r}")
 
 
-def test_batch_evaluator_failure_retries_per_point():
-    # the batch flags the overflowing product; the scalar closure's Python
-    # floats overflow to inf silently, and 0/inf is 0
+def test_overflowing_intermediate_raises_at_first_sample():
+    # the product overflows where x1 > 0.71 although 0/inf would be 0: the
+    # scans refuse every overflowing intermediate, as the oracle does
     sysd = gallery_system("cubic_damping")
     v = CandidateV("x1^2 + x2^2 + 0/(1 + exp(500*x1)*exp(500*x1))")
-    with pytest.raises(DomainError):
-        v.values(np.array([[0.9, 0.0]]), 0.0)
-    rep = ly.check_candidate(sysd, v, scan=FAST_SCAN)
-    ref = ly.check_candidate(sysd, CandidateV("x1^2 + x2^2"), scan=FAST_SCAN)
-    assert rep.conclusion is ref.conclusion
-    assert rep.vdot_verdict is ref.vdot_verdict
+    X, T, _ = ly._scan_points(sysd, v, 1.0, FAST_SCAN)
+    k = _first_of_several(lambda x, t: oracle.value(v, x, t), zip(X, T))
+    with pytest.raises(DomainError) as got:
+        ly.check_candidate(sysd, v, scan=FAST_SCAN)
+    _assert_names(got.value, k, f"x={tuple(X[k].tolist())}, t={float(T[k])!r}")
+
+
+def test_radial_probe_counts_overflow_while_growing_as_unbounded():
+    # exp(r^2) is finite at r = 10 and overflows at r = 100 on every ray
+    assert ly._radial_probe(CandidateV("exp(x1^2 + x2^2) - 1"), 2, 0.0, 1.0)
+    # rays with x1 > 0.5 fail at the first radius: no growth seen
+    assert not ly._radial_probe(CandidateV(FAILING), 2, 0.0, 1.0)
+
+
+def test_w3_minors_none_on_domain_error():
+    v = CandidateV("x1^2 + x2^2")
+    good = odeint.SystemDef(2, odeint.Nonlinear(("-x1", "-x2")))
+    assert ly._w3_quadratic_minors(good, v, 0.0) == pytest.approx((2.0, 4.0))
+    # log(x1 + 1e-3) leaves its domain at the stencil point x1 = -1e-3
+    bad = odeint.SystemDef(2, odeint.Nonlinear(("-x1 + 0*log(x1 + 1e-3)",
+                                                "-x2")))
+    assert ly._w3_quadratic_minors(bad, v, 0.0) is None
 
 
 # --- Sylvester ------------------------------------------------------------------
@@ -267,7 +316,7 @@ def test_sylvester_matches_scalar_loop(monkeypatch, form, x_points,
     q = ly.QuadraticFormTV(entries, params=params)
     batch = ly.sylvester_tv(q, t0=t0, x_points=x_points,
                             time_samples=time_samples)
-    monkeypatch.setattr(ly, "_sylvester_batch", _refuse)
+    monkeypatch.setattr(ly, "_sylvester_batch", oracle.sylvester_loop)
     loop = ly.sylvester_tv(q, t0=t0, x_points=x_points,
                            time_samples=time_samples)
     assert batch.positive_definite == loop.positive_definite
@@ -307,6 +356,29 @@ def test_attraction_domain_error_on_a_passing_ladder():
                                                  "-x2")))
     with pytest.raises(DomainError):
         ly.attraction_region(sysd, np.eye(2), 9.0, directions=64)
+
+
+def test_attraction_domain_error_names_first_failing_level():
+    # log(2 - x1) leaves its domain on every level whose ball reaches x1 = 2
+    sysd = odeint.SystemDef(2, odeint.Nonlinear(("-x1 + 0*log(2 - x1)",
+                                                 "-x2")))
+    cmax, levels = 9.0, 48
+    dirs = sphere_directions(64, 2)
+    quad = np.einsum("ij,ij->i", dirs, dirs)
+
+    def level_rows(k):  # the sampled points of level k, one per direction
+        return [(x,) for x in dirs * np.sqrt(cmax * k / levels / quad)[:, None]]
+
+    def level(k):
+        if oracle.first_failure(lambda x: oracle.rhs(sysd, x, 0.0),
+                                level_rows(k)):
+            raise DomainError("level fails")
+
+    k = _first_of_several(level, [(k,) for k in range(1, levels + 1)]) + 1
+    with pytest.raises(DomainError) as got:
+        ly.attraction_region(sysd, np.eye(2), cmax, levels=levels,
+                             directions=64)
+    _assert_names(got.value, k - 1, f"level c={cmax * k / levels!r}")
 
 
 # --- argument checks --------------------------------------------------------------

@@ -110,6 +110,19 @@ def test_attraction_command(capsys):
     jsonschema.validate(rep, report_schema())
 
 
+def test_attraction_overflowing_levels_name_the_level_without_warnings():
+    cmd = [sys.executable, "-m", "stabkit.cli", "attraction", "--system",
+           str(gallery_file("vanderpol")), "--cmax", "1e308"]
+    done = subprocess.run(cmd, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 3
+    assert done.stdout == ""
+    assert done.stderr.startswith("stabkit: analysis error: DomainError: ")
+    assert " at level c=" in done.stderr
+    assert "Warning" not in done.stderr and "encountered in matmul" \
+        not in done.stderr
+    assert len(done.stderr.strip().splitlines()) == 1
+
+
 def test_alpha_command(capsys):
     rc, rep = run_cli(["alpha", "--system", gallery_file("delay_coupled"),
                        "--alpha", "0.4", "--max-alpha", "--horizon", "10"],
@@ -285,6 +298,18 @@ def test_alpha_negative_rate_without_p_file_exits_2(capsys):
      "--t0", "nan"],
     ["lyapunov", "--system", "cubic_modulated", "--candidate", "x1^2",
      "--t0=-inf"],
+    # the norms of the scaled sample cube overflow past radius ~1.3e154
+    ["lyapunov", "--system", "cubic_damping", "--candidate", "x1^2 + x2^2",
+     "--radius", "1e200"],
+    ["discrete", "--system", "cubic_map", "--candidate", "x1^2 + x2^2",
+     "--radius", "1e200"],
+    ["lyapunov", "--system", "cubic_damping", "--candidate",
+     "x1^2 + x2^2 + exp(-1e400)"],
+    ["classify", "--system", "coupled_decay", "--tol", "nan"],
+    ["classify", "--system", "coupled_decay", "--tol=-1"],
+    ["floquet", "--system", "periodic_rotation", "--tol", "nan"],
+    ["linearize", "--system", "pendulum", "--seeds", "0.1,0", "--tol", "nan"],
+    ["linearize", "--system", "pendulum", "--point", "0,0", "--tol", "inf"],
 ], ids=lambda argv: " ".join(argv[0:1] + argv[3:]))
 def test_invalid_scan_arguments_exit_2(capsys, argv):
     argv = [str(gallery_file(a)) if i == 2 else a for i, a in enumerate(argv)]
@@ -313,6 +338,10 @@ def test_invalid_scan_arguments_exit_2(capsys, argv):
     (["simulate", "--system", "delay_coupled", "--x0", "1,1", "--step", "nan"],
      "step"),
     (["simulate", "--system", "delay_coupled", "--x0", "1,1", "--step", "inf"],
+     "step"),
+    (["simulate", "--system", "pendulum", "--x0", "0.5,0", "--step", "0"],
+     "step"),
+    (["simulate", "--system", "delay_coupled", "--x0", "1,1", "--step", "0"],
      "step"),
     (["simulate", "--system", "periodic_rotation", "--x0", "1,1,1",
       "--t1", "inf"], "t1"),

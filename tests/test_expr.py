@@ -11,10 +11,11 @@ from stabkit.errors import (
     UnboundVariableError,
     UnknownIdentifierError,
 )
+from scalar_oracle import EvalContext, evaluate
 
 
 def ev(text, state=(), t=None, params=None):
-    return ex.evaluate(ex.parse(text), ex.EvalContext(state, t, params))
+    return evaluate(ex.parse(text), EvalContext(state, t, params))
 
 
 def test_parse_precedence_structure():
@@ -171,14 +172,14 @@ def test_evaluator_agreement_corpus():
     for _ in range(1000):
         tree = _random_expr(rng, rng.randint(1, 4))
         x1, x2, t = (rng.uniform(0.2, 2.0) for _ in range(3))
-        ctx = ex.EvalContext((x1, x2), t)
+        ctx = EvalContext((x1, x2), t)
         try:
             want = _reference_eval(tree, x1, x2, t)
             if not math.isfinite(want):
                 continue
         except (ValueError, OverflowError, ZeroDivisionError):
             continue
-        got = ex.evaluate(tree, ctx)
+        got = evaluate(tree, ctx)
         assert got == want  # exact: same IEEE operations
         compiled = ex.compile_expr(tree)((x1, x2), t)
         assert compiled == want
@@ -225,7 +226,17 @@ def test_vectorized_underflow_is_not_an_error():
 def test_substitute():
     tree = ex.parse("t + x1")
     replaced = ex.substitute(tree, "t", ex.parse("2*k"))
-    assert ex.evaluate(replaced, ex.EvalContext((3.0,), 9.0)) == 21.0  # k=9
+    assert evaluate(replaced, EvalContext((3.0,), 9.0)) == 21.0  # k=9
+
+
+@pytest.mark.parametrize("text, position", [
+    ("1e400", 0), ("x1 + 2e308*x2", 5), ("exp(-1e400)", 5)])
+def test_overflowing_literal_is_a_parse_error(text, position):
+    with pytest.raises(ParseError) as err:
+        ex.parse(text)
+    assert err.value.position == position
+    assert "overflows" in str(err.value)
+    assert ex.parse("1.7976931348623157e308") == ex.Number(1.7976931348623157e308)
 
 
 def test_empty_expression():
@@ -254,6 +265,56 @@ try:
         )
 
     _trees = st.recursive(_leaf, _extend, max_leaves=25)
+
+    # domain-prone trees: small and negative leaves reach log/sqrt/division
+    # edges, large ones overflow exp, products and powers
+    _edge_leaf = st.one_of(
+        st.sampled_from([0.0, 0.5, 3.0, 800.0, 1e200]).map(ex.Number),
+        st.sampled_from(["x1", "x2"]).map(ex.Var),
+    )
+
+    def _edge_extend(children):
+        return st.one_of(
+            _extend(children),
+            children.map(lambda c: ex.Call("log", (c,))),
+            st.tuples(children, children).map(lambda t: ex.Call("pow", t)),
+        )
+
+    _edge_trees = st.recursive(_edge_leaf, _edge_extend, min_leaves=2,
+                               max_leaves=10)
+    _rows = st.lists(st.tuples(*[st.sampled_from(
+        [-2.0, -0.5, 0.0, 0.25, 1.0, 3.0, 400.0])] * 2), min_size=1,
+        max_size=6)
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(_edge_trees, _rows)
+    def test_batch_strictness_agrees_with_oracle(tree, rows):
+        import numpy as np
+
+        def walk(row):
+            evaluate(tree, EvalContext(row, 0.0))
+
+        def first_oracle_failure():
+            for k, row in enumerate(rows):
+                try:
+                    walk(row)
+                except DomainError:
+                    return k
+            return None
+
+        vec = ex.compile_expr_vec(tree)
+        X = np.array(rows)
+        want = first_oracle_failure()
+        try:
+            vec(X, 0.0)
+            raised = False
+        except DomainError:
+            raised = True
+        assert raised == (want is not None)
+        if want is not None:
+            with pytest.raises(DomainError) as err:
+                ex.strict_rows(lambda r: vec(X[r], 0.0), len(X), str)
+            assert err.value.row == want
 
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(_trees)

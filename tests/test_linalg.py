@@ -156,6 +156,26 @@ def test_stacked_measure_and_norm_match_per_matrix():
     assert linalg.spectral_norm(rng.normal(size=(4, 2, 3))).shape == (4,)
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf"),
+                                 -1e-9])
+def test_tolerances_must_be_finite_and_nonnegative(tol):
+    from stabkit import alpha, autonomous, floquet
+    from stabkit.errors import InvalidArgumentError
+    from conftest import gallery_system
+
+    with pytest.raises(InvalidArgumentError, match="tolerance"):
+        autonomous.classify_linear([[-3.0, 1.0], [1.0, -3.0]], tol)
+    with pytest.raises(InvalidArgumentError, match="tolerance"):
+        autonomous.find_equilibria(gallery_system("pendulum"), [[0.1, 0.0]],
+                                   tol=tol)
+    with pytest.raises(InvalidArgumentError, match="tolerance"):
+        floquet.floquet_report(gallery_system("periodic_rotation"), tol=tol)
+    with pytest.raises(InvalidArgumentError, match="residual_tol"):
+        alpha.certify(gallery_system("delay_coupled"), 0.1,
+                      alpha.CertificateRoute.RATE_INEQUALITY, horizon=0.0,
+                      residual_tol=tol)
+
+
 def test_stacked_measure_and_norm_reject_bad_input():
     stack = np.ones((3, 2, 2))
     stack[2, 1, 0] = np.nan
