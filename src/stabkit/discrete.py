@@ -15,7 +15,8 @@ from enum import Enum
 import numpy as np
 
 from . import expr as ex
-from .errors import DimensionMismatchError, NotAFixedPointError
+from .errors import (DimensionMismatchError, NotAFixedPointError,
+                     SampleCapError)
 from .lyapunov import (
     BLOCK,
     CandidateV,
@@ -27,9 +28,11 @@ from .lyapunov import (
 )
 from .odeint import (
     ESCAPE_THRESHOLD,
+    SAMPLE_CAP,
     LinearConstant,
     Nonlinear,
     SystemDef,
+    _finite,
     _write_csv,
 )
 from .sampling import ball_points
@@ -49,6 +52,7 @@ class DiscreteSystem:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        _finite(list(self.params.values()), "parameters")
         comps = tuple(ex.as_expr(c, set(self.params)) for c in self.update)
         if len(comps) != self.dimension:
             raise DimensionMismatchError(
@@ -59,12 +63,12 @@ class DiscreteSystem:
                     f"update {ex.to_string(c)!r} references a state variable "
                     f"beyond dimension {self.dimension}")
         self.update = comps
-        self._fns = [ex.compile_expr(c, self.params) for c in comps]
+        self._fused = ex.compile_vector(comps, self.params)
         self._vec = None
 
     def step(self, x, k: float = 0.0) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return np.array([fn(x, k) for fn in self._fns])
+        return np.array(self._fused(np.asarray(x, dtype=float).tolist(),
+                                    float(k)))
 
     def steps(self, X: np.ndarray, k: float = 0.0) -> np.ndarray:
         """The update applied to every row of ``X`` (strict batch evaluation)."""
@@ -125,22 +129,26 @@ def _component_exprs(sys: SystemDef) -> tuple[ex.Expr, ...]:
 
 
 def iterate(sys: DiscreteSystem, x0, K: int) -> Orbit:
-    """Apply the recurrence K times; truncate with a flag on escape."""
+    """Apply the recurrence K times (at most ``SAMPLE_CAP`` states, as for
+    a trajectory); truncate with a flag on escape."""
     if K < 0:
         raise ValueError("iteration count must be nonnegative")
+    if K >= SAMPLE_CAP:
+        raise SampleCapError(f"orbit would exceed {SAMPLE_CAP} samples")
     x = np.asarray(x0, dtype=float)
     if x.shape != (sys.dimension,):
         raise DimensionMismatchError(f"x0 must have length {sys.dimension}")
-    states = [x]
-    escaped = False
+    states = np.empty((K + 1, sys.dimension))
+    states[0] = x
+    x = x.tolist()
+    last = K
     for k in range(K):
-        x = sys.step(x, float(k))
-        if not np.all(np.isfinite(x)) or np.any(np.abs(x) > ESCAPE_THRESHOLD):
-            escaped = True
+        x = sys._fused(x, float(k))  # raises on a non-finite value
+        if max(map(abs, x)) > ESCAPE_THRESHOLD:
+            last = k
             break
-        states.append(x)
-    arr = np.vstack(states)
-    return Orbit(np.arange(len(arr)), arr, escaped)
+        states[k + 1] = x
+    return Orbit(np.arange(last + 1), states[:last + 1].copy(), last < K)
 
 
 def delta_v(sys: DiscreteSystem, v: CandidateV, x, k: int = 0) -> float:

@@ -21,6 +21,7 @@ syntax error.  Non-finite evaluation results are reported as
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -31,6 +32,7 @@ import numpy as np
 from .errors import (
     ArityMismatchError,
     DomainError,
+    InvalidArgumentError,
     ParseError,
     UnboundVariableError,
     UnknownIdentifierError,
@@ -38,8 +40,9 @@ from .errors import (
 
 __all__ = [
     "Number", "Var", "Unary", "Binary", "Call", "Expr",
-    "parse", "to_string", "free_vars", "substitute", "compile_expr",
-    "compile_expr_vec", "strict_rows", "failing_rows", "FUNCTIONS",
+    "parse", "to_string", "free_vars", "substitute", "compile_vector",
+    "compile_expr", "compile_expr_vec", "strict_rows", "failing_rows",
+    "FUNCTIONS",
 ]
 
 # function name -> arity
@@ -351,6 +354,8 @@ def _codegen(e: Expr, params: Mapping[str, float]) -> str:
 def _checked_div(a: float, b: float) -> float:
     if b == 0.0:
         raise DomainError("division by zero")
+    if b - b:  # nan exactly when b is inf or nan
+        raise DomainError(f"division by non-finite value {b!r}")
     return a / b
 
 
@@ -366,10 +371,27 @@ def _checked_sqrt(a: float) -> float:
     return math.sqrt(a)
 
 
+def _checked_exp(a: float) -> float:
+    if a - a:
+        raise DomainError(f"exp of non-finite value {a!r}")
+    return math.exp(a)
+
+
+def _checked_pow(a: float, b: float) -> float:
+    if a - a or b - b:
+        raise DomainError(f"power of non-finite operands {a!r}, {b!r}")
+    return math.pow(a, b)
+
+
+# Scalar evaluation on Python floats.  An overflowing intermediate becomes
+# inf and every operation carries inf or nan on to the result, except a
+# divisor, an exponent argument and a power operand, which would absorb it
+# (x/inf, exp(-inf), pow(nan, 0)): those raise, so a compiled evaluator
+# fails exactly where a walk checking every intermediate would.
 _COMPILE_NS = {
-    "_sin": math.sin, "_cos": math.cos, "_tan": math.tan, "_exp": math.exp,
+    "_sin": math.sin, "_cos": math.cos, "_tan": math.tan, "_exp": _checked_exp,
     "_log": _checked_log, "_sqrt": _checked_sqrt, "_abs": abs,
-    "_pow": math.pow, "_div": _checked_div,
+    "_pow": _checked_pow, "_div": _checked_div,
 }
 
 #: numpy counterparts of ``_COMPILE_NS`` for batch evaluators over arrays
@@ -380,33 +402,47 @@ VEC_NS = {
 }
 
 
+def compile_vector(exprs: Sequence[Expr],
+                   params: Mapping[str, float] | None = None,
+                   ) -> Callable[[Sequence[float], float], list[float]]:
+    """Compile trees to one fused scalar ``f(x, t) -> [f_1, ..., f_n]``.
+
+    The evaluator of the marches (RK4 stage loops, orbits, Newton, a grid
+    at one time) on Python floats; sampled scans use
+    :func:`compile_expr_vec`.  Parameter values are frozen in.  The first
+    failing component raises :class:`DomainError`: an invalid operand, or
+    (see ``_COMPILE_NS``) any intermediate that is not finite.
+    """
+    exprs, params = tuple(exprs), dict(params or {})
+    body = "".join(f"\n    try:\n        v{i} = {_codegen(e, params)}"
+                   f"\n    except _ERRORS as exc:\n        _fail(exc, {i})"
+                   f"\n    if v{i} - v{i}:\n        _fail(None, {i})"  # inf, nan
+                   for i, e in enumerate(exprs))
+    names = ", ".join(f"v{i}" for i in range(len(exprs)))
+
+    def fail(exc, i):  # a DomainError of the namespace passes unchanged
+        raise DomainError(str(exc or "non-finite evaluation result"),
+                          exprs[i]) from None
+
+    namespace = {"__builtins__": {}, **_COMPILE_NS, "_fail": fail,
+                 "_ERRORS": (ValueError, OverflowError, ZeroDivisionError)}
+    exec(_compiled(f"def f(x, t):{body}\n    return [{names}]"), namespace)
+    return namespace["f"]
+
+
+# Newton compiles its right-hand side per iteration, a CLI call builds its
+# system twice: code objects are kept by source
+@functools.lru_cache(maxsize=256)
+def _compiled(src: str):
+    return compile(src, "<stabkit-vector>", "exec")
+
+
 def compile_expr(e: Expr, params: Mapping[str, float] | None = None,
                  ) -> Callable[[Sequence[float], float], float]:
-    """Compile the tree to a fast scalar ``f(state, t) -> float``.
-
-    Parameter values are frozen in at compile time.  It serves the
-    sequential marches only (RK4 stage loops, orbit iteration, Newton, a
-    coefficient grid at one time); sampled scans use :func:`compile_expr_vec`.
-    Invalid operands and a non-finite final value raise :class:`DomainError`;
-    an intermediate that overflows is not checked.
-    """
-    params = dict(params or {})
-    src = _codegen(e, params)
-    fn = eval(compile(f"lambda x, t: {src}", "<stabkit-expr>", "eval"),
-              {"__builtins__": {}, **_COMPILE_NS})
-
-    def wrapped(x: Sequence[float], t: float) -> float:
-        try:
-            value = fn(x, t)
-        except DomainError:
-            raise
-        except (ValueError, OverflowError, ZeroDivisionError) as exc:
-            raise DomainError(str(exc), e) from None
-        if not math.isfinite(value):
-            raise DomainError("non-finite evaluation result", e)
-        return value
-
-    return wrapped
+    """Compile one tree to a scalar ``f(state, t) -> float``, as
+    :func:`compile_vector` does."""
+    f = compile_vector((e,), params)
+    return lambda x, t: f(x, t)[0]
 
 
 def compile_expr_vec(e: Expr, params: Mapping[str, float] | None = None):
@@ -494,5 +530,8 @@ def as_expr(entry: "Expr | float | int | str",
     if isinstance(entry, str):
         return parse(entry, params)
     if isinstance(entry, (int, float)):
+        if not math.isfinite(entry):
+            raise InvalidArgumentError(
+                f"numeric entries must be finite, got {entry!r}")
         return Number(float(entry))
     raise TypeError(f"cannot interpret {entry!r} as an expression")

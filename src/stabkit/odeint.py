@@ -2,16 +2,17 @@
 
 Classical RK4 for vector ODEs and fundamental-matrix ODEs, plus the method
 of steps for linear multi-delay equations.  Fixed step, no adaptivity.
-Linear systems advance by per-step RK4 maps: the coefficients are evaluated
-over whole chunks of stage times at once, each step's RK4 update is formed
-as one matrix ``W_k``, and a step is then one product with ``W_k``.  The
-result is deterministic from run to run and agrees with the stage-by-stage
-RK4 loop (which nonlinear right-hand sides and trailing partial steps still
-take) to within rounding: about 1e-15 of the state's scale, below 2e-14
-after 2e4 to 6e4 steps.  A state component beyond
-``ESCAPE_THRESHOLD`` (or non-finite) aborts the run with
-:class:`NonFiniteStateError` at the first escaping step, which doubles as
-the finite-time-escape verdict.
+All three run one march with two step sources.  Full steps of a linear
+system are products with per-step RK4 maps ``W_k``, formed from the
+coefficients at whole chunks of stage times at once.  Every other step
+(nonlinear, a chunk whose maps fail, a trailing partial step) is one RK4
+stage loop on Python floats, in numpy's operation order, of one fused
+function per right-hand side.  Stage times are ``t0 + k*h + s``.  The two
+sources agree to within rounding, below 1e-12 of the state's scale after
+1e4 steps.  A state component beyond ``ESCAPE_THRESHOLD`` (or non-finite)
+aborts the run with :class:`NonFiniteStateError` at the first escaping
+step, the finite-time-escape verdict: each chunk of states is checked once,
+and an escape wins over a later domain error.
 """
 
 from __future__ import annotations
@@ -69,30 +70,29 @@ def compile_matrix(entries: Sequence[Sequence[ExprEntry]],
                    ) -> Callable[[float | np.ndarray], np.ndarray]:
     """Compile a grid of expression entries to a fast ``t -> ndarray``.
 
-    A scalar ``t`` gives the ``(n, n)`` matrix from per-entry compiled
-    closures (the RK4 stage loops step through these).  A 1-D array of
-    ``N`` times gives the ``(N, n, n)`` stack from one numpy pass over the
-    whole grid under :func:`~stabkit.expr.strict_rows`: a floating-point
-    flag other than underflow, or a non-finite entry, raises
+    A scalar ``t`` gives the ``(n, n)`` matrix from one fused scalar
+    function (:func:`~stabkit.expr.compile_vector`).  A 1-D array of ``N``
+    times gives the ``(N, n, n)`` stack from one numpy pass over the whole
+    grid under :func:`~stabkit.expr.strict_rows`: a floating-point flag
+    other than underflow, or a non-finite entry, raises
     :class:`DomainError` naming the first of the given times that fails.
     """
     params = dict(params or {})
     grid = _expr_grid(entries, set(params))
-    fns = [[ex.compile_expr(e, params) for e in row] for row in grid]
+    vector = ex.compile_vector([e for row in grid for e in row], params)
     shape = (len(grid), len(grid[0]) if grid else 0)
     fill = None
-    empty: tuple[float, ...] = ()
 
     def at(t):
         nonlocal fill
         if not (isinstance(t, np.ndarray) and t.ndim == 1):
-            return np.array([[f(empty, t) for f in row] for row in fns])
+            return np.array(vector((), float(t))).reshape(shape)
         if fill is None:  # compiled on first use: many grids see only scalars
             fill = _batch_filler(grid, params)
         out = np.empty((len(t), shape[0] * shape[1]))
 
         def rows(r):
-            fill(empty, t[r], out[r])
+            fill((), t[r], out[r])
             if not np.isfinite(out[r]).all():
                 raise DomainError("non-finite evaluation result")
 
@@ -120,7 +120,15 @@ def coefficient_grid(entries, n: int, params: Mapping[str, float]):
         if names & {"t", "k"} or any(name.startswith("x") for name in names):
             return grid
         rows = compile_matrix(grid, params)(0.0)
-    return np.asarray(rows, dtype=float)
+    return _finite(rows, "coefficient entries")
+
+
+def _finite(values, what: str) -> np.ndarray:
+    """``values`` as a float array; every entry must be finite."""
+    a = np.asarray(values, dtype=float)
+    if not np.isfinite(a).all():
+        raise InvalidArgumentError(f"{what} must be finite")
+    return a
 
 
 @dataclass(frozen=True)
@@ -174,12 +182,13 @@ class SystemDef:
         if n < 1:
             raise DimensionMismatchError("dimension must be >= 1")
         self.params = dict(self.params)
+        _finite(list(self.params.values()), "parameters")
         rhs = self.rhs
         if isinstance(rhs, LinearConstant):
-            a = np.asarray(rhs.a, dtype=float)
+            a = _finite(rhs.a, "A")
             if a.shape != (n, n):
                 raise DimensionMismatchError(f"A must be {n}x{n}, got {a.shape}")
-            b = None if rhs.b is None else np.asarray(rhs.b, dtype=float)
+            b = None if rhs.b is None else _finite(rhs.b, "B")
             if b is not None and b.shape[0] != n:
                 raise DimensionMismatchError("B must have n rows")
             self.rhs = LinearConstant(a, b)
@@ -257,15 +266,9 @@ class SystemDef:
 
     def rhs_callable(self) -> Callable[[np.ndarray, float], np.ndarray]:
         """Compiled evaluator of the undelayed right-hand side."""
-        a = _linear_coefficient(self)
-        if a is not None:
-            return _matrix_rhs(a)
-        fns = [ex.compile_expr(c, self.params) for c in self.rhs.components]
-
-        def f(x: np.ndarray, t: float) -> np.ndarray:
-            return np.array([fn(x, t) for fn in fns])
-
-        return f
+        f = _field(self, (self.dimension,))[1]
+        return lambda x, t: np.array(
+            f(np.asarray(x, dtype=float).tolist(), float(t), 0, 0.0))
 
     def rhs_vectorized(self) -> Callable[[np.ndarray, float], np.ndarray]:
         """Batch evaluator ``F(X, t) -> (N, n)`` over rows of sample points.
@@ -391,18 +394,83 @@ def _grid(t0: float, t1: float, h: float) -> tuple[int, float]:
     return n_full, rem
 
 
-def _check_state(x: np.ndarray, t: float) -> None:
-    # one reduction: a NaN propagates through max and fails the comparison
-    if not np.abs(x).max() <= ESCAPE_THRESHOLD:
-        raise NonFiniteStateError(t)
+def _times(t0: float, t1: float, h: float) -> np.ndarray:
+    """``t0 + k*h`` at the full steps, then ``t1`` after a partial step."""
+    n_full, rem = _grid(t0, t1, h)
+    times = t0 + np.arange(n_full + 1) * h
+    return np.append(times, t1) if rem > 0.0 else times
 
 
-def _rk4_step(f, x, t, h):
-    k1 = f(x, t)
-    k2 = f(x + 0.5 * h * k1, t + 0.5 * h)
-    k3 = f(x + 0.5 * h * k2, t + 0.5 * h)
-    k4 = f(x + h * k3, t + h)
-    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _check_rows(rows: np.ndarray, t_of: Callable[[int], float]) -> None:
+    """Raise at ``t_of(j)`` for the first row ``j`` beyond the threshold."""
+    bad = ~(np.abs(rows).max(axis=1) <= ESCAPE_THRESHOLD)
+    if bad.any():
+        raise NonFiniteStateError(t_of(int(bad.argmax())))
+
+
+def _rk4(f, x: list, k: int, tk: float, dt: float) -> list:
+    """One RK4 step of ``dt`` from step ``k``'s start ``tk`` on a flat list,
+    in numpy's order; ``f(x, t, k, s)`` is the field ``s`` into the step."""
+    half = 0.5 * dt
+    k1 = f(x, tk, k, 0.0)
+    k2 = f([a + half * b for a, b in zip(x, k1)], tk + half, k, half)
+    k3 = f([a + half * b for a, b in zip(x, k2)], tk + half, k, half)
+    k4 = f([a + dt * b for a, b in zip(x, k3)], tk + dt, k, dt)
+    return [a + dt / 6.0 * (p + 2.0 * q + 2.0 * r + s)
+            for a, p, q, r, s in zip(x, k1, k2, k3, k4)]
+
+
+def _march(buf: np.ndarray, base: int, t0: float, t1: float, h: float, f,
+           a=None, delays: Sequence = (), reads=None, keep: bool = True) -> int:
+    """Advance ``buf[base]`` from ``t0`` to ``t1``; returns the final row.
+
+    Step ``k`` writes ``buf[base + k + 1]``; with ``keep`` off each chunk
+    restarts at ``buf[base]``.  Linear full steps (coefficients ``a``,
+    ``delays``) multiply the rows ``base + k + reads`` (None: the state) by
+    their step maps; the other steps are :func:`_rk4` of ``f``.
+    """
+    t0, h = float(t0), float(h)
+    n_full, rem = _grid(t0, t1, h)
+    flat = buf.reshape(len(buf), -1)
+    row = base  # the row of the latest state
+
+    def check(lo: int, k: int) -> None:  # rows lo..row hold steps k, k+1, ...
+        _check_rows(flat[lo:row + 1], lambda j: t1 if k + j == n_full
+                    else t0 + (k + j + 1) * h)
+
+    with np.errstate(all="ignore"):  # the row checks catch what overflows
+        for start in range(0, n_full, CHUNK):
+            stop = min(start + CHUNK, n_full)
+            if not keep and start:
+                buf[base] = buf[row]
+                row = base
+            lo, tk = row + 1, t0 + np.arange(start, stop) * h
+            maps = None if a is None else \
+                _step_maps(a, delays, (tk, tk + 0.5 * h, tk + h), h)
+            if maps is None:
+                x = flat[row].tolist()
+                try:
+                    for k in range(start, stop):
+                        x = _rk4(f, x, k, t0 + k * h, h)
+                        row += 1
+                        flat[row] = x
+                except DomainError:
+                    check(lo, start)  # an escape before the error wins
+                    raise
+            else:
+                for j in range(stop - start):
+                    x = buf[row] if reads is None else \
+                        buf.take(reads + row, axis=0).ravel()
+                    np.matmul(maps[j] if maps.ndim == 3 else maps, x,
+                              out=buf[row + 1])
+                    row += 1
+            check(lo, start)
+        if rem > 0.0:
+            x = _rk4(f, flat[row].tolist(), n_full, t0 + n_full * h, rem)
+            row += 1
+            flat[row] = x
+            check(row, n_full)
+    return row
 
 
 def integrate(sys: SystemDef, x0, t0: float, t1: float, h: float) -> Trajectory:
@@ -418,24 +486,12 @@ def integrate(sys: SystemDef, x0, t0: float, t1: float, h: float) -> Trajectory:
     if x.shape != (sys.dimension,):
         raise DimensionMismatchError(
             f"x0 must have length {sys.dimension}, got shape {x.shape}")
-    f = sys.rhs_callable()
-    n_full, rem = _grid(t0, t1, h)
-    times = [t0]
-    states = [x]
-    t = t0
-    for i in range(n_full):
-        x = _rk4_step(f, x, t, h)
-        t = t0 + (i + 1) * h
-        _check_state(x, t)
-        times.append(t)
-        states.append(x)
-    if rem > 0.0:
-        x = _rk4_step(f, x, t, rem)
-        t = t1
-        _check_state(x, t)
-        times.append(t)
-        states.append(x)
-    return Trajectory(np.array(times), np.vstack(states), h)
+    a, f = _field(sys, x.shape)
+    times = _times(t0, t1, h)
+    buf = np.empty((len(times), sys.dimension))
+    buf[0] = x
+    _march(buf, 0, t0, t1, h, f, a)
+    return Trajectory(times, buf, h)
 
 
 def _linear_coefficient(sys: SystemDef):
@@ -449,6 +505,17 @@ def _linear_coefficient(sys: SystemDef):
     return None
 
 
+def _field(sys: SystemDef, shape: tuple[int, ...]):
+    """``(A, f)``: the linear coefficient (None if nonlinear) and the
+    undelayed field ``f(x, t, k, s)`` of :func:`_rk4` on flat ``shape``."""
+    a = _linear_coefficient(sys)
+    if a is not None:
+        return a, lambda x, t, k, s: \
+            (_at(a, t) @ np.reshape(x, shape)).ravel().tolist()
+    fused = ex.compile_vector(sys.rhs.components, sys.params)
+    return None, lambda x, t, k, s: fused(x, t)
+
+
 def _delay_coefficients(sys: SystemDef) -> list:
     """``[A_1, ..., A_m]``: constant arrays, or compiled grids ``t -> A_i(t)``."""
     return [d.coeff if isinstance(d.coeff, np.ndarray)
@@ -460,13 +527,7 @@ def _at(coeff, t):
     return coeff if isinstance(coeff, np.ndarray) else coeff(t)
 
 
-def _matrix_rhs(a) -> Callable[[np.ndarray, float], np.ndarray]:
-    if isinstance(a, np.ndarray):
-        return lambda x, t: a @ x
-    return lambda x, t: a(t) @ x
-
-
-def _step_maps(a, delays: Sequence, stages, h: float) -> np.ndarray:
+def _step_maps(a, delays: Sequence, stages, h: float) -> np.ndarray | None:
     """RK4 step maps for ``x' = A(t) x + sum_i D_i(t) x(t - lag_i)``.
 
     ``stages`` holds the step starts, midpoints and ends; coefficients that
@@ -474,70 +535,44 @@ def _step_maps(a, delays: Sequence, stages, h: float) -> np.ndarray:
     ``(..., n, n (1 + 2m))`` with ``x_{k+1} = W_k [x_k, y_1, y_1', ...]``,
     where ``y_i`` and ``y_i'`` are the grid nodes at ``t_k - lag_i`` and one
     step later (the midpoint stages read their mean, as the stage loop does).
-    Without varying coefficients ``W`` is one ``(n, M)`` matrix.
+    Without varying coefficients ``W`` is one ``(n, M)`` matrix.  None when
+    a coefficient raises :class:`DomainError` or ``W`` is not finite.
     """
     t_now, t_mid, t_end = stages
-    a_mid = _at(a, t_mid)
-    n = a_mid.shape[-1]
-    width = n * (1 + 2 * len(delays))
-    eye = np.eye(n, width)
+    try:
+        a_mid = _at(a, t_mid)
+        n = a_mid.shape[-1]
+        width = n * (1 + 2 * len(delays))
+        eye = np.eye(n, width)
 
-    def delayed(t, w_now: float, w_next: float):
-        if not delays:
-            return 0.0
-        values = [_at(d, t) for d in delays]
-        out = np.zeros(np.broadcast_shapes(*(v.shape for v in values))[:-2]
-                       + (n, width))
-        for i, v in enumerate(values):
-            lo = n * (1 + 2 * i)
-            if w_now:
-                out[..., lo:lo + n] = w_now * v
-            if w_next:
-                out[..., lo + n:lo + 2 * n] = w_next * v
-        return out
+        def delayed(t, w_now: float, w_next: float):
+            if not delays:
+                return 0.0
+            values = [_at(d, t) for d in delays]
+            out = np.zeros(np.broadcast_shapes(*(v.shape for v in values))[:-2]
+                           + (n, width))
+            for i, v in enumerate(values):
+                lo = n * (1 + 2 * i)
+                if w_now:
+                    out[..., lo:lo + n] = w_now * v
+                if w_next:
+                    out[..., lo + n:lo + 2 * n] = w_next * v
+            return out
 
-    # k1 + 2 k2 + 2 k3 + k4 accumulates in place to keep the stacks few
-    b_mid = delayed(t_mid, 0.5, 0.5)
-    k = _at(a, t_now) @ eye + delayed(t_now, 1.0, 0.0)
-    total = k.copy()
-    k = a_mid @ (eye + 0.5 * h * k) + b_mid
-    total += 2.0 * k
-    k = a_mid @ (eye + 0.5 * h * k) + b_mid
-    total += 2.0 * k
-    k = _at(a, t_end) @ (eye + h * k) + delayed(t_end, 0.0, 1.0)
-    total += k
-    return eye + (h / 6.0) * total
-
-
-def _map_chunks(a, delays: Sequence, n_full: int, stage_times, h: float):
-    """Yield ``(start, stop, maps)`` over the full steps, CHUNK steps at a time.
-
-    ``maps`` stacks ``W_k`` for steps ``start .. stop-1``; it is None when
-    the system is nonlinear, or when a coefficient or map entry is not finite
-    on the chunk.  The caller then takes those steps through the stage loop,
-    which raises what it raises (a :class:`DomainError`, or an escape first).
-    """
-    def maps(stages):
-        if a is None:
-            return None
-        try:
-            with np.errstate(all="ignore"):
-                w = _step_maps(a, delays, stages, h)
-        except DomainError:
-            return None
-        return w if np.isfinite(w).all() else None
-
-    fixed = a is None or \
-        all(isinstance(c, np.ndarray) for c in (a, *delays))
-    w = maps((None, None, None)) if fixed else None
-    for start in range(0, n_full, CHUNK):
-        stop = min(start + CHUNK, n_full)
-        if not fixed:
-            w = maps(stage_times(np.arange(start, stop, dtype=float)))
-        if w is not None and w.ndim == 2:
-            yield start, stop, np.broadcast_to(w, (stop - start,) + w.shape)
-        else:
-            yield start, stop, w
+        # k1 + 2 k2 + 2 k3 + k4 accumulates in place to keep the stacks few
+        b_mid = delayed(t_mid, 0.5, 0.5)
+        k = _at(a, t_now) @ eye + delayed(t_now, 1.0, 0.0)
+        total = k.copy()
+        k = a_mid @ (eye + 0.5 * h * k) + b_mid
+        total += 2.0 * k
+        k = a_mid @ (eye + 0.5 * h * k) + b_mid
+        total += 2.0 * k
+        k = _at(a, t_end) @ (eye + h * k) + delayed(t_end, 0.0, 1.0)
+        total += k
+    except DomainError:
+        return None
+    w = eye + (h / 6.0) * total
+    return w if np.isfinite(w).all() else None
 
 
 def integrate_matrix(sys: SystemDef, t0: float, t1: float, h: float) -> np.ndarray:
@@ -545,32 +580,15 @@ def integrate_matrix(sys: SystemDef, t0: float, t1: float, h: float) -> np.ndarr
 
     Columns are the fundamental system of solutions (unit initial
     conditions), advanced together by matrix-valued RK4: one product with
-    the step map ``W_k`` per step.
+    the step map ``W_k`` per step.  The march keeps one chunk of states.
     """
-    a = _linear_coefficient(sys)
-    if a is None:
+    if isinstance(sys.rhs, Nonlinear):
         raise ValueError("integrate_matrix requires a linear system")
-    f = _matrix_rhs(a)
-    n_full, rem = _grid(t0, t1, h)
-    X = np.eye(sys.dimension)
-
-    def stage_times(ks):
-        tk = t0 + ks * h
-        return tk, tk + 0.5 * h, tk + h
-
-    for start, stop, maps in _map_chunks(a, (), n_full, stage_times, h):
-        if maps is None:
-            for k in range(start, stop):
-                X = _rk4_step(f, X, t0 + k * h, h)
-                _check_state(X, t0 + (k + 1) * h)
-            continue
-        for k, w in zip(range(start, stop), maps):
-            X = w @ X
-            _check_state(X, t0 + (k + 1) * h)
-    if rem > 0.0:
-        X = _rk4_step(f, X, t0 + n_full * h, rem)
-        _check_state(X, t1)
-    return X
+    n = sys.dimension
+    a, f = _field(sys, (n, n))
+    buf = np.empty((min(_grid(t0, t1, h)[0], CHUNK) + 2, n, n))
+    buf[0] = np.eye(n)
+    return buf[_march(buf, 0, t0, t1, h, f, a, keep=False)].copy()
 
 
 def dde_step(lags: Sequence[float], target: float = 1e-3) -> float:
@@ -595,7 +613,7 @@ def integrate_dde(sys: SystemDef, history: HistoryFn, t1: float,
     """
     if not sys.delays:
         raise ValueError("system has no delays; use integrate")
-    n_full, rem = _grid(0.0, t1, h)
+    times = _times(0.0, t1, h)
     lags = [d.lag for d in sys.delays]
     for lag in lags:
         if abs(lag - round(lag / h) * h) > 1e-9:
@@ -604,66 +622,27 @@ def integrate_dde(sys: SystemDef, history: HistoryFn, t1: float,
         raise HistoryGapError(
             f"history covers [{-history.span}, 0] but max lag is {sys.max_lag}")
 
-    a = _linear_coefficient(sys)
-    f0 = sys.rhs_callable() if a is None else _matrix_rhs(a)
+    a, f0 = _field(sys, (sys.dimension,))
     coeffs = _delay_coefficients(sys)
     lag_steps = [round(lag / h) for lag in lags]
-
-    n_hist = round(sys.max_lag / h)
-    base = n_hist  # index of the t=0 grid node
-    if base + 1 + n_full > SAMPLE_CAP:
+    base = round(sys.max_lag / h)  # index of the t=0 grid node
+    if base + len(times) > SAMPLE_CAP:
         raise SampleCapError(f"trajectory would exceed {SAMPLE_CAP} samples")
-    buf = np.empty((base + 1 + n_full, sys.dimension))
-    buf[:base + 1] = history(-(n_hist - np.arange(n_hist + 1)) * h)
+    buf = np.empty((base + len(times), sys.dimension))
+    buf[:base + 1] = history(-(base - np.arange(base + 1)) * h)
 
-    def delayed(node: int, cfrac: float, steps_back: int) -> np.ndarray:
-        # value at (node + cfrac)*h - lag; cfrac in units of h within [0, 1]
-        pos = base + node - steps_back
-        if cfrac <= 0.0:
-            return buf[pos]
-        if cfrac >= 1.0:
-            return buf[pos + 1]
-        return (1.0 - cfrac) * buf[pos] + cfrac * buf[pos + 1]
-
-    def rhs(x: np.ndarray, node: int, cfrac: float) -> np.ndarray:
-        t = (node + cfrac) * h
-        dx = f0(x, t)
-        for c, sb in zip(coeffs, lag_steps):
-            dx = dx + _at(c, t) @ delayed(node, cfrac, sb)
-        return dx
-
-    def step(x: np.ndarray, node: int, hh: float) -> np.ndarray:
-        half = 0.5 * hh / h
-        full = hh / h
-        k1 = rhs(x, node, 0.0)
-        k2 = rhs(x + 0.5 * hh * k1, node, half)
-        k3 = rhs(x + 0.5 * hh * k2, node, half)
-        k4 = rhs(x + hh * k3, node, full)
-        return x + (hh / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-    def stage_times(ks):
-        return ks * h, (ks + 0.5) * h, (ks + 1.0) * h
+    def f(x, t, k, s):
+        # delayed values at (k + c)*h - lag: nodes, or within a partial step
+        dx = np.array(f0(x, t, k, s))
+        c = s / h
+        for coeff, back in zip(coeffs, lag_steps):
+            pos = base + k - back
+            y = buf[pos] if c <= 0.0 else buf[pos + 1] if c >= 1.0 else \
+                (1.0 - c) * buf[pos] + c * buf[pos + 1]
+            dx = dx + _at(coeff, t) @ y
+        return dx.tolist()
 
     # rows of buf a step map reads: x_k, then each lag's node pair
-    reads = base + np.array([0] + [o for sb in lag_steps for o in (-sb, 1 - sb)])
-    for start, stop, maps in _map_chunks(a, coeffs, n_full, stage_times, h):
-        if maps is None:
-            for k in range(start, stop):
-                x = step(buf[base + k], k, h)
-                _check_state(x, (k + 1) * h)
-                buf[base + k + 1] = x
-            continue
-        for k, w in zip(range(start, stop), maps):
-            x = w @ buf.take(reads + k, axis=0).ravel()
-            _check_state(x, (k + 1) * h)
-            buf[base + k + 1] = x
-    times = np.arange(n_full + 1) * h
-    states = buf[base:]
-    if rem > 0.0:
-        # trailing partial step: delayed lookups interpolate inside the last
-        # grid cell, and the off-grid result never enters the lookup buffer
-        x = step(buf[-1], n_full, rem)
-        _check_state(x, t1)
-        times = np.append(times, t1)
-        states = np.vstack([states, x])
-    return Trajectory(times, states, h)
+    reads = np.array([0] + [o for b in lag_steps for o in (-b, 1 - b)])
+    _march(buf, base, 0.0, t1, h, f, a, coeffs, reads)
+    return Trajectory(times, buf[base:], h)

@@ -1,10 +1,14 @@
-"""Scalar oracle: a tree-walking evaluator and the per-point scans built on it.
+"""Scalar oracle: a tree-walking evaluator, the per-point scans built on it,
+and RK4 taken stage by stage.
 
 The library evaluates every sampled scan through the strict numpy batch
 evaluator.  These reference implementations evaluate one point at a time
 with Python floats and libm, checking every intermediate for finiteness, so
 the tests can pin the batches to an independent evaluator: same values
-within rounding, and the same first failing sample.
+within rounding, and the same first failing sample.  The integrators march
+on step maps and a Python-float stage loop with one escape check per
+chunk; :func:`stage_loop` is RK4 on numpy arrays with a check after every
+step, as the integrators once were.
 """
 
 from __future__ import annotations
@@ -16,10 +20,11 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from stabkit import expr as ex
-from stabkit import linalg
+from stabkit import linalg, odeint
 from stabkit.errors import (
     DimensionMismatchError,
     DomainError,
+    NonFiniteStateError,
     UnboundVariableError,
     UnknownIdentifierError,
 )
@@ -224,3 +229,45 @@ def first_failure(fn, rows):
         except DomainError as exc:
             return k, exc
     return None
+
+
+# --- RK4 stage by stage ------------------------------------------------------------
+
+def _check_state(x: np.ndarray, t: float) -> None:
+    # one reduction: a NaN propagates through max and fails the comparison
+    if not np.abs(x).max() <= odeint.ESCAPE_THRESHOLD:
+        raise NonFiniteStateError(t)
+
+
+def _rk4_step(f, x, t, h):
+    k1 = f(x, t)
+    k2 = f(x + 0.5 * h * k1, t + 0.5 * h)
+    k3 = f(x + 0.5 * h * k2, t + 0.5 * h)
+    k4 = f(x + h * k3, t + h)
+    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def stage_loop(sys, x0, t0: float, t1: float, h: float, f=None) -> np.ndarray:
+    """States of ``x' = f(x, t)`` (default ``rhs_callable``) from ``x0`` at
+    every step on ``[t0, t1]``: numpy RK4 stage by stage, each state
+    checked."""
+    f = f or sys.rhs_callable()
+    n_full, rem = odeint._grid(t0, t1, h)
+    x = np.asarray(x0, dtype=float)
+    states = [x]
+    for k in range(n_full):
+        x = _rk4_step(f, x, t0 + k * h, h)
+        _check_state(x, t0 + (k + 1) * h)
+        states.append(x)
+    if rem > 0.0:
+        x = _rk4_step(f, x, t0 + n_full * h, rem)
+        _check_state(x, t1)
+        states.append(x)
+    return np.array(states)
+
+
+def _stage_loop_matrix(sysd, t0, t1, h):
+    """Matrix RK4 taken stage by stage: the fundamental matrix at ``t1``."""
+    a = odeint._linear_coefficient(sysd)
+    return stage_loop(sysd, np.eye(sysd.dimension), t0, t1, h,
+                      lambda X, t: odeint._at(a, t) @ X)[-1]

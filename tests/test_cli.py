@@ -407,3 +407,42 @@ def test_nonfinite_period_or_lag_in_file_exits_2(tmp_path, capsys, name,
     assert rc == 2
     assert captured.out == ""
     assert word in captured.err and "finite and positive" in captured.err
+
+
+@pytest.mark.parametrize("doc,argv", [
+    ({"kind": "linear", "dimension": 1, "a": [[float("inf")]]},
+     ["simulate", "--x0", "1"]),
+    ({"kind": "linear", "dimension": 1, "a": [[float("nan")]]},
+     ["simulate", "--x0", "1"]),
+    ({"kind": "delay", "dimension": 1, "a": [[-1.0]],
+      "delays": [{"lag": 1.0, "coefficients": [[float("inf")]]}]},
+     ["simulate", "--x0", "1"]),
+    ({"kind": "nonlinear", "dimension": 1, "expressions": ["-g*x1"],
+      "params": {"g": float("inf")}}, ["simulate", "--x0", "1"]),
+    ({"kind": "periodic", "dimension": 2, "period": 2 * np.pi,
+      "coefficients": [["sin(t)", float("inf")], [0, -1]]}, ["floquet"]),
+    ({"kind": "discrete", "dimension": 1, "expressions": ["g*x1"],
+      "params": {"g": float("nan")}}, ["simulate", "--x0", "1", "--steps", "3"]),
+], ids=["linear-inf", "linear-nan", "delay-inf", "param-inf", "mixed-grid-inf",
+        "discrete-param-nan"])
+def test_nonfinite_numbers_in_file_exit_2(tmp_path, capsys, doc, argv):
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps({"name": "bad", **doc}))  # Infinity / NaN
+    rc = cli.run([argv[0], "--system", str(path), *argv[1:]])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "must be finite" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["discrete", "--system", "cubic_map", "--iterate", "10000000",
+     "--x0", "0.1,0.1"],
+    ["simulate", "--system", "cubic_map", "--steps", "10000000",
+     "--x0", "0.1,0.1"],
+])
+def test_orbit_beyond_the_sample_cap_exits_3(capsys, argv):
+    argv = [str(gallery_file(a)) if i == 2 else a for i, a in enumerate(argv)]
+    rc = cli.run(argv)
+    assert rc == 3
+    assert "SampleCapError" in capsys.readouterr().err

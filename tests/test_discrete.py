@@ -4,8 +4,9 @@ import pytest
 from stabkit import discrete as dc
 from stabkit import expr as ex
 from stabkit import odeint
-from stabkit.errors import NotAFixedPointError
+from stabkit.errors import NotAFixedPointError, SampleCapError
 from stabkit.lyapunov import CandidateV
+from stabkit.odeint import SAMPLE_CAP
 from conftest import gallery_system
 
 
@@ -105,6 +106,18 @@ def test_iterate_escape_flag():
     orbit = dc.iterate(disc, [1.0], 100)
     assert orbit.escaped
     assert len(orbit.states) < 101
+
+
+def test_iterate_escape_keeps_the_states_before_it():
+    orbit = dc.iterate(dc.DiscreteSystem(1, ("10*x1",)), [1.0], 100)
+    assert orbit.escaped
+    assert orbit.states[:, 0].tolist() == [10.0 ** k for k in range(13)]
+    assert orbit.indices.tolist() == list(range(13))
+
+
+def test_iterate_caps_the_orbit():
+    with pytest.raises(SampleCapError):
+        dc.iterate(dc.DiscreteSystem(1, ("0.5*x1",)), [1.0], SAMPLE_CAP)
 
 
 def test_delta_v_closed_form_point():

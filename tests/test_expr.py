@@ -7,6 +7,7 @@ from stabkit import expr as ex
 from stabkit.errors import (
     ArityMismatchError,
     DomainError,
+    InvalidArgumentError,
     ParseError,
     UnboundVariableError,
     UnknownIdentifierError,
@@ -98,6 +99,37 @@ def test_domain_errors_not_silent():
         ev("sqrt(-1)")
     with pytest.raises(DomainError):
         ev("(-2)^0.5")
+
+
+@pytest.mark.parametrize("text", [
+    "-x1 + 0/(1 + (1e200*x1)*(1e200*x1))",  # overflowing divisor
+    "x1 + exp(-(1e200*x1)*(1e200*x1))",     # exp(-inf) = 0
+    "x1 + pow(1e200*x1*1e200, 0)",          # pow(inf, 0) = 1
+    "x1 + (1e200*x1*1e200 - 1e200*x1*1e200)",  # inf - inf
+])
+def test_scalar_overflow_that_cancels_is_a_domain_error(text):
+    tree = ex.parse(text)
+    with pytest.raises(DomainError):
+        evaluate(tree, EvalContext((1.0,), 0.0))
+    with pytest.raises(DomainError):
+        ex.compile_expr(tree)((1.0,), 0.0)
+    with pytest.raises(DomainError):
+        ex.compile_vector([ex.parse("x1"), tree])([1.0], 0.0)
+
+
+def test_compile_vector_reports_the_first_failing_component():
+    fused = ex.compile_vector([ex.parse("x1"), ex.parse("log(x1 - 2)"),
+                               ex.parse("sqrt(x1 - 1)")])
+    assert fused([3.0], 0.0) == [3.0, 0.0, math.sqrt(2.0)]
+    with pytest.raises(DomainError) as err:
+        fused([0.5], 0.0)  # both the log and the sqrt fail
+    assert str(err.value) == "log of non-positive value -1.5"
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_nonfinite_numeric_entries_are_rejected(value):
+    with pytest.raises(InvalidArgumentError, match="must be finite"):
+        ex.as_expr(value)
 
 
 def test_param_named_k_shadows_discrete_index():
@@ -286,6 +318,13 @@ try:
         [-2.0, -0.5, 0.0, 0.25, 1.0, 3.0, 400.0])] * 2), min_size=1,
         max_size=6)
 
+    def _raises(run) -> bool:
+        try:
+            run()
+        except DomainError:
+            return True
+        return False
+
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(_edge_trees, _rows)
     def test_batch_strictness_agrees_with_oracle(tree, rows):
@@ -301,6 +340,14 @@ try:
                 except DomainError:
                     return k
             return None
+
+        # the scalar evaluators raise exactly where the walker does
+        scalar = ex.compile_expr(tree)
+        fused = ex.compile_vector([ex.Var("x2"), tree])
+        for row in rows:
+            walked = _raises(lambda: walk(row))
+            assert _raises(lambda: scalar(row, 0.0)) == walked
+            assert _raises(lambda: fused(list(row), 0.0)) == walked
 
         vec = ex.compile_expr_vec(tree)
         X = np.array(rows)

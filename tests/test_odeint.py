@@ -29,6 +29,7 @@ from stabkit.odeint import (
 )
 from stabkit.schema import load_system
 from conftest import GALLERY, gallery_system
+from scalar_oracle import _stage_loop_matrix, stage_loop
 
 
 def scalar_decay():
@@ -299,15 +300,17 @@ def test_delay_coefficients_go_through_coefficient_grid():
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e13, -1e13])
 @pytest.mark.parametrize("where", [0, -1])
 def test_check_state_rejects_nonfinite_and_escaped(bad, where):
-    x = np.full(4, 0.5)
-    x[where] = bad
+    rows = np.full((3, 4), 0.5)
+    rows[1, where] = bad
+    rows[2, where] = bad
     with pytest.raises(NonFiniteStateError) as err:
-        odeint._check_state(x, 2.5)
-    assert err.value.t == 2.5
+        odeint._check_rows(rows, lambda j: 2.5 + j)
+    assert err.value.t == 3.5
 
 
 def test_check_state_accepts_threshold():
-    odeint._check_state(np.array([odeint.ESCAPE_THRESHOLD, -1.0, 0.0]), 0.0)
+    odeint._check_rows(np.array([[odeint.ESCAPE_THRESHOLD, -1.0, 0.0]]),
+                       lambda j: 0.0)
 
 
 # --- history lookups ------------------------------------------------------------
@@ -406,20 +409,6 @@ LAGS = (Delay(0.5, [[0.3, 0.0], [0.1, 0.2]]),
         Delay(1.25, [[-0.2, 0.05], [0.0, 0.1]]))
 
 
-def _stage_loop_matrix(sysd, t0, t1, h):
-    """Matrix RK4 taken stage by stage, as the integrators once did."""
-    f = sysd.rhs_callable()
-    n_full, rem = odeint._grid(t0, t1, h)
-    X = np.eye(sysd.dimension)
-    for k in range(n_full):
-        X = odeint._rk4_step(f, X, t0 + k * h, h)
-        odeint._check_state(X, t0 + (k + 1) * h)
-    if rem > 0.0:
-        X = odeint._rk4_step(f, X, t0 + n_full * h, rem)
-        odeint._check_state(X, t1)
-    return X
-
-
 def test_dde_step_maps_match_stage_loop():
     history = HistoryFn.constant([1.0, -0.5], 1.25)
     general = SystemDef(2, Nonlinear(("-x1 + 0.5*x2", "-0.3*x1 - 2*x2")),
@@ -502,6 +491,97 @@ def test_delay_rotating_escape_time_unchanged():
         integrate_dde(ds, HistoryFn.constant(np.ones(2), 1.0),
                       10.0, dde_step([0.5, 1.0]))
     assert str(err.value) == "state escaped to non-finite values at t=8.146"
+
+
+# --- the march against the stage-by-stage oracle --------------------------------
+
+def _outcome(run):
+    """The states a run returns, or the type and message of what it raises."""
+    try:
+        return run()
+    except (NonFiniteStateError, DomainError) as exc:
+        return type(exc), str(exc)
+
+
+NONLINEAR_GALLERY = sorted(path.stem for path in GALLERY.glob("*.json")
+                           if load_system(path).kind == "nonlinear")
+
+
+@pytest.mark.parametrize("name", NONLINEAR_GALLERY)
+def test_nonlinear_gallery_integrate_matches_stage_loop(name):
+    sysd = gallery_system(name)
+    x0 = np.full(sysd.dimension, 0.5)
+    t1 = 2.1005  # 2100 steps, over two chunks, then a partial step
+    want = _outcome(lambda: stage_loop(sysd, x0, 0.0, t1, 1e-3))
+    got = _outcome(lambda: integrate(sysd, x0, 0.0, t1, 1e-3).states)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert len(want) == 2102 and np.array_equal(got, want)
+
+
+def test_nonlinear_gallery_is_covered():
+    assert len(NONLINEAR_GALLERY) >= 15
+
+
+_Z = 26.0 * 1e-3  # x' = 26 x at h = 1e-3: one RK4 step multiplies x by
+_GROWTH = 1.0 + _Z + _Z ** 2 / 2.0 + _Z ** 3 / 6.0 + _Z ** 4 / 24.0
+
+
+@pytest.mark.parametrize("j", [1, odeint.CHUNK + 1, 3 * odeint.CHUNK // 2,
+                               2 * odeint.CHUNK],
+                         ids=["first", "first-of-second", "middle", "last"])
+@pytest.mark.parametrize("rhs", [LinearConstant(np.array([[26.0]])),
+                                 Nonlinear(("26*x1",))],
+                         ids=["maps", "stages"])
+def test_escape_at_any_row_of_a_chunk(j, rhs):
+    # x_j = x0 g^j is the first state beyond the threshold, by a factor
+    # sqrt(g) on either side
+    x0 = odeint.ESCAPE_THRESHOLD * _GROWTH ** (0.5 - j)
+    with pytest.raises(NonFiniteStateError) as err:
+        integrate(SystemDef(1, rhs), [x0], 0.0, 2.5, 1e-3)
+    assert err.value.t == j * 1e-3
+
+
+def test_stage_loop_escape_wins_over_a_later_domain_error():
+    # the march runs on past the escape until x^2 overflows, then reports
+    # the escape; log(3 - t) would fail at t = 3
+    sysd = SystemDef(1, Nonlinear(("x1^2 + 0*log(3 - t)",)))
+    with pytest.raises(NonFiniteStateError) as want:
+        stage_loop(sysd, [1.0], 0.0, 5.0, 1e-3)
+    with pytest.raises(NonFiniteStateError) as got:
+        integrate(sysd, [1.0], 0.0, 5.0, 1e-3)
+    assert got.value.t == want.value.t == 1.0010000000000001
+
+
+@pytest.mark.parametrize("rhs", [Nonlinear(("log(2 - t)*x1",)),
+                                 LinearTimeVarying((("log(2 - t)",),))],
+                         ids=["stages", "maps"])
+def test_domain_error_message_matches_stage_loop(rhs):
+    sysd = SystemDef(1, rhs)
+    with pytest.raises(DomainError) as want:
+        stage_loop(sysd, [1.0], 0.0, 3.0, 1e-3)
+    with pytest.raises(DomainError) as got:
+        integrate(sysd, [1.0], 0.0, 3.0, 1e-3)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith("log of non-positive value")
+
+
+def test_integrate_matrix_keeps_one_chunk_of_states():
+    import tracemalloc
+
+    n, h, steps = 3, 1e-3, 50 * odeint.CHUNK
+    sysd = SystemDef(n, LinearTimeVarying((("-1", "sin(t)", "0"),
+                                           ("0", "-1", "cos(t)"),
+                                           ("0.1", "0", "-2"))))
+    integrate_matrix(sysd, 0.0, 0.1, h)  # first-call allocations
+    tracemalloc.start()
+    try:
+        integrate_matrix(sysd, 0.0, steps * h, h)
+        floats = tracemalloc.get_traced_memory()[1] / 8
+    finally:
+        tracemalloc.stop()
+    assert floats < 16 * odeint.CHUNK * n * n  # one matrix per step: 50x
 
 
 # --- metamorphic ------------------------------------------------------------------
