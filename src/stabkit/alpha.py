@@ -173,7 +173,8 @@ def rde_residual(sys: SystemDef, alpha: float, p,
     if callable(p):
         p = SampledMatrixFunction.from_callable(p, *t_grid)
     if not isinstance(p, SampledMatrixFunction):
-        raise TypeError("p must be a matrix, callable, or SampledMatrixFunction")
+        raise InvalidArgumentError(
+            "p must be a matrix, callable, or SampledMatrixFunction")
     a0a, aias = shifted_matrices(sys, alpha)
     times = p.times[1:-1]
     n = sys.dimension
@@ -387,14 +388,14 @@ def certify(sys: SystemDef, alpha: float, route: CertificateRoute,
     margin = None
     if route in (CertificateRoute.RDE, CertificateRoute.ALGEBRAIC_RDE):
         if p is None:
-            raise ValueError("residual routes verify a supplied P")
+            raise InvalidArgumentError("residual routes verify a supplied P")
         if callable(p) and not isinstance(p, SampledMatrixFunction):
             p = SampledMatrixFunction.from_callable(p, *rde_grid)
         residual = rde_residual(sys, alpha, p, t_grid=rde_grid)
     elif route is CertificateRoute.RATE_INEQUALITY:
         if p is None:
             if _varies(sys):
-                raise ValueError(
+                raise InvalidArgumentError(
                     "time-varying rate route verifies a supplied P(t)")
             p = solve_delay_lyapunov(sys.rhs.a, len(sys.delays))
         if callable(p) and not isinstance(p, SampledMatrixFunction):

@@ -19,6 +19,7 @@ from . import linalg
 from .errors import (
     ContinuumOfEquilibriaError,
     DomainError,
+    InvalidArgumentError,
     NotAnEquilibriumError,
     SingularError,
 )
@@ -94,7 +95,7 @@ def classify_linear(a, tol: float = linalg.DEFAULT_TOL) -> StabilityVerdict:
     """
     linalg.check_nonnegative(tol)
     m = linalg.as_matrix(a, square=True)
-    vals = linalg.eigenvalues(m, tol)
+    vals = linalg.eigenvalues(m)
     band = tol * (1.0 + float(np.linalg.norm(m, "fro")))
     signs = tuple(
         "pos" if v.real > band else ("neg" if v.real < -band else "zero")
@@ -132,13 +133,14 @@ def classify_critical_point_2d(a, tol: float = linalg.DEFAULT_TOL,
     """
     m = linalg.as_matrix(a, square=True)
     if m.shape != (2, 2):
-        raise ValueError("critical-point taxonomy is defined for 2x2 systems")
+        raise InvalidArgumentError(
+            "critical-point taxonomy is defined for 2x2 systems")
     scale = 1.0 + float(np.linalg.norm(m, "fro"))
     band = tol * scale
     if abs(np.linalg.det(m)) <= band * scale:
         raise ContinuumOfEquilibriaError(
             "singular matrix: continuum of equilibria")
-    l1, l2 = linalg.eigenvalues(m, tol)
+    l1, l2 = linalg.eigenvalues(m)
     if abs(l1.imag) > band or abs(l2.imag) > band:
         if abs(l1.real) <= band:
             return CriticalPointKind.CENTER

@@ -4,8 +4,14 @@ Eight subcommands map onto the library: ``classify``, ``linearize``,
 ``lyapunov``, ``attraction``, ``alpha``, ``floquet``, ``discrete``, and
 ``simulate``.  Systems come from JSON definition files (see
 ``stabkit/schemas/system.schema.json``); reports are JSON on stdout or
-``--out``; trajectories and orbits export as CSV.  Exit codes: 0 success,
-2 input/schema errors, 3 analysis errors.
+``--out``; trajectories and orbits export as CSV.
+
+Exit codes: 0 success; 2 an input error (:class:`SchemaError` for a file or
+flag that does not fit the system, :class:`InvalidArgumentError` for a value
+out of range, an expression that does not parse, or a named file that cannot
+be read or written); 3 an analysis error (every other
+:class:`StabkitError`, e.g. a domain error during evaluation or a scan
+beyond the sample cap).
 
 Output is deterministic for identical inputs: all sampling rides a fixed
 Halton sequence.
@@ -23,28 +29,39 @@ import numpy as np
 
 from . import __version__, alpha as alpha_mod, autonomous, discrete as discrete_mod
 from . import floquet as floquet_mod, linalg, lyapunov as lyap_mod
-from .errors import (ArityMismatchError, NonFiniteStateError, ParseError,
+from .errors import (ArityMismatchError, DimensionMismatchError,
+                     InvalidArgumentError, NonFiniteStateError, ParseError,
                      SchemaError, StabkitError, UnknownIdentifierError)
 from .odeint import HistoryFn, dde_step, integrate, integrate_dde
-from .schema import build_report, load_system
+from .schema import KINDS, build_report, load_system
 
 SCHEMA_POINTER = "see stabkit/schemas/system.schema.json for the file format"
 
+#: errors that exit 2; every other StabkitError exits 3
+_INPUT_ERRORS = (SchemaError, InvalidArgumentError, ParseError,
+                 UnknownIdentifierError, ArityMismatchError, OSError)
+_CONTINUOUS = ("nonlinear", "linear")
 
-def _parse_vector(text: str) -> np.ndarray:
+
+def _numbers(flag: str, text: str, n: int, rows: int | None = 1) -> np.ndarray:
+    """The numbers of a vector or matrix flag, checked against dimension n.
+
+    Rows are separated by ';' and hold n comma-separated numbers each:
+    ``rows=1`` gives a vector (1-D), ``rows=n`` an n x n matrix, and
+    ``rows=None`` one or more points (one per row).
+    """
     try:
-        return np.array([float(v) for v in text.split(",") if v.strip() != ""])
-    except ValueError:
-        raise SchemaError(f"cannot parse vector {text!r} (comma-separated numbers)")
-
-
-def _parse_points(text: str) -> list[np.ndarray]:
-    return [_parse_vector(chunk) for chunk in text.split(";") if chunk.strip()]
-
-
-def _parse_matrix(text: str) -> np.ndarray:
-    rows = [_parse_vector(chunk) for chunk in text.split(";") if chunk.strip()]
-    return np.vstack(rows)
+        values = [[float(v) for v in row.split(",") if v.strip()]
+                  for row in text.split(";") if row.strip()]
+    except ValueError:  # a word that is not a number
+        values = []
+    if not values or (rows and len(values) != rows) or \
+            any(len(row) != n for row in values):
+        shape = "" if rows == 1 else \
+            f"{rows or 'one or more'} ';'-separated rows of "
+        raise SchemaError(
+            f"--{flag} needs {shape}{n} comma-separated numbers, got {text!r}")
+    return np.array(values[0] if rows == 1 else values)
 
 
 def _emit(report: dict, out: str | None) -> None:
@@ -56,33 +73,47 @@ def _emit(report: dict, out: str | None) -> None:
         print(payload)
 
 
-def _load(path: str):
-    sf = load_system(path)
-    return sf, sf.build()
-
-
-def _orbit(sys_obj, args, steps: int) -> dict:
+def _orbit(system, args, steps: int) -> dict:
     """Iterate a discrete system from ``--x0``; export ``--csv`` if given."""
-    orbit = discrete_mod.iterate(sys_obj, _parse_vector(args.x0), steps)
+    orbit = discrete_mod.iterate(
+        system, _numbers("x0", args.x0, system.dimension), steps)
     if args.csv:
         orbit.to_csv(args.csv)
     return {"steps": int(orbit.indices[-1]), "escaped": orbit.escaped,
             "final_state": orbit.states[-1], "csv": args.csv}
 
 
-def _require_kind(sf, *kinds: str):
-    if sf.kind not in kinds:
-        raise SchemaError(
-            f"subcommand needs a {' or '.join(kinds)} system, got {sf.kind!r}")
+def _load_p_file(path: str, n: int):
+    """``--p-file``: ``{"matrix": n x n}`` or ``{"times": [...], "values":
+    [...]}`` with one n x n matrix per time; every number finite."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise SchemaError(f"--p-file is not JSON: {exc}") from None
+    doc = doc if isinstance(doc, dict) else {}
+    try:  # numpy refuses ragged, non-numeric and oversized entries
+        if "matrix" in doc:
+            p = np.array(doc["matrix"], dtype=float)
+            if p.shape == (n, n) and np.isfinite(p).all():
+                return p
+        elif "times" in doc and "values" in doc:
+            times = np.array(doc["times"], dtype=float)
+            values = np.array(doc["values"], dtype=float)
+            if values.shape == times.shape + (n, n) and \
+                    np.isfinite(times).all() and np.isfinite(values).all():
+                return alpha_mod.SampledMatrixFunction(times, values)
+    except (TypeError, ValueError, OverflowError, DimensionMismatchError):
+        pass
+    raise SchemaError(
+        f"--p-file needs 'matrix' ({n}x{n}), or 'times' (a uniform ascending "
+        f"grid of N >= 3) and 'values' (N x {n} x {n}), all finite numbers")
 
 
-# --- subcommand handlers ------------------------------------------------------------
+# --- subcommand handlers: each returns (result, tolerances) ----------------------
 
-def _cmd_classify(args, argv) -> dict:
-    started = time.perf_counter()
-    sf, sys_obj = _load(args.system)
-    _require_kind(sf, "linear")
-    a = sys_obj.rhs.a
+def _classify(args, system):
+    a = system.rhs.a
     verdict = autonomous.classify_linear(a, args.tol)
     result = {
         "kind": verdict.kind,
@@ -90,36 +121,30 @@ def _cmd_classify(args, argv) -> dict:
         "sign_classes": list(verdict.sign_classes),
         "bibo": verdict.bibo,
     }
-    if sf.dimension == 2:
+    if system.dimension == 2:
         try:
             result["critical_point"] = autonomous.classify_critical_point_2d(
                 a, args.tol)
         except StabkitError as exc:
             result["critical_point"] = None
             result["critical_point_note"] = str(exc)
-    return build_report("classify", argv, sf.meta(), result,
-                        {"eigen_tol": args.tol, "tol_band": verdict.tol_band},
-                        started)
+    return result, {"eigen_tol": args.tol, "tol_band": verdict.tol_band}
 
 
-def _cmd_linearize(args, argv) -> dict:
-    started = time.perf_counter()
-    sf, sys_obj = _load(args.system)
-    _require_kind(sf, "nonlinear", "linear")
-    points: list[np.ndarray] = []
+def _linearize(args, system):
     dropped = 0
     if args.point:
-        points = _parse_points(args.point)
+        points = list(_numbers("point", args.point, system.dimension, None))
     else:
         if not args.seeds:
             raise SchemaError("provide --seeds 'x1,x2;...' or --point")
-        seeds = _parse_points(args.seeds)
-        found = autonomous.find_equilibria(sys_obj, seeds, tol=args.tol)
+        seeds = list(_numbers("seeds", args.seeds, system.dimension, None))
+        found = autonomous.find_equilibria(system, seeds, tol=args.tol)
         dropped = len(seeds) - len(found)
         points = [eq.point for eq in found]
     reports = []
     for pt in points:
-        rep = autonomous.local_stability(sys_obj, pt, tol=max(args.tol, 1e-8))
+        rep = autonomous.local_stability(system, pt, tol=max(args.tol, 1e-8))
         reports.append({
             "point": rep.point,
             "jacobian": rep.jacobian,
@@ -130,85 +155,61 @@ def _cmd_linearize(args, argv) -> dict:
             "local": rep.local,
             "note": rep.note,
         })
-    result = {"equilibria": reports, "seeds_dropped": dropped}
-    return build_report("linearize", argv, sf.meta(), result,
-                        {"newton_tol": args.tol}, started)
+    return ({"equilibria": reports, "seeds_dropped": dropped},
+            {"newton_tol": args.tol})
 
 
-def _cmd_lyapunov(args, argv) -> dict:
-    started = time.perf_counter()
-    sf, sys_obj = _load(args.system)
-    modes = sum(bool(v) for v in (args.solve, args.candidate, args.instability))
-    if modes != 1:
+def _lyapunov_kinds(args) -> tuple[str, ...]:
+    """The kinds ``lyapunov`` takes, which depend on its one mode flag."""
+    modes = (args.solve, args.candidate, args.instability)
+    if sum(bool(v) for v in modes) != 1:
         raise SchemaError("choose exactly one of --solve / --candidate / "
                           "--instability")
-    tolerances = {"scan_samples": args.samples, "radius": args.radius,
-                  "t0": args.t0, "time_span": args.tspan}
+    return ("linear",) if args.solve else _CONTINUOUS
+
+
+def _lyapunov(args, system):
     if args.solve:
-        _require_kind(sf, "linear")
-        a = sys_obj.rhs.a
-        q = np.eye(sf.dimension) if args.q is None else _parse_matrix(args.q)
+        a = system.rhs.a
+        q = np.eye(system.dimension) if args.q is None else \
+            _numbers("q", args.q, system.dimension, system.dimension)
         p = lyap_mod.solve_lyapunov(a, q)
         residual = linalg.spectral_norm(a.T @ p + p @ a + q)
         verdict = linalg.definiteness(p)
-        result = {
+        return {
             "p": p,
             "residual": residual,
             "p_definiteness": verdict.kind,
             "asymptotically_stable": verdict.is_positive_definite,
             "q": q,
-        }
-        return build_report("lyapunov", argv, sf.meta(), result,
-                            {"residual_tol": 1e-9}, started)
-    _require_kind(sf, "nonlinear", "linear")
+        }, {"residual_tol": 1e-9}
     scan = lyap_mod.ScanConfig(points=args.samples, t0=args.t0,
                                time_span=args.tspan)
-    if args.candidate:
-        v = lyap_mod.CandidateV(args.candidate, params=dict(sys_obj.params))
-        report = lyap_mod.check_candidate(sys_obj, v, radius=args.radius,
-                                          scan=scan)
-        return build_report("lyapunov", argv, sf.meta(), report,
-                            tolerances, started)
-    w = lyap_mod.CandidateV(args.instability, params=dict(sys_obj.params))
-    report = lyap_mod.check_instability(sys_obj, w, radius=args.radius,
-                                        scan=scan)
-    return build_report("lyapunov", argv, sf.meta(), report, tolerances, started)
+    check = lyap_mod.check_candidate if args.candidate \
+        else lyap_mod.check_instability
+    v = lyap_mod.CandidateV(args.candidate or args.instability,
+                            params=dict(system.params))
+    return check(system, v, radius=args.radius, scan=scan), {
+        "scan_samples": args.samples, "radius": args.radius,
+        "t0": args.t0, "time_span": args.tspan}
 
 
-def _cmd_attraction(args, argv) -> dict:
-    started = time.perf_counter()
-    sf, sys_obj = _load(args.system)
-    _require_kind(sf, "nonlinear", "linear")
-    p = np.eye(sf.dimension) if args.p is None else _parse_matrix(args.p)
-    c_star = lyap_mod.attraction_region(sys_obj, p, args.cmax,
+def _attraction(args, system):
+    p = np.eye(system.dimension) if args.p is None else \
+        _numbers("p", args.p, system.dimension, system.dimension)
+    c_star = lyap_mod.attraction_region(system, p, args.cmax,
                                         levels=args.levels,
                                         directions=args.directions)
-    result = {"c_star": c_star, "p": p, "cmax": args.cmax,
-              "region": "x' P x <= c_star"}
-    return build_report("attraction", argv, sf.meta(), result,
-                        {"levels": args.levels, "directions": args.directions},
-                        started)
+    return ({"c_star": c_star, "p": p, "cmax": args.cmax,
+             "region": "x' P x <= c_star"},
+            {"levels": args.levels, "directions": args.directions})
 
 
-def _load_p_file(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if "matrix" in doc:
-        return np.asarray(doc["matrix"], dtype=float)
-    if "times" in doc and "values" in doc:
-        return alpha_mod.SampledMatrixFunction(
-            np.asarray(doc["times"], dtype=float),
-            np.asarray(doc["values"], dtype=float))
-    raise SchemaError("P file needs 'matrix' or 'times'+'values'")
-
-
-def _cmd_alpha(args, argv) -> dict:
-    started = time.perf_counter()
-    sf, sys_obj = _load(args.system)
-    _require_kind(sf, "delay")
+def _alpha(args, system):
     route = alpha_mod.CertificateRoute(args.route)
-    p = None if args.p_file is None else _load_p_file(args.p_file)
-    cert = alpha_mod.certify(sys_obj, args.alpha, route, p=p,
+    p = None if args.p_file is None else \
+        _load_p_file(args.p_file, system.dimension)
+    cert = alpha_mod.certify(system, args.alpha, route, p=p,
                              horizon=args.horizon,
                              residual_tol=args.residual_tol)
     result = {"certificate": cert, "valid": cert.valid}
@@ -216,71 +217,54 @@ def _cmd_alpha(args, argv) -> dict:
         result["max_alpha"] = alpha_mod.max_alpha(
             cert.inputs.eta, cert.inputs.p_norm, cert.inputs.a_norm_sq,
             cert.inputs.m, cert.inputs.h)
-    return build_report("alpha", argv, sf.meta(), result,
-                        {"residual_tol": args.residual_tol,
-                         "horizon": args.horizon}, started)
+    return result, {"residual_tol": args.residual_tol, "horizon": args.horizon}
 
 
-def _cmd_floquet(args, argv) -> dict:
-    started = time.perf_counter()
-    sf, sys_obj = _load(args.system)
-    _require_kind(sf, "periodic")
+def _floquet(args, system):
     if args.period is not None:
-        sys_obj = dataclasses.replace(sys_obj, period=args.period)
-    report = floquet_mod.floquet_report(sys_obj, h=args.step, tol=args.tol)
-    result = {
+        system = dataclasses.replace(system, period=args.period)
+    report = floquet_mod.floquet_report(system, h=args.step, tol=args.tol)
+    return {
         "monodromy": report.monodromy,
         "multipliers": list(report.multipliers),
         "liouville_lhs": report.liouville_lhs,
         "liouville_rhs": report.liouville_rhs,
         "relative_gap": report.relative_gap,
         "verdict": report.verdict,
-    }
-    return build_report("floquet", argv, sf.meta(), result,
-                        {"step": args.step, "modulus_tol": args.tol}, started)
+    }, {"step": args.step, "modulus_tol": args.tol}
 
 
-def _cmd_discrete(args, argv) -> dict:
-    started = time.perf_counter()
-    sf, sys_obj = _load(args.system)
-    _require_kind(sf, "discrete")
+def _discrete(args, system):
     if args.iterate is not None:
         if args.x0 is None:
             raise SchemaError("--iterate needs --x0")
-        return build_report("discrete", argv, sf.meta(),
-                            _orbit(sys_obj, args, args.iterate), {}, started)
+        return _orbit(system, args, args.iterate), {}
     if not args.candidate:
         raise SchemaError("provide --candidate EXPR or --iterate K --x0 ...")
-    v = lyap_mod.CandidateV(args.candidate, params=dict(sys_obj.params))
-    report = discrete_mod.classify_discrete(sys_obj, v, radius=args.radius,
+    v = lyap_mod.CandidateV(args.candidate, params=dict(system.params))
+    report = discrete_mod.classify_discrete(system, v, radius=args.radius,
                                             samples=args.samples)
-    return build_report("discrete", argv, sf.meta(), report,
-                        {"radius": args.radius, "samples": args.samples},
-                        started)
+    return report, {"radius": args.radius, "samples": args.samples}
 
 
-def _cmd_simulate(args, argv) -> dict:
-    started = time.perf_counter()
-    sf, sys_obj = _load(args.system)
-    result: dict = {"csv": args.csv}
-    if sf.kind == "discrete":
+def _simulate(args, system):
+    if isinstance(system, discrete_mod.DiscreteSystem):
         if args.steps is None:
             raise SchemaError("discrete systems simulate with --steps K")
-        return build_report("simulate", argv, sf.meta(),
-                            _orbit(sys_obj, args, args.steps),
-                            {"steps": args.steps}, started)
-    x0 = _parse_vector(args.x0)
+        return _orbit(system, args, args.steps), {"steps": args.steps}
+    result: dict = {"csv": args.csv}
+    x0 = _numbers("x0", args.x0, system.dimension)
     step = 1e-3 if args.step is None else args.step  # the integrators refuse 0
     try:
-        if sf.kind == "delay":
+        if system.delays:
             history = HistoryFn.constant(
-                x0 if args.history is None else _parse_vector(args.history),
-                sys_obj.max_lag)
-            traj = integrate_dde(sys_obj, history, args.t1, dde_step(
-                [d.lag for d in sys_obj.delays]) if args.step is None else step)
+                x0 if args.history is None else
+                _numbers("history", args.history, system.dimension),
+                system.max_lag)
+            traj = integrate_dde(system, history, args.t1, dde_step(
+                [d.lag for d in system.delays]) if args.step is None else step)
         else:
-            _require_kind(sf, "linear", "nonlinear", "periodic")
-            traj = integrate(sys_obj, x0, args.t0, args.t1, step)
+            traj = integrate(system, x0, args.t0, args.t1, step)
         if args.csv:
             traj.to_csv(args.csv)
         result.update({
@@ -294,8 +278,7 @@ def _cmd_simulate(args, argv) -> dict:
         result.update({"escaped": True, "escape_time": exc.t,
                        "note": "state escaped the finite range "
                                "(finite-time escape or divergence)"})
-    return build_report("simulate", argv, sf.meta(), result, {"step": step},
-                        started)
+    return result, {"step": step}
 
 
 # --- parser -------------------------------------------------------------------------
@@ -381,36 +364,46 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_HANDLERS = {
-    "classify": _cmd_classify,
-    "linearize": _cmd_linearize,
-    "lyapunov": _cmd_lyapunov,
-    "attraction": _cmd_attraction,
-    "alpha": _cmd_alpha,
-    "floquet": _cmd_floquet,
-    "discrete": _cmd_discrete,
-    "simulate": _cmd_simulate,
+#: subcommand -> (system kinds it takes, or a function of the arguments
+#: returning them; handler returning (result, tolerances))
+_COMMANDS = {
+    "classify": (("linear",), _classify),
+    "linearize": (_CONTINUOUS, _linearize),
+    "lyapunov": (_lyapunov_kinds, _lyapunov),
+    "attraction": (_CONTINUOUS, _attraction),
+    "alpha": (("delay",), _alpha),
+    "floquet": (("periodic",), _floquet),
+    "discrete": (("discrete",), _discrete),
+    "simulate": (KINDS, _simulate),
 }
 
 
 def run(argv: list[str]) -> int:
-    """Entry point used by tests: parse, dispatch, write the report."""
+    """Entry point used by tests: parse, load, analyse, write the report."""
     parser = make_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    kinds, handler = _COMMANDS[args.cmd]
     try:
-        report = _HANDLERS[args.cmd](args, argv)
-    except (SchemaError, ValueError, FileNotFoundError, json.JSONDecodeError,
-            ParseError, UnknownIdentifierError, ArityMismatchError) as exc:
+        started = time.perf_counter()
+        sf = load_system(args.system)
+        system = sf.build()
+        kinds = kinds(args) if callable(kinds) else kinds
+        if sf.kind not in kinds:
+            raise SchemaError(f"subcommand needs a {' or '.join(kinds)} "
+                              f"system, got {sf.kind!r}")
+        result, tolerances = handler(args, system)
+        _emit(build_report(args.cmd, argv, sf.meta(), result, tolerances,
+                           started), args.out)
+    except _INPUT_ERRORS as exc:
         print(f"stabkit: input error: {exc}\n{SCHEMA_POINTER}", file=sys.stderr)
         return 2
     except StabkitError as exc:
         print(f"stabkit: analysis error: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return 3
-    _emit(report, args.out)
     return 0
 
 

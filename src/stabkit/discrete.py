@@ -15,8 +15,8 @@ from enum import Enum
 import numpy as np
 
 from . import expr as ex
-from .errors import (DimensionMismatchError, NotAFixedPointError,
-                     SampleCapError)
+from .errors import (DimensionMismatchError, InvalidArgumentError,
+                     NotAFixedPointError, SampleCapError)
 from .lyapunov import (
     BLOCK,
     CandidateV,
@@ -32,7 +32,7 @@ from .odeint import (
     LinearConstant,
     Nonlinear,
     SystemDef,
-    _finite,
+    _params,
     _write_csv,
 )
 from .sampling import ball_points
@@ -52,7 +52,7 @@ class DiscreteSystem:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        _finite(list(self.params.values()), "parameters")
+        self.params = _params(self.params)
         comps = tuple(ex.as_expr(c, set(self.params)) for c in self.update)
         if len(comps) != self.dimension:
             raise DimensionMismatchError(
@@ -98,7 +98,7 @@ def euler_discretize(sys: SystemDef, T: float) -> DiscreteSystem:
     time becomes ``k * T``.
     """
     if T <= 0:
-        raise ValueError("sampling period must be positive")
+        raise InvalidArgumentError("sampling period must be positive")
     comps = _component_exprs(sys)
     kt = ex.Binary("*", ex.Number(float(T)), ex.Var("k"))
     update = []
@@ -125,14 +125,15 @@ def _component_exprs(sys: SystemDef) -> tuple[ex.Expr, ...]:
                 total = term if total is None else ex.Binary("+", total, term)
             out.append(total if total is not None else ex.Number(0.0))
         return tuple(out)
-    raise ValueError("euler_discretize needs a constant-linear or nonlinear system")
+    raise InvalidArgumentError(
+        "euler_discretize needs a constant-linear or nonlinear system")
 
 
 def iterate(sys: DiscreteSystem, x0, K: int) -> Orbit:
     """Apply the recurrence K times (at most ``SAMPLE_CAP`` states, as for
     a trajectory); truncate with a flag on escape."""
     if K < 0:
-        raise ValueError("iteration count must be nonnegative")
+        raise InvalidArgumentError("iteration count must be nonnegative")
     if K >= SAMPLE_CAP:
         raise SampleCapError(f"orbit would exceed {SAMPLE_CAP} samples")
     x = np.asarray(x0, dtype=float)

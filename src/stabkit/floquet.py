@@ -64,7 +64,7 @@ def multipliers(a) -> list[complex]:
     return linalg.eigenvalues(a)
 
 
-def liouville_check(sys: SystemDef, mults, h: float | None = None,
+def liouville_check(sys: SystemDef, mults,
                     panels: int = 10_000) -> tuple[float, float, float]:
     """Accuracy check: multiplier product against the integrated trace.
 
@@ -79,9 +79,9 @@ def liouville_check(sys: SystemDef, mults, h: float | None = None,
     for m in mults:
         prod *= complex(m)
     if abs(prod.imag) > 1e-9 * max(abs(prod), 1e-300):
-        raise ValueError("multiplier product has a non-real residue; "
-                         "multipliers of a real system must close under "
-                         "conjugation")
+        raise InvalidArgumentError(
+            "multiplier product has a non-real residue; multipliers of a "
+            "real system must close under conjugation")
     lhs = abs(prod)
     if panels % 2 == 1:
         panels += 1
@@ -106,7 +106,7 @@ def classify_periodic(mults, tol: float = 1e-6) -> PeriodicVerdict:
     rest inside: stable but not asymptotically.
     """
     if not mults:
-        raise ValueError("need at least one multiplier")
+        raise InvalidArgumentError("need at least one multiplier")
     moduli = [abs(complex(m)) for m in mults]
     if any(m > 1.0 + tol for m in moduli):
         return PeriodicVerdict.UNSTABLE

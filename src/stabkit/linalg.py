@@ -54,7 +54,7 @@ def _checked(a, square: bool, stack: bool) -> np.ndarray:
     if square and m.shape[-2] != m.shape[-1]:
         raise NonSquareError(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
-        raise ValueError("matrix entries must be finite")
+        raise InvalidArgumentError("matrix entries must be finite")
     return m
 
 
@@ -62,13 +62,11 @@ def _scale(m: np.ndarray) -> float:
     return max(float(np.linalg.norm(m, "fro")), NORM_FLOOR)
 
 
-def eigenvalues(m, tol: float = DEFAULT_TOL) -> list[complex]:
+def eigenvalues(m) -> list[complex]:
     """Eigenvalues of a square real matrix, with multiplicity.
 
     The spectrum of a real matrix is closed under conjugation; values are
-    returned sorted by (real, imag) for reproducibility.  ``tol`` is recorded
-    for callers that band decisions on it; the factorization itself is exact
-    to LAPACK accuracy.
+    returned sorted by (real, imag) for reproducibility, to LAPACK accuracy.
     """
     a = as_matrix(m, square=True)
     try:

@@ -39,8 +39,8 @@ from .errors import (
     NotAnEquilibriumError,
     SingularLyapunovOperatorError,
 )
-from .odeint import SystemDef
-from .sampling import ball_points, halton, sphere_directions
+from .odeint import SystemDef, _params
+from .sampling import ball_points, check_rows, halton, sphere_directions
 
 __all__ = [
     "solve_lyapunov", "CandidateV", "ScanConfig",
@@ -134,10 +134,10 @@ class CandidateV:
     fd_step: float = 1e-5
 
     def __post_init__(self):
+        self.params = _params(self.params)
         self.expression = ex.as_expr(self.expression, set(self.params))
         self._vec = ex.compile_expr_vec(self.expression, self.params)
-        self.time_dependent = "t" in ex.free_vars(self.expression) \
-            and "t" not in self.params
+        self.time_dependent = "t" in ex.free_vars(self.expression)
 
     @classmethod
     def quadratic(cls, p) -> "CandidateV":
@@ -255,6 +255,9 @@ def _check_window(t0: float, time_span: float,
     if not (np.isfinite(time_span) and time_span >= 0.0):
         raise InvalidArgumentError(
             f"time span must be finite and >= 0, got {time_span!r}")
+    if not np.isfinite(t0 + time_span):
+        raise InvalidArgumentError(
+            f"window end t0 + time span overflows: {t0!r} + {time_span!r}")
     if time_dependent and time_span == 0.0:
         raise InvalidArgumentError(
             "time span must be > 0 when the system or the candidate "
@@ -636,6 +639,7 @@ class QuadraticFormTV:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        self.params = _params(self.params)
         grid = [[ex.as_expr(e, set(self.params)) for e in row]
                 for row in self.entries]
         n = len(grid)
@@ -647,7 +651,7 @@ class QuadraticFormTV:
         self.entries = tuple(tuple(row) for row in grid)
         self._vec = [(i, j, ex.compile_expr_vec(grid[i][j], self.params))
                      for i in range(n) for j in range(i, n)]
-        self.time_dependent = "t" not in self.params and any(
+        self.time_dependent = any(
             "t" in ex.free_vars(e) for row in self.entries for e in row)
 
     @property
@@ -683,10 +687,12 @@ def sylvester_tv(q: QuadraticFormTV, t0: float, time_span: float = 50.0,
     ``sum x_j^2 < mu, t in [t0, t0 + time_span]``.  Raises
     :class:`InvalidArgumentError` for fewer than one point or time sample,
     a non-finite ``t0``, a non-finite or negative ``time_span``, and a zero
-    ``time_span`` when the form depends on t.
+    ``time_span`` when the form depends on t, and :class:`SampleCapError`
+    when ``x_points * time_samples`` exceeds ``SAMPLE_CAP``.
     """
     _require_samples(x_points)
     _require_samples(time_samples)
+    check_rows(x_points * time_samples, "x_points x time_samples")
     _check_window(t0, time_span, q.time_dependent)
     n = q.dimension
     if np.isscalar(deltas):
@@ -748,7 +754,9 @@ def attraction_region(sys: SystemDef, p, cmax: float, levels: int = 48,
     general only part of the true domain of attraction.  Raises
     :class:`NoRegionError` when violations appear arbitrarily close to the
     origin.  Raises :class:`InvalidArgumentError` unless ``levels`` and
-    ``directions`` are at least 1 and ``cmax`` is finite and positive.
+    ``directions`` are at least 1 and ``cmax`` is finite and positive, and
+    :class:`SampleCapError` when ``levels * directions`` exceeds
+    ``SAMPLE_CAP``.
 
     The ladder is checked in batches of levels (``BLOCK`` sample rows per
     call); a :class:`DomainError` names the first level that meets it,
@@ -758,12 +766,13 @@ def attraction_region(sys: SystemDef, p, cmax: float, levels: int = 48,
         raise InvalidArgumentError(
             f"need levels >= 1 and directions >= 1, got {levels} and "
             f"{directions}")
+    check_rows(levels * directions, "levels x directions")
     if not (np.isfinite(cmax) and cmax > 0.0):
         raise InvalidArgumentError(f"cmax must be finite and > 0, got {cmax!r}")
     pm = linalg.as_matrix(p, square=True)
     verdict = linalg.definiteness(pm)
     if not verdict.is_positive_definite:
-        raise ValueError("P must be positive definite")
+        raise InvalidArgumentError("P must be positive definite")
     fv = sys.rhs_vectorized()
     if float(np.linalg.norm(fv(np.zeros((1, sys.dimension)), t))) >= 1e-9:
         raise NotAnEquilibriumError("origin is not an equilibrium")

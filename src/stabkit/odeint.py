@@ -109,6 +109,7 @@ def coefficient_grid(entries, n: int, params: Mapping[str, float]):
     definition files may spell constants exactly ("exp(-0.4)/3") and still
     describe a time-invariant coefficient; otherwise the expression grid.
     """
+    params = _params(params)
     rows = entries.tolist() if isinstance(entries, np.ndarray) else entries
     if not isinstance(rows, (list, tuple)) or len(rows) != n or not all(
             isinstance(row, (list, tuple)) and len(row) == n for row in rows):
@@ -121,6 +122,19 @@ def coefficient_grid(entries, n: int, params: Mapping[str, float]):
             return grid
         rows = compile_matrix(grid, params)(0.0)
     return _finite(rows, "coefficient entries")
+
+
+def _params(params: Mapping[str, float]) -> dict:
+    """``params`` as a dict of finite values.  ``t`` and ``xK`` always mean
+    time and state in an expression, so they cannot name a parameter."""
+    params = dict(params)
+    for name in params:
+        if name == "t" or ex._VAR_RE.match(name):
+            raise InvalidArgumentError(
+                f"parameter name {name!r} is reserved for time or a state "
+                f"variable")
+    _finite(list(params.values()), "parameters")
+    return params
 
 
 def _finite(values, what: str) -> np.ndarray:
@@ -181,8 +195,7 @@ class SystemDef:
         n = self.dimension
         if n < 1:
             raise DimensionMismatchError("dimension must be >= 1")
-        self.params = dict(self.params)
-        _finite(list(self.params.values()), "parameters")
+        self.params = _params(self.params)
         rhs = self.rhs
         if isinstance(rhs, LinearConstant):
             a = _finite(rhs.a, "A")
@@ -231,6 +244,8 @@ class SystemDef:
         if not (math.isfinite(self.period) and self.period > 0):
             raise InvalidArgumentError(
                 f"period must be finite and positive, got {self.period!r}")
+        if not math.isfinite(2.0 * self.period):  # the check reads t + period
+            raise InvalidArgumentError(f"period {self.period!r} is too large")
         self.period = float(self.period)
         if not isinstance(self.rhs, LinearTimeVarying):
             return
@@ -259,10 +274,9 @@ class SystemDef:
         if isinstance(self.rhs, LinearConstant):
             return True
         if isinstance(self.rhs, LinearTimeVarying):
-            return not any("t" in ex.free_vars(e) and "t" not in self.params
+            return not any("t" in ex.free_vars(e)
                            for row in self.rhs.entries for e in row)
-        return not any("t" in ex.free_vars(c) and "t" not in self.params
-                       for c in self.rhs.components)
+        return not any("t" in ex.free_vars(c) for c in self.rhs.components)
 
     def rhs_callable(self) -> Callable[[np.ndarray, float], np.ndarray]:
         """Compiled evaluator of the undelayed right-hand side."""
@@ -481,7 +495,7 @@ def integrate(sys: SystemDef, x0, t0: float, t1: float, h: float) -> Trajectory:
     escaping step (cf. finite-time escape systems).
     """
     if sys.delays:
-        raise ValueError("system has delays; use integrate_dde")
+        raise InvalidArgumentError("system has delays; use integrate_dde")
     x = np.asarray(x0, dtype=float)
     if x.shape != (sys.dimension,):
         raise DimensionMismatchError(
@@ -583,7 +597,7 @@ def integrate_matrix(sys: SystemDef, t0: float, t1: float, h: float) -> np.ndarr
     the step map ``W_k`` per step.  The march keeps one chunk of states.
     """
     if isinstance(sys.rhs, Nonlinear):
-        raise ValueError("integrate_matrix requires a linear system")
+        raise InvalidArgumentError("integrate_matrix requires a linear system")
     n = sys.dimension
     a, f = _field(sys, (n, n))
     buf = np.empty((min(_grid(t0, t1, h)[0], CHUNK) + 2, n, n))
@@ -599,7 +613,8 @@ def dde_step(lags: Sequence[float], target: float = 1e-3) -> float:
         h = smallest / (m + extra)
         if all(abs(lag - round(lag / h) * h) <= 1e-9 for lag in lags):
             return h
-    raise ValueError(f"no common step near {target} divides lags {lags}")
+    raise InvalidArgumentError(
+        f"no common step near {target} divides lags {lags}")
 
 
 def integrate_dde(sys: SystemDef, history: HistoryFn, t1: float,
@@ -612,12 +627,13 @@ def integrate_dde(sys: SystemDef, history: HistoryFn, t1: float,
     whole steps land on grid nodes.
     """
     if not sys.delays:
-        raise ValueError("system has no delays; use integrate")
+        raise InvalidArgumentError("system has no delays; use integrate")
     times = _times(0.0, t1, h)
     lags = [d.lag for d in sys.delays]
     for lag in lags:
         if abs(lag - round(lag / h) * h) > 1e-9:
-            raise ValueError(f"step {h} does not divide delay lag {lag}")
+            raise InvalidArgumentError(
+                f"step {h} does not divide delay lag {lag}")
     if history.span < sys.max_lag - 1e-12:
         raise HistoryGapError(
             f"history covers [{-history.span}, 0] but max lag is {sys.max_lag}")

@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, SampleCapError
+from .odeint import SAMPLE_CAP
 
 __all__ = ["halton", "ball_points", "sphere_directions"]
 
@@ -72,10 +74,18 @@ def _radical_inverse(start: int, count: int, base: int) -> np.ndarray:
     return out
 
 
+def check_rows(rows: int, what: str) -> None:
+    """Refuse a scan of more than ``SAMPLE_CAP`` rows before it allocates."""
+    if rows > SAMPLE_CAP:
+        raise SampleCapError(
+            f"{what} would scan {rows} rows, more than {SAMPLE_CAP}")
+
+
 def halton(count: int, dims: int, start: int = 1) -> np.ndarray:
     """First ``count`` Halton points in (0, 1)^dims, indices from ``start``."""
     if dims > len(_PRIMES):
-        raise ValueError(f"halton sampling supports up to {len(_PRIMES)} dimensions")
+        raise InvalidArgumentError(
+            f"halton sampling supports up to {len(_PRIMES)} dimensions")
     out = np.empty((count, dims))
     for j in range(dims):
         out[:, j] = _radical_inverse(start, count, _PRIMES[j])
@@ -91,10 +101,13 @@ def ball_points(count: int, dim: int, radius: float,
     radius, exclude) and is prefix-stable in ``count``.  Raises
     :class:`InvalidArgumentError` unless ``radius`` is finite and
     ``radius > exclude >= 0`` (an empty shell would never accept a point)
-    and ``radius^2 * dim`` is finite (past it the norms overflow).
+    and ``radius^2`` is a normal number with ``radius^2 * dim`` finite (past
+    either end the norms underflow to 0 or overflow), and
+    :class:`SampleCapError` for more than ``SAMPLE_CAP`` points.
     """
     if count < 0:
         raise InvalidArgumentError(f"point count must be >= 0, got {count}")
+    check_rows(count, "the ball sample")
     if not (math.isfinite(radius) and radius > exclude >= 0.0):
         raise InvalidArgumentError(
             f"need a finite radius > exclude >= 0, got radius {radius!r} "
@@ -102,6 +115,9 @@ def ball_points(count: int, dim: int, radius: float,
     if not math.isfinite(radius * radius * dim):
         raise InvalidArgumentError(
             f"radius {radius!r} is too large: sample norms overflow")
+    if radius * radius < sys.float_info.min:
+        raise InvalidArgumentError(
+            f"radius {radius!r} is too small: sample norms underflow")
     points = np.empty((count, dim))
     got = 0
     # index 1 maps to a coordinate of exactly 0.0 in base 2 (radical inverse

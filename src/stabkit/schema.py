@@ -107,11 +107,11 @@ def load_system(source) -> SystemFile:
     if isinstance(source, dict):
         doc = source
     else:
-        text = Path(source).read_text(encoding="utf-8") \
-            if not str(source).lstrip().startswith("{") else str(source)
         try:
+            text = Path(source).read_text(encoding="utf-8") \
+                if not str(source).lstrip().startswith("{") else str(source)
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise SchemaError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise SchemaError("system file must be a JSON object")
@@ -123,7 +123,8 @@ def load_system(source) -> SystemFile:
     if not isinstance(name, str) or not name:
         raise SchemaError("field 'name' (non-empty string) is required")
     dimension = doc.get("dimension")
-    if not isinstance(dimension, int) or dimension < 1:
+    if not isinstance(dimension, int) or isinstance(dimension, bool) or \
+            dimension < 1:
         raise SchemaError("field 'dimension' (positive integer) is required")
     params = doc.get("params", {})
     if not isinstance(params, dict) or \

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from stabkit import cli
+from stabkit.odeint import SAMPLE_CAP
 from stabkit.schema import load_system, report_schema, save_system, system_schema
 from conftest import GALLERY, deadline, gallery_file
 
@@ -303,6 +304,11 @@ def test_alpha_negative_rate_without_p_file_exits_2(capsys):
      "--radius", "1e200"],
     ["discrete", "--system", "cubic_map", "--candidate", "x1^2 + x2^2",
      "--radius", "1e200"],
+    # below radius ~1.5e-154 the squared norms underflow to 0
+    ["lyapunov", "--system", "cubic_damping", "--candidate", "x1^2 + x2^2",
+     "--radius", "1e-300"],
+    ["lyapunov", "--system", "cubic_damping", "--candidate", "x1^2 + x2^2",
+     "--t0", "1e308", "--tspan", "1e308"],
     ["lyapunov", "--system", "cubic_damping", "--candidate",
      "x1^2 + x2^2 + exp(-1e400)"],
     ["classify", "--system", "coupled_decay", "--tol", "nan"],
@@ -358,6 +364,8 @@ def test_invalid_scan_arguments_exit_2(capsys, argv):
     (["floquet", "--system", "periodic_rotation", "--period", "inf"], "period"),
     (["floquet", "--system", "periodic_rotation", "--period", "0"], "period"),
     (["floquet", "--system", "periodic_rotation", "--period=-1"], "period"),
+    (["floquet", "--system", "periodic_rotation", "--period", "1e308"],
+     "period"),
 ], ids=lambda v: " ".join(v[0:1] + v[3:]) if isinstance(v, list) else v)
 def test_nonfinite_time_arguments_exit_2(capsys, argv, word):
     argv = [str(gallery_file(a)) if i == 2 else a for i, a in enumerate(argv)]
@@ -446,3 +454,125 @@ def test_orbit_beyond_the_sample_cap_exits_3(capsys, argv):
     rc = cli.run(argv)
     assert rc == 3
     assert "SampleCapError" in capsys.readouterr().err
+
+
+NUMPY_TEXT = ("broadcast", "concatenation axis", "could not convert",
+              "input array", "index out of range", "float() argument")
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["lyapunov", "--system", "damped_spring", "--solve", "--q", "1,2;3"],
+     "--q"),
+    (["attraction", "--system", "vanderpol", "--cmax", "1", "--p", "1,0;0"],
+     "--p"),
+    (["attraction", "--system", "vanderpol", "--cmax", "1",
+      "--p", "1,0,0;0,1,0;0,0,1"], "--p"),
+    (["linearize", "--system", "pendulum", "--seeds", "1,1,1"], "--seeds"),
+    (["linearize", "--system", "pendulum", "--point", "1"], "--point"),
+    (["simulate", "--system", "delay_coupled", "--x0", "1,1",
+      "--history", "1,2,3"], "--history"),
+    (["simulate", "--system", "pendulum", "--x0", "1,2,3"], "--x0"),
+    (["simulate", "--system", "pendulum", "--x0", "1,a"], "--x0"),
+    (["discrete", "--system", "cubic_map", "--iterate", "3", "--x0", ""],
+     "--x0"),
+], ids=lambda v: " ".join(v[0:1] + v[3:]) if isinstance(v, list) else v)
+def test_vector_and_matrix_flags_are_checked_against_the_dimension(
+        capsys, argv, flag):
+    argv = [str(gallery_file(a)) if i == 2 else a for i, a in enumerate(argv)]
+    rc = cli.run(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"stabkit: input error: {flag} needs ")
+    assert not any(text in captured.err for text in NUMPY_TEXT)
+
+
+@pytest.mark.parametrize("doc", [
+    {"matrix": [1, 2]}, 5, {"matrix": "abc"}, {"matrix": [[1, 0], [0]]},
+    {"matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]},
+    {"matrix": [[1e400, 0], [0, 1]]}, {"times": [0, 1, 2], "values": "abc"},
+    {"times": [0, 1, 2], "values": [[[1, 0], [0, 1]]] * 2},
+    {"times": [0, 1, 5], "values": [[[1, 0], [0, 1]]] * 3},
+], ids=["vector", "number", "string", "ragged", "3x3", "inf", "values-string",
+        "values-count", "uneven-times"])
+def test_malformed_p_file_exits_2_naming_the_flag(tmp_path, capsys, doc):
+    pfile = tmp_path / "p.json"
+    pfile.write_text(json.dumps(doc))
+    rc = cli.run(["alpha", "--system", str(gallery_file("delay_coupled")),
+                  "--alpha", "0.4", "--route", "rde", "--p-file", str(pfile)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "--p-file" in captured.err
+    assert not any(text in captured.err for text in NUMPY_TEXT)
+
+
+def test_sampled_p_file_is_read(tmp_path, capsys):
+    pfile = tmp_path / "p.json"
+    pfile.write_text(json.dumps({"times": [0, 1, 2, 3],
+                                 "values": [[[0.5, 0], [0, 0.25]]] * 4}))
+    rc, rep = run_cli(["alpha", "--system", gallery_file("delay_coupled"),
+                       "--alpha", "0.4", "--route", "rde", "--p-file", pfile,
+                       "--horizon", "0"], capsys)
+    assert rc == 0
+    assert rep["result"]["certificate"]["p_kind"] == "sampled"
+
+
+@pytest.mark.parametrize("cmd", ["classify", "alpha"])
+def test_unwritable_out_file_exits_2(capsys, cmd):
+    system = "saddle" if cmd == "classify" else "delay_coupled"
+    rc = cli.run([cmd, "--system", str(gallery_file(system)),
+                  "--out", "/nonexistent/r.json"] +
+                 (["--alpha", "0.4", "--horizon", "0"] if cmd == "alpha" else []))
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("stabkit: input error: ")
+    assert "/nonexistent/r.json" in captured.err
+
+
+def test_undecodable_files_exit_2(tmp_path, capsys):
+    binary = tmp_path / "bin.json"
+    binary.write_bytes(b"\xff\xfe\x00")
+    rc = cli.run(["classify", "--system", str(binary)])
+    assert rc == 2
+    rc = cli.run(["alpha", "--system", str(gallery_file("delay_coupled")),
+                  "--alpha", "0.4", "--route", "rde", "--p-file", str(binary)])
+    assert rc == 2
+    assert "--p-file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["attraction", "--system", "vanderpol", "--cmax", "1",
+     "--levels", str(SAMPLE_CAP + 1), "--directions", "1"],
+    ["attraction", "--system", "vanderpol", "--cmax", "1",
+     "--levels", "1", "--directions", str(SAMPLE_CAP + 1)],
+    ["attraction", "--system", "vanderpol", "--cmax", "1",
+     "--levels", "2", "--directions", str(SAMPLE_CAP // 2 + 1)],
+    ["lyapunov", "--system", "cubic_damping", "--candidate", "x1^2 + x2^2",
+     "--samples", str(SAMPLE_CAP + 1)],
+    ["lyapunov", "--system", "uniform_growth", "--instability", "x1^2 + x2^2",
+     "--samples", str(SAMPLE_CAP + 1)],
+    ["discrete", "--system", "cubic_map", "--candidate", "x1^2 + x2^2",
+     "--samples", str(SAMPLE_CAP + 1)],
+], ids=lambda argv: " ".join(argv[0:1] + argv[5:]))
+def test_scans_beyond_the_sample_cap_exit_3(capsys, argv):
+    argv = [str(gallery_file(a)) if i == 2 else a for i, a in enumerate(argv)]
+    with deadline(10.0):
+        rc = cli.run(argv)
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.err.startswith("stabkit: analysis error: SampleCapError: ")
+
+
+@pytest.mark.parametrize("params", [{"t": 2.0}, {"x1": 1.0}, {"x12": 1.0}])
+def test_time_or_state_named_parameter_in_file_exits_2(tmp_path, capsys,
+                                                        params):
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps({"name": "p", "kind": "nonlinear",
+                                "dimension": 1, "expressions": ["-2*x1"],
+                                "params": params}))
+    rc = cli.run(["simulate", "--system", str(path), "--x0", "1"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "reserved" in captured.err

@@ -9,9 +9,11 @@ from stabkit.errors import (
     InvalidCandidateError,
     NoRegionError,
     NotAnEquilibriumError,
+    SampleCapError,
     SingularLyapunovOperatorError,
 )
-from stabkit.odeint import LinearConstant, Nonlinear, SystemDef
+from stabkit.odeint import SAMPLE_CAP, LinearConstant, Nonlinear, SystemDef
+from stabkit.sampling import ball_points
 from conftest import gallery_system
 
 
@@ -306,3 +308,24 @@ def test_empty_window_allowed_when_nothing_depends_on_t():
     rep = ly.sylvester_tv(ly.QuadraticFormTV((("2", "0"), ("0", "1"))), 0.0,
                           time_span=0.0, x_points=8, time_samples=2)
     assert rep.positive_definite
+
+
+def test_scans_refuse_more_rows_than_the_sample_cap():
+    # each count is just above the cap, refused before anything is allocated
+    with pytest.raises(SampleCapError):
+        ball_points(SAMPLE_CAP + 1, 2, 1.0)
+    form = ly.QuadraticFormTV((("1", "0"), ("0", "1")))
+    with pytest.raises(SampleCapError):
+        ly.sylvester_tv(form, 0.0, x_points=SAMPLE_CAP // 128 + 1,
+                        time_samples=128)
+    with pytest.raises(SampleCapError):
+        ly.attraction_region(gallery_system("vanderpol"), np.eye(2), 1.0,
+                             levels=SAMPLE_CAP // 512 + 1, directions=512)
+
+
+def test_radius_and_window_ends_must_stay_in_range():
+    with pytest.raises(InvalidArgumentError, match="underflow"):
+        ball_points(4, 2, 1e-160)
+    assert len(ball_points(4, 2, 1e-150)) == 4
+    with pytest.raises(InvalidArgumentError, match="overflows"):
+        ly.ScanConfig(t0=1e308, time_span=1e308)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from stabkit import discrete as dc
+from stabkit import lyapunov as ly
 from stabkit import odeint
 from stabkit.errors import (
     DimensionMismatchError,
@@ -274,9 +275,9 @@ def test_coefficient_grid_keeps_varying_entries_as_expressions():
     grid = odeint.coefficient_grid([["sin(t)", 0], [0, 1]], 2, {})
     assert not isinstance(grid, np.ndarray)
     assert compile_matrix(grid)(0.5)[0, 0] == math.sin(0.5)
-    # a parameter named t shadows time
-    assert isinstance(odeint.coefficient_grid([["t"]], 1, {"t": 2.0}),
-                      np.ndarray)
+    # t is always time: a parameter cannot take its name
+    with pytest.raises(InvalidArgumentError, match="reserved"):
+        odeint.coefficient_grid([["t"]], 1, {"t": 2.0})
 
 
 @pytest.mark.parametrize("entries", [
@@ -598,3 +599,27 @@ def test_dde_with_zero_delay_coefficients_matches_ode(rhs):
     assert np.array_equal(traj.times, plain.times)
     np.testing.assert_allclose(traj.states, plain.states, rtol=1e-12,
                                atol=1e-14)
+
+
+# --- parameter names ----------------------------------------------------------------
+
+@pytest.mark.parametrize("name", ["t", "x1", "x2", "x10"])
+@pytest.mark.parametrize("build", [
+    lambda p: SystemDef(1, Nonlinear(("-x1",)), params=p),
+    lambda p: SystemDef(1, LinearTimeVarying((("-1",),)), params=p),
+    lambda p: dc.DiscreteSystem(1, ("0.5*x1",), params=p),
+    lambda p: ly.CandidateV("x1^2", params=p),
+    lambda p: ly.QuadraticFormTV((("1",),), params=p),
+], ids=["nonlinear", "time-varying", "discrete", "candidate", "form"])
+def test_time_and_state_cannot_name_a_parameter(build, name):
+    with pytest.raises(InvalidArgumentError, match="reserved"):
+        build({name: 2.0})
+
+
+def test_k_and_other_names_stay_parameters():
+    sysd = SystemDef(1, Nonlinear(("-k*x1",)), params={"k": 2.0, "x0": 1.0})
+    assert sysd.is_autonomous()
+    assert sysd.rhs_callable()(np.array([1.0]), 5.0).tolist() == [-2.0]
+    assert ly.CandidateV("t*x1^2").time_dependent
+    assert ly.CandidateV("t*x1^2").value([1.0], 5.0) == 5.0
+    assert ly.QuadraticFormTV((("t",),)).time_dependent
