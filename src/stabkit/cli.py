@@ -20,6 +20,7 @@ Halton sequence.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
@@ -39,7 +40,7 @@ SCHEMA_POINTER = "see stabkit/schemas/system.schema.json for the file format"
 
 #: errors that exit 2; every other StabkitError exits 3
 _INPUT_ERRORS = (SchemaError, InvalidArgumentError, ParseError,
-                 UnknownIdentifierError, ArityMismatchError, OSError)
+                 UnknownIdentifierError, ArityMismatchError)
 _CONTINUOUS = ("nonlinear", "linear")
 
 
@@ -64,10 +65,19 @@ def _numbers(flag: str, text: str, n: int, rows: int | None = 1) -> np.ndarray:
     return np.array(values[0] if rows == 1 else values)
 
 
+@contextlib.contextmanager
+def _named_file(flag: str, path: str):
+    """Report an ``OSError`` on the file ``--flag`` names as an input error."""
+    try:
+        yield
+    except OSError as exc:
+        raise SchemaError(f"--{flag} {path}: {exc.strerror or exc}") from None
+
+
 def _emit(report: dict, out: str | None) -> None:
     payload = json.dumps(report, indent=2, sort_keys=True)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
+        with _named_file("out", out), open(out, "w", encoding="utf-8") as fh:
             fh.write(payload + "\n")
     else:
         print(payload)
@@ -78,15 +88,17 @@ def _orbit(system, args, steps: int) -> dict:
     orbit = discrete_mod.iterate(
         system, _numbers("x0", args.x0, system.dimension), steps)
     if args.csv:
-        orbit.to_csv(args.csv)
+        with _named_file("csv", args.csv):
+            orbit.to_csv(args.csv)
     return {"steps": int(orbit.indices[-1]), "escaped": orbit.escaped,
             "final_state": orbit.states[-1], "csv": args.csv}
 
 
 def _load_p_file(path: str, n: int):
-    """``--p-file``: ``{"matrix": n x n}`` or ``{"times": [...], "values":
-    [...]}`` with one n x n matrix per time; every number finite."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """``--p-file``: ``{"matrix": n x n}``, or ``{"times": [...], "values":
+    [...]}`` with n x n values (the grid rules are
+    :class:`alpha.SampledMatrixFunction`'s); every number finite."""
+    with _named_file("p-file", path), open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
@@ -100,14 +112,15 @@ def _load_p_file(path: str, n: int):
         elif "times" in doc and "values" in doc:
             times = np.array(doc["times"], dtype=float)
             values = np.array(doc["values"], dtype=float)
-            if values.shape == times.shape + (n, n) and \
+            if values.shape[-2:] == (n, n) and \
                     np.isfinite(times).all() and np.isfinite(values).all():
                 return alpha_mod.SampledMatrixFunction(times, values)
-    except (TypeError, ValueError, OverflowError, DimensionMismatchError):
+    except (TypeError, ValueError, OverflowError):
         pass
-    raise SchemaError(
-        f"--p-file needs 'matrix' ({n}x{n}), or 'times' (a uniform ascending "
-        f"grid of N >= 3) and 'values' (N x {n} x {n}), all finite numbers")
+    except DimensionMismatchError as exc:
+        raise SchemaError(f"--p-file: {exc}") from None
+    raise SchemaError(f"--p-file needs 'matrix' ({n}x{n}), or 'times' and "
+                      f"'values' ({n}x{n} each), all finite numbers")
 
 
 # --- subcommand handlers: each returns (result, tolerances) ----------------------
@@ -266,7 +279,8 @@ def _simulate(args, system):
         else:
             traj = integrate(system, x0, args.t0, args.t1, step)
         if args.csv:
-            traj.to_csv(args.csv)
+            with _named_file("csv", args.csv):
+                traj.to_csv(args.csv)
         result.update({
             "escaped": False,
             "t_end": float(traj.times[-1]),

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import expr as ex
 from .errors import (DimensionMismatchError, InvalidArgumentError,
-                     NotAFixedPointError, SampleCapError)
+                     NotAFixedPointError)
 from .lyapunov import (
     BLOCK,
     CandidateV,
@@ -28,10 +28,10 @@ from .lyapunov import (
 )
 from .odeint import (
     ESCAPE_THRESHOLD,
-    SAMPLE_CAP,
     LinearConstant,
     Nonlinear,
     SystemDef,
+    _cap_samples,
     _params,
     _write_csv,
 )
@@ -134,8 +134,7 @@ def iterate(sys: DiscreteSystem, x0, K: int) -> Orbit:
     a trajectory); truncate with a flag on escape."""
     if K < 0:
         raise InvalidArgumentError("iteration count must be nonnegative")
-    if K >= SAMPLE_CAP:
-        raise SampleCapError(f"orbit would exceed {SAMPLE_CAP} samples")
+    _cap_samples(K + 1, "orbit")
     x = np.asarray(x0, dtype=float)
     if x.shape != (sys.dimension,):
         raise DimensionMismatchError(f"x0 must have length {sys.dimension}")

@@ -39,8 +39,8 @@ from .errors import (
     NotAnEquilibriumError,
     SingularLyapunovOperatorError,
 )
-from .odeint import SystemDef, _params
-from .sampling import ball_points, check_rows, halton, sphere_directions
+from .odeint import SystemDef, _cap_samples, _params
+from .sampling import ball_points, halton, sphere_directions
 
 __all__ = [
     "solve_lyapunov", "CandidateV", "ScanConfig",
@@ -692,7 +692,7 @@ def sylvester_tv(q: QuadraticFormTV, t0: float, time_span: float = 50.0,
     """
     _require_samples(x_points)
     _require_samples(time_samples)
-    check_rows(x_points * time_samples, "x_points x time_samples")
+    _cap_samples(x_points * time_samples, "x_points x time_samples")
     _check_window(t0, time_span, q.time_dependent)
     n = q.dimension
     if np.isscalar(deltas):
@@ -766,7 +766,7 @@ def attraction_region(sys: SystemDef, p, cmax: float, levels: int = 48,
         raise InvalidArgumentError(
             f"need levels >= 1 and directions >= 1, got {levels} and "
             f"{directions}")
-    check_rows(levels * directions, "levels x directions")
+    _cap_samples(levels * directions, "levels x directions")
     if not (np.isfinite(cmax) and cmax > 0.0):
         raise InvalidArgumentError(f"cmax must be finite and > 0, got {cmax!r}")
     pm = linalg.as_matrix(p, square=True)

@@ -387,6 +387,12 @@ class HistoryFn:
 
 # --- integrators ----------------------------------------------------------------
 
+def _cap_samples(count: int, what: str) -> None:
+    """Refuse more than ``SAMPLE_CAP`` samples before anything allocates."""
+    if count > SAMPLE_CAP:
+        raise SampleCapError(f"{what} would exceed {SAMPLE_CAP} samples")
+
+
 def _grid(t0: float, t1: float, h: float) -> tuple[int, float]:
     """Number of full steps and the (possibly zero) trailing remainder."""
     if not (math.isfinite(t0) and math.isfinite(t1)):
@@ -642,8 +648,7 @@ def integrate_dde(sys: SystemDef, history: HistoryFn, t1: float,
     coeffs = _delay_coefficients(sys)
     lag_steps = [round(lag / h) for lag in lags]
     base = round(sys.max_lag / h)  # index of the t=0 grid node
-    if base + len(times) > SAMPLE_CAP:
-        raise SampleCapError(f"trajectory would exceed {SAMPLE_CAP} samples")
+    _cap_samples(base + len(times), "trajectory")
     buf = np.empty((base + len(times), sys.dimension))
     buf[:base + 1] = history(-(base - np.arange(base + 1)) * h)
 

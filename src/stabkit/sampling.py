@@ -15,8 +15,8 @@ import sys
 
 import numpy as np
 
-from .errors import InvalidArgumentError, SampleCapError
-from .odeint import SAMPLE_CAP
+from .errors import InvalidArgumentError
+from .odeint import _cap_samples
 
 __all__ = ["halton", "ball_points", "sphere_directions"]
 
@@ -74,13 +74,6 @@ def _radical_inverse(start: int, count: int, base: int) -> np.ndarray:
     return out
 
 
-def check_rows(rows: int, what: str) -> None:
-    """Refuse a scan of more than ``SAMPLE_CAP`` rows before it allocates."""
-    if rows > SAMPLE_CAP:
-        raise SampleCapError(
-            f"{what} would scan {rows} rows, more than {SAMPLE_CAP}")
-
-
 def halton(count: int, dims: int, start: int = 1) -> np.ndarray:
     """First ``count`` Halton points in (0, 1)^dims, indices from ``start``."""
     if dims > len(_PRIMES):
@@ -107,7 +100,7 @@ def ball_points(count: int, dim: int, radius: float,
     """
     if count < 0:
         raise InvalidArgumentError(f"point count must be >= 0, got {count}")
-    check_rows(count, "the ball sample")
+    _cap_samples(count, "the ball sample")
     if not (math.isfinite(radius) and radius > exclude >= 0.0):
         raise InvalidArgumentError(
             f"need a finite radius > exclude >= 0, got radius {radius!r} "

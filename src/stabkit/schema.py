@@ -113,6 +113,9 @@ def load_system(source) -> SystemFile:
             doc = json.loads(text)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise SchemaError(f"invalid JSON: {exc}") from None
+        except OSError as exc:
+            raise SchemaError(f"cannot read {source}: {exc.strerror or exc}") \
+                from None
     if not isinstance(doc, dict):
         raise SchemaError("system file must be a JSON object")
 

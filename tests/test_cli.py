@@ -325,6 +325,7 @@ def test_invalid_scan_arguments_exit_2(capsys, argv):
     assert rc == 2
     assert captured.out == ""
     assert "input error" in captured.err
+    assert "did not finish" not in captured.err
     assert "zero-size" not in captured.err
     assert "negative dimensions" not in captured.err
 
@@ -529,6 +530,34 @@ def test_unwritable_out_file_exits_2(capsys, cmd):
     assert captured.out == ""
     assert captured.err.startswith("stabkit: input error: ")
     assert "/nonexistent/r.json" in captured.err
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["simulate", "--system", "pendulum", "--x0", "1,0", "--t1", "0.1",
+      "--csv"], "--csv"),
+    (["discrete", "--system", "cubic_map", "--iterate", "3", "--x0",
+      "0.1,0.1", "--csv"], "--csv"),
+    (["alpha", "--system", "delay_coupled", "--alpha", "0.4", "--route",
+      "rde", "--p-file"], "--p-file"),
+])
+def test_missing_named_files_exit_2_naming_the_flag(capsys, argv, flag):
+    argv = [str(gallery_file(a)) if i == 2 else a for i, a in enumerate(argv)]
+    rc = cli.run(argv + ["/nonexistent/f"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"stabkit: input error: {flag} /nonexistent/f")
+
+
+def test_a_timeout_is_not_an_input_error(monkeypatch):
+    """A TimeoutError is an OSError too, but only an OSError on a named file
+    is an input error: a test deadline still reports a hang as one."""
+    def hang(*args):
+        raise TimeoutError("did not finish")
+
+    monkeypatch.setattr(cli.autonomous, "classify_linear", hang)
+    with pytest.raises(TimeoutError):
+        cli.run(["classify", "--system", str(gallery_file("saddle"))])
 
 
 def test_undecodable_files_exit_2(tmp_path, capsys):
