@@ -305,10 +305,13 @@ def envelope_cross_check(traj: Trajectory, alpha: float,
     """
     norms = traj.norms()
     t1 = float(traj.times[-1])
-    grow = norms * np.exp(alpha * traj.times)
-    first = traj.times <= 0.5 * t1
-    c = float(grow[first].max())
-    verified = bool(np.all(norms <= c * np.exp(-alpha * traj.times) * (1 + slack)))
+    # an envelope past float range (alpha * t beyond ~709) verifies nothing
+    with np.errstate(over="ignore", invalid="ignore"):
+        grow = norms * np.exp(alpha * traj.times)
+        first = traj.times <= 0.5 * t1
+        c = float(grow[first].max())
+        verified = math.isfinite(c) and bool(np.all(
+            norms <= c * np.exp(-alpha * traj.times) * (1 + slack)))
     return EnvelopeFit(c, alpha, verified, (float(traj.times[0]), t1))
 
 

@@ -193,6 +193,12 @@ def jacobian_fd(sys: SystemDef, x, t: float = 0.0, h: float = 1e-5) -> np.ndarra
     return jac
 
 
+def _residual(fx) -> float:
+    """``||f(x)||``, or inf past float range: no root is that far off."""
+    with np.errstate(over="ignore"):
+        return float(np.linalg.norm(fx))
+
+
 def find_equilibria(sys: SystemDef, seeds, tol: float = 1e-10,
                     max_iter: int = 100, max_halvings: int = 30,
                     merge_tol: float = 1e-6) -> list[Equilibrium]:
@@ -211,7 +217,7 @@ def find_equilibria(sys: SystemDef, seeds, tol: float = 1e-10,
         for _ in range(max_iter):
             try:
                 fx = f(x, 0.0)
-                r0 = float(np.linalg.norm(fx))
+                r0 = _residual(fx)
                 if r0 < tol:
                     ok = True
                     break
@@ -222,7 +228,7 @@ def find_equilibria(sys: SystemDef, seeds, tol: float = 1e-10,
             for _ in range(max_halvings):
                 trial = x + lam * step
                 try:
-                    r1 = float(np.linalg.norm(f(trial, 0.0)))
+                    r1 = _residual(f(trial, 0.0))
                 except DomainError:
                     r1 = np.inf
                 if r1 < r0:
@@ -260,7 +266,7 @@ def local_stability(sys: SystemDef, x_star, tol: float = 1e-8,
     linalg.check_nonnegative(tol)
     x = np.asarray(x_star, dtype=float)
     f = sys.rhs_callable()
-    residual = float(np.linalg.norm(f(x, 0.0)))
+    residual = _residual(f(x, 0.0))
     if residual >= tol:
         raise NotAnEquilibriumError(
             f"||f(x*)|| = {residual:.3e} exceeds tolerance {tol:.1e}")

@@ -15,6 +15,9 @@ beyond the sample cap).
 
 Output is deterministic for identical inputs: all sampling rides a fixed
 Halton sequence.
+
+The argument parser is built once per process, on the first :func:`run`,
+and reused by every later call; each parse gets a fresh namespace.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json
 import sys
 import time
@@ -42,6 +46,9 @@ SCHEMA_POINTER = "see stabkit/schemas/system.schema.json for the file format"
 _INPUT_ERRORS = (SchemaError, InvalidArgumentError, ParseError,
                  UnknownIdentifierError, ArityMismatchError)
 _CONTINUOUS = ("nonlinear", "linear")
+#: the largest number a vector or matrix flag takes: the analyses form norms,
+#: sums and products of a few of them, which must stay in float range
+FLAG_LIMIT = 1e150
 
 
 def _numbers(flag: str, text: str, n: int, rows: int | None = 1) -> np.ndarray:
@@ -62,6 +69,9 @@ def _numbers(flag: str, text: str, n: int, rows: int | None = 1) -> np.ndarray:
             f"{rows or 'one or more'} ';'-separated rows of "
         raise SchemaError(
             f"--{flag} needs {shape}{n} comma-separated numbers, got {text!r}")
+    if not all(abs(v) <= FLAG_LIMIT for row in values for v in row):
+        raise InvalidArgumentError(f"--{flag} needs finite numbers of size at "
+                                   f"most {FLAG_LIMIT:g}, got {text!r}")
     return np.array(values[0] if rows == 1 else values)
 
 
@@ -297,7 +307,10 @@ def _simulate(args, system):
 
 # --- parser -------------------------------------------------------------------------
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use; callers must not
+    change it."""
     parser = argparse.ArgumentParser(
         prog="stabkit",
         description="Stability analysis of dynamical systems.",

@@ -25,6 +25,7 @@ from .lyapunov import (
     _fit_lower_bound,
     _require_dimension,
     _require_samples,
+    _require_scan_radius,
 )
 from .odeint import (
     ESCAPE_THRESHOLD,
@@ -204,6 +205,7 @@ def classify_discrete(sys: DiscreteSystem, v: CandidateV, radius: float = 0.3,
     if float(np.linalg.norm(sys.steps(zero, float(k0)))) > 1e-12:
         raise NotAFixedPointError("update(0) != 0: origin is not a fixed point")
     X = ball_points(samples, sys.dimension, radius, exclude=1e-9 * radius)
+    _require_scan_radius(radius)
     T = np.full(samples, float(k0))
     norms = np.linalg.norm(X, axis=1)
     scan = ScanConfig(points=samples, t0=float(k0), time_span=0.0)

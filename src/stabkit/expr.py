@@ -122,11 +122,23 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 _BP = {"+": 10, "-": 10, "*": 20, "/": 20, "^": 30}
 _UNARY_BP = 25  # between mul/div and power
 
+#: Bounds on a parsed tree, checked as the parser builds it.  The tree
+#: walkers (printing, code generation, substitution) recurse once per level
+#: of depth; the generated code nests one parenthesis per level that does not
+#: continue a ``+``/``-`` or ``*`` chain (see :func:`_chains`), and Python
+#: refuses 200.  Parentheses in the text count towards the nesting too.
+MAX_DEPTH = 600
+MAX_NESTING = 100
+
+# a parsed subtree with its depth and the parenthesis nesting of its code
+_Measured = tuple["Expr", int, int]
+
 
 class _Parser:
     def __init__(self, text: str, param_names: Iterable[str] | None):
         self.tokens = _tokenize(text)
         self.i = 0
+        self.level = 0
         self.param_names = None if param_names is None else set(param_names)
 
     def peek(self):
@@ -144,35 +156,51 @@ class _Parser:
         return self.advance()
 
     def parse(self) -> Expr:
-        e = self.expression(0)
+        e, _depth, _nesting = self.expression(0)
         kind, value, pos = self.peek()
         if kind != "end":
             raise ParseError(f"unexpected trailing input {value!r}", pos)
         return e
 
-    def expression(self, rbp: int) -> Expr:
-        left = self.prefix()
+    def node(self, e: Expr, depth: int, nesting: int, pos: int) -> _Measured:
+        if depth > MAX_DEPTH:
+            raise ParseError(f"expression deeper than {MAX_DEPTH} levels", pos)
+        if nesting > MAX_NESTING:
+            raise ParseError(
+                f"expression nested deeper than {MAX_NESTING} levels", pos)
+        return e, depth, nesting
+
+    def expression(self, rbp: int) -> _Measured:
+        # the parser itself recurses once per level of nesting
+        if self.level > MAX_NESTING:
+            raise ParseError(
+                f"expression nested deeper than {MAX_NESTING} levels",
+                self.peek()[2])
+        self.level += 1
+        left, depth, nesting = self.prefix()
         while True:
-            kind, value, _pos = self.peek()
+            kind, value, pos = self.peek()
             if kind != "op" or value not in _BP or _BP[value] <= rbp:
                 break
             self.advance()
-            if value == "^":
-                # right associative: bind the rest at bp-1
-                right = self.expression(_BP[value] - 1)
-            else:
-                right = self.expression(_BP[value])
-            left = Binary(value, left, right)
-        return left
+            # '^' is right associative: bind the rest at bp-1
+            right, r_depth, r_nesting = self.expression(
+                _BP[value] - (value == "^"))
+            left, depth, nesting = self.node(
+                Binary(value, left, right), 1 + max(depth, r_depth),
+                1 + max(nesting - _chains(value, left), r_nesting), pos)
+        self.level -= 1
+        return left, depth, nesting
 
-    def prefix(self) -> Expr:
+    def prefix(self) -> _Measured:
         kind, value, pos = self.advance()
         if kind == "num":
             if math.isinf(float(value)):
                 raise ParseError(f"numeric literal {value!r} overflows", pos)
-            return Number(float(value))
+            return Number(float(value)), 1, 0
         if kind == "op" and value == "-":
-            return Unary("-", self.expression(_UNARY_BP))
+            child, depth, nesting = self.expression(_UNARY_BP)
+            return self.node(Unary("-", child), depth + 1, nesting + 1, pos)
         if kind == "op" and value == "+":
             return self.expression(_UNARY_BP)
         if kind == "op" and value == "(":
@@ -186,10 +214,10 @@ class _Parser:
             if value in FUNCTIONS:
                 raise UnknownIdentifierError(value, pos)
             self.check_var(value, pos)
-            return Var(value)
+            return Var(value), 1, 0
         raise ParseError(f"unexpected token {value!r}" if value else "unexpected end of input", pos)
 
-    def call(self, name: str, pos: int) -> Expr:
+    def call(self, name: str, pos: int) -> _Measured:
         if name not in FUNCTIONS:
             raise UnknownIdentifierError(name, pos)
         self.expect_op("(")
@@ -204,7 +232,9 @@ class _Parser:
         self.expect_op(")")
         if len(args) != FUNCTIONS[name]:
             raise ArityMismatchError(name, FUNCTIONS[name], len(args))
-        return Call(name, tuple(args))
+        return self.node(Call(name, tuple(a for a, _d, _n in args)),
+                         1 + max(d for _a, d, _n in args),
+                         1 + max(n for _a, _d, n in args), pos)
 
     def check_var(self, name: str, pos: int):
         # "t" and "xK" are always state/time; "k" doubles as the discrete
@@ -322,7 +352,15 @@ def to_string(e: Expr) -> str:
 
 # --- compilation ----------------------------------------------------------------
 
-def _codegen(e: Expr, params: Mapping[str, float]) -> str:
+def _chains(op: str, left: Expr) -> bool:
+    """Whether ``left op right`` continues the chain ``left`` ends: a
+    ``+``/``-`` or ``*`` into the same precedence, which Python evaluates left
+    to right as the tree does, so ``left`` needs no parentheses of its own."""
+    return isinstance(left, Binary) and (
+        op == left.op == "*" or (op in "+-" and left.op in "+-"))
+
+
+def _codegen(e: Expr, params: Mapping[str, float], bare: bool = False) -> str:
     if isinstance(e, Number):
         return repr(e.value)
     if isinstance(e, Var):
@@ -337,14 +375,15 @@ def _codegen(e: Expr, params: Mapping[str, float]) -> str:
             return "t"
         raise UnboundVariableError(e.name)
     if isinstance(e, Unary):
-        return f"(-({_codegen(e.child, params)}))"
+        return f"(-{_codegen(e.child, params)})"
     if isinstance(e, Binary):
-        a, b = _codegen(e.left, params), _codegen(e.right, params)
+        a = _codegen(e.left, params, _chains(e.op, e.left))
+        b = _codegen(e.right, params)
         if e.op == "^":
             return f"_pow({a}, {b})"
         if e.op == "/":
             return f"_div({a}, {b})"
-        return f"({a} {e.op} {b})"
+        return f"{a} {e.op} {b}" if bare else f"({a} {e.op} {b})"
     if isinstance(e, Call):
         args = ", ".join(_codegen(a, params) for a in e.args)
         return f"_{e.func}({args})"

@@ -58,6 +58,9 @@ BLOCK = 16384
 #: relative eigen-sum separation that lets ``solve_lyapunov`` skip its
 #: O(n^6) singular-value test: 100 times that test's 1e-12
 SKIP_MARGIN = 1e-10
+#: the smallest scan radius: the fits divide by ``||x||^4`` down to the
+#: excluded core of radius ``1e-9 * radius``, where it must not underflow
+MIN_SCAN_RADIUS = 1e9 * float(np.finfo(float).tiny) ** 0.25
 
 
 def solve_lyapunov(a, q) -> np.ndarray:
@@ -220,6 +223,15 @@ def _require_samples(count: int) -> None:
         raise InvalidArgumentError(f"need at least one sample, got {count}")
 
 
+def _require_scan_radius(radius: float) -> None:
+    """Refuse a radius below ``MIN_SCAN_RADIUS``; called after
+    ``ball_points``, whose messages cover the radii no ball can take."""
+    if radius < MIN_SCAN_RADIUS:
+        raise InvalidArgumentError(
+            f"radius {radius!r} is too small: ||x||^4 underflows near the "
+            f"origin (the scans need at least {MIN_SCAN_RADIUS:.3g})")
+
+
 def _require_dimension(v: CandidateV, n: int) -> None:
     if v.max_state_index() > n:
         raise DimensionMismatchError(
@@ -341,6 +353,7 @@ def _scan_points(sys: SystemDef, v: CandidateV, radius: float,
     """Joint (x, t) samples: ball points paired with Halton times."""
     n = sys.dimension
     X = ball_points(scan.points, n, radius, exclude=1e-9 * radius)
+    _require_scan_radius(radius)
     time_dep = _time_dependent(sys, v)
     if time_dep:
         u = halton(scan.points, 1, start=11)[:, 0]

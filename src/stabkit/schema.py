@@ -191,7 +191,11 @@ def to_jsonable(value: Any) -> Any:
     if isinstance(value, complex):
         return {"re": value.real, "im": value.imag}
     if isinstance(value, np.ndarray):
-        return [to_jsonable(v) for v in value.tolist()]
+        # real entries are plain JSON already, unless a float is non-finite
+        if value.dtype.kind in "biu" or (value.dtype.kind == "f"
+                                         and np.isfinite(value).all()):
+            return value.tolist()
+        return to_jsonable(value.tolist())
     if isinstance(value, (np.floating, np.integer)):
         return value.item()
     if is_dataclass(value) and not isinstance(value, type):

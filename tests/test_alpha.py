@@ -191,6 +191,15 @@ def test_certify_coupled_rate_inequality():
     assert cert.trajectory_check.verified
 
 
+@pytest.mark.parametrize("alpha", [1e200, 1e308])
+def test_cross_check_past_float_range_is_not_verified(alpha):
+    # exp(alpha * t) overflows on the horizon: nothing can be verified
+    cert = al.certify(gallery_system("delay_coupled"), alpha,
+                      al.CertificateRoute.RATE_INEQUALITY, horizon=0.5)
+    assert cert.trajectory_check.verified is False
+    assert math.isinf(cert.trajectory_check.coefficient)
+
+
 def test_certified_trajectories_decay():
     # exponential stability implies asymptotic decay of the simulated norm
     for name, rate, route, p in [

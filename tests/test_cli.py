@@ -307,6 +307,13 @@ def test_alpha_negative_rate_without_p_file_exits_2(capsys):
     # below radius ~1.5e-154 the squared norms underflow to 0
     ["lyapunov", "--system", "cubic_damping", "--candidate", "x1^2 + x2^2",
      "--radius", "1e-300"],
+    # below radius ~1.2e-68 the fits' ||x||^4 underflows near the origin
+    ["lyapunov", "--system", "cubic_damping", "--candidate", "x1^2 + x2^2",
+     "--radius", "1e-100"],
+    ["lyapunov", "--system", "cubic_damping", "--candidate", "x1^2 + x2^2",
+     "--radius", "1e-150"],
+    ["discrete", "--system", "cubic_map", "--candidate", "x1^2 + x2^2",
+     "--radius", "1e-100"],
     ["lyapunov", "--system", "cubic_damping", "--candidate", "x1^2 + x2^2",
      "--t0", "1e308", "--tspan", "1e308"],
     ["lyapunov", "--system", "cubic_damping", "--candidate",
@@ -486,6 +493,57 @@ def test_vector_and_matrix_flags_are_checked_against_the_dimension(
     assert captured.out == ""
     assert captured.err.startswith(f"stabkit: input error: {flag} needs ")
     assert not any(text in captured.err for text in NUMPY_TEXT)
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["linearize", "--system", "pendulum", "--seeds", "1e308,1e308"], "--seeds"),
+    (["lyapunov", "--system", "damped_spring", "--solve",
+      "--q", "1e308,0;0,1e308"], "--q"),
+    (["attraction", "--system", "vanderpol", "--cmax", "1",
+      "--p", "1e308,0;0,1e308"], "--p"),
+    (["linearize", "--system", "pendulum", "--point", "0,1e200"], "--point"),
+    (["simulate", "--system", "pendulum", "--x0", "1.01e150,0"], "--x0"),
+    (["simulate", "--system", "delay_coupled", "--x0", "1,1",
+      "--history", "nan,1"], "--history"),
+], ids=lambda v: " ".join(v[0:1] + v[3:]) if isinstance(v, list) else v)
+def test_vector_and_matrix_flags_beyond_the_flag_limit_exit_2(
+        capsys, argv, flag):
+    argv = [str(gallery_file(a)) if i == 2 else a for i, a in enumerate(argv)]
+    rc = cli.run(argv)  # a RuntimeWarning would raise here
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith(
+        f"stabkit: input error: {flag} needs finite numbers of size at most")
+
+
+def test_flag_values_at_the_limit_end_typed_on_a_steep_system(capsys):
+    # f(x) stays finite at x = 1e150, but the norm of f does not
+    steep = json.dumps({"name": "steep", "kind": "nonlinear", "dimension": 2,
+                        "expressions": ["-1e8*x1^2", "-x2"]})
+    assert cli.run(["linearize", "--system", steep, "--seeds",
+                    "1e150,1e150"]) == 0  # the seed is dropped
+    assert json.loads(capsys.readouterr().out)["result"]["seeds_dropped"] == 1
+    assert cli.run(["linearize", "--system", steep, "--point", "1e150,0"]) == 3
+    assert "NotAnEquilibriumError: ||f(x*)|| = inf" in capsys.readouterr().err
+
+
+def test_long_candidates_run_and_too_deep_ones_exit_2(capsys):
+    system = str(gallery_file("cubic_damping"))
+    verdicts = []
+    for pairs in (1, 250):  # 2 and 500 terms
+        rc = cli.run(["lyapunov", "--system", system, "--candidate",
+                      " + ".join(["0.5*x1^2 + 0.5*x2^2"] * pairs)])
+        assert rc == 0
+        verdicts.append(json.loads(capsys.readouterr().out)["result"]
+                        ["conclusion"])
+    assert verdicts == ["stable", "stable"]
+    rc = cli.run(["lyapunov", "--system", system, "--candidate",
+                  " + ".join(["x1^2"] * 1200)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "expression deeper than" in captured.err
+    assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("doc", [

@@ -2,8 +2,9 @@
 
 Each example calls ``cli.run`` in-process on a gallery file, or on a mutated
 copy of one passed as JSON text, with cheap cost-setting flags plus up to
-two drawn numeric or count flags.  A traceback or a warning fails the test
-(the suite turns warnings into errors), and stderr may carry neither.
+two drawn numeric, count, vector or matrix flags.  A traceback or a warning
+fails the test (the suite turns warnings into errors), and stderr may carry
+neither.
 """
 
 import contextlib
@@ -39,6 +40,16 @@ FLAGS = {
     "discrete": (("--radius",), ("--samples", "--iterate")),
     "simulate": (("--t0", "--t1", "--step"), ("--steps",)),
 }
+# vector and matrix flags each subcommand may draw a value for, with their
+# rows (1, or n for an n x n matrix), and the entries drawn
+VECTORS = {
+    "linearize": {"--seeds": 1, "--point": 1},
+    "lyapunov": {"--q": "n"},
+    "attraction": {"--p": "n"},
+    "discrete": {"--x0": 1},
+    "simulate": {"--x0": 1, "--history": 1},
+}
+ENTRIES = ("0.1", "1e150", "-1e150", "1e151", "1e308", "-1e308", "nan")
 REPLACEMENTS = ("abc", None, True, False, [[1.0]], [], "grow", "dimension+1")
 
 
@@ -106,8 +117,16 @@ def calls(draw):
     argv = [cmd, "--system", system] + cheap_flags(
         cmd, DOCS[name]["dimension"], draw(st.integers(0, 2)))
     numeric, counts = FLAGS[cmd]
-    for flag in draw(st.lists(st.sampled_from(numeric + counts), max_size=2)):
-        value = draw(st.sampled_from(NUMBERS if flag in numeric else COUNTS))
+    vectors = VECTORS.get(cmd, {})
+    n = DOCS[name]["dimension"]
+    for flag in draw(st.lists(st.sampled_from(
+            numeric + counts + tuple(vectors)), max_size=2)):
+        if flag in vectors:
+            row = st.lists(st.sampled_from(ENTRIES), min_size=n, max_size=n)
+            value = ";".join(",".join(draw(row))
+                             for _ in range(n if vectors[flag] == "n" else 1))
+        else:
+            value = draw(st.sampled_from(NUMBERS if flag in numeric else COUNTS))
         argv.append(f"{flag}={value}")
     return argv
 

@@ -276,6 +276,59 @@ def test_empty_expression():
         ex.parse("   ")
 
 
+def _long_form(terms: int) -> str:
+    """A quadratic form's shape: ``terms`` products joined by + and -."""
+    text = "0.5*x1*x1"
+    for i in range(1, terms):
+        text += (" - " if i % 3 == 0 else " + ") + \
+            f"{1 + i % 7}*x{1 + i % 3}*x{1 + (i // 3) % 3}/{2 + i % 5}"
+    return text
+
+
+@pytest.mark.parametrize("terms", [199, 200, 500])
+def test_long_sums_compile_and_match_the_oracle(terms):
+    import numpy as np
+
+    tree = ex.parse(_long_form(terms))
+    x, t = (0.3, -0.7, 1.1), 0.0
+    want = evaluate(tree, EvalContext(x, t))
+    assert ex.compile_expr(tree)(x, t) == want  # same IEEE operations
+    rows = np.array([x, [1.0, 2.0, -3.0]])
+    got = ex.compile_expr_vec(tree)(rows, t)
+    assert got.tolist() == [want, evaluate(tree, EvalContext(rows[1], t))]
+    printed = ex.to_string(tree)  # trees this deep are compared as text
+    assert ex.to_string(ex.parse(printed)) == printed
+
+
+def test_a_sum_at_the_depth_bound_compiles_and_one_more_term_does_not():
+    bound = ex.MAX_DEPTH  # a sum of k atoms is k levels deep
+    assert ex.compile_expr(ex.parse("+".join(["x1"] * bound)))((0.5,), 0.0) \
+        == 0.5 * bound
+    with pytest.raises(ParseError, match=f"deeper than {bound} levels"):
+        ex.parse("+".join(["x1"] * (bound + 1)))
+    with pytest.raises(ParseError, match="deeper than"):
+        ex.parse("+".join(["x1"] * 5000))  # once a RecursionError
+
+
+NESTINGS = {
+    "parentheses": lambda k: "(" * k + "x1" + ")" * k,
+    "unary minus": lambda k: "-" * k + "x1",
+    "division chain": lambda k: "x1" + "/1.5" * k,
+    "power chain": lambda k: "^".join(["1.0001"] * k + ["x1"]),
+    "calls": lambda k: "sin(" * k + "x1" + ")" * k,
+}
+
+
+@pytest.mark.parametrize("build", NESTINGS.values(), ids=NESTINGS.keys())
+def test_nesting_at_the_bound_compiles_and_one_more_level_does_not(build):
+    bound = ex.MAX_NESTING
+    tree = ex.parse(build(bound))
+    x = (0.5,)
+    assert ex.compile_expr(tree)(x, 0.0) == evaluate(tree, EvalContext(x))
+    with pytest.raises(ParseError, match=f"nested deeper than {bound} levels"):
+        ex.parse(build(bound + 1))
+
+
 # hypothesis variant of the round trip: grammar-driven random trees
 
 try:

@@ -1,0 +1,109 @@
+"""Metamorphic invariants: transformations of an input whose effect on the
+answer is known without computing it.
+
+* ``classify`` depends on the spectrum only, so a similarity ``T A T^-1``
+  with a well-conditioned ``T`` keeps the kind, the sign classes and (in
+  the plane) the critical-point type.
+* The direct-method verdicts of ``check_candidate`` do not depend on the
+  scale of V: ``c V`` with ``c > 0`` gives the same ladder.
+* ``euler_discretize`` of ``x' = A x`` is the linear map ``I + T A``, so k
+  steps of its orbit equal ``(I + T A)^k x0``.
+"""
+
+import numpy as np
+import pytest
+
+from stabkit import autonomous, discrete
+from stabkit import lyapunov as ly
+from stabkit.odeint import LinearConstant, SystemDef
+from conftest import GALLERY, gallery_doc, gallery_system
+
+LINEAR = sorted(p.stem for p in GALLERY.glob("*.json")
+                if gallery_doc(p.stem).kind == "linear")
+# spectra the gallery lacks: a simple zero, a focus plus a real mode, a
+# saddle in three dimensions
+SPECTRA = {
+    "simple zero": np.diag([0.0, -1.0, -2.0]),
+    "focus and node": np.array([[-0.5, 2.0, 0.0], [-2.0, -0.5, 0.0],
+                                [0.0, 0.0, -3.0]]),
+    "saddle 3d": np.diag([1.0, -1.0, -2.0]),
+}
+MATRICES = {**{name: gallery_system(name).rhs.a for name in LINEAR}, **SPECTRA}
+
+
+def well_conditioned(rng: np.random.Generator, n: int) -> np.ndarray:
+    """A random T with condition number at most 4."""
+    q1, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    q2, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    return q1 @ np.diag(rng.uniform(0.5, 2.0, size=n)) @ q2
+
+
+@pytest.mark.parametrize("name", MATRICES)
+def test_classify_is_invariant_under_similarity(name):
+    a = MATRICES[name]
+    want = autonomous.classify_linear(a)
+    rng = np.random.default_rng(11)
+    for _ in range(5):
+        t = well_conditioned(rng, len(a))
+        b = t @ a @ np.linalg.inv(t)
+        got = autonomous.classify_linear(b)
+        assert got.kind is want.kind
+        assert sorted(got.sign_classes) == sorted(want.sign_classes)
+        if len(a) == 2:
+            assert autonomous.classify_critical_point_2d(b) == \
+                autonomous.classify_critical_point_2d(a)
+
+
+CANDIDATES = [
+    ("cubic_damping", "x1^2 + x2^2", {}),
+    ("spring_mass", "0.5*k*x1^2 + 0.5*x2^2", {"k": 2.0}),
+    ("exponential_feedback", "x1^2 + (1 + exp(-2*t))*x2^2", {}),
+    ("cubic_modulated", "x1^2/2", {}),
+    ("uniform_growth", "x1^2 + x2^2", {}),
+    ("vanderpol", "x1^2 + x2^2", {}),
+]
+SCAN = ly.ScanConfig(points=1024, time_samples=16)
+
+
+def ladder(report: ly.LyapunovReport) -> tuple:
+    """Every verdict of a report; the fitted constants scale with V."""
+    return (report.conclusion, report.vdot_verdict,
+            report.v_positive.established,
+            report.vdot_margin and report.vdot_margin.exponent,
+            report.decrescent.established, report.radially_unbounded,
+            report.global_claim)
+
+
+# The sign tests of check_candidate accept Vdot <= 1e-9 * (1 + max |Vdot|):
+# the absolute part does not scale with V.  Scaled up, the finite-difference
+# noise of an energy function's Vdot = 0 reads as indefinite; scaled down,
+# the growth of an unstable system reads as semidefinite, and "stable".
+SCALE_DEFECTS = {("spring_mass", 1000.0), ("uniform_growth", 1e-10)}
+
+
+@pytest.mark.parametrize("name,expression,params,c", [
+    pytest.param(*case, c, id=f"{case[0]}-{c:g}", marks=pytest.mark.xfail(
+        strict=True, reason="sign tolerance with an absolute floor")
+        if (case[0], c) in SCALE_DEFECTS else ())
+    for case in CANDIDATES for c in (1e-10, 0.25, 3.0, 1000.0)])
+def test_candidate_verdicts_are_invariant_under_scaling(name, expression,
+                                                        params, c):
+    system = gallery_system(name)
+    want = ly.check_candidate(system, ly.CandidateV(expression, params=params),
+                              scan=SCAN)
+    scaled = ly.CandidateV(f"{c!r}*({expression})", params=params)
+    assert ladder(ly.check_candidate(system, scaled, scan=SCAN)) == ladder(want)
+
+
+@pytest.mark.parametrize("name", MATRICES)
+@pytest.mark.parametrize("step", [0.01, 0.1])
+def test_euler_discretize_iterates_the_linear_map(name, step):
+    a = MATRICES[name]
+    n = len(a)
+    x0 = np.linspace(0.3, -0.2, n)
+    orbit = discrete.iterate(
+        discrete.euler_discretize(SystemDef(n, LinearConstant(a)), step),
+        x0, 25)
+    euler = np.eye(n) + step * a
+    want = np.array([np.linalg.matrix_power(euler, k) @ x0 for k in range(26)])
+    np.testing.assert_allclose(orbit.states, want, rtol=1e-12, atol=1e-15)

@@ -1,9 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
 from stabkit.errors import SchemaError
-from stabkit.schema import bundled_names, bundled_system, load_system
+from stabkit.schema import (bundled_names, bundled_system, load_system,
+                            to_jsonable)
 
 
 BASE = {"name": "x", "kind": "linear", "dimension": 2, "a": [[1, 0], [0, 1]]}
@@ -93,3 +95,28 @@ def test_every_gallery_file_builds_one_system_type():
             assert built.delays == ()
         elif sf.kind != "discrete":
             assert built.delays == () and built.period is None
+
+
+def _element_walk(array: np.ndarray) -> list:
+    """``to_jsonable`` of an array as it was before its one-step path."""
+    return [to_jsonable(v) for v in array.tolist()]
+
+
+@pytest.mark.parametrize("shape", [(0,), (3,), (3, 3), (2, 3, 3)])
+@pytest.mark.parametrize("dtype,special", [
+    *((dtype, special) for dtype in (np.float64, np.float32, np.complex128,
+                                     object)
+      for special in (None, np.nan, np.inf, -np.inf)),
+    (np.int64, None), (np.bool_, None)])
+def test_arrays_serialize_as_the_element_walk(shape, dtype, special):
+    values = np.random.default_rng(7).normal(size=shape) * 10.0
+    if dtype is np.complex128:
+        values = values + 1j * values[..., ::-1]
+    if special is not None and values.size:
+        values.flat[values.size // 2] = special
+    array = np.asarray(values).astype(dtype)
+    if dtype is object:  # numpy scalars inside, as dataclass fields hold
+        array.flat[0:values.size:2] = [np.float64(v) for v in
+                                       values.flat[0:values.size:2]]
+    got, want = to_jsonable(array), _element_walk(array)
+    assert json.dumps(got) == json.dumps(want)
