@@ -43,8 +43,6 @@ from .odeint import (
     SystemDef,
     Trajectory,
     _at,
-    _delay_coefficients,
-    _linear_coefficient,
     dde_step,
     integrate_dde,
 )
@@ -68,13 +66,6 @@ def _check_delay_system(sys: SystemDef) -> None:
     if isinstance(sys.rhs, Nonlinear):
         raise InvalidArgumentError("alpha certificates need a linear "
                                    "right-hand side")
-
-
-def _coefficients(sys: SystemDef) -> list:
-    """``[A0, A_1, ..., A_m]`` as arrays or compiled grids ``t -> A(t)``,
-    which evaluate a whole array of times in one call."""
-    _check_delay_system(sys)
-    return [_linear_coefficient(sys), *_delay_coefficients(sys)]
 
 
 def _varies(sys: SystemDef) -> bool:
@@ -130,7 +121,8 @@ def shifted_matrices(sys: SystemDef, alpha: float):
     callables.  Exact arithmetic per the defining formulas.
     """
     linalg.check_nonnegative(alpha, "alpha")
-    a0, *coeffs = _coefficients(sys)
+    _check_delay_system(sys)
+    a0, coeffs = sys.linear_coefficient, sys.delay_coefficients
     eye = np.eye(sys.dimension)
     scales = [float(np.exp(alpha * d.lag)) for d in sys.delays]
     if not _varies(sys):
@@ -247,17 +239,17 @@ def rate_bound_inputs(sys: SystemDef, p,
     grid ``t_grid``; a constant one through its single value.
     """
     eye = np.eye(sys.dimension)
-    a0, *coeffs = _coefficients(sys)
+    _check_delay_system(sys)
     times = np.linspace(*t_grid)
-    eta = np.max(linalg.matrix_measure(_at(a0, times)))
+    eta = np.max(linalg.matrix_measure(_at(sys.linear_coefficient, times)))
     a_norm_sq = max(float(np.max(linalg.spectral_norm(_at(c, times))))**2
-                    for c in coeffs)
+                    for c in sys.delay_coefficients)
     if isinstance(p, SampledMatrixFunction):
         p_norm = np.max(linalg.spectral_norm(p.values + eye))
     else:
         p_norm = linalg.spectral_norm(linalg.as_matrix(p, square=True) + eye)
     return RateInputs(float(eta), float(p_norm), float(a_norm_sq),
-                      len(coeffs), sys.max_lag)
+                      len(sys.delays), sys.max_lag)
 
 
 # --- envelopes --------------------------------------------------------------------
@@ -356,7 +348,7 @@ def _p_semidefinite(p) -> bool:
 def _lyapunov_defect(sys: SystemDef, p) -> float:
     m = len(sys.delays)
     eye = np.eye(sys.dimension)
-    a0 = _coefficients(sys)[0]
+    a0 = sys.linear_coefficient
     if isinstance(p, SampledMatrixFunction):
         pv = p.values[1:-1]
         a0s = _at(a0, p.times[1:-1])

@@ -9,6 +9,7 @@ continuous module.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -33,6 +34,7 @@ from .odeint import (
     Nonlinear,
     SystemDef,
     _cap_samples,
+    _components,
     _params,
     _write_csv,
 )
@@ -54,18 +56,16 @@ class DiscreteSystem:
 
     def __post_init__(self):
         self.params = _params(self.params)
-        comps = tuple(ex.as_expr(c, set(self.params)) for c in self.update)
-        if len(comps) != self.dimension:
-            raise DimensionMismatchError(
-                f"need {self.dimension} update expressions, got {len(comps)}")
-        for c in comps:
-            if ex.max_state_index(c) > self.dimension:
-                raise DimensionMismatchError(
-                    f"update {ex.to_string(c)!r} references a state variable "
-                    f"beyond dimension {self.dimension}")
-        self.update = comps
-        self._fused = ex.compile_vector(comps, self.params)
-        self._vec = None
+        self.update = _components(self.update, self.dimension, self.params,
+                                  "update")
+
+    @functools.cached_property  # compiled once, on first use
+    def _fused(self):
+        return ex.compile_vector(self.update, self.params)
+
+    @functools.cached_property
+    def _batch(self):
+        return ex.compile_expr_vec(self.update, self.params)
 
     def step(self, x, k: float = 0.0) -> np.ndarray:
         return np.array(self._fused(np.asarray(x, dtype=float).tolist(),
@@ -73,9 +73,7 @@ class DiscreteSystem:
 
     def steps(self, X: np.ndarray, k: float = 0.0) -> np.ndarray:
         """The update applied to every row of ``X`` (strict batch evaluation)."""
-        if self._vec is None:
-            self._vec = [ex.compile_expr_vec(c, self.params) for c in self.update]
-        return np.column_stack([fn(X, k) for fn in self._vec])
+        return self._batch(X, k)
 
 
 @dataclass(frozen=True)

@@ -84,6 +84,7 @@ class Call:
 
 
 Expr = Number | Var | Unary | Binary | Call
+_NODES = (Number, Var, Unary, Binary, Call)
 
 
 # --- tokenizer ----------------------------------------------------------------
@@ -427,18 +428,52 @@ def _checked_pow(a: float, b: float) -> float:
 # divisor, an exponent argument and a power operand, which would absorb it
 # (x/inf, exp(-inf), pow(nan, 0)): those raise, so a compiled evaluator
 # fails exactly where a walk checking every intermediate would.
-_COMPILE_NS = {
+_SCALAR_NS = {
     "_sin": math.sin, "_cos": math.cos, "_tan": math.tan, "_exp": _checked_exp,
     "_log": _checked_log, "_sqrt": _checked_sqrt, "_abs": abs,
     "_pow": _checked_pow, "_div": _checked_div,
+    "_ERRORS": (ValueError, OverflowError, ZeroDivisionError),
 }
 
-#: numpy counterparts of ``_COMPILE_NS`` for batch evaluators over arrays
-VEC_NS = {
+# Batch evaluation on numpy ufuncs under strict flags.  ``_finite`` reduces
+# outside the generated code: numpy's first-use imports need real builtins
+_BATCH_NS = {
     "_sin": np.sin, "_cos": np.cos, "_tan": np.tan, "_exp": np.exp,
     "_log": np.log, "_sqrt": np.sqrt, "_abs": np.abs,
     "_pow": np.power, "_div": np.divide,
+    "_ERRORS": FloatingPointError, "_finite": lambda a: np.isfinite(a).all(),
 }
+
+
+def _generate(exprs: Sequence[Expr], params: Mapping[str, float] | None,
+              batch: bool):
+    """The trees in order, as ``f(x, t) -> list`` or, with ``batch``, as
+    ``f(x, t, out)`` filling columns of ``out``.  The first failure raises."""
+    exprs, params = tuple(exprs), dict(params or {})
+    slots = [f"out[:, {i}]" if batch else f"v{i}" for i in range(len(exprs))]
+    bad = "not _finite({0})" if batch else "{0} - {0}"  # inf, nan
+    body = "".join(f"\n    try:\n        {slot} = {_codegen(e, params)}"
+                   f"\n    except _ERRORS as exc:\n        _fail(exc, {i})"
+                   f"\n    if {bad.format(slot)}:\n        _fail(None, {i})"
+                   for i, (slot, e) in enumerate(zip(slots, exprs)))
+    head, result = ("x, t, out", "out") if batch else \
+        ("x, t", f"[{', '.join(slots)}]")
+
+    def fail(exc, i):  # a DomainError of the namespace passes unchanged
+        raise DomainError(str(exc or "non-finite evaluation result"),
+                          exprs[i]) from None
+
+    namespace = dict(_BATCH_NS if batch else _SCALAR_NS, _fail=fail,
+                     __builtins__={})
+    exec(_compiled(f"def f({head}):{body}\n    return {result}"), namespace)
+    return namespace["f"]
+
+
+# One code cache for both namespaces: a system compiles its fields once, but
+# a CLI call builds its system twice and the scans compile a candidate per call
+@functools.lru_cache(maxsize=256)
+def _compiled(src: str):
+    return compile(src, "<stabkit-expr>", "exec")
 
 
 def compile_vector(exprs: Sequence[Expr],
@@ -447,73 +482,45 @@ def compile_vector(exprs: Sequence[Expr],
     """Compile trees to one fused scalar ``f(x, t) -> [f_1, ..., f_n]``.
 
     The evaluator of the marches (RK4 stage loops, orbits, Newton, a grid
-    at one time) on Python floats; sampled scans use
-    :func:`compile_expr_vec`.  Parameter values are frozen in.  The first
-    failing component raises :class:`DomainError`: an invalid operand, or
-    (see ``_COMPILE_NS``) any intermediate that is not finite.
+    at one time) on Python floats; :func:`compile_expr_vec` runs the same
+    code over numpy.  Parameter values are frozen in.  Each component runs
+    once, in order, and the first failing one raises :class:`DomainError`:
+    an invalid operand, or (see ``_SCALAR_NS``) any non-finite intermediate.
     """
-    exprs, params = tuple(exprs), dict(params or {})
-    body = "".join(f"\n    try:\n        v{i} = {_codegen(e, params)}"
-                   f"\n    except _ERRORS as exc:\n        _fail(exc, {i})"
-                   f"\n    if v{i} - v{i}:\n        _fail(None, {i})"  # inf, nan
-                   for i, e in enumerate(exprs))
-    names = ", ".join(f"v{i}" for i in range(len(exprs)))
-
-    def fail(exc, i):  # a DomainError of the namespace passes unchanged
-        raise DomainError(str(exc or "non-finite evaluation result"),
-                          exprs[i]) from None
-
-    namespace = {"__builtins__": {}, **_COMPILE_NS, "_fail": fail,
-                 "_ERRORS": (ValueError, OverflowError, ZeroDivisionError)}
-    exec(_compiled(f"def f(x, t):{body}\n    return [{names}]"), namespace)
-    return namespace["f"]
-
-
-# Newton compiles its right-hand side per iteration, a CLI call builds its
-# system twice: code objects are kept by source
-@functools.lru_cache(maxsize=256)
-def _compiled(src: str):
-    return compile(src, "<stabkit-vector>", "exec")
+    return _generate(exprs, params, batch=False)
 
 
 def compile_expr(e: Expr, params: Mapping[str, float] | None = None,
                  ) -> Callable[[Sequence[float], float], float]:
-    """Compile one tree to a scalar ``f(state, t) -> float``, as
-    :func:`compile_vector` does."""
+    """One tree as a scalar ``f(state, t) -> float``, by compile_vector."""
     f = compile_vector((e,), params)
     return lambda x, t: f(x, t)[0]
 
 
-def compile_expr_vec(e: Expr, params: Mapping[str, float] | None = None):
+def compile_expr_vec(exprs: "Expr | Sequence[Expr]",
+                     params: Mapping[str, float] | None = None):
     """Compile to a batch evaluator ``f(X, t) -> ndarray``.
 
-    ``X`` has one sample per row; ``t`` is a scalar or a per-row array.  The
-    pass runs on numpy ufuncs under strict flags: a floating-point flag other
+    ``X`` has one sample per row; ``t`` is a scalar or a per-row array.  One
+    tree gives ``(N,)``, a sequence of ``m`` trees ``(N, m)``.  The pass
+    runs on numpy ufuncs under strict flags: a floating-point flag other
     than underflow (division by zero, an invalid operand, overflow) on any
     intermediate, or a non-finite output, raises one :class:`DomainError`
     for the whole batch, the "overflow is an error" rule of the grammar.
     :func:`strict_rows` then names the first sample that raises on its own.
     """
-    params = dict(params or {})
-    src = _codegen(e, params)
-    fn = eval(compile(f"lambda x, t: {src}", "<stabkit-expr-vec>", "eval"),
-              {"__builtins__": {}, **VEC_NS})
+    single = isinstance(exprs, _NODES)
+    exprs = (exprs,) if single else tuple(exprs)
+    fill = _generate(exprs, params, batch=True)
 
-    def wrapped(X, t):
+    def batch(X, t):
         cols = np.asarray(X, dtype=float).T
-        try:
-            with np.errstate(all="raise", under="ignore"):
-                value = fn(cols, t)
-        except FloatingPointError as exc:
-            raise DomainError(str(exc), e) from None
-        value = np.asarray(value, dtype=float)
-        if value.ndim == 0:
-            value = np.full(cols.shape[1] if cols.ndim > 1 else 1, float(value))
-        if not np.isfinite(value).all():
-            raise DomainError("non-finite evaluation result", e)
-        return value
+        out = np.empty((cols.shape[1] if cols.ndim > 1 else 1, len(exprs)))
+        with np.errstate(all="raise", under="ignore"):
+            fill(cols, t, out)
+        return out[:, 0] if single else out
 
-    return wrapped
+    return batch
 
 
 # --- strict row evaluation --------------------------------------------------------
@@ -564,7 +571,7 @@ def strict_rows(fn, count: int, label: Callable[[int], str], prior=()):
 def as_expr(entry: "Expr | float | int | str",
             params: Iterable[str] | None = None) -> Expr:
     """Coerce a number, source string, or tree into an :class:`Expr`."""
-    if isinstance(entry, (Number, Var, Unary, Binary, Call)):
+    if isinstance(entry, _NODES):
         return entry
     if isinstance(entry, str):
         return parse(entry, params)

@@ -23,8 +23,7 @@ import numpy as np
 
 from . import linalg
 from .errors import InvalidArgumentError
-from .odeint import (Nonlinear, SystemDef, _at, _linear_coefficient,
-                     integrate_matrix)
+from .odeint import Nonlinear, SystemDef, _at, integrate_matrix
 from .odeint import compile_matrix  # noqa: F401  (the perfbench tracer wraps it)
 
 __all__ = [
@@ -87,7 +86,7 @@ def liouville_check(sys: SystemDef, mults,
         panels += 1
     ts = np.linspace(0.0, sys.period, panels + 1)
     # a constant A has one trace, filled in over the grid
-    traces = np.full(ts.shape, np.trace(_at(_linear_coefficient(sys), ts),
+    traces = np.full(ts.shape, np.trace(_at(sys.linear_coefficient, ts),
                                         axis1=-2, axis2=-1))
     w = np.ones(panels + 1)
     w[1:-1:2] = 4.0

@@ -8,8 +8,9 @@ violating sample is conclusive for "not definite".  Conclusions only ever
 claim what the sufficient conditions support; a failed candidate yields
 ``NO_CONCLUSION``, never "unstable".
 
-The scans are evaluated in batches, ``BLOCK`` rows per call of the strict
-batch evaluator :func:`~stabkit.expr.compile_expr_vec`, each batch under
+The scans are evaluated in batches, ``BLOCK`` rows per call of a strict
+batch evaluator (:func:`~stabkit.expr.compile_expr_vec`, compiled once
+per candidate, per form and per system), each batch under
 :func:`~stabkit.expr.strict_rows`: V and Vdot (central differences on the
 stacked rows ``x +- h e_i``), the Sylvester minors, the attraction ladder,
 the origin checks, the W3 stencil and the radial rays.  A domain error
@@ -662,8 +663,9 @@ class QuadraticFormTV:
             for j in range(i + 1, n):
                 grid[j][i] = grid[i][j]
         self.entries = tuple(tuple(row) for row in grid)
-        self._vec = [(i, j, ex.compile_expr_vec(grid[i][j], self.params))
-                     for i in range(n) for j in range(i, n)]
+        self._upper = np.triu_indices(n)  # row by row: errors name the first
+        self._vec = ex.compile_expr_vec(
+            [grid[i][j] for i, j in zip(*self._upper)], self.params)
         self.time_dependent = any(
             "t" in ex.free_vars(e) for row in self.entries for e in row)
 
@@ -675,8 +677,8 @@ class QuadraticFormTV:
         """The ``(N, n, n)`` coefficient matrices at the rows ``(X[k], T[k])``."""
         n = self.dimension
         out = np.empty((len(X), n, n))
-        for i, j, fn in self._vec:
-            out[:, i, j] = out[:, j, i] = fn(X, T)
+        i, j = self._upper
+        out[:, i, j] = out[:, j, i] = self._vec(X, T)
         return out
 
 

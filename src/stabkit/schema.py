@@ -189,15 +189,15 @@ def to_jsonable(value: Any) -> Any:
     if isinstance(value, Enum):
         return value.value
     if isinstance(value, complex):
-        return {"re": value.real, "im": value.imag}
+        return {"re": to_jsonable(value.real), "im": to_jsonable(value.imag)}
     if isinstance(value, np.ndarray):
         # real entries are plain JSON already, unless a float is non-finite
         if value.dtype.kind in "biu" or (value.dtype.kind == "f"
                                          and np.isfinite(value).all()):
             return value.tolist()
         return to_jsonable(value.tolist())
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
+    if isinstance(value, np.number):
+        return to_jsonable(value.item())
     if is_dataclass(value) and not isinstance(value, type):
         return {k: to_jsonable(v) for k, v in asdict(value).items()}
     if isinstance(value, dict):

@@ -268,6 +268,6 @@ def stage_loop(sys, x0, t0: float, t1: float, h: float, f=None) -> np.ndarray:
 
 def _stage_loop_matrix(sysd, t0, t1, h):
     """Matrix RK4 taken stage by stage: the fundamental matrix at ``t1``."""
-    a = odeint._linear_coefficient(sysd)
+    a = sysd.linear_coefficient
     return stage_loop(sysd, np.eye(sysd.dimension), t0, t1, h,
                       lambda X, t: odeint._at(a, t) @ X)[-1]

@@ -663,3 +663,69 @@ def test_time_or_state_named_parameter_in_file_exits_2(tmp_path, capsys,
     captured = capsys.readouterr()
     assert rc == 2
     assert "reserved" in captured.err
+
+
+_PERIODIC_X = {"kind": "periodic", "dimension": 2, "period": 2 * np.pi,
+               "coefficients": [["-1 + x1", "1"], ["-1", "-1"]]}
+_DELAY_X = {"kind": "delay", "dimension": 1, "a": [[-2]],
+            "delays": [{"lag": 1.0, "coefficients": [["0.5*x1"]]}]}
+_DELAY_A_X = {"kind": "delay", "dimension": 1, "a": [["-2 + sin(x1)"]],
+              "delays": [{"lag": 1.0, "coefficients": [[0.5]]}]}
+
+
+@pytest.mark.parametrize("doc,argv", [
+    (_PERIODIC_X, ["floquet"]),
+    (_PERIODIC_X, ["simulate", "--x0", "1,1"]),
+    (_DELAY_X, ["simulate", "--x0", "1"]),
+    (_DELAY_X, ["alpha", "--alpha", "0.1"]),
+    (_DELAY_A_X, ["simulate", "--x0", "1"]),
+], ids=["periodic-floquet", "periodic-simulate", "delay-simulate",
+        "delay-alpha", "delay-a-simulate"])
+def test_coefficient_naming_a_state_variable_exits_2(tmp_path, capsys, doc,
+                                                     argv):
+    # coefficient grids are functions of t: a state variable in one is
+    # refused when the system is built, not met as an IndexError later
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps({"name": "state-coefficient", **doc}))
+    rc = cli.run([argv[0], "--system", str(path), *argv[1:]])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "names a state variable" in captured.err
+
+
+def _spy(calls: list, fn):
+    def spied(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+    return spied
+
+
+def test_newton_compiles_the_right_hand_side_once(capsys, monkeypatch):
+    # Newton and its finite-difference Jacobian ask for the right-hand side
+    # per iteration; the system compiles it once, on first use
+    from stabkit import expr
+
+    calls = []
+    monkeypatch.setattr(expr, "compile_vector",
+                        _spy(calls, expr.compile_vector))
+    rc, rep = run_cli(["linearize", "--system", gallery_file("vanderpol"),
+                       "--seeds", "0.1,0.1;1,1;-1,0.5"], capsys)
+    assert rc == 0 and len(rep["result"]["equilibria"]) == 1
+    assert len(calls) == 1
+
+
+def test_periodic_grid_compiles_once_per_system(capsys, monkeypatch):
+    # the period check, the monodromy march and the Liouville trace share
+    # the grid their system compiled
+    from stabkit import odeint
+
+    grids, builds = [], []
+    monkeypatch.setattr(odeint, "compile_matrix",
+                        _spy(grids, odeint.compile_matrix))
+    monkeypatch.setattr(odeint.SystemDef, "__post_init__",
+                        _spy(builds, odeint.SystemDef.__post_init__))
+    rc, _ = run_cli(["floquet", "--system", gallery_file("periodic_rotation")],
+                    capsys)
+    assert rc == 0
+    assert 1 <= len(grids) <= len(builds)

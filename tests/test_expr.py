@@ -248,6 +248,23 @@ def test_vectorized_flags_raise_domain_error(text, row):
         vec(X, 0.0)
 
 
+def test_batch_of_trees_fills_one_column_per_tree():
+    import numpy as np
+
+    trees = [ex.parse(text) for text in ("sin(x1)*x2 + t^2", "2", "t", "x1/x2")]
+    X = np.array([[0.3, 1.2], [1.5, -0.4], [2.0, 0.5]])
+    t = np.array([0.7, -1.0, 3.0])
+    got = ex.compile_expr_vec(trees)(X, t)
+    assert got.shape == (3, 4)
+    for column, tree in zip(got.T, trees):
+        assert column.tobytes() == ex.compile_expr_vec(tree)(X, t).tobytes()
+    # the first failing tree names the error, for the whole batch
+    with pytest.raises(DomainError) as err:
+        ex.compile_expr_vec(trees[:3] + [ex.parse("log(x2)")])(X, t)
+    assert err.value.node == ex.parse("log(x2)")
+    assert err.value.reason == "invalid value encountered in log"
+
+
 def test_vectorized_underflow_is_not_an_error():
     import numpy as np
 
@@ -415,6 +432,38 @@ try:
             with pytest.raises(DomainError) as err:
                 ex.strict_rows(lambda r: vec(X[r], 0.0), len(X), str)
             assert err.value.row == want
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.lists(_edge_trees, min_size=1, max_size=3), _rows)
+    def test_batch_of_trees_agrees_with_single_trees(trees, rows):
+        import numpy as np
+
+        # the cases of the strictness test, a few trees at a time, after a
+        # column that never fails
+        trees = [ex.Var("x2"), *trees]
+        X = np.array(rows)
+        batch = ex.compile_expr_vec(trees)
+        singles = [ex.compile_expr_vec(e) for e in trees]
+
+        def first_single_failure():  # in row order, then tree order
+            for k in range(len(X)):
+                for fn in singles:
+                    try:
+                        fn(X[k:k + 1], 0.0)
+                    except DomainError as exc:
+                        return k, exc.reason
+            return None
+
+        want = first_single_failure()
+        if want is None:
+            got = batch(X, 0.0)
+            assert got.shape == (len(X), len(trees))
+            for column, fn in zip(got.T, singles):  # bit for bit
+                assert column.tobytes() == fn(X, 0.0).tobytes()
+        else:
+            with pytest.raises(DomainError) as err:
+                ex.strict_rows(lambda r: batch(X[r], 0.0), len(X), str)
+            assert (err.value.row, err.value.reason) == want
 
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(_trees)

@@ -288,6 +288,19 @@ def test_coefficient_grid_rejects_non_square_shapes(entries):
         odeint.coefficient_grid(entries, 2, {})
 
 
+@pytest.mark.parametrize("build", [
+    lambda: odeint.coefficient_grid([["0.5*x1"]], 1, {}),
+    lambda: odeint.coefficient_grid([["t", "x2"], [0, 1]], 2, {}),
+    lambda: SystemDef(1, LinearTimeVarying((("-1 + x1",),))),
+    lambda: SystemDef(1, LinearConstant(np.array([[-1.0]])),
+                      delays=(Delay(1.0, [["sin(x1)"]]),)),
+], ids=["grid", "varying-grid", "time-varying-rhs", "delay"])
+def test_coefficient_grids_refuse_state_variables(build):
+    # a coefficient is a function of t: its compiled grid reads no state
+    with pytest.raises(InvalidArgumentError, match="names a state variable"):
+        build()
+
+
 def test_delay_coefficients_go_through_coefficient_grid():
     sysd = SystemDef(1, LinearConstant(np.array([[-1.0]])),
                      delays=(Delay(0.5, [["exp(-1)"]]),

@@ -120,3 +120,24 @@ def test_arrays_serialize_as_the_element_walk(shape, dtype, special):
                                        values.flat[0:values.size:2]]
     got, want = to_jsonable(array), _element_walk(array)
     assert json.dumps(got) == json.dumps(want)
+
+
+@pytest.mark.parametrize("value,want", [
+    (np.float64("nan"), "nan"),
+    (np.float32("-inf"), "-inf"),
+    (complex(np.inf, 1.0), {"re": "inf", "im": 1.0}),
+    (complex(0.5, np.nan), {"re": 0.5, "im": "nan"}),
+    (np.complex128(complex(np.nan, -np.inf)), {"re": "nan", "im": "-inf"}),
+    (np.array([1 + 2j, complex(np.inf, 0.0)]),
+     [{"re": 1.0, "im": 2.0}, {"re": "inf", "im": 0.0}]),
+    (np.array([np.float64(np.nan), 2.5], dtype=object), ["nan", 2.5]),
+    ({"rate": np.float64(np.inf), "roots": (complex(-1.0, np.nan),)},
+     {"rate": "inf", "roots": [{"re": -1.0, "im": "nan"}]}),
+], ids=["float64-nan", "float32-inf", "complex-re", "complex-im",
+        "complex128", "complex-array", "object-array", "nested"])
+def test_non_finite_values_serialize_as_strict_json(value, want):
+    # every non-finite float, inside a complex number or a numpy scalar
+    # too, takes its repr string: the report stays JSON
+    got = to_jsonable(value)
+    assert got == want
+    json.dumps(got, allow_nan=False)
