@@ -40,9 +40,9 @@ from .errors import (
 
 __all__ = [
     "Number", "Var", "Unary", "Binary", "Call", "Expr",
-    "parse", "to_string", "free_vars", "substitute", "compile_vector",
-    "compile_expr", "compile_expr_vec", "strict_rows", "failing_rows",
-    "FUNCTIONS",
+    "parse", "to_string", "free_vars", "reads_time", "substitute",
+    "compile_vector", "compile_expr", "compile_expr_vec", "strict_rows",
+    "failing_rows", "FUNCTIONS",
 ]
 
 # function name -> arity
@@ -54,33 +54,110 @@ FUNCTIONS: dict[str, int] = {
 _VAR_RE = re.compile(r"^x([1-9][0-9]*)$")
 
 
-@dataclass(frozen=True)
-class Number:
+class _Node:
+    """Structural ``==`` and ``hash`` for the five node classes.
+
+    They give what the dataclass-generated ones give (equal class and equal
+    fields; the hash of the field tuple), but walk the tree with a stack:
+    the generated ones recurse about twice per level and exhaust Python's
+    recursion limit on trees the parser accepts (``MAX_DEPTH``).
+    """
+
+    __slots__ = ()
+
+    def _parts(self) -> tuple[tuple, tuple]:
+        """The fields that are not nodes, and the child nodes."""
+        raise NotImplementedError
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if a.__class__ is not b.__class__:
+                return False
+            (head_a, kids_a), (head_b, kids_b) = a._parts(), b._parts()
+            if head_a != head_b or len(kids_a) != len(kids_b):
+                return False
+            stack.extend(zip(kids_a, kids_b))
+        return True
+
+    def __hash__(self):
+        done: dict[int, _Hashed] = {}
+        stack = [self]
+        while stack:
+            node = stack[-1]
+            head, kids = node._parts()
+            todo = [k for k in kids if id(k) not in done]
+            if todo:
+                stack.extend(todo)
+                continue
+            stack.pop()
+            hashed = tuple(done[id(k)] for k in kids)
+            # a Call's children are one field, the tuple ``args``
+            done[id(node)] = _Hashed(hash(
+                head + ((hashed,) if isinstance(node, Call) else hashed)))
+        return hash(done[id(self)])
+
+
+class _Hashed:
+    """A hash value that hashes to itself inside a tuple, as the node it
+    stands for would (``hash`` of a large int would reduce it)."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        self.value = value
+
+    def __hash__(self):
+        return self.value
+
+
+@dataclass(frozen=True, eq=False)
+class Number(_Node):
     value: float
 
+    def _parts(self):
+        return (self.value,), ()
 
-@dataclass(frozen=True)
-class Var:
+
+@dataclass(frozen=True, eq=False)
+class Var(_Node):
     name: str
 
+    def _parts(self):
+        return (self.name,), ()
 
-@dataclass(frozen=True)
-class Unary:
+
+@dataclass(frozen=True, eq=False)
+class Unary(_Node):
     op: str
     child: "Expr"
 
+    def _parts(self):
+        return (self.op,), (self.child,)
 
-@dataclass(frozen=True)
-class Binary:
+
+@dataclass(frozen=True, eq=False)
+class Binary(_Node):
     op: str
     left: "Expr"
     right: "Expr"
 
+    def _parts(self):
+        return (self.op,), (self.left, self.right)
 
-@dataclass(frozen=True)
-class Call:
+
+@dataclass(frozen=True, eq=False)
+class Call(_Node):
     func: str
     args: tuple["Expr", ...]
+
+    def _parts(self):
+        return (self.func,), self.args
 
 
 Expr = Number | Var | Unary | Binary | Call
@@ -284,6 +361,13 @@ def _collect_vars(e: Expr, out: set[str]) -> None:
     elif isinstance(e, Call):
         for a in e.args:
             _collect_vars(a, out)
+
+
+def reads_time(e: Expr, params: Iterable[str]) -> bool:
+    """Whether ``e`` reads the time slot: it names ``t``, or ``k`` when no
+    parameter of ``params`` does (the discrete orbit index, which the
+    generated code reads as time)."""
+    return bool((free_vars(e) - set(params)) & {"t", "k"})
 
 
 def max_state_index(e: Expr) -> int:

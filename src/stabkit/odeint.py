@@ -119,8 +119,7 @@ def coefficient_grid(entries, n: int, params: Mapping[str, float]):
         raise DimensionMismatchError(f"coefficient must be an {n}x{n} matrix")
     if not all(isinstance(v, (int, float)) for row in rows for v in row):
         grid = _expr_grid(rows, set(params))
-        names = set().union(*(ex.free_vars(e) for row in grid for e in row))
-        if (names - set(params)) & {"t", "k"}:
+        if any(ex.reads_time(e, params) for row in grid for e in row):
             return grid
         flat = ex.compile_vector([e for row in grid for e in row], params)
         rows = np.reshape(flat((), 0.0), (n, n))
@@ -269,9 +268,10 @@ class SystemDef:
         if isinstance(self.rhs, LinearConstant):
             return True
         if isinstance(self.rhs, LinearTimeVarying):
-            return not any("t" in ex.free_vars(e)
+            return not any(ex.reads_time(e, self.params)
                            for row in self.rhs.entries for e in row)
-        return not any("t" in ex.free_vars(c) for c in self.rhs.components)
+        return not any(ex.reads_time(c, self.params)
+                       for c in self.rhs.components)
 
     # -- compiled once per instance, on first use ----------------------------
 

@@ -80,6 +80,19 @@ def test_lyapunov_solve_singular_exits_3(capsys):
     assert rc == 3
 
 
+def test_undeclared_k_reads_as_time_in_a_continuous_file(tmp_path, capsys):
+    # x' = k x with no parameter k integrates as x' = t x
+    path = tmp_path / "kt.json"
+    path.write_text(json.dumps({"name": "kt", "kind": "nonlinear",
+                                "dimension": 1, "expressions": ["k*x1"]}))
+    assert not load_system(path).build().is_autonomous()
+    rc, rep = run_cli(["lyapunov", "--system", path, "--candidate", "x1^2"],
+                      capsys)
+    assert rc == 0
+    assert rep["result"]["conclusion"] != "stable"
+    assert rep["result"]["global_claim"] is False
+
+
 def test_lyapunov_empty_window_on_autonomous_problem_exits_0(capsys):
     rc, rep = run_cli(["lyapunov", "--system", gallery_file("cubic_damping"),
                        "--candidate", "x1^2 + x2^2", "--tspan", "0"], capsys)

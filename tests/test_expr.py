@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -313,8 +314,46 @@ def test_long_sums_compile_and_match_the_oracle(terms):
     rows = np.array([x, [1.0, 2.0, -3.0]])
     got = ex.compile_expr_vec(tree)(rows, t)
     assert got.tolist() == [want, evaluate(tree, EvalContext(rows[1], t))]
-    printed = ex.to_string(tree)  # trees this deep are compared as text
-    assert ex.to_string(ex.parse(printed)) == printed
+    assert ex.parse(ex.to_string(tree)) == tree
+
+
+def _fields(e: ex.Expr) -> tuple:
+    return tuple(getattr(e, f.name) for f in dataclasses.fields(e))
+
+
+def _reference_eq(a, b) -> bool:
+    """The dataclass rule: same class and equal fields, node by node."""
+    if not isinstance(a, ex._NODES) or not isinstance(b, ex._NODES):
+        return a == b
+    if type(a) is not type(b):
+        return False
+    return all(_reference_eq(x, y) if not isinstance(x, tuple) else
+               len(x) == len(y) and all(map(_reference_eq, x, y))
+               for x, y in zip(_fields(a), _fields(b)))
+
+
+def test_node_equality_and_hash_follow_the_dataclass_rule():
+    trees = [_random_expr(random.Random(seed), 3) for seed in range(60)]
+    twins = [_random_expr(random.Random(seed), 3) for seed in range(60)]
+    for a in trees:
+        assert hash(a) == hash(_fields(a))
+        for b in twins:
+            assert (a == b) == _reference_eq(a, b), (a, b)
+            assert (a != b) != (a == b)
+    assert ex.Number(1.0) == ex.Number(1) and ex.Number(1.0) != 1.0
+
+
+def test_deep_trees_compare_and_hash_without_recursion():
+    def chain(terms: int, last: float) -> ex.Expr:
+        e = ex.Var("x1")
+        for i in range(terms - 1):
+            coef = ex.Number(last if i == terms - 2 else float(i))
+            e = ex.Binary("+", e, ex.Binary("*", coef, ex.Var("x2")))
+        return e
+
+    a, b, c = chain(5000, 1.0), chain(5000, 1.0), chain(5000, 7.0)
+    assert a == b and hash(a) == hash(b)
+    assert a != c and not a == c
 
 
 def test_a_sum_at_the_depth_bound_compiles_and_one_more_term_does_not():

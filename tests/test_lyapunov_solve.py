@@ -1,18 +1,26 @@
-"""``solve_lyapunov``: the eigen-sum skip of the singular-value test.
+"""``solve_lyapunov``: the eigen-sum certificate and the eigenbasis solve.
 
-The oracle below is the solve with the singular-value test always run.  The
-skip must change neither P (bit for bit) nor the set of refused inputs.
+The oracle below is the Kronecker solve with the singular-value test always
+run.  Against it the refused inputs must be exactly the same, and P must be
+bit for bit the same wherever the solve takes the Kronecker path (no
+certificate, or a failed residual gate).  On the certified eigenbasis path P
+must lie within ``16 eps cond max|P_oracle|`` of the oracle and of scipy's
+Schur-based ``solve_continuous_lyapunov``, with ``eps = 2^-52`` and
+``cond = 2 ||A||_2 kappa_2(V)^2 / min |lam_i + lam_j|`` the certificate's
+bound on the operator's condition number.
 """
 
 import importlib.util
+import json
 import random
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from stabkit import linalg
+from stabkit import cli, linalg
 from stabkit import lyapunov as ly
 from stabkit.errors import DimensionMismatchError, SingularLyapunovOperatorError
 from conftest import gallery_system
@@ -20,6 +28,17 @@ from conftest import gallery_system
 ROOT = Path(__file__).resolve().parent.parent
 SOLVABLE = ("coupled_decay", "damped_oscillator", "damped_rotation",
             "damped_spring", "uniform_growth")
+EPS = np.finfo(float).eps
+
+
+def kron_solve(am, qm) -> np.ndarray:
+    """The dense Kronecker solve, symmetrized."""
+    n = am.shape[0]
+    eye = np.eye(n)
+    op = np.kron(eye, am.T) + np.kron(am.T, eye)
+    vec_p = np.linalg.solve(op, -qm.reshape(-1, order="F"))
+    p = vec_p.reshape((n, n), order="F")
+    return 0.5 * (p + p.T)
 
 
 def oracle_solve(a, q) -> np.ndarray:
@@ -28,12 +47,17 @@ def oracle_solve(a, q) -> np.ndarray:
     qm = linalg.as_matrix(q, square=True)
     n = am.shape[0]
     eye = np.eye(n)
-    op = np.kron(eye, am.T) + np.kron(am.T, eye)
-    sv = np.linalg.svd(op, compute_uv=False)
+    sv = np.linalg.svd(np.kron(eye, am.T) + np.kron(am.T, eye),
+                       compute_uv=False)
     if sv[0] == 0.0 or sv[-1] <= 1e-12 * sv[0]:
         raise SingularLyapunovOperatorError("oracle refuses")
-    vec_p = np.linalg.solve(op, -qm.reshape(-1, order="F"))
-    p = vec_p.reshape((n, n), order="F")
+    return kron_solve(am, qm)
+
+
+def scipy_solve(a, q) -> np.ndarray:
+    """scipy's Bartels-Stewart solve of ``A'P + PA = -Q``, symmetrized."""
+    p = scipy.linalg.solve_continuous_lyapunov(np.asarray(a, float).T,
+                                               -np.asarray(q, float))
     return 0.5 * (p + p.T)
 
 
@@ -44,13 +68,38 @@ def outcome(solve, a, q):
         return None
 
 
-def assert_same(a, q=None):
-    q = np.eye(len(a)) if q is None else q
-    want, got = outcome(oracle_solve, a, q), outcome(ly.solve_lyapunov, a, q)
+def cond_bound(a) -> float:
+    """``2 ||A||_2 kappa_2(V)^2 / min |lam_i + lam_j|`` of a certified A."""
+    lam, vecs = ly._separation_certified(np.asarray(a, float))
+    kappa = np.linalg.cond(vecs, 2)
+    sep = np.abs(lam[:, None] + lam[None, :]).min()
+    return 2.0 * np.linalg.norm(a, 2) * kappa * kappa / sep
+
+
+def assert_close(got, want, a):
+    bound = 16.0 * EPS * cond_bound(a) * np.abs(want).max()
+    assert np.abs(got - want).max() <= bound, a
+
+
+def assert_same(a, q=None, want=None):
+    """Check ``solve_lyapunov(a, q)`` against the oracle (or ``want``, the
+    oracle's P when known), and against scipy where the eigenbasis path
+    ran; True when the oracle accepts ``a``."""
+    am = np.asarray(a, float)
+    q = np.eye(len(am)) if q is None else q
+    if want is None:
+        want = outcome(oracle_solve, am, q)
+    got = outcome(ly.solve_lyapunov, am, q)
     assert (want is None) == (got is None), a
-    if want is not None:
+    if want is None:
+        return False
+    basis = ly._separation_certified(am)
+    if basis is None or ly._eigenbasis_solve(am, q, *basis) is None:
         assert np.array_equal(want, got), a
-    return want is not None
+    else:
+        assert_close(got, want, am)
+        assert_close(got, scipy_solve(am, q), am)
+    return True
 
 
 def perfbench_generate():
@@ -63,18 +112,22 @@ def perfbench_generate():
 
 @pytest.mark.parametrize("name", SOLVABLE)
 def test_gallery_p_bit_identical_to_oracle(name):
+    """Bit for bit on the Kronecker paths, within the bound elsewhere."""
     a = gallery_system(name).rhs.a
-    assert ly._separation_certified(a)
+    assert ly._separation_certified(a) is not None
     assert assert_same(a)
 
 
 def test_generated_stable_p_bit_identical_to_oracle():
+    """n = 2..40, bit for bit on the Kronecker paths and within the bound
+    elsewhere.  The oracle's P is the plain Kronecker solve, which the
+    certificate shows the singular-value test would accept."""
     gen = perfbench_generate()
     rng = random.Random(4)
-    for n in range(2, 31):
+    for n in range(2, 41):
         a = np.array(gen.stable_linear(rng, f"s{n}", n)["a"])
-        assert ly._separation_certified(a), n
-        assert assert_same(a), n
+        assert ly._separation_certified(a) is not None, n
+        assert assert_same(a, want=kron_solve(a, np.eye(n))), n
 
 
 def _shifted_gaussian(rng, n):
@@ -118,7 +171,7 @@ def test_accept_refuse_parity_with_oracle(family, both_outcomes):
     seen = Counter()
     for _ in range(400):
         a = family(rng, int(rng.integers(2, 7)))
-        seen[assert_same(a), ly._separation_certified(a)] += 1
+        seen[assert_same(a), ly._separation_certified(a) is not None] += 1
     assert seen[True, True] > 0  # the skip is exercised
     assert seen[False, True] == 0  # never skipped into a refusal
     if both_outcomes:
@@ -126,23 +179,52 @@ def test_accept_refuse_parity_with_oracle(family, both_outcomes):
 
 
 def test_well_conditioned_stable_solve_skips_operator_svd(monkeypatch):
+    """A certified solve builds no (n^2, n^2) operator: no ``np.kron``
+    product and no singular values of one."""
     shapes = []
-    svd = np.linalg.svd
+    kron, svd = np.kron, np.linalg.svd
 
-    def spy(m, *args, **kwargs):
-        shapes.append(np.shape(m))
-        return svd(m, *args, **kwargs)
+    def spy(real):
+        def call(*args, **kwargs):
+            out = real(*args, **kwargs)
+            shapes.append(np.shape(args[0]))
+            shapes.append(np.shape(out))
+            return out
+        return call
 
-    monkeypatch.setattr(np.linalg, "svd", spy)
+    monkeypatch.setattr(np, "kron", spy(kron))
+    monkeypatch.setattr(np.linalg, "svd", spy(svd))
     rng = np.random.default_rng(5)
-    for n in (2, 5, 12):
+    for n in (5, 12, 40):
         a = -np.eye(n) + 0.1 * rng.normal(size=(n, n))
         ly.solve_lyapunov(a, np.eye(n))
         assert (n * n, n * n) not in shapes, n
-    # the gray zone still asks the operator's singular values
+    # the gray zone still builds the operator and asks its singular values
     with pytest.raises(SingularLyapunovOperatorError):
         ly.solve_lyapunov([[0.0, 1.0], [0.0, 0.0]], np.eye(2))
-    assert (4, 4) in shapes
+    assert shapes.count((4, 4)) == 3  # two kron products and the svd input
+
+
+def test_failed_residual_gate_falls_back_to_the_oracle(monkeypatch):
+    monkeypatch.setattr(ly, "GATE", -1.0)
+    rng = np.random.default_rng(8)
+    for n in (2, 5, 12):
+        a = -np.eye(n) + 0.3 * rng.normal(size=(n, n))
+        w = rng.normal(size=(n, n))
+        q = w @ w.T
+        assert ly._separation_certified(a) is not None
+        assert np.array_equal(ly.solve_lyapunov(a, q), oracle_solve(a, q))
+
+
+def test_cli_solves_a_generated_n40_system(tmp_path, capsys):
+    doc = perfbench_generate().stable_linear(random.Random(40), "s40", 40)
+    path = tmp_path / "s40.json"
+    path.write_text(json.dumps(doc))
+    assert cli.run(["lyapunov", "--system", str(path), "--solve"]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["residual"] < 1e-9
+    assert result["p_definiteness"] == "positive-definite"
+    assert np.linalg.eigvalsh(np.array(result["p"])).min() > 0.0
 
 
 @pytest.mark.parametrize("a", [
@@ -153,7 +235,7 @@ def test_well_conditioned_stable_solve_skips_operator_svd(monkeypatch):
     np.zeros((1, 1)),
 ], ids=["harmonic_center", "saddle", "jordan_at_0", "zero_2x2", "zero_1x1"])
 def test_refusals_still_raised(a):
-    assert not ly._separation_certified(a)
+    assert ly._separation_certified(a) is None
     with pytest.raises(SingularLyapunovOperatorError):
         ly.solve_lyapunov(a, np.eye(len(a)))
 

@@ -636,3 +636,17 @@ def test_k_and_other_names_stay_parameters():
     assert ly.CandidateV("t*x1^2").time_dependent
     assert ly.CandidateV("t*x1^2").value([1.0], 5.0) == 5.0
     assert ly.QuadraticFormTV((("t",),)).time_dependent
+
+
+def test_an_undeclared_k_is_time_everywhere():
+    """Without a parameter ``k``, the generated code reads ``k`` as time,
+    so every time-dependence test must too."""
+    sysd = SystemDef(1, Nonlinear(("-k*x1",)))
+    assert not sysd.is_autonomous()
+    assert sysd.rhs_callable()(np.array([1.0]), 5.0).tolist() == [-5.0]
+    assert not SystemDef(1, LinearTimeVarying((("-k",),))).is_autonomous()
+    assert not isinstance(odeint.coefficient_grid([["-k"]], 1, {}),
+                          np.ndarray)
+    assert ly.CandidateV("k*x1^2").time_dependent
+    assert not ly.CandidateV("k*x1^2", params={"k": 2.0}).time_dependent
+    assert ly.QuadraticFormTV((("k",),)).time_dependent
