@@ -3,9 +3,10 @@
 Linear systems are classified by the eigenvalue criterion; planar systems
 additionally get the classical critical-point taxonomy (node / saddle /
 center / spiral).  Nonlinear systems are handled locally: find equilibria
-by damped Newton from user seeds, linearize by central differences, and
-classify the Jacobian, with the verdict demoted to inconclusive whenever
-the spectrum is marginal (linearization is silent there).
+by damped Newton from user seeds, linearize by the exact Jacobian (the
+derivative trees of the field, ``SystemDef.jacobian``), and classify it,
+with the verdict demoted to inconclusive whenever the spectrum is marginal
+(linearization is silent there).
 """
 
 from __future__ import annotations
@@ -176,21 +177,11 @@ def equilibrium_affine(a, b, ue) -> np.ndarray:
             "singular state matrix: continuum of equilibria") from None
 
 
-def jacobian_fd(sys: SystemDef, x, t: float = 0.0, h: float = 1e-5) -> np.ndarray:
-    """Jacobian of the right-hand side by central differences.
-
-    Second-order accurate; exact up to rounding for affine and quadratic
-    components.
-    """
-    f = sys.rhs_callable()
-    x = np.asarray(x, dtype=float)
-    n = sys.dimension
-    jac = np.empty((n, n))
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = h
-        jac[:, j] = (f(x + e, t) - f(x - e, t)) / (2.0 * h)
-    return jac
+def jacobian_fd(sys: SystemDef, x, t: float = 0.0) -> np.ndarray:
+    """Jacobian of the right-hand side at ``(x, t)``, from its derivative
+    trees (:attr:`SystemDef.jacobian`); a :class:`DomainError` where the
+    field has no derivative."""
+    return sys.jacobian(x, t)
 
 
 def _residual(fx) -> float:
@@ -255,7 +246,7 @@ def find_equilibria(sys: SystemDef, seeds, tol: float = 1e-10,
 
 
 def local_stability(sys: SystemDef, x_star, tol: float = 1e-8,
-                    fd_step: float = 1e-5) -> LocalStabilityReport:
+                    ) -> LocalStabilityReport:
     """Linearized stability at an equilibrium point.
 
     The verdict is a *local* statement about the linearization; whenever the
@@ -270,7 +261,7 @@ def local_stability(sys: SystemDef, x_star, tol: float = 1e-8,
     if residual >= tol:
         raise NotAnEquilibriumError(
             f"||f(x*)|| = {residual:.3e} exceeds tolerance {tol:.1e}")
-    jac = jacobian_fd(sys, x, h=fd_step)
+    jac = jacobian_fd(sys, x)
     verdict = classify_linear(jac)
     note = ""
     conclusion = verdict.kind

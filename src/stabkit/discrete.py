@@ -30,8 +30,6 @@ from .lyapunov import (
 )
 from .odeint import (
     ESCAPE_THRESHOLD,
-    LinearConstant,
-    Nonlinear,
     SystemDef,
     _cap_samples,
     _components,
@@ -92,40 +90,21 @@ class Orbit:
 def euler_discretize(sys: SystemDef, T: float) -> DiscreteSystem:
     """First-order discretization ``x(k+1) = x(k) + T f(x(k), kT)``.
 
-    The update expressions are built structurally from the continuous
-    right-hand side (no numeric evaluation); any occurrence of continuous
-    time becomes ``k * T``.
+    The update trees are built from the field trees of ``sys``, whose
+    parameters are bound, so the result has none; continuous time (``t``,
+    or a ``k`` no parameter names) becomes ``T * k``.  Systems with delays
+    raise :class:`InvalidArgumentError`.
     """
     if T <= 0:
         raise InvalidArgumentError("sampling period must be positive")
-    comps = _component_exprs(sys)
+    if sys.delays:
+        raise InvalidArgumentError("euler_discretize needs a system without "
+                                   "delays")
     kt = ex.Binary("*", ex.Number(float(T)), ex.Var("k"))
-    update = []
-    for i, f in enumerate(comps):
-        f = ex.substitute(f, "t", kt)
-        update.append(ex.Binary("+", ex.Var(f"x{i + 1}"),
-                                ex.Binary("*", ex.Number(float(T)), f)))
-    return DiscreteSystem(sys.dimension, tuple(update), dict(sys.params))
-
-
-def _component_exprs(sys: SystemDef) -> tuple[ex.Expr, ...]:
-    rhs = sys.rhs
-    if isinstance(rhs, Nonlinear):
-        return rhs.components
-    if isinstance(rhs, LinearConstant):
-        out = []
-        for i in range(sys.dimension):
-            total: ex.Expr | None = None
-            for j in range(sys.dimension):
-                coeff = float(rhs.a[i, j])
-                if coeff == 0.0:
-                    continue
-                term = ex.Binary("*", ex.Number(coeff), ex.Var(f"x{j + 1}"))
-                total = term if total is None else ex.Binary("+", total, term)
-            out.append(total if total is not None else ex.Number(0.0))
-        return tuple(out)
-    raise InvalidArgumentError(
-        "euler_discretize needs a constant-linear or nonlinear system")
+    return DiscreteSystem(sys.dimension, tuple(
+        ex.Binary("+", ex.Var(f"x{i + 1}"), ex.Binary(
+            "*", ex.Number(float(T)), ex.bind(f, {"t": kt, "k": kt})))
+        for i, f in enumerate(sys.field_trees)))
 
 
 def iterate(sys: DiscreteSystem, x0, K: int) -> Orbit:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
@@ -40,9 +41,9 @@ from .errors import (
 
 __all__ = [
     "Number", "Var", "Unary", "Binary", "Call", "Expr",
-    "parse", "to_string", "free_vars", "reads_time", "substitute",
-    "compile_vector", "compile_expr", "compile_expr_vec", "strict_rows",
-    "failing_rows", "FUNCTIONS",
+    "parse", "to_string", "free_vars", "reads_time", "substitute", "bind",
+    "fold", "total", "derivative", "compile_vector", "compile_expr",
+    "compile_expr_vec", "strict_rows", "failing_rows", "FUNCTIONS",
 ]
 
 # function name -> arity
@@ -205,8 +206,43 @@ _UNARY_BP = 25  # between mul/div and power
 #: of depth; the generated code nests one parenthesis per level that does not
 #: continue a ``+``/``-`` or ``*`` chain (see :func:`_chains`), and Python
 #: refuses 200.  Parentheses in the text count towards the nesting too.
+#: :func:`derivative` holds the trees it builds to the same bounds.
 MAX_DEPTH = 600
 MAX_NESTING = 100
+
+
+def _measure(e: Expr, kids: Sequence[tuple[int, int]], error) -> tuple[int, int]:
+    """The depth of ``e`` and the parenthesis nesting of its code from those
+    of its children (a level that continues the chain of its left operand,
+    see :func:`_chains`, opens none); ``error(reason)`` beyond the bounds."""
+    if not kids:
+        return 1, 0
+    (depth, nesting), *rest = kids
+    nesting -= e.__class__ is Binary and _chains(e.op, e.left)
+    for d, n in rest:
+        depth, nesting = max(depth, d), max(nesting, n)
+    if depth >= MAX_DEPTH:
+        raise error(f"expression deeper than {MAX_DEPTH} levels")
+    if nesting >= MAX_NESTING:
+        raise error(f"expression nested deeper than {MAX_NESTING} levels")
+    return depth + 1, nesting + 1
+
+
+def _bounded(e: Expr, level: int = 1, memo: dict | None = None):
+    """The ``(depth, nesting)`` of ``e`` (its root ``level`` deep in the
+    tree), by :func:`_measure`; :class:`InvalidArgumentError` beyond the
+    bounds, raised before the walk recurses deeper than ``MAX_DEPTH``."""
+    memo = {} if memo is None else memo
+    if id(e) not in memo:
+        if level > MAX_DEPTH:
+            raise InvalidArgumentError(
+                f"expression deeper than {MAX_DEPTH} levels")
+        kids = []
+        for k in e._parts()[1]:  # a loop: one frame per level
+            kids.append(_bounded(k, level + 1, memo))
+        memo[id(e)] = _measure(e, kids, InvalidArgumentError)
+    return memo[id(e)]
+
 
 # a parsed subtree with its depth and the parenthesis nesting of its code
 _Measured = tuple["Expr", int, int]
@@ -240,13 +276,9 @@ class _Parser:
             raise ParseError(f"unexpected trailing input {value!r}", pos)
         return e
 
-    def node(self, e: Expr, depth: int, nesting: int, pos: int) -> _Measured:
-        if depth > MAX_DEPTH:
-            raise ParseError(f"expression deeper than {MAX_DEPTH} levels", pos)
-        if nesting > MAX_NESTING:
-            raise ParseError(
-                f"expression nested deeper than {MAX_NESTING} levels", pos)
-        return e, depth, nesting
+    def node(self, e: Expr, kids: Sequence[tuple[int, int]],
+             pos: int) -> _Measured:
+        return e, *_measure(e, kids, lambda why: ParseError(why, pos))
 
     def expression(self, rbp: int) -> _Measured:
         # the parser itself recurses once per level of nesting
@@ -265,8 +297,8 @@ class _Parser:
             right, r_depth, r_nesting = self.expression(
                 _BP[value] - (value == "^"))
             left, depth, nesting = self.node(
-                Binary(value, left, right), 1 + max(depth, r_depth),
-                1 + max(nesting - _chains(value, left), r_nesting), pos)
+                Binary(value, left, right),
+                ((depth, nesting), (r_depth, r_nesting)), pos)
         self.level -= 1
         return left, depth, nesting
 
@@ -278,7 +310,7 @@ class _Parser:
             return Number(float(value)), 1, 0
         if kind == "op" and value == "-":
             child, depth, nesting = self.expression(_UNARY_BP)
-            return self.node(Unary("-", child), depth + 1, nesting + 1, pos)
+            return self.node(Unary("-", child), ((depth, nesting),), pos)
         if kind == "op" and value == "+":
             return self.expression(_UNARY_BP)
         if kind == "op" and value == "(":
@@ -311,8 +343,7 @@ class _Parser:
         if len(args) != FUNCTIONS[name]:
             raise ArityMismatchError(name, FUNCTIONS[name], len(args))
         return self.node(Call(name, tuple(a for a, _d, _n in args)),
-                         1 + max(d for _a, d, _n in args),
-                         1 + max(n for _a, _d, n in args), pos)
+                         [(d, n) for _a, d, n in args], pos)
 
     def check_var(self, name: str, pos: int):
         # "t" and "xK" are always state/time; "k" doubles as the discrete
@@ -382,17 +413,23 @@ def max_state_index(e: Expr) -> int:
 
 def substitute(e: Expr, name: str, replacement: Expr) -> Expr:
     """Return a copy of ``e`` with every ``Var(name)`` replaced."""
+    return bind(e, {name: replacement})
+
+
+def bind(e: Expr, values: Mapping[str, "Expr | float"]) -> Expr:
+    """``e`` with each variable that ``values`` names replaced by its tree
+    or number (parameters bound, as the generated code reads them)."""
+    if isinstance(e, Var):
+        value = values.get(e.name, e)
+        return value if isinstance(value, _NODES) else Number(float(value))
+    if isinstance(e, Unary):
+        return Unary(e.op, bind(e.child, values))
+    if isinstance(e, Binary):
+        return Binary(e.op, bind(e.left, values), bind(e.right, values))
+    if isinstance(e, Call):
+        return Call(e.func, tuple(bind(a, values) for a in e.args))
     if isinstance(e, Number):
         return e
-    if isinstance(e, Var):
-        return replacement if e.name == name else e
-    if isinstance(e, Unary):
-        return Unary(e.op, substitute(e.child, name, replacement))
-    if isinstance(e, Binary):
-        return Binary(e.op, substitute(e.left, name, replacement),
-                      substitute(e.right, name, replacement))
-    if isinstance(e, Call):
-        return Call(e.func, tuple(substitute(a, name, replacement) for a in e.args))
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -527,6 +564,93 @@ _BATCH_NS = {
     "_pow": np.power, "_div": np.divide,
     "_ERRORS": FloatingPointError, "_finite": lambda a: np.isfinite(a).all(),
 }
+
+
+# --- derivatives ------------------------------------------------------------------
+
+_ZERO, _ONE = Number(0.0), Number(1.0)
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
+
+def fold(op: str, left: Expr, right: Expr) -> Expr:
+    """``Binary(op, left, right)`` with two numbers added, subtracted or
+    multiplied (where the result is finite) and 0 and 1 folded away; a
+    folded ``0 * e`` drops the domain errors of ``e``."""
+    a = left.value if left.__class__ is Number else None
+    b = right.value if right.__class__ is Number else None
+    if a is not None and b is not None and op in _ARITH \
+            and math.isfinite(_ARITH[op](a, b)):
+        return Number(_ARITH[op](a, b))
+    if (op in "+-" and b == 0.0) or (op in "*/^" and b == 1.0):
+        return left
+    if op in "+-" and a == 0.0:
+        return right if op == "+" else Unary("-", right)
+    if (op in "*/" and a == 0.0) or (op == "*" and b == 0.0):
+        return _ZERO
+    return right if op == "*" and a == 1.0 else Binary(op, left, right)
+
+
+def total(terms: Iterable[Expr]) -> Expr:
+    """The folded sum of ``terms``, added in pairs: its depth grows with
+    the logarithm of their number."""
+    level = list(terms) or [_ZERO]
+    while len(level) > 1:
+        level += [_ZERO] * (len(level) % 2)
+        level = [fold("+", a, b) for a, b in zip(level[::2], level[1::2])]
+    return level[0]
+
+
+def derivative(e: Expr, name: str) -> Expr:
+    """The partial derivative of ``e`` by ``name``, folded (:func:`fold`).
+
+    Bind parameters first: by ``t``, a ``k`` left in the tree is time, as
+    :func:`reads_time` reads it.  The tree raises :class:`DomainError` where
+    no derivative exists: ``abs`` and ``sqrt`` at 0, and a power whose
+    exponent varies at a base <= 0.  Chain-rule factors lead, so nested
+    calls derive to one flat ``*`` chain; a result beyond the parser's
+    bounds raises :class:`InvalidArgumentError`.
+    """
+    d = _derive(e, name, {})
+    _bounded(d)
+    return d
+
+
+# f'(a) of the other functions f, from the argument a and the call e = f(a)
+_OUTER = {
+    "sin": lambda a, e: Call("cos", (a,)),
+    "cos": lambda a, e: fold("-", _ZERO, Call("sin", (a,))),
+    "tan": lambda a, e: fold("+", _ONE, Binary("^", e, Number(2.0))),
+    "exp": lambda a, e: e,
+    "sqrt": lambda a, e: Binary("/", Number(0.5), e),
+    "abs": lambda a, e: Binary("/", a, e),
+}
+
+
+def _derive(e: Expr, name: str, memo: dict) -> Expr:
+    if id(e) in memo:  # derived trees share subtrees
+        return memo[id(e)]
+    (op,), kids = e._parts()
+    if not kids:
+        return _ONE if e.__class__ is Var and (
+            op == name or (op == "k" and name == "t")) else _ZERO
+    # -a is 0 - a; a call of one argument has b = 0
+    a, b = (_ZERO, *kids) if e.__class__ is Unary else (*kids, _ZERO)[:2]
+    da, db = _derive(a, name, memo), _derive(b, name, memo)
+    if op in ("+", "-"):
+        d = fold(op, da, db)
+    elif op == "*":
+        d = fold("+", fold("*", da, b), fold("*", db, a))
+    elif op == "/":
+        d = fold("/", fold("-", da, fold("*", db, e)), b)
+    elif op in ("^", "pow") and db == _ZERO:
+        d = fold("*", da, fold("*", b, fold("^", a, fold("-", b, _ONE))))
+    elif op in ("^", "pow"):  # (b' log a + a' b / a) a^b
+        d = fold("*", fold("+", fold("*", db, Call("log", (a,))),
+                            fold("*", da, fold("/", b, a))), e)
+    else:
+        d = fold("/", da, a) if op == "log" else fold("*", da, _OUTER[op](a, e))
+    memo[id(e)] = d
+    return d
 
 
 def _generate(exprs: Sequence[Expr], params: Mapping[str, float] | None,

@@ -11,10 +11,11 @@ claim what the sufficient conditions support; a failed candidate yields
 The scans are evaluated in batches, ``BLOCK`` rows per call of a strict
 batch evaluator (:func:`~stabkit.expr.compile_expr_vec`, compiled once
 per candidate, per form and per system), each batch under
-:func:`~stabkit.expr.strict_rows`: V and Vdot (central differences on the
-stacked rows ``x +- h e_i``), the Sylvester minors, the attraction ladder,
-the origin checks, the W3 stencil and the radial rays.  A domain error
-names the first failing sample in the order of a point-by-point scan.
+:func:`~stabkit.expr.strict_rows`: V and the exact Vdot (one tree from
+the derivative trees of V and the system's field trees), the Sylvester
+minors, the attraction ladder, the origin checks and the radial rays.  A
+domain error names the first failing sample in the order of a
+point-by-point scan.  The W3 minors come from the exact Hessian of Vdot.
 
 The module also owns the continuous Lyapunov matrix equation (solved in
 the eigenbasis where a separation certificate holds, else by Kronecker
@@ -169,13 +170,11 @@ def _eigenbasis_solve(am, qm, lam, vecs):
 class CandidateV:
     """A candidate scalar function V(x) or V(x, t).
 
-    ``expression`` may be a tree, source text, or a number; gradients are
-    taken by central differences with step ``fd_step``.
+    ``expression`` may be a tree, source text, or a number.
     """
 
     expression: ex.Expr
     params: dict = field(default_factory=dict)
-    fd_step: float = 1e-5
 
     def __post_init__(self):
         self.params = _params(self.params)
@@ -187,17 +186,10 @@ class CandidateV:
     def quadratic(cls, p) -> "CandidateV":
         """Build V(x) = x' P x as an expression tree."""
         m = linalg.as_matrix(p, square=True)
-        n = m.shape[0]
-        terms = None
-        for i in range(n):
-            for j in range(n):
-                if m[i, j] == 0.0:
-                    continue
-                term = ex.Binary("*", ex.Binary("*", ex.Number(float(m[i, j])),
-                                                ex.Var(f"x{i + 1}")),
-                                 ex.Var(f"x{j + 1}"))
-                terms = term if terms is None else ex.Binary("+", terms, term)
-        return cls(terms if terms is not None else ex.Number(0.0))
+        x = [ex.Var(f"x{i + 1}") for i in range(m.shape[0])]
+        return cls(ex.total(
+            ex.fold("*", ex.fold("*", ex.Number(float(m[i, j])), xi), xj)
+            for i, xi in enumerate(x) for j, xj in enumerate(x)))
 
     def value(self, x, t: float = 0.0) -> float:  # one row of ``values``
         return float(self.values(np.asarray(x, dtype=float)[None], t)[0])
@@ -210,40 +202,25 @@ class CandidateV:
         return ex.max_state_index(self.expression)
 
 
+def _trees(sys: SystemDef, v: CandidateV) -> tuple[ex.Expr, ex.Expr]:
+    """V and ``Vdot = sum_i dV/dx_i f_i + dV/dt`` as trees, with the
+    parameters of the candidate and of the system bound."""
+    tree = ex.bind(v.expression, v.params)
+    return tree, ex.total([
+        *(ex.fold("*", ex.derivative(tree, f"x{i + 1}"), f)
+          for i, f in enumerate(sys.field_trees)),
+        ex.derivative(tree, "t")])
+
+
 def _batch_values(sys: SystemDef, v: CandidateV, X: np.ndarray,
                   T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """V and Vdot at the sample rows ``(X[k], T[k])``, in batches.
-
-    ``Vdot = grad_x V . f + dV/dt`` by central differences: each block
-    stacks the rows ``x``, ``x +- h e_i`` (and ``t +- h`` when V mentions t)
-    into one call of the batch evaluator.
-    """
-    n = sys.dimension
-    h = v.fd_step
-    f = sys.rhs_vectorized()
-    shifts = h * np.eye(n)
-    copies = 2 * n + 1 + 2 * v.time_dependent
-    v_vals = np.empty(len(X))
-    vd_vals = np.empty(len(X))
-    per = max(1, BLOCK // copies)
-    for s in range(0, len(X), per):
-        x, t = X[s:s + per], T[s:s + per]
-        rows = [x] + [x + e for e in shifts] + [x - e for e in shifts]
-        times = [t] * (2 * n + 1)
-        if v.time_dependent:
-            rows += [x, x]
-            times += [t + h, t - h]
-        vals = v.values(np.concatenate(rows), np.concatenate(times))
-        vals = vals.reshape(copies, len(x))
-        fx = f(x, t)
-        total = np.zeros(len(x))
-        for i in range(n):
-            total += (vals[1 + i] - vals[1 + n + i]) / (2.0 * h) * fx[:, i]
-        if v.time_dependent:
-            total += (vals[-2] - vals[-1]) / (2.0 * h)
-        v_vals[s:s + per] = vals[0]
-        vd_vals[s:s + per] = total
-    return v_vals, vd_vals
+    """V and Vdot at the sample rows ``(X[k], T[k])``: one two-column
+    evaluator of :func:`_trees`, ``BLOCK`` rows per call."""
+    both = ex.compile_expr_vec(_trees(sys, v))
+    out = np.empty((len(X), 2))
+    for s in range(0, len(X), BLOCK):
+        out[s:s + BLOCK] = both(X[s:s + BLOCK], T[s:s + BLOCK])
+    return out[:, 0], out[:, 1]
 
 
 def _sample_values(sys: SystemDef, v: CandidateV, X: np.ndarray,
@@ -462,7 +439,7 @@ def _check_origin_equilibrium(sys: SystemDef, scan: ScanConfig,
                               tol: float = 1e-9) -> None:
     times = np.linspace(scan.t0, scan.t0 + scan.time_span, 16) \
         if not sys.is_autonomous() else np.array([scan.t0])
-    f0 = _origin_values(sys.rhs_vectorized(), sys.dimension, times)
+    f0 = _origin_values(sys.batch_field, sys.dimension, times)
     worst = float(np.linalg.norm(f0, axis=1).max())
     if worst >= tol:
         raise NotAnEquilibriumError(
@@ -475,29 +452,22 @@ def _check_candidate_zero(v: CandidateV, n: int, scan: ScanConfig) -> None:
         raise InvalidCandidateError("candidate must satisfy V(0, t) = 0")
 
 
-def _w3_quadratic_minors(sys: SystemDef, v: CandidateV, t0: float,
-                         h: float = 1e-3) -> tuple[float, ...] | None:
-    """Leading minors of the quadratic form fitted to -Vdot(., t0) at 0, from
-    Vdot at 0, ``+-h e_i`` and ``+-h e_i +-h e_j``; None on a domain error."""
+def _w3_quadratic_minors(sys: SystemDef, v: CandidateV,
+                         t0: float) -> tuple[float, ...] | None:
+    """Leading minors of the quadratic form of -Vdot(., t0) at 0, half its
+    exact Hessian there (the upper triangle's trees, mirrored); None on a
+    domain error, or when the trees would exceed the expression bounds."""
     n = sys.dimension
-    e = h * np.eye(n)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    stencil = np.array([np.zeros(n), *e, *(-e), *(
-        s * e[i] + u * e[j] for i, j in pairs
-        for s, u in ((1, 1), (1, -1), (-1, 1), (-1, -1)))])
+    rows, cols = np.triu_indices(n)
     try:
-        vd = ex.strict_rows(lambda r: _batch_values(
-            sys, v, stencil[r], np.full(len(stencil[r]), t0))[1],
-            len(stencil), lambda k: _sample_label(stencil[k], t0))
-    except DomainError:
+        grad = [ex.derivative(_trees(sys, v)[1], f"x{i + 1}") for i in range(n)]
+        upper = ex.compile_vector([ex.derivative(grad[i], f"x{j + 1}")
+                                   for i, j in zip(rows, cols)])([0.0] * n, t0)
+    except (DomainError, InvalidArgumentError):
         return None
-    hess = np.empty((n, n))
-    for i in range(n):
-        hess[i, i] = (vd[1 + i] - 2.0 * vd[0] + vd[1 + n + i]) / h**2
-    for (i, j), (pp, pm, mp, mm) in zip(pairs, vd[1 + 2 * n:].reshape(-1, 4)):
-        hess[i, j] = hess[j, i] = (pp - pm - mp + mm) / (4.0 * h**2)
-    m = -0.5 * hess
-    return tuple(float(v) for v in linalg.principal_minors(m))
+    h = np.empty((n, n))
+    h[rows, cols] = h[cols, rows] = upper
+    return tuple(float(m) for m in linalg.principal_minors(-0.5 * h))
 
 
 def _decrescent_probe(sys: SystemDef, v: CandidateV, radius: float,
@@ -828,7 +798,7 @@ def attraction_region(sys: SystemDef, p, cmax: float, levels: int = 48,
     verdict = linalg.definiteness(pm)
     if not verdict.is_positive_definite:
         raise InvalidArgumentError("P must be positive definite")
-    fv = sys.rhs_vectorized()
+    fv = sys.batch_field
     if float(np.linalg.norm(fv(np.zeros((1, sys.dimension)), t))) >= 1e-9:
         raise NotAnEquilibriumError("origin is not an equilibrium")
     dirs = sphere_directions(directions, sys.dimension)

@@ -263,17 +263,23 @@ class SystemDef:
         return self.delays[-1].lag if self.delays else 0.0
 
     def is_autonomous(self) -> bool:
-        if self.delays:
-            return False
-        if isinstance(self.rhs, LinearConstant):
-            return True
-        if isinstance(self.rhs, LinearTimeVarying):
-            return not any(ex.reads_time(e, self.params)
-                           for row in self.rhs.entries for e in row)
-        return not any(ex.reads_time(c, self.params)
-                       for c in self.rhs.components)
+        return not self.delays and not any(ex.reads_time(e, ())
+                                           for e in self.field_trees)
 
-    # -- compiled once per instance, on first use ----------------------------
+    # -- built and compiled once per instance, on first use --------------------
+
+    @functools.cached_property
+    def field_trees(self) -> tuple[ex.Expr, ...]:
+        """The undelayed right-hand side, one tree per component, with the
+        parameters bound; a linear row is the sum of ``a_ij * xj`` with its
+        zero terms folded away."""
+        rhs = self.rhs
+        if isinstance(rhs, Nonlinear):
+            return tuple(ex.bind(c, self.params) for c in rhs.components)
+        rows = rhs.a if isinstance(rhs, LinearConstant) else rhs.entries
+        return tuple(ex.total(ex.fold("*", ex.bind(ex.as_expr(a), self.params),
+                                      ex.Var(f"x{j + 1}"))
+                              for j, a in enumerate(row)) for row in rows)
 
     @functools.cached_property
     def linear_coefficient(self):
@@ -290,39 +296,27 @@ class SystemDef:
                      for d in self.delays)
 
     @functools.cached_property
-    def scalar_field(self):  # nonlinear: the fused f(x, t) -> list
-        return ex.compile_vector(self.rhs.components, self.params)
+    def scalar_field(self):  # the fused f(x, t) -> list
+        return ex.compile_vector(self.field_trees)
 
     @functools.cached_property
-    def batch_field(self):  # nonlinear: the batch F(X, t) -> (N, n)
-        return ex.compile_expr_vec(self.rhs.components, self.params)
+    def batch_field(self):  # F(X, t) -> (N, n); t one time or one per row
+        return ex.compile_expr_vec(self.field_trees)
+
+    @functools.cached_property
+    def jacobian(self):  # J(x, t) -> (n, n) from the n^2 derivative trees
+        n, a = self.dimension, self.linear_coefficient
+        if a is not None:  # those trees are A's entries: skip O(n^3) deriving
+            return lambda x, t=0.0: np.array(_at(a, t), dtype=float)
+        fused = ex.compile_vector([ex.derivative(f, f"x{j + 1}")
+                                   for f in self.field_trees for j in range(n)])
+        return lambda x, t=0.0: np.reshape(fused(list(map(float, x)), t), (n, n))
 
     def rhs_callable(self) -> Callable[[np.ndarray, float], np.ndarray]:
         """Compiled evaluator of the undelayed right-hand side."""
         f = _field(self, (self.dimension,))[1]
         return lambda x, t: np.array(
             f(np.asarray(x, dtype=float).tolist(), float(t), 0, 0.0))
-
-    def rhs_vectorized(self) -> Callable[[np.ndarray, float], np.ndarray]:
-        """Batch evaluator ``F(X, t) -> (N, n)`` over rows of sample points.
-
-        ``t`` is one time for every row or a 1-D array of per-row times.
-        """
-        a = self.linear_coefficient
-        if isinstance(a, np.ndarray):
-            return lambda X, t: X @ a.T
-        if a is not None:
-
-            def fv(X: np.ndarray, t) -> np.ndarray:
-                if np.ndim(t) == 0:
-                    return X @ a(t).T
-                out = np.einsum("kij,kj->ki", a(np.asarray(t, dtype=float)), X)
-                if not np.isfinite(out).all():  # einsum raises no flag
-                    raise DomainError("non-finite evaluation result")
-                return out
-
-            return fv
-        return self.batch_field
 
 
 # --- trajectories ---------------------------------------------------------------

@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from stabkit import expr as ex
-from stabkit import linalg, odeint
+from stabkit import linalg, lyapunov, odeint
 from stabkit.errors import (
     DimensionMismatchError,
     DomainError,
@@ -151,31 +151,15 @@ def rhs(sys, x, t: float) -> np.ndarray:
 
 
 def vdot_along(sys, v):
-    """Evaluator of the derivative of V along trajectories of ``sys``.
-
-    ``Vdot(x, t) = grad_x V . f(x, t) + dV/dt``, with both the gradient and
-    the time partial taken by central differences (the time term only when
-    V actually mentions t).
-    """
+    """Evaluator of the derivative of V along trajectories of ``sys``: the
+    library's Vdot tree (``grad_x V . f(x, t) + dV/dt``, parameters bound)
+    walked point by point.  ``test_expr`` checks the derivative trees it is
+    built from against central differences of the walker."""
     if v.max_state_index() > sys.dimension:
         raise DimensionMismatchError(
             "candidate references state variables beyond the system dimension")
-    n = sys.dimension
-    h = v.fd_step
-
-    def vdot(x, t: float = 0.0) -> float:
-        x = np.asarray(x, dtype=float)
-        fx = rhs(sys, x, t)
-        total = 0.0
-        for i in range(n):
-            e = np.zeros(n)
-            e[i] = h
-            total += (value(v, x + e, t) - value(v, x - e, t)) / (2.0 * h) * fx[i]
-        if v.time_dependent:
-            total += (value(v, x, t + h) - value(v, x, t - h)) / (2.0 * h)
-        return float(total)
-
-    return vdot
+    tree = lyapunov._trees(sys, v)[1]
+    return lambda x, t=0.0: evaluate(tree, EvalContext(tuple(map(float, x)), t))
 
 
 def sample_values(sys, v, X, T):

@@ -119,7 +119,7 @@ def test_jacobian_pendulum_inverted_point():
 
 def test_jacobian_exact_for_quadratics():
     sysd = gallery_system("quadratic_drag")  # polynomial degree 2
-    jac = aut.jacobian_fd(sysd, [0.7, -0.4], h=1e-5)
+    jac = aut.jacobian_fd(sysd, [0.7, -0.4])
     x1, x2 = 0.7, -0.4
     exact = np.array([[0.0, 1.0], [2.0 * (1.0 - x1), -(1.0 + 2.0 * x2)]])
     assert np.abs(jac - exact).max() <= 1e-10

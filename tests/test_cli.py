@@ -559,6 +559,32 @@ def test_long_candidates_run_and_too_deep_ones_exit_2(capsys):
     assert "Traceback" not in captured.err
 
 
+SIN_99 = "sin(" * 99 + "x1" + ")" * 99
+# (first component, candidate): trees the parser accepts whose derivatives
+# are deeper or more nested than it would accept.  The candidate scan
+# reports (without W3 minors where the Hessian trees would exceed the
+# bounds); the Jacobian is an input error.
+DERIVED_SHAPES = {
+    f"product-{k}": ("-x1 + 1e-300*" + "*".join(["x1"] * k), "x1^2 + x2^2")
+    for k in (100, 300, 590)
+} | {"sin-99": ("-x1 + " + SIN_99, SIN_99 + " + x2^2")}
+
+
+@pytest.mark.parametrize("shape", DERIVED_SHAPES)
+def test_derivatives_beyond_the_bounds_exit_0_or_2(tmp_path, capsys, shape):
+    f1, candidate = DERIVED_SHAPES[shape]
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps({"name": shape, "kind": "nonlinear",
+                                "dimension": 2, "expressions": [f1, "-x2"]}))
+    rc, rep = run_cli(["lyapunov", "--system", path, "--candidate",
+                       candidate, "--samples", "256"], capsys)
+    assert rc == 0 and rep["result"]["vdot_verdict"]
+    assert cli.run(["linearize", "--system", str(path), "--point", "0,0"]) == 2
+    captured = capsys.readouterr()
+    assert "input error: expression " in captured.err
+    assert "deeper than" in captured.err and "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("doc", [
     {"matrix": [1, 2]}, 5, {"matrix": "abc"}, {"matrix": [[1, 0], [0]]},
     {"matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]},
@@ -715,8 +741,8 @@ def _spy(calls: list, fn):
 
 
 def test_newton_compiles_the_right_hand_side_once(capsys, monkeypatch):
-    # Newton and its finite-difference Jacobian ask for the right-hand side
-    # per iteration; the system compiles it once, on first use
+    # Newton asks for the right-hand side and its Jacobian per iteration;
+    # the system compiles each once, on first use
     from stabkit import expr
 
     calls = []
@@ -725,7 +751,7 @@ def test_newton_compiles_the_right_hand_side_once(capsys, monkeypatch):
     rc, rep = run_cli(["linearize", "--system", gallery_file("vanderpol"),
                        "--seeds", "0.1,0.1;1,1;-1,0.5"], capsys)
     assert rc == 0 and len(rep["result"]["equilibria"]) == 1
-    assert len(calls) == 1
+    assert len(calls) == 2
 
 
 def test_periodic_grid_compiles_once_per_system(capsys, monkeypatch):

@@ -4,7 +4,8 @@ import pytest
 from stabkit import discrete as dc
 from stabkit import expr as ex
 from stabkit import odeint
-from stabkit.errors import NotAFixedPointError, SampleCapError
+from stabkit.errors import (InvalidArgumentError, NotAFixedPointError,
+                            SampleCapError)
 from stabkit.lyapunov import CandidateV
 from stabkit.odeint import SAMPLE_CAP
 from conftest import gallery_system
@@ -48,6 +49,38 @@ def test_euler_discretize_time_becomes_index():
     # at k = 3 the continuous time is kT = 1.5
     got = disc.step(np.array([0.2]), 3.0)
     assert got[0] == pytest.approx(0.2 + 0.5 * (np.cos(1.5) - 0.2))
+
+
+def test_euler_discretize_binds_a_parameter_named_k():
+    # k is a parameter of the continuous system and the index of the
+    # discrete one: x(k+1) = x + 0.5*(-2*x + 0.5*k)
+    sysd = odeint.SystemDef(1, odeint.Nonlinear(("-k*x1 + t",)),
+                            params={"k": 2.0})
+    disc = dc.euler_discretize(sysd, 0.5)
+    assert disc.params == {}
+    assert disc.step([0.0], 4.0)[0] == 1.0
+    # with no parameter k, a continuous k is time and becomes T*k too
+    plain = dc.euler_discretize(odeint.SystemDef(1, odeint.Nonlinear(
+        ("k*x1",))), 0.5)
+    assert plain.step([1.0], 4.0)[0] == 2.0
+
+
+def test_euler_discretize_refuses_delays():
+    sysd = odeint.SystemDef(1, odeint.Nonlinear(("-x1",)),
+                            delays=(odeint.Delay(1.0, [[5.0]]),))
+    with pytest.raises(InvalidArgumentError, match="delays"):
+        dc.euler_discretize(sysd, 0.1)
+
+
+def test_euler_discretize_time_varying_linear_system():
+    sysd = odeint.SystemDef(2, odeint.LinearTimeVarying(
+        (("-1", "cos(t)"), ("0", "-2 - sin(t)"))))
+    disc = dc.euler_discretize(sysd, 0.1)
+    x = np.array([0.3, -0.2])
+    for k in (0.0, 3.0, 17.0):
+        a = sysd.linear_coefficient(0.1 * k)
+        np.testing.assert_allclose(disc.step(x, k), x + 0.1 * a @ x,
+                                   rtol=1e-15, atol=1e-16)
 
 
 def test_euler_tracks_rk4_pendulum():

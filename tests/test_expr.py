@@ -385,6 +385,91 @@ def test_nesting_at_the_bound_compiles_and_one_more_level_does_not(build):
         ex.parse(build(bound + 1))
 
 
+# --- derivatives ---------------------------------------------------------------
+
+# (tree, variable, closed form of the derivative): every node type and
+# function, powers with a varying exponent, and k read as time
+CLOSED_FORMS = [
+    ("2.5", "x1", "0"),
+    ("x1", "x1", "1"),
+    ("x2", "x1", "0"),
+    ("-x1", "x1", "-1"),
+    ("x1 + 3*x2", "x2", "3"),
+    ("x1 - x2", "x2", "-1"),
+    ("x1*x2", "x1", "x2"),
+    ("x1/x2", "x2", "-x1/(x2*x2)"),
+    ("x1^3", "x1", "3*x1*x1"),
+    ("x1^x2", "x1", "x2*x1^(x2 - 1)"),
+    ("x1^x2", "x2", "log(x1)*x1^x2"),
+    ("pow(x2, x1)", "x1", "log(x2)*pow(x2, x1)"),
+    ("pow(x1, 0.5)", "x1", "0.5/sqrt(x1)"),
+    ("sin(x1*x2)", "x1", "x2*cos(x1*x2)"),
+    ("cos(x1)", "x1", "-sin(x1)"),
+    ("tan(x1)", "x1", "1/(cos(x1)*cos(x1))"),
+    ("exp(2*x1)", "x1", "2*exp(2*x1)"),
+    ("log(x1)", "x1", "1/x1"),
+    ("sqrt(x1)", "x1", "1/(2*sqrt(x1))"),
+    ("abs(x1)", "x1", "1"),
+    ("abs(-x1)", "x1", "1"),
+    ("k*x1", "t", "x1"),
+    ("t*k", "t", "k + t"),
+    ("sin(t)*x1^2", "t", "cos(t)*x1^2"),
+]
+
+
+@pytest.mark.parametrize("text, name, closed", CLOSED_FORMS)
+def test_derivative_matches_its_closed_form(text, name, closed):
+    d = ex.derivative(ex.parse(text), name)
+    for point in ((0.7, 1.3, 0.4), (1.9, 0.6, 2.2)):
+        ctx = EvalContext(point[:2], point[2])
+        want = evaluate(ex.parse(closed), ctx)
+        assert evaluate(d, ctx) == pytest.approx(want, rel=1e-14, abs=1e-15)
+
+
+def test_derivative_by_t_skips_a_bound_k():
+    tree = ex.bind(ex.parse("k*x1 + t"), {"k": 2.0})
+    assert ex.derivative(tree, "t") == ex.Number(1.0)
+    assert ex.derivative(tree, "x1") == ex.Number(2.0)
+
+
+@pytest.mark.parametrize("text, name, point", [
+    ("abs(x1)", "x1", (0.0, 1.0)),
+    ("sqrt(x1)", "x1", (0.0, 1.0)),
+    ("x1^x2", "x2", (-2.0, 1.0)),  # a varying exponent needs a base > 0
+])
+def test_derivative_raises_where_none_exists(text, name, point):
+    d = ex.derivative(ex.parse(text), name)
+    with pytest.raises(DomainError):
+        ex.compile_expr(d)(point, 0.0)
+    with pytest.raises(DomainError):
+        evaluate(d, EvalContext(point, 0.0))
+
+
+def test_derivative_folds_zeros_ones_and_numbers():
+    assert ex.derivative(ex.parse("3*x2 + sin(t)"), "x1") == ex.Number(0.0)
+    assert ex.derivative(ex.parse("x1^2"), "x1") == ex.parse("2*x1")
+    assert ex.derivative(ex.parse("x1*x2"), "x2") == ex.Var("x1")
+    # a nest of calls derives to one * chain, the chain-rule factor leading
+    assert ex.to_string(ex.derivative(ex.parse("sin(sin(x1))"), "x1")) == \
+        "cos(x1)*cos(sin(x1))"
+
+
+def test_derivative_beyond_the_bounds_is_an_input_error():
+    # each factor of a product chain nests its derivative one level deeper
+    chain = ex.parse("*".join(["x1"] * 60))
+    with pytest.raises(InvalidArgumentError, match="nested deeper than"):
+        ex.derivative(chain, "x1")
+    assert ex.derivative(ex.parse("*".join(["x1"] * 20)), "x1") is not None
+
+
+def test_total_adds_in_pairs():
+    terms = [ex.Var(f"x{i + 1}") for i in range(1000)]
+    tree = ex.total([ex.Number(0.0), *terms])
+    state = tuple(float(i) for i in range(1000))
+    assert ex.compile_expr(tree)(state, 0.0) == sum(state)
+    assert ex.total([]) == ex.Number(0.0)
+
+
 # hypothesis variant of the round trip: grammar-driven random trees
 
 try:
@@ -503,6 +588,44 @@ try:
             with pytest.raises(DomainError) as err:
                 ex.strict_rows(lambda r: batch(X[r], 0.0), len(X), str)
             assert (err.value.row, err.value.reason) == want
+
+    # constants up to 3 keep most trees finite near the points below
+    _smooth_leaf = st.one_of(
+        st.floats(min_value=0.1, max_value=3.0).map(ex.Number),
+        st.sampled_from(["x1", "x2", "t"]).map(ex.Var),
+    )
+
+    @settings(max_examples=600, derandomize=True, deadline=None)
+    @given(st.recursive(_smooth_leaf, _extend, max_leaves=16),
+           st.sampled_from(["x1", "x2", "t"]),
+           st.tuples(*[st.floats(0.25, 2.0)] * 3))
+    def test_derivative_matches_central_differences(tree, name, point):
+        """The derivative tree, walked, against central differences of the
+        walker at steps h and 2h.  For smooth f, D(h) = f' + h^2 f'''/6 +
+        O(h^4), so |D(2h) - D(h)| is three times the truncation error of
+        D(h) once h resolves f: h is 2^-12, shortened by the rate
+        (1 + |f'|) / (1 + |f|).  Rounding adds at most 2^-30 max|f| / h
+        (2^22 ulps of the largest stencil value, for cancellation inside
+        the tree)."""
+        from hypothesis import assume
+
+        slot = ["x1", "x2", "t"].index(name)
+
+        def walk(e, shift=0.0):
+            p = list(point)
+            p[slot] += shift
+            return evaluate(e, EvalContext(p[:2], p[2]))
+
+        try:
+            got = walk(ex.derivative(tree, name))
+            h = 2.0 ** -12 * min(1.0, (1 + abs(walk(tree))) / (1 + abs(got)))
+            f = {k: walk(tree, k * h) for k in (-2, -1, 1, 2)}
+        except DomainError:
+            assume(False)
+        d1 = (f[1] - f[-1]) / (2 * h)
+        d2 = (f[2] - f[-2]) / (4 * h)
+        rounding = 2.0 ** -30 * max(map(abs, f.values())) / h
+        assert abs(got - d1) <= abs(d2 - d1) + rounding
 
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(_trees)
