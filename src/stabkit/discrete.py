@@ -2,9 +2,11 @@
 discrete direct method.
 
 The derivative of the continuous theory is replaced by the one-step
-difference ``Delta V(x, k) = V(f(x, k), k+1) - V(x, k)``; classification by
-a candidate V follows the same one-sided sampling semantics as the
-continuous module.
+difference ``Delta V(x, k) = V(f(x, k), k+1) - V(x, k)``.  Classification
+by a candidate V runs on the continuous module's scan core
+(``lyapunov._direct_scan`` and ``lyapunov._sign_test``): the same sampler,
+checks, one-sided semantics and sign floor; this module supplies only the
+fixed-point check and the batch ``Delta V``.
 """
 
 from __future__ import annotations
@@ -23,10 +25,9 @@ from .lyapunov import (
     CandidateV,
     Probe,
     ScanConfig,
-    _fit_lower_bound,
-    _require_dimension,
-    _require_samples,
-    _require_scan_radius,
+    SignVerdict,
+    _direct_scan,
+    _sign_test,
 )
 from .odeint import (
     ESCAPE_THRESHOLD,
@@ -36,7 +37,7 @@ from .odeint import (
     _params,
     _write_csv,
 )
-from .sampling import ball_points
+from .sampling import ball_points  # noqa: F401  (the perfbench tracer wraps it)
 
 __all__ = [
     "DiscreteSystem", "Orbit", "euler_discretize", "iterate", "delta_v",
@@ -167,42 +168,34 @@ def classify_discrete(sys: DiscreteSystem, v: CandidateV, radius: float = 0.3,
                       samples: int = 2048, k0: int = 0) -> DiscreteReport:
     """Direct-method classification of the origin for a discrete system.
 
-    Requires the origin to be a fixed point of the update.  On sampled ball
-    points: V positive definite and ``Delta V <= 0`` gives stability;
-    ``Delta V`` negative definite (with sampled power margin) upgrades to
-    asymptotic stability; anything else is no conclusion, with the same
-    one-sided semantics as the continuous scans.  The default radius 0.3
-    matches the scale at which local sign analyses of cubic-term updates
-    hold.  A :class:`DomainError` names the first failing sample of V, else
-    of Delta V.
+    Requires the origin to be a fixed point of the update and V(0, k0) = 0
+    (else :class:`InvalidCandidateError`).  On sampled ball points: V
+    positive definite and ``Delta V <= 0`` gives stability; ``Delta V``
+    negative definite (with sampled power margin) upgrades to asymptotic
+    stability; anything else is no conclusion, with the same one-sided
+    semantics and the same sign test as the continuous scans.  The default
+    radius 0.3 matches the scale at which local sign analyses of cubic-term
+    updates hold.  A :class:`DomainError` names the first failing sample of
+    V, else of Delta V.
     """
-    _require_samples(samples)
-    _require_dimension(v, sys.dimension)
-    zero = np.zeros((1, sys.dimension))
-    if float(np.linalg.norm(sys.steps(zero, float(k0)))) > 1e-12:
-        raise NotAFixedPointError("update(0) != 0: origin is not a fixed point")
-    X = ball_points(samples, sys.dimension, radius, exclude=1e-9 * radius)
-    _require_scan_radius(radius)
-    T = np.full(samples, float(k0))
-    norms = np.linalg.norm(X, axis=1)
-    scan = ScanConfig(points=samples, t0=float(k0), time_span=0.0)
-    v_vals, d_vals = ex.strict_rows(
-        lambda r: _batch_deltas(sys, v, X[r], k0), samples,
-        lambda i: f"x={tuple(float(c) for c in X[i])}, k={k0}",
-        prior=(lambda r: v.values(X[r], float(k0)),))
+    def fixed_point():
+        zero = np.zeros((1, sys.dimension))
+        if float(np.linalg.norm(sys.steps(zero, float(k0)))) > 1e-12:
+            raise NotAFixedPointError(
+                "update(0) != 0: origin is not a fixed point")
 
-    v_positive = _fit_lower_bound(v_vals, norms, T, False, scan, X)
-    worst = float(d_vals.max())
-    scale = float(np.abs(d_vals).max()) if len(d_vals) else 0.0
-    delta_margin = None
-    if not v_positive.established or worst > 1e-9 * (1.0 + scale):
-        conclusion = DiscreteConclusion.NO_CONCLUSION
+    v_vals, d_vals, _, fit = _direct_scan(
+        v, sys.dimension, radius,
+        ScanConfig(points=samples, t0=float(k0), time_span=0.0), False,
+        fixed_point, lambda X, T: _batch_deltas(sys, v, X, k0),
+        lambda t: f"k={k0}", "k")
+    v_positive = fit(v_vals)
+    verdict, margin = _sign_test(d_vals, fit)
+    if not v_positive.established or verdict is SignVerdict.INDEFINITE:
+        conclusion, margin = DiscreteConclusion.NO_CONCLUSION, None
+    elif verdict is SignVerdict.NEGATIVE_DEFINITE:
+        conclusion = DiscreteConclusion.ASYMPTOTICALLY_STABLE
     else:
-        margin = _fit_lower_bound(-d_vals, norms, T, False, scan, X)
-        if margin.established:
-            conclusion = DiscreteConclusion.ASYMPTOTICALLY_STABLE
-            delta_margin = margin
-        else:
-            conclusion = DiscreteConclusion.STABLE
-    return DiscreteReport(conclusion, v_positive, delta_margin, worst,
-                          samples, radius)
+        conclusion = DiscreteConclusion.STABLE
+    return DiscreteReport(conclusion, v_positive, margin,
+                          float(d_vals.max()), samples, radius)

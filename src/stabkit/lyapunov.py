@@ -8,14 +8,21 @@ violating sample is conclusive for "not definite".  Conclusions only ever
 claim what the sufficient conditions support; a failed candidate yields
 ``NO_CONCLUSION``, never "unstable".
 
+The direct-method ladders (:func:`check_candidate`,
+:func:`check_instability` and the discrete ``classify_discrete``) run on
+one scan core: :func:`_direct_scan` checks the origin, samples ball points
+with Halton times and evaluates V with its rate (Vdot, or Delta V), and
+:func:`_sign_test` reads the rate's sign against the one sign floor.
+
 The scans are evaluated in batches, ``BLOCK`` rows per call of a strict
 batch evaluator (:func:`~stabkit.expr.compile_expr_vec`, compiled once
 per candidate, per form and per system), each batch under
-:func:`~stabkit.expr.strict_rows`: V and the exact Vdot (one tree from
-the derivative trees of V and the system's field trees), the Sylvester
-minors, the attraction ladder, the origin checks and the radial rays.  A
-domain error names the first failing sample in the order of a
-point-by-point scan.  The W3 minors come from the exact Hessian of Vdot.
+:func:`~stabkit.expr.strict_rows`: V and its rate, the decrescence grid,
+the Sylvester minors, the attraction ladder, the origin checks and the
+radial rays.  A domain error names the first failing sample in the order
+of a point-by-point scan.  Vdot is exact, one tree from the derivative
+trees of V (for attraction, x'Px) and the system's field trees; the W3
+minors come from the exact Hessian of Vdot.
 
 The module also owns the continuous Lyapunov matrix equation (solved in
 the eigenbasis where a separation certificate holds, else by Kronecker
@@ -223,37 +230,17 @@ def _batch_values(sys: SystemDef, v: CandidateV, X: np.ndarray,
     return out[:, 0], out[:, 1]
 
 
-def _sample_values(sys: SystemDef, v: CandidateV, X: np.ndarray,
-                   T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """V and Vdot at every sample row.  A domain error names the first
-    sample at which V fails, or else the first at which Vdot does."""
-    return ex.strict_rows(lambda r: _batch_values(sys, v, X[r], T[r]),
-                          len(X), lambda k: _sample_label(X[k], T[k]),
-                          prior=(lambda r: v.values(X[r], T[r]),))
+def _time_label(t) -> str:
+    return f"t={float(t)!r}"
 
 
-def _sample_label(x, t) -> str:
-    return f"x={tuple(float(c) for c in x)}, t={float(t)!r}"
+def _sample_label(x, t, clock=_time_label) -> str:
+    return f"x={tuple(float(c) for c in x)}, {clock(t)}"
 
 
 def _require_samples(count: int) -> None:
     if not count >= 1:
         raise InvalidArgumentError(f"need at least one sample, got {count}")
-
-
-def _require_scan_radius(radius: float) -> None:
-    """Refuse a radius below ``MIN_SCAN_RADIUS``; called after
-    ``ball_points``, whose messages cover the radii no ball can take."""
-    if radius < MIN_SCAN_RADIUS:
-        raise InvalidArgumentError(
-            f"radius {radius!r} is too small: ||x||^4 underflows near the "
-            f"origin (the scans need at least {MIN_SCAN_RADIUS:.3g})")
-
-
-def _require_dimension(v: CandidateV, n: int) -> None:
-    if v.max_state_index() > n:
-        raise DimensionMismatchError(
-            "candidate references state variables beyond the system dimension")
 
 
 # --- scan reports ----------------------------------------------------------------
@@ -366,33 +353,79 @@ def _time_dependent(sys: SystemDef, v: CandidateV) -> bool:
     return (not sys.is_autonomous()) or v.time_dependent
 
 
-def _scan_points(sys: SystemDef, v: CandidateV, radius: float,
-                 scan: ScanConfig):
-    """Joint (x, t) samples: ball points paired with Halton times."""
-    n = sys.dimension
+def _scan_points(n: int, radius: float, scan: ScanConfig, time_dep: bool):
+    """The samples of a direct-method scan: ball points (whose messages
+    cover the radii no ball can take), then the radius floor, then Halton
+    times on the window (``t0`` when ``time_dep`` is False)."""
     X = ball_points(scan.points, n, radius, exclude=1e-9 * radius)
-    _require_scan_radius(radius)
-    time_dep = _time_dependent(sys, v)
+    if radius < MIN_SCAN_RADIUS:
+        raise InvalidArgumentError(
+            f"radius {radius!r} is too small: ||x||^4 underflows near the "
+            f"origin (the scans need at least {MIN_SCAN_RADIUS:.3g})")
     if time_dep:
-        u = halton(scan.points, 1, start=11)[:, 0]
-        T = scan.t0 + scan.time_span * u
-    else:
-        T = np.full(scan.points, scan.t0)
-    return X, T, time_dep
+        return X, scan.t0 + scan.time_span * halton(scan.points, 1,
+                                                    start=11)[:, 0]
+    return X, np.full(scan.points, scan.t0)
+
+
+def _direct_scan(v: CandidateV, n: int, radius: float, scan: ScanConfig,
+                 time_dep: bool, at_origin, evaluate, clock=_time_label,
+                 zero: str | None = "t"):
+    """The sampled scan of every direct-method ladder, continuous or
+    discrete: ``(V, D, norms, fit)`` on the samples of :func:`_scan_points`.
+
+    Checks come first: the sample count, the dimension, the window,
+    ``at_origin()`` (the equilibrium or fixed-point check) and, unless
+    ``zero`` is None, ``V(0, zero) = 0`` at 16 times of the window.  Then
+    ``evaluate(X, T)`` gives V and its rate D (Vdot, or Delta V) under
+    :func:`~stabkit.expr.strict_rows`, V first; ``clock`` labels a sample's
+    time.  ``fit(values)`` is :func:`_fit_lower_bound` on the samples.
+    """
+    _require_samples(scan.points)
+    if v.max_state_index() > n:
+        raise DimensionMismatchError(
+            "candidate references state variables beyond the system dimension")
+    _check_window(scan.t0, scan.time_span, time_dep)
+    at_origin()
+    if zero is not None:
+        times = np.linspace(scan.t0, scan.t0 + scan.time_span, 16)
+        if np.abs(_origin_values(v.values, n, times, clock)).max() > 1e-9:
+            raise InvalidCandidateError(
+                f"candidate must satisfy V(0, {zero}) = 0")
+    X, T = _scan_points(n, radius, scan, time_dep)
+    v_vals, d_vals = ex.strict_rows(
+        lambda r: evaluate(X[r], T[r]), len(X),
+        lambda k: _sample_label(X[k], T[k], clock),
+        prior=(lambda r: v.values(X[r], T[r]),))
+    norms = np.linalg.norm(X, axis=1)
+    return v_vals, d_vals, norms, lambda values: _fit_lower_bound(
+        values, norms, T, time_dep, scan, X)
 
 
 def _scan(sys: SystemDef, v: CandidateV, radius: float, scan: ScanConfig,
-          zero_at_origin: bool):
-    """Checks, then ``(X, T, time_dep, norms, V, Vdot)`` on the samples."""
-    _require_samples(scan.points)
-    _require_dimension(v, sys.dimension)
-    _check_window(scan.t0, scan.time_span, _time_dependent(sys, v))
-    _check_origin_equilibrium(sys, scan)
-    if zero_at_origin:
-        _check_candidate_zero(v, sys.dimension, scan)
-    X, T, time_dep = _scan_points(sys, v, radius, scan)
-    return (X, T, time_dep, np.linalg.norm(X, axis=1),
-            *_sample_values(sys, v, X, T))
+          zero: str | None):
+    """:func:`_direct_scan` of V and Vdot along the trajectories of ``sys``."""
+    return _direct_scan(
+        v, sys.dimension, radius, scan, _time_dependent(sys, v),
+        lambda: _check_origin_equilibrium(sys, scan),
+        lambda X, T: _batch_values(sys, v, X, T), zero=zero)
+
+
+def _above_floor(values: np.ndarray) -> bool:
+    """Is some value above the sign floor ``1e-9 * (1 + max|values|)``?"""
+    return bool(values.max() > 1e-9 * (1.0 + np.abs(values).max()))
+
+
+def _sign_test(d_vals: np.ndarray, fit) -> tuple[SignVerdict, Probe | None]:
+    """The sign of a rate D that should be <= 0: indefinite when some
+    sample is above the floor, else negative definite with the margin
+    ``fit(-D)`` when it is established, else semidefinite."""
+    if _above_floor(d_vals):
+        return SignVerdict.INDEFINITE, None
+    margin = fit(-d_vals)
+    if margin.established:
+        return SignVerdict.NEGATIVE_DEFINITE, margin
+    return SignVerdict.NEGATIVE_SEMIDEFINITE, None
 
 
 def _fit_lower_bound(values: np.ndarray, norms: np.ndarray, T: np.ndarray,
@@ -429,27 +462,21 @@ def _fit_lower_bound(values: np.ndarray, norms: np.ndarray, T: np.ndarray,
                  "no sampled power bound with margin")
 
 
-def _origin_values(fn, n: int, times: np.ndarray) -> np.ndarray:
+def _origin_values(fn, n: int, times: np.ndarray,
+                   clock=_time_label) -> np.ndarray:
     zero = np.zeros((len(times), n))
     return ex.strict_rows(lambda r: fn(zero[r], times[r]), len(times),
-                          lambda k: f"t={float(times[k])!r}")
+                          lambda k: clock(times[k]))
 
 
-def _check_origin_equilibrium(sys: SystemDef, scan: ScanConfig,
-                              tol: float = 1e-9) -> None:
+def _check_origin_equilibrium(sys: SystemDef, scan: ScanConfig) -> None:
     times = np.linspace(scan.t0, scan.t0 + scan.time_span, 16) \
         if not sys.is_autonomous() else np.array([scan.t0])
     f0 = _origin_values(sys.batch_field, sys.dimension, times)
     worst = float(np.linalg.norm(f0, axis=1).max())
-    if worst >= tol:
+    if worst >= 1e-9:
         raise NotAnEquilibriumError(
             f"||f(0, t)|| reaches {worst:.3e}; origin is not an equilibrium")
-
-
-def _check_candidate_zero(v: CandidateV, n: int, scan: ScanConfig) -> None:
-    times = np.linspace(scan.t0, scan.t0 + scan.time_span, 16)
-    if np.abs(_origin_values(v.values, n, times)).max() > 1e-9:
-        raise InvalidCandidateError("candidate must satisfy V(0, t) = 0")
 
 
 def _w3_quadratic_minors(sys: SystemDef, v: CandidateV,
@@ -475,14 +502,15 @@ def _decrescent_probe(sys: SystemDef, v: CandidateV, radius: float,
     """Is sup_t V(x, t) dominated by a time-free quadratic on the ball?"""
     if not v.time_dependent:
         return Probe(True, 2, None, 1.0, None, "time-invariant candidate")
-    n = sys.dimension
-    X = ball_points(min(256, scan.points), n, radius, exclude=1e-6 * radius)
+    X = ball_points(min(256, scan.points), sys.dimension, radius,
+                    exclude=1e-6 * radius)
     times = scan.t0 + np.linspace(0.0, scan.time_span, scan.time_samples + 1)
     mid = scan.t0 + 0.5 * scan.time_span
-    vals = np.empty((len(times), len(X)))
-    for i, t in enumerate(times):
-        vals[i] = ex.strict_rows(lambda r: v.values(X[r], t), len(X),
-                                 lambda k: _sample_label(X[k], t))
+    # the (t, x) grid, time-major: errors name the first time, then point
+    XG, TG = np.tile(X, (len(times), 1)), np.repeat(times, len(X))
+    vals = ex.strict_rows(lambda r: v.values(XG[r], TG[r]), len(TG),
+                          lambda k: _sample_label(XG[k], TG[k])
+                          ).reshape(len(times), len(X))
     norms2 = np.einsum("ij,ij->i", X, X)
     sup_all = np.abs(vals).max(axis=0)
     coefficient = float((sup_all / norms2).max())
@@ -532,27 +560,13 @@ def check_candidate(sys: SystemDef, v: CandidateV, radius: float = 1.0,
     for autonomous systems uniformity is vacuous and the plain labels of the
     autonomous theory are reported.
     """
-    X, T, time_dep, norms, v_vals, vd_vals = _scan(sys, v, radius, scan, True)
-
-    v_positive = _fit_lower_bound(v_vals, norms, T, time_dep, scan, X)
+    v_vals, vd_vals, norms, fit = _scan(sys, v, radius, scan, "t")
+    v_positive = fit(v_vals)
     notes: list[str] = []
-    if time_dep:
+    if _time_dependent(sys, v):
         notes.append("definiteness over unbounded t approximated on a "
                      f"finite window [{scan.t0}, {scan.t0 + scan.time_span}]")
-
-    worst_vdot = float(vd_vals.max())
-    scale = float(np.abs(vd_vals).max())
-    nsd_tol = 1e-9 * (1.0 + scale)
-    vdot_margin = None
-    if worst_vdot > nsd_tol:
-        vdot_verdict = SignVerdict.INDEFINITE
-    else:
-        margin = _fit_lower_bound(-vd_vals, norms, T, time_dep, scan, X)
-        if margin.established:
-            vdot_verdict = SignVerdict.NEGATIVE_DEFINITE
-            vdot_margin = margin
-        else:
-            vdot_verdict = SignVerdict.NEGATIVE_SEMIDEFINITE
+    vdot_verdict, vdot_margin = _sign_test(vd_vals, fit)
 
     decrescent = _decrescent_probe(sys, v, radius, scan)
     radial = _radial_probe(v, sys.dimension, scan.t0, radius)
@@ -593,7 +607,7 @@ def check_candidate(sys: SystemDef, v: CandidateV, radius: float = 1.0,
         samples=scan.points,
         radius=radius,
         time_window=(scan.t0, scan.t0 + scan.time_span),
-        worst_vdot=worst_vdot,
+        worst_vdot=float(vd_vals.max()),
         notes=tuple(notes),
     )
 
@@ -627,15 +641,13 @@ def check_instability(sys: SystemDef, w: CandidateV, radius: float = 1.0,
     every one holds with margin.  The conditions are sufficient, not
     necessary: a False result does not certify stability.
     """
-    X, T, time_dep, norms, w_vals, wd_vals = _scan(sys, w, radius, scan, False)
+    w_vals, wd_vals, _, fit = _scan(sys, w, radius, scan, None)
     times = np.linspace(scan.t0, scan.t0 + scan.time_span, 8)
     w_zero = bool(np.abs(_origin_values(w.values, sys.dimension,
                                         times)).max() <= 1e-9)
-    scale = float(np.abs(w_vals).max()) if len(w_vals) else 0.0
-    w_nonneg = bool(w_vals.min() >= -1e-9 * (1.0 + scale))
-    w_nontrivial = bool(w_vals.max() > 1e-9 * (1.0 + scale))
-    margin = _fit_lower_bound(wd_vals, norms, T, time_dep, scan, X)
-    wdot_pd = margin.established
+    w_nonneg = not _above_floor(-w_vals)
+    w_nontrivial = _above_floor(w_vals)
+    wdot_pd = _sign_test(-wd_vals, fit)[0] is SignVerdict.NEGATIVE_DEFINITE
     return InstabilityReport(
         unstable=bool(w_zero and w_nonneg and w_nontrivial and wdot_pd),
         w_zero_at_origin=w_zero,
@@ -795,12 +807,12 @@ def attraction_region(sys: SystemDef, p, cmax: float, levels: int = 48,
     if not (np.isfinite(cmax) and cmax > 0.0):
         raise InvalidArgumentError(f"cmax must be finite and > 0, got {cmax!r}")
     pm = linalg.as_matrix(p, square=True)
-    verdict = linalg.definiteness(pm)
-    if not verdict.is_positive_definite:
+    if not linalg.definiteness(pm).is_positive_definite:
         raise InvalidArgumentError("P must be positive definite")
-    fv = sys.batch_field
-    if float(np.linalg.norm(fv(np.zeros((1, sys.dimension)), t))) >= 1e-9:
+    if float(np.linalg.norm(sys.batch_field(np.zeros((1, sys.dimension)),
+                                            t))) >= 1e-9:
         raise NotAnEquilibriumError("origin is not an equilibrium")
+    vdot = ex.compile_expr_vec(_trees(sys, CandidateV.quadratic(pm))[1])
     dirs = sphere_directions(directions, sys.dimension)
     quad = np.einsum("ij,jk,ik->i", dirs, pm, dirs)  # d'Pd per direction
     per = max(1, BLOCK // directions)  # levels per batch
@@ -812,12 +824,7 @@ def attraction_region(sys: SystemDef, p, cmax: float, levels: int = 48,
             def negative(r) -> bool:  # Vdot < 0 on the levels ladder[r]
                 X = dirs * np.sqrt(c * ladder[r, None] / levels / quad)[..., None]
                 pts = X[np.linalg.norm(X, axis=-1) > 1e-6]
-                if not len(pts):
-                    return True
-                vdot = 2.0 * np.einsum("ij,ij->i", pts @ pm, fv(pts, t))
-                if not np.isfinite(vdot).all():  # einsum raises no flag
-                    raise DomainError("non-finite value of x'P f(x)")
-                return bool(np.all(vdot < 0.0))
+                return bool(np.all(vdot(pts, t) < 0.0))
 
             try:
                 if not ex.strict_rows(negative, len(ladder), lambda k: (

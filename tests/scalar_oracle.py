@@ -29,6 +29,7 @@ from stabkit.errors import (
     UnknownIdentifierError,
 )
 from stabkit.odeint import Nonlinear
+from stabkit.sampling import sphere_directions
 
 
 @dataclass
@@ -203,6 +204,38 @@ def sylvester_loop(q, X, times):
             worst = row
         min_minors = np.minimum(min_minors, minors)
     return min_minors, worst
+
+
+def quadratic_vdot(sys, p):
+    """The derivative of V = x'Px along ``sys`` at the rows of ``X``, as
+    ``2 x'P f(x, t)`` from the batch field: no derivative tree."""
+    return lambda X, t: 2.0 * np.einsum("ij,ij->i", X @ p,
+                                        sys.batch_field(X, t))
+
+
+def attraction_loop(sys, p, cmax, levels=48, directions=512, t=0.0,
+                    iterations=40):
+    """c* of ``attraction_region`` level by level on :func:`quadratic_vdot`:
+    the same ladder of levels and directions, and the same bisection."""
+    vdot = quadratic_vdot(sys, p)
+    dirs = sphere_directions(directions, sys.dimension)
+    quad = np.einsum("ij,jk,ik->i", dirs, p, dirs)
+
+    def passes(c):
+        for k in range(1, levels + 1):
+            X = dirs * np.sqrt(c * k / levels / quad)[:, None]
+            X = X[np.linalg.norm(X, axis=1) > 1e-6]
+            if len(X) and not np.all(vdot(X, t) < 0.0):
+                return False
+        return True
+
+    if passes(cmax):
+        return float(cmax)
+    lo, hi = cmax * 1e-9, cmax
+    for _ in range(iterations):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if passes(mid) else (lo, mid)
+    return float(lo)
 
 
 def first_failure(fn, rows):

@@ -99,7 +99,7 @@ def test_batched_v_and_vdot_match_scalar_loop(monkeypatch, name, expression,
     monkeypatch.setattr(ly, "BLOCK", 500)  # several blocks per scan
     sysd = _system(name)
     v = CandidateV(expression, params=params)
-    X, T, _ = ly._scan_points(sysd, v, radius, FAST_SCAN)
+    X, T = ly._scan_points(2, radius, FAST_SCAN, ly._time_dependent(sysd, v))
     v_batch, vd_batch = ly._batch_values(sysd, v, X, T)
     v_loop, vd_loop = oracle.sample_values(sysd, v, X, T)
     np.testing.assert_allclose(v_batch, v_loop, rtol=1e-12, atol=0.0)
@@ -182,7 +182,7 @@ def _assert_names(err, k, where):
 
 def _scan_failure_parity(check, sysd, v):
     # the per-point scan order: V at every sample, then Vdot
-    X, T, _ = ly._scan_points(sysd, v, 1.0, FAST_SCAN)
+    X, T = ly._scan_points(2, 1.0, FAST_SCAN, ly._time_dependent(sysd, v))
     rows = list(zip(X, T))
     if oracle.first_failure(lambda x, t: oracle.value(v, x, t), rows):
         k = _first_of_several(lambda x, t: oracle.value(v, x, t), rows)
@@ -245,12 +245,34 @@ def test_domain_error_parity_sylvester():
     _assert_names(got.value, k, f"x={tuple(x.tolist())}, t={float(t)!r}")
 
 
+def test_decrescence_probe_names_first_failing_time_then_point():
+    # log leaves its domain where t + 5 x1 >= 45: only late in the window,
+    # and from ever smaller x1 as t grows
+    v = CandidateV("(x1^2 + x2^2)*(1 + 0*log(45 - t - 5*x1))")
+    scan = ScanConfig(points=1024, time_samples=32)
+    X = ball_points(256, 2, 1.0, exclude=1e-6)
+    times = np.linspace(0.0, 50.0, 33)
+    rows = [(x, t) for t in times for x in X]  # time-major
+    k = _first_of_several(lambda x, t: oracle.value(v, x, t), rows)
+
+    def label(x, t):
+        return f"x={tuple(x.tolist())}, t={float(t)!r}"
+
+    point_major = [(x, t) for x in X for t in times]
+    j, _ = oracle.first_failure(lambda x, t: oracle.value(v, x, t),
+                                point_major)
+    assert label(*point_major[j]) != label(*rows[k])  # the order matters
+    with pytest.raises(DomainError) as got:
+        ly._decrescent_probe(gallery_system("cubic_damping"), v, 1.0, scan)
+    _assert_names(got.value, k, label(*rows[k]))
+
+
 def test_overflowing_intermediate_raises_at_first_sample():
     # the product overflows where x1 > 0.71 although 0/inf would be 0: the
     # scans refuse every overflowing intermediate, as the oracle does
     sysd = gallery_system("cubic_damping")
     v = CandidateV("x1^2 + x2^2 + 0/(1 + exp(500*x1)*exp(500*x1))")
-    X, T, _ = ly._scan_points(sysd, v, 1.0, FAST_SCAN)
+    X, T = ly._scan_points(2, 1.0, FAST_SCAN, ly._time_dependent(sysd, v))
     k = _first_of_several(lambda x, t: oracle.value(v, x, t), zip(X, T))
     with pytest.raises(DomainError) as got:
         ly.check_candidate(sysd, v, scan=FAST_SCAN)
@@ -337,6 +359,22 @@ def test_attraction_ladder_batches_match_level_by_level(monkeypatch, name,
     per_level = ly.attraction_region(sysd, np.eye(2), cmax, levels=levels,
                                      directions=directions)
     assert batched == per_level
+
+
+@pytest.mark.parametrize("name, cmax", [("vanderpol", 10.0),
+                                        ("cross_coupled", 40.0),
+                                        ("vanderpol_integral", 30.0)])
+@pytest.mark.parametrize("q", [np.eye(2), np.array([[1.0, 0.5], [0.5, 4.0]])],
+                         ids=["q-identity", "q-coupled"])
+def test_attraction_with_weight_matches_x_p_f_oracle(name, cmax, q):
+    # an SPD P that is not the identity: the Lyapunov solution of the
+    # linearization, so that Vdot < 0 near the origin; c* is bisected
+    sysd = gallery_system(name)
+    p = ly.solve_lyapunov(sysd.jacobian(np.zeros(2), 0.0), q)
+    got = ly.attraction_region(sysd, p, cmax, directions=256)
+    want = oracle.attraction_loop(sysd, p, cmax, directions=256)
+    assert got < cmax
+    assert abs(got - want) <= cmax * 2.0**-40  # one bisection step
 
 
 def test_attraction_failing_level_wins_over_later_domain_error():

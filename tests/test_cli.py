@@ -181,6 +181,21 @@ def test_discrete_candidate_command(capsys):
     jsonschema.validate(rep, report_schema())
 
 
+def test_discrete_candidate_nonzero_at_origin_exits_3(tmp_path, capsys):
+    # an unstable map (x2 doubles) and a V with V(0) = 1
+    path = tmp_path / "split.json"
+    path.write_text(json.dumps({"name": "split", "kind": "discrete",
+                                "dimension": 2,
+                                "expressions": ["0.5*x1", "2*x2"]}))
+    rc = cli.run(["discrete", "--system", str(path), "--candidate",
+                  "1 + x1^2 - x2^2"])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert captured.err == ("stabkit: analysis error: InvalidCandidateError: "
+                            "candidate must satisfy V(0, k) = 0\n")
+
+
 def test_discrete_iterate_command(tmp_path, capsys):
     csv = tmp_path / "orbit.csv"
     rc, rep = run_cli(["discrete", "--system", gallery_file("cubic_map"),

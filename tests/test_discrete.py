@@ -4,8 +4,8 @@ import pytest
 from stabkit import discrete as dc
 from stabkit import expr as ex
 from stabkit import odeint
-from stabkit.errors import (InvalidArgumentError, NotAFixedPointError,
-                            SampleCapError)
+from stabkit.errors import (InvalidArgumentError, InvalidCandidateError,
+                            NotAFixedPointError, SampleCapError)
 from stabkit.lyapunov import CandidateV
 from stabkit.odeint import SAMPLE_CAP
 from conftest import gallery_system
@@ -191,6 +191,21 @@ def test_classify_requires_fixed_point():
     shifted = dc.DiscreteSystem(1, ("x1 + 1",))
     with pytest.raises(NotAFixedPointError):
         dc.classify_discrete(shifted, CandidateV("x1^2"))
+
+
+def test_classify_requires_candidate_zero_at_origin():
+    # x2 doubles every step; with V(0) = 1 the sampled Delta V alone would
+    # read asymptotically stable
+    split = dc.DiscreteSystem(2, ("0.5*x1", "2*x2"))
+    with pytest.raises(InvalidCandidateError, match=r"V\(0, k\) = 0"):
+        dc.classify_discrete(split, CandidateV("1 + x1^2 - x2^2"))
+    # checked at k0 only: V(0, 3) = 0, and then Delta V = 1 - 0.75 x1^2
+    halving = dc.DiscreteSystem(1, ("0.5*x1",))
+    shifted = CandidateV("x1^2 + k - 3")
+    with pytest.raises(InvalidCandidateError):
+        dc.classify_discrete(halving, shifted, k0=2)
+    assert dc.classify_discrete(halving, shifted, k0=3).conclusion \
+        is dc.DiscreteConclusion.NO_CONCLUSION
 
 
 def test_gallery_cubic_maps(build):

@@ -4,8 +4,9 @@ answer is known without computing it.
 * ``classify`` depends on the spectrum only, so a similarity ``T A T^-1``
   with a well-conditioned ``T`` keeps the kind, the sign classes and (in
   the plane) the critical-point type.
-* The direct-method verdicts of ``check_candidate`` do not depend on the
-  scale of V: ``c V`` with ``c > 0`` gives the same ladder.
+* The direct-method verdicts of ``check_candidate``, ``check_instability``
+  and ``classify_discrete`` do not depend on the scale of V: ``c V`` with
+  ``c > 0`` gives the same ladder.
 * ``euler_discretize`` of ``x' = A x`` is the linear map ``I + T A``, so k
   steps of its orbit equal ``(I + T A)^k x0``.
 """
@@ -74,17 +75,24 @@ def ladder(report: ly.LyapunovReport) -> tuple:
             report.global_claim)
 
 
-# The sign tests of check_candidate accept Vdot <= 1e-9 * (1 + max |Vdot|):
-# the absolute part does not scale with V.  Scaled down, the growth of an
-# unstable system reads as semidefinite, and "stable".
-SCALE_DEFECTS = {("uniform_growth", 1e-10)}
+# The one sign test of the direct-method scans accepts a rate D <= 1e-9 *
+# (1 + max |D|): the absolute part does not scale with V (ROADMAP item 3a).
+# Scaled down, the growth of an unstable system reads as semidefinite, and
+# "stable"; an instability witness W scaled down reads as trivial.
+SCALE_DEFECTS = {("uniform_growth", 1e-10), ("growth", 1e-10)}
+SCALES = (1e-10, 0.25, 3.0, 1000.0)
 
 
-@pytest.mark.parametrize("name,expression,params,c", [
-    pytest.param(*case, c, id=f"{case[0]}-{c:g}", marks=pytest.mark.xfail(
-        strict=True, reason="sign tolerance with an absolute floor")
-        if (case[0], c) in SCALE_DEFECTS else ())
-    for case in CANDIDATES for c in (1e-10, 0.25, 3.0, 1000.0)])
+def scaled_cases(cases, name=lambda case: case[0]):
+    return [pytest.param(*case, c, id=f"{name(case)}-{c:g}",
+                         marks=pytest.mark.xfail(
+                             strict=True, reason="sign floor with an absolute "
+                             "part (ROADMAP item 3a)")
+                         if (case[0], c) in SCALE_DEFECTS else ())
+            for case in cases for c in SCALES]
+
+
+@pytest.mark.parametrize("name,expression,params,c", scaled_cases(CANDIDATES))
 def test_candidate_verdicts_are_invariant_under_scaling(name, expression,
                                                         params, c):
     system = gallery_system(name)
@@ -92,6 +100,46 @@ def test_candidate_verdicts_are_invariant_under_scaling(name, expression,
                               scan=SCAN)
     scaled = ly.CandidateV(f"{c!r}*({expression})", params=params)
     assert ladder(ly.check_candidate(system, scaled, scan=SCAN)) == ladder(want)
+
+
+WITNESSES = [("uniform_growth", "x1^2 + x2^2"), ("saddle", "x1^2"),
+             ("saddle", "x1^2 - x2^2"), ("cubic_damping", "x1^2 + x2^2")]
+
+
+# The verdict and the sign test of Wdot.  The flags w_nonnegative and
+# w_nontrivial read W against the same floor, so every W scaled to 1e-10
+# reads as trivial; the verdict shows it where W is a witness.
+@pytest.mark.parametrize("name,expression,c", scaled_cases(
+    WITNESSES, lambda case: f"{case[0]}:{case[1].replace(' ', '')}"))
+def test_instability_verdicts_are_invariant_under_scaling(name, expression,
+                                                          c):
+    def verdict(w):
+        report = ly.check_instability(gallery_system(name), ly.CandidateV(w),
+                                      scan=SCAN)
+        return report.unstable, report.wdot_positive_definite
+
+    assert verdict(f"{c!r}*({expression})") == verdict(expression)
+
+
+MAPS = {"growth": ("1.5*x1", "1.5*x2"),
+        "contraction": ("0.5*x1 + 0.2*x2", "-0.3*x2")}
+CUBIC_V = "0.5*x1^2 + 2*x1*x2 + 4*x2^2"
+DISCRETE = [("cubic_map", CUBIC_V), ("cubic_map_neutral", CUBIC_V),
+            ("growth", "x1^2 + x2^2"), ("contraction", "x1^2 + x2^2")]
+
+
+@pytest.mark.parametrize("name,expression,c", scaled_cases(DISCRETE))
+def test_discrete_verdicts_are_invariant_under_scaling(name, expression, c):
+    system = discrete.DiscreteSystem(2, MAPS[name]) if name in MAPS \
+        else gallery_system(name)
+
+    def verdict(v):
+        report = discrete.classify_discrete(system, ly.CandidateV(v),
+                                            samples=1024)
+        return (report.conclusion, report.v_positive.established,
+                report.delta_margin and report.delta_margin.exponent)
+
+    assert verdict(f"{c!r}*({expression})") == verdict(expression)
 
 
 @pytest.mark.parametrize("name", MATRICES)

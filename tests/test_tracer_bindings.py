@@ -66,10 +66,22 @@ def test_tracer_installs_on_the_live_package_and_uninstalls(perfbench,
         assert cli.run(["floquet", "--system",
                         str(gallery_file("periodic_rotation")),
                         "--step", "1e-2"]) == 0
+        sampled = tr.calls["sampling.ball_points"]
+        assert cli.run(["discrete", "--system", str(gallery_file("cubic_map")),
+                        "--candidate", "0.5*x1^2 + 2*x1*x2 + 4*x2^2",
+                        "--samples", "64"]) == 0
+        # the discrete ladder samples on the traced lyapunov bindings
+        assert tr.calls["sampling.ball_points"] == sampled + 1
+        assert cli.run(["attraction", "--system",
+                        str(gallery_file("vanderpol")), "--cmax", "1.0",
+                        "--directions", "64"]) == 0
     finally:
         tr.uninstall()
     capsys.readouterr()
     assert _bindings(tracer, stabkit) == before
     for group in ("odeint.rhs", "expr.batch_eval", "odeint.coeff_eval",
-                  "autonomous.jacobian", "floquet.monodromy"):
+                  "autonomous.jacobian", "floquet.monodromy",
+                  "sampling.ball_points", "discrete.classify",
+                  "lyapunov.attraction"):
         assert tr.calls[group] > 0, group
+
