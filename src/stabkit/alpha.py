@@ -18,6 +18,11 @@ least one delay; a ``delay`` definition file builds exactly that.  Every
 entry point raises :class:`InvalidArgumentError` for any other system.
 Certificates embed every scalar input, and optionally a simulated
 trajectory cross-check of the claimed envelope.
+
+Every residual comes from one kernel, ``_defect``: the Riccati form on the
+``RDE`` routes, the rate form on ``RATE_INEQUALITY``, for constant and
+sampled P alike.  A defect or rate inequality past float range reads inf
+(an invalid certificate), never an error.
 """
 
 from __future__ import annotations
@@ -25,7 +30,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
@@ -57,6 +61,10 @@ __all__ = [
 
 #: default time grid for supremum scans over t >= 0
 SUP_GRID = (0.0, 50.0, 4001)
+#: default grid on which a callable P(t) is sampled
+RDE_GRID = (0.0, 5.0, 80001)
+#: relative slack of the trajectory cross-check's envelope
+ENVELOPE_SLACK = 1e-9
 
 
 def _check_delay_system(sys: SystemDef) -> None:
@@ -68,9 +76,9 @@ def _check_delay_system(sys: SystemDef) -> None:
                                    "right-hand side")
 
 
-def _varies(sys: SystemDef) -> bool:
-    """Whether ``A0`` or any ``A_i`` depends on t."""
-    return isinstance(sys.rhs, LinearTimeVarying) or any(
+def _varies(sys: SystemDef, delayed: bool = True) -> bool:
+    """Whether ``A0`` (or, with ``delayed``, any ``A_i``) depends on t."""
+    return isinstance(sys.rhs, LinearTimeVarying) or delayed and any(
         not isinstance(d.coeff, np.ndarray) for d in sys.delays)
 
 
@@ -133,20 +141,44 @@ def shifted_matrices(sys: SystemDef, alpha: float):
     return a0a, ais
 
 
-def _rde_defect(a0a: np.ndarray, aias: Sequence[np.ndarray], p: np.ndarray,
-                pdot: np.ndarray | None, m: int) -> np.ndarray:
-    n = p.shape[0]
-    q = p + np.eye(n)
-    out = a0a.T @ q + q @ a0a + m * np.eye(n)
-    for aia in aias:
-        out = out + q @ (aia @ aia.T) @ q
-    if pdot is not None:
-        out = out + pdot
-    return out
+def _as_p(p, grid: tuple[float, float, int] = RDE_GRID):
+    """A claimed P as a :class:`SampledMatrixFunction` (a callable is
+    sampled on ``grid``) or a finite square matrix."""
+    if isinstance(p, SampledMatrixFunction):
+        return p
+    if callable(p):
+        return SampledMatrixFunction.from_callable(p, *grid)
+    return linalg.as_matrix(p, square=True)
+
+
+def _defect(sys: SystemDef, p, alpha: float | None = None) -> float:
+    """Largest spectral norm of ``Pdot + A0'Q + Q A0 + m I (+ sum_i Q A_i
+    A_i' Q')`` over the nodes of P: a sampled P's interior nodes and its
+    central-difference Pdot, or a constant P as one node with Pdot = 0.
+    With ``alpha``, the Riccati form: Q = P + I, shifted A0 and A_i, the sum;
+    else the rate form: Q = P and A0.  A non-finite defect gives inf."""
+    sampled = isinstance(p, SampledMatrixFunction)
+    if not sampled and _varies(sys, delayed=alpha is not None):
+        raise DimensionMismatchError("time-varying system needs a sampled P(t)")
+    a0, ais = (sys.linear_coefficient, []) if alpha is None else \
+        shifted_matrices(sys, alpha)
+    eye = np.eye(sys.dimension)
+    with np.errstate(over="ignore", invalid="ignore"):
+        times, q, d = (p.times[1:-1], p.values[1:-1], p.derivative()) \
+            if sampled else (None, p[None], 0.0)
+        q = q if alpha is None else q + eye
+        a0s = _at(a0, times)
+        d = d + np.swapaxes(a0s, -1, -2) @ q + q @ a0s + len(sys.delays) * eye
+        for ai in ais:
+            a = _at(ai, times)
+            d = d + q @ (a @ np.swapaxes(a, -1, -2)) @ np.swapaxes(q, -1, -2)
+    if not np.all(np.isfinite(d)):
+        return math.inf
+    return float(np.max(linalg.spectral_norm(d)))
 
 
 def rde_residual(sys: SystemDef, alpha: float, p,
-                 t_grid: tuple[float, float, int] = (0.0, 5.0, 80001)) -> float:
+                 t_grid: tuple[float, float, int] = RDE_GRID) -> float:
     """Defect norm of a claimed Riccati-equation solution.
 
     For constant ``p`` the algebraic equation is evaluated once; for a
@@ -154,31 +186,7 @@ def rde_residual(sys: SystemDef, alpha: float, p,
     over interior grid nodes, with dP/dt by central differences.
     """
     _check_delay_system(sys)
-    m = len(sys.delays)
-    if isinstance(p, np.ndarray) and p.ndim == 2:
-        pm = linalg.as_matrix(p, square=True)
-        if _varies(sys):
-            raise DimensionMismatchError(
-                "time-varying system needs a sampled P(t)")
-        a0a, aias = shifted_matrices(sys, alpha)
-        return linalg.spectral_norm(_rde_defect(a0a, aias, pm, None, m))
-    if callable(p):
-        p = SampledMatrixFunction.from_callable(p, *t_grid)
-    if not isinstance(p, SampledMatrixFunction):
-        raise InvalidArgumentError(
-            "p must be a matrix, callable, or SampledMatrixFunction")
-    a0a, aias = shifted_matrices(sys, alpha)
-    times = p.times[1:-1]
-    n = sys.dimension
-    eye = np.eye(n)
-    q = p.values[1:-1] + eye
-    qt = np.swapaxes(q, 1, 2)
-    a0s = _at(a0a, times)
-    defect = p.derivative() + np.swapaxes(a0s, -1, -2) @ q + q @ a0s + m * eye
-    for aia in aias:
-        ais = _at(aia, times)
-        defect = defect + q @ (ais @ np.swapaxes(ais, -1, -2)) @ qt
-    return float(np.linalg.svd(defect, compute_uv=False).max())
+    return _defect(sys, _as_p(p, t_grid), alpha)
 
 
 def solve_delay_lyapunov(a0, m: int) -> np.ndarray:
@@ -196,7 +204,8 @@ def rate_inequality_lhs(eta: float, p_norm: float, a_norm_sq: float,
         growth = math.exp(2.0 * alpha * h)
     except OverflowError:  # too large a rate: the left side is +inf
         growth = math.inf
-    return eta + alpha * p_norm + 0.5 * m * growth * p_norm**2 * a_norm_sq
+    square = p_norm * p_norm  # saturates to inf where ** would raise
+    return eta + alpha * p_norm + 0.5 * m * growth * square * a_norm_sq
 
 
 def max_alpha(eta: float, p_norm: float, a_norm_sq: float, m: int,
@@ -238,16 +247,15 @@ def rate_bound_inputs(sys: SystemDef, p,
     A coefficient that varies with t enters through its supremum over the
     grid ``t_grid``; a constant one through its single value.
     """
-    eye = np.eye(sys.dimension)
     _check_delay_system(sys)
     times = np.linspace(*t_grid)
     eta = np.max(linalg.matrix_measure(_at(sys.linear_coefficient, times)))
-    a_norm_sq = max(float(np.max(linalg.spectral_norm(_at(c, times))))**2
-                    for c in sys.delay_coefficients)
-    if isinstance(p, SampledMatrixFunction):
-        p_norm = np.max(linalg.spectral_norm(p.values + eye))
-    else:
-        p_norm = linalg.spectral_norm(linalg.as_matrix(p, square=True) + eye)
+    a_norm = max(float(np.max(linalg.spectral_norm(_at(c, times))))
+                 for c in sys.delay_coefficients)
+    a_norm_sq = a_norm * a_norm  # saturates to inf where ** raises
+    pv = _as_p(p)
+    pv = pv.values if isinstance(pv, SampledMatrixFunction) else pv
+    p_norm = np.max(linalg.spectral_norm(pv + np.eye(sys.dimension)))
     return RateInputs(float(eta), float(p_norm), float(a_norm_sq),
                       len(sys.delays), sys.max_lag)
 
@@ -287,8 +295,7 @@ def fit_envelope(traj: Trajectory, t_lo: float | None = None) -> EnvelopeFit:
     return EnvelopeFit(coefficient, rate, rate > 0.0, (float(t_lo), t1))
 
 
-def envelope_cross_check(traj: Trajectory, alpha: float,
-                         slack: float = 1e-9) -> EnvelopeFit:
+def envelope_cross_check(traj: Trajectory, alpha: float) -> EnvelopeFit:
     """Check a trajectory against a claimed rate.
 
     The coefficient is fitted on the first half of the window only and the
@@ -303,7 +310,7 @@ def envelope_cross_check(traj: Trajectory, alpha: float,
         first = traj.times <= 0.5 * t1
         c = float(grow[first].max())
         verified = math.isfinite(c) and bool(np.all(
-            norms <= c * np.exp(-alpha * traj.times) * (1 + slack)))
+            norms <= c * np.exp(-alpha * traj.times) * (1 + ENVELOPE_SLACK)))
     return EnvelopeFit(c, alpha, verified, (float(traj.times[0]), t1))
 
 
@@ -341,31 +348,13 @@ def _p_semidefinite(p) -> bool:
         v = p.values
         lowest = np.linalg.eigvalsh(0.5 * (v + np.swapaxes(v, 1, 2)))[:, 0]
         return bool(np.all(lowest >= -1e-9))
-    pm = linalg.as_matrix(p, square=True)
-    return linalg.definiteness(pm).is_positive_semidefinite
-
-
-def _lyapunov_defect(sys: SystemDef, p) -> float:
-    m = len(sys.delays)
-    eye = np.eye(sys.dimension)
-    a0 = sys.linear_coefficient
-    if isinstance(p, SampledMatrixFunction):
-        pv = p.values[1:-1]
-        a0s = _at(a0, p.times[1:-1])
-        defect = p.derivative() + np.swapaxes(a0s, -1, -2) @ pv \
-            + pv @ a0s + m * eye
-        return float(np.linalg.svd(defect, compute_uv=False).max())
-    pm = linalg.as_matrix(p, square=True)
-    if callable(a0):
-        raise DimensionMismatchError("time-varying system needs a sampled P(t)")
-    return linalg.spectral_norm(a0.T @ pm + pm @ a0 + m * eye)
+    return linalg.definiteness(p).is_positive_semidefinite
 
 
 def certify(sys: SystemDef, alpha: float, route: CertificateRoute,
             p=None, history: HistoryFn | None = None, horizon: float = 20.0,
-            residual_tol: float = 1e-6, step_target: float = 1e-3,
-            rde_grid: tuple[float, float, int] = (0.0, 5.0, 80001),
-            ) -> AlphaCertificate:
+            residual_tol: float = 1e-6,
+            rde_grid: tuple[float, float, int] = RDE_GRID) -> AlphaCertificate:
     """Assemble an alpha-stability certificate along the chosen route.
 
     ``p`` is the claimed certificate matrix: required for the residual
@@ -379,36 +368,32 @@ def certify(sys: SystemDef, alpha: float, route: CertificateRoute,
     linalg.check_nonnegative(horizon, "horizon")
     linalg.check_nonnegative(residual_tol, "residual_tol")
     _check_delay_system(sys)
-    inputs = None
-    margin = None
-    if route in (CertificateRoute.RDE, CertificateRoute.ALGEBRAIC_RDE):
-        if p is None:
-            raise InvalidArgumentError("residual routes verify a supplied P")
-        if callable(p) and not isinstance(p, SampledMatrixFunction):
-            p = SampledMatrixFunction.from_callable(p, *rde_grid)
-        residual = rde_residual(sys, alpha, p, t_grid=rde_grid)
-    elif route is CertificateRoute.RATE_INEQUALITY:
-        if p is None:
-            if _varies(sys):
-                raise InvalidArgumentError(
-                    "time-varying rate route verifies a supplied P(t)")
-            p = solve_delay_lyapunov(sys.rhs.a, len(sys.delays))
-        if callable(p) and not isinstance(p, SampledMatrixFunction):
-            p = SampledMatrixFunction.from_callable(p, *rde_grid)
-        residual = _lyapunov_defect(sys, p)
+    route = CertificateRoute(route)  # ValueError for an unknown route
+    rate = route is CertificateRoute.RATE_INEQUALITY
+    if p is None and not rate:
+        raise InvalidArgumentError("residual routes verify a supplied P")
+    if p is None:
+        if _varies(sys):
+            raise InvalidArgumentError(
+                "time-varying rate route verifies a supplied P(t)")
+        p = solve_delay_lyapunov(sys.rhs.a, len(sys.delays))
+    p = _as_p(p, rde_grid)
+    inputs = margin = None
+    if rate:
+        residual = _defect(sys, p)
         inputs = rate_bound_inputs(sys, p)
         margin = rate_inequality_lhs(inputs.eta, inputs.p_norm,
                                      inputs.a_norm_sq, inputs.m, inputs.h,
                                      alpha)
     else:
-        raise ValueError(f"unknown route {route!r}")
+        residual = rde_residual(sys, alpha, p, t_grid=rde_grid)
     p_kind = "sampled" if isinstance(p, SampledMatrixFunction) else "constant"
 
     check = None
     if horizon > 0.0:
         if history is None:
             history = HistoryFn.constant(np.ones(sys.dimension), sys.max_lag)
-        h = dde_step([d.lag for d in sys.delays], step_target)
+        h = dde_step([d.lag for d in sys.delays])
         traj = integrate_dde(sys, history, horizon, h)
         check = envelope_cross_check(traj, alpha)
 

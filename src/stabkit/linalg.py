@@ -58,8 +58,14 @@ def _checked(a, square: bool, stack: bool) -> np.ndarray:
     return m
 
 
-def _scale(m: np.ndarray) -> float:
-    return max(float(np.linalg.norm(m, "fro")), NORM_FLOOR)
+def _fro(m: np.ndarray) -> float:
+    """Frobenius norm; rescaled where the sum of squares leaves float range."""
+    with np.errstate(over="ignore"):
+        fro = float(np.linalg.norm(m, "fro"))
+    if fro == np.inf:
+        big = float(np.abs(m).max())
+        fro = big * float(np.linalg.norm(m / big, "fro"))
+    return fro
 
 
 def eigenvalues(m) -> list[complex]:
@@ -109,8 +115,8 @@ def definiteness(s, tol: float = DEFAULT_TOL) -> DefinitenessVerdict:
     :class:`AsymmetricError`.  The zero matrix reports positive-semidefinite.
     """
     a = as_matrix(s, square=True)
-    scale = _scale(a)
-    if np.linalg.norm(a - a.T, "fro") > tol * scale:
+    scale = max(_fro(a), NORM_FLOOR)
+    if _fro(a - a.T) > tol * scale:
         raise AsymmetricError("matrix is not symmetric within tolerance")
     sym = 0.5 * (a + a.T)
     vals = np.linalg.eigvalsh(sym)

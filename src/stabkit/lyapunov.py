@@ -265,8 +265,8 @@ class ScanConfig:
 
 def _check_window(t0: float, time_span: float,
                   time_dependent: bool = False) -> None:
-    """Reject a non-finite or negative window, and an empty one when the
-    problem depends on t (it would sample no time variation)."""
+    """Reject a non-finite or negative window, and, when the problem depends
+    on t, one that is empty or whose midpoint rounds onto an end."""
     if not np.isfinite(t0):
         raise InvalidArgumentError(f"t0 must be finite, got {t0!r}")
     if not (np.isfinite(time_span) and time_span >= 0.0):
@@ -279,6 +279,9 @@ def _check_window(t0: float, time_span: float,
         raise InvalidArgumentError(
             "time span must be > 0 when the system or the candidate "
             "depends on t")
+    if time_dependent and not t0 < t0 + 0.5 * time_span < t0 + time_span:
+        raise InvalidArgumentError(
+            f"time span {time_span!r} is lost to rounding at t0 = {t0!r}")
 
 
 class SignVerdict(Enum):
@@ -487,7 +490,8 @@ def _w3_quadratic_minors(sys: SystemDef, v: CandidateV,
     n = sys.dimension
     rows, cols = np.triu_indices(n)
     try:
-        grad = [ex.derivative(_trees(sys, v)[1], f"x{i + 1}") for i in range(n)]
+        vdot = _trees(sys, v)[1]
+        grad = [ex.derivative(vdot, f"x{i + 1}") for i in range(n)]
         upper = ex.compile_vector([ex.derivative(grad[i], f"x{j + 1}")
                                    for i, j in zip(rows, cols)])([0.0] * n, t0)
     except (DomainError, InvalidArgumentError):

@@ -58,6 +58,60 @@ def test_rde_residual_generic_defect():
     assert al.rde_residual(ds, 0.5, np.eye(2)) > 0.1
 
 
+def constant_sampled(p):
+    """``p`` as a sampled P(t) that does not change: dP/dt = 0 exactly."""
+    return al.SampledMatrixFunction(np.linspace(0.0, 1.0, 3),
+                                    np.stack([np.asarray(p, dtype=float)] * 3))
+
+
+@pytest.mark.parametrize("name", ["delay_coupled", "delay_two_lag"])
+@pytest.mark.parametrize("p", [np.eye(2), np.array([[1.0, -1.0], [-1.0, 1.0]]),
+                               np.array([[2.0, 0.5], [0.5, 0.1]])],
+                         ids=["identity", "singular", "coupled"])
+def test_constant_p_defect_equals_constant_sampled_p(name, p):
+    # one kernel: a constant P is the one-node case of a sampled P
+    ds = gallery_system(name)
+    riccati = [al.rde_residual(ds, 0.3, q) for q in (p, constant_sampled(p))]
+    rate = [al.certify(ds, 0.3, al.CertificateRoute.RATE_INEQUALITY, p=q,
+                       horizon=0.0).residual for q in (p, constant_sampled(p))]
+    for constant, sampled in (riccati, rate):
+        assert sampled == pytest.approx(constant, rel=1e-12)
+
+
+def test_rde_residual_accepts_a_nested_list_p():
+    ds = gallery_system("delay_two_lag")
+    p = [[1.0, -1.0], [-1.0, 1.0]]
+    assert al.rde_residual(ds, 0.5, p) == al.rde_residual(ds, 0.5, np.array(p))
+
+
+def test_constant_p_is_refused_only_where_the_form_reads_a_varying_coefficient():
+    # constant A0, time-varying delayed gain: the rate form reads only A0
+    ds = odeint.SystemDef(2, odeint.LinearConstant(np.array([[-2.0, 0.5],
+                                                             [-1.0, -4.0]])),
+                          delays=(odeint.Delay(0.5, [["0.1*exp(-t)", 0],
+                                                     [0, 0.1]]),))
+    rate = al.certify(ds, 0.1, al.CertificateRoute.RATE_INEQUALITY,
+                      p=np.eye(2), horizon=0.0)
+    assert rate.p_kind == "constant" and math.isfinite(rate.residual)
+    for route in (al.CertificateRoute.RDE, al.CertificateRoute.ALGEBRAIC_RDE):
+        with pytest.raises(DimensionMismatchError, match="sampled P"):
+            al.certify(ds, 0.1, route, p=np.eye(2), horizon=0.0)
+
+
+def test_overflowing_delayed_gain_reads_infeasible():
+    # ||A_1||^2 leaves float range: the rate inequality reads +inf
+    ds = gallery_system("delay_two_lag")
+    big = odeint.SystemDef(2, ds.rhs, delays=(
+        odeint.Delay(2.0, np.array([[1e200, 0.0], [0.0, 0.0]])), ds.delays[1]))
+    cert = al.certify(big, 0.1, al.CertificateRoute.RATE_INEQUALITY,
+                      horizon=0.0)
+    assert cert.inputs.a_norm_sq == math.inf
+    assert cert.inequality_margin == math.inf and not cert.valid
+    assert al.max_alpha(cert.inputs.eta, cert.inputs.p_norm,
+                        cert.inputs.a_norm_sq, cert.inputs.m,
+                        cert.inputs.h) is None
+
+
 def test_solve_delay_lyapunov():
     p = al.solve_delay_lyapunov([[-2.0, 0.5], [-1.0, -4.0]], 2)
     assert np.abs(p - np.diag([0.5, 0.25])).max() < 1e-10

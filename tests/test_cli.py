@@ -100,6 +100,48 @@ def test_lyapunov_empty_window_on_autonomous_problem_exits_0(capsys):
     assert rep["result"]["time_window"] == [0.0, 0.0]
 
 
+@pytest.mark.parametrize("window", [["--t0", "1e150"],
+                                    ["--t0", "1e17", "--tspan", "20"]],
+                         ids=["span-below-ulp", "midpoint-on-end"])
+def test_lyapunov_window_lost_to_rounding_exits_2(capsys, window):
+    # the decrescence probe compares the window's halves: both must hold times
+    rc = cli.run(["lyapunov", "--system",
+                  str(gallery_file("exponential_feedback")), "--candidate",
+                  "x1^2 + (1 + exp(-2*t))*x2^2"] + window)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "is lost to rounding at t0" in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("route, p, system", [
+    ("rate-inequality", {"matrix": [[1e200, 0], [0, 1e200]]}, "delay_two_lag"),
+    ("rde", {"matrix": [[1e200, 0], [0, 1e200]]}, "delay_two_lag"),
+    ("rate-inequality", {"times": [0, 1, 2, 3],
+                         "values": [[[1e200, 0], [0, 1e200]]] * 4},
+     "delay_gain_scheduled"),
+    ("rde", {"times": [0, 1, 2, 3], "values": [[[1e200, 0], [0, 1e200]]] * 4},
+     "delay_gain_scheduled"),
+], ids=["rate-constant", "rde-constant", "rate-sampled", "rde-sampled"])
+def test_alpha_past_float_range_is_an_invalid_certificate(tmp_path, capsys,
+                                                          route, p, system):
+    pfile = tmp_path / "p.json"
+    pfile.write_text(json.dumps(p))
+    rc = cli.run(["alpha", "--system", str(gallery_file(system)), "--alpha",
+                  "0.1", "--route", route, "--horizon", "0", "--max-alpha",
+                  "--p-file", str(pfile)])
+    captured = capsys.readouterr()
+    assert rc == 0 and captured.err == ""
+    result = json.loads(captured.out)["result"]
+    assert result["valid"] is False
+    if route == "rde":
+        assert result["certificate"]["residual"] == "inf"
+    else:
+        assert result["certificate"]["inequality_margin"] == "inf"
+        assert result["max_alpha"] is None
+
+
 def test_lyapunov_candidate_command(capsys):
     rc, rep = run_cli(["lyapunov", "--system", gallery_file("cubic_damping"),
                        "--candidate", "x1^2 + x2^2"], capsys)

@@ -158,6 +158,31 @@ def g(name: str) -> str:
                "--route", "rde"], p_doc=5)
 @example(argv=["alpha", "--system", g("delay_coupled"), "--alpha", "0.4",
                "--route", "rde"], p_doc={"matrix": "abc"})
+# certificates past float range: a huge delayed gain, then a huge P,
+# constant and sampled, on the rate and the Riccati routes
+@example(argv=["alpha", "--system", json.dumps(
+    {**DOCS["delay_two_lag"], "delays": [
+        {"lag": 2.0, "coefficients": [[1e200, 0], [0, 0]]},
+        DOCS["delay_two_lag"]["delays"][1]]}),
+    "--alpha", "0.1", "--horizon", "0"], p_doc=None)
+@example(argv=["alpha", "--system", g("delay_two_lag"), "--alpha", "0.1",
+               "--route", "rate-inequality", "--horizon", "0"],
+         p_doc={"matrix": [[1e200, 0], [0, 1e200]]})
+@example(argv=["alpha", "--system", g("delay_two_lag"), "--alpha", "0.1",
+               "--route", "rde", "--horizon", "0"],
+         p_doc={"matrix": [[1e200, 0], [0, 1e200]]})
+@example(argv=["alpha", "--system", g("delay_gain_scheduled"), "--alpha",
+               "0.1", "--route", "rate-inequality", "--horizon", "0"],
+         p_doc={"times": [0, 1, 2, 3], "values": [[[1e200, 0], [0, 1e200]]] * 4})
+@example(argv=["alpha", "--system", g("delay_gain_scheduled"), "--alpha",
+               "0.1", "--route", "rde", "--horizon", "0"],
+         p_doc={"times": [0, 1, 2, 3], "values": [[[1e200, 0], [0, 1e200]]] * 4})
+# time windows whose midpoint rounds onto an end
+@example(argv=["lyapunov", "--system", g("exponential_feedback"), "--candidate",
+               "x1^2 + (1 + exp(-2*t))*x2^2", "--t0", "1e150"], p_doc=None)
+@example(argv=["lyapunov", "--system", g("exponential_feedback"), "--candidate",
+               "x1^2 + (1 + exp(-2*t))*x2^2", "--t0", "1e17", "--tspan", "20"],
+         p_doc=None)
 # an unwritable report path
 @example(argv=["classify", "--system", g("saddle"), "--out",
                "/nonexistent/r.json"], p_doc=None)

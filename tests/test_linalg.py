@@ -76,6 +76,19 @@ def test_definiteness_asymmetric():
         linalg.definiteness([[1, 2], [0, 1]])
 
 
+@pytest.mark.parametrize("m, kind", [
+    (np.diag([1e200, -1e200]), Definiteness.INDEFINITE),
+    (1e200 * np.eye(2), Definiteness.POSITIVE_DEFINITE),
+], ids=["indefinite", "definite"])
+def test_definiteness_band_survives_entries_near_float_range(m, kind):
+    # the Frobenius norm's squares overflow; the band must not become inf
+    verdict = linalg.definiteness(m)
+    assert verdict.kind is kind
+    assert verdict.tol_band == pytest.approx(1e-9 * 2**0.5 * 1e200, rel=1e-12)
+    with pytest.raises(AsymmetricError):
+        linalg.definiteness([[1e200, 1e200], [0.0, 1e200]])
+
+
 def test_definiteness_brute_force_oracle():
     rng = np.random.default_rng(99)
     dirs_cache = {}
