@@ -141,14 +141,16 @@ def shifted_matrices(sys: SystemDef, alpha: float):
     return a0a, ais
 
 
-def _as_p(p, grid: tuple[float, float, int] = RDE_GRID):
-    """A claimed P as a :class:`SampledMatrixFunction` (a callable is
-    sampled on ``grid``) or a finite square matrix."""
-    if isinstance(p, SampledMatrixFunction):
-        return p
-    if callable(p):
-        return SampledMatrixFunction.from_callable(p, *grid)
-    return linalg.as_matrix(p, square=True)
+def _as_p(p, n: int, grid: tuple[float, float, int] = RDE_GRID):
+    """A claimed ``n x n`` P as a :class:`SampledMatrixFunction` (a callable
+    is sampled on ``grid``) or a finite square matrix."""
+    p = SampledMatrixFunction.from_callable(p, *grid) if callable(p) else p
+    sampled = isinstance(p, SampledMatrixFunction)
+    m = p.values if sampled else linalg.as_matrix(p, square=True)
+    if m.shape[-1] != n:
+        raise DimensionMismatchError(
+            f"P must be {n}x{n}, got {m.shape[-1]}x{m.shape[-1]}")
+    return p if sampled else m
 
 
 def _defect(sys: SystemDef, p, alpha: float | None = None) -> float:
@@ -186,7 +188,7 @@ def rde_residual(sys: SystemDef, alpha: float, p,
     over interior grid nodes, with dP/dt by central differences.
     """
     _check_delay_system(sys)
-    return _defect(sys, _as_p(p, t_grid), alpha)
+    return _defect(sys, _as_p(p, sys.dimension, t_grid), alpha)
 
 
 def solve_delay_lyapunov(a0, m: int) -> np.ndarray:
@@ -253,7 +255,7 @@ def rate_bound_inputs(sys: SystemDef, p,
     a_norm = max(float(np.max(linalg.spectral_norm(_at(c, times))))
                  for c in sys.delay_coefficients)
     a_norm_sq = a_norm * a_norm  # saturates to inf where ** raises
-    pv = _as_p(p)
+    pv = _as_p(p, sys.dimension)
     pv = pv.values if isinstance(pv, SampledMatrixFunction) else pv
     p_norm = np.max(linalg.spectral_norm(pv + np.eye(sys.dimension)))
     return RateInputs(float(eta), float(p_norm), float(a_norm_sq),
@@ -345,8 +347,7 @@ class AlphaCertificate:
 
 def _p_semidefinite(p) -> bool:
     if isinstance(p, SampledMatrixFunction):
-        v = p.values
-        lowest = np.linalg.eigvalsh(0.5 * (v + np.swapaxes(v, 1, 2)))[:, 0]
+        lowest = np.linalg.eigvalsh(linalg.symmetric_part(p.values))[:, 0]
         return bool(np.all(lowest >= -1e-9))
     return linalg.definiteness(p).is_positive_semidefinite
 
@@ -377,7 +378,7 @@ def certify(sys: SystemDef, alpha: float, route: CertificateRoute,
             raise InvalidArgumentError(
                 "time-varying rate route verifies a supplied P(t)")
         p = solve_delay_lyapunov(sys.rhs.a, len(sys.delays))
-    p = _as_p(p, rde_grid)
+    p = _as_p(p, sys.dimension, rde_grid)
     inputs = margin = None
     if rate:
         residual = _defect(sys, p)

@@ -482,7 +482,9 @@ def _chains(op: str, left: Expr) -> bool:
         op == left.op == "*" or (op in "+-" and left.op in "+-"))
 
 
-def _codegen(e: Expr, params: Mapping[str, float], bare: bool = False) -> str:
+def _codegen(e: Expr, params: Mapping[str, float], state: str = "x[{}]",
+             bare: bool = False) -> str:
+    """Python code for ``e``; ``state.format(i)`` spells ``x{i + 1}``."""
     if isinstance(e, Number):
         return repr(e.value)
     if isinstance(e, Var):
@@ -490,24 +492,24 @@ def _codegen(e: Expr, params: Mapping[str, float], bare: bool = False) -> str:
             return "t"
         m = _VAR_RE.match(e.name)
         if m:
-            return f"x[{int(m.group(1)) - 1}]"
+            return state.format(int(m.group(1)) - 1)
         if e.name in params:
             return repr(float(params[e.name]))
         if e.name == "k":  # discrete orbit index rides the time slot
             return "t"
         raise UnboundVariableError(e.name)
     if isinstance(e, Unary):
-        return f"(-{_codegen(e.child, params)})"
+        return f"(-{_codegen(e.child, params, state)})"
     if isinstance(e, Binary):
-        a = _codegen(e.left, params, _chains(e.op, e.left))
-        b = _codegen(e.right, params)
+        a = _codegen(e.left, params, state, _chains(e.op, e.left))
+        b = _codegen(e.right, params, state)
         if e.op == "^":
             return f"_pow({a}, {b})"
         if e.op == "/":
             return f"_div({a}, {b})"
         return f"{a} {e.op} {b}" if bare else f"({a} {e.op} {b})"
     if isinstance(e, Call):
-        args = ", ".join(_codegen(a, params) for a in e.args)
+        args = ", ".join(_codegen(a, params, state) for a in e.args)
         return f"_{e.func}({args})"
     raise TypeError(f"not an expression node: {e!r}")
 
@@ -654,25 +656,49 @@ def _derive(e: Expr, name: str, memo: dict) -> Expr:
 
 
 def _generate(exprs: Sequence[Expr], params: Mapping[str, float] | None,
-              batch: bool):
-    """The trees in order, as ``f(x, t) -> list`` or, with ``batch``, as
-    ``f(x, t, out)`` filling columns of ``out``.  The first failure raises."""
+              form: str = "scalar"):
+    """The trees in order, as ``f(x, t) -> list``; with ``form`` "batch", as
+    ``f(x, t, out)`` filling columns of ``out``; with "rk4", as the RK4 kernel
+    ``f(x, t0, h, lo, hi, dt, rows)`` of ``x' = f(x, t)``: steps ``lo`` to
+    ``hi - 1`` of ``dt`` from ``x``, step ``k`` from ``t0 + k*h``, each new
+    state appended to ``rows``, the four stages inline on the components as
+    locals in ``odeint._rk4``'s arithmetic.  The first failure raises."""
     exprs, params = tuple(exprs), dict(params or {})
-    slots = [f"out[:, {i}]" if batch else f"v{i}" for i in range(len(exprs))]
-    bad = "not _finite({0})" if batch else "{0} - {0}"  # inf, nan
-    body = "".join(f"\n    try:\n        {slot} = {_codegen(e, params)}"
-                   f"\n    except _ERRORS as exc:\n        _fail(exc, {i})"
-                   f"\n    if {bad.format(slot)}:\n        _fail(None, {i})"
-                   for i, (slot, e) in enumerate(zip(slots, exprs)))
-    head, result = ("x, t, out", "out") if batch else \
-        ("x, t", f"[{', '.join(slots)}]")
+    bad = "not _finite({0})" if form == "batch" else "{0} - {0}"  # inf, nan
+
+    def each(line: str, pad: str = "\n    ") -> str:  # one per component
+        return "".join(pad + line.format(i) for i in range(len(exprs)))
+
+    def stage(slot: str, state: str = "x[{}]") -> str:  # each tree, checked
+        return "".join(f"\n    try:\n        {slot.format(i)} = "
+                       f"{_codegen(e, params, state)}"
+                       f"\n    except _ERRORS as exc:\n        _fail(exc, {i})"
+                       f"\n    if {bad.format(slot.format(i))}:"
+                       f"\n        _fail(None, {i})" for i, e in enumerate(exprs))
+
+    if form == "rk4":  # one step, then indented into the loop
+        step = ("\n    tk = t = t0 + k * h" + stage("p{}", "x{}")
+                + each("y{0} = x{0} + half * p{0}") + "\n    t = tk + half"
+                + stage("q{}", "y{}") + each("y{0} = x{0} + half * q{0}")
+                + stage("r{}", "y{}") + each("y{0} = x{0} + dt * r{0}")
+                + "\n    t = tk + dt" + stage("s{}", "y{}")
+                + each("x{0} = x{0} + sixth * (p{0} + 2.0 * q{0} + 2.0 * r{0}"
+                       " + s{0})") + f"\n    rows.append(({each('x{}, ', '')}))")
+        head, result = "x, t0, h, lo, hi, dt, rows", "rows"
+        body = (f"\n    {each('x{}, ', '')}= x\n    half, sixth = 0.5 * dt, "
+                "dt / 6.0\n    for k in range(lo, hi):"
+                + step.replace("\n", "\n    "))
+    elif form == "batch":
+        head, body, result = "x, t, out", stage("out[:, {}]"), "out"
+    else:
+        head, body, result = "x, t", stage("v{}"), f"[{each('v{}, ', '')}]"
 
     def fail(exc, i):  # a DomainError of the namespace passes unchanged
         raise DomainError(str(exc or "non-finite evaluation result"),
                           exprs[i]) from None
 
-    namespace = dict(_BATCH_NS if batch else _SCALAR_NS, _fail=fail,
-                     __builtins__={})
+    namespace = dict(_BATCH_NS if form == "batch" else _SCALAR_NS, _fail=fail,
+                     range=range, __builtins__={})
     exec(_compiled(f"def f({head}):{body}\n    return {result}"), namespace)
     return namespace["f"]
 
@@ -695,7 +721,7 @@ def compile_vector(exprs: Sequence[Expr],
     once, in order, and the first failing one raises :class:`DomainError`:
     an invalid operand, or (see ``_SCALAR_NS``) any non-finite intermediate.
     """
-    return _generate(exprs, params, batch=False)
+    return _generate(exprs, params)
 
 
 def compile_expr(e: Expr, params: Mapping[str, float] | None = None,
@@ -719,7 +745,7 @@ def compile_expr_vec(exprs: "Expr | Sequence[Expr]",
     """
     single = isinstance(exprs, _NODES)
     exprs = (exprs,) if single else tuple(exprs)
-    fill = _generate(exprs, params, batch=True)
+    fill = _generate(exprs, params, "batch")
 
     def batch(X, t):
         cols = np.asarray(X, dtype=float).T

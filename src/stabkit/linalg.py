@@ -22,8 +22,8 @@ from .errors import (
 )
 
 __all__ = [
-    "DEFAULT_TOL", "Definiteness", "DefinitenessVerdict",
-    "check_nonnegative", "as_matrix", "eigenvalues", "definiteness",
+    "DEFAULT_TOL", "Definiteness", "DefinitenessVerdict", "check_nonnegative",
+    "as_matrix", "eigenvalues", "definiteness", "symmetric_part",
     "principal_minors", "matrix_measure", "spectral_norm", "solve_dense",
 ]
 
@@ -62,7 +62,7 @@ def _fro(m: np.ndarray) -> float:
     """Frobenius norm; rescaled where the sum of squares leaves float range."""
     with np.errstate(over="ignore"):
         fro = float(np.linalg.norm(m, "fro"))
-    if fro == np.inf:
+    if fro == np.inf and np.isfinite(m).all():  # else it is inf
         big = float(np.abs(m).max())
         fro = big * float(np.linalg.norm(m / big, "fro"))
     return fro
@@ -116,10 +116,11 @@ def definiteness(s, tol: float = DEFAULT_TOL) -> DefinitenessVerdict:
     """
     a = as_matrix(s, square=True)
     scale = max(_fro(a), NORM_FLOOR)
-    if _fro(a - a.T) > tol * scale:
+    with np.errstate(over="ignore"):  # a - a' past float range: asymmetric
+        asymmetry = _fro(a - a.T)
+    if asymmetry > tol * scale or asymmetry == np.inf:
         raise AsymmetricError("matrix is not symmetric within tolerance")
-    sym = 0.5 * (a + a.T)
-    vals = np.linalg.eigvalsh(sym)
+    vals = np.linalg.eigvalsh(symmetric_part(a))
     band = tol * scale
     pos = bool(np.any(vals > band))
     neg = bool(np.any(vals < -band))
@@ -135,6 +136,14 @@ def definiteness(s, tol: float = DEFAULT_TOL) -> DefinitenessVerdict:
         # everything inside the band, zero matrix included
         kind = Definiteness.POSITIVE_SEMIDEFINITE
     return DefinitenessVerdict(kind, tuple(float(v) for v in vals), band)
+
+
+def symmetric_part(m) -> np.ndarray:
+    """``(m + m')/2`` of a matrix or a stack, halved first past float range."""
+    mt = np.swapaxes(m, -1, -2)
+    with np.errstate(over="ignore"):
+        sym = 0.5 * (m + mt)
+    return sym if np.isfinite(sym).all() else 0.5 * m + 0.5 * mt
 
 
 def principal_minors(s) -> np.ndarray:

@@ -2,17 +2,20 @@
 
 Classical RK4 for vector ODEs and fundamental-matrix ODEs, plus the method
 of steps for linear multi-delay equations.  Fixed step, no adaptivity.
-All three run one march with two step sources.  Full steps of a linear
+All three run one march with three step sources.  Full steps of a linear
 system are products with per-step RK4 maps ``W_k``, formed from the
-coefficients at whole chunks of stage times at once.  Every other step
-(nonlinear, a chunk whose maps fail, a trailing partial step) is one RK4
-stage loop on Python floats, in numpy's operation order, of the fused
-field each system compiles once.  Stage times are ``t0 + k*h + s``.  The two
-sources agree to within rounding, below 1e-12 of the state's scale after
-1e4 steps.  A state component beyond ``ESCAPE_THRESHOLD`` (or non-finite)
-aborts the run with :class:`NonFiniteStateError` at the first escaping
-step, the finite-time-escape verdict: each chunk of states is checked once,
-and an escape wins over a later domain error.
+coefficients at whole chunks of stage times at once.  An undelayed
+nonlinear system steps on its RK4 kernel, generated once per system: the
+four stages inline on the components as Python locals, a chunk of steps per
+call.  Every other step (a delayed field, a linear chunk whose maps fail, a
+linear trailing partial step) is one RK4 stage loop on Python floats of the
+fused field.  Kernel and stage loop keep numpy's operation order, so they
+give the same bits; stage times are ``t0 + k*h + s``.  The maps agree with
+them to within rounding, below 1e-12 of the state's scale after 1e4 steps.
+A state component beyond ``ESCAPE_THRESHOLD`` (or non-finite) aborts the
+run with :class:`NonFiniteStateError` at the first escaping step, the
+finite-time-escape verdict: each chunk of states is checked once, and an
+escape wins over a later domain error.
 """
 
 from __future__ import annotations
@@ -300,6 +303,10 @@ class SystemDef:
         return ex.compile_vector(self.field_trees)
 
     @functools.cached_property
+    def rk4_kernel(self):  # RK4 over a run of steps, stages inline
+        return ex._generate(self.field_trees, None, "rk4")
+
+    @functools.cached_property
     def batch_field(self):  # F(X, t) -> (N, n); t one time or one per row
         return ex.compile_expr_vec(self.field_trees)
 
@@ -453,55 +460,57 @@ def _rk4(f, x: list, k: int, tk: float, dt: float) -> list:
 
 
 def _march(buf: np.ndarray, base: int, t0: float, t1: float, h: float, f,
-           a=None, delays: Sequence = (), reads=None, keep: bool = True) -> int:
+           a=None, delays: Sequence = (), reads=None, keep: bool = True,
+           kernel=None) -> int:
     """Advance ``buf[base]`` from ``t0`` to ``t1``; returns the final row.
 
     Step ``k`` writes ``buf[base + k + 1]``; with ``keep`` off each chunk
     restarts at ``buf[base]``.  Linear full steps (coefficients ``a``,
     ``delays``) multiply the rows ``base + k + reads`` (None: the state) by
-    their step maps; the other steps are :func:`_rk4` of ``f``.
+    their step maps; the other steps run on ``kernel`` (a
+    ``SystemDef.rk4_kernel``) if given, else are :func:`_rk4` of ``f``.
     """
     t0, h = float(t0), float(h)
     n_full, rem = _grid(t0, t1, h)
     flat = buf.reshape(len(buf), -1)
     row = base  # the row of the latest state
 
-    def check(lo: int, k: int) -> None:  # rows lo..row hold steps k, k+1, ...
-        _check_rows(flat[lo:row + 1], lambda j: t1 if k + j == n_full
-                    else t0 + (k + j + 1) * h)
+    def run(k: int, stop: int, dt: float, maps=None) -> None:
+        # steps k .. stop-1, then one escape check of their rows
+        nonlocal row
+        lo, x, rows = row + 1, flat[row].tolist(), []
+        try:
+            if maps is not None:
+                for j in range(stop - k):
+                    y = buf[row] if reads is None else \
+                        buf.take(reads + row, axis=0).ravel()
+                    np.matmul(maps[j] if maps.ndim == 3 else maps, y,
+                              out=buf[row + 1])
+                    row += 1
+            elif kernel:
+                kernel(x, t0, h, k, stop, dt, rows)
+            else:
+                for j in range(k, stop):
+                    x = _rk4(f, x, j, t0 + j * h, dt)
+                    row += 1
+                    flat[row] = x  # a delayed field reads it
+        finally:  # an escape before a domain error wins
+            if rows:
+                flat[lo:lo + len(rows)] = rows
+                row += len(rows)
+            _check_rows(flat[lo:row + 1], lambda j: t1 if k + j == n_full
+                        else t0 + (k + j + 1) * h)
 
     with np.errstate(all="ignore"):  # the row checks catch what overflows
         for start in range(0, n_full, CHUNK):
-            stop = min(start + CHUNK, n_full)
             if not keep and start:
                 buf[base] = buf[row]
                 row = base
-            lo, tk = row + 1, t0 + np.arange(start, stop) * h
-            maps = None if a is None else \
-                _step_maps(a, delays, (tk, tk + 0.5 * h, tk + h), h)
-            if maps is None:
-                x = flat[row].tolist()
-                try:
-                    for k in range(start, stop):
-                        x = _rk4(f, x, k, t0 + k * h, h)
-                        row += 1
-                        flat[row] = x
-                except DomainError:
-                    check(lo, start)  # an escape before the error wins
-                    raise
-            else:
-                for j in range(stop - start):
-                    x = buf[row] if reads is None else \
-                        buf.take(reads + row, axis=0).ravel()
-                    np.matmul(maps[j] if maps.ndim == 3 else maps, x,
-                              out=buf[row + 1])
-                    row += 1
-            check(lo, start)
+            tk = t0 + np.arange(start, min(start + CHUNK, n_full)) * h
+            run(start, start + len(tk), h, None if a is None else
+                _step_maps(a, delays, (tk, tk + 0.5 * h, tk + h), h))
         if rem > 0.0:
-            x = _rk4(f, flat[row].tolist(), n_full, t0 + n_full * h, rem)
-            row += 1
-            flat[row] = x
-            check(row, n_full)
+            run(n_full, n_full + 1, rem)
     return row
 
 
@@ -522,7 +531,7 @@ def integrate(sys: SystemDef, x0, t0: float, t1: float, h: float) -> Trajectory:
     times = _times(t0, t1, h)
     buf = np.empty((len(times), sys.dimension))
     buf[0] = x
-    _march(buf, 0, t0, t1, h, f, a)
+    _march(buf, 0, t0, t1, h, f, a, kernel=a is None and sys.rk4_kernel)
     return Trajectory(times, buf, h)
 
 

@@ -84,6 +84,21 @@ def test_rde_residual_accepts_a_nested_list_p():
     assert al.rde_residual(ds, 0.5, p) == al.rde_residual(ds, 0.5, np.array(p))
 
 
+@pytest.mark.parametrize("p", [
+    np.eye(3), [[1.0]], lambda t: np.eye(3),
+    al.SampledMatrixFunction(np.linspace(0.0, 1.0, 5), np.stack([np.eye(3)] * 5)),
+], ids=["constant", "1x1", "callable", "sampled"])
+def test_wrong_size_p_is_a_dimension_mismatch(p):
+    ds = gallery_system("delay_two_lag")
+    calls = [lambda r=r: al.certify(ds, 0.1, r, p=p, horizon=0.0)
+             for r in al.CertificateRoute]
+    calls += [lambda: al.rde_residual(ds, 0.1, p),
+              lambda: al.rate_bound_inputs(ds, p)]
+    for call in calls:
+        with pytest.raises(DimensionMismatchError, match="P must be 2x2"):
+            call()
+
+
 def test_constant_p_is_refused_only_where_the_form_reads_a_varying_coefficient():
     # constant A0, time-varying delayed gain: the rate form reads only A0
     ds = odeint.SystemDef(2, odeint.LinearConstant(np.array([[-2.0, 0.5],

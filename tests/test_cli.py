@@ -142,6 +142,24 @@ def test_alpha_past_float_range_is_an_invalid_certificate(tmp_path, capsys,
         assert result["max_alpha"] is None
 
 
+@pytest.mark.parametrize("route", ["rde", "rate-inequality"])
+@pytest.mark.parametrize("p", [
+    {"matrix": [[1e308, 0], [0, 1e308]]},
+    {"times": [0, 1, 2, 3], "values": [[[1e308, 0], [0, 1e308]]] * 4},
+], ids=["constant", "sampled"])
+def test_alpha_p_whose_symmetrization_overflows_warns_nothing(tmp_path, capsys,
+                                                              p, route):
+    pfile = tmp_path / "p.json"
+    pfile.write_text(json.dumps(p))
+    rc = cli.run(["alpha", "--system", str(gallery_file("delay_two_lag")),
+                  "--alpha", "0.1", "--route", route, "--horizon", "0",
+                  "--p-file", str(pfile)])
+    captured = capsys.readouterr()
+    assert rc == 0 and captured.err == ""
+    certificate = json.loads(captured.out)["result"]["certificate"]
+    assert certificate["p_semidefinite"] is True
+
+
 def test_lyapunov_candidate_command(capsys):
     rc, rep = run_cli(["lyapunov", "--system", gallery_file("cubic_damping"),
                        "--candidate", "x1^2 + x2^2"], capsys)

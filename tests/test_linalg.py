@@ -89,6 +89,35 @@ def test_definiteness_band_survives_entries_near_float_range(m, kind):
         linalg.definiteness([[1e200, 1e200], [0.0, 1e200]])
 
 
+@pytest.mark.parametrize("m, kind", [
+    (1e308 * np.eye(2), Definiteness.POSITIVE_DEFINITE),
+    ([[1e308, 5e307], [5e307, 1e308]], Definiteness.POSITIVE_DEFINITE),
+    (np.diag([1e308, -1e308]), Definiteness.INDEFINITE),
+], ids=["diagonal", "coupled", "indefinite"])
+def test_definiteness_symmetrizes_past_float_range(m, kind):
+    # a + a' overflows; a warning would fail the test (RuntimeWarning is an
+    # error under this suite's settings)
+    verdict = linalg.definiteness(m)
+    assert verdict.kind is kind and np.isfinite(verdict.eigenvalues).all()
+
+
+@pytest.mark.parametrize("m", [[[0.0, 1e308], [-1e308, 0.0]],
+                               [[1e308, 1e308], [-1e308, 1e308]]],
+                         ids=["difference", "difference-and-norm"])
+def test_asymmetry_past_float_range_is_asymmetric(m):
+    with pytest.raises(AsymmetricError):
+        linalg.definiteness(m)
+
+
+def test_symmetric_part_is_the_plain_mean_where_the_sum_is_finite():
+    rng = np.random.default_rng(5)
+    m = rng.normal(size=(8, 4, 4)) * 10.0 ** rng.integers(-300, 300, (8, 1, 1))
+    want = 0.5 * (m + np.swapaxes(m, 1, 2))
+    assert np.array_equal(linalg.symmetric_part(m), want)
+    for a, w in zip(m, want):
+        assert np.array_equal(linalg.symmetric_part(a), w)
+
+
 def test_definiteness_brute_force_oracle():
     rng = np.random.default_rng(99)
     dirs_cache = {}

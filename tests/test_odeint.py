@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from stabkit import discrete as dc
+from stabkit import expr as ex
 from stabkit import lyapunov as ly
 from stabkit import odeint
 from stabkit.errors import (
@@ -30,7 +31,7 @@ from stabkit.odeint import (
 )
 from stabkit.schema import load_system
 from conftest import GALLERY, gallery_system
-from scalar_oracle import _stage_loop_matrix, stage_loop
+from scalar_oracle import _stage_loop_matrix, rhs, stage_loop
 
 
 def scalar_decay():
@@ -536,6 +537,74 @@ def test_nonlinear_gallery_integrate_matches_stage_loop(name):
 
 def test_nonlinear_gallery_is_covered():
     assert len(NONLINEAR_GALLERY) >= 15
+
+
+@pytest.mark.parametrize("name", NONLINEAR_GALLERY)
+def test_nonlinear_gallery_integrate_matches_an_adaptive_solver(name):
+    # An oracle that shares no code with the march: scipy's DOP853 at
+    # tolerances near rounding, on the tree-walking field.  RK4's global
+    # error is about C h^4 t, 1e-12 C at h = 1e-3 over t ~ 2; the gallery's
+    # fields keep C below 10 here, so 1e-10 of the trajectory's scale bounds
+    # it with room.  (Pointwise relative error would fail near zero
+    # crossings.)
+    from scipy.integrate import solve_ivp
+
+    sysd = gallery_system(name)
+    x0 = np.full(sysd.dimension, 0.5)
+    traj = integrate(sysd, x0, 0.0, 2.1005, 1e-3)
+    want = solve_ivp(lambda t, x: rhs(sysd, x, t), (0.0, 2.1005), x0,
+                     method="DOP853", rtol=1e-13, atol=1e-14,
+                     t_eval=traj.times).y.T
+    assert np.abs(traj.states - want).max() <= 1e-10 * np.abs(want).max()
+
+
+def _chain(n: int) -> SystemDef:
+    """A generated nonlinear ring of ``n`` components, each reading ``t``."""
+    comps = [f"-x{i + 1} + 0.3*sin(x{(i + 1) % n + 1})*cos({i + 1}*t)"
+             f" + 0.1*x{(i - 1) % n + 1}*x{i + 1}" for i in range(n)]
+    return SystemDef(n, Nonlinear(tuple(comps)))
+
+
+@pytest.mark.parametrize("n", [1, 5, 12])
+def test_rk4_kernel_matches_stage_loop_on_generated_systems(n):
+    sysd = _chain(n)
+    x0 = np.linspace(-0.8, 0.9, n)
+    t1 = 2.1005  # two chunks of steps, then a partial step
+    got = integrate(sysd, x0, 0.25, t1, 1e-3).states
+    assert np.array_equal(got, stage_loop(sysd, x0, 0.25, t1, 1e-3))
+
+
+@pytest.mark.parametrize("comps, t1, node", [
+    (("log(2.1003 - t)*x1",), 2.1005, None),  # the partial step's 4th stage
+    (("1e300*exp(t)*exp(t)*0*x1", "-x2"), 12.0, 0),  # inf*0 at t ~ 9.52
+], ids=["partial-step", "non-finite"])
+def test_rk4_kernel_domain_errors_match_stage_loop(comps, t1, node):
+    sysd = SystemDef(len(comps), Nonlinear(comps))
+    x0 = np.ones(sysd.dimension)
+    with pytest.raises(DomainError) as want:
+        stage_loop(sysd, x0, 0.0, t1, 1e-3)
+    with pytest.raises(DomainError) as got:
+        integrate(sysd, x0, 0.0, t1, 1e-3)
+    assert str(got.value) == str(want.value)
+    assert got.value.node == want.value.node
+    if node is None:  # raised by log itself
+        assert str(got.value).startswith("log of non-positive value -0.0001")
+    else:  # a finite-looking field whose value is not finite
+        assert str(got.value) == "non-finite evaluation result"
+        assert got.value.node == sysd.field_trees[node]
+
+
+def test_rk4_kernel_compiles_once_per_system(monkeypatch):
+    sources = []
+    compiled = ex._compiled
+    monkeypatch.setattr(ex, "_compiled",
+                        lambda src: sources.append(src) or compiled(src))
+    sysd = _chain(3)
+    kernel = sysd.rk4_kernel
+    for t1 in (0.5, 3.0, 0.7005):
+        integrate(sysd, [0.1, 0.2, 0.3], 0.0, t1, 1e-3)
+    assert sysd.rk4_kernel is kernel
+    assert len([src for src in sources if "rows" in src]) == 1
 
 
 _Z = 26.0 * 1e-3  # x' = 26 x at h = 1e-3: one RK4 step multiplies x by
