@@ -9,6 +9,15 @@ from golden_helpers import compare, generate_all
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "goldens"
 
+#: Freshness bound on floats, |got - want| <= FRESH_TOL * (1 + |want|).
+#: A golden float is either an O(1)-conditioned result of at most ~2e4
+#: sequential rounding steps (RK4 at h = 1e-3 over 20 s, 20,001-node
+#: grids), accurate to about 2e4 * 2^-53 ~ 2e-12 of its scale, or a
+#: rounding-level residual or gap, itself a few ulps of an O(1) scale.
+#: 1e-11 leaves a factor 5 for a platform's different rounding and still
+#: refuses a 1e-10 move of an O(1) value.
+FRESH_TOL = 1e-11
+
 
 @pytest.fixture(scope="module")
 def generated():
@@ -19,12 +28,57 @@ def golden_names():
     return sorted(p.stem for p in GOLDEN_DIR.glob("*.json"))
 
 
+def _stored(name):
+    return json.loads((GOLDEN_DIR / f"{name}.json").read_text())
+
+
+def stale(got, want, path="$") -> list[str]:
+    """Where ``got`` differs from ``want``: floats beyond ``FRESH_TOL``,
+    anything else (strings, booleans, integers, shapes, types) at all."""
+    if type(got) is not type(want):
+        return [f"{path}: {got!r} != {want!r}"]
+    if isinstance(want, dict):
+        if set(got) != set(want):
+            return [f"{path}: keys {sorted(set(got) ^ set(want))} differ"]
+        return [d for k in sorted(want) for d in stale(got[k], want[k],
+                                                       f"{path}.{k}")]
+    if isinstance(want, list):
+        if len(got) != len(want):
+            return [f"{path}: length {len(got)} != {len(want)}"]
+        return [d for i, (g, w) in enumerate(zip(got, want))
+                for d in stale(g, w, f"{path}[{i}]")]
+    if isinstance(want, float):
+        ok = abs(got - want) <= FRESH_TOL * (1.0 + abs(want))
+    else:
+        ok = got == want
+    return [] if ok else [f"{path}: {got!r} != {want!r}"]
+
+
 def test_every_golden_is_generated(generated):
     assert set(golden_names()) == set(generated)
 
 
 @pytest.mark.parametrize("name", golden_names())
 def test_golden(name, generated):
-    stored = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
-    diffs = compare(generated[name], stored)
+    diffs = compare(generated[name], _stored(name))
     assert not diffs, "\n".join(diffs[:20])
+
+
+@pytest.mark.parametrize("name", golden_names())
+def test_golden_is_fresh(name, generated):
+    # what make_goldens.py would write now, read back as the file is
+    got = json.loads(json.dumps(generated[name], sort_keys=True))
+    diffs = stale(got, _stored(name))
+    assert not diffs, "\n".join(diffs[:20])
+
+
+def test_stale_refuses_a_moved_eigenvalue_and_a_changed_type():
+    want = {"eigenvalues": [{"re": -1.0, "im": 2.5}], "n": 3, "ok": True}
+    moved = {"eigenvalues": [{"re": -1.0 + 1e-10, "im": 2.5}], "n": 3,
+             "ok": True}
+    assert stale(moved, want) == [
+        f"$.eigenvalues[0].re: {-1.0 + 1e-10!r} != -1.0"]
+    assert stale({**want, "n": 3.0}, want) == ["$.n: 3.0 != 3"]
+    assert stale({**want, "ok": 1}, want) == ["$.ok: 1 != True"]
+    assert not stale({"eigenvalues": [{"re": -1.0 + 2e-12, "im": 2.5}],
+                      "n": 3, "ok": True}, want)
