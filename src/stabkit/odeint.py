@@ -2,20 +2,20 @@
 
 Classical RK4 for vector ODEs and fundamental-matrix ODEs, plus the method
 of steps for linear multi-delay equations.  Fixed step, no adaptivity.
-All three run one march with three step sources.  Full steps of a linear
-system are products with per-step RK4 maps ``W_k``, formed from the
-coefficients at whole chunks of stage times at once.  An undelayed
-nonlinear system steps on its RK4 kernel, generated once per system: the
-four stages inline on the components as Python locals, a chunk of steps per
-call.  Every other step (a delayed field, a linear chunk whose maps fail, a
-linear trailing partial step) is one RK4 stage loop on Python floats of the
-fused field.  Kernel and stage loop keep numpy's operation order, so they
-give the same bits; stage times are ``t0 + k*h + s``.  The maps agree with
-them to within rounding, below 1e-12 of the state's scale after 1e4 steps.
-A state component beyond ``ESCAPE_THRESHOLD`` (or non-finite) aborts the
-run with :class:`NonFiniteStateError` at the first escaping step, the
-finite-time-escape verdict: each chunk of states is checked once, and an
-escape wins over a later domain error.
+All three run one march with three step sources.  A linear system steps on
+per-step RK4 maps ``W_k``, formed from the coefficients at whole chunks of
+stage times at once, a block of steps per prefix scan of their products.
+An undelayed nonlinear system steps on its RK4 kernel, generated once per
+system: the four stages inline on the components as Python locals, a chunk
+of steps per call.  Every other step (a delayed field, a linear chunk whose
+maps fail, a linear trailing partial step) is one RK4 stage loop on Python
+floats of the fused field.  Kernel and stage loop keep numpy's operation
+order, so they give the same bits; stage times are ``t0 + k*h + s``.  The
+maps agree with them to within rounding, below 1e-12 of the state's scale
+after 1e4 steps.  A state component beyond ``ESCAPE_THRESHOLD`` (or
+non-finite) aborts the run with :class:`NonFiniteStateError` at the first
+escaping step, the finite-time-escape verdict: each chunk of states is
+checked once, and an escape wins over a later domain error.
 """
 
 from __future__ import annotations
@@ -460,19 +460,19 @@ def _rk4(f, x: list, k: int, tk: float, dt: float) -> list:
 
 
 def _march(buf: np.ndarray, base: int, t0: float, t1: float, h: float, f,
-           a=None, delays: Sequence = (), reads=None, keep: bool = True,
+           a=None, delays: Sequence = (), lags: Sequence[int] = (),
            kernel=None) -> int:
     """Advance ``buf[base]`` from ``t0`` to ``t1``; returns the final row.
 
-    Step ``k`` writes ``buf[base + k + 1]``; with ``keep`` off each chunk
-    restarts at ``buf[base]``.  Linear full steps (coefficients ``a``,
-    ``delays``) multiply the rows ``base + k + reads`` (None: the state) by
-    their step maps; the other steps run on ``kernel`` (a
-    ``SystemDef.rk4_kernel``) if given, else are :func:`_rk4` of ``f``.
+    Step ``k`` writes ``buf[base + k + 1]`` (a shorter buffer restarts at
+    ``buf[base]`` each chunk).  Linear full steps (``a``, ``delays`` at
+    ``lags`` steps back) are :func:`_linear_steps`; the other steps run on
+    ``kernel`` (a ``SystemDef.rk4_kernel``) if given, else on :func:`_rk4`.
     """
     t0, h = float(t0), float(h)
     n_full, rem = _grid(t0, t1, h)
     flat = buf.reshape(len(buf), -1)
+    states = buf.reshape(len(buf), buf.shape[1], -1)  # a vector is (n, 1)
     row = base  # the row of the latest state
 
     def run(k: int, stop: int, dt: float, maps=None) -> None:
@@ -481,12 +481,7 @@ def _march(buf: np.ndarray, base: int, t0: float, t1: float, h: float, f,
         lo, x, rows = row + 1, flat[row].tolist(), []
         try:
             if maps is not None:
-                for j in range(stop - k):
-                    y = buf[row] if reads is None else \
-                        buf.take(reads + row, axis=0).ravel()
-                    np.matmul(maps[j] if maps.ndim == 3 else maps, y,
-                              out=buf[row + 1])
-                    row += 1
+                row = _linear_steps(states, row, stop - k, maps, lags)
             elif kernel:
                 kernel(x, t0, h, k, stop, dt, rows)
             else:
@@ -503,14 +498,45 @@ def _march(buf: np.ndarray, base: int, t0: float, t1: float, h: float, f,
 
     with np.errstate(all="ignore"):  # the row checks catch what overflows
         for start in range(0, n_full, CHUNK):
-            if not keep and start:
-                buf[base] = buf[row]
-                row = base
             tk = t0 + np.arange(start, min(start + CHUNK, n_full)) * h
+            if row + len(tk) >= len(buf):
+                buf[base], row = buf[row], base
             run(start, start + len(tk), h, None if a is None else
                 _step_maps(a, delays, (tk, tk + 0.5 * h, tk + h), h))
         if rem > 0.0:
             run(n_full, n_full + 1, rem)
+    return row
+
+
+def _linear_steps(states: np.ndarray, row: int, count: int, maps: np.ndarray,
+                  lags: Sequence[int]) -> int:
+    """``count`` steps ``x_{k+1} = W_k [x_k, delayed rows]`` from
+    ``states[row]``; returns the final row.  In a block of at most the
+    shortest lag every delayed row is written, so a step is affine and the
+    states are the running products of ``[[w_k, c_k], [0, I]]`` (``x_0`` in
+    ``c_0``, ``w_0 = 0``): a Hillis-Steele scan, log2(block) products."""
+    n, p = states.shape[1:]
+    reads = np.array([o for b in lags for o in (-b, 1 - b)], dtype=int)
+    done, size = 0, min((CHUNK, *lags))
+    while done < count:
+        b = min(size, count - done)
+        m = maps if maps.ndim == 2 else maps[done:done + b]
+        y = states[row + np.arange(b)[:, None] + reads]  # (b, 2 lags, n, p)
+        g = np.zeros((b, n + p, n + p))
+        g[:, :n, :n], g[:, n:, n:] = m[..., :n], np.eye(p)
+        g[:, :n, n:] = m[..., n:] @ y.reshape(b, -1, p)
+        g[0, :n, n:] += g[0, :n, :n] @ states[row]
+        g[0, :n, :n] = 0.0
+        d = 1
+        while d < b:  # then row i is the product of rows max(0, i-2d+1)..i
+            g[d:] = g[d:] @ g[:-d]
+            d *= 2
+        # a composed map can overflow where the state does not (inf * 0 on a
+        # stable manifold): keep the rows before the first, restart there
+        ok = np.isfinite(g[:, :n, :n]).all(axis=(1, 2))
+        kept = b if ok.all() else int(ok.argmin())
+        states[row + 1:row + 1 + kept] = g[:kept, :n, n:]
+        row, done, size = row + kept, done + kept, min((CHUNK, *lags, 2 * kept))
     return row
 
 
@@ -603,8 +629,8 @@ def integrate_matrix(sys: SystemDef, t0: float, t1: float, h: float) -> np.ndarr
     """Fundamental matrix ``X(t1)`` with ``X(t0) = I`` for a linear system.
 
     Columns are the fundamental system of solutions (unit initial
-    conditions), advanced together by matrix-valued RK4: one product with
-    the step map ``W_k`` per step.  The march keeps one chunk of states.
+    conditions), advanced together by matrix-valued RK4 on the step maps
+    ``W_k``.  The march keeps one chunk of states.
     """
     if isinstance(sys.rhs, Nonlinear):
         raise InvalidArgumentError("integrate_matrix requires a linear system")
@@ -612,7 +638,7 @@ def integrate_matrix(sys: SystemDef, t0: float, t1: float, h: float) -> np.ndarr
     a, f = _field(sys, (n, n))
     buf = np.empty((min(_grid(t0, t1, h)[0], CHUNK) + 2, n, n))
     buf[0] = np.eye(n)
-    return buf[_march(buf, 0, t0, t1, h, f, a, keep=False)].copy()
+    return buf[_march(buf, 0, t0, t1, h, f, a)].copy()
 
 
 def dde_step(lags: Sequence[float], target: float = 1e-3) -> float:
@@ -640,8 +666,8 @@ def integrate_dde(sys: SystemDef, history: HistoryFn, t1: float,
         raise InvalidArgumentError("system has no delays; use integrate")
     times = _times(0.0, t1, h)
     lags = [d.lag for d in sys.delays]
-    for lag in lags:
-        if abs(lag - round(lag / h) * h) > 1e-9:
+    for lag in lags:  # a lag under half a step would read the next state
+        if lag < 0.5 * h or abs(lag - round(lag / h) * h) > 1e-9:
             raise InvalidArgumentError(
                 f"step {h} does not divide delay lag {lag}")
     if history.span < sys.max_lag - 1e-12:
@@ -667,7 +693,5 @@ def integrate_dde(sys: SystemDef, history: HistoryFn, t1: float,
             dx = dx + _at(coeff, t) @ y
         return dx.tolist()
 
-    # rows of buf a step map reads: x_k, then each lag's node pair
-    reads = np.array([0] + [o for b in lag_steps for o in (-b, 1 - b)])
-    _march(buf, base, 0.0, t1, h, f, a, coeffs, reads)
+    _march(buf, base, 0.0, t1, h, f, a, coeffs, lag_steps)
     return Trajectory(times, buf[base:], h)

@@ -101,6 +101,19 @@ def test_definiteness_symmetrizes_past_float_range(m, kind):
     assert verdict.kind is kind and np.isfinite(verdict.eigenvalues).all()
 
 
+@pytest.mark.parametrize("m, kind", [
+    (np.diag([1.5e308, -1.5e308]), Definiteness.INDEFINITE),
+    (np.diag([1.5e308, 1.5e308]), Definiteness.POSITIVE_DEFINITE),
+], ids=["indefinite", "definite"])
+def test_definiteness_where_the_frobenius_norm_overflows(m, kind):
+    # ||m||_F = 2.1e308 is past float range; norm and band are taken on m
+    # rescaled by a power of two, so the band stays finite
+    verdict = linalg.definiteness(m)
+    assert verdict.kind is kind
+    assert verdict.tol_band == pytest.approx(1e-9 * 2**0.5 * 1.5e308,
+                                             rel=1e-12)
+
+
 @pytest.mark.parametrize("m", [[[0.0, 1e308], [-1e308, 0.0]],
                                [[1e308, 1e308], [-1e308, 1e308]]],
                          ids=["difference", "difference-and-norm"])
@@ -196,6 +209,41 @@ def test_stacked_measure_and_norm_match_per_matrix():
                           [linalg.spectral_norm(m) for m in stack])
     assert isinstance(linalg.spectral_norm(stack[0]), float)
     assert linalg.spectral_norm(rng.normal(size=(4, 2, 3))).shape == (4,)
+
+
+def _spectral_nodes(rng, r, c):
+    """Random, rank-one, zero and tiny/huge nodes of shape (r, c)."""
+    nodes = [rng.normal(size=(r, c)) for _ in range(20)]
+    nodes += [np.outer(rng.normal(size=r), rng.normal(size=c))
+              for _ in range(5)]
+    nodes += [np.zeros((r, c))]
+    nodes += [rng.normal(size=(r, c)) * 10.0 ** p
+              for p in (-300, -300, 300, 300)]
+    return np.array(nodes)
+
+
+@pytest.mark.parametrize("r, c", [(1, 1), (2, 2), (3, 3), (6, 6), (2, 5),
+                                  (5, 2), (1, 4), (30, 30)])
+def test_spectral_norm_within_its_bound_of_the_svd(r, c):
+    # the docstring's bound (max(r, c) + 4) min(r, c) u, plus the SVD's own
+    # min(r, c) u; a stack and its single nodes follow one route
+    rng = np.random.default_rng(r * 10 + c)
+    nodes = _spectral_nodes(rng, r, c)
+    u = 2.0 ** -53
+    tol = ((max(r, c) + 4) * min(r, c) + min(r, c)) * u
+    want = np.linalg.svd(nodes, compute_uv=False)[:, 0]
+    got = linalg.spectral_norm(nodes)
+    assert np.all(np.abs(got - want) <= tol * want)
+    assert got[25] == 0.0 and not np.signbit(got[25])
+    for node, value in zip(nodes, got):
+        assert linalg.spectral_norm(node) == value
+
+
+def test_spectral_norm_of_a_non_symmetric_matrix_is_not_its_top_eigenvalue():
+    a = np.array([[1.0, 100.0], [0.0, 1.0]])
+    want = np.linalg.svd(a, compute_uv=False)[0]
+    assert abs(linalg.spectral_norm(a) - want) <= 1e-15 * want
+    assert linalg.spectral_norm(np.full((2, 2), 1.5e308)) == np.inf
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf"),

@@ -508,6 +508,59 @@ def test_delay_rotating_escape_time_unchanged():
     assert str(err.value) == "state escaped to non-finite values at t=8.146"
 
 
+# --- the blocked linear march: block and restart edges ---------------------------
+
+@pytest.mark.parametrize("rate", [1000.0, 5000.0])
+def test_saddle_on_its_stable_manifold_does_not_escape(rate):
+    # x1 = 0 exactly at every step; at rate 5000 one step multiplies x1 by
+    # about 65, so a composed map of a few hundred steps overflows and its
+    # inf * 0 must not read as an escape
+    growth = sum(5.0 ** j / math.factorial(j) for j in range(5))
+    assert 256 * math.log(growth) > math.log(np.finfo(float).max)
+    sysd = SystemDef(2, LinearConstant(np.diag([rate, -1.0])))
+    got = integrate(sysd, [0.0, 1.0], 0.0, 2.0, 1e-3)
+    want = stage_loop(sysd, [0.0, 1.0], 0.0, 2.0, 1e-3)
+    assert not got.states[:, 0].any()
+    np.testing.assert_allclose(got.states, want, rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("lags, t1", [
+    ((1e-3, 0.25), 1.2), ((0.1,), 2.5005)],
+    ids=["one-step-lag", "short-lag-partial-step"])
+def test_dde_blocks_shorter_than_a_chunk_match_stage_loop(lags, t1):
+    # a block holds at most the shortest lag: one step, or 100 of a chunk's
+    # 1024 steps, then a trailing partial step on the stage loop
+    delays = tuple(Delay(lag, [[0.3, -0.2], [0.1, 0.25]]) for lag in lags)
+    history = HistoryFn.constant([1.0, -0.5], max(lags))
+    general = SystemDef(2, Nonlinear(("-x1 + 0.5*x2", "-0.3*x1 - 2*x2")),
+                        delays=delays)
+    linear = SystemDef(2, LinearConstant(A_TEST), delays=delays)
+    want = integrate_dde(general, history, t1, 1e-3)
+    got = integrate_dde(linear, history, t1, 1e-3)
+    assert np.array_equal(got.times, want.times)
+    np.testing.assert_allclose(got.states, want.states, rtol=1e-12, atol=1e-14)
+
+
+def test_a_lag_under_half_a_step_is_refused():
+    sysd = SystemDef(1, LinearConstant(np.array([[-1.0]])),
+                     delays=(Delay(1e-10, [[1.0]]),))
+    with pytest.raises(InvalidArgumentError, match="does not divide"):
+        integrate_dde(sysd, HistoryFn.constant([1.0], 1e-10), 0.01, 1e-3)
+
+
+def test_integrate_matrix_escape_mid_block_matches_stage_loop():
+    # X = exp(26 t) passes the threshold near step 1063, inside the second
+    # block of 1024 steps
+    sysd = SystemDef(2, LinearTimeVarying((("26 + 0.1*sin(t)", "1"),
+                                           ("0", "-1"))))
+    with pytest.raises(NonFiniteStateError) as want:
+        _stage_loop_matrix(sysd, 0.0, 2.5, 1e-3)
+    with pytest.raises(NonFiniteStateError) as got:
+        integrate_matrix(sysd, 0.0, 2.5, 1e-3)
+    assert got.value.t == want.value.t
+    assert odeint.CHUNK < round(got.value.t / 1e-3) < 2 * odeint.CHUNK
+
+
 # --- the march against the stage-by-stage oracle --------------------------------
 
 def _outcome(run):
