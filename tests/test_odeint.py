@@ -513,10 +513,11 @@ def test_delay_rotating_escape_time_unchanged():
 @pytest.mark.parametrize("rate", [1000.0, 5000.0])
 def test_saddle_on_its_stable_manifold_does_not_escape(rate):
     # x1 = 0 exactly at every step; at rate 5000 one step multiplies x1 by
-    # about 65, so a composed map of a few hundred steps overflows and its
-    # inf * 0 must not read as an escape
-    growth = sum(5.0 ** j / math.factorial(j) for j in range(5))
-    assert 256 * math.log(growth) > math.log(np.finfo(float).max)
+    # about 65, so a composed map of 256 steps overflows and its inf * 0
+    # must not read as an escape (at rate 1000 the maps stay finite)
+    growth = sum((rate * 1e-3) ** j / math.factorial(j) for j in range(5))
+    overflows = 256 * math.log(growth) > math.log(np.finfo(float).max)
+    assert overflows == (rate == 5000.0)
     sysd = SystemDef(2, LinearConstant(np.diag([rate, -1.0])))
     got = integrate(sysd, [0.0, 1.0], 0.0, 2.0, 1e-3)
     want = stage_loop(sysd, [0.0, 1.0], 0.0, 2.0, 1e-3)
