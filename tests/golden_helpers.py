@@ -238,11 +238,11 @@ def compare(got, want, path="$", rel=1e-6, abs_tol=1e-9) -> list[str]:
         for i, (g, w) in enumerate(zip(got, want)):
             diffs += compare(g, w, f"{path}[{i}]", rel, abs_tol)
         return diffs
+    if type(got) is not type(want):  # 1 is not True, nor 3.0 the integer 3
+        return [f"{path}: {got!r} != {want!r}"]
     if isinstance(want, bool) or want is None or isinstance(want, str):
         return [] if got == want else [f"{path}: {got!r} != {want!r}"]
     if isinstance(want, (int, float)):
-        if not isinstance(got, (int, float)) or isinstance(got, bool):
-            return [f"{path}: {got!r} != {want!r}"]
         if not math.isclose(got, want, rel_tol=rel, abs_tol=abs_tol):
             return [f"{path}: {got!r} != {want!r}"]
         return []

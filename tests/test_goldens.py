@@ -9,7 +9,8 @@ from golden_helpers import compare, generate_all
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "goldens"
 
-#: Freshness bound on floats, |got - want| <= FRESH_TOL * (1 + |want|).
+#: Freshness bound on floats: ``compare`` at rel and abs ``FRESH_TOL``, so
+#: |got - want| <= FRESH_TOL * max(1, |got|, |want|).
 #: A golden float is either an O(1)-conditioned result of at most ~2e4
 #: sequential rounding steps (RK4 at h = 1e-3 over 20 s, 20,001-node
 #: grids), accurate to about 2e4 * 2^-53 ~ 2e-12 of its scale, or a
@@ -32,28 +33,6 @@ def _stored(name):
     return json.loads((GOLDEN_DIR / f"{name}.json").read_text())
 
 
-def stale(got, want, path="$") -> list[str]:
-    """Where ``got`` differs from ``want``: floats beyond ``FRESH_TOL``,
-    anything else (strings, booleans, integers, shapes, types) at all."""
-    if type(got) is not type(want):
-        return [f"{path}: {got!r} != {want!r}"]
-    if isinstance(want, dict):
-        if set(got) != set(want):
-            return [f"{path}: keys {sorted(set(got) ^ set(want))} differ"]
-        return [d for k in sorted(want) for d in stale(got[k], want[k],
-                                                       f"{path}.{k}")]
-    if isinstance(want, list):
-        if len(got) != len(want):
-            return [f"{path}: length {len(got)} != {len(want)}"]
-        return [d for i, (g, w) in enumerate(zip(got, want))
-                for d in stale(g, w, f"{path}[{i}]")]
-    if isinstance(want, float):
-        ok = abs(got - want) <= FRESH_TOL * (1.0 + abs(want))
-    else:
-        ok = got == want
-    return [] if ok else [f"{path}: {got!r} != {want!r}"]
-
-
 def test_every_golden_is_generated(generated):
     assert set(golden_names()) == set(generated)
 
@@ -68,17 +47,19 @@ def test_golden(name, generated):
 def test_golden_is_fresh(name, generated):
     # what make_goldens.py would write now, read back as the file is
     got = json.loads(json.dumps(generated[name], sort_keys=True))
-    diffs = stale(got, _stored(name))
+    diffs = compare(got, _stored(name), rel=FRESH_TOL, abs_tol=FRESH_TOL)
     assert not diffs, "\n".join(diffs[:20])
 
 
-def test_stale_refuses_a_moved_eigenvalue_and_a_changed_type():
+def test_freshness_refuses_a_moved_eigenvalue_and_a_changed_type():
+    def fresh(got):
+        return compare(got, want, rel=FRESH_TOL, abs_tol=FRESH_TOL)
+
     want = {"eigenvalues": [{"re": -1.0, "im": 2.5}], "n": 3, "ok": True}
     moved = {"eigenvalues": [{"re": -1.0 + 1e-10, "im": 2.5}], "n": 3,
              "ok": True}
-    assert stale(moved, want) == [
-        f"$.eigenvalues[0].re: {-1.0 + 1e-10!r} != -1.0"]
-    assert stale({**want, "n": 3.0}, want) == ["$.n: 3.0 != 3"]
-    assert stale({**want, "ok": 1}, want) == ["$.ok: 1 != True"]
-    assert not stale({"eigenvalues": [{"re": -1.0 + 2e-12, "im": 2.5}],
-                      "n": 3, "ok": True}, want)
+    assert fresh(moved) == [f"$.eigenvalues[0].re: {-1.0 + 1e-10!r} != -1.0"]
+    assert fresh({**want, "n": 3.0}) == ["$.n: 3.0 != 3"]
+    assert fresh({**want, "ok": 1}) == ["$.ok: 1 != True"]
+    assert not fresh({"eigenvalues": [{"re": -1.0 + 2e-12, "im": 2.5}],
+                      "n": 3, "ok": True})
