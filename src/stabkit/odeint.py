@@ -4,18 +4,19 @@ Classical RK4 for vector ODEs and fundamental-matrix ODEs, plus the method
 of steps for linear multi-delay equations.  Fixed step, no adaptivity.
 All three run one march with three step sources.  A linear system steps on
 per-step RK4 maps ``W_k``, formed from the coefficients at whole chunks of
-stage times at once, a block of steps per prefix scan of their products.
-An undelayed nonlinear system steps on its RK4 kernel, generated once per
-system: the four stages inline on the components as Python locals, a chunk
-of steps per call.  Every other step (a delayed field, a linear chunk whose
-maps fail, a linear trailing partial step) is one RK4 stage loop on Python
-floats of the fused field.  Kernel and stage loop keep numpy's operation
-order, so they give the same bits; stage times are ``t0 + k*h + s``.  The
-maps agree with them to within rounding, below 1e-12 of the state's scale
-after 1e4 steps.  A state component beyond ``ESCAPE_THRESHOLD`` (or
-non-finite) aborts the run with :class:`NonFiniteStateError` at the first
-escaping step, the finite-time-escape verdict: each chunk of states is
-checked once, and an escape wins over a later domain error.
+stage times at once: a block of steps per prefix scan of their products,
+one product a step past ``SCAN_WIDTH``.  An undelayed nonlinear system steps
+on its RK4 kernel, generated once per system: the four stages inline on the
+components as Python locals, a chunk of steps per call.  Every other step
+(a delayed field, a linear chunk whose maps fail, a linear trailing partial
+step) is one RK4 stage loop on Python floats of the fused field.  Kernel
+and stage loop keep numpy's operation order, so they give the same bits;
+stage times are ``t0 + k*h + s``.  The maps agree with them to within
+rounding, below 1e-12 of the state's scale after 1e4 steps.  A state
+component beyond ``ESCAPE_THRESHOLD`` (or non-finite) aborts the run with
+:class:`NonFiniteStateError` at the first escaping step, the finite-time-
+escape verdict: each chunk of states is checked once, and an escape wins
+over a later domain error.
 """
 
 from __future__ import annotations
@@ -47,6 +48,9 @@ ESCAPE_THRESHOLD = 1e12
 SAMPLE_CAP = 10_000_000
 #: steps per batch of RK4 step maps; bounds the (CHUNK, n, M) map stacks
 CHUNK = 1024
+#: widest ``n + p`` (state rows plus columns) a block of linear steps scans;
+#: past it log2(block) (n + p)-square products outweigh a product per step
+SCAN_WIDTH = 8
 
 
 # --- system definitions --------------------------------------------------------
@@ -512,30 +516,38 @@ def _linear_steps(states: np.ndarray, row: int, count: int, maps: np.ndarray,
                   lags: Sequence[int]) -> int:
     """``count`` steps ``x_{k+1} = W_k [x_k, delayed rows]`` from
     ``states[row]``; returns the final row.  In a block of at most the
-    shortest lag every delayed row is written, so a step is affine and the
-    states are the running products of ``[[w_k, c_k], [0, I]]`` (``x_0`` in
-    ``c_0``, ``w_0 = 0``): a Hillis-Steele scan, log2(block) products."""
+    shortest lag every delayed row is written, so a step is affine,
+    ``w_k x_k + c_k``: one product a step, or up to ``SCAN_WIDTH`` the running
+    products of ``[[w_k, c_k], [0, I]]`` (``x_0`` in ``c_0``, ``w_0 = 0``),
+    a Hillis-Steele scan of log2(block) products."""
     n, p = states.shape[1:]
     reads = np.array([o for b in lags for o in (-b, 1 - b)], dtype=int)
     done, size = 0, min((CHUNK, *lags))
     while done < count:
         b = min(size, count - done)
         m = maps if maps.ndim == 2 else maps[done:done + b]
+        w = m[..., :n]  # one matrix if the maps do not vary
         y = states[row + np.arange(b)[:, None] + reads]  # (b, 2 lags, n, p)
-        g = np.zeros((b, n + p, n + p))
-        g[:, :n, :n], g[:, n:, n:] = m[..., :n], np.eye(p)
-        g[:, :n, n:] = m[..., n:] @ y.reshape(b, -1, p)
-        g[0, :n, n:] += g[0, :n, :n] @ states[row]
-        g[0, :n, :n] = 0.0
-        d = 1
-        while d < b:  # then row i is the product of rows max(0, i-2d+1)..i
-            g[d:] = g[d:] @ g[:-d]
-            d *= 2
-        # a composed map can overflow where the state does not (inf * 0 on a
-        # stable manifold): keep the rows before the first, restart there
-        ok = np.isfinite(g[:, :n, :n]).all(axis=(1, 2))
-        kept = b if ok.all() else int(ok.argmin())
-        states[row + 1:row + 1 + kept] = g[:kept, :n, n:]
+        c = m[..., n:] @ y.reshape(b, -1, p) if lags else 0.0
+        kept = b
+        if n + p > SCAN_WIDTH:
+            for i in range(b):
+                x = np.matmul(w if w.ndim == 2 else w[i], states[row + i],
+                              out=states[row + i + 1])
+                if lags:
+                    x += c[i]
+        else:
+            g = np.zeros((b, n + p, n + p))
+            g[:, :n, :n], g[:, :n, n:], g[:, n:, n:] = w, c, np.eye(p)
+            g[0, :n, n:] += g[0, :n, :n] @ states[row]
+            g[0, :n, :n] = 0.0
+            for d in (1 << k for k in range((b - 1).bit_length())):
+                g[d:] = g[d:] @ g[:-d]  # row i: the product of i-2d+1 .. i
+            # a composed map can overflow where the state does not (inf * 0 on
+            # a stable manifold): keep the rows before the first, restart there
+            ok = np.isfinite(g[:, :n, :n]).all(axis=(1, 2))
+            kept = b if ok.all() else int(ok.argmin())
+            states[row + 1:row + 1 + kept] = g[:kept, :n, n:]
         row, done, size = row + kept, done + kept, min((CHUNK, *lags, 2 * kept))
     return row
 
@@ -666,8 +678,9 @@ def integrate_dde(sys: SystemDef, history: HistoryFn, t1: float,
         raise InvalidArgumentError("system has no delays; use integrate")
     times = _times(0.0, t1, h)
     lags = [d.lag for d in sys.delays]
-    for lag in lags:  # a lag under half a step would read the next state
-        if lag < 0.5 * h or abs(lag - round(lag / h) * h) > 1e-9:
+    lag_steps = [round(lag / h) for lag in lags]
+    for lag, back in zip(lags, lag_steps):  # 0 steps back is the next state
+        if back < 1 or abs(lag - back * h) > 1e-9:
             raise InvalidArgumentError(
                 f"step {h} does not divide delay lag {lag}")
     if history.span < sys.max_lag - 1e-12:
@@ -676,7 +689,6 @@ def integrate_dde(sys: SystemDef, history: HistoryFn, t1: float,
 
     a, f0 = _field(sys, (sys.dimension,))
     coeffs = sys.delay_coefficients
-    lag_steps = [round(lag / h) for lag in lags]
     base = round(sys.max_lag / h)  # index of the t=0 grid node
     _cap_samples(base + len(times), "trajectory")
     buf = np.empty((base + len(times), sys.dimension))

@@ -542,24 +542,63 @@ def test_dde_blocks_shorter_than_a_chunk_match_stage_loop(lags, t1):
     np.testing.assert_allclose(got.states, want.states, rtol=1e-12, atol=1e-14)
 
 
-def test_a_lag_under_half_a_step_is_refused():
+@pytest.mark.parametrize("lag, h", [(1e-10, 1e-3), (5e-10, 1e-9)])
+def test_a_lag_rounding_to_zero_steps_is_refused(lag, h):
+    # 5e-10 / 1e-9 rounds half to even, to 0 steps, and still divides to
+    # within 1e-9; a lag of 0 steps would read the state being written
     sysd = SystemDef(1, LinearConstant(np.array([[-1.0]])),
-                     delays=(Delay(1e-10, [[1.0]]),))
+                     delays=(Delay(lag, [[1.0]]),))
     with pytest.raises(InvalidArgumentError, match="does not divide"):
-        integrate_dde(sysd, HistoryFn.constant([1.0], 1e-10), 0.01, 1e-3)
+        integrate_dde(sysd, HistoryFn.constant([1.0], lag), 10 * h, h)
 
 
-def test_integrate_matrix_escape_mid_block_matches_stage_loop():
+@pytest.mark.parametrize("sysd", [
+    SystemDef(2, LinearTimeVarying((("26 + 0.1*sin(t)", "1"), ("0", "-1")))),
+    SystemDef(5, LinearConstant(np.diag([26.0, -1, -1, -1, -1])
+                                + 0.1 * np.eye(5, k=1)))],
+    ids=["scanned", "one-product-a-step"])
+def test_integrate_matrix_escape_mid_block_matches_stage_loop(sysd):
     # X = exp(26 t) passes the threshold near step 1063, inside the second
     # block of 1024 steps
-    sysd = SystemDef(2, LinearTimeVarying((("26 + 0.1*sin(t)", "1"),
-                                           ("0", "-1"))))
     with pytest.raises(NonFiniteStateError) as want:
         _stage_loop_matrix(sysd, 0.0, 2.5, 1e-3)
     with pytest.raises(NonFiniteStateError) as got:
         integrate_matrix(sysd, 0.0, 2.5, 1e-3)
     assert got.value.t == want.value.t
     assert odeint.CHUNK < round(got.value.t / 1e-3) < 2 * odeint.CHUNK
+
+
+A_WIDE = np.diag([-1.0, -0.5, -2.0, -0.8, -1.5, -0.3, -1.2, -0.9]) + 0.1 * (
+    np.eye(8, k=1) - np.eye(8, k=-3))
+
+
+def _linear_terms(a) -> tuple[str, ...]:
+    return tuple(" + ".join(f"({v!r})*x{j + 1}" for j, v in enumerate(row))
+                 for row in np.asarray(a).tolist())
+
+
+def test_wide_states_step_one_product_at_a_time():
+    # n + 1 and 2n past SCAN_WIDTH: vector, fundamental-matrix and delayed
+    # states step on one product a step, and still agree with the stage loop
+    assert min(8 + 1, 2 * 5) > odeint.SCAN_WIDTH
+    varying = SystemDef(8, LinearTimeVarying(
+        [[f"{v!r} + 0.2*sin(t)" if i == j else repr(v) for j, v in enumerate(row)]
+         for i, row in enumerate(A_WIDE.tolist())]))
+    x0 = np.linspace(1.0, -1.0, 8)
+    np.testing.assert_allclose(integrate(varying, x0, 0.0, 2.5005, 1e-3).states,
+                               stage_loop(varying, x0, 0.0, 2.5005, 1e-3),
+                               rtol=1e-12, atol=1e-14)
+    five = SystemDef(5, LinearConstant(A_WIDE[:5, :5]))
+    np.testing.assert_allclose(integrate_matrix(five, 0.0, 2.5, 1e-3),
+                               _stage_loop_matrix(five, 0.0, 2.5, 1e-3),
+                               rtol=1e-12, atol=1e-14)
+    delays = (Delay(0.1, 0.2 * np.eye(8, k=2)), Delay(0.35, -0.1 * np.eye(8)))
+    history = HistoryFn.constant(x0, 0.35)
+    want = integrate_dde(SystemDef(8, Nonlinear(_linear_terms(A_WIDE)),
+                                   delays=delays), history, 1.5005, 1e-3)
+    got = integrate_dde(SystemDef(8, LinearConstant(A_WIDE), delays=delays),
+                        history, 1.5005, 1e-3)
+    np.testing.assert_allclose(got.states, want.states, rtol=1e-12, atol=1e-14)
 
 
 # --- the march against the stage-by-stage oracle --------------------------------
