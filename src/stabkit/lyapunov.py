@@ -33,6 +33,7 @@ domain of attraction.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -50,7 +51,7 @@ from .errors import (
     SingularLyapunovOperatorError,
 )
 from .odeint import SystemDef, _cap_samples, _params
-from .sampling import ball_points, halton, sphere_directions
+from .sampling import ball_points, column_norms, halton, sphere_directions
 
 __all__ = [
     "solve_lyapunov", "CandidateV", "ScanConfig",
@@ -219,11 +220,11 @@ def _trees(sys: SystemDef, v: CandidateV) -> tuple[ex.Expr, ex.Expr]:
         ex.derivative(tree, "t")])
 
 
-def _batch_values(sys: SystemDef, v: CandidateV, X: np.ndarray,
+def _batch_values(trees: tuple[ex.Expr, ex.Expr], X: np.ndarray,
                   T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """V and Vdot at the sample rows ``(X[k], T[k])``: one two-column
-    evaluator of :func:`_trees`, ``BLOCK`` rows per call."""
-    both = ex.compile_expr_vec(_trees(sys, v))
+    evaluator of the trees of :func:`_trees`, ``BLOCK`` rows per call."""
+    both = ex.compile_expr_vec(trees)
     out = np.empty((len(X), 2))
     for s in range(0, len(X), BLOCK):
         out[s:s + BLOCK] = both(X[s:s + BLOCK], T[s:s + BLOCK])
@@ -400,18 +401,20 @@ def _direct_scan(v: CandidateV, n: int, radius: float, scan: ScanConfig,
         lambda r: evaluate(X[r], T[r]), len(X),
         lambda k: _sample_label(X[k], T[k], clock),
         prior=(lambda r: v.values(X[r], T[r]),))
-    norms = np.linalg.norm(X, axis=1)
+    norms = column_norms(X.T)
     return v_vals, d_vals, norms, lambda values: _fit_lower_bound(
         values, norms, T, time_dep, scan, X)
 
 
 def _scan(sys: SystemDef, v: CandidateV, radius: float, scan: ScanConfig,
           zero: str | None):
-    """:func:`_direct_scan` of V and Vdot along the trajectories of ``sys``."""
-    return _direct_scan(
+    """:func:`_direct_scan` of V and Vdot along the trajectories of ``sys``,
+    then the Vdot tree: :func:`_trees` is built once, after the checks."""
+    trees = functools.cache(functools.partial(_trees, sys, v))
+    return (*_direct_scan(
         v, sys.dimension, radius, scan, _time_dependent(sys, v),
         lambda: _check_origin_equilibrium(sys, scan),
-        lambda X, T: _batch_values(sys, v, X, T), zero=zero)
+        lambda X, T: _batch_values(trees(), X, T), zero=zero), trees()[1])
 
 
 def _above_floor(values: np.ndarray) -> bool:
@@ -482,15 +485,14 @@ def _check_origin_equilibrium(sys: SystemDef, scan: ScanConfig) -> None:
             f"||f(0, t)|| reaches {worst:.3e}; origin is not an equilibrium")
 
 
-def _w3_quadratic_minors(sys: SystemDef, v: CandidateV,
+def _w3_quadratic_minors(n: int, vdot: ex.Expr,
                          t0: float) -> tuple[float, ...] | None:
-    """Leading minors of the quadratic form of -Vdot(., t0) at 0, half its
-    exact Hessian there (the upper triangle's trees, mirrored); None on a
-    domain error, or when the trees would exceed the expression bounds."""
-    n = sys.dimension
+    """Leading minors of the quadratic form of -Vdot(., t0) at 0 in R^n,
+    half its exact Hessian there (the upper triangle's trees, mirrored);
+    None on a domain error, or when the trees would exceed the expression
+    bounds."""
     rows, cols = np.triu_indices(n)
     try:
-        vdot = _trees(sys, v)[1]
         grad = [ex.derivative(vdot, f"x{i + 1}") for i in range(n)]
         upper = ex.compile_vector([ex.derivative(grad[i], f"x{j + 1}")
                                    for i, j in zip(rows, cols)])([0.0] * n, t0)
@@ -564,7 +566,7 @@ def check_candidate(sys: SystemDef, v: CandidateV, radius: float = 1.0,
     for autonomous systems uniformity is vacuous and the plain labels of the
     autonomous theory are reported.
     """
-    v_vals, vd_vals, norms, fit = _scan(sys, v, radius, scan, "t")
+    v_vals, vd_vals, norms, fit, vdot = _scan(sys, v, radius, scan, "t")
     v_positive = fit(v_vals)
     notes: list[str] = []
     if _time_dependent(sys, v):
@@ -595,7 +597,7 @@ def check_candidate(sys: SystemDef, v: CandidateV, radius: float = 1.0,
 
     w3 = None
     if vdot_verdict is SignVerdict.NEGATIVE_DEFINITE:
-        w3 = _w3_quadratic_minors(sys, v, scan.t0)
+        w3 = _w3_quadratic_minors(sys.dimension, vdot, scan.t0)
 
     return LyapunovReport(
         conclusion=conclusion,
@@ -645,7 +647,7 @@ def check_instability(sys: SystemDef, w: CandidateV, radius: float = 1.0,
     every one holds with margin.  The conditions are sufficient, not
     necessary: a False result does not certify stability.
     """
-    w_vals, wd_vals, _, fit = _scan(sys, w, radius, scan, None)
+    w_vals, wd_vals, _, fit, _ = _scan(sys, w, radius, scan, None)
     times = np.linspace(scan.t0, scan.t0 + scan.time_span, 8)
     w_zero = bool(np.abs(_origin_values(w.values, sys.dimension,
                                         times)).max() <= 1e-9)
@@ -765,7 +767,7 @@ def _sylvester_batch(q: QuadraticFormTV, X: np.ndarray, times: np.ndarray):
     worst = 0
     for s in range(0, rows, BLOCK):
         r = np.arange(s, min(s + BLOCK, rows))
-        xs, ts = X[r // len(times)], times[r % len(times)]
+        xs, ts = X.T[:, r // len(times)].T, times[r % len(times)]
 
         def leading_minors(k):
             m = q.matrices(xs[k], ts[k])
@@ -785,8 +787,7 @@ def _sylvester_batch(q: QuadraticFormTV, X: np.ndarray, times: np.ndarray):
 # --- domain of attraction -----------------------------------------------------------
 
 def attraction_region(sys: SystemDef, p, cmax: float, levels: int = 48,
-                      directions: int = 512, t: float = 0.0,
-                      iterations: int = 40) -> float:
+                      directions: int = 512, iterations: int = 40) -> float:
     """Largest c <= cmax whose sublevel set {x'Px <= c} has Vdot < 0 throughout.
 
     Every level set {V = c'} on a ladder below c is sampled along Halton
@@ -795,13 +796,16 @@ def attraction_region(sys: SystemDef, p, cmax: float, levels: int = 48,
     general only part of the true domain of attraction.  Raises
     :class:`NoRegionError` when violations appear arbitrarily close to the
     origin.  Raises :class:`InvalidArgumentError` unless ``levels`` and
-    ``directions`` are at least 1 and ``cmax`` is finite and positive, and
+    ``directions`` are at least 1, ``cmax`` is finite and positive and the
+    system is autonomous (a sublevel set of a time-free V bounds no
+    trajectory of a field that reads t or a delay), and
     :class:`SampleCapError` when ``levels * directions`` exceeds
     ``SAMPLE_CAP``.
 
     The ladder is checked in batches of levels (``BLOCK`` sample rows per
-    call); a :class:`DomainError` names the first level that meets it,
-    unless a lower level already fails the check.
+    call) of ``(n, levels, directions)`` components; a :class:`DomainError`
+    names the first level that meets it, unless a lower level already fails
+    the check.
     """
     if levels < 1 or directions < 1:
         raise InvalidArgumentError(
@@ -810,15 +814,18 @@ def attraction_region(sys: SystemDef, p, cmax: float, levels: int = 48,
     _cap_samples(levels * directions, "levels x directions")
     if not (np.isfinite(cmax) and cmax > 0.0):
         raise InvalidArgumentError(f"cmax must be finite and > 0, got {cmax!r}")
+    if not sys.is_autonomous():
+        raise InvalidArgumentError(
+            "attraction regions need an autonomous system: this one reads t "
+            "or has delays")
     pm = linalg.as_matrix(p, square=True)
     if not linalg.definiteness(pm).is_positive_definite:
         raise InvalidArgumentError("P must be positive definite")
-    if float(np.linalg.norm(sys.batch_field(np.zeros((1, sys.dimension)),
-                                            t))) >= 1e-9:
-        raise NotAnEquilibriumError("origin is not an equilibrium")
+    _check_origin_equilibrium(sys, ScanConfig())
     vdot = ex.compile_expr_vec(_trees(sys, CandidateV.quadratic(pm))[1])
     dirs = sphere_directions(directions, sys.dimension)
     quad = np.einsum("ij,jk,ik->i", dirs, pm, dirs)  # d'Pd per direction
+    cols = dirs.T[:, None, :]  # (n, 1, directions), C-contiguous
     per = max(1, BLOCK // directions)  # levels per batch
 
     def passes(c: float) -> bool:
@@ -826,9 +833,12 @@ def attraction_region(sys: SystemDef, p, cmax: float, levels: int = 48,
             ladder = np.arange(first, min(first + per, levels + 1))
 
             def negative(r) -> bool:  # Vdot < 0 on the levels ladder[r]
-                X = dirs * np.sqrt(c * ladder[r, None] / levels / quad)[..., None]
-                pts = X[np.linalg.norm(X, axis=-1) > 1e-6]
-                return bool(np.all(vdot(pts, t) < 0.0))
+                X = (cols * np.sqrt(c * ladder[r, None] / levels / quad)
+                     ).reshape(len(cols), -1)
+                away = column_norms(X) > 1e-6
+                if not away.all():
+                    X = X[:, away]
+                return bool(np.all(vdot(X.T, 0.0) < 0.0))
 
             try:
                 if not ex.strict_rows(negative, len(ladder), lambda k: (

@@ -18,13 +18,15 @@ import numpy as np
 from .errors import InvalidArgumentError
 from .odeint import _cap_samples
 
-__all__ = ["halton", "ball_points", "sphere_directions"]
+__all__ = ["halton", "ball_points", "sphere_directions", "column_norms"]
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
 #: the lowest digits of an index are read from a table of this many entries
 _TABLE = 4096
+#: most cube points one ``ball_points`` draw takes: bounds its memory
+DRAW_CAP = 1 << 17
 
 
 @functools.cache
@@ -48,8 +50,9 @@ def _low_digit_sums(base: int) -> tuple[int, np.ndarray, float]:
     return span, inv, f
 
 
-def _radical_inverse(start: int, count: int, base: int) -> np.ndarray:
-    """Van der Corput radical inverses of ``start .. start+count-1``.
+def _radical_inverse(start: int, base: int, out: np.ndarray) -> None:
+    """Van der Corput radical inverses of ``start .. start+len(out)-1``,
+    written into ``out``.
 
     Every value is bit-identical to the per-index recurrence
     ``inv += f*(i % base); i //= base; f /= base``, run from ``inv = 0.0``,
@@ -60,29 +63,41 @@ def _radical_inverse(start: int, count: int, base: int) -> np.ndarray:
     as scalars.
     """
     span, low, f_low = _low_digit_sums(base)
-    out = np.empty(count)
-    stop = start + count
+    stop = start + len(out)
     for high in range(start // span, -(-stop // span)):
         first, last = max(start, high * span), min(stop, (high + 1) * span)
-        run = low[first - high * span:last - high * span].copy()
+        run = out[first - start:last - start]
+        run[:] = low[first - high * span:last - high * span]
         i, f = high, f_low
         while i > 0:
             run += f * (i % base)
             i //= base
             f /= base
-        out[first - start:last - start] = run
-    return out
 
 
 def halton(count: int, dims: int, start: int = 1) -> np.ndarray:
-    """First ``count`` Halton points in (0, 1)^dims, indices from ``start``."""
+    """First ``count`` Halton points in (0, 1)^dims, indices from ``start``.
+
+    The points are the rows; they are stored component-major, so the
+    transpose of the result is C-contiguous, one row per base.
+    """
     if dims > len(_PRIMES):
         raise InvalidArgumentError(
             f"halton sampling supports up to {len(_PRIMES)} dimensions")
-    out = np.empty((count, dims))
+    out = np.empty((dims, count))
     for j in range(dims):
-        out[:, j] = _radical_inverse(start, count, _PRIMES[j])
-    return out
+        _radical_inverse(start, _PRIMES[j], out[j])
+    return out.T
+
+
+def column_norms(cols: np.ndarray) -> np.ndarray:
+    """Euclidean norms along the first axis of ``cols`` (one component per
+    row): the root of the squares summed in component order, whatever the
+    memory layout."""
+    total = cols[0] * cols[0]
+    for c in cols[1:]:
+        total += c * c
+    return np.sqrt(total)
 
 
 def ball_points(count: int, dim: int, radius: float,
@@ -91,16 +106,20 @@ def ball_points(count: int, dim: int, radius: float,
 
     Cube points are drawn from the Halton sequence and rejected outside the
     ball; the accepted set is a deterministic function of (count, dim,
-    radius, exclude) and is prefix-stable in ``count``.  Raises
-    :class:`InvalidArgumentError` unless ``radius`` is finite and
-    ``radius > exclude >= 0`` (an empty shell would never accept a point)
-    and ``radius^2`` is a normal number with ``radius^2 * dim`` finite (past
-    either end the norms underflow to 0 or overflow), and
+    radius, exclude) and is prefix-stable in ``count``.  Each draw is sized
+    from the ball's share of the cube to accept every missing point, up to
+    ``DRAW_CAP`` cube points; the points are stored like :func:`halton`'s.
+    Raises :class:`InvalidArgumentError` unless ``dim >= 1``, ``radius`` is
+    finite and ``radius > exclude >= 0`` (an empty shell would never accept
+    a point) and ``radius^2`` is a normal number with ``radius^2 * dim``
+    finite (past either end the norms underflow to 0 or overflow), and
     :class:`SampleCapError` for more than ``SAMPLE_CAP`` points.
     """
     if count < 0:
         raise InvalidArgumentError(f"point count must be >= 0, got {count}")
     _cap_samples(count, "the ball sample")
+    if dim < 1:
+        raise InvalidArgumentError(f"need dimension >= 1, got {dim}")
     if not (math.isfinite(radius) and radius > exclude >= 0.0):
         raise InvalidArgumentError(
             f"need a finite radius > exclude >= 0, got radius {radius!r} "
@@ -111,7 +130,8 @@ def ball_points(count: int, dim: int, radius: float,
     if radius * radius < sys.float_info.min:
         raise InvalidArgumentError(
             f"radius {radius!r} is too small: sample norms underflow")
-    points = np.empty((count, dim))
+    share = math.pi ** (dim / 2) / math.gamma(dim / 2 + 1) / 2.0 ** dim
+    points = np.empty((dim, count))
     got = 0
     # index 1 maps to a coordinate of exactly 0.0 in base 2 (radical inverse
     # 1/2), i.e. a point exactly on an axis; later indices never do, so
@@ -119,18 +139,21 @@ def ball_points(count: int, dim: int, radius: float,
     # semidefinite derivatives vanish.
     index = 2
     while got < count:
-        batch = max(64, 2 * (count - got))
-        cube = (2.0 * halton(batch, dim, start=index) - 1.0) * radius
-        index += batch
-        norms = np.linalg.norm(cube, axis=1)
-        keep = cube[(norms <= radius) & (norms > exclude)]
-        take = min(len(keep), count - got)
-        points[got:got + take] = keep[:take]
-        got += take
-    return points
+        missing = count - got
+        draw = min(DRAW_CAP, max(64, math.ceil(1.25 * missing / share)))
+        cube = halton(draw, dim, start=index).T  # (2 h - 1) r in place
+        cube *= 2.0
+        cube -= 1.0
+        cube *= radius
+        index += draw
+        norms = column_norms(cube)
+        keep = np.flatnonzero((norms <= radius) & (norms > exclude))[:missing]
+        np.take(cube, keep, axis=1, out=points[:, got:got + len(keep)])
+        got += len(keep)
+    return points.T
 
 
 def sphere_directions(count: int, dim: int) -> np.ndarray:
     """``count`` unit directions: ball points pushed to the sphere."""
-    raw = ball_points(count, dim, 1.0, exclude=1e-3)
-    return raw / np.linalg.norm(raw, axis=1, keepdims=True)
+    raw = ball_points(count, dim, 1.0, exclude=1e-3).T
+    return (raw / column_norms(raw)).T

@@ -1,5 +1,5 @@
 """Scalar oracle: a tree-walking evaluator, the per-point scans built on it,
-and RK4 taken stage by stage.
+the ball sampler one Halton index at a time, and RK4 taken stage by stage.
 
 The library evaluates every sampled scan through the strict numpy batch
 evaluator.  These reference implementations evaluate one point at a time
@@ -30,6 +30,8 @@ from stabkit.errors import (
 )
 from stabkit.odeint import Nonlinear
 from stabkit.sampling import sphere_directions
+
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
 @dataclass
@@ -163,11 +165,11 @@ def vdot_along(sys, v):
     return lambda x, t=0.0: evaluate(tree, EvalContext(tuple(map(float, x)), t))
 
 
-def sample_values(sys, v, X, T):
-    """V at every sample, then Vdot at every sample: the per-point scan."""
-    vdot = vdot_along(sys, v)
-    return (np.array([value(v, x, t) for x, t in zip(X, T)]),
-            np.array([vdot(x, t) for x, t in zip(X, T)]))
+def sample_values(trees, X, T):
+    """V at every sample, then Vdot at every sample: the per-point scan of
+    the library's trees of V and Vdot (``lyapunov._trees``)."""
+    return tuple(np.array([evaluate(tree, EvalContext(tuple(map(float, x)), t))
+                           for x, t in zip(X, T)]) for tree in trees)
 
 
 def delta_values(sys, v, X, k: int):
@@ -213,8 +215,7 @@ def quadratic_vdot(sys, p):
                                         sys.batch_field(X, t))
 
 
-def attraction_loop(sys, p, cmax, levels=48, directions=512, t=0.0,
-                    iterations=40):
+def attraction_loop(sys, p, cmax, levels=48, directions=512, iterations=40):
     """c* of ``attraction_region`` level by level on :func:`quadratic_vdot`:
     the same ladder of levels and directions, and the same bisection."""
     vdot = quadratic_vdot(sys, p)
@@ -225,7 +226,7 @@ def attraction_loop(sys, p, cmax, levels=48, directions=512, t=0.0,
         for k in range(1, levels + 1):
             X = dirs * np.sqrt(c * k / levels / quad)[:, None]
             X = X[np.linalg.norm(X, axis=1) > 1e-6]
-            if len(X) and not np.all(vdot(X, t) < 0.0):
+            if len(X) and not np.all(vdot(X, 0.0) < 0.0):
                 return False
         return True
 
@@ -236,6 +237,40 @@ def attraction_loop(sys, p, cmax, levels=48, directions=512, t=0.0,
         mid = 0.5 * (lo + hi)
         lo, hi = (mid, hi) if passes(mid) else (lo, mid)
     return float(lo)
+
+
+def radical_inverse(index: int, base: int) -> float:
+    """The van der Corput radical inverse of one index, digit by digit."""
+    inv = 0.0
+    f = 1.0 / base
+    i = index
+    while i > 0:
+        inv += f * (i % base)
+        i //= base
+        f /= base
+    return inv
+
+
+def ball_loop(count: int, dim: int, radius: float, exclude: float = 0.0):
+    """``ball_points`` one Halton index at a time: from index 2 on, each
+    cube point is kept when its norm (the root of the squares summed in
+    component order) lies in ``(exclude, radius]``, until ``count`` are.
+    A point is rejected as soon as a partial sum leaves the ball: adding a
+    square never makes a rounded sum smaller."""
+    points = []
+    index = 1
+    while len(points) < count:
+        index += 1
+        x, total = [], 0.0
+        for base in PRIMES[:dim]:
+            x.append((2.0 * radical_inverse(index, base) - 1.0) * radius)
+            total += x[-1] * x[-1]
+            if math.sqrt(total) > radius:
+                break
+        else:
+            if math.sqrt(total) > exclude:
+                points.append(x)
+    return np.array(points, dtype=float).reshape(count, dim)
 
 
 def first_failure(fn, rows):

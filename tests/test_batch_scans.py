@@ -2,17 +2,22 @@
 
 The scans evaluate V, Vdot, Delta V, the Sylvester minors and the attraction
 ladder over all sample rows at once.  These tests pin them to per-point
-recurrences on the tree-walking oracle of ``scalar_oracle``: Halton bit for
-bit, V and Vdot within rtol 1e-12, verdicts equal, and a domain error
-named at the first sample where the oracle meets one.
+recurrences on the tree-walking oracle of ``scalar_oracle``: Halton and the
+ball sampler bit for bit, V and Vdot within rtol 1e-12, verdicts equal, and
+a domain error named at the first sample where the oracle meets one.  The
+samples are stored component-major; the evaluators give the same bits on a
+row-major copy.
 """
+
+import functools
+import math
 
 import numpy as np
 import pytest
 
 from stabkit import discrete as dc
 from stabkit import lyapunov as ly
-from stabkit import odeint
+from stabkit import odeint, sampling
 from stabkit.errors import DomainError, InvalidArgumentError, NoRegionError
 from stabkit.lyapunov import CandidateV, ScanConfig
 from stabkit.sampling import ball_points, halton, sphere_directions
@@ -23,7 +28,7 @@ from golden_helpers import compare
 
 FAST_SCAN = ScanConfig(points=1024, time_samples=16)
 EPS = np.finfo(float).eps
-PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+PRIMES = oracle.PRIMES
 
 # (gallery system or None for the frozen probe system, V, params, radius):
 # every candidate the goldens check
@@ -52,18 +57,6 @@ SYLVESTER_FORMS = {
 }
 
 
-def radical_inverse(index: int, base: int) -> float:
-    """The per-index recurrence that ``halton`` reproduces bit for bit."""
-    inv = 0.0
-    f = 1.0 / base
-    i = index
-    while i > 0:
-        inv += f * (i % base)
-        i //= base
-        f /= base
-    return inv
-
-
 def _system(name):
     if name is None:
         return odeint.SystemDef(2, odeint.Nonlinear(("0", "0")))
@@ -81,7 +74,7 @@ def _same_report(got, want):
 def test_halton_bit_identical_to_scalar_recurrence(start):
     count = 4500  # crosses the 4096-index runs of the base-2 digit table
     got = halton(count, len(PRIMES), start)
-    want = np.array([[radical_inverse(i, b) for b in PRIMES]
+    want = np.array([[oracle.radical_inverse(i, b) for b in PRIMES]
                      for i in range(start, start + count)])
     assert got.tobytes() == want.tobytes()
 
@@ -89,6 +82,105 @@ def test_halton_bit_identical_to_scalar_recurrence(start):
 def test_halton_empty_and_single():
     assert halton(0, 3).shape == (0, 3)
     assert halton(1, 2, start=0).tolist() == [[0.0, 0.0]]
+
+
+# --- the ball sampler ---------------------------------------------------------
+
+@functools.cache
+def _ball_oracle(dim: int, exclude: float) -> np.ndarray:
+    # 4,096 points up to n = 6; at n = 12 the oracle walks about 3,000 cube
+    # points per ball point, so 65
+    return oracle.ball_loop(4096 if dim <= 6 else 65, dim, 0.3, exclude)
+
+
+@pytest.mark.parametrize("exclude", [0.0, 0.3e-3], ids=["core-0", "core-1e-3r"])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6, 12])
+def test_ball_points_match_the_per_index_oracle(dim, exclude):
+    # bit-identical, and each count a prefix of the longer draws
+    want = _ball_oracle(dim, exclude)
+    for count in [c for c in (1, 63, 64, 65, 4096) if c <= len(want)]:
+        got = ball_points(count, dim, 0.3, exclude)
+        assert got.shape == (count, dim)
+        assert got.tobytes() == want[:count].tobytes()
+
+
+def _halton_spy(monkeypatch) -> list:
+    draws = []
+
+    def spy(count, dims, start=1):
+        draws.append(count)
+        return halton(count, dims, start)
+
+    monkeypatch.setattr(sampling, "halton", spy)
+    return draws
+
+
+def test_ball_draws_stay_under_the_row_cap(monkeypatch):
+    # at n = 12 the ball is 3.3e-4 of the cube: the sized draw for 256
+    # points would be 981,000 cube points
+    draws = _halton_spy(monkeypatch)
+    got = ball_points(256, 12, 0.3)
+    assert len(draws) > 1 and max(draws) == sampling.DRAW_CAP
+    assert got[:65].tobytes() == _ball_oracle(12, 0.0).tobytes()
+
+
+@pytest.mark.parametrize("dim, count", [(2, 65536), (3, 16384), (4, 8192),
+                                        (5, 4096), (6, 4096), (2, 1)])
+def test_ball_draws_are_one_round_at_scan_sizes(monkeypatch, dim, count):
+    draws = _halton_spy(monkeypatch)
+    ball_points(count, dim, 1.0, exclude=1e-9)
+    assert len(draws) == 1 and draws[0] <= sampling.DRAW_CAP
+
+
+def test_ball_points_refuse_an_empty_dimension():
+    with deadline(5.0), pytest.raises(InvalidArgumentError):
+        ball_points(4, 0, 1.0)
+
+
+# --- layout ---------------------------------------------------------------------
+
+def test_samples_are_component_major():
+    for X in (halton(100, 3), ball_points(100, 3, 0.5),
+              sphere_directions(100, 3), ly._scan_points(
+                  4, 1.0, FAST_SCAN, True)[0]):
+        assert X.T.flags.c_contiguous
+
+
+def _same_bits(got, want):
+    for a, b in zip(got, want):
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def test_scan_evaluators_give_the_same_bits_on_a_row_major_copy():
+    # n = 5, so that a reduction over the components would see the order
+    n = 5
+    X, T = ly._scan_points(n, 0.8, FAST_SCAN, True)
+    C = np.ascontiguousarray(X)
+    assert C.flags.c_contiguous and not X.flags.c_contiguous
+    sysd = odeint.SystemDef(n, odeint.Nonlinear(
+        ("-x1 + x2*x3*sin(t)", "-x2 + exp(-x4^2)*x1", "-x3 + x5^3",
+         "-x4*(1 + x1^2)", "-x5 + x1*x2*x3*x4")))
+    v = CandidateV("x1^2 + 2*x2^2 + x3^2*(1 + cos(t)) + x4^4 + x5^2")
+    trees = ly._trees(sysd, v)
+    _same_bits(ly._batch_values(trees, X, T), ly._batch_values(trees, C, T))
+    _same_bits([v.values(X, T)], [v.values(C, T)])
+    _same_bits([sampling.column_norms(X.T)], [sampling.column_norms(C.T)])
+    H = halton(1000, 12)  # past 8 components numpy's row sums pair them up
+    _same_bits([sampling.column_norms(H.T)],
+               [sampling.column_norms(np.ascontiguousarray(H).T)])
+    values = v.values(X, T)
+    norms = sampling.column_norms(X.T)
+    assert ly._fit_lower_bound(values, norms, T, True, FAST_SCAN, X) == \
+        ly._fit_lower_bound(values, norms, T, True, FAST_SCAN, C)
+    step = dc.DiscreteSystem(n, ("0.5*x1 + x2^2", "0.5*x2 - x3*x1",
+                                 "0.25*sin(x3)", "x4*x5", "0.5*x5"))
+    _same_bits(dc._batch_deltas(step, v, X, 0), dc._batch_deltas(step, v, C, 0))
+    form = ly.QuadraticFormTV([[f"{1 + i + j} + x{i + 1}*x{j + 1}*cos(t)"
+                                for j in range(n)] for i in range(n)])
+    times = np.linspace(0.0, 5.0, 7)
+    _same_bits(ly._sylvester_batch(form, X[:300], times),
+               ly._sylvester_batch(form, C[:300], times))
+    _same_bits([form.matrices(X, T)], [form.matrices(C, T)])
 
 
 # --- V, Vdot and Delta V ------------------------------------------------------
@@ -100,8 +192,9 @@ def test_batched_v_and_vdot_match_scalar_loop(monkeypatch, name, expression,
     sysd = _system(name)
     v = CandidateV(expression, params=params)
     X, T = ly._scan_points(2, radius, FAST_SCAN, ly._time_dependent(sysd, v))
-    v_batch, vd_batch = ly._batch_values(sysd, v, X, T)
-    v_loop, vd_loop = oracle.sample_values(sysd, v, X, T)
+    trees = ly._trees(sysd, v)
+    v_batch, vd_batch = ly._batch_values(trees, X, T)
+    v_loop, vd_loop = oracle.sample_values(trees, X, T)
     np.testing.assert_allclose(v_batch, v_loop, rtol=1e-12, atol=0.0)
     # numpy's exp/log/pow may differ from libm's in the last bits, and a
     # Vdot that cancels to near 0 keeps their absolute size
@@ -289,10 +382,11 @@ def test_radial_probe_counts_overflow_while_growing_as_unbounded():
 def test_w3_minors_none_on_domain_error():
     v = CandidateV("x1^2 + x2^2")
     good = odeint.SystemDef(2, odeint.Nonlinear(("-x1", "-x2")))
-    assert ly._w3_quadratic_minors(good, v, 0.0) == pytest.approx((2.0, 4.0))
+    assert ly._w3_quadratic_minors(2, ly._trees(good, v)[1], 0.0) == \
+        pytest.approx((2.0, 4.0))
     # the derivative of abs divides by 0 at the origin
     bad = odeint.SystemDef(2, odeint.Nonlinear(("-x1 + x1*abs(x1)", "-x2")))
-    assert ly._w3_quadratic_minors(bad, v, 0.0) is None
+    assert ly._w3_quadratic_minors(2, ly._trees(bad, v)[1], 0.0) is None
 
 
 # --- Sylvester ------------------------------------------------------------------
@@ -375,6 +469,61 @@ def test_attraction_with_weight_matches_x_p_f_oracle(name, cmax, q):
     want = oracle.attraction_loop(sysd, p, cmax, directions=256)
     assert got < cmax
     assert abs(got - want) <= cmax * 2.0**-40  # one bisection step
+
+
+# Vdot of x'x is 2 r^2 (1e-12 - r^2): positive only inside the excluded core
+# of radius 1e-6, so evaluating one core point changes c*
+CORE_REPELLER = ("x1*(1e-12 - x1^2 - x2^2)", "x2*(1e-12 - x1^2 - x2^2)")
+
+
+@pytest.mark.parametrize("field, weight", [
+    ("vanderpol", "identity"), ("vanderpol", "lyapunov"),
+    (CORE_REPELLER, "identity")], ids=["vanderpol", "vanderpol-lyapunov-p",
+                                       "core-repeller"])
+@pytest.mark.parametrize("block", [ly.BLOCK, 256])
+def test_attraction_masked_ladder_matches_oracle(monkeypatch, field, weight,
+                                                 block):
+    # P = I: level 1 lies at radius 6.5e-7, inside the 1e-6 exclusion, level
+    # 48 at 4.5e-6; with the Lyapunov P the radius also varies by direction
+    cmax = 2e-11
+    sysd = gallery_system(field) if isinstance(field, str) else \
+        odeint.SystemDef(2, odeint.Nonlinear(field))
+    p = np.eye(2) if weight == "identity" else ly.solve_lyapunov(
+        sysd.jacobian(np.zeros(2), 0.0), np.array([[1.0, 0.5], [0.5, 4.0]]))
+    dirs = sphere_directions(256, 2)
+    radii = np.sqrt(cmax * np.arange(1, 49)[:, None] / 48
+                    / np.einsum("ij,jk,ik->i", dirs, p, dirs))
+    assert (radii <= 1e-6).any() and (radii > 1e-6).any()
+    monkeypatch.setattr(ly, "BLOCK", block)
+    got = ly.attraction_region(sysd, p, cmax, directions=256)
+    assert got == oracle.attraction_loop(sysd, p, cmax, directions=256)
+    assert got == cmax
+
+
+def test_attraction_with_every_point_excluded_keeps_cmax():
+    # every level inside radius sqrt(1e-13) = 3.2e-7: Vdot is never evaluated
+    sysd = odeint.SystemDef(2, odeint.Nonlinear(("x1", "x2")))  # unstable
+    assert ly.attraction_region(sysd, np.eye(2), 1e-13, directions=64) == \
+        oracle.attraction_loop(sysd, np.eye(2), 1e-13, directions=64) == 1e-13
+
+
+@pytest.mark.parametrize("sysd", [
+    odeint.SystemDef(1, odeint.Nonlinear(("(t - 1)*x1",))),
+    gallery_system("modulated_decay"), gallery_system("delay_coupled")],
+    ids=["reads-t", "gallery-reads-t", "delayed"])
+def test_attraction_refuses_non_autonomous_systems(sysd):
+    with pytest.raises(InvalidArgumentError, match="autonomous"):
+        ly.attraction_region(sysd, np.eye(sysd.dimension), 4.0)
+
+
+def test_check_candidate_builds_its_trees_once(monkeypatch):
+    trees, built = ly._trees, []
+    monkeypatch.setattr(ly, "_trees",
+                        lambda sys, v: built.append(v) or trees(sys, v))
+    rep = ly.check_candidate(gallery_system("damped_spring"),
+                             CandidateV("7*x1^2 + 2*x1*x2 + 3*x2^2"),
+                             scan=FAST_SCAN)
+    assert rep.w3_minors is not None and len(built) == 1
 
 
 def test_attraction_failing_level_wins_over_later_domain_error():

@@ -184,6 +184,19 @@ def test_attraction_command(capsys):
     jsonschema.validate(rep, report_schema())
 
 
+def test_attraction_refuses_a_field_that_reads_t(capsys, tmp_path):
+    # x' = (t - 1) x grows without bound from t = 1 on, at every x0 != 0
+    path = tmp_path / "tv.json"
+    path.write_text(json.dumps({"name": "tv", "kind": "nonlinear",
+                                "dimension": 1,
+                                "expressions": ["(t - 1)*x1"]}))
+    rc = cli.run(["attraction", "--system", str(path), "--cmax", "4"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.startswith("stabkit: input error: attraction regions "
+                                   "need an autonomous system")
+
+
 def test_attraction_overflowing_levels_name_the_level_without_warnings():
     cmd = [sys.executable, "-m", "stabkit.cli", "attraction", "--system",
            str(gallery_file("vanderpol")), "--cmax", "1e308"]

@@ -52,7 +52,8 @@ def test_solve_lyapunov_round_trip_property():
 def _vdot(sysd, v):
     """Vdot at one point through the batched scan evaluator."""
     def at(x, t=0.0):
-        return float(ly._batch_values(sysd, v, np.array([x], dtype=float),
+        return float(ly._batch_values(ly._trees(sysd, v),
+                                      np.array([x], dtype=float),
                                       np.array([t]))[1][0])
     return at
 
