@@ -165,11 +165,11 @@ def vdot_along(sys, v):
     return lambda x, t=0.0: evaluate(tree, EvalContext(tuple(map(float, x)), t))
 
 
-def sample_values(trees, X, T):
-    """V at every sample, then Vdot at every sample: the per-point scan of
-    the library's trees of V and Vdot (``lyapunov._trees``)."""
-    return tuple(np.array([evaluate(tree, EvalContext(tuple(map(float, x)), t))
-                           for x, t in zip(X, T)]) for tree in trees)
+def sample_values(sys, v, X, T):
+    """V at every sample, then Vdot at every sample: the per-point scan."""
+    vdot = vdot_along(sys, v)
+    return (np.array([value(v, x, t) for x, t in zip(X, T)]),
+            np.array([vdot(x, t) for x, t in zip(X, T)]))
 
 
 def delta_values(sys, v, X, k: int):

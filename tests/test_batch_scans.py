@@ -10,7 +10,6 @@ row-major copy.
 """
 
 import functools
-import math
 
 import numpy as np
 import pytest
@@ -194,7 +193,7 @@ def test_batched_v_and_vdot_match_scalar_loop(monkeypatch, name, expression,
     X, T = ly._scan_points(2, radius, FAST_SCAN, ly._time_dependent(sysd, v))
     trees = ly._trees(sysd, v)
     v_batch, vd_batch = ly._batch_values(trees, X, T)
-    v_loop, vd_loop = oracle.sample_values(trees, X, T)
+    v_loop, vd_loop = oracle.sample_values(sysd, v, X, T)
     np.testing.assert_allclose(v_batch, v_loop, rtol=1e-12, atol=0.0)
     # numpy's exp/log/pow may differ from libm's in the last bits, and a
     # Vdot that cancels to near 0 keeps their absolute size
@@ -207,11 +206,11 @@ def test_batched_candidate_report_matches_scalar_loop(monkeypatch, name,
                                                       expression, params,
                                                       radius):
     sysd = _system(name)
-    batch = ly.check_candidate(sysd, CandidateV(expression, params=params),
-                               radius=radius, scan=FAST_SCAN)
-    monkeypatch.setattr(ly, "_batch_values", oracle.sample_values)
-    loop = ly.check_candidate(sysd, CandidateV(expression, params=params),
-                              radius=radius, scan=FAST_SCAN)
+    v = CandidateV(expression, params=params)
+    batch = ly.check_candidate(sysd, v, radius=radius, scan=FAST_SCAN)
+    monkeypatch.setattr(ly, "_batch_values",
+                        lambda trees, X, T: oracle.sample_values(sysd, v, X, T))
+    loop = ly.check_candidate(sysd, v, radius=radius, scan=FAST_SCAN)
     assert batch.conclusion is loop.conclusion
     assert batch.vdot_verdict is loop.vdot_verdict
     _same_report(batch, loop)
@@ -223,9 +222,11 @@ def test_batched_candidate_report_matches_scalar_loop(monkeypatch, name,
 def test_batched_instability_report_matches_scalar_loop(monkeypatch, name,
                                                         expression):
     sysd = gallery_system(name)
-    batch = ly.check_instability(sysd, CandidateV(expression), scan=FAST_SCAN)
-    monkeypatch.setattr(ly, "_batch_values", oracle.sample_values)
-    loop = ly.check_instability(sysd, CandidateV(expression), scan=FAST_SCAN)
+    v = CandidateV(expression)
+    batch = ly.check_instability(sysd, v, scan=FAST_SCAN)
+    monkeypatch.setattr(ly, "_batch_values",
+                        lambda trees, X, T: oracle.sample_values(sysd, v, X, T))
+    loop = ly.check_instability(sysd, v, scan=FAST_SCAN)
     assert batch.unstable == loop.unstable
     _same_report(batch, loop)
 
