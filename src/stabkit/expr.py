@@ -558,12 +558,33 @@ _SCALAR_NS = {
     "_ERRORS": (ValueError, OverflowError, ZeroDivisionError),
 }
 
-# Batch evaluation on numpy ufuncs under strict flags.  ``_finite`` reduces
-# outside the generated code: numpy's first-use imports need real builtins
+
+def _batch_pow(a, b):
+    """``a ^ b``: a float64 array to a constant integer power 3-16 by binary
+    powering, within b - 1 roundings (Higham 2002, 3.1), as ``np.power`` is
+    slow on signed bases; all else, and a raising product, by ``np.power``."""
+    if b.__class__ is float and 3.0 <= b <= 16.0 and b.is_integer() \
+            and a.__class__ is np.ndarray and a.dtype.char == "d" and a.ndim:
+        try:
+            r = a
+            for bit in bin(int(b))[3:]:  # after the leading 1
+                r = r * r
+                if bit == "1":
+                    r *= a
+            return r
+        except FloatingPointError:
+            pass
+    return np.power(a, b)
+
+
+# Batch evaluation on numpy ufuncs under strict flags; integer powers are
+# products, so they may differ from the marches' libm ``pow`` in the last
+# bits.  ``_finite`` reduces outside the generated code: numpy's first-use
+# imports need real builtins
 _BATCH_NS = {
     "_sin": np.sin, "_cos": np.cos, "_tan": np.tan, "_exp": np.exp,
     "_log": np.log, "_sqrt": np.sqrt, "_abs": np.abs,
-    "_pow": np.power, "_div": np.divide,
+    "_pow": _batch_pow, "_div": np.divide,
     "_ERRORS": FloatingPointError, "_finite": lambda a: np.isfinite(a).all(),
 }
 
@@ -742,6 +763,8 @@ def compile_expr_vec(exprs: "Expr | Sequence[Expr]",
     intermediate, or a non-finite output, raises one :class:`DomainError`
     for the whole batch, the "overflow is an error" rule of the grammar.
     :func:`strict_rows` then names the first sample that raises on its own.
+    Integer powers 3-16 are products (k - 1 roundings), where
+    :func:`compile_vector` keeps libm ``pow``: they may differ in the last bits.
     """
     single = isinstance(exprs, _NODES)
     exprs = (exprs,) if single else tuple(exprs)

@@ -538,19 +538,28 @@ def _radial_probe(v: CandidateV, n: int, t0: float, radius: float) -> bool:
     dirs = sphere_directions(32, n)
     radii = np.array([max(radius, 1.0), 10.0, 100.0, 1000.0])
     points = (dirs[:, None, :] * radii[:, None]).reshape(-1, n)
-    failed = np.isin(np.arange(len(points)), list(ex.failing_rows(
-        lambda r: v.values(points[r], t0), len(points))))
-    values = np.zeros(len(points))
-    values[~failed] = v.values(points[~failed], t0)
-    for ray, bad in zip(values.reshape(len(dirs), -1),
-                        failed.reshape(len(dirs), -1)):
-        grown = ray[:int(bad.argmax())]  # up to the first failing radius
-        if bad.any() and not (len(grown) >= 2 and grown[-1] > grown[0]):
-            return False
-        if not bad.any() and (np.any(ray[1:] < ray[:-1])
-                              or ray[-1] < 100.0 * max(ray[0], 1e-12)):
-            return False
-    return True
+    failed = np.zeros(len(points), dtype=bool)
+    try:
+        values = v.values(points, t0)
+    except DomainError:  # bisect only when some point fails
+        failed[list(ex.failing_rows(lambda r: v.values(points[r], t0),
+                                    len(points)))] = True
+        values = np.zeros(len(points))
+        values[~failed] = v.values(points[~failed], t0)
+    return _radial_verdict(values.reshape(len(dirs), -1),
+                           failed.reshape(len(dirs), -1))
+
+
+def _radial_verdict(values: np.ndarray, failed: np.ndarray) -> bool:
+    """:func:`_radial_probe` on its ``(rays, radii)`` V values and failures:
+    a failing ray must grow up to its first failure, two radii at least, and
+    any other must be nondecreasing and reach 100 times its first value."""
+    first = failed.argmax(axis=1)  # the first failing radius, or 0
+    last = values[np.arange(len(values)), np.maximum(first - 1, 0)]
+    grew = (first >= 2) & (last > values[:, 0])
+    steady = ~((values[:, 1:] < values[:, :-1]).any(axis=1)
+               | (values[:, -1] < 100.0 * np.maximum(values[:, 0], 1e-12)))
+    return bool(np.where(failed.any(axis=1), grew, steady).all())
 
 
 def check_candidate(sys: SystemDef, v: CandidateV, radius: float = 1.0,

@@ -239,6 +239,37 @@ def attraction_loop(sys, p, cmax, levels=48, directions=512, iterations=40):
     return float(lo)
 
 
+def radial_loop(values, failed) -> bool:
+    """The radial-unboundedness decision ray by ray, from the ``(rays,
+    radii)`` V values and failure mask of ``lyapunov._radial_probe``: a
+    ray with a failure must grow up to its first failing radius, one
+    without must be nondecreasing and reach 100x its first value."""
+    for ray, bad in zip(values, failed):
+        grown = ray[:int(bad.argmax())]  # up to the first failing radius
+        if bad.any() and not (len(grown) >= 2 and grown[-1] > grown[0]):
+            return False
+        if not bad.any() and (np.any(ray[1:] < ray[:-1])
+                              or ray[-1] < 100.0 * max(ray[0], 1e-12)):
+            return False
+    return True
+
+
+def radial_probe(v, n: int, t0: float, radius: float) -> bool:
+    """``lyapunov._radial_probe`` point by point on the tree walker: the
+    same rays and radii, a point failing where the walker raises."""
+    dirs = sphere_directions(32, n)
+    radii = [max(radius, 1.0), 10.0, 100.0, 1000.0]
+    values = np.zeros((len(dirs), len(radii)))
+    failed = np.zeros(values.shape, dtype=bool)
+    for i, d in enumerate(dirs):
+        for j, r in enumerate(radii):
+            try:
+                values[i, j] = value(v, d * r, t0)
+            except DomainError:
+                failed[i, j] = True
+    return radial_loop(values, failed)
+
+
 def radical_inverse(index: int, base: int) -> float:
     """The van der Corput radical inverse of one index, digit by digit."""
     inv = 0.0

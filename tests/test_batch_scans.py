@@ -13,6 +13,7 @@ import functools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from stabkit import discrete as dc
 from stabkit import lyapunov as ly
@@ -378,6 +379,73 @@ def test_radial_probe_counts_overflow_while_growing_as_unbounded():
     assert ly._radial_probe(CandidateV("exp(x1^2 + x2^2) - 1"), 2, 0.0, 1.0)
     # rays with x1 > 0.5 fail at the first radius: no growth seen
     assert not ly._radial_probe(CandidateV(FAILING), 2, 0.0, 1.0)
+
+
+_RAY_START = st.sampled_from([-1.0, -0.0, 0.0, 1e-13, 1e-12, 0.5, 1.0, 3.0])
+_RAY_STEP = st.sampled_from([0.5, 1.0, 10.0, 99.0, 100.0, 1000.0])
+
+
+@st.composite
+def _ray(draw, start=_RAY_START, step=_RAY_STEP, first=(0, 1, 2, 3, 4)):
+    """V on one ray (``start`` times running products of ``step``, so with
+    ties and decreasing steps) and its failures from radius ``first`` on;
+    a value at a failing radius is noise the decision must ignore."""
+    values = draw(start) * np.cumprod([1.0] + draw(st.lists(step, min_size=3,
+                                                            max_size=3)))
+    j = draw(st.sampled_from(first))
+    failed = np.array([k == j or (k > j and draw(st.booleans()))
+                       for k in range(4)])
+    values[failed] = draw(st.floats(-1e3, 1e3))
+    return values, failed
+
+
+@st.composite
+def _radial_grid(draw):
+    """(32, 4) values and failures: either every ray drawn freely, or
+    passing rays with up to two free rays among them, which decide."""
+    if draw(st.booleans()):
+        rays = [draw(_ray()) for _ in range(32)]
+    else:
+        passing = _ray(st.sampled_from([1e-13, 0.5, 3.0]),
+                       st.sampled_from([10.0, 100.0, 1000.0]), (2, 3, 4, 4))
+        rays = [draw(passing) for _ in range(32)]
+        for _ in range(draw(st.integers(0, 2))):
+            rays[draw(st.integers(0, 31))] = draw(_ray())
+    return np.array([v for v, _ in rays]), np.array([f for _, f in rays])
+
+
+def _one_ray(ray, failed=(False,) * 4):
+    """31 rays that pass and ``ray``: the grid whose verdict is that ray's."""
+    values = np.tile([1.0, 10.0, 100.0, 1000.0], (32, 1))
+    mask = np.zeros((32, 4), dtype=bool)
+    values[5], mask[5] = ray, failed
+    return values, mask
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(_radial_grid())
+@example(_one_ray([1.0, 1.0, 1.0, 99.0]))        # short of 100x
+@example(_one_ray([1.0, 1.0, 1.0, 100.0]))       # ties, then exactly 100x
+@example(_one_ray([1e-13, 1e-13, 1e-13, 5e-11]))  # short of 100 * 1e-12
+@example(_one_ray([0.0, 0.0, 0.0, 1e-10]))       # exactly 100 * 1e-12
+@example(_one_ray([1.0, 2.0, 1.5, 1e3]))         # one decreasing step
+@example(_one_ray([1.0, 5.0, 0.0, 7.0], (False, False, True, True)))
+@example(_one_ray([1.0, 1.0, 9.0, 9.0], (False, False, True, False)))
+@example(_one_ray([5.0, 9.0, 0.0, 0.0], (False, True, False, False)))
+@example(_one_ray([9.0, 1.0, 2.0, 3.0], (True, False, False, False)))
+def test_radial_verdict_matches_the_per_ray_loop(grid):
+    values, failed = grid
+    assert ly._radial_verdict(values, failed) == oracle.radial_loop(values, failed)
+
+
+@pytest.mark.parametrize("name, expression, params, radius", GOLDEN_CANDIDATES
+                         + [(None, FAILING, {}, 1.0),
+                            (None, "exp(x1^2 + x2^2) - 1", {}, 1.0)])
+def test_radial_probe_matches_the_point_by_point_oracle(name, expression,
+                                                        params, radius):
+    v = CandidateV(expression, params=params)
+    assert ly._radial_probe(v, 2, FAST_SCAN.t0, radius) == \
+        oracle.radial_probe(v, 2, FAST_SCAN.t0, radius)
 
 
 def test_w3_minors_none_on_domain_error():

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -271,6 +272,103 @@ def test_vectorized_underflow_is_not_an_error():
 
     vec = ex.compile_expr_vec(ex.parse("exp(-800*x1) + x1"))
     assert vec(np.array([[1.0], [2.0]]), 0.0).tolist() == [1.0, 2.0]
+
+
+# --- batch integer powers ---------------------------------------------------------
+
+def _signed_bases(k):
+    """Signed bases for ``x^k``: ordinary ones, ones whose power lies just
+    inside float range, and ones whose power is subnormal."""
+    import numpy as np
+
+    rng = np.random.default_rng(k)
+    sign = rng.choice([-1.0, 1.0], 60)
+    near = (rng.uniform(0.05, 0.9, 20) * 1.7976931348623157e308) ** (1.0 / k)
+    tiny = (rng.uniform(1e-3, 1.0, 20) * 2.0 ** -1022) ** (1.0 / k)
+    return np.concatenate([rng.uniform(-3.0, 3.0, 40), [0.0, -0.0, 1.0, -1.0],
+                           sign[:20] * near, sign[20:40] * tiny])
+
+
+@pytest.mark.parametrize("k", range(3, 17))
+def test_batch_integer_power_within_k_minus_one_roundings(k):
+    """Binary powering by ``*`` is ``k - 1`` roundings of the exact power
+    (Higham, *Accuracy and Stability*, 3.1): relative gamma_{k-1} where the
+    power is normal, and a few units of the least subnormal below that."""
+    import numpy as np
+
+    bases = _signed_bases(k)
+    got = ex.compile_expr_vec(ex.parse(f"x1^{k}"))(bases[:, None], 0.0)
+    u = Fraction(1, 2 ** 53)
+    gamma = (k - 1) * u / (1 - (k - 1) * u)
+    slack = 4 * Fraction(2) ** -1074
+    for base, value in zip(bases, got):
+        exact = Fraction(float(base)) ** k
+        assert abs(Fraction(float(value)) - exact) <= gamma * abs(exact) + slack, \
+            (base, k)
+    assert np.isfinite(got).all() and (got[-20:] != 0.0).any()
+
+
+def test_batch_power_falls_back_to_np_power_bit_for_bit():
+    import numpy as np
+
+    pw = ex._BATCH_NS["_pow"]
+    a = np.linspace(-2.5, 2.5, 40)  # no zero: negative exponents stay finite
+    cases = [(a, b) for b in (0.0, 1.0, 2.0, -3.0, -4.0, 17.0, 20.0)]
+    cases += [(np.abs(a), 2.5), (np.abs(a), 3.5), (np.abs(a), a), (1.7, 3.0), (-1.3, 5.0), (np.float64(-1.3), 3.0),
+              (np.array(-1.3), 3.0), (a.astype(np.float32), 3.0),
+              (np.arange(-4, 5), 3.0)]
+    with np.errstate(all="raise", under="ignore"):
+        for base, b in cases:
+            want = np.power(base, b)
+            got = pw(base, b)
+            assert type(got) is type(want) and np.asarray(got).dtype == \
+                np.asarray(want).dtype, (base, b)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (base, b)
+
+
+@pytest.mark.parametrize("text, bad, clock", [
+    ("x1^3", 1e103, None),    # product overflows: np.power names it
+    ("x1^-3", 0.0, None),     # negative exponent: np.power
+    ("x1^16", 1e20, None),
+    ("t^3", None, 1e200),     # a Python-float base: np.power
+])
+def test_batch_power_errors_keep_message_and_row(text, bad, clock):
+    import numpy as np
+
+    X = np.linspace(-2.0, 2.0, 12)[:, None].copy()
+    if bad is not None:
+        X[7, 0] = bad
+    vec = ex.compile_expr_vec(ex.parse(text))
+    t = 0.0 if clock is None else clock
+    with pytest.raises(DomainError) as err:
+        ex.strict_rows(lambda r: vec(X[r], t), len(X), lambda k: f"row {k}")
+    word = "divide by zero" if bad == 0.0 else "overflow"
+    assert err.value.reason == f"{word} encountered in power"
+    assert err.value.row == (0 if clock is not None else 7)
+
+
+def test_cubic_chain_scan_calls_no_libm_cube(monkeypatch):
+    import numpy as np
+
+    from stabkit import lyapunov as ly
+    from stabkit.odeint import Nonlinear, SystemDef
+
+    chain = SystemDef(3, Nonlinear(("1.2*x2 - 0.9*x1^3",
+                                    "-1.2*x1 + 0.7*x3 - 1.4*x2^3",
+                                    "-0.7*x2 - 0.6*x3^3")))
+    exponents = []
+    power = np.power
+
+    def spy(a, b, *args, **kwargs):
+        exponents.append(b)
+        return power(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "power", spy)
+    report = ly.check_candidate(chain, ly.CandidateV("x1^2 + x2^2 + x3^2"),
+                                scan=ly.ScanConfig(points=1024, time_samples=4))
+    assert report.vdot_verdict is ly.SignVerdict.NEGATIVE_DEFINITE
+    assert exponents and not any(
+        isinstance(b, float) and b == 3.0 for b in exponents)
 
 
 def test_substitute():
