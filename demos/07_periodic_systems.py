@@ -9,7 +9,7 @@ check on the whole computation.
 import math
 
 from stabkit import floquet as fl
-from stabkit.odeint import LinearTimeVarying, SystemDef
+from stabkit.odeint import Linear, SystemDef
 from stabkit.schema import bundled_system
 
 sysd = bundled_system("periodic_rotation").build()
@@ -25,8 +25,8 @@ print(f"relative gap          : {rep.relative_gap:.2e}")
 print(f"verdict               : {rep.verdict.value}")
 
 # halving the step shrinks the accuracy gap ~16x (fourth-order integration)
-wobble = SystemDef(2, LinearTimeVarying((("-0.2", "sin(t)"),
-                                        ("cos(t)", "-0.4"))),
+wobble = SystemDef(2, Linear((("-0.2", "sin(t)"),
+                             ("cos(t)", "-0.4"))),
                    period=2 * math.pi)
 for h in (0.02, 0.01):
     r = fl.floquet_report(wobble, h=h)

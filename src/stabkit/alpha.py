@@ -42,7 +42,6 @@ from .errors import (
 from .lyapunov import solve_lyapunov
 from .odeint import (
     HistoryFn,
-    LinearTimeVarying,
     Nonlinear,
     SystemDef,
     Trajectory,
@@ -78,8 +77,8 @@ def _check_delay_system(sys: SystemDef) -> None:
 
 def _varies(sys: SystemDef, delayed: bool = True) -> bool:
     """Whether ``A0`` (or, with ``delayed``, any ``A_i``) depends on t."""
-    return isinstance(sys.rhs, LinearTimeVarying) or delayed and any(
-        not isinstance(d.coeff, np.ndarray) for d in sys.delays)
+    coeffs = [sys.rhs.a] + ([d.coeff for d in sys.delays] if delayed else [])
+    return not all(isinstance(c, np.ndarray) for c in coeffs)
 
 
 @dataclass(frozen=True)

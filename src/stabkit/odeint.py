@@ -2,7 +2,8 @@
 
 Classical RK4 for vector ODEs and fundamental-matrix ODEs, plus the method
 of steps for linear multi-delay equations.  Fixed step, no adaptivity.
-All three run one march with three step sources.  A linear system steps on
+All three run one march with three step sources.  A linear system (one
+:class:`Linear` right-hand side, whether or not ``A`` varies) steps on
 per-step RK4 maps ``W_k``, formed from the coefficients at whole chunks of
 stage times at once: a block of steps per prefix scan of their products,
 one product a step past ``SCAN_WIDTH``.  An undelayed nonlinear system steps
@@ -39,7 +40,7 @@ from .errors import (
 )
 
 __all__ = [
-    "LinearConstant", "LinearTimeVarying", "Nonlinear", "Delay", "SystemDef",
+    "Linear", "Nonlinear", "Delay", "SystemDef",
     "Trajectory", "HistoryFn", "integrate", "integrate_matrix", "integrate_dde",
     "compile_matrix", "coefficient_grid", "dde_step",
 ]
@@ -124,7 +125,8 @@ def coefficient_grid(entries, n: int, params: Mapping[str, float]):
     if not isinstance(rows, (list, tuple)) or len(rows) != n or not all(
             isinstance(row, (list, tuple)) and len(row) == n for row in rows):
         raise DimensionMismatchError(f"coefficient must be an {n}x{n} matrix")
-    if not all(isinstance(v, (int, float)) for row in rows for v in row):
+    if not all(issubclass(k, (int, float, np.integer, np.floating))
+               for k in {type(v) for row in rows for v in row}):
         grid = _expr_grid(rows, set(params))
         if any(ex.reads_time(e, params) for row in grid for e in row):
             return grid
@@ -155,16 +157,11 @@ def _finite(values, what: str) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class LinearConstant:
-    """Right-hand side ``x' = a x`` (``b`` kept for equilibrium analysis)."""
-    a: np.ndarray
+class Linear:
+    """Right-hand side ``x' = A(t) x``: ``a`` is a constant matrix or a grid
+    of expressions of ``t`` (``b`` kept for equilibrium analysis)."""
+    a: object
     b: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
-class LinearTimeVarying:
-    """Right-hand side ``x' = P(t) x`` with expression entries."""
-    entries: tuple[tuple[ex.Expr, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -188,14 +185,15 @@ class SystemDef:
     """A continuous system: undelayed right-hand side plus optional delays.
 
     One type covers autonomous, time-varying, delayed and periodic systems.
-    Construction normalizes entries (strings parse, numbers wrap, delay
-    coefficients go through :func:`coefficient_grid`) and validates
+    Construction normalizes entries (strings parse, numbers wrap, the linear
+    ``A`` and every delay coefficient go through :func:`coefficient_grid`,
+    so each is an ndarray exactly when no entry reads ``t``) and validates
     dimensions, lags and the period; instances are treated as immutable
     after that.
     """
 
     dimension: int
-    rhs: LinearConstant | LinearTimeVarying | Nonlinear
+    rhs: Linear | Nonlinear
     delays: tuple[Delay, ...] = ()
     period: float | None = None
     params: Mapping[str, float] = field(default_factory=dict)
@@ -206,19 +204,12 @@ class SystemDef:
             raise DimensionMismatchError("dimension must be >= 1")
         self.params = _params(self.params)
         rhs = self.rhs
-        if isinstance(rhs, LinearConstant):
-            a = _finite(rhs.a, "A")
-            if a.shape != (n, n):
-                raise DimensionMismatchError(f"A must be {n}x{n}, got {a.shape}")
+        if isinstance(rhs, Linear):
+            a = coefficient_grid(rhs.a, n, self.params)
             b = None if rhs.b is None else _finite(rhs.b, "B")
             if b is not None and b.shape[0] != n:
                 raise DimensionMismatchError("B must have n rows")
-            self.rhs = LinearConstant(a, b)
-        elif isinstance(rhs, LinearTimeVarying):
-            grid = _expr_grid(rhs.entries, set(self.params))
-            if len(grid) != n or any(len(row) != n for row in grid):
-                raise DimensionMismatchError(f"coefficient grid must be {n}x{n}")
-            self.rhs = LinearTimeVarying(grid)
+            self.rhs = Linear(a, b)
         elif isinstance(rhs, Nonlinear):
             self.rhs = Nonlinear(_components(rhs.components, n, self.params,
                                              "component"))
@@ -248,13 +239,13 @@ class SystemDef:
         if not math.isfinite(2.0 * self.period):  # the check reads t + period
             raise InvalidArgumentError(f"period {self.period!r} is too large")
         self.period = float(self.period)
-        if not isinstance(self.rhs, LinearTimeVarying):
+        at = self.linear_coefficient
+        if at is None or isinstance(at, np.ndarray):
             return
         ts = np.linspace(0.137, self.period, 16)
         # interleaved (t, t + T) so a domain error names the time the
         # time-by-time check would have reached first
-        both = self.linear_coefficient(
-            np.column_stack([ts, ts + self.period]).ravel())
+        both = at(np.column_stack([ts, ts + self.period]).ravel())
         a, b = both[0::2], both[1::2]
         gaps = np.linalg.norm(a - b, "fro", axis=(1, 2))
         bad = gaps > 1e-9 * (1.0 + np.linalg.norm(a, "fro", axis=(1, 2)))
@@ -283,24 +274,25 @@ class SystemDef:
         rhs = self.rhs
         if isinstance(rhs, Nonlinear):
             return tuple(ex.bind(c, self.params) for c in rhs.components)
-        rows = rhs.a if isinstance(rhs, LinearConstant) else rhs.entries
         return tuple(ex.total(ex.fold("*", ex.bind(ex.as_expr(a), self.params),
                                       ex.Var(f"x{j + 1}"))
-                              for j, a in enumerate(row)) for row in rows)
+                              for j, a in enumerate(row)) for row in rhs.a)
 
     @functools.cached_property
     def linear_coefficient(self):
         """``A``: a constant array, a compiled grid ``t -> A(t)``, or None."""
-        if isinstance(self.rhs, LinearTimeVarying):
-            return compile_matrix(self.rhs.entries, self.params)
-        return self.rhs.a if isinstance(self.rhs, LinearConstant) else None
+        return None if isinstance(self.rhs, Nonlinear) \
+            else self._compiled(self.rhs.a)
 
     @functools.cached_property
     def delay_coefficients(self) -> tuple:
         """``(A_1, ..., A_m)``: constant arrays or compiled grids."""
-        return tuple(d.coeff if isinstance(d.coeff, np.ndarray)
-                     else compile_matrix(d.coeff, self.params)
-                     for d in self.delays)
+        return tuple(self._compiled(d.coeff) for d in self.delays)
+
+    def _compiled(self, coeff):
+        """A normalised coefficient as itself, if constant, or compiled."""
+        return coeff if isinstance(coeff, np.ndarray) \
+            else compile_matrix(coeff, self.params)
 
     @functools.cached_property
     def scalar_field(self):  # the fused f(x, t) -> list

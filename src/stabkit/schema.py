@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, is_dataclass
+from dataclasses import asdict, dataclass, field, is_dataclass
 from enum import Enum
 from importlib import resources
 from pathlib import Path
@@ -25,8 +25,7 @@ import numpy as np
 from . import __version__
 from .discrete import DiscreteSystem
 from .errors import SchemaError, StabkitError
-from .odeint import (Delay, LinearConstant, LinearTimeVarying, Nonlinear,
-                     SystemDef, coefficient_grid)
+from .odeint import Delay, Linear, Nonlinear, SystemDef
 
 __all__ = ["SystemFile", "load_system", "save_system", "build_report",
            "to_jsonable", "KINDS"]
@@ -36,12 +35,13 @@ KINDS = ("linear", "nonlinear", "delay", "periodic", "discrete")
 
 @dataclass
 class SystemFile:
-    """Parsed system-definition document plus its source dictionary."""
+    """Parsed system-definition document, its source and the built system."""
 
     name: str
     kind: str
     dimension: int
     document: dict
+    system: Any = field(default=None, repr=False, compare=False)
 
     def build(self):
         """Instantiate the toolkit object this file describes: a
@@ -50,25 +50,16 @@ class SystemFile:
         doc = self.document
         params = dict(doc.get("params", {}))
         n = self.dimension
-        if self.kind == "linear":
-            a = np.asarray(doc["a"], dtype=float)
-            b = None if "b" not in doc else np.asarray(doc["b"], dtype=float)
-            return SystemDef(n, LinearConstant(a, b), params=params)
         if self.kind == "nonlinear":
             return SystemDef(n, Nonlinear(tuple(doc["expressions"])),
                              params=params)
-        if self.kind == "delay":
-            a = coefficient_grid(doc["a"], n, params)
-            rhs = LinearConstant(a) if isinstance(a, np.ndarray) \
-                else LinearTimeVarying(a)
-            delays = tuple(Delay(float(d["lag"]), d["coefficients"])
-                           for d in doc["delays"])
-            return SystemDef(n, rhs, delays=delays, params=params)
-        if self.kind == "periodic":
-            return SystemDef(n, LinearTimeVarying(doc["coefficients"]),
-                             period=float(doc["period"]), params=params)
         if self.kind == "discrete":
             return DiscreteSystem(n, tuple(doc["expressions"]), params=params)
+        if self.kind in ("linear", "delay", "periodic"):
+            rhs = Linear(doc.get("a", doc.get("coefficients")), doc.get("b"))
+            delays = tuple(Delay(float(d["lag"]), d["coefficients"])
+                           for d in doc.get("delays", ()))
+            return SystemDef(n, rhs, delays, doc.get("period"), params)
         raise SchemaError(f"unknown kind {self.kind!r}")
 
     def meta(self) -> dict:
@@ -88,12 +79,13 @@ def _forbid(doc: dict, keys: tuple[str, ...], kind: str):
             raise SchemaError(f"kind {kind!r} does not take field {key!r}")
 
 
-def _check_grid(value, n: int, what: str, allow_expr: bool):
-    if not isinstance(value, list) or len(value) != n:
-        raise SchemaError(f"{what} must be a {n}x{n} array")
-    for row in value:
-        if not isinstance(row, list) or len(row) != n:
-            raise SchemaError(f"{what} must be a {n}x{n} array")
+def _check_grid(value, n: int, what: str, allow_expr: bool, square=True):
+    shape = f"a {n}x{n} array" if square else f"{n} rows of equal length"
+    rows = value if isinstance(value, list) and len(value) == n else [None]
+    width = len(rows[0]) if not square and isinstance(rows[0], list) else n
+    for row in rows:
+        if not isinstance(row, list) or len(row) != width or not row:
+            raise SchemaError(f"{what} must be {shape}")
         for cell in row:
             if isinstance(cell, bool) or not isinstance(cell, (int, float, str)):
                 raise SchemaError(f"{what} entries must be numbers"
@@ -166,10 +158,12 @@ def load_system(source) -> SystemFile:
         if not isinstance(period, (int, float)) or period <= 0:
             raise SchemaError("'period' must be a positive number")
         _forbid(doc, ("a", "b", "expressions", "delays"), kind)
+    if "b" in doc:  # linear and delay files only
+        _check_grid(doc["b"], n, "'b'", allow_expr=False, square=False)
 
     sf = SystemFile(name, kind, dimension, dict(doc))
     try:
-        sf.build()
+        sf.system = sf.build()
     except SchemaError:
         raise
     except (StabkitError, ValueError) as exc:

@@ -10,6 +10,7 @@ from stabkit.errors import (
     InvalidArgumentError,
     ZeroTrajectoryError,
 )
+from stabkit.schema import to_jsonable
 from conftest import gallery_system
 
 
@@ -37,7 +38,7 @@ def test_shifted_matrices_time_varying():
     ds = gallery_system("delay_gain_scheduled")
     a0a, _ = al.shifted_matrices(ds, 1.0)
     got = a0a(0.3)
-    a0 = odeint.compile_matrix(ds.rhs.entries, ds.params)(0.3)
+    a0 = odeint.compile_matrix(ds.rhs.a, ds.params)(0.3)
     assert np.allclose(got, a0 + np.eye(2), atol=1e-14)
     assert got[1, 1] == pytest.approx(-6.5)
 
@@ -101,8 +102,8 @@ def test_wrong_size_p_is_a_dimension_mismatch(p):
 
 def test_constant_p_is_refused_only_where_the_form_reads_a_varying_coefficient():
     # constant A0, time-varying delayed gain: the rate form reads only A0
-    ds = odeint.SystemDef(2, odeint.LinearConstant(np.array([[-2.0, 0.5],
-                                                             [-1.0, -4.0]])),
+    ds = odeint.SystemDef(2, odeint.Linear(np.array([[-2.0, 0.5],
+                                                     [-1.0, -4.0]])),
                           delays=(odeint.Delay(0.5, [["0.1*exp(-t)", 0],
                                                      [0, 0.1]]),))
     rate = al.certify(ds, 0.1, al.CertificateRoute.RATE_INEQUALITY,
@@ -326,7 +327,7 @@ def test_rate_bound_inputs_match_per_time_scan():
     grid = (0.0, 5.0, 201)
     got = al.rate_bound_inputs(ds, p, t_grid=grid)
     times = np.linspace(*grid)
-    a0 = odeint.compile_matrix(ds.rhs.entries, ds.params)
+    a0 = odeint.compile_matrix(ds.rhs.a, ds.params)
     eta = max(linalg.matrix_measure(a0(float(t))) for t in times)
     fns = [odeint.compile_matrix(d.coeff, ds.params) for d in ds.delays]
     a_norm_sq = max(max(linalg.spectral_norm(fn(float(t))) for t in times) ** 2
@@ -341,7 +342,7 @@ def test_rate_bound_inputs_match_per_time_scan():
 
 A_STABLE = np.array([[-2.0, 0.5], [-1.0, -4.0]])
 REFUSED = {
-    "no delays": odeint.SystemDef(2, odeint.LinearConstant(A_STABLE)),
+    "no delays": odeint.SystemDef(2, odeint.Linear(A_STABLE)),
     "nonlinear": odeint.SystemDef(
         2, odeint.Nonlinear(("-2*x1 + x2^3", "-4*x2")),
         delays=(odeint.Delay(0.5, np.eye(2) / 10),)),
@@ -381,12 +382,27 @@ def test_delay_files_build_one_system_type():
     for name in ("delay_coupled", "delay_two_lag"):
         ds = gallery_system(name)
         assert isinstance(ds, odeint.SystemDef)
-        assert isinstance(ds.rhs, odeint.LinearConstant)
+        assert isinstance(ds.rhs, odeint.Linear)
         assert all(isinstance(d.coeff, np.ndarray) for d in ds.delays)
     # "exp(-0.4)/3" folds to the constant it spells
     assert gallery_system("delay_coupled").delays[0].coeff[0, 0] == \
         math.exp(-0.4) / 3
     for name in ("delay_rotating", "delay_gain_scheduled"):
         ds = gallery_system(name)
-        assert isinstance(ds.rhs, odeint.LinearTimeVarying)
+        assert isinstance(ds.rhs, odeint.Linear)
         assert ds.period is None and ds.max_lag == 1.0
+
+
+def test_constant_a0_grid_reads_as_constant_on_the_rate_route():
+    # A0 written as a grid of constant expressions folds to the array, so
+    # the rate route solves P from the delay Lyapunov equation itself
+    delays = (odeint.Delay(0.5, [[0.1, 0.0], [0.0, 0.1]]),)
+    grid = odeint.SystemDef(2, odeint.Linear((("-2", "0.5"), ("-1", "-4"))),
+                            delays=delays)
+    const = odeint.SystemDef(2, odeint.Linear(A_STABLE), delays=delays)
+    assert not al._varies(grid)
+    route = al.CertificateRoute.RATE_INEQUALITY
+    got = al.certify(grid, 0.1, route, horizon=0.0)
+    assert got.p_kind == "constant"
+    assert to_jsonable(got) == to_jsonable(al.certify(const, 0.1, route,
+                                                      horizon=0.0))

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -856,3 +857,113 @@ def test_periodic_grid_compiles_once_per_system(capsys, monkeypatch):
                     capsys)
     assert rc == 0
     assert 1 <= len(grids) <= len(builds)
+
+
+@pytest.mark.parametrize("name,argv", [
+    ("coupled_decay", ["classify"]),
+    ("pendulum", ["simulate", "--x0", "0.1,0", "--t1", "0.01"]),
+    ("delay_coupled", ["simulate", "--x0", "1,1", "--t1", "0.01"]),
+    ("periodic_rotation", ["simulate", "--x0", "1,1,1", "--t1", "0.01"]),
+    ("cubic_map", ["discrete", "--iterate", "3", "--x0", "0.1,0.1"]),
+])
+def test_one_build_per_run(capsys, monkeypatch, name, argv):
+    # the run analyses the system that loading the file built and checked
+    from stabkit.schema import SystemFile
+
+    calls = []
+    monkeypatch.setattr(SystemFile, "build", _spy(calls, SystemFile.build))
+    rc, _ = run_cli([argv[0], "--system", gallery_file(name), *argv[1:]],
+                    capsys)
+    assert rc == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("b,word", [
+    ("x", "must be 2 rows of equal length"),
+    ([[1, 2], [3]], "must be 2 rows of equal length"),
+    ([[1]], "must be 2 rows of equal length"),
+    ([[], []], "must be 2 rows of equal length"),
+    ([[True], [0]], "entries must be numbers"),
+    ([["1"], [0]], "entries must be numeric"),
+], ids=["string", "ragged", "one-row", "empty-rows", "bool", "string-entry"])
+def test_malformed_b_exits_2_naming_b(tmp_path, capsys, b, word):
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps({"name": "b", "kind": "linear", "dimension": 2,
+                                "a": [[-1, 0], [0, -2]], "b": b}))
+    rc = cli.run(["classify", "--system", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert f"'b' {word}" in captured.err
+    for raw in ("convert", "inhomogeneous", "sequence"):
+        assert raw not in captured.err
+
+
+def test_valid_b_is_kept(tmp_path, capsys):
+    doc = {"name": "b", "kind": "linear", "dimension": 2,
+           "a": [[-1, 0], [0, -2]], "b": [[1, 0.5], [0, 2]]}
+    assert load_system(doc).system.rhs.b.tolist() == [[1.0, 0.5], [0.0, 2.0]]
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps(doc))
+    rc, rep = run_cli(["classify", "--system", path], capsys)
+    assert rc == 0 and rep["result"]["kind"] == "asymptotically-stable"
+
+
+_A_NUMBERS = [[-1.0, math.exp(-0.4) / 3], [0.0, -2.0]]
+_A_STRINGS = [["-1", "exp(-0.4)/3"], [0, "-2"]]
+_D_NUMBERS = [[0.1, 0], [0, math.exp(-0.4) / 3]]
+_D_STRINGS = [["0.1", 0], [0, "exp(-0.4)/3"]]
+
+
+def _written(kind: str, spelled: str) -> dict:
+    """One constant system as a ``kind`` file, its grids spelled in numbers
+    or in constant expression strings."""
+    a, d = (_A_NUMBERS, _D_NUMBERS) if spelled == "numbers" \
+        else (_A_STRINGS, _D_STRINGS)
+    doc = {"name": "constant", "kind": kind, "dimension": 2}
+    if kind == "periodic":
+        return {**doc, "coefficients": a, "period": 1.0}
+    if kind == "delay":
+        return {**doc, "a": a, "delays": [{"lag": 0.5, "coefficients": d}]}
+    return {**doc, "a": a}
+
+
+def _report_and_csv(tmp_path, doc: dict, argv: list) -> tuple[dict, bytes]:
+    """The report without its timing, command line and CSV path, and the
+    CSV bytes (empty when the command writes none)."""
+    system, out, csv = (tmp_path / f for f in ("sys.json", "out.json",
+                                               "trajectory.csv"))
+    system.write_text(json.dumps(doc))
+    csv.unlink(missing_ok=True)
+    extra = ["--csv", str(csv)] if argv[0] == "simulate" else []
+    assert cli.run([argv[0], "--system", str(system), *argv[1:], *extra,
+                    "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    for key in ("wall_time_s", "command"):
+        report.pop(key)
+    report["result"].pop("csv", None)
+    return report, csv.read_bytes() if extra else b""
+
+
+@pytest.mark.parametrize("kind,argv", [
+    ("linear", ["simulate", "--x0", "1,-1", "--t1", "1.5"]),
+    ("periodic", ["simulate", "--x0", "1,-1", "--t1", "1.5"]),
+    ("periodic", ["floquet", "--step", "0.01"]),
+    ("delay", ["simulate", "--x0", "1,-1", "--t1", "1.5"]),
+    ("delay", ["alpha", "--alpha", "0.1", "--horizon", "1"]),
+])
+def test_constant_grids_fold_to_one_system_whatever_their_spelling(
+        tmp_path, kind, argv):
+    want = np.array(_A_NUMBERS)
+    spellings = ("numbers",) if kind == "linear" else ("numbers", "strings")
+    for spelled in spellings:
+        a = load_system(_written(kind, spelled)).system.linear_coefficient
+        assert isinstance(a, np.ndarray) and np.array_equal(a, want)
+    got = [_report_and_csv(tmp_path, _written(kind, spelled), argv)
+           for spelled in spellings]
+    assert got[-1] == got[0]
+    if kind == "periodic" and argv[0] == "simulate":
+        # without delays, a periodic file marches as the linear one does
+        linear, csv = _report_and_csv(tmp_path, _written("linear", "numbers"),
+                                      argv)
+        assert (linear["result"], csv) == (got[0][0]["result"], got[0][1])

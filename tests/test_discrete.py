@@ -35,7 +35,7 @@ def test_euler_discretize_structure():
 
 
 def test_euler_discretize_linear_system():
-    sysd = odeint.SystemDef(2, odeint.LinearConstant(
+    sysd = odeint.SystemDef(2, odeint.Linear(
         np.array([[0.0, 1.0], [-2.0, -1.0]])))
     disc = dc.euler_discretize(sysd, 0.01)
     x = np.array([0.3, -0.2])
@@ -73,7 +73,7 @@ def test_euler_discretize_refuses_delays():
 
 
 def test_euler_discretize_time_varying_linear_system():
-    sysd = odeint.SystemDef(2, odeint.LinearTimeVarying(
+    sysd = odeint.SystemDef(2, odeint.Linear(
         (("-1", "cos(t)"), ("0", "-2 - sin(t)"))))
     disc = dc.euler_discretize(sysd, 0.1)
     x = np.array([0.3, -0.2])

@@ -9,8 +9,7 @@ from stabkit import floquet as fl
 from stabkit.errors import InvalidArgumentError
 from stabkit.odeint import (
     Delay,
-    LinearConstant,
-    LinearTimeVarying,
+    Linear,
     Nonlinear,
     SystemDef,
     compile_matrix,
@@ -19,7 +18,7 @@ from conftest import gallery_doc, gallery_system
 
 
 def periodic(entries, period):
-    return SystemDef(len(entries), LinearTimeVarying(entries), period=period)
+    return SystemDef(len(entries), Linear(entries), period=period)
 
 
 def constant_system(a, period=1.0):
@@ -160,7 +159,7 @@ def test_liouville_integrates_batched_traces_like_the_per_time_scan():
     w = np.ones(201)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
-    at = compile_matrix(sysd.rhs.entries, sysd.params)
+    at = compile_matrix(sysd.rhs.a, sysd.params)
     traces = np.array([np.trace(at(float(t))) for t in ts])
     want = math.exp(sysd.period / 200 / 3.0 * (w @ traces))
     assert rhs == pytest.approx(want, rel=1e-14)
@@ -186,7 +185,7 @@ def test_periodicity_spot_check_names_first_failing_time():
 def test_periodic_file_builds_a_systemdef():
     sysd = gallery_system("periodic_rotation")
     assert isinstance(sysd, SystemDef)
-    assert isinstance(sysd.rhs, LinearTimeVarying)
+    assert isinstance(sysd.rhs, Linear)
     assert sysd.period == gallery_doc("periodic_rotation").document["period"]
     assert sysd.delays == ()
 
@@ -201,18 +200,18 @@ def test_period_override_rebuilds_and_rechecks():
 
 def test_constant_rhs_with_period_matches_its_expression_grid():
     a = np.array([[-0.5, 2.0], [-1.0, -0.3]])
-    const = SystemDef(2, LinearConstant(a), period=1.7)
+    const = SystemDef(2, Linear(a), period=1.7)
     grid = constant_system(a, 1.7)
     mults = fl.multipliers(fl.monodromy(const, 1e-3))
     assert fl.liouville_check(const, mults) == fl.liouville_check(grid, mults)
 
 
 REFUSED = {
-    "no period": SystemDef(2, LinearTimeVarying((("-1", "sin(t)"),
-                                                 ("0", "-1")))),
+    "no period": SystemDef(2, Linear((("-1", "sin(t)"),
+                                      ("0", "-1")))),
     "nonlinear": SystemDef(2, Nonlinear(("-x1 + sin(t)*x2", "-x2^3")),
                            period=2 * math.pi),
-    "delays": SystemDef(2, LinearConstant(-np.eye(2)),
+    "delays": SystemDef(2, Linear(-np.eye(2)),
                         delays=(Delay(0.5, np.eye(2) / 10),),
                         period=1.0),
 }

@@ -12,7 +12,7 @@ from stabkit.errors import (
     SampleCapError,
     SingularLyapunovOperatorError,
 )
-from stabkit.odeint import SAMPLE_CAP, LinearConstant, Nonlinear, SystemDef
+from stabkit.odeint import SAMPLE_CAP, Linear, Nonlinear, SystemDef
 from stabkit.sampling import ball_points
 from conftest import gallery_system
 
@@ -132,7 +132,7 @@ def test_check_candidate_failing_candidate():
 
 def test_check_candidate_decaying_bound_probe():
     # V = exp(-t) ||x||^2: any lower bound decays with the window
-    sysd = SystemDef(2, LinearConstant(-np.eye(2)))
+    sysd = SystemDef(2, Linear(-np.eye(2)))
     rep = ly.check_candidate(
         sysd, ly.CandidateV("exp(-0.2*t)*(x1^2 + x2^2)"))
     assert not rep.v_positive.established
@@ -149,7 +149,7 @@ def test_check_candidate_growing_candidate_not_decrescent():
 def test_non_decrescent_candidate_caps_conclusion_at_stable():
     # without decrescence a negative derivative certifies only stability,
     # even when the dynamics are autonomous
-    sysd = SystemDef(2, LinearConstant(-np.eye(2)))
+    sysd = SystemDef(2, Linear(-np.eye(2)))
     rep = ly.check_candidate(sysd, ly.CandidateV("(1 + t)*(x1^2 + x2^2)"))
     assert rep.vdot_verdict is ly.SignVerdict.NEGATIVE_DEFINITE
     assert not rep.decrescent.established
@@ -176,7 +176,7 @@ def test_linear_consistency_with_eigenvalue_criterion():
         shift = max(v.real for v in np.linalg.eigvals(raw)) + 0.3
         a = raw - shift * np.eye(n)
         assert aut.classify_linear(a).kind is aut.StabilityKind.ASYMPTOTICALLY_STABLE
-        sysd = SystemDef(n, LinearConstant(a))
+        sysd = SystemDef(n, Linear(a))
         v = ly.CandidateV.quadratic(ly.solve_lyapunov(a, np.eye(n)))
         rep = ly.check_candidate(sysd, v, scan=ly.ScanConfig(points=1024))
         assert "uniformly-asymptotically-stable" in rep.levels

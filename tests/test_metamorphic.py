@@ -16,7 +16,7 @@ import pytest
 
 from stabkit import autonomous, discrete
 from stabkit import lyapunov as ly
-from stabkit.odeint import LinearConstant, SystemDef
+from stabkit.odeint import Linear, SystemDef
 from conftest import GALLERY, gallery_doc, gallery_system
 
 LINEAR = sorted(p.stem for p in GALLERY.glob("*.json")
@@ -149,7 +149,7 @@ def test_euler_discretize_iterates_the_linear_map(name, step):
     n = len(a)
     x0 = np.linspace(0.3, -0.2, n)
     orbit = discrete.iterate(
-        discrete.euler_discretize(SystemDef(n, LinearConstant(a)), step),
+        discrete.euler_discretize(SystemDef(n, Linear(a)), step),
         x0, 25)
     euler = np.eye(n) + step * a
     want = np.array([np.linalg.matrix_power(euler, k) @ x0 for k in range(26)])

@@ -19,8 +19,7 @@ from stabkit.errors import (
 from stabkit.odeint import (
     Delay,
     HistoryFn,
-    LinearConstant,
-    LinearTimeVarying,
+    Linear,
     Nonlinear,
     SystemDef,
     compile_matrix,
@@ -123,13 +122,13 @@ def test_trailing_partial_step():
 
 
 def test_integrate_matrix_decoupled():
-    sysd = SystemDef(2, LinearConstant(np.diag([-1.0, -1.0])))
+    sysd = SystemDef(2, Linear(np.diag([-1.0, -1.0])))
     x = integrate_matrix(sysd, 0.0, 1.0, 1e-3)
     assert np.allclose(x, math.exp(-1.0) * np.eye(2), atol=1e-9)
 
 
 def test_integrate_matrix_zero_coefficients():
-    sysd = SystemDef(2, LinearTimeVarying((("0", "0"), ("0", "0"))))
+    sysd = SystemDef(2, Linear((("0", "0"), ("0", "0"))))
     assert np.allclose(integrate_matrix(sysd, 0.0, 3.0, 1e-2), np.eye(2))
 
 
@@ -215,18 +214,18 @@ def test_delays_must_be_sorted():
 @pytest.mark.parametrize("lag", [math.nan, math.inf, 0.0, -1.0])
 def test_delay_lags_must_be_finite_and_positive(lag):
     with pytest.raises(InvalidArgumentError, match="lags must be finite"):
-        SystemDef(1, LinearConstant(np.array([[-1.0]])),
+        SystemDef(1, Linear(np.array([[-1.0]])),
                   delays=(Delay(lag, [[0.5]]),))
 
 
 @pytest.mark.parametrize("period", [math.nan, math.inf, -math.inf, 0.0, -1.0])
 def test_period_must_be_finite_and_positive(period):
     with pytest.raises(InvalidArgumentError, match="period must be finite"):
-        SystemDef(1, LinearTimeVarying((("sin(t)",),)), period=period)
+        SystemDef(1, Linear((("sin(t)",),)), period=period)
 
 
 def test_period_is_kept_as_float_and_checked_on_every_rhs():
-    sysd = SystemDef(1, LinearConstant(np.array([[-1.0]])), period=2)
+    sysd = SystemDef(1, Linear(np.array([[-1.0]])), period=2)
     assert sysd.period == 2.0 and isinstance(sysd.period, float)
     with pytest.raises(InvalidArgumentError):
         SystemDef(1, Nonlinear(("-x1",)), period=math.nan)
@@ -240,8 +239,8 @@ def test_period_is_kept_as_float_and_checked_on_every_rhs():
     (1.0, 1.0, 1e-3, "t1 must exceed t0"),
 ])
 def test_nonfinite_time_arguments_rejected_by_every_integrator(t0, t1, h, word):
-    linear = SystemDef(1, LinearConstant(np.array([[-1.0]])))
-    delayed = SystemDef(1, LinearConstant(np.array([[-1.0]])),
+    linear = SystemDef(1, Linear(np.array([[-1.0]])))
+    delayed = SystemDef(1, Linear(np.array([[-1.0]])),
                         delays=(Delay(0.5, [[0.1]]),))
     with pytest.raises(InvalidArgumentError, match=word):
         integrate(scalar_decay(), [1.0], t0, t1, h)
@@ -292,8 +291,8 @@ def test_coefficient_grid_rejects_non_square_shapes(entries):
 @pytest.mark.parametrize("build", [
     lambda: odeint.coefficient_grid([["0.5*x1"]], 1, {}),
     lambda: odeint.coefficient_grid([["t", "x2"], [0, 1]], 2, {}),
-    lambda: SystemDef(1, LinearTimeVarying((("-1 + x1",),))),
-    lambda: SystemDef(1, LinearConstant(np.array([[-1.0]])),
+    lambda: SystemDef(1, Linear((("-1 + x1",),))),
+    lambda: SystemDef(1, Linear(np.array([[-1.0]])),
                       delays=(Delay(1.0, [["sin(x1)"]]),)),
 ], ids=["grid", "varying-grid", "time-varying-rhs", "delay"])
 def test_coefficient_grids_refuse_state_variables(build):
@@ -303,11 +302,46 @@ def test_coefficient_grids_refuse_state_variables(build):
 
 
 def test_delay_coefficients_go_through_coefficient_grid():
-    sysd = SystemDef(1, LinearConstant(np.array([[-1.0]])),
+    sysd = SystemDef(1, Linear(np.array([[-1.0]])),
                      delays=(Delay(0.5, [["exp(-1)"]]),
                              Delay(1.0, [["cos(t)"]])))
     assert sysd.delays[0].coeff.tolist() == [[math.exp(-1)]]
     assert not isinstance(sysd.delays[1].coeff, np.ndarray)
+
+
+def test_linear_a_goes_through_coefficient_grid():
+    want = np.array([[-1.0, math.exp(-0.4) / 3], [0.0, -2.0]])
+    for a in (want, want.tolist(), [["-1", "exp(-0.4)/3"], [0, "-2"]],
+              (("-1", "exp(-0.4)/3"), ("0", "-2"))):
+        sysd = SystemDef(2, Linear(a))
+        assert isinstance(sysd.rhs.a, np.ndarray) and sysd.rhs.a.dtype == float
+        assert sysd.linear_coefficient is sysd.rhs.a
+        assert np.array_equal(sysd.linear_coefficient, want)
+    varying = SystemDef(2, Linear([["-1", "sin(t)"], [0, "-2"]]))
+    assert not isinstance(varying.rhs.a, np.ndarray)
+    assert varying.linear_coefficient(0.5)[0, 1] == math.sin(0.5)
+
+
+@pytest.mark.parametrize("a", [
+    np.array([[-1, 0], [2, -3]]),
+    np.array([[-1, 0], [2, -3]], dtype=np.int32),
+    [[np.int64(-1), np.int64(0)], [np.int64(2), np.int64(-3)]],
+    [[np.float32(-1), 0], [np.int8(2), np.float64(-3)]],
+], ids=["int-array", "int32-array", "int64-entries", "mixed-numpy-scalars"])
+def test_linear_a_accepts_int_arrays_and_numpy_scalars(a):
+    got = SystemDef(2, Linear(a)).rhs.a
+    assert got.dtype == float
+    assert got.tolist() == [[-1.0, 0.0], [2.0, -3.0]]
+
+
+@pytest.mark.parametrize("a", [
+    [["x1", 0], [0, -1]],
+    [["-1", "sin(t)*x2"], [0, -1]],
+    np.array([["-1", "x2"], ["0", "-1"]], dtype=object),
+], ids=["constant-looking", "varying", "object-array"])
+def test_linear_a_naming_a_state_variable_is_refused(a):
+    with pytest.raises(InvalidArgumentError, match="names a state variable"):
+        SystemDef(2, Linear(a))
 
 
 # --- escape check -------------------------------------------------------------
@@ -428,7 +462,7 @@ def test_dde_step_maps_match_stage_loop():
     history = HistoryFn.constant([1.0, -0.5], 1.25)
     general = SystemDef(2, Nonlinear(("-x1 + 0.5*x2", "-0.3*x1 - 2*x2")),
                         delays=LAGS)
-    linear = SystemDef(2, LinearConstant(A_TEST), delays=LAGS)
+    linear = SystemDef(2, Linear(A_TEST), delays=LAGS)
     t1 = 3.0005  # over two chunks of steps, plus a trailing partial step
     want = integrate_dde(general, history, t1, 1e-3)
     got = integrate_dde(linear, history, t1, 1e-3)
@@ -443,20 +477,20 @@ def test_time_varying_dde_step_maps_match_stage_loop():
     history = HistoryFn.constant([1.0, -0.5], 0.5)
     general = SystemDef(2, Nonlinear(("-x1 + sin(t)*x2", "-0.3*x1 - 2*x2")),
                         delays=lags)
-    linear = SystemDef(2, LinearTimeVarying((("-1", "sin(t)"),
-                                             ("-0.3", "-2"))), delays=lags)
+    linear = SystemDef(2, Linear((("-1", "sin(t)"),
+                                  ("-0.3", "-2"))), delays=lags)
     want = integrate_dde(general, history, 2.5, 1e-3)
     got = integrate_dde(linear, history, 2.5, 1e-3)
     np.testing.assert_allclose(got.states, want.states, rtol=1e-12, atol=1e-14)
 
 
 def test_matrix_step_maps_match_stage_loop():
-    sysd = SystemDef(2, LinearTimeVarying((("-1 + sin(t)", "0.5"),
-                                           ("-0.3", "-2*cos(t)"))))
+    sysd = SystemDef(2, Linear((("-1 + sin(t)", "0.5"),
+                                ("-0.3", "-2*cos(t)"))))
     want = _stage_loop_matrix(sysd, 0.25, 2.7505, 1e-3)
     got = integrate_matrix(sysd, 0.25, 2.7505, 1e-3)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
-    const = SystemDef(2, LinearConstant(A_TEST))
+    const = SystemDef(2, Linear(A_TEST))
     np.testing.assert_allclose(integrate_matrix(const, 0.0, 2.5, 1e-3),
                                _stage_loop_matrix(const, 0.0, 2.5, 1e-3),
                                rtol=1e-12, atol=1e-14)
@@ -474,7 +508,7 @@ def test_periodic_rotation_monodromy_matches_stage_loop_values():
 
 
 def test_step_maps_fall_back_to_stage_loop_on_domain_error():
-    sysd = SystemDef(1, LinearTimeVarying((("log(2 - t)",),)))
+    sysd = SystemDef(1, Linear((("log(2 - t)",),)))
     with pytest.raises(DomainError) as want:
         _stage_loop_matrix(sysd, 0.0, 3.0, 0.1)
     with pytest.raises(DomainError) as got:
@@ -484,7 +518,7 @@ def test_step_maps_fall_back_to_stage_loop_on_domain_error():
 
 def test_step_maps_escape_before_a_later_domain_error():
     # x = exp(exp(t) - 1) escapes near t = 3.3, long before exp(t) overflows
-    sysd = SystemDef(1, LinearTimeVarying((("exp(t)",),)))
+    sysd = SystemDef(1, Linear((("exp(t)",),)))
     with pytest.raises(NonFiniteStateError) as want:
         _stage_loop_matrix(sysd, 0.0, 800.0, 0.01)
     with pytest.raises(NonFiniteStateError) as got:
@@ -494,7 +528,7 @@ def test_step_maps_escape_before_a_later_domain_error():
 
 def test_step_maps_fall_back_to_stage_loop_when_a_map_overflows():
     # h^4 A^4 / 24 overflows the map, yet a zero state stays zero
-    sysd = SystemDef(1, LinearConstant(np.array([[-1e200]])),
+    sysd = SystemDef(1, Linear(np.array([[-1e200]])),
                      delays=(Delay(0.5, [[1.0]]),))
     traj = integrate_dde(sysd, HistoryFn.constant([0.0], 0.5), 1.0, 1e-3)
     assert not traj.states.any()
@@ -518,7 +552,7 @@ def test_saddle_on_its_stable_manifold_does_not_escape(rate):
     growth = sum((rate * 1e-3) ** j / math.factorial(j) for j in range(5))
     overflows = 256 * math.log(growth) > math.log(np.finfo(float).max)
     assert overflows == (rate == 5000.0)
-    sysd = SystemDef(2, LinearConstant(np.diag([rate, -1.0])))
+    sysd = SystemDef(2, Linear(np.diag([rate, -1.0])))
     got = integrate(sysd, [0.0, 1.0], 0.0, 2.0, 1e-3)
     want = stage_loop(sysd, [0.0, 1.0], 0.0, 2.0, 1e-3)
     assert not got.states[:, 0].any()
@@ -535,7 +569,7 @@ def test_dde_blocks_shorter_than_a_chunk_match_stage_loop(lags, t1):
     history = HistoryFn.constant([1.0, -0.5], max(lags))
     general = SystemDef(2, Nonlinear(("-x1 + 0.5*x2", "-0.3*x1 - 2*x2")),
                         delays=delays)
-    linear = SystemDef(2, LinearConstant(A_TEST), delays=delays)
+    linear = SystemDef(2, Linear(A_TEST), delays=delays)
     want = integrate_dde(general, history, t1, 1e-3)
     got = integrate_dde(linear, history, t1, 1e-3)
     assert np.array_equal(got.times, want.times)
@@ -546,16 +580,16 @@ def test_dde_blocks_shorter_than_a_chunk_match_stage_loop(lags, t1):
 def test_a_lag_rounding_to_zero_steps_is_refused(lag, h):
     # 5e-10 / 1e-9 rounds half to even, to 0 steps, and still divides to
     # within 1e-9; a lag of 0 steps would read the state being written
-    sysd = SystemDef(1, LinearConstant(np.array([[-1.0]])),
+    sysd = SystemDef(1, Linear(np.array([[-1.0]])),
                      delays=(Delay(lag, [[1.0]]),))
     with pytest.raises(InvalidArgumentError, match="does not divide"):
         integrate_dde(sysd, HistoryFn.constant([1.0], lag), 10 * h, h)
 
 
 @pytest.mark.parametrize("sysd", [
-    SystemDef(2, LinearTimeVarying((("26 + 0.1*sin(t)", "1"), ("0", "-1")))),
-    SystemDef(5, LinearConstant(np.diag([26.0, -1, -1, -1, -1])
-                                + 0.1 * np.eye(5, k=1)))],
+    SystemDef(2, Linear((("26 + 0.1*sin(t)", "1"), ("0", "-1")))),
+    SystemDef(5, Linear(np.diag([26.0, -1, -1, -1, -1])
+                        + 0.1 * np.eye(5, k=1)))],
     ids=["scanned", "one-product-a-step"])
 def test_integrate_matrix_escape_mid_block_matches_stage_loop(sysd):
     # X = exp(26 t) passes the threshold near step 1063, inside the second
@@ -581,14 +615,14 @@ def test_wide_states_step_one_product_at_a_time():
     # n + 1 and 2n past SCAN_WIDTH: vector, fundamental-matrix and delayed
     # states step on one product a step, and still agree with the stage loop
     assert min(8 + 1, 2 * 5) > odeint.SCAN_WIDTH
-    varying = SystemDef(8, LinearTimeVarying(
+    varying = SystemDef(8, Linear(
         [[f"{v!r} + 0.2*sin(t)" if i == j else repr(v) for j, v in enumerate(row)]
          for i, row in enumerate(A_WIDE.tolist())]))
     x0 = np.linspace(1.0, -1.0, 8)
     np.testing.assert_allclose(integrate(varying, x0, 0.0, 2.5005, 1e-3).states,
                                stage_loop(varying, x0, 0.0, 2.5005, 1e-3),
                                rtol=1e-12, atol=1e-14)
-    five = SystemDef(5, LinearConstant(A_WIDE[:5, :5]))
+    five = SystemDef(5, Linear(A_WIDE[:5, :5]))
     np.testing.assert_allclose(integrate_matrix(five, 0.0, 2.5, 1e-3),
                                _stage_loop_matrix(five, 0.0, 2.5, 1e-3),
                                rtol=1e-12, atol=1e-14)
@@ -596,7 +630,7 @@ def test_wide_states_step_one_product_at_a_time():
     history = HistoryFn.constant(x0, 0.35)
     want = integrate_dde(SystemDef(8, Nonlinear(_linear_terms(A_WIDE)),
                                    delays=delays), history, 1.5005, 1e-3)
-    got = integrate_dde(SystemDef(8, LinearConstant(A_WIDE), delays=delays),
+    got = integrate_dde(SystemDef(8, Linear(A_WIDE), delays=delays),
                         history, 1.5005, 1e-3)
     np.testing.assert_allclose(got.states, want.states, rtol=1e-12, atol=1e-14)
 
@@ -707,7 +741,7 @@ _GROWTH = 1.0 + _Z + _Z ** 2 / 2.0 + _Z ** 3 / 6.0 + _Z ** 4 / 24.0
 @pytest.mark.parametrize("j", [1, odeint.CHUNK + 1, 3 * odeint.CHUNK // 2,
                                2 * odeint.CHUNK],
                          ids=["first", "first-of-second", "middle", "last"])
-@pytest.mark.parametrize("rhs", [LinearConstant(np.array([[26.0]])),
+@pytest.mark.parametrize("rhs", [Linear(np.array([[26.0]])),
                                  Nonlinear(("26*x1",))],
                          ids=["maps", "stages"])
 def test_escape_at_any_row_of_a_chunk(j, rhs):
@@ -731,7 +765,7 @@ def test_stage_loop_escape_wins_over_a_later_domain_error():
 
 
 @pytest.mark.parametrize("rhs", [Nonlinear(("log(2 - t)*x1",)),
-                                 LinearTimeVarying((("log(2 - t)",),))],
+                                 Linear((("log(2 - t)",),))],
                          ids=["stages", "maps"])
 def test_domain_error_message_matches_stage_loop(rhs):
     sysd = SystemDef(1, rhs)
@@ -747,9 +781,9 @@ def test_integrate_matrix_keeps_one_chunk_of_states():
     import tracemalloc
 
     n, h, steps = 3, 1e-3, 50 * odeint.CHUNK
-    sysd = SystemDef(n, LinearTimeVarying((("-1", "sin(t)", "0"),
-                                           ("0", "-1", "cos(t)"),
-                                           ("0.1", "0", "-2"))))
+    sysd = SystemDef(n, Linear((("-1", "sin(t)", "0"),
+                                ("0", "-1", "cos(t)"),
+                                ("0.1", "0", "-2"))))
     integrate_matrix(sysd, 0.0, 0.1, h)  # first-call allocations
     tracemalloc.start()
     try:
@@ -763,8 +797,8 @@ def test_integrate_matrix_keeps_one_chunk_of_states():
 # --- metamorphic ------------------------------------------------------------------
 
 @pytest.mark.parametrize("rhs", [
-    LinearConstant(A_TEST),
-    LinearTimeVarying((("-1", "0.5*sin(t)"), ("-0.3", "-2"))),
+    Linear(A_TEST),
+    Linear((("-1", "0.5*sin(t)"), ("-0.3", "-2"))),
 ])
 def test_dde_with_zero_delay_coefficients_matches_ode(rhs):
     sysd = SystemDef(2, rhs, delays=(Delay(0.5, [[0.0, 0.0], [0.0, 0.0]]),))
@@ -781,7 +815,7 @@ def test_dde_with_zero_delay_coefficients_matches_ode(rhs):
 @pytest.mark.parametrize("name", ["t", "x1", "x2", "x10"])
 @pytest.mark.parametrize("build", [
     lambda p: SystemDef(1, Nonlinear(("-x1",)), params=p),
-    lambda p: SystemDef(1, LinearTimeVarying((("-1",),)), params=p),
+    lambda p: SystemDef(1, Linear((("-1",),)), params=p),
     lambda p: dc.DiscreteSystem(1, ("0.5*x1",), params=p),
     lambda p: ly.CandidateV("x1^2", params=p),
     lambda p: ly.QuadraticFormTV((("1",),), params=p),
@@ -806,7 +840,7 @@ def test_an_undeclared_k_is_time_everywhere():
     sysd = SystemDef(1, Nonlinear(("-k*x1",)))
     assert not sysd.is_autonomous()
     assert sysd.rhs_callable()(np.array([1.0]), 5.0).tolist() == [-5.0]
-    assert not SystemDef(1, LinearTimeVarying((("-k",),))).is_autonomous()
+    assert not SystemDef(1, Linear((("-k",),))).is_autonomous()
     assert not isinstance(odeint.coefficient_grid([["-k"]], 1, {}),
                           np.ndarray)
     assert ly.CandidateV("k*x1^2").time_dependent

@@ -97,6 +97,26 @@ def test_every_gallery_file_builds_one_system_type():
             assert built.delays == () and built.period is None
 
 
+def test_constant_ness_is_read_from_the_coefficient():
+    # every linear kind builds one right-hand side; A is an array exactly
+    # when no entry of its grid reads t
+    from stabkit import expr
+
+    kinds = []
+    for name in bundled_names():
+        sf = bundled_system(name)
+        if sf.kind in ("linear", "delay", "periodic"):
+            doc = sf.document
+            params = doc.get("params", {})
+            reads_t = any(expr.reads_time(expr.as_expr(e, params), params)
+                          for row in doc.get("a", doc.get("coefficients"))
+                          for e in row)
+            assert isinstance(sf.system.rhs.a, np.ndarray) is not reads_t, name
+            kinds.append((sf.kind, reads_t))
+    assert {("linear", False), ("delay", False), ("delay", True),
+            ("periodic", True)} <= set(kinds)
+
+
 def _element_walk(array: np.ndarray) -> list:
     """``to_jsonable`` of an array as it was before its one-step path."""
     return [to_jsonable(v) for v in array.tolist()]
