@@ -416,11 +416,12 @@ def run(argv: list[str]) -> int:
     try:
         started = time.perf_counter()
         sf = load_system(args.system)
+        system = sf.build()
         kinds = kinds(args) if callable(kinds) else kinds
         if sf.kind not in kinds:
             raise SchemaError(f"subcommand needs a {' or '.join(kinds)} "
                               f"system, got {sf.kind!r}")
-        result, tolerances = handler(args, sf.system)
+        result, tolerances = handler(args, system)
         _emit(build_report(args.cmd, argv, sf.meta(), result, tolerances,
                            started), args.out)
     except _INPUT_ERRORS as exc:

