@@ -200,6 +200,7 @@ def find_equilibria(sys: SystemDef, seeds, tol: float = 1e-10,
     makes the result order deterministic.
     """
     linalg.check_nonnegative(tol)
+    sys.check_undelayed("find_equilibria")
     f = sys.rhs_callable()
     roots: list[np.ndarray] = []
     for seed in seeds:
@@ -255,6 +256,7 @@ def local_stability(sys: SystemDef, x_star, tol: float = 1e-8,
     critical-point taxonomy of the Jacobian is attached when it applies.
     """
     linalg.check_nonnegative(tol)
+    sys.check_undelayed("local_stability")
     x = np.asarray(x_star, dtype=float)
     f = sys.rhs_callable()
     residual = _residual(f(x, 0.0))

@@ -98,9 +98,7 @@ def euler_discretize(sys: SystemDef, T: float) -> DiscreteSystem:
     """
     if T <= 0:
         raise InvalidArgumentError("sampling period must be positive")
-    if sys.delays:
-        raise InvalidArgumentError("euler_discretize needs a system without "
-                                   "delays")
+    sys.check_undelayed("euler_discretize")
     kt = ex.Binary("*", ex.Number(float(T)), ex.Var("k"))
     return DiscreteSystem(sys.dimension, tuple(
         ex.Binary("+", ex.Var(f"x{i + 1}"), ex.Binary(

@@ -168,31 +168,19 @@ _NODES = (Number, Var, Unary, Binary, Call)
 # --- tokenizer ----------------------------------------------------------------
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:"
     r"(?P<num>(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
     r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
     r"|(?P<op>[-+*/^(),])"
-    r")"
+    r"|(?P<bad>\S)"
 )
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            # skip over whitespace-only tail
-            if text[pos:].strip() == "":
-                break
-            raise ParseError(f"unexpected character {text[pos:].lstrip()[0]!r}", pos)
-        if m.group("num") is not None:
-            tokens.append(("num", m.group("num"), m.start("num")))
-        elif m.group("ident") is not None:
-            tokens.append(("ident", m.group("ident"), m.start("ident")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(text):  # whitespace matches no alternative
+        if m.lastgroup == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}", m.start())
+        tokens.append((m.lastgroup, m.group(), m.start()))
     tokens.append(("end", "", len(text)))
     return tokens
 
@@ -201,51 +189,40 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 _BP = {"+": 10, "-": 10, "*": 20, "/": 20, "^": 30}
 _UNARY_BP = 25  # between mul/div and power
 
-#: Bounds on a parsed tree, checked as the parser builds it.  The tree
+#: Bounds on a tree, checked by :func:`_bounded` once it is built.  The tree
 #: walkers (printing, code generation, substitution) recurse once per level
 #: of depth; the generated code nests one parenthesis per level that does not
 #: continue a ``+``/``-`` or ``*`` chain (see :func:`_chains`), and Python
 #: refuses 200.  Parentheses in the text count towards the nesting too.
-#: :func:`derivative` holds the trees it builds to the same bounds.
 MAX_DEPTH = 600
 MAX_NESTING = 100
 
 
-def _measure(e: Expr, kids: Sequence[tuple[int, int]], error) -> tuple[int, int]:
-    """The depth of ``e`` and the parenthesis nesting of its code from those
-    of its children (a level that continues the chain of its left operand,
-    see :func:`_chains`, opens none); ``error(reason)`` beyond the bounds."""
-    if not kids:
-        return 1, 0
-    (depth, nesting), *rest = kids
-    nesting -= e.__class__ is Binary and _chains(e.op, e.left)
-    for d, n in rest:
-        depth, nesting = max(depth, d), max(nesting, n)
-    if depth >= MAX_DEPTH:
-        raise error(f"expression deeper than {MAX_DEPTH} levels")
-    if nesting >= MAX_NESTING:
-        raise error(f"expression nested deeper than {MAX_NESTING} levels")
-    return depth + 1, nesting + 1
-
-
-def _bounded(e: Expr, level: int = 1, memo: dict | None = None):
-    """The ``(depth, nesting)`` of ``e`` (its root ``level`` deep in the
-    tree), by :func:`_measure`; :class:`InvalidArgumentError` beyond the
-    bounds, raised before the walk recurses deeper than ``MAX_DEPTH``."""
+def _bounded(e: Expr, error, level: int = 1, memo: dict | None = None):
+    """The depth of ``e`` (its root ``level`` deep in the tree) and the
+    parenthesis nesting of its code (a level that continues the chain of its
+    left operand, see :func:`_chains`, opens none); ``error(reason)`` beyond
+    the bounds, raised before the walk recurses deeper than ``MAX_DEPTH``.
+    The one size check of :func:`parse` and :func:`derivative`."""
     memo = {} if memo is None else memo
     if id(e) not in memo:
         if level > MAX_DEPTH:
-            raise InvalidArgumentError(
-                f"expression deeper than {MAX_DEPTH} levels")
+            raise error(f"expression deeper than {MAX_DEPTH} levels")
         kids = []
         for k in e._parts()[1]:  # a loop: one frame per level
-            kids.append(_bounded(k, level + 1, memo))
-        memo[id(e)] = _measure(e, kids, InvalidArgumentError)
+            kids.append(_bounded(k, error, level + 1, memo))
+        depth, nesting = 0, -1  # a leaf is (1, 0)
+        if kids:
+            (depth, nesting), *rest = kids
+            nesting -= e.__class__ is Binary and _chains(e.op, e.left)
+            for d, n in rest:
+                depth, nesting = max(depth, d), max(nesting, n)
+        if depth >= MAX_DEPTH:
+            raise error(f"expression deeper than {MAX_DEPTH} levels")
+        if nesting >= MAX_NESTING:
+            raise error(f"expression nested deeper than {MAX_NESTING} levels")
+        memo[id(e)] = depth + 1, nesting + 1
     return memo[id(e)]
-
-
-# a parsed subtree with its depth and the parenthesis nesting of its code
-_Measured = tuple["Expr", int, int]
 
 
 class _Parser:
@@ -270,47 +247,39 @@ class _Parser:
         return self.advance()
 
     def parse(self) -> Expr:
-        e, _depth, _nesting = self.expression(0)
+        e = self.expression(0)
         kind, value, pos = self.peek()
         if kind != "end":
             raise ParseError(f"unexpected trailing input {value!r}", pos)
         return e
 
-    def node(self, e: Expr, kids: Sequence[tuple[int, int]],
-             pos: int) -> _Measured:
-        return e, *_measure(e, kids, lambda why: ParseError(why, pos))
-
-    def expression(self, rbp: int) -> _Measured:
+    def expression(self, rbp: int) -> Expr:
         # the parser itself recurses once per level of nesting
         if self.level > MAX_NESTING:
             raise ParseError(
                 f"expression nested deeper than {MAX_NESTING} levels",
                 self.peek()[2])
         self.level += 1
-        left, depth, nesting = self.prefix()
+        left = self.prefix()
         while True:
-            kind, value, pos = self.peek()
+            kind, value, _ = self.peek()
             if kind != "op" or value not in _BP or _BP[value] <= rbp:
                 break
             self.advance()
             # '^' is right associative: bind the rest at bp-1
-            right, r_depth, r_nesting = self.expression(
-                _BP[value] - (value == "^"))
-            left, depth, nesting = self.node(
-                Binary(value, left, right),
-                ((depth, nesting), (r_depth, r_nesting)), pos)
+            right = self.expression(_BP[value] - (value == "^"))
+            left = Binary(value, left, right)
         self.level -= 1
-        return left, depth, nesting
+        return left
 
-    def prefix(self) -> _Measured:
+    def prefix(self) -> Expr:
         kind, value, pos = self.advance()
         if kind == "num":
             if math.isinf(float(value)):
                 raise ParseError(f"numeric literal {value!r} overflows", pos)
-            return Number(float(value)), 1, 0
+            return Number(float(value))
         if kind == "op" and value == "-":
-            child, depth, nesting = self.expression(_UNARY_BP)
-            return self.node(Unary("-", child), ((depth, nesting),), pos)
+            return Unary("-", self.expression(_UNARY_BP))
         if kind == "op" and value == "+":
             return self.expression(_UNARY_BP)
         if kind == "op" and value == "(":
@@ -324,10 +293,10 @@ class _Parser:
             if value in FUNCTIONS:
                 raise UnknownIdentifierError(value, pos)
             self.check_var(value, pos)
-            return Var(value), 1, 0
+            return Var(value)
         raise ParseError(f"unexpected token {value!r}" if value else "unexpected end of input", pos)
 
-    def call(self, name: str, pos: int) -> _Measured:
+    def call(self, name: str, pos: int) -> Expr:
         if name not in FUNCTIONS:
             raise UnknownIdentifierError(name, pos)
         self.expect_op("(")
@@ -342,8 +311,7 @@ class _Parser:
         self.expect_op(")")
         if len(args) != FUNCTIONS[name]:
             raise ArityMismatchError(name, FUNCTIONS[name], len(args))
-        return self.node(Call(name, tuple(a for a, _d, _n in args)),
-                         [(d, n) for _a, d, n in args], pos)
+        return Call(name, tuple(args))
 
     def check_var(self, name: str, pos: int):
         # "t" and "xK" are always state/time; "k" doubles as the discrete
@@ -369,7 +337,9 @@ def parse(text: str, params: Iterable[str] | None = None) -> Expr:
     """
     if not text or not text.strip():
         raise ParseError("empty expression", 0)
-    return _Parser(text, params).parse()
+    tree = _Parser(text, params).parse()
+    _bounded(tree, lambda why: ParseError(why, len(text)))
+    return tree
 
 
 # --- structure helpers ----------------------------------------------------------
@@ -377,21 +347,13 @@ def parse(text: str, params: Iterable[str] | None = None) -> Expr:
 def free_vars(e: Expr) -> set[str]:
     """Names of all variables appearing in ``e`` (including parameters)."""
     out: set[str] = set()
-    _collect_vars(e, out)
+    stack = [e]
+    while stack:  # a stack, not recursion: any depth
+        node = stack.pop()
+        if isinstance(node, Var):
+            out.add(node.name)
+        stack.extend(node._parts()[1])
     return out
-
-
-def _collect_vars(e: Expr, out: set[str]) -> None:
-    if isinstance(e, Var):
-        out.add(e.name)
-    elif isinstance(e, Unary):
-        _collect_vars(e.child, out)
-    elif isinstance(e, Binary):
-        _collect_vars(e.left, out)
-        _collect_vars(e.right, out)
-    elif isinstance(e, Call):
-        for a in e.args:
-            _collect_vars(a, out)
 
 
 def reads_time(e: Expr, params: Iterable[str]) -> bool:
@@ -634,7 +596,7 @@ def derivative(e: Expr, name: str) -> Expr:
     bounds raises :class:`InvalidArgumentError`.
     """
     d = _derive(e, name, {})
-    _bounded(d)
+    _bounded(d, InvalidArgumentError)
     return d
 
 

@@ -410,6 +410,7 @@ def _scan(sys: SystemDef, v: CandidateV, radius: float, scan: ScanConfig,
           zero: str | None):
     """:func:`_direct_scan` of V and Vdot along the trajectories of ``sys``,
     then the Vdot tree: :func:`_trees` is built once, after the checks."""
+    sys.check_undelayed("a candidate scan")
     trees = functools.cache(functools.partial(_trees, sys, v))
     return (*_direct_scan(
         v, sys.dimension, radius, scan, _time_dependent(sys, v),

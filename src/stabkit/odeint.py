@@ -264,6 +264,12 @@ class SystemDef:
         return not self.delays and not any(ex.reads_time(e, ())
                                            for e in self.field_trees)
 
+    def check_undelayed(self, what: str) -> None:
+        """:class:`InvalidArgumentError` when ``what``, which reads only the
+        undelayed field, is given a system with delays."""
+        if self.delays:
+            raise InvalidArgumentError(f"{what} needs a system without delays")
+
     # -- built and compiled once per instance, on first use --------------------
 
     @functools.cached_property
@@ -638,6 +644,7 @@ def integrate_matrix(sys: SystemDef, t0: float, t1: float, h: float) -> np.ndarr
     """
     if isinstance(sys.rhs, Nonlinear):
         raise InvalidArgumentError("integrate_matrix requires a linear system")
+    sys.check_undelayed("integrate_matrix")
     n = sys.dimension
     a, f = _field(sys, (n, n))
     buf = np.empty((min(_grid(t0, t1, h)[0], CHUNK) + 2, n, n))

@@ -165,7 +165,7 @@ def load_system(source) -> SystemFile:
         sf.build()
     except SchemaError:
         raise
-    except (StabkitError, ValueError) as exc:
+    except (StabkitError, ValueError, OverflowError) as exc:
         raise SchemaError(f"system definition invalid: {exc}") from None
     return sf
 

@@ -17,12 +17,28 @@ The report hash is taken over the report without ``wall_time_s``,
 with sorted keys; the CSV hash is over the bytes of the ``--csv`` file the
 op wrote.  Two checkouts give the same reports and CSVs on a pass exactly
 when ``diff`` finds nothing between their outputs.
+
+The ``parse`` mode digests the expression front end instead::
+
+    python tests/report_digest.py parse > parse.txt
+
+It prints one line per text of a fixed corpus (every expression string of
+the gallery files and, for every workload and seeds 1-3, of the files,
+``--candidate``/``--instability`` arguments and Sylvester forms of
+``perfbench.generate``, then a seeded list of malformed, deeply nested and
+long texts)::
+
+    <index> tree=<sha256 of to_string(parse(text))>  <text>
+    <index> <exception type>: <message>  <text>
+
+with texts past 80 characters shortened to their first 60 and a length.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import random
 import sys
 import tempfile
 from pathlib import Path
@@ -69,7 +85,92 @@ def digest_pass(workload: str, seed: int, stabkit: dict) -> list[str]:
     return lines
 
 
+def _strings(value):
+    """Every string in a nest of lists, tuples and dicts."""
+    if isinstance(value, str):
+        yield value
+    elif isinstance(value, (list, tuple, dict)):
+        for item in value.values() if isinstance(value, dict) else value:
+            yield from _strings(item)
+
+
+def _file_texts(doc: dict) -> list[str]:
+    """The expression strings of a system file: fields and grid entries."""
+    return [text for key in ("expressions", "a", "b", "coefficients", "delays")
+            for text in _strings(doc.get(key, []))]
+
+
+def _generated_texts(workload: str, seed: int) -> list[str]:
+    files, ops = generate.generate(workload, seed)
+    texts = [text for name, body in sorted(files.items())
+             if not name.startswith("p_")
+             for text in _file_texts(json.loads(body))]
+    for op in ops:
+        argv = op["argv"]
+        if op["kind"] == "sylvester":
+            texts += _strings(generate.SYLVESTER_FORMS[argv[0]]["entries"])
+        texts += [value for flag, value in zip(argv, argv[1:])
+                  if flag in ("--candidate", "--instability")]
+    return texts
+
+
+_NESTINGS = {  # k levels of each construct that nests the generated code
+    "parentheses": lambda k: "(" * k + "x1" + ")" * k,
+    "unary minus": lambda k: "-" * k + "x1",
+    "division chain": lambda k: "x1" + "/1.5" * k,
+    "power chain": lambda k: "^".join(["1.0001"] * k + ["x1"]),
+    "calls": lambda k: "sin(" * k + "x1" + ")" * k,
+}
+_TOKENS = ["x1", "x2", "t", "k", "a", "1.5", "2", "1e400", "sin", "pow", "(",
+           ")", ",", "+", "-", "*", "/", "^", " ", "\t", "@", "é", ";", "="]
+
+
+def _edge_texts() -> list[str]:
+    """Malformed, deeply nested and long texts; the random ones seeded."""
+    texts = ["", "   ", "x1 +", "(x1", "x1)", "2x1", "x1 x2", "sin", "pow(x1)",
+             "sin(x1, x2)", "spam(1)", "1e400", "x1 ^", "* x1", ",", "@",
+             "  @", "x1 + é", "x1;x2", "a = b", "x1 +\t\n@ x2", "(x1 @"]
+    texts += [build(k) for build in _NESTINGS.values() for k in (99, 100, 101)]
+    for k in (600, 601, 5000):
+        texts += ["+".join(["x1"] * k), " - ".join(["x1*x2"] * k),
+                  "+".join(["x1"] * k) + " )", "+".join(["x1"] * k) + " @",
+                  "-" * 101 + "+".join(["x1"] * k)]
+    rng = random.Random(20)
+    texts += ["".join(rng.choice(_TOKENS) for _ in range(rng.randint(1, 12)))
+              for _ in range(400)]
+    return texts
+
+
+def parse_corpus() -> list[str]:
+    texts = [text for path in sorted((ROOT / "src/stabkit/gallery")
+                                     .glob("*.json"))
+             for text in _file_texts(json.loads(path.read_text("utf-8")))]
+    for workload in generate.WORKLOADS:
+        for seed in (1, 2, 3):
+            texts += _generated_texts(workload, seed)
+    return list(dict.fromkeys(texts)) + _edge_texts()  # first of each
+
+
+def digest_parse(expr) -> list[str]:
+    """One line per text of :func:`parse_corpus`, in corpus order."""
+    lines = []
+    for index, text in enumerate(parse_corpus()):
+        try:
+            tree = expr.to_string(expr.parse(text))
+            result = f"tree={_sha(tree.encode())}"
+        except Exception as exc:  # every refusal is part of the digest
+            result = f"{type(exc).__name__}: {exc}"
+        label = repr(text) if len(text) <= 80 else \
+            f"{text[:60]!r}... ({len(text)} chars)"
+        lines.append(f"{index} {result}  {label}")
+    return lines
+
+
 def main(argv: list[str]) -> int:
+    if argv == ["parse"]:
+        for line in digest_parse(bench.load_stabkit()["expr"]):
+            print(line)
+        return 0
     if len(argv) < 2 or argv[0] not in generate.WORKLOADS:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2

@@ -659,6 +659,31 @@ DERIVED_SHAPES = {
 } | {"sin-99": ("-x1 + " + SIN_99, SIN_99 + " + x2^2")}
 
 
+HUGE = 10 ** 400  # an integer JSON number past float range
+HUGE_FIELDS = {
+    "a": ({"kind": "linear", "a": [[HUGE, 0], [0, -1]]}, ["classify"]),
+    "period": ({"kind": "periodic", "coefficients": [["-1", "0"], ["0", "-1"]],
+                "period": HUGE}, ["floquet"]),
+    "lag": ({"kind": "delay", "a": [[-1, 0], [0, -1]], "delays": [
+        {"lag": HUGE, "coefficients": [[0.1, 0], [0, 0.1]]}]},
+        ["simulate", "--x0", "1,0", "--t1", "1"]),
+    "params": ({"kind": "nonlinear", "expressions": ["x2", "-k*sin(x1)"],
+                "params": {"k": HUGE}}, ["linearize", "--point", "0,0"]),
+}
+
+
+@pytest.mark.parametrize("doc, argv", HUGE_FIELDS.values(),
+                         ids=HUGE_FIELDS.keys())
+def test_integer_past_float_range_is_a_schema_error(tmp_path, capsys, doc,
+                                                    argv):
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps({"name": "huge", "dimension": 2, **doc}))
+    assert cli.run([argv[0], "--system", str(path), *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "input error: system definition invalid: " in captured.err
+
+
 @pytest.mark.parametrize("shape", DERIVED_SHAPES)
 def test_derivatives_beyond_the_bounds_exit_0_or_2(tmp_path, capsys, shape):
     f1, candidate = DERIVED_SHAPES[shape]

@@ -1,6 +1,8 @@
 import dataclasses
+import functools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -483,6 +485,58 @@ def test_nesting_at_the_bound_compiles_and_one_more_level_does_not(build):
         ex.parse(build(bound + 1))
 
 
+def _chain(op: str, first: ex.Expr, then: ex.Expr, count: int) -> ex.Expr:
+    """``first op then op ... op then``, ``count`` operands, left-deep."""
+    return functools.reduce(lambda e, _: ex.Binary(op, e, then),
+                            range(count - 1), first)
+
+
+# per bound: the text of k levels, and a hand-built tree whose derivative by
+# x1 is that text's tree (d(x1*x2) = x2; d(x1/1.5) = 1.0/1.5)
+SHAPES = {
+    "depth": (ex.MAX_DEPTH, lambda k: "+".join(["x2"] * k), lambda k: _chain(
+        "+", *[ex.Binary("*", ex.Var("x1"), ex.Var("x2"))] * 2, k)),
+    "nesting": (ex.MAX_NESTING, lambda k: "1.0" + "/1.5" * k,
+                lambda k: _chain("/", ex.Var("x1"), ex.Number(1.5), k + 1)),
+}
+
+
+@pytest.mark.parametrize("bound, text, source", SHAPES.values(),
+                         ids=SHAPES.keys())
+def test_parse_and_derivative_refuse_one_past_each_bound_alike(bound, text,
+                                                              source):
+    assert ex.derivative(source(bound), "x1") == ex.parse(text(bound))
+    with pytest.raises(ParseError) as parsed:
+        ex.parse(text(bound + 1))
+    with pytest.raises(InvalidArgumentError) as derived:
+        ex.derivative(source(bound + 1), "x1")
+    # the size check runs on the finished tree: it points past the text
+    end = len(text(bound + 1))
+    assert parsed.value.position == end
+    assert str(parsed.value) == f"{derived.value} (at position {end})"
+
+
+def test_structure_helpers_walk_deep_trees_without_recursion():
+    e = ex.Var("t")
+    for i in range(5000):  # every node class, 5,000 levels
+        e = ex.Binary("+", ex.Unary("-", e), ex.Var(f"x{1 + i % 7}")) \
+            if i % 2 else ex.Call("pow", (e, ex.Number(2.0)))
+    assert ex.free_vars(e) == {"t", *(f"x{i}" for i in range(1, 8))}
+    assert ex.reads_time(e, ()) and not ex.reads_time(ex.Var("k"), ["k"])
+    assert ex.max_state_index(e) == 7
+
+
+@pytest.mark.parametrize("char", ["@", "é", ";", "="])
+@pytest.mark.parametrize("before", ["", "x1", "x1 +"])
+@pytest.mark.parametrize("space", ["", " ", " \t\n "])
+def test_unexpected_character_is_reported_where_it_stands(char, before, space):
+    text = before + space + char + " x2"
+    with pytest.raises(ParseError) as err:
+        ex.parse(text)
+    assert err.value.position == len(before + space)
+    assert str(err.value).startswith(f"unexpected character {char!r}")
+
+
 # --- derivatives ---------------------------------------------------------------
 
 # (tree, variable, closed form of the derivative): every node type and
@@ -731,6 +785,19 @@ try:
         printed = ex.to_string(tree)
         reparsed = ex.parse(printed)
         assert ex.parse(ex.to_string(reparsed)) == reparsed
+
+    # the printed tokens, split independently of the tokenizer
+    _PRINTED_TOKEN = re.compile(r"[0-9.]+(?:e[+-]?[0-9]+)?|[A-Za-z_]\w*|\S")
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(_trees, st.data())
+    def test_round_trip_with_any_whitespace_between_tokens(tree, data):
+        tokens = _PRINTED_TOKEN.findall(ex.to_string(tree))
+        gaps = data.draw(st.lists(
+            st.sampled_from(["", " ", "\t", "\n", "\r\n  ", "\f\v", " "]),
+            min_size=len(tokens) + 1, max_size=len(tokens) + 1))
+        text = "".join(g + tok for g, tok in zip(gaps, tokens)) + gaps[-1]
+        assert ex.parse(text) == tree, repr(text)
 
 except ImportError:  # pragma: no cover - hypothesis is a test extra
     pass

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from stabkit import autonomous
 from stabkit import discrete as dc
 from stabkit import expr as ex
 from stabkit import lyapunov as ly
@@ -160,6 +161,29 @@ def test_dde_history_must_cover_lags():
     sysd = SystemDef(1, Nonlinear(("0",)), delays=(Delay(1.0, [[-1.0]]),))
     with pytest.raises(HistoryGapError):
         integrate_dde(sysd, HistoryFn.constant([1.0], 0.25), 1.0, 1e-3)
+
+
+# entry points that read only the undelayed field, on a delayed system
+UNDELAYED_ONLY = {
+    "check_candidate": lambda s: ly.check_candidate(s, ly.CandidateV("x1^2")),
+    "check_instability": lambda s: ly.check_instability(
+        s, ly.CandidateV("x1^2")),
+    "find_equilibria": lambda s: autonomous.find_equilibria(s, [[0.5]]),
+    "local_stability": lambda s: autonomous.local_stability(s, [0.0]),
+    "integrate_matrix": lambda s: integrate_matrix(s, 0.0, 1.0, 1e-3),
+}
+
+
+@pytest.mark.parametrize("call", UNDELAYED_ONLY.values(),
+                         ids=UNDELAYED_ONLY.keys())
+def test_entry_points_without_delays_refuse_a_delayed_system(call):
+    # x' = -x + 2 x(t - 1) grows; its undelayed part x' = -x decays
+    sysd = SystemDef(1, Linear([[-1.0]]), (Delay(1.0, [[2.0]]),))
+    x = integrate_dde(sysd, HistoryFn.constant([1.0], 1.0), 10.0, 1e-3)
+    assert x.states[-1][0] > 40.0
+    with pytest.raises(InvalidArgumentError,
+                       match="needs a system without delays"):
+        call(sysd)
 
 
 def test_dde_step_helper():
