@@ -7,7 +7,7 @@ slower than every exponential.
 
 import numpy as np
 
-from stabkit import autonomous as aut, odeint
+from stabkit import autonomous as aut, lyapunov, odeint
 from stabkit.errors import NonFiniteStateError
 from stabkit.schema import bundled_system
 
@@ -28,6 +28,14 @@ for t0 in (0.0, 9.0):
     hit = traj.times[np.nonzero(traj.norms() <= 0.1)[0][0]] - t0
     print(f"start at t0={t0:4.1f}: reaching 10% of x0 takes {hit:.2f}s")
 print("same contraction law, ten times slower -- stability is not uniform")
+# the candidate check reads V = x1^2 on a ladder of later windows as well:
+# Vdot = -2 x1^2/(1+t) keeps no time-free margin, so the uniform asymptotic
+# and exponential rungs stay out of reach wherever the window starts
+for t0 in (0.0, 1000.0):
+    rep = lyapunov.check_candidate(slow, lyapunov.CandidateV("x1^2"),
+                                   scan=lyapunov.ScanConfig(t0=t0))
+    print(f"candidate x1^2 from t0={t0:6.1f}: {rep.conclusion.value} "
+          f"(Vdot {rep.vdot_verdict.value})")
 
 # 3. decay slower than any exponential
 alg = bundled_system("algebraic_decay").build()

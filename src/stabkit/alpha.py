@@ -345,9 +345,8 @@ class AlphaCertificate:
 
 
 def _p_semidefinite(p) -> bool:
-    if isinstance(p, SampledMatrixFunction):
-        lowest = np.linalg.eigvalsh(linalg.symmetric_part(p.values))[:, 0]
-        return bool(np.all(lowest >= -1e-9))
+    if isinstance(p, SampledMatrixFunction):  # every node, by one band
+        return bool(linalg.semidefinite_nodes(p.values).all())
     return linalg.definiteness(p).is_positive_semidefinite
 
 

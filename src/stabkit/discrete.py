@@ -182,7 +182,7 @@ def classify_discrete(sys: DiscreteSystem, v: CandidateV, radius: float = 0.3,
             raise NotAFixedPointError(
                 "update(0) != 0: origin is not a fixed point")
 
-    v_vals, d_vals, _, fit = _direct_scan(
+    v_vals, d_vals, fit, _ = _direct_scan(
         v, sys.dimension, radius,
         ScanConfig(points=samples, t0=float(k0), time_span=0.0), False,
         fixed_point, lambda X, T: _batch_deltas(sys, v, X, k0),

@@ -25,7 +25,7 @@ import functools
 import math
 import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -56,12 +56,13 @@ _VAR_RE = re.compile(r"^x([1-9][0-9]*)$")
 
 
 class _Node:
-    """Structural ``==`` and ``hash`` for the five node classes.
+    """Structural ``==``, ``hash`` and ``repr`` for the five node classes.
 
     They give what the dataclass-generated ones give (equal class and equal
-    fields; the hash of the field tuple), but walk the tree with a stack:
-    the generated ones recurse about twice per level and exhaust Python's
-    recursion limit on trees the parser accepts (``MAX_DEPTH``).
+    fields; the hash of the field tuple; ``Class(field=value, ...)``), but
+    walk the tree with a stack: the generated ones recurse about twice per
+    level and exhaust Python's recursion limit on trees the parser accepts
+    (``MAX_DEPTH``), and on deeper trees built by hand.
     """
 
     __slots__ = ()
@@ -103,6 +104,26 @@ class _Node:
                 head + ((hashed,) if isinstance(node, Call) else hashed)))
         return hash(done[id(self)])
 
+    def __repr__(self):
+        out, stack = [], [self]
+        while stack:  # text to emit, or a node to expand, last piece first
+            item = stack.pop()
+            if not isinstance(item, _Node):
+                out.append(item)
+                continue
+            pieces = [f"{item.__class__.__name__}("]
+            for f in fields(item):
+                value = getattr(item, f.name)
+                pieces.append(f"{', ' * (len(pieces) > 1)}{f.name}=")
+                if isinstance(value, tuple):  # a Call's args
+                    inner = [x for arg in value for x in (", ", arg)][1:]
+                    pieces += ["(", *inner, "," * (len(value) == 1), ")"]
+                else:
+                    pieces.append(value if isinstance(value, _Node)
+                                  else repr(value))
+            stack.extend(reversed([*pieces, ")"]))
+        return "".join(out)
+
 
 class _Hashed:
     """A hash value that hashes to itself inside a tuple, as the node it
@@ -117,7 +138,7 @@ class _Hashed:
         return self.value
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Number(_Node):
     value: float
 
@@ -125,7 +146,7 @@ class Number(_Node):
         return (self.value,), ()
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Var(_Node):
     name: str
 
@@ -133,7 +154,7 @@ class Var(_Node):
         return (self.name,), ()
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Unary(_Node):
     op: str
     child: "Expr"
@@ -142,7 +163,7 @@ class Unary(_Node):
         return (self.op,), (self.child,)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Binary(_Node):
     op: str
     left: "Expr"
@@ -152,7 +173,7 @@ class Binary(_Node):
         return (self.op,), (self.left, self.right)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Call(_Node):
     func: str
     args: tuple["Expr", ...]

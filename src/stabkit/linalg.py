@@ -23,7 +23,8 @@ from .errors import (
 
 __all__ = [
     "DEFAULT_TOL", "Definiteness", "DefinitenessVerdict", "check_nonnegative",
-    "as_matrix", "eigenvalues", "definiteness", "symmetric_part",
+    "as_matrix", "eigenvalues", "definiteness", "semidefinite_nodes",
+    "symmetric_part",
     "principal_minors", "matrix_measure", "spectral_norm", "solve_dense",
 ]
 
@@ -62,6 +63,15 @@ def _exponent(m: np.ndarray) -> np.ndarray:
     """Per node, ``e`` with max|entry| in ``[2**(e-1), 2**e)``, 0 if none."""
     return np.frexp(np.abs(m).max(axis=(-2, -1), keepdims=True,
                                   initial=0.0))[1]
+
+
+def _band(a: np.ndarray, tol: float):
+    """``(e, 2**-e a, band)`` per node (:func:`_exponent`): an eigenvalue
+    ``lam`` is zero when ``|2**-e lam| <= band`` (see :func:`definiteness`)."""
+    e = _exponent(a)
+    m = np.ldexp(a, -e)
+    norm = np.linalg.norm(m, axis=(-2, -1), keepdims=True)
+    return e, m, tol * np.maximum(norm, np.ldexp(NORM_FLOOR, -e))
 
 
 def eigenvalues(m) -> list[complex]:
@@ -111,12 +121,11 @@ def definiteness(s, tol: float = DEFAULT_TOL) -> DefinitenessVerdict:
     :class:`AsymmetricError`.  The zero matrix reports positive-semidefinite.
     Norms and signs compare on ``s`` rescaled exactly by a power of two."""
     a = as_matrix(s, square=True)
-    e = _exponent(a).item()
-    m = np.ldexp(a, -e)
-    scale = max(float(np.linalg.norm(m, "fro")), np.ldexp(NORM_FLOOR, -e))
-    if float(np.linalg.norm(m - m.T, "fro")) > tol * scale:
+    e, m, band = _band(a, tol)
+    e, band = e.item(), band.item()
+    if float(np.linalg.norm(m - m.T, "fro")) > band:
         raise AsymmetricError("matrix is not symmetric within tolerance")
-    vals, band = np.linalg.eigvalsh(symmetric_part(a)), tol * scale
+    vals = np.linalg.eigvalsh(symmetric_part(a))
     pos, neg = np.ldexp(vals, -e) > band, np.ldexp(vals, -e) < -band
     if pos.any() and neg.any():
         kind = Definiteness.INDEFINITE
@@ -131,6 +140,15 @@ def definiteness(s, tol: float = DEFAULT_TOL) -> DefinitenessVerdict:
         kind = Definiteness.POSITIVE_SEMIDEFINITE
     return DefinitenessVerdict(kind, tuple(float(v) for v in vals),
                                float(np.ldexp(band, e)))
+
+
+def semidefinite_nodes(s, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Per node of a matrix or an ``(N, n, n)`` stack: is no eigenvalue of
+    its symmetric part below the band of :func:`definiteness`?"""
+    a = _checked(s, square=True, stack=True)
+    e, _, band = _band(a, tol)
+    lowest = np.linalg.eigvalsh(symmetric_part(a))[..., :1, None]
+    return (np.ldexp(lowest, -e) >= -band)[..., 0, 0]
 
 
 def symmetric_part(m) -> np.ndarray:

@@ -12,17 +12,19 @@ The direct-method ladders (:func:`check_candidate`,
 :func:`check_instability` and the discrete ``classify_discrete``) run on
 one scan core: :func:`_direct_scan` checks the origin, samples ball points
 with Halton times and evaluates V with its rate (Vdot, or Delta V), and
-:func:`_sign_test` reads the rate's sign against the one sign floor.
+:func:`_sign_test` reads the rate's sign against the one sign floor.  A
+premise that must hold uniformly in t is read once more on the window
+ladder of :meth:`_Ladder.read` (Khalil, *Nonlinear Systems*, Def. 4.4).
 
 The scans are evaluated in batches, ``BLOCK`` rows per call of a strict
 batch evaluator (:func:`~stabkit.expr.compile_expr_vec`, compiled once
 per candidate, per form and per system), each batch under
-:func:`~stabkit.expr.strict_rows`: V and its rate, the decrescence grid,
-the Sylvester minors, the attraction ladder, the origin checks and the
-radial rays.  A domain error names the first failing sample in the order
-of a point-by-point scan.  Vdot is exact, one tree from the derivative
-trees of V (for attraction, x'Px) and the system's field trees; the W3
-minors come from the exact Hessian of Vdot.
+:func:`~stabkit.expr.strict_rows`: V and its rate, the Sylvester minors,
+the attraction ladder, the origin checks and the radial rays.  A domain
+error names the first failing sample in the order of a point-by-point
+scan.  Vdot is exact, one tree from the derivative trees of V (for
+attraction, x'Px) and the system's field trees; the W3 minors come from
+the exact Hessian of Vdot.
 
 The module also owns the continuous Lyapunov matrix equation (solved in
 the eigenbasis where a separation certificate holds, else by Kronecker
@@ -34,7 +36,7 @@ domain of attraction.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -62,8 +64,11 @@ __all__ = [
 
 #: sampled-definiteness margin: min ratio must reach this fraction of the max
 MARGIN = 1e-4
-#: probes on time windows must keep at least this fraction of their bound
-TREND_FLOOR = 0.5
+#: the window ladder (:class:`_Ladder`): on every window a lower bound keeps
+#: ``TREND_FLOOR`` of its constant and sup |V| / ||x||^2 grows by at most
+#: ``GROWTH_LIMIT``; ``LADDER_DEPTH`` windows of ``LADDER_POINTS`` samples
+TREND_FLOOR, GROWTH_LIMIT = 0.5, 1.2
+LADDER_DEPTH, LADDER_POINTS = 3, 256
 #: rows per batch evaluation in the sampled scans; bounds their memory
 BLOCK = 16384
 #: relative eigen-sum separation that lets ``solve_lyapunov`` skip its
@@ -252,7 +257,8 @@ class ScanConfig:
 
     Raises :class:`InvalidArgumentError` unless ``t0`` is finite and
     ``time_span`` finite and non-negative; the scans also refuse an empty
-    window when the system or the candidate depends on t.
+    window when the system or the candidate depends on t.  No scan reads
+    ``time_samples`` since the window ladder replaced the decrescence grid.
     """
 
     points: int = 4096
@@ -318,10 +324,12 @@ _THEOREM = {
 class Probe:
     """Outcome of one sampled bound fit.
 
-    ``coefficient`` is the fitted constant of a ``coefficient * ||x||^exponent``
-    bound; ``trend`` compares the bound over the late half of the time window
-    against the early half (1.0 = steady; values well below 1 mean the bound
-    decays with time and cannot hold on an unbounded window).
+    ``coefficient`` is the constant of a ``coefficient * ||x||^exponent``
+    bound fitted on the main window.  When the bound depends on t, ``trend``
+    reads it on the window ladder (:meth:`_Ladder.read`; else 1.0): a lower
+    bound's least constant there over ``coefficient`` (decaying below
+    ``TREND_FLOOR``), or decrescence's largest sup of ``|V|/||x||^2`` there
+    over the main window's (growing above ``GROWTH_LIMIT``).
     """
 
     established: bool
@@ -376,14 +384,16 @@ def _direct_scan(v: CandidateV, n: int, radius: float, scan: ScanConfig,
                  time_dep: bool, at_origin, evaluate, clock=_time_label,
                  zero: str | None = "t"):
     """The sampled scan of every direct-method ladder, continuous or
-    discrete: ``(V, D, norms, fit)`` on the samples of :func:`_scan_points`.
+    discrete: ``(V, D, fit, ladder)`` on the samples of :func:`_scan_points`.
 
     Checks come first: the sample count, the dimension, the window,
     ``at_origin()`` (the equilibrium or fixed-point check) and, unless
     ``zero`` is None, ``V(0, zero) = 0`` at 16 times of the window.  Then
     ``evaluate(X, T)`` gives V and its rate D (Vdot, or Delta V) under
     :func:`~stabkit.expr.strict_rows`, V first; ``clock`` labels a sample's
-    time.  ``fit(values)`` is :func:`_fit_lower_bound` on the samples.
+    time.  ``ladder`` is :meth:`_Ladder.read` of ``evaluate`` if
+    ``time_dep``.  ``fit(values, late=None)`` is :func:`_fit_lower_bound`,
+    then :meth:`_Ladder.uniform` of ``late``, the values on the ladder.
     """
     _require_samples(scan.points)
     if v.max_state_index() > n:
@@ -402,8 +412,74 @@ def _direct_scan(v: CandidateV, n: int, radius: float, scan: ScanConfig,
         lambda k: _sample_label(X[k], T[k], clock),
         prior=(lambda r: v.values(X[r], T[r]),))
     norms = column_norms(X.T)
-    return v_vals, d_vals, norms, lambda values: _fit_lower_bound(
-        values, norms, T, time_dep, scan, X)
+    ladder = _Ladder.read(evaluate, X, T, norms, scan) if time_dep else None
+
+    def fit(values, late=None):
+        probe = _fit_lower_bound(values, norms, X)
+        return probe if late is None else ladder.uniform(probe, late)
+
+    return v_vals, d_vals, fit, ladder
+
+
+@dataclass(frozen=True)
+class _Ladder:
+    """V and its rate D, ``(windows, points)``, at the first scan points
+    ``X`` (``norms``: of every scan point) on the ladder's windows; none,
+    when ``stop`` says why the ladder failed (else "")."""
+
+    X: np.ndarray
+    norms: np.ndarray
+    v: np.ndarray
+    d: np.ndarray
+    stop: str
+
+    @classmethod
+    def read(cls, evaluate, X, T, norms, scan: ScanConfig) -> "_Ladder":
+        """The windows ``[t0 + S(10^k - 1), t0 + S 10^k]``, k = 1 ..
+        ``LADDER_DEPTH``, after ``[t0, t0 + S]``: the first ``LADDER_POINTS``
+        samples, times moved, in one ``evaluate(X, T)``.  If some time
+        leaves float range or some row fails to evaluate, no window counts."""
+        m = min(LADDER_POINTS, len(X))
+        with np.errstate(over="ignore"):
+            times = (T[:m] + scan.time_span * (
+                10.0 ** np.arange(1, LADDER_DEPTH + 1) - 1.0)[:, None]).ravel()
+        try:
+            if not np.isfinite(times).all():
+                raise DomainError("its times leave float range")
+            v, d = evaluate(np.tile(X[:m], (LADDER_DEPTH, 1)), times)
+            return cls(X[:m], norms, v.reshape(-1, m), d.reshape(-1, m), "")
+        except DomainError as exc:
+            end = scan.t0 + scan.time_span * 10.0 ** LADDER_DEPTH
+            return cls(X[:m], norms, *[np.empty((0, m))] * 2, (
+                f"the window ladder up to t={end!r} fails to evaluate "
+                f"({exc.reason}): uniformity in t is not established"))
+
+    def uniform(self, probe: Probe, late: np.ndarray) -> Probe:
+        """``probe``, a lower bound fitted on the main window, at its
+        exponent on the ladder, where the values are ``late``: uniform in t
+        when it keeps ``TREND_FLOOR`` of its constant on every window."""
+        if not probe.established:
+            return probe
+        trend = float((late / self.norms[:len(self.X)]**probe.exponent).min()
+                      ) / probe.coefficient if late.size else 1.0
+        decays = trend < TREND_FLOOR
+        return replace(probe, established=not (decays or self.stop),
+                        trend=trend, note="bound decays across the window "
+                        "ladder" if decays else self.stop)
+
+    def decrescent(self, v_vals: np.ndarray) -> Probe:
+        """Is sup_t |V| dominated by a time-free quadratic?  The sup of
+        ``|V| / ||x||^2`` on a window may exceed the main window's by at
+        most ``GROWTH_LIMIT``."""
+        sup = float((np.abs(v_vals) / self.norms**2).max())
+        late = (np.abs(self.v) / self.norms[:len(self.X)]**2).max(
+            axis=0, initial=0.0)
+        growth = float(late.max()) / max(sup, float(np.finfo(float).tiny))
+        grows = growth > GROWTH_LIMIT
+        return Probe(not (grows or self.stop), 2, sup, growth,
+                     tuple(self.X[int(late.argmax())]) if len(self.v) else None,
+                     "sup_t V grows across the window ladder; no time-free "
+                     "upper bound" if grows else self.stop)
 
 
 def _scan(sys: SystemDef, v: CandidateV, radius: float, scan: ScanConfig,
@@ -423,47 +499,32 @@ def _above_floor(values: np.ndarray) -> bool:
     return bool(values.max() > 1e-9 * (1.0 + np.abs(values).max()))
 
 
-def _sign_test(d_vals: np.ndarray, fit) -> tuple[SignVerdict, Probe | None]:
+def _sign_test(d_vals: np.ndarray, fit,
+               late=None) -> tuple[SignVerdict, Probe | None]:
     """The sign of a rate D that should be <= 0: indefinite when some
     sample is above the floor, else negative definite with the margin
-    ``fit(-D)`` when it is established, else semidefinite."""
+    ``fit(-D, -late)`` (``late``: D on the ladder, if D depends on t) when
+    it is established, else semidefinite."""
     if _above_floor(d_vals):
         return SignVerdict.INDEFINITE, None
-    margin = fit(-d_vals)
+    margin = fit(-d_vals, None if late is None else -late)
     if margin.established:
         return SignVerdict.NEGATIVE_DEFINITE, margin
     return SignVerdict.NEGATIVE_SEMIDEFINITE, None
 
 
-def _fit_lower_bound(values: np.ndarray, norms: np.ndarray, T: np.ndarray,
-                     time_dep: bool, scan: ScanConfig, X: np.ndarray,
+def _fit_lower_bound(values: np.ndarray, norms: np.ndarray, X: np.ndarray,
                      exponents=(2, 4)) -> Probe:
-    """Fit values >= kappa * ||x||^p on samples, with margin and time trend."""
-    best: Probe | None = None
-    mid = scan.t0 + 0.5 * scan.time_span
+    """Fit values >= kappa * ||x||^p on the samples, with margin: the
+    first exponent whose least ratio keeps ``MARGIN`` of the median."""
     for p in exponents:
         ratios = values / norms**p
         kappa = float(ratios.min())
         # compare the worst ratio against the typical one: ratios can be
         # unbounded above near the origin, so the max is no reference
         typical = float(np.median(ratios))
-        if kappa <= 0.0 or typical <= 0.0 or kappa <= MARGIN * typical:
-            continue
-        trend = 1.0
-        if time_dep:
-            early = ratios[T <= mid]
-            late = ratios[T > mid]
-            if len(early) and len(late):
-                trend = float(late.min() / early.min()) if early.min() > 0 else 0.0
-        candidate = Probe(trend >= TREND_FLOOR, p, kappa, trend,
-                          tuple(X[int(ratios.argmin())]),
-                          "" if trend >= TREND_FLOOR else
-                          "bound decays across the time window")
-        if candidate.established:
-            return candidate
-        best = best or candidate
-    if best is not None:
-        return best
+        if kappa > 0.0 and typical > 0.0 and kappa > MARGIN * typical:
+            return Probe(True, p, kappa, 1.0, tuple(X[int(ratios.argmin())]))
     worst = int((values / norms**2).argmin())
     return Probe(False, None, None, 1.0, tuple(X[worst]),
                  "no sampled power bound with margin")
@@ -504,51 +565,32 @@ def _w3_quadratic_minors(n: int, vdot: ex.Expr,
     return tuple(float(m) for m in linalg.principal_minors(-0.5 * h))
 
 
-def _decrescent_probe(sys: SystemDef, v: CandidateV, radius: float,
-                      scan: ScanConfig) -> Probe:
-    """Is sup_t V(x, t) dominated by a time-free quadratic on the ball?"""
-    if not v.time_dependent:
-        return Probe(True, 2, None, 1.0, None, "time-invariant candidate")
-    X = ball_points(min(256, scan.points), sys.dimension, radius,
-                    exclude=1e-6 * radius)
-    times = scan.t0 + np.linspace(0.0, scan.time_span, scan.time_samples + 1)
-    mid = scan.t0 + 0.5 * scan.time_span
-    # the (t, x) grid, time-major: errors name the first time, then point
-    XG, TG = np.tile(X, (len(times), 1)), np.repeat(times, len(X))
-    vals = ex.strict_rows(lambda r: v.values(XG[r], TG[r]), len(TG),
-                          lambda k: _sample_label(XG[k], TG[k])
-                          ).reshape(len(times), len(X))
-    norms2 = np.einsum("ij,ij->i", X, X)
-    sup_all = np.abs(vals).max(axis=0)
-    coefficient = float((sup_all / norms2).max())
-    early = np.abs(vals[times <= mid]).max(axis=0)
-    late = np.abs(vals[times > mid]).max(axis=0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        growth = np.where(early > 0, late / np.maximum(early, 1e-300), 1.0)
-    worst = float(growth.max())
-    established = worst <= 1.2
-    note = "" if established else \
-        "sup_t V grows across the time window; no time-free upper bound"
-    return Probe(established, 2, coefficient, worst,
-                 tuple(X[int(growth.argmax())]), note)
-
-
 def _radial_probe(v: CandidateV, n: int, t0: float, radius: float) -> bool:
     """Does V grow without bound along rays out to radius 1e3?  A ray whose
     V grows and then leaves float range counts as unbounded."""
     dirs = sphere_directions(32, n)
     radii = np.array([max(radius, 1.0), 10.0, 100.0, 1000.0])
-    points = (dirs[:, None, :] * radii[:, None]).reshape(-1, n)
-    failed = np.zeros(len(points), dtype=bool)
-    try:
-        values = v.values(points, t0)
-    except DomainError:  # bisect only when some point fails
-        failed[list(ex.failing_rows(lambda r: v.values(points[r], t0),
-                                    len(points)))] = True
-        values = np.zeros(len(points))
-        values[~failed] = v.values(points[~failed], t0)
-    return _radial_verdict(values.reshape(len(dirs), -1),
-                           failed.reshape(len(dirs), -1))
+    points = dirs[:, None, :] * radii[:, None]  # (rays, radii, n)
+    failed = np.zeros(points.shape[:2], dtype=bool)
+    try:  # one call when no point fails
+        values = v.values(points.reshape(-1, n), t0).reshape(failed.shape)
+    except DomainError:  # radius by radius, on the rays not yet failed
+        values = np.zeros(failed.shape)
+        for j in range(len(radii)):
+            alive = np.flatnonzero(~failed.any(axis=1))
+            if not alive.size:
+                break
+            try:
+                values[alive, j] = v.values(points[alive, j], t0)
+            except DomainError:
+                if j < 2:  # a ray failing this early never grew
+                    return False
+                for i in alive:
+                    try:
+                        values[i, j] = v.values(points[i, j][None], t0)[0]
+                    except DomainError:
+                        failed[i, j] = True
+    return _radial_verdict(values, failed)
 
 
 def _radial_verdict(values: np.ndarray, failed: np.ndarray) -> bool:
@@ -569,45 +611,50 @@ def check_candidate(sys: SystemDef, v: CandidateV, radius: float = 1.0,
 
     Requires the origin to be an equilibrium and V(0, t) = 0.  The verdict
     ladder (stable / uniformly stable / uniformly asymptotically stable /
-    exponentially stable) follows the classical sufficient conditions:
-    sampled positive definiteness of V, the sign of Vdot along trajectories,
-    the decrescence probe, and a power-bound fit for the exponential upgrade.
-    Uniform labels are only used when the dynamics are time-dependent;
-    for autonomous systems uniformity is vacuous and the plain labels of the
+    exponentially stable) follows Khalil, *Nonlinear Systems*, Thms
+    4.8-4.10: sampled positive definiteness of V, the sign of Vdot along
+    trajectories, decrescence, and for the exponential rung V and -Vdot
+    fitted at exponent 2 with the exact ``w3_minors`` (-Vdot at 0 and t0)
+    all positive.  Each of these bounds that depends on t holds uniformly
+    only if it also holds on the window ladder (:meth:`_Ladder.read`, out
+    to t0 plus 1000 spans); a ladder that fails to evaluate is noted.  Uniform
+    labels are only used when the dynamics are time-dependent; for
+    autonomous systems uniformity is vacuous and the plain labels of the
     autonomous theory are reported.
     """
-    v_vals, vd_vals, norms, fit, vdot = _scan(sys, v, radius, scan, "t")
-    v_positive = fit(v_vals)
+    v_vals, vd_vals, fit, ladder, vdot = _scan(sys, v, radius, scan, "t")
+    timed = ladder if v.time_dependent else None
+    v_positive = fit(v_vals, None if timed is None else timed.v)
     notes: list[str] = []
-    if _time_dependent(sys, v):
+    if ladder is not None:
         notes.append("definiteness over unbounded t approximated on a "
                      f"finite window [{scan.t0}, {scan.t0 + scan.time_span}]")
-    vdot_verdict, vdot_margin = _sign_test(vd_vals, fit)
-
-    decrescent = _decrescent_probe(sys, v, radius, scan)
+        notes += [ladder.stop] * bool(ladder.stop)
+    vdot_verdict, vdot_margin = _sign_test(
+        vd_vals, fit, None if ladder is None else ladder.d)
+    decrescent = Probe(True, 2, None, 1.0, None, "time-invariant candidate") \
+        if timed is None else timed.decrescent(v_vals)
     radial = _radial_probe(v, sys.dimension, scan.t0, radius)
+    w3 = None
+    if vdot_verdict is SignVerdict.NEGATIVE_DEFINITE:
+        w3 = _w3_quadratic_minors(sys.dimension, vdot, scan.t0)
 
-    nonautonomous = not sys.is_autonomous()
     conclusion = Conclusion.NO_CONCLUSION
     if v_positive.established and vdot_verdict is not SignVerdict.INDEFINITE:
         if vdot_verdict is SignVerdict.NEGATIVE_SEMIDEFINITE:
             conclusion = (Conclusion.UNIFORMLY_STABLE
-                          if nonautonomous and decrescent.established
+                          if not sys.is_autonomous() and decrescent.established
                           else Conclusion.STABLE)
-        else:
+        elif not decrescent.established:
             # the asymptotic upgrade needs decrescence (automatic for a
             # time-free candidate); a negative derivative alone only pins
             # plain stability
-            if not decrescent.established:
-                conclusion = Conclusion.STABLE
-            else:
-                conclusion = Conclusion.UNIFORMLY_ASYMPTOTICALLY_STABLE
-                if _exponential_fit(v_vals, norms, vdot_margin):
-                    conclusion = Conclusion.EXPONENTIALLY_STABLE
-
-    w3 = None
-    if vdot_verdict is SignVerdict.NEGATIVE_DEFINITE:
-        w3 = _w3_quadratic_minors(sys.dimension, vdot, scan.t0)
+            conclusion = Conclusion.STABLE
+        elif v_positive.exponent == vdot_margin.exponent == 2 and w3 \
+                and min(w3) > 0.0:
+            conclusion = Conclusion.EXPONENTIALLY_STABLE
+        else:
+            conclusion = Conclusion.UNIFORMLY_ASYMPTOTICALLY_STABLE
 
     return LyapunovReport(
         conclusion=conclusion,
@@ -626,15 +673,6 @@ def check_candidate(sys: SystemDef, v: CandidateV, radius: float = 1.0,
         worst_vdot=float(vd_vals.max()),
         notes=tuple(notes),
     )
-
-
-def _exponential_fit(v_vals, norms, vdot_margin) -> bool:
-    """Power bounds K1 ||x||^2 <= V <= K2 ||x||^2 and Vdot <= -K3 ||x||^2."""
-    if vdot_margin is None or vdot_margin.exponent != 2:
-        return False
-    ratios = v_vals / norms**2
-    k1 = float(ratios.min())
-    return k1 > 0.0 and k1 > MARGIN * float(np.median(ratios))
 
 
 @dataclass(frozen=True)
@@ -657,13 +695,14 @@ def check_instability(sys: SystemDef, w: CandidateV, radius: float = 1.0,
     every one holds with margin.  The conditions are sufficient, not
     necessary: a False result does not certify stability.
     """
-    w_vals, wd_vals, _, fit, _ = _scan(sys, w, radius, scan, None)
+    w_vals, wd_vals, fit, ladder, _ = _scan(sys, w, radius, scan, None)
     times = np.linspace(scan.t0, scan.t0 + scan.time_span, 8)
     w_zero = bool(np.abs(_origin_values(w.values, sys.dimension,
                                         times)).max() <= 1e-9)
     w_nonneg = not _above_floor(-w_vals)
     w_nontrivial = _above_floor(w_vals)
-    wdot_pd = _sign_test(-wd_vals, fit)[0] is SignVerdict.NEGATIVE_DEFINITE
+    wdot_pd = _sign_test(-wd_vals, fit, None if ladder is None else
+                         -ladder.d)[0] is SignVerdict.NEGATIVE_DEFINITE
     return InstabilityReport(
         unstable=bool(w_zero and w_nonneg and w_nontrivial and wdot_pd),
         w_zero_at_origin=w_zero,

@@ -130,8 +130,17 @@ def coefficient_grid(entries, n: int, params: Mapping[str, float]):
         grid = _expr_grid(rows, set(params))
         if any(ex.reads_time(e, params) for row in grid for e in row):
             return grid
-        flat = ex.compile_vector([e for row in grid for e in row], params)
-        rows = np.reshape(flat((), 0.0), (n, n))
+        flat = [e for row in grid for e in row]
+        try:
+            rows = np.reshape(ex.compile_vector(flat, params)((), 0.0), (n, n))
+        except DomainError:  # the first failing entry, as its file spells it
+            for text, e in zip((v for row in rows for v in row), flat):
+                try:
+                    ex.compile_vector([e], params)((), 0.0)
+                except DomainError as exc:
+                    raise DomainError(f"coefficient entry {text!r}: "
+                                      f"{exc.reason}", e) from None
+            raise
     return _finite(rows, "coefficient entries")
 
 

@@ -223,6 +223,17 @@ def test_criterion_08_nonautonomous_definitions():
     early, late = time_to_tenth(0.0), time_to_tenth(9.0)
     c.expect(late > 5.0 * early,
              f"convergence times {early} vs {late}: ratio {late / early}")
+    # the candidate ladder reads the same: uniformly stable, no more, at
+    # every window, and a growing log(2 + t) factor is not decrescent
+    for window in ({}, {"t0": 1000.0}, {"time_span": 5000.0}):
+        rep = ly.check_candidate(slow, CandidateV("x1^2"),
+                                 scan=ly.ScanConfig(**window))
+        c.expect(rep.conclusion is ly.Conclusion.UNIFORMLY_STABLE,
+                 f"slowing_decay at {window}: {rep.conclusion.value}")
+    rep = ly.check_candidate(gallery_system("modulated_decay"),
+                             CandidateV("log(2 + t)*x1^2"))
+    c.expect(not rep.decrescent.established,
+             f"log(2 + t)*x1^2 reads decrescent: {rep.decrescent}")
 
     rep = ly.check_candidate(gallery_system("exponential_feedback"),
                              CandidateV("x1^2 + (1 + exp(-2*t))*x2^2"))

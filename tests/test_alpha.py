@@ -406,3 +406,24 @@ def test_constant_a0_grid_reads_as_constant_on_the_rate_route():
     assert got.p_kind == "constant"
     assert to_jsonable(got) == to_jsonable(al.certify(const, 0.1, route,
                                                       horizon=0.0))
+
+
+@pytest.mark.parametrize("scale", [10.0 ** k for k in range(-12, 13)])
+@pytest.mark.parametrize("low, psd", [(0.0, True), (-1e-10, True),
+                                      (-1e-8, False)])
+def test_constant_and_sampled_p_read_alike_at_every_scale(scale, low, psd):
+    # one band for both forms: 1e-9 of the Frobenius norm, on P rescaled
+    p = scale * np.diag([1.0, low])
+    sampled = al.SampledMatrixFunction(np.arange(3.0), np.stack([p] * 3))
+    assert al._p_semidefinite(p) is psd
+    assert al._p_semidefinite(sampled) is psd
+
+
+@pytest.mark.parametrize("p, psd", [(np.diag([1e3, -1e-7]), True),
+                                    (np.diag([1e-12, -1e-20]), False)])
+def test_sampled_p_has_no_absolute_floor(p, psd):
+    # an absolute -1e-9 floor read the first False and the second True
+    sampled = al.SampledMatrixFunction(np.arange(3.0), np.stack([p] * 3))
+    assert al._p_semidefinite(sampled) is al._p_semidefinite(p) is psd
+    assert linalg.semidefinite_nodes(np.stack([p, np.eye(2)])).tolist() == \
+        [psd, True]

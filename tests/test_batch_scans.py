@@ -170,8 +170,8 @@ def test_scan_evaluators_give_the_same_bits_on_a_row_major_copy():
                [sampling.column_norms(np.ascontiguousarray(H).T)])
     values = v.values(X, T)
     norms = sampling.column_norms(X.T)
-    assert ly._fit_lower_bound(values, norms, T, True, FAST_SCAN, X) == \
-        ly._fit_lower_bound(values, norms, T, True, FAST_SCAN, C)
+    assert ly._fit_lower_bound(values, norms, X) == \
+        ly._fit_lower_bound(values, norms, C)
     step = dc.DiscreteSystem(n, ("0.5*x1 + x2^2", "0.5*x2 - x3*x1",
                                  "0.25*sin(x3)", "x4*x5", "0.5*x5"))
     _same_bits(dc._batch_deltas(step, v, X, 0), dc._batch_deltas(step, v, C, 0))
@@ -340,26 +340,17 @@ def test_domain_error_parity_sylvester():
     _assert_names(got.value, k, f"x={tuple(x.tolist())}, t={float(t)!r}")
 
 
-def test_decrescence_probe_names_first_failing_time_then_point():
-    # log leaves its domain where t + 5 x1 >= 45: only late in the window,
-    # and from ever smaller x1 as t grows
-    v = CandidateV("(x1^2 + x2^2)*(1 + 0*log(45 - t - 5*x1))")
-    scan = ScanConfig(points=1024, time_samples=32)
-    X = ball_points(256, 2, 1.0, exclude=1e-6)
-    times = np.linspace(0.0, 50.0, 33)
-    rows = [(x, t) for t in times for x in X]  # time-major
-    k = _first_of_several(lambda x, t: oracle.value(v, x, t), rows)
-
-    def label(x, t):
-        return f"x={tuple(x.tolist())}, t={float(t)!r}"
-
-    point_major = [(x, t) for x in X for t in times]
-    j, _ = oracle.first_failure(lambda x, t: oracle.value(v, x, t),
-                                point_major)
-    assert label(*point_major[j]) != label(*rows[k])  # the order matters
-    with pytest.raises(DomainError) as got:
-        ly._decrescent_probe(gallery_system("cubic_damping"), v, 1.0, scan)
-    _assert_names(got.value, k, label(*rows[k]))
+def test_window_ladder_that_fails_to_evaluate_is_not_uniform():
+    # log leaves its domain past t = 100: inside the ladder, not the window
+    v = CandidateV("(x1^2 + x2^2)*(1 + 0*log(100 - t))")
+    rep = ly.check_candidate(gallery_system("cubic_damping"), v,
+                             scan=FAST_SCAN)
+    stop = ("the window ladder up to t=50000.0 fails to evaluate (invalid "
+            "value encountered in log): uniformity in t is not established")
+    assert rep.notes[1] == stop
+    assert not rep.v_positive.established and rep.v_positive.note == stop
+    assert not rep.decrescent.established and rep.decrescent.note == stop
+    assert rep.conclusion is ly.Conclusion.NO_CONCLUSION
 
 
 def test_overflowing_intermediate_raises_at_first_sample():
@@ -379,6 +370,20 @@ def test_radial_probe_counts_overflow_while_growing_as_unbounded():
     assert ly._radial_probe(CandidateV("exp(x1^2 + x2^2) - 1"), 2, 0.0, 1.0)
     # rays with x1 > 0.5 fail at the first radius: no growth seen
     assert not ly._radial_probe(CandidateV(FAILING), 2, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("expression, most, unbounded", [
+    ("x1^2 + x2^2", 1, True), ("exp(x1^2 + x2^2) - 1", 40, True),
+    (FAILING, 2, False)])
+def test_radial_probe_evaluates_radius_by_radius_only_on_failure(
+        monkeypatch, expression, most, unbounded):
+    v = CandidateV(expression)
+    calls = []
+    values = v.values
+    monkeypatch.setattr(v, "values", lambda X, t: calls.append(len(X))
+                        or values(X, t))
+    assert ly._radial_probe(v, 2, 0.0, 1.0) is unbounded
+    assert 1 <= len(calls) <= most and (most > 1 or calls == [128])
 
 
 _RAY_START = st.sampled_from([-1.0, -0.0, 0.0, 1e-13, 1e-12, 0.5, 1.0, 3.0])

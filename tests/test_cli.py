@@ -101,11 +101,27 @@ def test_lyapunov_empty_window_on_autonomous_problem_exits_0(capsys):
     assert rep["result"]["time_window"] == [0.0, 0.0]
 
 
+def test_lyapunov_window_ladder_past_float_range_exits_0(capsys):
+    # exp(t) overflows on the ladder: a time-free V keeps its own bounds,
+    # the Vdot margin is not read as uniform, and a note says why
+    rc, rep = run_cli(["lyapunov", "--system",
+                       gallery_file("growing_damping"), "--candidate",
+                       "x1^2 + x2^2"], capsys)
+    result = rep["result"]
+    assert rc == 0 and result["notes"][1] == (
+        "the window ladder up to t=50000.0 fails to evaluate (overflow "
+        "encountered in exp): uniformity in t is not established")
+    assert result["v_positive"]["established"]
+    assert result["decrescent"]["established"]
+    assert result["vdot_verdict"] == "negative-semidefinite"
+    assert result["conclusion"] == "uniformly-stable"
+
+
 @pytest.mark.parametrize("window", [["--t0", "1e150"],
                                     ["--t0", "1e17", "--tspan", "20"]],
                          ids=["span-below-ulp", "midpoint-on-end"])
 def test_lyapunov_window_lost_to_rounding_exits_2(capsys, window):
-    # the decrescence probe compares the window's halves: both must hold times
+    # a window that depends on t must keep its midpoint strictly inside
     rc = cli.run(["lyapunov", "--system",
                   str(gallery_file("exponential_feedback")), "--candidate",
                   "x1^2 + (1 + exp(-2*t))*x2^2"] + window)

@@ -526,6 +526,25 @@ def test_structure_helpers_walk_deep_trees_without_recursion():
     assert ex.max_state_index(e) == 7
 
 
+def test_repr_reads_like_the_dataclass_repr_at_any_depth():
+    assert repr(ex.parse("sin(x1) + -2*pow(x2, t)")) == (
+        "Binary(op='+', left=Call(func='sin', args=(Var(name='x1'),)), "
+        "right=Binary(op='*', left=Unary(op='-', child=Number(value=2.0)), "
+        "right=Call(func='pow', args=(Var(name='x2'), Var(name='t')))))")
+    assert repr(ex.Call("f", ())) == "Call(func='f', args=())"
+    chain = repr(ex.parse("+".join(["x1"] * 600)))
+    assert chain.count("Var(name='x1')") == 600
+    assert chain.startswith("Binary(op='+', left=Binary(op='+', left=")
+    e = ex.Var("t")
+    for i in range(5000):  # every node class, 5,000 levels
+        e = ex.Unary("-", e) if i % 2 else ex.Call("pow", (e, ex.Number(2.0)))
+    text = repr(e)
+    assert text.count("Call(func='pow', args=(") == 2500
+    assert text.count("Unary(op='-', child=") == 2500
+    assert text.startswith("Unary(op='-', child=Call(func='pow', args=(")
+    assert "Call(func='pow', args=(Var(name='t'), Number(value=2.0)))" in text
+
+
 @pytest.mark.parametrize("char", ["@", "é", ";", "="])
 @pytest.mark.parametrize("before", ["", "x1", "x1 +"])
 @pytest.mark.parametrize("space", ["", " ", " \t\n "])

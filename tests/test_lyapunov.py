@@ -123,6 +123,18 @@ def test_check_candidate_quartic_margin():
     assert rep.vdot_margin is not None and rep.vdot_margin.exponent == 4
 
 
+def test_exponential_rung_reads_the_exact_minors_not_the_samples():
+    # Vdot = -2 (x1^4 + 2 x2^4 + x3^4): no scan point of the 3-d ball comes
+    # close enough to the origin to show the quartic, so the sampled margin
+    # fits at exponent 2; the exact Hessian of -Vdot at 0 vanishes
+    sysd = SystemDef(3, Nonlinear(("x2 - x1^3", "-x1 + x3 - 2*x2^3",
+                                   "-x2 - x3^3")))
+    rep = ly.check_candidate(sysd, ly.CandidateV("x1^2 + x2^2 + x3^2"))
+    assert rep.vdot_margin.exponent == 2 and rep.v_positive.exponent == 2
+    assert rep.w3_minors == (0.0, 0.0, 0.0)
+    assert rep.conclusion is ly.Conclusion.UNIFORMLY_ASYMPTOTICALLY_STABLE
+
+
 def test_check_candidate_failing_candidate():
     sysd = gallery_system("uniform_growth")
     rep = ly.check_candidate(sysd, ly.CandidateV("x1^2 + x2^2"))

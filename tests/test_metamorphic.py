@@ -9,6 +9,8 @@ answer is known without computing it.
   ``c > 0`` gives the same ladder.
 * ``euler_discretize`` of ``x' = A x`` is the linear map ``I + T A``, so k
   steps of its orbit equal ``(I + T A)^k x0``.
+* A uniform-in-t verdict does not depend on the scan window's start or
+  length, and an autonomous verdict not on ``t0``.
 """
 
 import numpy as np
@@ -100,6 +102,42 @@ def test_candidate_verdicts_are_invariant_under_scaling(name, expression,
                               scan=SCAN)
     scaled = ly.CandidateV(f"{c!r}*({expression})", params=params)
     assert ladder(ly.check_candidate(system, scaled, scan=SCAN)) == ladder(want)
+
+
+# Uniformity in t is read on a ladder of windows out to 1000 spans past t0,
+# so it does not hinge on the window a scan starts from or on its length.
+# x' = -x/(1+t) converges, but neither uniformly nor exponentially: V = x1^2
+# supports "uniformly stable" and nothing stronger, at every window.
+@pytest.mark.parametrize("window", [{}, {"t0": 1000.0}, {"time_span": 5000.0}],
+                         ids=["default", "t0=1000", "tspan=5000"])
+def test_slowing_decay_reads_uniformly_stable_at_every_window(window):
+    report = ly.check_candidate(gallery_system("slowing_decay"),
+                                ly.CandidateV("x1^2"),
+                                scan=ly.ScanConfig(**window))
+    assert report.conclusion is ly.Conclusion.UNIFORMLY_STABLE
+    assert report.vdot_verdict is ly.SignVerdict.NEGATIVE_SEMIDEFINITE
+
+
+# log(2 + t) grows without bound: no time-free quadratic dominates it.  A
+# periodic factor only oscillates, and must not read as growth.
+@pytest.mark.parametrize("expression, decrescent", [
+    ("log(2 + t)*x1^2", False), ("(2 + sin(t))*x1^2", True)])
+def test_decrescence_tells_growth_from_oscillation(expression, decrescent):
+    report = ly.check_candidate(gallery_system("modulated_decay"),
+                                ly.CandidateV(expression), scan=SCAN)
+    assert report.decrescent.established is decrescent
+
+
+# An autonomous system with a time-free V does not know where t starts.
+@pytest.mark.parametrize("name,expression,params", [
+    case for case in CANDIDATES if gallery_system(case[0]).is_autonomous()])
+def test_autonomous_verdicts_do_not_depend_on_t0(name, expression, params):
+    def verdicts(t0):
+        return ladder(ly.check_candidate(
+            gallery_system(name), ly.CandidateV(expression, params=params),
+            scan=ly.ScanConfig(points=1024, t0=t0)))
+
+    assert verdicts(1000.0) == verdicts(0.0)
 
 
 WITNESSES = [("uniform_growth", "x1^2 + x2^2"), ("saddle", "x1^2"),

@@ -306,6 +306,16 @@ def test_coefficient_grid_keeps_varying_entries_as_expressions():
         odeint.coefficient_grid([["t"]], 1, {"t": 2.0})
 
 
+@pytest.mark.parametrize("entry, reason", [
+    ("exp(1000)", "math range error"), ("1/(1-1)", "division by zero"),
+    ("log(-k0)", "log of non-positive value -1.0")])
+def test_coefficient_grid_names_the_constant_entry_that_fails(entry, reason):
+    with pytest.raises(DomainError) as got:
+        odeint.coefficient_grid([["exp(-0.4)", 2], [entry, "exp(800)"]], 2,
+                                {"k0": 1.0})
+    assert str(got.value) == f"coefficient entry {entry!r}: {reason}"
+
+
 @pytest.mark.parametrize("entries", [
     [1.0, 2.0], 3.0, [[1.0, 2.0]], [["t", "0"]], np.zeros((2, 3)),
 ])
