@@ -27,6 +27,7 @@ from .lyapunov import (
     ScanConfig,
     SignVerdict,
     _direct_scan,
+    _fit_lower_bound,
     _sign_test,
 )
 from .odeint import (
@@ -182,13 +183,13 @@ def classify_discrete(sys: DiscreteSystem, v: CandidateV, radius: float = 0.3,
             raise NotAFixedPointError(
                 "update(0) != 0: origin is not a fixed point")
 
-    v_vals, d_vals, fit, _ = _direct_scan(
+    X, norms, v_vals, d_vals, _ = _direct_scan(
         v, sys.dimension, radius,
         ScanConfig(points=samples, t0=float(k0), time_span=0.0), False,
         fixed_point, lambda X, T: _batch_deltas(sys, v, X, k0),
         lambda t: f"k={k0}", "k")
-    v_positive = fit(v_vals)
-    verdict, margin = _sign_test(d_vals, fit)
+    v_positive = _fit_lower_bound(v_vals, norms, X)
+    verdict, margin = _sign_test(d_vals, norms, X)
     if not v_positive.established or verdict is SignVerdict.INDEFINITE:
         conclusion, margin = DiscreteConclusion.NO_CONCLUSION, None
     elif verdict is SignVerdict.NEGATIVE_DEFINITE:

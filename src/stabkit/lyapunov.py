@@ -14,7 +14,7 @@ one scan core: :func:`_direct_scan` checks the origin, samples ball points
 with Halton times and evaluates V with its rate (Vdot, or Delta V), and
 :func:`_sign_test` reads the rate's sign against the one sign floor.  A
 premise that must hold uniformly in t is read once more on the window
-ladder of :meth:`_Ladder.read` (Khalil, *Nonlinear Systems*, Def. 4.4).
+ladder of :func:`_ladder` (Khalil, *Nonlinear Systems*, Def. 4.4).
 
 The scans are evaluated in batches, ``BLOCK`` rows per call of a strict
 batch evaluator (:func:`~stabkit.expr.compile_expr_vec`, compiled once
@@ -36,7 +36,7 @@ domain of attraction.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -64,7 +64,7 @@ __all__ = [
 
 #: sampled-definiteness margin: min ratio must reach this fraction of the max
 MARGIN = 1e-4
-#: the window ladder (:class:`_Ladder`): on every window a lower bound keeps
+#: the window ladder (:func:`_ladder`): on every window a lower bound keeps
 #: ``TREND_FLOOR`` of its constant and sup |V| / ||x||^2 grows by at most
 #: ``GROWTH_LIMIT``; ``LADDER_DEPTH`` windows of ``LADDER_POINTS`` samples
 TREND_FLOOR, GROWTH_LIMIT = 0.5, 1.2
@@ -257,12 +257,10 @@ class ScanConfig:
 
     Raises :class:`InvalidArgumentError` unless ``t0`` is finite and
     ``time_span`` finite and non-negative; the scans also refuse an empty
-    window when the system or the candidate depends on t.  No scan reads
-    ``time_samples`` since the window ladder replaced the decrescence grid.
+    window when the system or the candidate depends on t.
     """
 
     points: int = 4096
-    time_samples: int = 32
     t0: float = 0.0
     time_span: float = 50.0
 
@@ -325,11 +323,13 @@ class Probe:
     """Outcome of one sampled bound fit.
 
     ``coefficient`` is the constant of a ``coefficient * ||x||^exponent``
-    bound fitted on the main window.  When the bound depends on t, ``trend``
-    reads it on the window ladder (:meth:`_Ladder.read`; else 1.0): a lower
-    bound's least constant there over ``coefficient`` (decaying below
-    ``TREND_FLOOR``), or decrescence's largest sup of ``|V|/||x||^2`` there
-    over the main window's (growing above ``GROWTH_LIMIT``).
+    bound: a lower bound's fitted on the main window, decrescence's the
+    largest ``|V|/||x||^2`` on the main window and the ladder.  When the
+    bound depends on t, ``trend`` reads it on the window ladder
+    (:func:`_ladder`; else 1.0): a lower bound's least constant there over
+    ``coefficient`` (decaying below ``TREND_FLOOR``), or decrescence's
+    largest ``|V|/||x||^2`` there over the main window's (growing above
+    ``GROWTH_LIMIT``).
     """
 
     established: bool
@@ -384,16 +384,16 @@ def _direct_scan(v: CandidateV, n: int, radius: float, scan: ScanConfig,
                  time_dep: bool, at_origin, evaluate, clock=_time_label,
                  zero: str | None = "t"):
     """The sampled scan of every direct-method ladder, continuous or
-    discrete: ``(V, D, fit, ladder)`` on the samples of :func:`_scan_points`.
+    discrete: ``(X, norms, V, D, ladder)`` on the samples ``X`` of
+    :func:`_scan_points`, with their norms.
 
     Checks come first: the sample count, the dimension, the window,
     ``at_origin()`` (the equilibrium or fixed-point check) and, unless
     ``zero`` is None, ``V(0, zero) = 0`` at 16 times of the window.  Then
     ``evaluate(X, T)`` gives V and its rate D (Vdot, or Delta V) under
     :func:`~stabkit.expr.strict_rows`, V first; ``clock`` labels a sample's
-    time.  ``ladder`` is :meth:`_Ladder.read` of ``evaluate`` if
-    ``time_dep``.  ``fit(values, late=None)`` is :func:`_fit_lower_bound`,
-    then :meth:`_Ladder.uniform` of ``late``, the values on the ladder.
+    time.  ``ladder`` is :func:`_ladder` of ``evaluate`` if ``time_dep``,
+    else ``(None, None, "")``.
     """
     _require_samples(scan.points)
     if v.max_state_index() > n:
@@ -411,75 +411,31 @@ def _direct_scan(v: CandidateV, n: int, radius: float, scan: ScanConfig,
         lambda r: evaluate(X[r], T[r]), len(X),
         lambda k: _sample_label(X[k], T[k], clock),
         prior=(lambda r: v.values(X[r], T[r]),))
-    norms = column_norms(X.T)
-    ladder = _Ladder.read(evaluate, X, T, norms, scan) if time_dep else None
-
-    def fit(values, late=None):
-        probe = _fit_lower_bound(values, norms, X)
-        return probe if late is None else ladder.uniform(probe, late)
-
-    return v_vals, d_vals, fit, ladder
+    return X, column_norms(X.T), v_vals, d_vals, \
+        _ladder(evaluate, X, T, scan) if time_dep else (None, None, "")
 
 
-@dataclass(frozen=True)
-class _Ladder:
-    """V and its rate D, ``(windows, points)``, at the first scan points
-    ``X`` (``norms``: of every scan point) on the ladder's windows; none,
-    when ``stop`` says why the ladder failed (else "")."""
-
-    X: np.ndarray
-    norms: np.ndarray
-    v: np.ndarray
-    d: np.ndarray
-    stop: str
-
-    @classmethod
-    def read(cls, evaluate, X, T, norms, scan: ScanConfig) -> "_Ladder":
-        """The windows ``[t0 + S(10^k - 1), t0 + S 10^k]``, k = 1 ..
-        ``LADDER_DEPTH``, after ``[t0, t0 + S]``: the first ``LADDER_POINTS``
-        samples, times moved, in one ``evaluate(X, T)``.  If some time
-        leaves float range or some row fails to evaluate, no window counts."""
-        m = min(LADDER_POINTS, len(X))
-        with np.errstate(over="ignore"):
-            times = (T[:m] + scan.time_span * (
-                10.0 ** np.arange(1, LADDER_DEPTH + 1) - 1.0)[:, None]).ravel()
-        try:
-            if not np.isfinite(times).all():
-                raise DomainError("its times leave float range")
-            v, d = evaluate(np.tile(X[:m], (LADDER_DEPTH, 1)), times)
-            return cls(X[:m], norms, v.reshape(-1, m), d.reshape(-1, m), "")
-        except DomainError as exc:
-            end = scan.t0 + scan.time_span * 10.0 ** LADDER_DEPTH
-            return cls(X[:m], norms, *[np.empty((0, m))] * 2, (
-                f"the window ladder up to t={end!r} fails to evaluate "
-                f"({exc.reason}): uniformity in t is not established"))
-
-    def uniform(self, probe: Probe, late: np.ndarray) -> Probe:
-        """``probe``, a lower bound fitted on the main window, at its
-        exponent on the ladder, where the values are ``late``: uniform in t
-        when it keeps ``TREND_FLOOR`` of its constant on every window."""
-        if not probe.established:
-            return probe
-        trend = float((late / self.norms[:len(self.X)]**probe.exponent).min()
-                      ) / probe.coefficient if late.size else 1.0
-        decays = trend < TREND_FLOOR
-        return replace(probe, established=not (decays or self.stop),
-                        trend=trend, note="bound decays across the window "
-                        "ladder" if decays else self.stop)
-
-    def decrescent(self, v_vals: np.ndarray) -> Probe:
-        """Is sup_t |V| dominated by a time-free quadratic?  The sup of
-        ``|V| / ||x||^2`` on a window may exceed the main window's by at
-        most ``GROWTH_LIMIT``."""
-        sup = float((np.abs(v_vals) / self.norms**2).max())
-        late = (np.abs(self.v) / self.norms[:len(self.X)]**2).max(
-            axis=0, initial=0.0)
-        growth = float(late.max()) / max(sup, float(np.finfo(float).tiny))
-        grows = growth > GROWTH_LIMIT
-        return Probe(not (grows or self.stop), 2, sup, growth,
-                     tuple(self.X[int(late.argmax())]) if len(self.v) else None,
-                     "sup_t V grows across the window ladder; no time-free "
-                     "upper bound" if grows else self.stop)
+def _ladder(evaluate, X, T, scan: ScanConfig):
+    """``(V, D, stop)``: V and its rate D, ``(windows, points)``, at the
+    first ``LADDER_POINTS`` samples with their times moved to the windows
+    ``[t0 + S(10^k - 1), t0 + S 10^k]``, k = 1 .. ``LADDER_DEPTH``, after
+    ``[t0, t0 + S]``, in one ``evaluate(X, T)``.  If some time leaves float
+    range or some row fails to evaluate, no window counts: V and D are
+    empty and the note ``stop`` says why (else it is "")."""
+    m = min(LADDER_POINTS, len(X))
+    with np.errstate(over="ignore"):
+        times = (T[:m] + scan.time_span * (
+            10.0 ** np.arange(1, LADDER_DEPTH + 1) - 1.0)[:, None]).ravel()
+    try:
+        if not np.isfinite(times).all():
+            raise DomainError("its times leave float range")
+        v, d = evaluate(np.tile(X[:m], (LADDER_DEPTH, 1)), times)
+        return v.reshape(-1, m), d.reshape(-1, m), ""
+    except DomainError as exc:
+        end = scan.t0 + scan.time_span * 10.0 ** LADDER_DEPTH
+        return np.empty((0, m)), np.empty((0, m)), (
+            f"the window ladder up to t={end!r} fails to evaluate "
+            f"({exc.reason}): uniformity in t is not established")
 
 
 def _scan(sys: SystemDef, v: CandidateV, radius: float, scan: ScanConfig,
@@ -499,35 +455,69 @@ def _above_floor(values: np.ndarray) -> bool:
     return bool(values.max() > 1e-9 * (1.0 + np.abs(values).max()))
 
 
-def _sign_test(d_vals: np.ndarray, fit,
-               late=None) -> tuple[SignVerdict, Probe | None]:
+def _sign_test(d_vals: np.ndarray, norms: np.ndarray, X: np.ndarray,
+               late=None, stop: str = "") -> tuple[SignVerdict, Probe | None]:
     """The sign of a rate D that should be <= 0: indefinite when some
-    sample is above the floor, else negative definite with the margin
-    ``fit(-D, -late)`` (``late``: D on the ladder, if D depends on t) when
-    it is established, else semidefinite."""
-    if _above_floor(d_vals):
+    sample is above the floor, of the main window or, if D depends on t, of
+    the window ladder (``late``: D there), else negative definite with the
+    margin :func:`_fit_lower_bound` of -D when it is established, else
+    semidefinite."""
+    if any(_above_floor(d) for d in (d_vals, late)
+           if d is not None and d.size):
         return SignVerdict.INDEFINITE, None
-    margin = fit(-d_vals, None if late is None else -late)
+    margin = _fit_lower_bound(-d_vals, norms, X,
+                              None if late is None else -late, stop)
     if margin.established:
         return SignVerdict.NEGATIVE_DEFINITE, margin
     return SignVerdict.NEGATIVE_SEMIDEFINITE, None
 
 
 def _fit_lower_bound(values: np.ndarray, norms: np.ndarray, X: np.ndarray,
-                     exponents=(2, 4)) -> Probe:
-    """Fit values >= kappa * ||x||^p on the samples, with margin: the
-    first exponent whose least ratio keeps ``MARGIN`` of the median."""
-    for p in exponents:
+                     late=None, stop: str = "") -> Probe:
+    """Fit values >= kappa * ||x||^p on the samples, with margin: the first
+    exponent p of (2, 4) whose least ratio keeps ``MARGIN`` of the median
+    and, for a bound that depends on t, whose least ratio on the window
+    ladder (``late``: the values there; ``trend``: that ratio over kappa)
+    keeps ``TREND_FLOOR``.  A ladder that failed (``stop``, its note)
+    establishes no such bound."""
+    held = None
+    for p in (2, 4):
         ratios = values / norms**p
         kappa = float(ratios.min())
         # compare the worst ratio against the typical one: ratios can be
         # unbounded above near the origin, so the max is no reference
         typical = float(np.median(ratios))
-        if kappa > 0.0 and typical > 0.0 and kappa > MARGIN * typical:
-            return Probe(True, p, kappa, 1.0, tuple(X[int(ratios.argmin())]))
+        if not (kappa > 0.0 and typical > 0.0 and kappa > MARGIN * typical):
+            continue
+        trend = 1.0 if late is None or stop else float(
+            (late / norms[:late.shape[1]]**p).min()) / kappa
+        note = "" if late is None else stop or (
+            "bound decays across the window ladder" if trend < TREND_FLOOR
+            else "")
+        probe = Probe(not note, p, kappa, trend,
+                      tuple(X[int(ratios.argmin())]), note)
+        if probe.established:
+            return probe
+        held = held or probe
     worst = int((values / norms**2).argmin())
-    return Probe(False, None, None, 1.0, tuple(X[worst]),
-                 "no sampled power bound with margin")
+    return held or Probe(False, None, None, 1.0, tuple(X[worst]),
+                         "no sampled power bound with margin")
+
+
+def _decrescent(v_vals: np.ndarray, norms: np.ndarray, X: np.ndarray,
+                late: np.ndarray, stop: str) -> Probe:
+    """Is sup_t |V| dominated by a time-free quadratic?  The largest
+    ``|V| / ||x||^2`` on the window ladder (``late``: V there) may exceed
+    the main window's by at most ``GROWTH_LIMIT``."""
+    main = np.abs(v_vals) / norms**2
+    top = (np.abs(late) / norms[:late.shape[1]]**2).max(axis=0, initial=0.0)
+    growth = float(top.max()) / max(float(main.max()), np.finfo(float).tiny)
+    grows = growth > GROWTH_LIMIT
+    top = main if growth <= 1.0 else top  # where the largest ratio lies
+    return Probe(not (grows or stop), 2, float(top.max()), growth,
+                 tuple(X[int(top.argmax())]), stop or (
+                     "sup_t V grows across the window ladder; no time-free "
+                     "upper bound" if grows else ""))
 
 
 def _origin_values(fn, n: int, times: np.ndarray,
@@ -567,29 +557,31 @@ def _w3_quadratic_minors(n: int, vdot: ex.Expr,
 
 def _radial_probe(v: CandidateV, n: int, t0: float, radius: float) -> bool:
     """Does V grow without bound along rays out to radius 1e3?  A ray whose
-    V grows and then leaves float range counts as unbounded."""
+    V grows and then leaves float range counts as unbounded.  One call when
+    no point fails; else radius by radius over the rays not yet failed, and
+    ray by ray at a radius whose call fails."""
     dirs = sphere_directions(32, n)
     radii = np.array([max(radius, 1.0), 10.0, 100.0, 1000.0])
     points = dirs[:, None, :] * radii[:, None]  # (rays, radii, n)
     failed = np.zeros(points.shape[:2], dtype=bool)
-    try:  # one call when no point fails
-        values = v.values(points.reshape(-1, n), t0).reshape(failed.shape)
-    except DomainError:  # radius by radius, on the rays not yet failed
+    try:
+        return _radial_verdict(v.values(points.reshape(-1, n), t0).reshape(
+            failed.shape), failed)
+    except DomainError:
         values = np.zeros(failed.shape)
-        for j in range(len(radii)):
-            alive = np.flatnonzero(~failed.any(axis=1))
-            if not alive.size:
-                break
+    for j in range(len(radii)):
+        alive = np.flatnonzero(~failed.any(axis=1))
+        try:
+            values[alive, j] = v.values(points[alive, j], t0)
+            continue
+        except DomainError:
+            if j < 2:  # a ray failing this early never grew
+                return False
+        for i in alive:
             try:
-                values[alive, j] = v.values(points[alive, j], t0)
+                values[i, j] = v.values(points[i, j][None], t0)[0]
             except DomainError:
-                if j < 2:  # a ray failing this early never grew
-                    return False
-                for i in alive:
-                    try:
-                        values[i, j] = v.values(points[i, j][None], t0)[0]
-                    except DomainError:
-                        failed[i, j] = True
+                failed[i, j] = True
     return _radial_verdict(values, failed)
 
 
@@ -616,24 +608,22 @@ def check_candidate(sys: SystemDef, v: CandidateV, radius: float = 1.0,
     trajectories, decrescence, and for the exponential rung V and -Vdot
     fitted at exponent 2 with the exact ``w3_minors`` (-Vdot at 0 and t0)
     all positive.  Each of these bounds that depends on t holds uniformly
-    only if it also holds on the window ladder (:meth:`_Ladder.read`, out
-    to t0 plus 1000 spans); a ladder that fails to evaluate is noted.  Uniform
-    labels are only used when the dynamics are time-dependent; for
-    autonomous systems uniformity is vacuous and the plain labels of the
-    autonomous theory are reported.
+    only if it also holds on the window ladder (:func:`_ladder`, out to t0
+    plus 1000 spans), where Vdot must not be positive either; a ladder
+    that fails to evaluate is noted.  Uniform labels are only used when the
+    dynamics are time-dependent; for autonomous systems uniformity is
+    vacuous and the plain labels of the autonomous theory are reported.
     """
-    v_vals, vd_vals, fit, ladder, vdot = _scan(sys, v, radius, scan, "t")
-    timed = ladder if v.time_dependent else None
-    v_positive = fit(v_vals, None if timed is None else timed.v)
-    notes: list[str] = []
-    if ladder is not None:
-        notes.append("definiteness over unbounded t approximated on a "
-                     f"finite window [{scan.t0}, {scan.t0 + scan.time_span}]")
-        notes += [ladder.stop] * bool(ladder.stop)
-    vdot_verdict, vdot_margin = _sign_test(
-        vd_vals, fit, None if ladder is None else ladder.d)
+    X, norms, v_vals, vd_vals, (late_v, late_d, stop), vdot = _scan(
+        sys, v, radius, scan, "t")
+    late_v = late_v if v.time_dependent else None
+    v_positive = _fit_lower_bound(v_vals, norms, X, late_v, stop)
+    notes = [] if late_d is None else [
+        "definiteness over unbounded t approximated on a finite window "
+        f"[{scan.t0}, {scan.t0 + scan.time_span}]", *[stop] * bool(stop)]
+    vdot_verdict, vdot_margin = _sign_test(vd_vals, norms, X, late_d, stop)
     decrescent = Probe(True, 2, None, 1.0, None, "time-invariant candidate") \
-        if timed is None else timed.decrescent(v_vals)
+        if late_v is None else _decrescent(v_vals, norms, X, late_v, stop)
     radial = _radial_probe(v, sys.dimension, scan.t0, radius)
     w3 = None
     if vdot_verdict is SignVerdict.NEGATIVE_DEFINITE:
@@ -695,14 +685,15 @@ def check_instability(sys: SystemDef, w: CandidateV, radius: float = 1.0,
     every one holds with margin.  The conditions are sufficient, not
     necessary: a False result does not certify stability.
     """
-    w_vals, wd_vals, fit, ladder, _ = _scan(sys, w, radius, scan, None)
+    X, norms, w_vals, wd_vals, (_, late_d, stop), _ = _scan(
+        sys, w, radius, scan, None)
     times = np.linspace(scan.t0, scan.t0 + scan.time_span, 8)
     w_zero = bool(np.abs(_origin_values(w.values, sys.dimension,
                                         times)).max() <= 1e-9)
     w_nonneg = not _above_floor(-w_vals)
     w_nontrivial = _above_floor(w_vals)
-    wdot_pd = _sign_test(-wd_vals, fit, None if ladder is None else
-                         -ladder.d)[0] is SignVerdict.NEGATIVE_DEFINITE
+    wdot_pd = _sign_test(-wd_vals, norms, X, None if late_d is None else
+                         -late_d, stop)[0] is SignVerdict.NEGATIVE_DEFINITE
     return InstabilityReport(
         unstable=bool(w_zero and w_nonneg and w_nontrivial and wdot_pd),
         w_zero_at_origin=w_zero,

@@ -23,7 +23,7 @@ from stabkit.lyapunov import CandidateV, ScanConfig
 from stabkit.schema import to_jsonable
 from conftest import gallery_doc, gallery_system
 
-FAST_SCAN = ScanConfig(points=1024, time_samples=16)
+FAST_SCAN = ScanConfig(points=1024)
 
 
 def _classify(name: str) -> dict:

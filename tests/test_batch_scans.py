@@ -26,7 +26,7 @@ import scalar_oracle as oracle
 from conftest import deadline, gallery_system
 from golden_helpers import compare
 
-FAST_SCAN = ScanConfig(points=1024, time_samples=16)
+FAST_SCAN = ScanConfig(points=1024)
 EPS = np.finfo(float).eps
 PRIMES = oracle.PRIMES
 

@@ -367,7 +367,7 @@ def test_cubic_chain_scan_calls_no_libm_cube(monkeypatch):
 
     monkeypatch.setattr(np, "power", spy)
     report = ly.check_candidate(chain, ly.CandidateV("x1^2 + x2^2 + x3^2"),
-                                scan=ly.ScanConfig(points=1024, time_samples=4))
+                                scan=ly.ScanConfig(points=1024))
     assert report.vdot_verdict is ly.SignVerdict.NEGATIVE_DEFINITE
     assert exponents and not any(
         isinstance(b, float) and b == 3.0 for b in exponents)

@@ -135,6 +135,29 @@ def test_exponential_rung_reads_the_exact_minors_not_the_samples():
     assert rep.conclusion is ly.Conclusion.UNIFORMLY_ASYMPTOTICALLY_STABLE
 
 
+def test_rate_positive_on_the_window_ladder_proves_nothing():
+    # x' = x (t - 100)/100 decays on [0, 50] and grows after t = 100: Vdot
+    # of x1^2 is positive on the ladder, as -Wdot is for x' = x (100 - t)/100
+    def system(field):
+        return SystemDef(1, Nonlinear((field,)))
+
+    rep = ly.check_candidate(system("x1*(t - 100)/100"), ly.CandidateV("x1^2"))
+    assert rep.vdot_verdict is ly.SignVerdict.INDEFINITE
+    assert rep.conclusion is ly.Conclusion.NO_CONCLUSION
+    witness = ly.check_instability(system("x1*(100 - t)/100"),
+                                   ly.CandidateV("x1^2"))
+    assert not witness.wdot_positive_definite and not witness.unstable
+
+
+def test_margin_takes_the_first_exponent_that_holds_on_the_ladder():
+    # -Vdot = 2 x^2/(1 + t) + 2 x^4: the quadratic part decays in t, the
+    # quartic one holds uniformly
+    sysd = SystemDef(1, Nonlinear(("-x1/(1 + t) - x1^3",)))
+    rep = ly.check_candidate(sysd, ly.CandidateV("x1^2"))
+    assert rep.vdot_margin.exponent == 4 and rep.vdot_margin.trend >= 0.5
+    assert rep.conclusion is ly.Conclusion.UNIFORMLY_ASYMPTOTICALLY_STABLE
+
+
 def test_check_candidate_failing_candidate():
     sysd = gallery_system("uniform_growth")
     rep = ly.check_candidate(sysd, ly.CandidateV("x1^2 + x2^2"))

@@ -65,7 +65,7 @@ CANDIDATES = [
     ("uniform_growth", "x1^2 + x2^2", {}),
     ("vanderpol", "x1^2 + x2^2", {}),
 ]
-SCAN = ly.ScanConfig(points=1024, time_samples=16)
+SCAN = ly.ScanConfig(points=1024)
 
 
 def ladder(report: ly.LyapunovReport) -> tuple:
