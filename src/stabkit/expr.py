@@ -43,7 +43,7 @@ __all__ = [
     "Number", "Var", "Unary", "Binary", "Call", "Expr",
     "parse", "to_string", "free_vars", "reads_time", "substitute", "bind",
     "fold", "total", "derivative", "compile_vector", "compile_expr",
-    "compile_expr_vec", "strict_rows", "failing_rows", "FUNCTIONS",
+    "compile_expr_vec", "hessian", "strict_rows", "failing_rows", "FUNCTIONS",
 ]
 
 # function name -> arity
@@ -466,10 +466,11 @@ def _chains(op: str, left: Expr) -> bool:
 
 
 def _codegen(e: Expr, params: Mapping[str, float], state: str = "x[{}]",
-             bare: bool = False) -> str:
-    """Python code for ``e``; ``state.format(i)`` spells ``x{i + 1}``."""
+             bare: bool = False, literal: str = "{!r}") -> str:
+    """Python code for ``e``; ``state.format(i)`` spells ``x{i + 1}`` and
+    ``literal.format(c)`` a number ``c`` of the tree."""
     if isinstance(e, Number):
-        return repr(e.value)
+        return literal.format(e.value)
     if isinstance(e, Var):
         if e.name == "t":
             return "t"
@@ -477,22 +478,23 @@ def _codegen(e: Expr, params: Mapping[str, float], state: str = "x[{}]",
         if m:
             return state.format(int(m.group(1)) - 1)
         if e.name in params:
-            return repr(float(params[e.name]))
+            return literal.format(float(params[e.name]))
         if e.name == "k":  # discrete orbit index rides the time slot
             return "t"
         raise UnboundVariableError(e.name)
     if isinstance(e, Unary):
-        return f"(-{_codegen(e.child, params, state)})"
+        return f"(-{_codegen(e.child, params, state, literal=literal)})"
     if isinstance(e, Binary):
-        a = _codegen(e.left, params, state, _chains(e.op, e.left))
-        b = _codegen(e.right, params, state)
+        a = _codegen(e.left, params, state, _chains(e.op, e.left), literal)
+        b = _codegen(e.right, params, state, literal=literal)
         if e.op == "^":
             return f"_pow({a}, {b})"
         if e.op == "/":
             return f"_div({a}, {b})"
         return f"{a} {e.op} {b}" if bare else f"({a} {e.op} {b})"
     if isinstance(e, Call):
-        args = ", ".join(_codegen(a, params, state) for a in e.args)
+        args = ", ".join(_codegen(a, params, state, literal=literal)
+                         for a in e.args)
         return f"_{e.func}({args})"
     raise TypeError(f"not an expression node: {e!r}")
 
@@ -659,6 +661,260 @@ def _derive(e: Expr, name: str, memo: dict) -> Expr:
     return d
 
 
+# --- second-order jets ------------------------------------------------------------
+
+class _Lit(float):
+    """A number of the tree in the jet form.  ``fold`` tells a ``Number``
+    from a subtree of the same value: a literal 0 factor drops the other's
+    derivative, a literal exponent 0 or 1 folds the power's, and a literal
+    factor keeps the derivatives of an affine term numbers."""
+
+    __slots__ = ()
+
+
+def _plus(p, q):
+    """``p + q`` of Hessians, None standing for a structural 0."""
+    return q if p is None else p if q is None else p + q
+
+
+def _minus(p, q):
+    """``p - q`` of Hessians, None standing for a structural 0."""
+    return p if q is None else -q if p is None else p - q
+
+
+def _times(h, c):
+    """``h * c`` of a Hessian, None standing for a structural 0."""
+    return None if h is None else h * c
+
+
+class _Jet:
+    """A value ``v`` with its gradient ``g`` (n,) and Hessian ``h`` (n, n)
+    at one point, ``h[i, j]`` the derivative by ``x_j`` of the one by
+    ``x_i``: the rules of :func:`_derive` twice over, on numbers and in
+    the order of operations of the derivative trees.  Where those trees
+    ``fold`` to 0, the jet has structural zeros: a subtree whose first
+    derivatives fold to 0 (no state variable, a literal 0 factor, a
+    literal exponent 0, ``x1 - x1``) is a float, one whose second do has
+    ``h`` None, and ``affine`` marks first derivatives that fold to
+    numbers.  Nothing raises: where a derivative tree would fail, the
+    jet's entries are NaN, and they spread as the failure would."""
+
+    __slots__ = ("v", "g", "h", "affine")
+
+    def __init__(self, v: float, g: np.ndarray, h: np.ndarray | None,
+                 affine: bool = False):
+        self.v, self.g, self.h, self.affine = v, g, h, affine
+
+    def __add__(a, b):
+        if b.__class__ is _Jet:
+            return _sum(a.v + b.v, a.g + b.g, _plus(a.h, b.h),
+                        a.affine and b.affine)
+        return _Jet(a.v + b, a.g, a.h, a.affine)
+
+    def __radd__(a, b):
+        return _Jet(b + a.v, a.g, a.h, a.affine)
+
+    def __sub__(a, b):
+        if b.__class__ is _Jet:
+            return _sum(a.v - b.v, a.g - b.g, _minus(a.h, b.h),
+                        a.affine and b.affine)
+        return _Jet(a.v - b, a.g, a.h, a.affine)
+
+    def __rsub__(a, b):
+        return _Jet(b - a.v, -a.g, _minus(None, a.h), a.affine)
+
+    def __neg__(a):
+        return _Jet(-a.v, -a.g, _minus(None, a.h), a.affine)
+
+    def __mul__(a, b):
+        if b.__class__ is _Jet:  # (a'' b + b' a') + (b'' a + a' b')
+            return _Jet(a.v * b.v, a.g * b.v + b.g * a.v, _plus(
+                _times(a.h, b.v), np.outer(a.g, b.g)) + _plus(
+                _times(b.h, a.v), np.outer(b.g, a.g)))
+        if b.__class__ is _Lit and b == 0.0:  # the value stays
+            return a.v * b
+        return _Jet(a.v * b, a.g * b, _times(a.h, b),
+                    a.affine and b.__class__ is _Lit)
+
+    __rmul__ = __mul__
+
+
+def _sum(v: float, g: np.ndarray, h, affine: bool):
+    """The sum or difference of two jets, a float where the derivatives of
+    affine terms fold to 0."""
+    return v if affine and not g.any() else _Jet(v, g, h, affine)
+
+
+_FAILS = (ValueError, OverflowError, ZeroDivisionError, DomainError)
+
+
+def _or_nan(f, *args) -> float:
+    """``f(*args)`` on floats, NaN where it fails."""
+    try:
+        return f(*args)
+    except _FAILS:
+        return math.nan
+
+
+def _undefined(a: _Jet, v: float = math.nan) -> _Jet:
+    """A jet of value ``v`` whose derivatives fail, shaped as ``a``."""
+    n = len(a.g)
+    return _Jet(v, np.full(n, math.nan), np.full((n, n), math.nan))
+
+
+def _unary(scalar):
+    """A function of the jet form: ``scalar`` on a float, NaN where it
+    fails; on a jet, the decorated rule of the jet and its value, with NaN
+    derivatives where the rule fails or the jet's value is not finite."""
+    def wrap(rule):
+        def f(a):
+            if a.__class__ is not _Jet:
+                return _or_nan(scalar, a)
+            v = _or_nan(scalar, a.v)
+            try:
+                if a.v - a.v == 0.0:
+                    return rule(a, v)
+            except _FAILS:
+                pass
+            return _undefined(a, v)
+        return f
+    return wrap
+
+
+def _chain(a: _Jet, v: float, d1: float, d2: np.ndarray) -> _Jet:
+    """``f(a)`` from ``v = f(a.v)``, ``d1 = f'(a.v)`` and ``d2`` the
+    gradient of the tree ``f'(a)``: ``g = a' f'``, ``h = a'' f' + a' d2``."""
+    return _Jet(v, a.g * d1, _plus(_times(a.h, d1), np.outer(a.g, d2)))
+
+
+@_unary(math.sin)
+def _jet_sin(a, v):
+    return _chain(a, v, math.cos(a.v), a.g * -v)
+
+
+@_unary(math.cos)
+def _jet_cos(a, v):
+    return _chain(a, v, -math.sin(a.v), -(a.g * v))
+
+
+@_unary(math.tan)
+def _jet_tan(a, v):
+    d1 = 1.0 + math.pow(v, 2.0)
+    return _chain(a, v, d1, a.g * d1 * (2.0 * v))
+
+
+@_unary(_checked_exp)
+def _jet_exp(a, v):
+    return _chain(a, v, v, a.g * v)
+
+
+@_unary(_checked_log)
+def _jet_log(a, v):  # the derivatives divide by a, not by log(a)
+    g = a.g / a.v
+    return _Jet(v, g, _minus(a.h, np.outer(g, a.g)) / a.v)
+
+
+@_unary(_checked_sqrt)
+def _jet_sqrt(a, v):  # at 0, 0.5 / sqrt(a) divides by 0
+    d1 = 0.5 / v
+    return _chain(a, v, d1, -(a.g * d1 * d1) / v)
+
+
+@_unary(abs)
+def _jet_abs(a, v):  # at 0, a / abs(a) divides by 0
+    d1 = a.v / v
+    return _chain(a, v, d1, (a.g - a.g * d1 * d1) / v)
+
+
+def _jet_div(a, b):
+    if b.__class__ is not _Jet:
+        if a.__class__ is not _Jet:
+            return _or_nan(_checked_div, a, b)
+        return _Jet(_or_nan(_checked_div, a.v, b), a.g / b,
+                    None if a.h is None else a.h / b,
+                    a.affine and b.__class__ is _Lit and b == 1.0)
+    if b.v == 0.0 or b.v - b.v:
+        return _undefined(b)
+    v = getattr(a, "v", a) / b.v
+    g = (getattr(a, "g", 0.0) - b.g * v) / b.v
+    top = _minus(getattr(a, "h", None), _plus(_times(b.h, v),
+                                              np.outer(b.g, g)))
+    return _Jet(v, g, (top - np.outer(g, b.g)) / b.v)
+
+
+def _fold_pow(a: float, b: float) -> float:
+    """``a^b`` as ``fold`` builds it: ``a`` itself at b = 1."""
+    return a if b == 1.0 else _checked_pow(a, b)
+
+
+def _jet_pow(a, b):
+    if b.__class__ is not _Jet:  # b a^(b - 1) a', as in _derive
+        if a.__class__ is not _Jet or b.__class__ is _Lit and b == 0.0:
+            return _or_nan(_checked_pow, getattr(a, "v", a), b)
+        v = _or_nan(_checked_pow, a.v, b)
+        d1 = b * _or_nan(_fold_pow, a.v, b - 1.0)
+        if b.__class__ is _Lit and b == 1.0:  # d(a^0) folds to 0
+            return _Jet(v, a.g * d1, _times(a.h, d1))
+        try:  # at b = 2, d1 is the tree 2*a
+            d2 = a.g * (1.0 if b == 2.0 else
+                        (b - 1.0) * _fold_pow(a.v, b - 2.0)) * b
+        except _FAILS:
+            return _undefined(a, v)
+        return _chain(a, v, d1, d2)
+    base = getattr(a, "v", a)
+    v = _or_nan(_checked_pow, base, b.v)
+    try:  # (b' log a + a' b / a) a^b: a > 0
+        log = _checked_log(base)
+    except _FAILS:
+        return _undefined(b, v)
+    s, ds = b.g * log, _times(b.h, log)
+    if a.__class__ is _Jet:
+        r = b.v / base
+        s = s + a.g * r
+        ds = _plus(ds, np.outer(b.g, a.g / base)) + _plus(
+            _times(a.h, r), np.outer(a.g, (b.g - a.g * r) / base))
+    g = s * v
+    return _Jet(v, g, _plus(_times(ds, v), np.outer(s, g)))
+
+
+_JET_NS = {
+    "_sin": _jet_sin, "_cos": _jet_cos, "_tan": _jet_tan, "_exp": _jet_exp,
+    "_log": _jet_log, "_sqrt": _jet_sqrt, "_abs": _jet_abs,
+    "_pow": _jet_pow, "_div": _jet_div, "_lit": _Lit, "_ERRORS": (),
+    "_finite": lambda a: getattr(a, "h", None) is None
+    or bool(np.isfinite(a.h).all()),
+}
+_NAMESPACES = {"batch": _BATCH_NS, "jet": _JET_NS}  # else _SCALAR_NS
+
+
+def hessian(e: Expr, x: Sequence[float], t: float) -> np.ndarray:
+    """The Hessian of ``e`` at the state ``x`` and time ``t``, exact: one
+    run of its scalar code on second-order jets (forward mode; Griewank &
+    Walther, *Evaluating Derivatives*, 2008, ch. 13), the "jet" form of
+    :func:`_generate`.  No derivative tree is built.
+
+    Entry (i, j), i <= j, is what ``derivative(derivative(e, x_i), x_j)``
+    evaluates to there, mirrored below the diagonal, and
+    :class:`DomainError` is raised where one of those trees would raise:
+    ``abs`` and ``sqrt`` of a term in x at 0, a power whose exponent varies
+    at a base <= 0, an invalid operand, a non-finite entry.  What ``fold``
+    drops from those trees drops here too, with its errors: a literal 0
+    factor, a term without derivatives that is only added, the second
+    derivatives of an affine term.
+    """
+    n = len(x)
+    eye = np.eye(n)
+    seeds = [_Jet(float(c), eye[i], None, True) for i, c in enumerate(x)]
+    with np.errstate(all="ignore"):
+        out = _generate((e,), None, "jet")(seeds, t)[0]
+    if getattr(out, "h", None) is None:
+        return np.zeros((n, n))
+    rows, cols = np.triu_indices(n)
+    h = out.h.copy()
+    h[cols, rows] = h[rows, cols]
+    return h
+
+
 def _generate(exprs: Sequence[Expr], params: Mapping[str, float] | None,
               form: str = "scalar"):
     """The trees in order, as ``f(x, t) -> list``; with ``form`` "batch", as
@@ -666,16 +922,19 @@ def _generate(exprs: Sequence[Expr], params: Mapping[str, float] | None,
     ``f(x, t0, h, lo, hi, dt, rows)`` of ``x' = f(x, t)``: steps ``lo`` to
     ``hi - 1`` of ``dt`` from ``x``, step ``k`` from ``t0 + k*h``, each new
     state appended to ``rows``, the four stages inline on the components as
-    locals in ``odeint._rk4``'s arithmetic.  The first failure raises."""
+    locals in ``odeint._rk4``'s arithmetic; with "jet", as the scalar form
+    on a list ``x`` of second-order jets (see :func:`hessian`), where only
+    a non-finite Hessian fails.  The first failure raises."""
     exprs, params = tuple(exprs), dict(params or {})
-    bad = "not _finite({0})" if form == "batch" else "{0} - {0}"  # inf, nan
+    bad = "{0} - {0}" if form in ("scalar", "rk4") else "not _finite({0})"
+    literal = "_lit({!r})" if form == "jet" else "{!r}"  # see _Lit
 
     def each(line: str, pad: str = "\n    ") -> str:  # one per component
         return "".join(pad + line.format(i) for i in range(len(exprs)))
 
     def stage(slot: str, state: str = "x[{}]") -> str:  # each tree, checked
         return "".join(f"\n    try:\n        {slot.format(i)} = "
-                       f"{_codegen(e, params, state)}"
+                       f"{_codegen(e, params, state, literal=literal)}"
                        f"\n    except _ERRORS as exc:\n        _fail(exc, {i})"
                        f"\n    if {bad.format(slot.format(i))}:"
                        f"\n        _fail(None, {i})" for i, e in enumerate(exprs))
@@ -701,13 +960,13 @@ def _generate(exprs: Sequence[Expr], params: Mapping[str, float] | None,
         raise DomainError(str(exc or "non-finite evaluation result"),
                           exprs[i]) from None
 
-    namespace = dict(_BATCH_NS if form == "batch" else _SCALAR_NS, _fail=fail,
+    namespace = dict(_NAMESPACES.get(form, _SCALAR_NS), _fail=fail,
                      range=range, __builtins__={})
     exec(_compiled(f"def f({head}):{body}\n    return {result}"), namespace)
     return namespace["f"]
 
 
-# One code cache for both namespaces: a system compiles its fields once, but
+# One code cache for every namespace: a system compiles its fields once, but
 # a CLI call builds its system twice and the scans compile a candidate per call
 @functools.lru_cache(maxsize=256)
 def _compiled(src: str):

@@ -23,8 +23,10 @@ per candidate, per form and per system), each batch under
 the attraction ladder, the origin checks and the radial rays.  A domain
 error names the first failing sample in the order of a point-by-point
 scan.  Vdot is exact, one tree from the derivative trees of V (for
-attraction, x'Px) and the system's field trees; the W3 minors come from
-the exact Hessian of Vdot.
+attraction, x'Px) and the system's field trees, built and compiled with V
+once per scan; the W3 minors come from its exact Hessian at the origin,
+one evaluation of that tree on second-order jets
+(:func:`~stabkit.expr.hessian`), with no second derivative tree built.
 
 The module also owns the continuous Lyapunov matrix equation (solved in
 the eigenbasis where a separation certificate holds, else by Kronecker
@@ -225,11 +227,11 @@ def _trees(sys: SystemDef, v: CandidateV) -> tuple[ex.Expr, ex.Expr]:
         ex.derivative(tree, "t")])
 
 
-def _batch_values(trees: tuple[ex.Expr, ex.Expr], X: np.ndarray,
+def _batch_values(both, X: np.ndarray,
                   T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """V and Vdot at the sample rows ``(X[k], T[k])``: one two-column
-    evaluator of the trees of :func:`_trees`, ``BLOCK`` rows per call."""
-    both = ex.compile_expr_vec(trees)
+    """V and Vdot at the sample rows ``(X[k], T[k])``: ``both``, the
+    two-column evaluator of the trees of :func:`_trees`, ``BLOCK`` rows
+    per call."""
     out = np.empty((len(X), 2))
     for s in range(0, len(X), BLOCK):
         out[s:s + BLOCK] = both(X[s:s + BLOCK], T[s:s + BLOCK])
@@ -441,13 +443,19 @@ def _ladder(evaluate, X, T, scan: ScanConfig):
 def _scan(sys: SystemDef, v: CandidateV, radius: float, scan: ScanConfig,
           zero: str | None):
     """:func:`_direct_scan` of V and Vdot along the trajectories of ``sys``,
-    then the Vdot tree: :func:`_trees` is built once, after the checks."""
+    then the Vdot tree: :func:`_trees` is built and compiled once, after
+    the checks."""
     sys.check_undelayed("a candidate scan")
-    trees = functools.cache(functools.partial(_trees, sys, v))
+
+    @functools.cache
+    def built():
+        trees = _trees(sys, v)
+        return trees[1], ex.compile_expr_vec(trees)
+
     return (*_direct_scan(
         v, sys.dimension, radius, scan, _time_dependent(sys, v),
         lambda: _check_origin_equilibrium(sys, scan),
-        lambda X, T: _batch_values(trees(), X, T), zero=zero), trees()[1])
+        lambda X, T: _batch_values(built()[1], X, T), zero=zero), built()[0])
 
 
 def _above_floor(values: np.ndarray) -> bool:
@@ -540,18 +548,13 @@ def _check_origin_equilibrium(sys: SystemDef, scan: ScanConfig) -> None:
 def _w3_quadratic_minors(n: int, vdot: ex.Expr,
                          t0: float) -> tuple[float, ...] | None:
     """Leading minors of the quadratic form of -Vdot(., t0) at 0 in R^n,
-    half its exact Hessian there (the upper triangle's trees, mirrored);
-    None on a domain error, or when the trees would exceed the expression
-    bounds."""
-    rows, cols = np.triu_indices(n)
+    half its exact Hessian there (:func:`~stabkit.expr.hessian`, one jet
+    evaluation of the tree); None where a second derivative tree of Vdot
+    would fail there."""
     try:
-        grad = [ex.derivative(vdot, f"x{i + 1}") for i in range(n)]
-        upper = ex.compile_vector([ex.derivative(grad[i], f"x{j + 1}")
-                                   for i, j in zip(rows, cols)])([0.0] * n, t0)
-    except (DomainError, InvalidArgumentError):
+        h = ex.hessian(vdot, np.zeros(n), t0)
+    except DomainError:
         return None
-    h = np.empty((n, n))
-    h[rows, cols] = h[cols, rows] = upper
     return tuple(float(m) for m in linalg.principal_minors(-0.5 * h))
 
 

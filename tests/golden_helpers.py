@@ -9,6 +9,7 @@ the acceptance suite owns the tight tolerances.
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -20,10 +21,55 @@ from stabkit import floquet as fl
 from stabkit import lyapunov as ly
 from stabkit import odeint
 from stabkit.lyapunov import CandidateV, ScanConfig
-from stabkit.schema import to_jsonable
+from stabkit.schema import load_system, to_jsonable
 from conftest import gallery_doc, gallery_system
 
 FAST_SCAN = ScanConfig(points=1024)
+
+# (gallery system or None for the frozen probe system, V, params, radius):
+# every candidate the goldens check
+GOLDEN_CANDIDATES = [
+    ("cubic_damping", "x1^2 + x2^2", {}, 1.0),
+    ("bilinear_decay", "0.5*x1^2 + x2^2", {}, 0.5),
+    ("cross_coupled", "x1^2 + x2^2", {}, 0.5),
+    ("spring_mass", "0.5*k*x1^2 + 0.5*x2^2", {"k": 2.0}, 1.0),
+    ("damped_spring", "7*x1^2 + 2*x1*x2 + 3*x2^2", {}, 1.0),
+    ("vanderpol", "x1^2 + x2^2", {}, 0.9),
+    ("vanderpol_integral", "x1^2 + x2^2", {}, 0.9),
+    ("cubic_modulated", "x1^2/2", {}, 1.0),
+    ("exponential_feedback", "x1^2 + (1 + exp(-2*t))*x2^2", {}, 1.0),
+    (None, "(x1^2 + x2^2)*exp(-0.2*t)", {}, 1.0),
+    (None, "(x1^2 + x2^2)*(t^2 + 1)/(x1^2 + 2)", {}, 1.0),
+    (None, "(x1^2 + x2^2)*(t^2 + 1)", {}, 1.0),
+    (None, "(x1^2 + x2^2)/(x1^2 + 1)", {}, 1.0),
+]
+
+
+def candidate_system(name):
+    """The system of a golden candidate: its gallery system, or for None the
+    frozen probe system x' = 0."""
+    if name is None:
+        return odeint.SystemDef(2, odeint.Nonlinear(("0", "0")))
+    return gallery_system(name)
+
+
+def scan_candidates(generate, seed: int):
+    """``(where, what, system, V, t0)`` for every ``lyapunov`` op of the
+    perfbench ``scan`` pass of ``seed`` (``generate`` is
+    ``perfbench/generate.py``), V a candidate or an instability witness:
+    ``where`` is the seed and op index, ``what`` the file and V."""
+    files, ops = generate.generate("scan", seed)
+    for index, op in enumerate(ops):
+        argv = op["argv"]
+        if argv[0] != "lyapunov":
+            continue
+        name = argv[argv.index("--system") + 1].replace("{work}/", "")
+        sysd = load_system(json.loads(files[name])).build()
+        flag = "--candidate" if "--candidate" in argv else "--instability"
+        expression = argv[argv.index(flag) + 1]
+        t0 = float(argv[argv.index("--t0") + 1]) if "--t0" in argv else 0.0
+        yield (f"{seed} {index}", f"{name} {expression}", sysd,
+               CandidateV(expression, params=dict(sysd.params)), t0)
 
 
 def _classify(name: str) -> dict:
@@ -74,8 +120,8 @@ def _candidate(name: str, expression: str, params=None, radius=1.0) -> dict:
 
 
 def _candidate_probe(expression: str, tag: str) -> dict:
-    frozen = odeint.SystemDef(2, odeint.Nonlinear(("0", "0")))
-    rep = ly.check_candidate(frozen, CandidateV(expression), scan=FAST_SCAN)
+    rep = ly.check_candidate(candidate_system(None), CandidateV(expression),
+                             scan=FAST_SCAN)
     out = _wrap("lyapunov", None, rep)
     out["system"] = {"name": tag, "kind": "probe", "dimension": 2}
     return out

@@ -32,6 +32,19 @@ long texts)::
     <index> <exception type>: <message>  <text>
 
 with texts past 80 characters shortened to their first 60 and a length.
+
+The ``w3`` mode digests the W3 minors of the candidate scans, value by
+value::
+
+    python tests/report_digest.py w3 > w3.txt
+
+It prints the ``repr`` of ``lyapunov._w3_quadratic_minors`` for every
+candidate the goldens check (``golden_helpers.GOLDEN_CANDIDATES``, at t0 =
+0), then for every ``lyapunov`` op of the ``scan`` passes of seeds 1-3
+(candidates and instability witnesses alike, at the op's t0)::
+
+    golden <index> <minors>  <system> <V>
+    <seed> <op index> <minors>  <file> <V>
 """
 
 from __future__ import annotations
@@ -166,9 +179,32 @@ def digest_parse(expr) -> list[str]:
     return lines
 
 
+def digest_w3(lyapunov) -> list[str]:
+    """One line per golden candidate, then per scan ``lyapunov`` op."""
+    from golden_helpers import (GOLDEN_CANDIDATES, candidate_system,
+                                scan_candidates)
+
+    cases = [(f"golden {index}", f"{name} {expression}",
+              candidate_system(name),
+              lyapunov.CandidateV(expression, params=params), 0.0)
+             for index, (name, expression, params, _)
+             in enumerate(GOLDEN_CANDIDATES)]
+    for seed in (1, 2, 3):
+        cases += scan_candidates(generate, seed)
+    lines = []
+    for where, what, sysd, v, t0 in cases:
+        vdot = lyapunov._trees(sysd, v)[1]
+        minors = lyapunov._w3_quadratic_minors(sysd.dimension, vdot, t0)
+        lines.append(f"{where} {minors!r}  {what}")
+    return lines
+
+
 def main(argv: list[str]) -> int:
-    if argv == ["parse"]:
-        for line in digest_parse(bench.load_stabkit()["expr"]):
+    if argv in (["parse"], ["w3"]):
+        stabkit = bench.load_stabkit()
+        lines = digest_parse(stabkit["expr"]) if argv == ["parse"] else \
+            digest_w3(stabkit["lyapunov"])
+        for line in lines:
             print(line)
         return 0
     if len(argv) < 2 or argv[0] not in generate.WORKLOADS:

@@ -24,6 +24,7 @@ from stabkit import linalg, lyapunov, odeint
 from stabkit.errors import (
     DimensionMismatchError,
     DomainError,
+    InvalidArgumentError,
     NonFiniteStateError,
     UnboundVariableError,
     UnknownIdentifierError,
@@ -206,6 +207,32 @@ def sylvester_loop(q, X, times):
             worst = row
         min_minors = np.minimum(min_minors, minors)
     return min_minors, worst
+
+
+def hessian_trees(e: ex.Expr, x, t: float) -> np.ndarray | None:
+    """The Hessian of ``e`` at ``(x, t)`` by the symbolic route: n gradient
+    trees, then one tree per entry of the upper triangle (the derivative by
+    x_j of the one by x_i, i <= j), compiled together and mirrored; None
+    where a tree fails there or breaks the size limits."""
+    n = len(x)
+    rows, cols = np.triu_indices(n)
+    try:
+        grad = [ex.derivative(e, f"x{i + 1}") for i in range(n)]
+        upper = ex.compile_vector([ex.derivative(grad[i], f"x{j + 1}")
+                                   for i, j in zip(rows, cols)])(list(x), t)
+    except (DomainError, InvalidArgumentError):
+        return None
+    h = np.empty((n, n))
+    h[rows, cols] = h[cols, rows] = upper
+    return h
+
+
+def w3_minors(n: int, vdot: ex.Expr, t0: float) -> tuple[float, ...] | None:
+    """The W3 minors of ``check_candidate`` the symbolic way: the leading
+    minors of half the :func:`hessian_trees` of -Vdot at (0, t0)."""
+    h = hessian_trees(vdot, [0.0] * n, t0)
+    return None if h is None else tuple(
+        float(m) for m in linalg.principal_minors(-0.5 * h))
 
 
 def quadratic_vdot(sys, p):

@@ -6,47 +6,35 @@ recurrences on the tree-walking oracle of ``scalar_oracle``: Halton and the
 ball sampler bit for bit, V and Vdot within rtol 1e-12, verdicts equal, and
 a domain error named at the first sample where the oracle meets one.  The
 samples are stored component-major; the evaluators give the same bits on a
-row-major copy.
+row-major copy.  The W3 minors, one jet evaluation of Vdot, equal those of
+the symbolic route (``scalar_oracle.w3_minors``) bit for bit.
 """
 
 import functools
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from stabkit import discrete as dc
+from stabkit import expr as ex
 from stabkit import lyapunov as ly
 from stabkit import odeint, sampling
 from stabkit.errors import DomainError, InvalidArgumentError, NoRegionError
 from stabkit.lyapunov import CandidateV, ScanConfig
 from stabkit.sampling import ball_points, halton, sphere_directions
-from stabkit.schema import to_jsonable
+from stabkit.schema import load_system, to_jsonable
 import scalar_oracle as oracle
-from conftest import deadline, gallery_system
-from golden_helpers import compare
+from conftest import GALLERY, deadline, gallery_system
+from golden_helpers import (GOLDEN_CANDIDATES, candidate_system, compare,
+                            scan_candidates)
 
 FAST_SCAN = ScanConfig(points=1024)
 EPS = np.finfo(float).eps
 PRIMES = oracle.PRIMES
 
-# (gallery system or None for the frozen probe system, V, params, radius):
-# every candidate the goldens check
-GOLDEN_CANDIDATES = [
-    ("cubic_damping", "x1^2 + x2^2", {}, 1.0),
-    ("bilinear_decay", "0.5*x1^2 + x2^2", {}, 0.5),
-    ("cross_coupled", "x1^2 + x2^2", {}, 0.5),
-    ("spring_mass", "0.5*k*x1^2 + 0.5*x2^2", {"k": 2.0}, 1.0),
-    ("damped_spring", "7*x1^2 + 2*x1*x2 + 3*x2^2", {}, 1.0),
-    ("vanderpol", "x1^2 + x2^2", {}, 0.9),
-    ("vanderpol_integral", "x1^2 + x2^2", {}, 0.9),
-    ("cubic_modulated", "x1^2/2", {}, 1.0),
-    ("exponential_feedback", "x1^2 + (1 + exp(-2*t))*x2^2", {}, 1.0),
-    (None, "(x1^2 + x2^2)*exp(-0.2*t)", {}, 1.0),
-    (None, "(x1^2 + x2^2)*(t^2 + 1)/(x1^2 + 2)", {}, 1.0),
-    (None, "(x1^2 + x2^2)*(t^2 + 1)", {}, 1.0),
-    (None, "(x1^2 + x2^2)/(x1^2 + 1)", {}, 1.0),
-]
 DISCRETE_V = "0.5*x1^2 + 2*x1*x2 + 4*x2^2"
 MODULATED = (("1 - a*cos((x1^2 + x2^2)*t)", "a*sin((x1^2 + x2^2)*t)"),
              ("a*sin((x1^2 + x2^2)*t)", "1 + a*cos((x1^2 + x2^2)*t)"))
@@ -55,12 +43,6 @@ SYLVESTER_FORMS = {
     "amplitude_half": (MODULATED, {"a": 0.5}, 0.0),
     "amplitude_one": (MODULATED, {"a": 1.0}, 0.0),
 }
-
-
-def _system(name):
-    if name is None:
-        return odeint.SystemDef(2, odeint.Nonlinear(("0", "0")))
-    return gallery_system(name)
 
 
 def _same_report(got, want):
@@ -161,8 +143,8 @@ def test_scan_evaluators_give_the_same_bits_on_a_row_major_copy():
         ("-x1 + x2*x3*sin(t)", "-x2 + exp(-x4^2)*x1", "-x3 + x5^3",
          "-x4*(1 + x1^2)", "-x5 + x1*x2*x3*x4")))
     v = CandidateV("x1^2 + 2*x2^2 + x3^2*(1 + cos(t)) + x4^4 + x5^2")
-    trees = ly._trees(sysd, v)
-    _same_bits(ly._batch_values(trees, X, T), ly._batch_values(trees, C, T))
+    both = ex.compile_expr_vec(ly._trees(sysd, v))
+    _same_bits(ly._batch_values(both, X, T), ly._batch_values(both, C, T))
     _same_bits([v.values(X, T)], [v.values(C, T)])
     _same_bits([sampling.column_norms(X.T)], [sampling.column_norms(C.T)])
     H = halton(1000, 12)  # past 8 components numpy's row sums pair them up
@@ -189,11 +171,11 @@ def test_scan_evaluators_give_the_same_bits_on_a_row_major_copy():
 def test_batched_v_and_vdot_match_scalar_loop(monkeypatch, name, expression,
                                               params, radius):
     monkeypatch.setattr(ly, "BLOCK", 500)  # several blocks per scan
-    sysd = _system(name)
+    sysd = candidate_system(name)
     v = CandidateV(expression, params=params)
     X, T = ly._scan_points(2, radius, FAST_SCAN, ly._time_dependent(sysd, v))
-    trees = ly._trees(sysd, v)
-    v_batch, vd_batch = ly._batch_values(trees, X, T)
+    v_batch, vd_batch = ly._batch_values(
+        ex.compile_expr_vec(ly._trees(sysd, v)), X, T)
     v_loop, vd_loop = oracle.sample_values(sysd, v, X, T)
     np.testing.assert_allclose(v_batch, v_loop, rtol=1e-12, atol=0.0)
     # numpy's exp/log/pow may differ from libm's in the last bits, and a
@@ -206,11 +188,11 @@ def test_batched_v_and_vdot_match_scalar_loop(monkeypatch, name, expression,
 def test_batched_candidate_report_matches_scalar_loop(monkeypatch, name,
                                                       expression, params,
                                                       radius):
-    sysd = _system(name)
+    sysd = candidate_system(name)
     v = CandidateV(expression, params=params)
     batch = ly.check_candidate(sysd, v, radius=radius, scan=FAST_SCAN)
     monkeypatch.setattr(ly, "_batch_values",
-                        lambda trees, X, T: oracle.sample_values(sysd, v, X, T))
+                        lambda both, X, T: oracle.sample_values(sysd, v, X, T))
     loop = ly.check_candidate(sysd, v, radius=radius, scan=FAST_SCAN)
     assert batch.conclusion is loop.conclusion
     assert batch.vdot_verdict is loop.vdot_verdict
@@ -226,7 +208,7 @@ def test_batched_instability_report_matches_scalar_loop(monkeypatch, name,
     v = CandidateV(expression)
     batch = ly.check_instability(sysd, v, scan=FAST_SCAN)
     monkeypatch.setattr(ly, "_batch_values",
-                        lambda trees, X, T: oracle.sample_values(sysd, v, X, T))
+                        lambda both, X, T: oracle.sample_values(sysd, v, X, T))
     loop = ly.check_instability(sysd, v, scan=FAST_SCAN)
     assert batch.unstable == loop.unstable
     _same_report(batch, loop)
@@ -463,6 +445,111 @@ def test_w3_minors_none_on_domain_error():
     assert ly._w3_quadratic_minors(2, ly._trees(bad, v)[1], 0.0) is None
 
 
+def _load_generate():
+    """``perfbench/generate.py`` as a module, read only."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "generate.py"
+    spec = importlib.util.spec_from_file_location("perfbench_generate", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _w3_pair(sysd, v, t0):
+    """The W3 minors of V along ``sysd`` at t0: one jet, and the symbolic
+    oracle's n + n(n+1)/2 derivative trees."""
+    vdot = ly._trees(sysd, v)[1]
+    n = sysd.dimension
+    return ly._w3_quadratic_minors(n, vdot, t0), oracle.w3_minors(n, vdot, t0)
+
+
+def _gallery_quadratics():
+    """Every undelayed continuous gallery system with V = sum of x_i^2."""
+    for path in sorted(GALLERY.glob("*.json")):
+        doc = load_system(path)
+        if doc.kind in ("discrete", "delay"):
+            continue
+        sysd = doc.build()
+        yield path.stem, sysd, CandidateV(" + ".join(
+            f"x{i + 1}^2" for i in range(sysd.dimension)))
+
+
+@pytest.mark.parametrize("name, expression, params, radius", GOLDEN_CANDIDATES)
+def test_w3_minors_equal_the_symbolic_oracle_on_goldens(name, expression,
+                                                        params, radius):
+    got, want = _w3_pair(candidate_system(name),
+                         CandidateV(expression, params=params), FAST_SCAN.t0)
+    assert repr(got) == repr(want)
+
+
+def test_w3_minors_equal_the_symbolic_oracle_on_the_gallery():
+    for name, sysd, v in _gallery_quadratics():
+        for t0 in (0.0, 0.7):
+            got, want = _w3_pair(sysd, v, t0)
+            assert repr(got) == repr(want), (name, t0)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_w3_minors_equal_the_symbolic_oracle_on_scan_ops(seed):
+    cases = list(scan_candidates(_load_generate(), seed))
+    assert len(cases) == 21
+    for where, what, sysd, v, t0 in cases:
+        got, want = _w3_pair(sysd, v, t0)
+        assert repr(got) == repr(want), (where, what)
+
+
+W3_DOMAIN = {  # first field component with -x2, V = x1^2 + x2^2: minors
+    "sqrt at 0": ("-x1 + x1*sqrt(x1^2 + x2^2)", None),
+    "sqrt of a quartic at 0": ("-x1 + sqrt(x1^4 + x2^4)", None),
+    "abs of a cubic at 0": ("-x1 + abs(x1^3)", None),
+    "variable exponent, base 0": ("-x1 + x1*(x1^2)^x2", None),
+    "variable exponent, base < 0": ("-x1 + x1*(0 - 2)^x2", None),
+    "fractional power at 0": ("-x1 + x1^1.5", None),
+    "abs of a difference that folds to 0": ("-x1 + abs(x2 - x2)", (2.0, 4.0)),
+    "abs of a difference 0 at t0": ("-x1 + abs(cos(t)*x2 - x2)", None),
+    "zero factor of abs": ("-x1 + 0*abs(x1)", (2.0, 4.0)),
+    "zero factor of a power": ("-x1 + x1^1.5*0", (2.0, 4.0)),
+    "zero exponent": ("-x1 + x2*abs(x1)^0", (2.0, 3.0)),
+    # only a literal 0 factor drops the other: these are 0 in value
+    "factor 0 in value": ("-x1 + x2*0*sqrt(x1)", None),
+    "difference 0 in value": ("-x1 + (x1 - x1)*abs(x1)", None),
+    "zero numerator": ("-x1 + 0/abs(x1)", None),
+}
+
+
+@pytest.mark.parametrize("field, minors", W3_DOMAIN.values(), ids=W3_DOMAIN)
+def test_w3_minors_keep_the_domain_rules_of_the_derivative_trees(field,
+                                                                 minors):
+    sysd = odeint.SystemDef(2, odeint.Nonlinear((field, "-x2")))
+    got, want = _w3_pair(sysd, CandidateV("x1^2 + x2^2"), 0.0)
+    assert repr(got) == repr(want)
+    assert got == (None if minors is None else pytest.approx(minors))
+
+
+def test_w3_minors_build_no_derivative_tree(monkeypatch):
+    sysd = gallery_system("exponential_feedback")
+    vdot = ly._trees(sysd, CandidateV("x1^2 + (1 + exp(-2*t))*x2^2"))[1]
+    calls = []
+    monkeypatch.setattr(ex, "derivative",
+                        lambda *args: calls.append(args) or 1 / 0)
+    assert ly._w3_quadratic_minors(2, vdot, 0.0) == \
+        pytest.approx((2.0, 11.0))
+    assert not calls
+
+
+def test_w3_minors_past_the_derivative_size_limits():
+    # the second derivative trees of a 300-factor product chain break the
+    # nesting limit, which left the parent without minors; the jet builds none
+    sysd = odeint.SystemDef(2, odeint.Nonlinear(
+        ("-x1 + 1e-300*" + "*".join(["x1"] * 300), "-x2")))
+    v = CandidateV("x1^2 + x2^2")
+    vdot = ly._trees(sysd, v)[1]
+    assert oracle.w3_minors(2, vdot, 0.0) is None
+    assert ly._w3_quadratic_minors(2, vdot, 0.0) == (2.0, 4.0)
+    rep = ly.check_candidate(sysd, v, scan=ScanConfig(points=256))
+    assert rep.vdot_verdict is ly.SignVerdict.NEGATIVE_DEFINITE
+    assert rep.w3_minors == (2.0, 4.0)
+
+
 # --- Sylvester ------------------------------------------------------------------
 
 def _sequential_worst(minors: np.ndarray) -> int:
@@ -598,6 +685,31 @@ def test_check_candidate_builds_its_trees_once(monkeypatch):
                              CandidateV("7*x1^2 + 2*x1*x2 + 3*x2^2"),
                              scan=FAST_SCAN)
     assert rep.w3_minors is not None and len(built) == 1
+
+
+@pytest.mark.parametrize("check", [ly.check_candidate, ly.check_instability])
+@pytest.mark.parametrize("field, candidate, calls", [
+    ("cubic_damping", "x1^2 + x2^2", 1),
+    ("exponential_feedback", "x1^2 + (1 + exp(-2*t))*x2^2", 2),  # a ladder
+    (FAILING_RHS, "x1^2 + x2^2", 3)], ids=["autonomous", "reads-t", "fails"])
+def test_candidate_scan_compiles_v_and_vdot_once(monkeypatch, check, field,
+                                                 candidate, calls):
+    sysd = gallery_system(field) if isinstance(field, str) else \
+        odeint.SystemDef(2, odeint.Nonlinear(field))
+    v = CandidateV(candidate)
+    sysd.batch_field  # compiled on first use, once per system
+    compiles, compile_vec = [], ex.compile_expr_vec
+    monkeypatch.setattr(ex, "compile_expr_vec",
+                        lambda *a: compiles.append(a) or compile_vec(*a))
+    evaluations, batch_values = [], ly._batch_values
+    monkeypatch.setattr(ly, "_batch_values", lambda *a: evaluations.append(
+        a) or batch_values(*a))
+    if isinstance(field, str):
+        check(sysd, v, scan=FAST_SCAN)
+    else:  # strict_rows halves the failing batch down to its first row
+        with pytest.raises(DomainError):
+            check(sysd, v, scan=FAST_SCAN)
+    assert len(compiles) == 1 and len(evaluations) >= calls
 
 
 def test_attraction_failing_level_wins_over_later_domain_error():

@@ -667,8 +667,8 @@ def test_long_candidates_run_and_too_deep_ones_exit_2(capsys):
 SIN_99 = "sin(" * 99 + "x1" + ")" * 99
 # (first component, candidate): trees the parser accepts whose derivatives
 # are deeper or more nested than it would accept.  The candidate scan
-# reports (without W3 minors where the Hessian trees would exceed the
-# bounds); the Jacobian is an input error.
+# reports (its W3 minors come from one jet, no second derivative tree);
+# the Jacobian is an input error.
 DERIVED_SHAPES = {
     f"product-{k}": ("-x1 + 1e-300*" + "*".join(["x1"] * k), "x1^2 + x2^2")
     for k in (100, 300, 590)

@@ -798,6 +798,61 @@ try:
         rounding = 2.0 ** -30 * max(map(abs, f.values())) / h
         assert abs(got - d1) <= abs(d2 - d1) + rounding
 
+    # trees in x1..x3 and t with literal 0, 1 and negative leaves
+    _jet_leaf = st.one_of(
+        st.sampled_from([0.0, 1.0, 0.5, 2.0, 3.0, -1.5]).map(ex.Number),
+        st.sampled_from(["x1", "x2", "x3", "t"]).map(ex.Var),
+    )
+
+    def _jet_trees(ops: str, funcs):
+        def extend(children):
+            return st.one_of(
+                st.tuples(st.sampled_from(ops), children, children).map(
+                    lambda t: ex.Binary(*t)),
+                children.map(lambda c: ex.Unary("-", c)),
+                st.tuples(children, st.integers(0, 4)).map(
+                    lambda t: ex.Binary("^", t[0], ex.Number(float(t[1])))),
+                st.tuples(st.sampled_from(funcs), children).map(
+                    lambda t: ex.Call(t[0], (t[1],))),
+            )
+        return st.recursive(_jet_leaf, extend, max_leaves=14)
+
+    def _same_hessian(tree, point, t) -> None:
+        """:func:`stabkit.expr.hessian` against the n(n+1)/2 second
+        derivative trees: the same failures, and each entry within 4 ulps
+        of the summed magnitudes of the entries."""
+        import numpy as np
+        from scalar_oracle import hessian_trees
+
+        want = hessian_trees(tree, point, t)
+        try:
+            got = ex.hessian(tree, point, t)
+        except DomainError:
+            assert want is None
+            return
+        assert want is not None
+        assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps
+                      * np.abs(want).sum())
+
+    _POINTS = st.sampled_from([(0.0, 0.0, 0.0), (0.5, -1.0, 0.25)])
+
+    @settings(max_examples=500, derandomize=True, deadline=None)
+    @given(_jet_trees("+-*", ["sin", "cos", "tan", "exp"]), _POINTS,
+           st.sampled_from([0.0, 0.7]))
+    def test_hessian_matches_the_derivative_trees(tree, point, t):
+        """Polynomial, trig and exp trees: the jet takes each rule of the
+        trees in their order, so the entries mostly agree bit for bit."""
+        _same_hessian(tree, point, t)
+
+    @settings(max_examples=500, derandomize=True, deadline=None)
+    @given(_jet_trees("+-*/^", _FUNCS + ["log"]), _POINTS,
+           st.sampled_from([0.0, 0.7]))
+    def test_hessian_fails_where_the_derivative_trees_fail(tree, point, t):
+        """With the domain edges of the grammar: abs and sqrt at 0, log,
+        division and powers with varying exponents and bases <= 0, and
+        literal 0 and 1 factors and exponents that fold."""
+        _same_hessian(tree, point, t)
+
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(_trees)
     def test_round_trip_hypothesis(tree):

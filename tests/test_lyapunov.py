@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from stabkit import autonomous as aut
+from stabkit import expr as ex
 from stabkit import linalg
 from stabkit import lyapunov as ly
 from stabkit.errors import (
@@ -51,8 +52,10 @@ def test_solve_lyapunov_round_trip_property():
 
 def _vdot(sysd, v):
     """Vdot at one point through the batched scan evaluator."""
+    both = ex.compile_expr_vec(ly._trees(sysd, v))
+
     def at(x, t=0.0):
-        return float(ly._batch_values(ly._trees(sysd, v),
+        return float(ly._batch_values(both,
                                       np.array([x], dtype=float),
                                       np.array([t]))[1][0])
     return at
