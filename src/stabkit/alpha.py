@@ -210,18 +210,18 @@ def rate_inequality_lhs(eta: float, p_norm: float, a_norm_sq: float,
 
 
 def max_alpha(eta: float, p_norm: float, a_norm_sq: float, m: int,
-              h: float, hi: float = 100.0, tol: float = 1e-9) -> float | None:
-    """Largest feasible rate in (0, hi], or None when none exists.
+              h: float) -> float | None:
+    """Largest feasible rate in (0, 100], to 1e-9, or None when none exists.
 
     The left side is strictly increasing in alpha (for positive p_norm), so
     bisection applies directly.
     """
     if rate_inequality_lhs(eta, p_norm, a_norm_sq, m, h, 0.0) > 0.0:
         return None
-    if rate_inequality_lhs(eta, p_norm, a_norm_sq, m, h, hi) <= 0.0:
-        return hi
-    lo, up = 0.0, hi
-    while up - lo > tol:
+    if rate_inequality_lhs(eta, p_norm, a_norm_sq, m, h, 100.0) <= 0.0:
+        return 100.0
+    lo, up = 0.0, 100.0
+    while up - lo > 1e-9:
         mid = 0.5 * (lo + up)
         if rate_inequality_lhs(eta, p_norm, a_norm_sq, m, h, mid) <= 0.0:
             lo = mid
@@ -241,15 +241,14 @@ class RateInputs:
     h: float
 
 
-def rate_bound_inputs(sys: SystemDef, p,
-                      t_grid: tuple[float, float, int] = SUP_GRID) -> RateInputs:
+def rate_bound_inputs(sys: SystemDef, p) -> RateInputs:
     """Compute (eta, ||P+I||, ||A||^2, m, h) for the rate inequality.
 
     A coefficient that varies with t enters through its supremum over the
-    grid ``t_grid``; a constant one through its single value.
+    grid ``SUP_GRID``; a constant one through its single value.
     """
     _check_delay_system(sys)
-    times = np.linspace(*t_grid)
+    times = np.linspace(*SUP_GRID)
     eta = np.max(linalg.matrix_measure(_at(sys.linear_coefficient, times)))
     a_norm = max(float(np.max(linalg.spectral_norm(_at(c, times))))
                  for c in sys.delay_coefficients)

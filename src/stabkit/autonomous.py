@@ -190,14 +190,13 @@ def _residual(fx) -> float:
         return float(np.linalg.norm(fx))
 
 
-def find_equilibria(sys: SystemDef, seeds, tol: float = 1e-10,
-                    max_iter: int = 100, max_halvings: int = 30,
-                    merge_tol: float = 1e-6) -> list[Equilibrium]:
+def find_equilibria(sys: SystemDef, seeds,
+                    tol: float = 1e-10) -> list[Equilibrium]:
     """Damped Newton on ``f(x) = 0`` from each seed; converged roots merged.
 
-    Seeds that fail to converge are dropped; duplicates within ``merge_tol``
-    collapse to the first representative after lexicographic sorting, which
-    makes the result order deterministic.
+    At most 100 steps per seed, 30 halvings per step; seeds that fail to
+    converge are dropped.  Duplicates within 1e-6 collapse to the first
+    representative after lexicographic sorting: a deterministic order.
     """
     linalg.check_nonnegative(tol)
     sys.check_undelayed("find_equilibria")
@@ -206,7 +205,7 @@ def find_equilibria(sys: SystemDef, seeds, tol: float = 1e-10,
     for seed in seeds:
         x = np.asarray(seed, dtype=float).copy()
         ok = False
-        for _ in range(max_iter):
+        for _ in range(100):
             try:
                 fx = f(x, 0.0)
                 r0 = _residual(fx)
@@ -217,7 +216,7 @@ def find_equilibria(sys: SystemDef, seeds, tol: float = 1e-10,
             except (SingularError, DomainError):
                 break  # seed dropped: Newton cannot proceed from here
             lam = 1.0
-            for _ in range(max_halvings):
+            for _ in range(30):
                 trial = x + lam * step
                 try:
                     r1 = _residual(f(trial, 0.0))
@@ -234,7 +233,7 @@ def find_equilibria(sys: SystemDef, seeds, tol: float = 1e-10,
     roots.sort(key=lambda p: tuple(p))
     merged: list[np.ndarray] = []
     for r in roots:
-        if not any(np.linalg.norm(r - m) < merge_tol for m in merged):
+        if not any(np.linalg.norm(r - m) < 1e-6 for m in merged):
             merged.append(r)
     out = []
     for r in merged:

@@ -58,14 +58,15 @@ class DiscreteSystem:
         self.params = _params(self.params)
         self.update = _components(self.update, self.dimension, self.params,
                                   "update")
+        self._bound = tuple(ex.bind(c, self.params) for c in self.update)
 
     @functools.cached_property  # compiled once, on first use
     def _fused(self):
-        return ex.compile_vector(self.update, self.params)
+        return ex.compile_vector(self._bound)
 
     @functools.cached_property
     def _batch(self):
-        return ex.compile_expr_vec(self.update, self.params)
+        return ex.compile_expr_vec(self._bound)
 
     def step(self, x, k: float = 0.0) -> np.ndarray:
         return np.array(self._fused(np.asarray(x, dtype=float).tolist(),

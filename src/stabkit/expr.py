@@ -43,7 +43,7 @@ __all__ = [
     "Number", "Var", "Unary", "Binary", "Call", "Expr",
     "parse", "to_string", "free_vars", "reads_time", "substitute", "bind",
     "fold", "total", "derivative", "compile_vector", "compile_expr",
-    "compile_expr_vec", "hessian", "strict_rows", "failing_rows", "FUNCTIONS",
+    "compile_expr_vec", "hessian", "strict_rows", "FUNCTIONS",
 ]
 
 # function name -> arity
@@ -465,36 +465,31 @@ def _chains(op: str, left: Expr) -> bool:
         op == left.op == "*" or (op in "+-" and left.op in "+-"))
 
 
-def _codegen(e: Expr, params: Mapping[str, float], state: str = "x[{}]",
-             bare: bool = False, literal: str = "{!r}") -> str:
-    """Python code for ``e``; ``state.format(i)`` spells ``x{i + 1}`` and
-    ``literal.format(c)`` a number ``c`` of the tree."""
+def _codegen(e: Expr, state: str = "x[{}]", bare: bool = False,
+             literal: str = "{!r}") -> str:
+    """Python code for the bound tree ``e``; ``state.format(i)`` spells
+    ``x{i + 1}`` and ``literal.format(c)`` a number ``c`` of the tree."""
     if isinstance(e, Number):
         return literal.format(e.value)
     if isinstance(e, Var):
-        if e.name == "t":
+        if e.name in ("t", "k"):  # k, the orbit index, rides the time slot
             return "t"
         m = _VAR_RE.match(e.name)
         if m:
             return state.format(int(m.group(1)) - 1)
-        if e.name in params:
-            return literal.format(float(params[e.name]))
-        if e.name == "k":  # discrete orbit index rides the time slot
-            return "t"
         raise UnboundVariableError(e.name)
     if isinstance(e, Unary):
-        return f"(-{_codegen(e.child, params, state, literal=literal)})"
+        return f"(-{_codegen(e.child, state, literal=literal)})"
     if isinstance(e, Binary):
-        a = _codegen(e.left, params, state, _chains(e.op, e.left), literal)
-        b = _codegen(e.right, params, state, literal=literal)
+        a = _codegen(e.left, state, _chains(e.op, e.left), literal)
+        b = _codegen(e.right, state, literal=literal)
         if e.op == "^":
             return f"_pow({a}, {b})"
         if e.op == "/":
             return f"_div({a}, {b})"
         return f"{a} {e.op} {b}" if bare else f"({a} {e.op} {b})"
     if isinstance(e, Call):
-        args = ", ".join(_codegen(a, params, state, literal=literal)
-                         for a in e.args)
+        args = ", ".join(_codegen(a, state, literal=literal) for a in e.args)
         return f"_{e.func}({args})"
     raise TypeError(f"not an expression node: {e!r}")
 
@@ -906,7 +901,7 @@ def hessian(e: Expr, x: Sequence[float], t: float) -> np.ndarray:
     eye = np.eye(n)
     seeds = [_Jet(float(c), eye[i], None, True) for i, c in enumerate(x)]
     with np.errstate(all="ignore"):
-        out = _generate((e,), None, "jet")(seeds, t)[0]
+        out = _generate((e,), "jet")(seeds, t)[0]
     if getattr(out, "h", None) is None:
         return np.zeros((n, n))
     rows, cols = np.triu_indices(n)
@@ -915,8 +910,7 @@ def hessian(e: Expr, x: Sequence[float], t: float) -> np.ndarray:
     return h
 
 
-def _generate(exprs: Sequence[Expr], params: Mapping[str, float] | None,
-              form: str = "scalar"):
+def _generate(exprs: Sequence[Expr], form: str = "scalar"):
     """The trees in order, as ``f(x, t) -> list``; with ``form`` "batch", as
     ``f(x, t, out)`` filling columns of ``out``; with "rk4", as the RK4 kernel
     ``f(x, t0, h, lo, hi, dt, rows)`` of ``x' = f(x, t)``: steps ``lo`` to
@@ -925,7 +919,7 @@ def _generate(exprs: Sequence[Expr], params: Mapping[str, float] | None,
     locals in ``odeint._rk4``'s arithmetic; with "jet", as the scalar form
     on a list ``x`` of second-order jets (see :func:`hessian`), where only
     a non-finite Hessian fails.  The first failure raises."""
-    exprs, params = tuple(exprs), dict(params or {})
+    exprs = tuple(exprs)
     bad = "{0} - {0}" if form in ("scalar", "rk4") else "not _finite({0})"
     literal = "_lit({!r})" if form == "jet" else "{!r}"  # see _Lit
 
@@ -934,7 +928,7 @@ def _generate(exprs: Sequence[Expr], params: Mapping[str, float] | None,
 
     def stage(slot: str, state: str = "x[{}]") -> str:  # each tree, checked
         return "".join(f"\n    try:\n        {slot.format(i)} = "
-                       f"{_codegen(e, params, state, literal=literal)}"
+                       f"{_codegen(e, state, literal=literal)}"
                        f"\n    except _ERRORS as exc:\n        _fail(exc, {i})"
                        f"\n    if {bad.format(slot.format(i))}:"
                        f"\n        _fail(None, {i})" for i, e in enumerate(exprs))
@@ -974,29 +968,28 @@ def _compiled(src: str):
 
 
 def compile_vector(exprs: Sequence[Expr],
-                   params: Mapping[str, float] | None = None,
                    ) -> Callable[[Sequence[float], float], list[float]]:
     """Compile trees to one fused scalar ``f(x, t) -> [f_1, ..., f_n]``.
 
     The evaluator of the marches (RK4 stage loops, orbits, Newton, a grid
     at one time) on Python floats; :func:`compile_expr_vec` runs the same
-    code over numpy.  Parameter values are frozen in.  Each component runs
-    once, in order, and the first failing one raises :class:`DomainError`:
-    an invalid operand, or (see ``_SCALAR_NS``) any non-finite intermediate.
+    code over numpy.  Trees come with parameters bound (:func:`bind`): a
+    name other than ``t``, ``k`` (time too) or ``xK`` is unbound.  Each
+    component runs once, in order, and the first failing one raises
+    :class:`DomainError`: an invalid operand, or (see ``_SCALAR_NS``) any
+    non-finite intermediate.
     """
-    return _generate(exprs, params)
+    return _generate(exprs)
 
 
-def compile_expr(e: Expr, params: Mapping[str, float] | None = None,
-                 ) -> Callable[[Sequence[float], float], float]:
-    """One tree as a scalar ``f(state, t) -> float``, by compile_vector."""
-    f = compile_vector((e,), params)
+def compile_expr(e: Expr) -> Callable[[Sequence[float], float], float]:
+    """One bound tree as a scalar ``f(x, t) -> float``, by compile_vector."""
+    f = compile_vector((e,))
     return lambda x, t: f(x, t)[0]
 
 
-def compile_expr_vec(exprs: "Expr | Sequence[Expr]",
-                     params: Mapping[str, float] | None = None):
-    """Compile to a batch evaluator ``f(X, t) -> ndarray``.
+def compile_expr_vec(exprs: "Expr | Sequence[Expr]"):
+    """Compile bound trees to a batch evaluator ``f(X, t) -> ndarray``.
 
     ``X`` has one sample per row; ``t`` is a scalar or a per-row array.  One
     tree gives ``(N,)``, a sequence of ``m`` trees ``(N, m)``.  The pass
@@ -1010,7 +1003,7 @@ def compile_expr_vec(exprs: "Expr | Sequence[Expr]",
     """
     single = isinstance(exprs, _NODES)
     exprs = (exprs,) if single else tuple(exprs)
-    fill = _generate(exprs, params, "batch")
+    fill = _generate(exprs, "batch")
 
     def batch(X, t):
         cols = np.asarray(X, dtype=float).T
@@ -1024,29 +1017,18 @@ def compile_expr_vec(exprs: "Expr | Sequence[Expr]",
 
 # --- strict row evaluation --------------------------------------------------------
 
-def failing_rows(fn, count: int, first: bool = False) -> dict[int, DomainError]:
-    """The rows ``0 .. count-1`` that raise on their own under strict flags,
-    with their errors: every range ``fn(slice)`` raises on is halved (rows
-    must not depend on each other).  With ``first``, only the first row."""
-    found: dict[int, DomainError] = {}
-
-    def search(lo: int, hi: int) -> None:
-        if first and found:
-            return
-        try:
-            with np.errstate(all="raise", under="ignore"):
-                fn(slice(lo, hi))
-            return
-        except (FloatingPointError, DomainError) as exc:
-            error = exc if isinstance(exc, DomainError) else DomainError(str(exc))
+def _failing(fn, lo: int, hi: int):
+    """``(row, error)`` of each row ``lo .. hi-1`` failing on its own under
+    strict flags, in order: a failing range is halved (rows independent)."""
+    try:
+        with np.errstate(all="raise", under="ignore"):
+            fn(slice(lo, hi))
+    except (FloatingPointError, DomainError) as exc:
         if hi - lo <= 1:
-            found[lo] = error
+            yield lo, exc
         else:
-            search(lo, (lo + hi) // 2)
-            search((lo + hi) // 2, hi)
-
-    search(0, count)
-    return found
+            yield from _failing(fn, lo, (lo + hi) // 2)
+            yield from _failing(fn, (lo + hi) // 2, hi)
 
 
 def strict_rows(fn, count: int, label: Callable[[int], str], prior=()):
@@ -1054,16 +1036,18 @@ def strict_rows(fn, count: int, label: Callable[[int], str], prior=()):
     an error, as in :func:`compile_expr_vec`: scans and coefficient grids
     run their rows, generated code and the arithmetic around it, through
     this.  On failure, the :class:`DomainError` of the first row failing on
-    its own, by each of ``prior`` over all rows and then by ``fn``, is
-    raised with ``row`` set and ``label(row)`` ending its message."""
+    its own (:func:`_failing`), by each of ``prior`` over all rows and then
+    by ``fn``, is raised with ``row`` set and ``label(row)`` ending its
+    message."""
     try:
         with np.errstate(all="raise", under="ignore"):
             return fn(slice(0, count))
     except (FloatingPointError, DomainError) as exc:
         error = exc
     for stage in (*prior, fn):
-        for row, cause in failing_rows(stage, count, first=True).items():
-            raise DomainError(cause.reason, cause.node, row, label(row))
+        for row, cause in _failing(stage, 0, count):
+            raise DomainError(getattr(cause, "reason", str(cause)),
+                              getattr(cause, "node", None), row, label(row))
     raise DomainError(str(error), getattr(error, "node", None))
 
 

@@ -63,15 +63,14 @@ def multipliers(a) -> list[complex]:
     return linalg.eigenvalues(a)
 
 
-def liouville_check(sys: SystemDef, mults,
-                    panels: int = 10_000) -> tuple[float, float, float]:
+def liouville_check(sys: SystemDef, mults) -> tuple[float, float, float]:
     """Accuracy check: multiplier product against the integrated trace.
 
     Returns ``(lhs, rhs, relative_gap)`` where ``lhs = |prod multipliers|``
     (their product is real for real systems; an imaginary residue above
     1e-9 of the magnitude is an error) and ``rhs`` integrates the trace of
     the coefficient matrix over one period by composite Simpson on its own
-    grid, independent of the ODE discretization.
+    grid of 10,000 panels, independent of the ODE discretization.
     """
     _check_periodic(sys)
     prod = complex(1.0, 0.0)
@@ -82,16 +81,14 @@ def liouville_check(sys: SystemDef, mults,
             "multiplier product has a non-real residue; multipliers of a "
             "real system must close under conjugation")
     lhs = abs(prod)
-    if panels % 2 == 1:
-        panels += 1
-    ts = np.linspace(0.0, sys.period, panels + 1)
+    ts = np.linspace(0.0, sys.period, 10_001)
     # a constant A has one trace, filled in over the grid
     traces = np.full(ts.shape, np.trace(_at(sys.linear_coefficient, ts),
                                         axis1=-2, axis2=-1))
-    w = np.ones(panels + 1)
+    w = np.ones(10_001)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
-    integral = float((sys.period / panels) / 3.0 * (w @ traces))
+    integral = float((sys.period / 10_000) / 3.0 * (w @ traces))
     rhs = float(np.exp(integral))
     gap = abs(lhs - rhs) / abs(rhs)
     return lhs, rhs, gap

@@ -65,13 +65,13 @@ def _exponent(m: np.ndarray) -> np.ndarray:
                                   initial=0.0))[1]
 
 
-def _band(a: np.ndarray, tol: float):
+def _band(a: np.ndarray):
     """``(e, 2**-e a, band)`` per node (:func:`_exponent`): an eigenvalue
     ``lam`` is zero when ``|2**-e lam| <= band`` (see :func:`definiteness`)."""
     e = _exponent(a)
     m = np.ldexp(a, -e)
     norm = np.linalg.norm(m, axis=(-2, -1), keepdims=True)
-    return e, m, tol * np.maximum(norm, np.ldexp(NORM_FLOOR, -e))
+    return e, m, DEFAULT_TOL * np.maximum(norm, np.ldexp(NORM_FLOOR, -e))
 
 
 def eigenvalues(m) -> list[complex]:
@@ -112,16 +112,16 @@ class DefinitenessVerdict:
                              Definiteness.POSITIVE_SEMIDEFINITE)
 
 
-def definiteness(s, tol: float = DEFAULT_TOL) -> DefinitenessVerdict:
+def definiteness(s) -> DefinitenessVerdict:
     """Classify a symmetric matrix by the signs of its eigenvalues.
 
-    Inputs within ``tol * ||s||`` of symmetric are averaged with their
+    Inputs within ``DEFAULT_TOL * ||s||`` of symmetric are averaged with their
     transpose before testing (Lyapunov solves return numerically
     near-symmetric results); anything farther raises
     :class:`AsymmetricError`.  The zero matrix reports positive-semidefinite.
     Norms and signs compare on ``s`` rescaled exactly by a power of two."""
     a = as_matrix(s, square=True)
-    e, m, band = _band(a, tol)
+    e, m, band = _band(a)
     e, band = e.item(), band.item()
     if float(np.linalg.norm(m - m.T, "fro")) > band:
         raise AsymmetricError("matrix is not symmetric within tolerance")
@@ -142,11 +142,11 @@ def definiteness(s, tol: float = DEFAULT_TOL) -> DefinitenessVerdict:
                                float(np.ldexp(band, e)))
 
 
-def semidefinite_nodes(s, tol: float = DEFAULT_TOL) -> np.ndarray:
+def semidefinite_nodes(s) -> np.ndarray:
     """Per node of a matrix or an ``(N, n, n)`` stack: is no eigenvalue of
     its symmetric part below the band of :func:`definiteness`?"""
     a = _checked(s, square=True, stack=True)
-    e, _, band = _band(a, tol)
+    e, _, band = _band(a)
     lowest = np.linalg.eigvalsh(symmetric_part(a))[..., :1, None]
     return (np.ldexp(lowest, -e) >= -band)[..., 0, 0]
 
@@ -198,12 +198,12 @@ def spectral_norm(a):
     return float(top) if m.ndim == 2 else top
 
 
-def solve_dense(a, b, tol: float = NORM_FLOOR):
-    """Solve ``a x = b`` for square ``a``; raise :class:`SingularError` when
-    the smallest singular value falls below ``tol`` times the largest."""
+def solve_dense(a, b):
+    """Solve ``a x = b`` for square ``a``; :class:`SingularError` when the
+    smallest singular value is at most ``NORM_FLOOR`` times the largest."""
     m = as_matrix(a, square=True)
     rhs = np.asarray(b, dtype=float)
     sv = np.linalg.svd(m, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0 or sv[-1] <= tol * sv[0]:
+    if sv.size == 0 or sv[0] == 0.0 or sv[-1] <= NORM_FLOOR * sv[0]:
         raise SingularError("matrix is singular to working precision")
     return np.linalg.solve(m, rhs)

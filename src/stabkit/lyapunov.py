@@ -185,7 +185,8 @@ def _eigenbasis_solve(am, qm, lam, vecs):
 class CandidateV:
     """A candidate scalar function V(x) or V(x, t).
 
-    ``expression`` may be a tree, source text, or a number.
+    ``expression`` may be a tree, source text, or a number; ``tree`` is the
+    tree with ``params`` bound.
     """
 
     expression: ex.Expr
@@ -194,7 +195,8 @@ class CandidateV:
     def __post_init__(self):
         self.params = _params(self.params)
         self.expression = ex.as_expr(self.expression, set(self.params))
-        self._vec = ex.compile_expr_vec(self.expression, self.params)
+        self.tree = ex.bind(self.expression, self.params)
+        self._vec = ex.compile_expr_vec(self.tree)
         self.time_dependent = ex.reads_time(self.expression, self.params)
 
     @classmethod
@@ -220,11 +222,10 @@ class CandidateV:
 def _trees(sys: SystemDef, v: CandidateV) -> tuple[ex.Expr, ex.Expr]:
     """V and ``Vdot = sum_i dV/dx_i f_i + dV/dt`` as trees, with the
     parameters of the candidate and of the system bound."""
-    tree = ex.bind(v.expression, v.params)
-    return tree, ex.total([
-        *(ex.fold("*", ex.derivative(tree, f"x{i + 1}"), f)
+    return v.tree, ex.total([
+        *(ex.fold("*", ex.derivative(v.tree, f"x{i + 1}"), f)
           for i, f in enumerate(sys.field_trees)),
-        ex.derivative(tree, "t")])
+        ex.derivative(v.tree, "t")])
 
 
 def _batch_values(both, X: np.ndarray,
@@ -736,7 +737,7 @@ class QuadraticFormTV:
         self.entries = tuple(tuple(row) for row in grid)
         self._upper = np.triu_indices(n)  # row by row: errors name the first
         self._vec = ex.compile_expr_vec(
-            [grid[i][j] for i, j in zip(*self._upper)], self.params)
+            [ex.bind(grid[i][j], self.params) for i, j in zip(*self._upper)])
         self.time_dependent = any(
             ex.reads_time(e, self.params) for row in self.entries for e in row)
 
@@ -830,12 +831,12 @@ def _sylvester_batch(q: QuadraticFormTV, X: np.ndarray, times: np.ndarray):
 # --- domain of attraction -----------------------------------------------------------
 
 def attraction_region(sys: SystemDef, p, cmax: float, levels: int = 48,
-                      directions: int = 512, iterations: int = 40) -> float:
+                      directions: int = 512) -> float:
     """Largest c <= cmax whose sublevel set {x'Px <= c} has Vdot < 0 throughout.
 
     Every level set {V = c'} on a ladder below c is sampled along Halton
     directions (points within 1e-6 of the origin excluded); bisection runs
-    ``iterations`` rounds.  The region certified by one quadratic V is in
+    40 rounds.  The region certified by one quadratic V is in
     general only part of the true domain of attraction.  Raises
     :class:`NoRegionError` when violations appear arbitrarily close to the
     origin.  Raises :class:`InvalidArgumentError` unless ``levels`` and
@@ -899,7 +900,7 @@ def attraction_region(sys: SystemDef, p, cmax: float, levels: int = 48,
     if not passes(tiny):
         raise NoRegionError("Vdot >= 0 on level sets arbitrarily close to 0")
     lo, hi = tiny, cmax
-    for _ in range(iterations):
+    for _ in range(40):
         mid = 0.5 * (lo + hi)
         if passes(mid):
             lo = mid

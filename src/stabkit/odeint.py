@@ -84,7 +84,7 @@ def _components(entries, n: int, params, what: str) -> tuple[ex.Expr, ...]:
 def compile_matrix(entries: Sequence[Sequence[ExprEntry]],
                    params: Mapping[str, float] | None = None,
                    ) -> Callable[[float | np.ndarray], np.ndarray]:
-    """Compile a grid of expression entries to a fast ``t -> ndarray``.
+    """Compile a grid of entries, ``params`` bound, to a ``t -> ndarray``.
 
     A scalar ``t`` gives the ``(n, n)`` matrix from one fused scalar
     function (:func:`~stabkit.expr.compile_vector`).  A 1-D array of ``N``
@@ -96,9 +96,9 @@ def compile_matrix(entries: Sequence[Sequence[ExprEntry]],
     """
     params = dict(params or {})
     grid = _expr_grid(entries, set(params))
-    flat = [e for row in grid for e in row]
-    vector = ex.compile_vector(flat, params)
-    batch = ex.compile_expr_vec(flat, params)
+    flat = [ex.bind(e, params) for row in grid for e in row]
+    vector = ex.compile_vector(flat)
+    batch = ex.compile_expr_vec(flat)
     shape = (len(grid), len(grid[0]) if grid else 0)
 
     def at(t):
@@ -130,13 +130,13 @@ def coefficient_grid(entries, n: int, params: Mapping[str, float]):
         grid = _expr_grid(rows, set(params))
         if any(ex.reads_time(e, params) for row in grid for e in row):
             return grid
-        flat = [e for row in grid for e in row]
+        flat = [ex.bind(e, params) for row in grid for e in row]
         try:
-            rows = np.reshape(ex.compile_vector(flat, params)((), 0.0), (n, n))
+            rows = np.reshape(ex.compile_vector(flat)((), 0.0), (n, n))
         except DomainError:  # the first failing entry, as its file spells it
             for text, e in zip((v for row in rows for v in row), flat):
                 try:
-                    ex.compile_vector([e], params)((), 0.0)
+                    ex.compile_vector([e])((), 0.0)
                 except DomainError as exc:
                     raise DomainError(f"coefficient entry {text!r}: "
                                       f"{exc.reason}", e) from None
@@ -315,7 +315,7 @@ class SystemDef:
 
     @functools.cached_property
     def rk4_kernel(self):  # RK4 over a run of steps, stages inline
-        return ex._generate(self.field_trees, None, "rk4")
+        return ex._generate(self.field_trees, "rk4")
 
     @functools.cached_property
     def batch_field(self):  # F(X, t) -> (N, n); t one time or one per row
@@ -661,16 +661,16 @@ def integrate_matrix(sys: SystemDef, t0: float, t1: float, h: float) -> np.ndarr
     return buf[_march(buf, 0, t0, t1, h, f, a)].copy()
 
 
-def dde_step(lags: Sequence[float], target: float = 1e-3) -> float:
-    """A step near ``target`` that divides every lag to within 1e-9."""
+def dde_step(lags: Sequence[float]) -> float:
+    """A step near 1e-3 that divides every lag to within 1e-9."""
     smallest = min(lags)
-    m = max(1, round(smallest / target))
+    m = max(1, round(smallest / 1e-3))
     for extra in range(0, 1000):
         h = smallest / (m + extra)
         if all(abs(lag - round(lag / h) * h) <= 1e-9 for lag in lags):
             return h
     raise InvalidArgumentError(
-        f"no common step near {target} divides lags {lags}")
+        f"no common step near 0.001 divides lags {lags}")
 
 
 def integrate_dde(sys: SystemDef, history: HistoryFn, t1: float,

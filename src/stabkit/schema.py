@@ -31,6 +31,11 @@ __all__ = ["SystemFile", "load_system", "save_system", "build_report",
            "to_jsonable", "KINDS"]
 
 KINDS = ("linear", "nonlinear", "delay", "periodic", "discrete")
+#: the fields of every kind, then those each kind takes besides them
+_COMMON = ("name", "kind", "dimension", "params", "comment")
+_FIELDS = {"linear": ("a", "b"), "nonlinear": ("expressions",),
+           "delay": ("a", "b", "delays"), "discrete": ("expressions",),
+           "periodic": ("coefficients", "period")}
 
 
 @dataclass
@@ -72,10 +77,9 @@ def _require(doc: dict, key: str, kind: str):
     return doc[key]
 
 
-def _forbid(doc: dict, keys: tuple[str, ...], kind: str):
-    for key in keys:
-        if key in doc:
-            raise SchemaError(f"kind {kind!r} does not take field {key!r}")
+def _number(value) -> bool:
+    """A JSON number: a bool is an int to Python, not to the schema."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _check_grid(value, n: int, what: str, allow_expr: bool, square=True):
@@ -94,7 +98,9 @@ def _check_grid(value, n: int, what: str, allow_expr: bool, square=True):
 
 
 def load_system(source) -> SystemFile:
-    """Load and validate a system file (path, JSON text, or dict)."""
+    """Load and validate a system file (path, JSON text, or dict):
+    :class:`SchemaError` where the schema (:func:`system_schema`) refuses
+    it, or where its sizes, expressions or periodicity do not hold."""
     if isinstance(source, dict):
         doc = source
     else:
@@ -117,25 +123,31 @@ def load_system(source) -> SystemFile:
     if not isinstance(name, str) or not name:
         raise SchemaError("field 'name' (non-empty string) is required")
     dimension = doc.get("dimension")
+    if isinstance(dimension, float) and dimension.is_integer():
+        dimension = int(dimension)  # an integer to JSON Schema
     if not isinstance(dimension, int) or isinstance(dimension, bool) or \
             dimension < 1:
         raise SchemaError("field 'dimension' (positive integer) is required")
     params = doc.get("params", {})
-    if not isinstance(params, dict) or \
-            not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                    for v in params.values()):
+    if not isinstance(params, dict) or not all(map(_number, params.values())):
         raise SchemaError("'params' must map names to numbers")
+    if not isinstance(doc.get("comment", ""), str):
+        raise SchemaError("'comment' must be a string")
+    for key in doc:
+        if key not in _COMMON + _FIELDS[kind]:
+            raise SchemaError(
+                f"kind {kind!r} does not take field {key!r}"
+                if any(key in keys for keys in _FIELDS.values())
+                else f"unknown field {key!r}")
 
     n = dimension
     if kind == "linear":
         _check_grid(_require(doc, "a", kind), n, "'a'", allow_expr=False)
-        _forbid(doc, ("expressions", "coefficients", "period", "delays"), kind)
     elif kind in ("nonlinear", "discrete"):
         exprs = _require(doc, "expressions", kind)
         if not isinstance(exprs, list) or len(exprs) != n or \
                 not all(isinstance(e, str) for e in exprs):
             raise SchemaError(f"'expressions' must be {n} strings")
-        _forbid(doc, ("a", "b", "coefficients", "period", "delays"), kind)
     elif kind == "delay":
         _check_grid(_require(doc, "a", kind), n, "'a'", allow_expr=True)
         delays = _require(doc, "delays", kind)
@@ -145,18 +157,19 @@ def load_system(source) -> SystemFile:
             if not isinstance(d, dict) or "lag" not in d or \
                     "coefficients" not in d:
                 raise SchemaError("each delay needs 'lag' and 'coefficients'")
-            if not isinstance(d["lag"], (int, float)) or d["lag"] <= 0:
+            for key in d:
+                if key not in ("lag", "coefficients"):
+                    raise SchemaError(f"unknown delay field {key!r}")
+            if not _number(d["lag"]) or d["lag"] <= 0:
                 raise SchemaError("delay lags must be positive numbers")
             _check_grid(d["coefficients"], n, "delay 'coefficients'",
                         allow_expr=True)
-        _forbid(doc, ("expressions", "coefficients", "period"), kind)
     elif kind == "periodic":
         _check_grid(_require(doc, "coefficients", kind), n, "'coefficients'",
                     allow_expr=True)
         period = _require(doc, "period", kind)
-        if not isinstance(period, (int, float)) or period <= 0:
+        if not _number(period) or period <= 0:
             raise SchemaError("'period' must be a positive number")
-        _forbid(doc, ("a", "b", "expressions", "delays"), kind)
     if "b" in doc:  # linear and delay files only
         _check_grid(doc["b"], n, "'b'", allow_expr=False, square=False)
 

@@ -45,16 +45,30 @@ candidate the goldens check (``golden_helpers.GOLDEN_CANDIDATES``, at t0 =
 
     golden <index> <minors>  <system> <V>
     <seed> <op index> <minors>  <file> <V>
+
+The ``options`` mode lists the settable parameters of the public API::
+
+    python tests/report_digest.py options > options.txt
+
+It prints one line per parameter with a default of every function and
+dataclass (its constructor and its public methods) that a ``stabkit``
+module names in ``__all__``, sorted::
+
+    <module>.<name> <parameter>=<default>
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import importlib
+import inspect
 import json
 import random
 import sys
 import tempfile
 from pathlib import Path
+from types import FunctionType
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
@@ -199,7 +213,35 @@ def digest_w3(lyapunov) -> list[str]:
     return lines
 
 
+def _defaults(where: str, fn) -> list[str]:
+    return [f"{where} {name}={param.default!r}"
+            for name, param in inspect.signature(fn).parameters.items()
+            if param.default is not param.empty]
+
+
+def digest_options() -> list[str]:
+    """One line per parameter with a default of the public API, sorted."""
+    lines = []
+    for path in sorted((ROOT / "src/stabkit").glob("[!_]*.py")):
+        module = importlib.import_module(f"stabkit.{path.stem}")
+        for name in getattr(module, "__all__", ()):
+            obj, where = getattr(module, name), f"{path.stem}.{name}"
+            if inspect.isfunction(obj) or dataclasses.is_dataclass(obj):
+                lines += _defaults(where, obj)
+            if dataclasses.is_dataclass(obj):  # and its public methods
+                lines += [line for attr, member in vars(obj).items()
+                          if not attr.startswith("_") and isinstance(
+                              member, (FunctionType, classmethod, staticmethod))
+                          for line in _defaults(f"{where}.{attr}",
+                                                getattr(obj, attr))]
+    return sorted(lines)
+
+
 def main(argv: list[str]) -> int:
+    if argv == ["options"]:
+        for line in digest_options():
+            print(line)
+        return 0
     if argv in (["parse"], ["w3"]):
         stabkit = bench.load_stabkit()
         lines = digest_parse(stabkit["expr"]) if argv == ["parse"] else \

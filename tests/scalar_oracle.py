@@ -196,7 +196,8 @@ def sylvester_loop(q, X, times):
     minors and the last row that sets a strict new minimum.  The entries go
     through the scalar closures of ``compile_expr``: libm, like the tree
     walker, and fast enough for the 32k-point scans compared here."""
-    fns = [[ex.compile_expr(e, q.params) for e in row] for row in q.entries]
+    fns = [[ex.compile_expr(ex.bind(e, q.params)) for e in row]
+           for row in q.entries]
     min_minors = np.full(q.dimension, np.inf)
     worst = 0
     for row, (x, t) in enumerate((x, t) for x in X for t in times):

@@ -156,14 +156,14 @@ def test_gallery_period_matches_entries():
 def test_liouville_integrates_batched_traces_like_the_per_time_scan():
     sysd = gallery_system("periodic_rotation")
     mults = fl.multipliers(fl.monodromy(sysd, 1e-3))
-    _, rhs, _ = fl.liouville_check(sysd, mults, panels=200)
-    ts = np.linspace(0.0, sysd.period, 201)
-    w = np.ones(201)
+    _, rhs, _ = fl.liouville_check(sysd, mults)
+    ts = np.linspace(0.0, sysd.period, 10_001)
+    w = np.ones(10_001)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
     at = compile_matrix(sysd.rhs.a, sysd.params)
     traces = np.array([np.trace(at(float(t))) for t in ts])
-    want = math.exp(sysd.period / 200 / 3.0 * (w @ traces))
+    want = math.exp(sysd.period / 10_000 / 3.0 * (w @ traces))
     assert rhs == pytest.approx(want, rel=1e-14)
 
 

@@ -1,11 +1,14 @@
+import importlib.util
 import json
+from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 
 from stabkit.errors import SchemaError
 from stabkit.schema import (bundled_names, bundled_system, load_system,
-                            to_jsonable)
+                            system_schema, to_jsonable)
 
 
 BASE = {"name": "x", "kind": "linear", "dimension": 2, "a": [[1, 0], [0, 1]]}
@@ -54,6 +57,97 @@ def test_loads_from_dict_text_and_path(tmp_path):
 def test_invalid_documents_rejected(broken):
     with pytest.raises(SchemaError):
         load_system(broken)
+
+
+ROTATION = [["-1", "cos(6.283185307179586*t)"], ["0", "-1"]]  # 1-periodic
+DELAY = {"kind": "delay", "a": [[-2, 0], [0, -2]],
+         "delays": [{"lag": 1.0, "coefficients": [[0.5, 0], [0, 0.5]]}]}
+FIELD = {"kind": "nonlinear", "a": None, "expressions": ["-x1", "-x2"]}
+PERIODIC = {"kind": "periodic", "a": None, "coefficients": ROTATION,
+            "period": 1.0}
+
+# (document, what load_system must do: "load", "refuse" or "invalid", a
+# refusal of the build, which checks what the schema cannot state)
+EDGE_DOCUMENTS = {
+    "unknown field": (doc(B=[[1], [0]]), "refuse"),
+    "unknown delay field": (doc(**{**DELAY, "delays": [
+        {"lag": 1.0, "coefficients": [[0, 0], [0, 0]], "gain": 2}]}),
+        "refuse"),
+    "boolean lag": (doc(**{**DELAY, "delays": [
+        {"lag": True, "coefficients": [[0.5, 0], [0, 0.5]]}]}), "refuse"),
+    "boolean period": (doc(**{**PERIODIC, "period": True}), "refuse"),
+    "boolean dimension": (doc(dimension=True), "refuse"),
+    "integral float dimension": (doc(dimension=2.0), "load"),
+    "boolean param": (doc(params={"k": True}), "refuse"),
+    "string period": (doc(**{**PERIODIC, "period": "1"}), "refuse"),
+    "comment": (doc(comment="a note"), "load"),
+    "empty expression": (doc(**{**FIELD, "expressions": ["", "x1"]}),
+                         "invalid"),
+    "nonlinear with a": (doc(**{**FIELD, "a": [[1, 0], [0, 1]]}), "refuse"),
+    "linear with expressions": (doc(expressions=["x1", "x2"]), "refuse"),
+    "string in linear a": (doc(a=[[1, "2"], [0, 1]]), "refuse"),
+    "periodic with b": (doc(**PERIODIC, b=[[1], [0]]), "refuse"),
+    "discrete with period": (doc(**{**FIELD, "kind": "discrete"},
+                                 period=1.0), "refuse"),
+}
+
+
+def _schema_parity(document) -> str:
+    """What load_system does with a document, checked against the schema:
+    what the schema refuses is a SchemaError; what it accepts loads, or is
+    refused only for what a schema cannot state (sizes against the
+    dimension, expression syntax, periodicity)."""
+    try:
+        jsonschema.validate(document, system_schema())
+    except jsonschema.ValidationError:
+        with pytest.raises(SchemaError):
+            load_system(document)
+        return "refuse"
+    try:
+        load_system(document)
+    except SchemaError as exc:
+        assert str(exc).startswith("system definition invalid:"), str(exc)
+        return "invalid"
+    return "load"
+
+
+@pytest.mark.parametrize("name", EDGE_DOCUMENTS)
+def test_load_system_follows_the_schema_on_edge_documents(name):
+    document, want = EDGE_DOCUMENTS[name]
+    assert _schema_parity(document) == want
+
+
+def test_load_system_follows_the_schema_on_shipped_and_benchmark_files():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_generate",
+        Path(__file__).resolve().parents[1] / "perfbench" / "generate.py")
+    generate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generate)
+    documents = {name: bundled_system(name).document
+                 for name in bundled_names()}
+    for workload in generate.WORKLOADS:
+        for seed in (1, 2, 3):
+            files = generate.generate(workload, seed)[0]
+            documents.update({f"{workload} {seed} {name}": json.loads(body)
+                              for name, body in files.items()
+                              if not name.startswith("p_")})  # P files
+    for name, document in documents.items():
+        assert _schema_parity(document) == "load", name
+
+
+@pytest.mark.parametrize("document, message", [
+    (EDGE_DOCUMENTS["unknown field"][0], "unknown field 'B'"),
+    (EDGE_DOCUMENTS["unknown delay field"][0], "unknown delay field 'gain'"),
+    (EDGE_DOCUMENTS["discrete with period"][0],
+     "kind 'discrete' does not take field 'period'"),
+])
+def test_refused_fields_are_named(document, message):
+    with pytest.raises(SchemaError, match=message):
+        load_system(document)
+
+
+def test_integral_float_dimension_reads_as_an_integer():
+    assert load_system(doc(dimension=2.0)).dimension == 2
 
 
 def test_invalid_json_text():
