@@ -25,7 +25,9 @@ import functools
 import math
 import operator
 import re
+from collections import Counter
 from dataclasses import dataclass, fields
+from itertools import chain
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -465,10 +467,13 @@ def _chains(op: str, left: Expr) -> bool:
         op == left.op == "*" or (op in "+-" and left.op in "+-"))
 
 
-def _codegen(e: Expr, state: str = "x[{}]", bare: bool = False,
+def _codegen(e: Expr, parts: list, state: str = "x[{}]", bare: bool = False,
              literal: str = "{!r}") -> str:
     """Python code for the bound tree ``e``; ``state.format(i)`` spells
-    ``x{i + 1}`` and ``literal.format(c)`` a number ``c`` of the tree."""
+    ``x{i + 1}`` and ``literal.format(c)`` a number ``c`` of the tree.
+    Each non-leaf node appends its code and its pieces to ``parts``, text
+    at even places and the code of a child at odd ones (see
+    :func:`_shared`)."""
     if isinstance(e, Number):
         return literal.format(e.value)
     if isinstance(e, Var):
@@ -478,20 +483,73 @@ def _codegen(e: Expr, state: str = "x[{}]", bare: bool = False,
         if m:
             return state.format(int(m.group(1)) - 1)
         raise UnboundVariableError(e.name)
-    if isinstance(e, Unary):
-        return f"(-{_codegen(e.child, state, literal=literal)})"
     if isinstance(e, Binary):
-        a = _codegen(e.left, state, _chains(e.op, e.left), literal)
-        b = _codegen(e.right, state, literal=literal)
-        if e.op == "^":
-            return f"_pow({a}, {b})"
-        if e.op == "/":
-            return f"_div({a}, {b})"
-        return f"{a} {e.op} {b}" if bare else f"({a} {e.op} {b})"
-    if isinstance(e, Call):
-        args = ", ".join(_codegen(a, state, literal=literal) for a in e.args)
-        return f"_{e.func}({args})"
-    raise TypeError(f"not an expression node: {e!r}")
+        a = _codegen(e.left, parts, state, _chains(e.op, e.left), literal)
+        b = _codegen(e.right, parts, state, literal=literal)
+        if e.op in "^/":
+            pieces = ("_pow(" if e.op == "^" else "_div(", a, ", ", b, ")")
+        else:
+            pieces = ("" if bare else "(", a, f" {e.op} ", b,
+                      "" if bare else ")")
+    elif isinstance(e, Unary):
+        pieces = ("(-", _codegen(e.child, parts, state, literal=literal), ")")
+    elif isinstance(e, Call):
+        pieces = [f"_{e.func}("]
+        for a in e.args:  # a loop: one frame per level
+            pieces += (_codegen(a, parts, state, literal=literal), ", ")
+        pieces[-1] = ")"
+    else:
+        raise TypeError(f"not an expression node: {e!r}")
+    code = "".join(pieces)
+    parts.append((code, pieces))
+    return code
+
+
+#: Parentheses that sharing may add on one path of the generated code: a
+#: bound call or chain link opens one (see :func:`_shared`).  The unshared
+#: code of a tree nests about ``MAX_NESTING`` deep, and Python refuses 200.
+SHARED_NESTING = 64
+
+
+def _shared(codes: list[str], parts: list) -> list[str]:
+    """``codes``, the code of trees whose nodes :func:`_codegen` put in
+    ``parts``, with each non-leaf code used more than once computed once:
+    bound at its first use in evaluation order (left to right) as
+    ``(_cK := ...)`` and read as ``_cK`` after that.  A code is used by
+    each tree it is the code of and by each distinct code that has it as
+    a child (only the first copy of a repeat is expanded).  Equal code is
+    equal Python, so it gives equal bits and fails where the unshared code
+    does."""
+    table = dict(parts)
+    if len(table) == len(parts):  # no code occurs twice
+        return codes
+    uses = Counter(chain(codes, *[pieces[1::2] for pieces in table.values()]))
+    dirty = set()  # the codes that hold a repeat: the rest print as they are
+    for code, pieces in table.items():  # children first
+        if uses[code] > 1 or not dirty.isdisjoint(pieces[1::2]):
+            dirty.add(code)
+    names: dict[str, str] = {}
+
+    def emit(code: str, room: int) -> str:  # a dirty code; a frame a level
+        if code in names:
+            return names[code]
+        pieces = table[code]
+        wrapped = pieces[0][:1] == "("  # the walrus takes its parentheses
+        bind = uses[code] > 1 and (wrapped or room > 0)
+        if bind and not wrapped:
+            room -= 1
+        out = list(pieces)
+        for i in range(1, len(out), 2):
+            if out[i] in dirty:
+                out[i] = emit(out[i], room)
+        text = "".join(out)
+        if not bind:
+            return text
+        names[code] = name = f"_c{len(names)}"
+        return f"({name} := {text[1:]}" if wrapped else f"({name} := {text})"
+
+    return [emit(code, SHARED_NESTING) if code in dirty else code
+            for code in codes]
 
 
 def _checked_div(a: float, b: float) -> float:
@@ -918,7 +976,12 @@ def _generate(exprs: Sequence[Expr], form: str = "scalar"):
     state appended to ``rows``, the four stages inline on the components as
     locals in ``odeint._rk4``'s arithmetic; with "jet", as the scalar form
     on a list ``x`` of second-order jets (see :func:`hessian`), where only
-    a non-finite Hessian fails.  The first failure raises."""
+    a non-finite Hessian fails.  The first failure raises.
+
+    A non-leaf subtree whose code occurs more than once among the trees is
+    computed once (:func:`_shared`), in each RK4 stage anew, as ``t`` and
+    the state change between stages.  No function of a namespace changes
+    an operand in place, so a shared value is the value of each copy."""
     exprs = tuple(exprs)
     bad = "{0} - {0}" if form in ("scalar", "rk4") else "not _finite({0})"
     literal = "_lit({!r})" if form == "jet" else "{!r}"  # see _Lit
@@ -926,19 +989,24 @@ def _generate(exprs: Sequence[Expr], form: str = "scalar"):
     def each(line: str, pad: str = "\n    ") -> str:  # one per component
         return "".join(pad + line.format(i) for i in range(len(exprs)))
 
-    def stage(slot: str, state: str = "x[{}]") -> str:  # each tree, checked
-        return "".join(f"\n    try:\n        {slot.format(i)} = "
-                       f"{_codegen(e, state, literal=literal)}"
+    def code(state: str = "x[{}]") -> list[str]:  # the trees, shared
+        parts: list = []
+        return _shared([_codegen(e, parts, state, literal=literal)
+                        for e in exprs], parts)
+
+    def stage(slot: str, codes: list[str]) -> str:  # each tree, checked
+        return "".join(f"\n    try:\n        {slot.format(i)} = {c}"
                        f"\n    except _ERRORS as exc:\n        _fail(exc, {i})"
                        f"\n    if {bad.format(slot.format(i))}:"
-                       f"\n        _fail(None, {i})" for i, e in enumerate(exprs))
+                       f"\n        _fail(None, {i})" for i, c in enumerate(codes))
 
     if form == "rk4":  # one step, then indented into the loop
-        step = ("\n    tk = t = t0 + k * h" + stage("p{}", "x{}")
+        ys = code("y{}")  # the stages on y, each binding its own locals
+        step = ("\n    tk = t = t0 + k * h" + stage("p{}", code("x{}"))
                 + each("y{0} = x{0} + half * p{0}") + "\n    t = tk + half"
-                + stage("q{}", "y{}") + each("y{0} = x{0} + half * q{0}")
-                + stage("r{}", "y{}") + each("y{0} = x{0} + dt * r{0}")
-                + "\n    t = tk + dt" + stage("s{}", "y{}")
+                + stage("q{}", ys) + each("y{0} = x{0} + half * q{0}")
+                + stage("r{}", ys) + each("y{0} = x{0} + dt * r{0}")
+                + "\n    t = tk + dt" + stage("s{}", ys)
                 + each("x{0} = x{0} + sixth * (p{0} + 2.0 * q{0} + 2.0 * r{0}"
                        " + s{0})") + f"\n    rows.append(({each('x{}, ', '')}))")
         head, result = "x, t0, h, lo, hi, dt, rows", "rows"
@@ -946,9 +1014,10 @@ def _generate(exprs: Sequence[Expr], form: str = "scalar"):
                 "dt / 6.0\n    for k in range(lo, hi):"
                 + step.replace("\n", "\n    "))
     elif form == "batch":
-        head, body, result = "x, t, out", stage("out[:, {}]"), "out"
+        head, body, result = "x, t, out", stage("out[:, {}]", code()), "out"
     else:
-        head, body, result = "x, t", stage("v{}"), f"[{each('v{}, ', '')}]"
+        head, body, result = "x, t", stage("v{}", code()), \
+            f"[{each('v{}, ', '')}]"
 
     def fail(exc, i):  # a DomainError of the namespace passes unchanged
         raise DomainError(str(exc or "non-finite evaluation result"),
@@ -1000,6 +1069,8 @@ def compile_expr_vec(exprs: "Expr | Sequence[Expr]"):
     :func:`strict_rows` then names the first sample that raises on its own.
     Integer powers 3-16 are products (k - 1 roundings), where
     :func:`compile_vector` keeps libm ``pow``: they may differ in the last bits.
+    A subtree repeated among the trees (equal printed code, so ``0.0`` and
+    ``-0.0`` differ) is computed once, with the bits of each of its copies.
     """
     single = isinstance(exprs, _NODES)
     exprs = (exprs,) if single else tuple(exprs)

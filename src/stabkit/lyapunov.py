@@ -196,7 +196,6 @@ class CandidateV:
         self.params = _params(self.params)
         self.expression = ex.as_expr(self.expression, set(self.params))
         self.tree = ex.bind(self.expression, self.params)
-        self._vec = ex.compile_expr_vec(self.tree)
         self.time_dependent = ex.reads_time(self.expression, self.params)
 
     @classmethod
@@ -214,6 +213,12 @@ class CandidateV:
     def values(self, X: np.ndarray, t) -> np.ndarray:
         """V over the rows of ``X`` at one time or at per-row times ``t``."""
         return self._vec(X, t)
+
+    @functools.cached_property
+    def _vec(self):
+        """The batch evaluator of V, compiled on the first ``values`` call:
+        the scans evaluate V with its rate, in one evaluator of both."""
+        return ex.compile_expr_vec(self.tree)
 
     def max_state_index(self) -> int:
         return ex.max_state_index(self.expression)

@@ -87,9 +87,10 @@ def compile_matrix(entries: Sequence[Sequence[ExprEntry]],
     """Compile a grid of entries, ``params`` bound, to a ``t -> ndarray``.
 
     A scalar ``t`` gives the ``(n, n)`` matrix from one fused scalar
-    function (:func:`~stabkit.expr.compile_vector`).  A 1-D array of ``N``
-    times gives the ``(N, n, n)`` stack from the batch evaluator of the
-    grid (:func:`~stabkit.expr.compile_expr_vec`) under
+    function (:func:`~stabkit.expr.compile_vector`, compiled on the first
+    scalar call: the marches and certificates ask for whole grids).  A 1-D
+    array of ``N`` times gives the ``(N, n, n)`` stack from the batch
+    evaluator of the grid (:func:`~stabkit.expr.compile_expr_vec`) under
     :func:`~stabkit.expr.strict_rows`: a floating-point flag other than
     underflow, or a non-finite entry, raises :class:`DomainError` naming
     the first of the given times that fails.
@@ -97,12 +98,14 @@ def compile_matrix(entries: Sequence[Sequence[ExprEntry]],
     params = dict(params or {})
     grid = _expr_grid(entries, set(params))
     flat = [ex.bind(e, params) for row in grid for e in row]
-    vector = ex.compile_vector(flat)
+    vector = None
     batch = ex.compile_expr_vec(flat)
     shape = (len(grid), len(grid[0]) if grid else 0)
 
     def at(t):
+        nonlocal vector
         if not (isinstance(t, np.ndarray) and t.ndim == 1):
+            vector = vector or ex.compile_vector(flat)
             return np.array(vector((), float(t))).reshape(shape)
         stateless = np.empty((len(t), 0))  # a grid reads t only
         out = ex.strict_rows(lambda r: batch(stateless[r], t[r]), len(t),

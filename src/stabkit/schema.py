@@ -82,13 +82,18 @@ def _number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+# what the schema cannot state: sizes against the dimension, expression
+# syntax, periodicity
+_INVALID = "system definition invalid: "
+
+
 def _check_grid(value, n: int, what: str, allow_expr: bool, square=True):
     shape = f"a {n}x{n} array" if square else f"{n} rows of equal length"
     rows = value if isinstance(value, list) and len(value) == n else [None]
     width = len(rows[0]) if not square and isinstance(rows[0], list) else n
     for row in rows:
         if not isinstance(row, list) or len(row) != width or not row:
-            raise SchemaError(f"{what} must be {shape}")
+            raise SchemaError(f"{_INVALID}{what} must be {shape}")
         for cell in row:
             if isinstance(cell, bool) or not isinstance(cell, (int, float, str)):
                 raise SchemaError(f"{what} entries must be numbers"
@@ -147,7 +152,7 @@ def load_system(source) -> SystemFile:
         exprs = _require(doc, "expressions", kind)
         if not isinstance(exprs, list) or len(exprs) != n or \
                 not all(isinstance(e, str) for e in exprs):
-            raise SchemaError(f"'expressions' must be {n} strings")
+            raise SchemaError(f"{_INVALID}'expressions' must be {n} strings")
     elif kind == "delay":
         _check_grid(_require(doc, "a", kind), n, "'a'", allow_expr=True)
         delays = _require(doc, "delays", kind)
@@ -179,7 +184,7 @@ def load_system(source) -> SystemFile:
     except SchemaError:
         raise
     except (StabkitError, ValueError, OverflowError) as exc:
-        raise SchemaError(f"system definition invalid: {exc}") from None
+        raise SchemaError(f"{_INVALID}{exc}") from None
     return sf
 
 

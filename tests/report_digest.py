@@ -46,6 +46,17 @@ candidate the goldens check (``golden_helpers.GOLDEN_CANDIDATES``, at t0 =
     golden <index> <minors>  <system> <V>
     <seed> <op index> <minors>  <file> <V>
 
+The ``codegen`` mode counts the work of every generated evaluator::
+
+    python tests/report_digest.py codegen > codegen.txt
+
+For every workload and seeds 1-3 it runs one pass, and for each evaluator
+an op compiles (``expr._generate``, in compile order) prints its form and
+the count of each function call and operator in its source (``bind``
+counts the subtrees bound by ``:=``, each computed once)::
+
+    <workload> <seed> <op index> <form> <name>=<count> ...  <argv>
+
 The ``options`` mode lists the settable parameters of the public API::
 
     python tests/report_digest.py options > options.txt
@@ -59,6 +70,7 @@ module names in ``__all__``, sorted::
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import hashlib
 import importlib
@@ -81,10 +93,10 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def digest_pass(workload: str, seed: int, stabkit: dict) -> list[str]:
-    """One line per op of the pass, in pass order."""
+def run_pass(workload: str, seed: int, stabkit: dict):
+    """Run one pass in this process, yielding ``(op index, label, exit
+    code, report, CSV bytes or None)`` after each op."""
     files, ops = generate.generate(workload, seed)
-    lines = []
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         for name, body in files.items():
@@ -100,15 +112,69 @@ def digest_pass(workload: str, seed: int, stabkit: dict) -> list[str]:
                     if out.exists() else {}
             else:
                 rc, report = 0, bench.run_sylvester(stabkit, *argv)
-            report.pop("wall_time_s", None)
-            report.pop("command", None)
-            if isinstance(report.get("result"), dict):
-                report["result"].pop("csv", None)
-            body = json.dumps(report, sort_keys=True).encode()
-            csv_sha = _sha(csv.read_bytes()) if csv.exists() else "-"
             label = " ".join(op["argv"]).replace("{work}/", "")
-            lines.append(f"{seed} {index} {rc} report={_sha(body)} "
-                         f"csv={csv_sha}  {label}")
+            yield (index, label, rc, report,
+                   csv.read_bytes() if csv.exists() else None)
+
+
+def digest_pass(workload: str, seed: int, stabkit: dict) -> list[str]:
+    """One line per op of the pass, in pass order."""
+    lines = []
+    for index, label, rc, report, csv in run_pass(workload, seed, stabkit):
+        report.pop("wall_time_s", None)
+        report.pop("command", None)
+        if isinstance(report.get("result"), dict):
+            report["result"].pop("csv", None)
+        body = json.dumps(report, sort_keys=True).encode()
+        csv_sha = "-" if csv is None else _sha(csv)
+        lines.append(f"{seed} {index} {rc} report={_sha(body)} "
+                     f"csv={csv_sha}  {label}")
+    return lines
+
+
+_SYMBOLS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/",
+            ast.USub: "neg", ast.Not: "not"}
+
+
+def source_counts(src: str) -> str:
+    """``name=count`` of each function call and operator in generated
+    source, sorted; ``bind`` counts the subtrees bound by ``:=``, each to
+    be computed once."""
+    counts: dict[str, int] = {}
+    for node in ast.walk(ast.parse(src)):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            key = node.func.id
+        elif isinstance(node, (ast.BinOp, ast.UnaryOp)):
+            key = _SYMBOLS.get(type(node.op), type(node.op).__name__)
+        elif isinstance(node, ast.NamedExpr):
+            key = "bind"
+        else:
+            continue
+        counts[key] = counts.get(key, 0) + 1
+    return " ".join(f"{key}={counts[key]}" for key in sorted(counts))
+
+
+def digest_codegen(stabkit: dict) -> list[str]:
+    """One line per evaluator that one pass of each workload compiles."""
+    expr, lines, form, seen = stabkit["expr"], [], ["scalar"], []
+    generate_, compile_ = expr._generate, expr._compiled
+
+    def spy(exprs, kind="scalar"):  # each evaluator compiles one source
+        form[0] = kind
+        return generate_(exprs, kind)
+
+    expr._generate = spy
+    expr._compiled = lambda src: seen.append((form[0], src)) or compile_(src)
+    try:
+        for workload in generate.WORKLOADS:
+            for seed in (1, 2, 3):
+                for index, label, *_ in run_pass(workload, seed, stabkit):
+                    lines += [f"{workload} {seed} {index} {kind} "
+                              f"{source_counts(src)}  {label}"
+                              for kind, src in seen]
+                    seen.clear()
+    finally:
+        expr._generate, expr._compiled = generate_, compile_
     return lines
 
 
@@ -242,10 +308,11 @@ def main(argv: list[str]) -> int:
         for line in digest_options():
             print(line)
         return 0
-    if argv in (["parse"], ["w3"]):
+    if argv in (["parse"], ["w3"], ["codegen"]):
         stabkit = bench.load_stabkit()
         lines = digest_parse(stabkit["expr"]) if argv == ["parse"] else \
-            digest_w3(stabkit["lyapunov"])
+            digest_w3(stabkit["lyapunov"]) if argv == ["w3"] else \
+            digest_codegen(stabkit)
         for line in lines:
             print(line)
         return 0

@@ -14,6 +14,7 @@ step, as the integrators once were.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -234,6 +235,51 @@ def w3_minors(n: int, vdot: ex.Expr, t0: float) -> tuple[float, ...] | None:
     h = hessian_trees(vdot, [0.0] * n, t0)
     return None if h is None else tuple(
         float(m) for m in linalg.principal_minors(-0.5 * h))
+
+
+def plain_codegen(e: ex.Expr, state: str = "x[{}]", bare: bool = False,
+                  literal: str = "{!r}") -> str:
+    """The code of ``e`` as the generator printed it before subtrees were
+    shared: every subtree in full, at each of its uses."""
+    if isinstance(e, ex.Number):
+        return literal.format(e.value)
+    if isinstance(e, ex.Var):
+        if e.name in ("t", "k"):
+            return "t"
+        m = ex._VAR_RE.match(e.name)
+        if m:
+            return state.format(int(m.group(1)) - 1)
+        raise UnboundVariableError(e.name)
+    if isinstance(e, ex.Unary):
+        return f"(-{plain_codegen(e.child, state, literal=literal)})"
+    if isinstance(e, ex.Binary):
+        a = plain_codegen(e.left, state, ex._chains(e.op, e.left), literal)
+        b = plain_codegen(e.right, state, literal=literal)
+        if e.op == "^":
+            return f"_pow({a}, {b})"
+        if e.op == "/":
+            return f"_div({a}, {b})"
+        return f"{a} {e.op} {b}" if bare else f"({a} {e.op} {b})"
+    if isinstance(e, ex.Call):
+        args = ", ".join(plain_codegen(a, state, literal=literal)
+                         for a in e.args)
+        return f"_{e.func}({args})"
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+@contextmanager
+def unshared():
+    """Within the block, the library's compilers generate the code of
+    :func:`plain_codegen`, nothing shared, with the same statements, checks
+    and namespace around each tree: the oracle of subtree sharing."""
+    saved = ex._codegen, ex._shared
+    ex._codegen = lambda e, parts, state="x[{}]", bare=False, \
+        literal="{!r}": plain_codegen(e, state, bare, literal)
+    ex._shared = lambda codes, parts: codes
+    try:
+        yield
+    finally:
+        ex._codegen, ex._shared = saved
 
 
 def quadratic_vdot(sys, p):

@@ -698,6 +698,7 @@ def test_candidate_scan_compiles_v_and_vdot_once(monkeypatch, check, field,
         odeint.SystemDef(2, odeint.Nonlinear(field))
     v = CandidateV(candidate)
     sysd.batch_field  # compiled on first use, once per system
+    v.values(np.zeros((1, 2)), 0.0)  # and V alone, once per candidate
     compiles, compile_vec = [], ex.compile_expr_vec
     monkeypatch.setattr(ex, "compile_expr_vec",
                         lambda *a: compiles.append(a) or compile_vec(*a))

@@ -89,6 +89,10 @@ EDGE_DOCUMENTS = {
     "periodic with b": (doc(**PERIODIC, b=[[1], [0]]), "refuse"),
     "discrete with period": (doc(**{**FIELD, "kind": "discrete"},
                                  period=1.0), "refuse"),
+    "short a": (doc(a=[[1, 0]]), "invalid"),
+    "short expressions": (doc(**{**FIELD, "expressions": ["-x1"]}),
+                          "invalid"),
+    "ragged b": (doc(b=[[1, 2], [3]]), "invalid"),
 }
 
 
