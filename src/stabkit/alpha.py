@@ -350,8 +350,7 @@ def _p_semidefinite(p) -> bool:
 
 
 def certify(sys: SystemDef, alpha: float, route: CertificateRoute,
-            p=None, history: HistoryFn | None = None, horizon: float = 20.0,
-            residual_tol: float = 1e-6,
+            p=None, horizon: float = 20.0, residual_tol: float = 1e-6,
             rde_grid: tuple[float, float, int] = RDE_GRID) -> AlphaCertificate:
     """Assemble an alpha-stability certificate along the chosen route.
 
@@ -359,7 +358,7 @@ def certify(sys: SystemDef, alpha: float, route: CertificateRoute,
     routes, computed from the delay Lyapunov equation when omitted on the
     rate-inequality route (constant systems only).  With ``horizon > 0`` a
     trajectory cross-check is attached: the delay system is simulated from
-    ``history`` (default: constant ones) and required to stay under a fitted
+    the constant history of ones and required to stay under a fitted
     ``c * exp(-alpha t)`` envelope.
     """
     linalg.check_nonnegative(alpha, "alpha")
@@ -389,10 +388,9 @@ def certify(sys: SystemDef, alpha: float, route: CertificateRoute,
 
     check = None
     if horizon > 0.0:
-        if history is None:
-            history = HistoryFn.constant(np.ones(sys.dimension), sys.max_lag)
-        h = dde_step([d.lag for d in sys.delays])
-        traj = integrate_dde(sys, history, horizon, h)
+        history = HistoryFn.constant(np.ones(sys.dimension), sys.max_lag)
+        traj = integrate_dde(sys, history, horizon,
+                             dde_step([d.lag for d in sys.delays]))
         check = envelope_cross_check(traj, alpha)
 
     return AlphaCertificate(

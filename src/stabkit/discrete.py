@@ -2,11 +2,12 @@
 discrete direct method.
 
 The derivative of the continuous theory is replaced by the one-step
-difference ``Delta V(x, k) = V(f(x, k), k+1) - V(x, k)``.  Classification
-by a candidate V runs on the continuous module's scan core
-(``lyapunov._direct_scan`` and ``lyapunov._sign_test``): the same sampler,
-checks, one-sided semantics and sign floor; this module supplies only the
-fixed-point check and the batch ``Delta V``.
+difference ``Delta V(x, k) = V(f(x, k), k+1) - V(x, k)`` (Kalman &
+Bertram, "Second method of Lyapunov, II", *J. Basic Eng.* 1960), one tree
+as Vdot is.  Classification by a candidate V runs on the continuous
+module's scan core (``lyapunov._direct_scan`` and ``lyapunov._sign_test``):
+the same sampler, checks, one-sided semantics and sign floor; this module
+supplies only the fixed-point check and the ``Delta V`` tree.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from . import expr as ex
 from .errors import (DimensionMismatchError, InvalidArgumentError,
                      NotAFixedPointError)
 from .lyapunov import (
-    BLOCK,
     CandidateV,
     Probe,
     ScanConfig,
@@ -131,21 +131,28 @@ def iterate(sys: DiscreteSystem, x0, K: int) -> Orbit:
 
 
 def delta_v(sys: DiscreteSystem, v: CandidateV, x, k: int = 0) -> float:
-    """One-step difference of the candidate: ``V(f(x,k), k+1) - V(x, k)``."""
-    return float(_batch_deltas(sys, v, np.asarray(x, dtype=float)[None], k)[1][0])
+    """One-step difference of the candidate: ``V(f(x,k), k+1) - V(x, k)``,
+    the tree of :func:`_delta_tree` compiled on each call.  It has the bits
+    of V at ``x`` and at the update of ``x``, but for a power 3-16 of an
+    update component that reads no state: the tree computes it once, as a
+    scalar, by ``pow`` rather than by products: within 4 ulps of the
+    larger V."""
+    delta = ex.compile_expr_vec(_delta_tree(sys, v, k))
+    return float(delta(np.asarray(x, dtype=float)[None], float(k))[0])
 
 
-def _batch_deltas(sys: DiscreteSystem, v: CandidateV, X: np.ndarray,
-                  k: int) -> tuple[np.ndarray, np.ndarray]:
-    """V and Delta V at every row of ``X``, ``BLOCK`` rows per batch."""
-    v_vals = np.empty(len(X))
-    d_vals = np.empty(len(X))
-    for s in range(0, len(X), BLOCK):
-        x = X[s:s + BLOCK]
-        v_vals[s:s + BLOCK] = v.values(x, float(k))
-        after = v.values(sys.steps(x, float(k)), float(k + 1))
-        d_vals[s:s + BLOCK] = after - v_vals[s:s + BLOCK]
-    return v_vals, d_vals
+def _delta_tree(sys: DiscreteSystem, v: CandidateV, k: int) -> ex.Expr:
+    """``Delta V`` at step ``k`` as one tree: V with each ``xi`` replaced by
+    the update's component and its time by ``k + 1``, less V, every time
+    slot a number.  A tree beyond the parser's bounds raises
+    :class:`InvalidArgumentError`."""
+    now, after = ex.Number(float(k)), ex.Number(float(k + 1))
+    step = {f"x{i + 1}": ex.bind(c, {"t": now, "k": now})
+            for i, c in enumerate(sys._bound)}
+    tree = ex.Binary("-", ex.bind(v.tree, {**step, "t": after, "k": after}),
+                     ex.bind(v.tree, {"t": now, "k": now}))
+    ex._bounded(tree, InvalidArgumentError)
+    return tree
 
 
 class DiscreteConclusion(Enum):
@@ -184,11 +191,11 @@ def classify_discrete(sys: DiscreteSystem, v: CandidateV, radius: float = 0.3,
             raise NotAFixedPointError(
                 "update(0) != 0: origin is not a fixed point")
 
-    X, norms, v_vals, d_vals, _ = _direct_scan(
+    X, norms, v_vals, d_vals, *_ = _direct_scan(
         v, sys.dimension, radius,
         ScanConfig(points=samples, t0=float(k0), time_span=0.0), False,
-        fixed_point, lambda X, T: _batch_deltas(sys, v, X, k0),
-        lambda t: f"k={k0}", "k")
+        fixed_point, lambda: _delta_tree(sys, v, k0), lambda t: f"k={k0}",
+        "k")
     v_positive = _fit_lower_bound(v_vals, norms, X)
     verdict, margin = _sign_test(d_vals, norms, X)
     if not v_positive.established or verdict is SignVerdict.INDEFINITE:

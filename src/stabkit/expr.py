@@ -593,7 +593,7 @@ _SCALAR_NS = {
     "_sin": math.sin, "_cos": math.cos, "_tan": math.tan, "_exp": _checked_exp,
     "_log": _checked_log, "_sqrt": _checked_sqrt, "_abs": abs,
     "_pow": _checked_pow, "_div": _checked_div,
-    "_ERRORS": (ValueError, OverflowError, ZeroDivisionError),
+    "_ERRORS": (ValueError, OverflowError, ZeroDivisionError, DomainError),
 }
 
 
@@ -1019,7 +1019,7 @@ def _generate(exprs: Sequence[Expr], form: str = "scalar"):
         head, body, result = "x, t", stage("v{}", code()), \
             f"[{each('v{}, ', '')}]"
 
-    def fail(exc, i):  # a DomainError of the namespace passes unchanged
+    def fail(exc, i):  # names the tree, for a checked function's error too
         raise DomainError(str(exc or "non-finite evaluation result"),
                           exprs[i]) from None
 
@@ -1045,8 +1045,8 @@ def compile_vector(exprs: Sequence[Expr],
     code over numpy.  Trees come with parameters bound (:func:`bind`): a
     name other than ``t``, ``k`` (time too) or ``xK`` is unbound.  Each
     component runs once, in order, and the first failing one raises
-    :class:`DomainError`: an invalid operand, or (see ``_SCALAR_NS``) any
-    non-finite intermediate.
+    :class:`DomainError` naming its tree: an invalid operand, or (see
+    ``_SCALAR_NS``) any non-finite intermediate.
     """
     return _generate(exprs)
 
@@ -1102,23 +1102,21 @@ def _failing(fn, lo: int, hi: int):
             yield from _failing(fn, (lo + hi) // 2, hi)
 
 
-def strict_rows(fn, count: int, label: Callable[[int], str], prior=()):
+def strict_rows(fn, count: int, label: Callable[[int], str]):
     """``fn(slice(0, count))`` with every floating-point flag but underflow
     an error, as in :func:`compile_expr_vec`: scans and coefficient grids
     run their rows, generated code and the arithmetic around it, through
-    this.  On failure, the :class:`DomainError` of the first row failing on
-    its own (:func:`_failing`), by each of ``prior`` over all rows and then
-    by ``fn``, is raised with ``row`` set and ``label(row)`` ending its
-    message."""
+    this, one pass per quantity.  On failure, the :class:`DomainError` of
+    the first row failing on its own (:func:`_failing`) is raised with
+    ``row`` set and ``label(row)`` ending its message."""
     try:
         with np.errstate(all="raise", under="ignore"):
             return fn(slice(0, count))
     except (FloatingPointError, DomainError) as exc:
         error = exc
-    for stage in (*prior, fn):
-        for row, cause in _failing(stage, 0, count):
-            raise DomainError(getattr(cause, "reason", str(cause)),
-                              getattr(cause, "node", None), row, label(row))
+    for row, cause in _failing(fn, 0, count):
+        raise DomainError(getattr(cause, "reason", str(cause)),
+                          getattr(cause, "node", None), row, label(row))
     raise DomainError(str(error), getattr(error, "node", None))
 
 

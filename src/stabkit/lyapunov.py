@@ -11,7 +11,7 @@ claim what the sufficient conditions support; a failed candidate yields
 The direct-method ladders (:func:`check_candidate`,
 :func:`check_instability` and the discrete ``classify_discrete``) run on
 one scan core: :func:`_direct_scan` checks the origin, samples ball points
-with Halton times and evaluates V with its rate (Vdot, or Delta V), and
+with Halton times and evaluates V, then its rate (Vdot, or Delta V), and
 :func:`_sign_test` reads the rate's sign against the one sign floor.  A
 premise that must hold uniformly in t is read once more on the window
 ladder of :func:`_ladder` (Khalil, *Nonlinear Systems*, Def. 4.4).
@@ -22,10 +22,11 @@ per candidate, per form and per system), each batch under
 :func:`~stabkit.expr.strict_rows`: V and its rate, the Sylvester minors,
 the attraction ladder, the origin checks and the radial rays.  A domain
 error names the first failing sample in the order of a point-by-point
-scan.  Vdot is exact, one tree from the derivative trees of V (for
-attraction, x'Px) and the system's field trees, built and compiled with V
-once per scan; the W3 minors come from its exact Hessian at the origin,
-one evaluation of that tree on second-order jets
+scan.  Each quantity is one tree compiled into one evaluator: V once per
+candidate, and its rate once per scan.  Vdot is exact, one tree from the
+derivative trees of V (for attraction, x'Px) and the system's field
+trees; the W3 minors come from its exact Hessian at the origin, one
+evaluation of that tree on second-order jets
 (:func:`~stabkit.expr.hessian`), with no second derivative tree built.
 
 The module also owns the continuous Lyapunov matrix equation (solved in
@@ -216,8 +217,8 @@ class CandidateV:
 
     @functools.cached_property
     def _vec(self):
-        """The batch evaluator of V, compiled on the first ``values`` call:
-        the scans evaluate V with its rate, in one evaluator of both."""
+        """The one batch evaluator of V, compiled on the first ``values``
+        call: the origin checks, the radial rays and the scans read it."""
         return ex.compile_expr_vec(self.tree)
 
     def max_state_index(self) -> int:
@@ -233,15 +234,10 @@ def _trees(sys: SystemDef, v: CandidateV) -> tuple[ex.Expr, ex.Expr]:
         ex.derivative(v.tree, "t")])
 
 
-def _batch_values(both, X: np.ndarray,
-                  T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """V and Vdot at the sample rows ``(X[k], T[k])``: ``both``, the
-    two-column evaluator of the trees of :func:`_trees`, ``BLOCK`` rows
-    per call."""
-    out = np.empty((len(X), 2))
-    for s in range(0, len(X), BLOCK):
-        out[s:s + BLOCK] = both(X[s:s + BLOCK], T[s:s + BLOCK])
-    return out[:, 0], out[:, 1]
+def _by_block(f, X: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """``f`` at the sample rows ``(X[k], T[k])``, ``BLOCK`` rows per call."""
+    return np.concatenate([f(X[s:s + BLOCK], T[s:s + BLOCK])
+                           for s in range(0, len(X), BLOCK)])
 
 
 def _time_label(t) -> str:
@@ -389,18 +385,19 @@ def _scan_points(n: int, radius: float, scan: ScanConfig, time_dep: bool):
 
 
 def _direct_scan(v: CandidateV, n: int, radius: float, scan: ScanConfig,
-                 time_dep: bool, at_origin, evaluate, clock=_time_label,
+                 time_dep: bool, at_origin, rate, clock=_time_label,
                  zero: str | None = "t"):
     """The sampled scan of every direct-method ladder, continuous or
-    discrete: ``(X, norms, V, D, ladder)`` on the samples ``X`` of
+    discrete: ``(X, norms, V, D, ladder, tree)`` on the samples ``X`` of
     :func:`_scan_points`, with their norms.
 
     Checks come first: the sample count, the dimension, the window,
     ``at_origin()`` (the equilibrium or fixed-point check) and, unless
     ``zero`` is None, ``V(0, zero) = 0`` at 16 times of the window.  Then
-    ``evaluate(X, T)`` gives V and its rate D (Vdot, or Delta V) under
-    :func:`~stabkit.expr.strict_rows`, V first; ``clock`` labels a sample's
-    time.  ``ladder`` is :func:`_ladder` of ``evaluate`` if ``time_dep``,
+    ``rate()`` builds ``tree``, the rate D (Vdot, or Delta V), compiled
+    into one evaluator; V (``v.values``) over all samples and then D, each
+    in its own :func:`~stabkit.expr.strict_rows` pass; ``clock`` labels a
+    sample's time.  ``ladder`` is :func:`_ladder` of both if ``time_dep``,
     else ``(None, None, "")``.
     """
     _require_samples(scan.points)
@@ -415,21 +412,23 @@ def _direct_scan(v: CandidateV, n: int, radius: float, scan: ScanConfig,
             raise InvalidCandidateError(
                 f"candidate must satisfy V(0, {zero}) = 0")
     X, T = _scan_points(n, radius, scan, time_dep)
-    v_vals, d_vals = ex.strict_rows(
-        lambda r: evaluate(X[r], T[r]), len(X),
-        lambda k: _sample_label(X[k], T[k], clock),
-        prior=(lambda r: v.values(X[r], T[r]),))
+    tree = rate()
+    fns = v.values, ex.compile_expr_vec(tree)
+    v_vals, d_vals = (ex.strict_rows(
+        lambda r: _by_block(f, X[r], T[r]), len(X),
+        lambda k: _sample_label(X[k], T[k], clock)) for f in fns)
     return X, column_norms(X.T), v_vals, d_vals, \
-        _ladder(evaluate, X, T, scan) if time_dep else (None, None, "")
+        _ladder(fns, X, T, scan) if time_dep else (None, None, ""), tree
 
 
-def _ladder(evaluate, X, T, scan: ScanConfig):
+def _ladder(fns, X, T, scan: ScanConfig):
     """``(V, D, stop)``: V and its rate D, ``(windows, points)``, at the
     first ``LADDER_POINTS`` samples with their times moved to the windows
     ``[t0 + S(10^k - 1), t0 + S 10^k]``, k = 1 .. ``LADDER_DEPTH``, after
-    ``[t0, t0 + S]``, in one ``evaluate(X, T)``.  If some time leaves float
-    range or some row fails to evaluate, no window counts: V and D are
-    empty and the note ``stop`` says why (else it is "")."""
+    ``[t0, t0 + S]``, by the evaluators ``fns`` of V and D, V first.  If
+    some time leaves float range or some row fails to evaluate, no window
+    counts: V and D are empty and the note ``stop`` says why (else it is
+    "")."""
     m = min(LADDER_POINTS, len(X))
     with np.errstate(over="ignore"):
         times = (T[:m] + scan.time_span * (
@@ -437,8 +436,9 @@ def _ladder(evaluate, X, T, scan: ScanConfig):
     try:
         if not np.isfinite(times).all():
             raise DomainError("its times leave float range")
-        v, d = evaluate(np.tile(X[:m], (LADDER_DEPTH, 1)), times)
-        return v.reshape(-1, m), d.reshape(-1, m), ""
+        rows = np.tile(X[:m], (LADDER_DEPTH, 1))
+        v, d = [f(rows, times).reshape(-1, m) for f in fns]
+        return v, d, ""
     except DomainError as exc:
         end = scan.t0 + scan.time_span * 10.0 ** LADDER_DEPTH
         return np.empty((0, m)), np.empty((0, m)), (
@@ -448,20 +448,12 @@ def _ladder(evaluate, X, T, scan: ScanConfig):
 
 def _scan(sys: SystemDef, v: CandidateV, radius: float, scan: ScanConfig,
           zero: str | None):
-    """:func:`_direct_scan` of V and Vdot along the trajectories of ``sys``,
-    then the Vdot tree: :func:`_trees` is built and compiled once, after
-    the checks."""
+    """:func:`_direct_scan` of V and Vdot along the trajectories of ``sys``."""
     sys.check_undelayed("a candidate scan")
-
-    @functools.cache
-    def built():
-        trees = _trees(sys, v)
-        return trees[1], ex.compile_expr_vec(trees)
-
-    return (*_direct_scan(
-        v, sys.dimension, radius, scan, _time_dependent(sys, v),
-        lambda: _check_origin_equilibrium(sys, scan),
-        lambda X, T: _batch_values(built()[1], X, T), zero=zero), built()[0])
+    return _direct_scan(v, sys.dimension, radius, scan,
+                        _time_dependent(sys, v),
+                        lambda: _check_origin_equilibrium(sys, scan),
+                        lambda: _trees(sys, v)[1], zero=zero)
 
 
 def _above_floor(values: np.ndarray) -> bool:

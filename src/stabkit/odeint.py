@@ -136,14 +136,11 @@ def coefficient_grid(entries, n: int, params: Mapping[str, float]):
         flat = [ex.bind(e, params) for row in grid for e in row]
         try:
             rows = np.reshape(ex.compile_vector(flat)((), 0.0), (n, n))
-        except DomainError:  # the first failing entry, as its file spells it
-            for text, e in zip((v for row in rows for v in row), flat):
-                try:
-                    ex.compile_vector([e])((), 0.0)
-                except DomainError as exc:
-                    raise DomainError(f"coefficient entry {text!r}: "
-                                      f"{exc.reason}", e) from None
-            raise
+        except DomainError as exc:  # the failing entry, as its file spells it
+            i = next(i for i, e in enumerate(flat) if e is exc.node)
+            text = [v for row in rows for v in row][i]
+            raise DomainError(f"coefficient entry {text!r}: {exc.reason}",
+                              exc.node) from None
     return _finite(rows, "coefficient entries")
 
 
@@ -590,8 +587,7 @@ def _field(sys: SystemDef, shape: tuple[int, ...]):
     if a is not None:
         return a, lambda x, t, k, s: \
             (_at(a, t) @ np.reshape(x, shape)).ravel().tolist()
-    fused = sys.scalar_field
-    return None, lambda x, t, k, s: fused(x, t)
+    return None, lambda x, t, k, s: sys.scalar_field(x, t)  # compiled on use
 
 
 def _at(coeff, t):

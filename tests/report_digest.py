@@ -66,6 +66,13 @@ dataclass (its constructor and its public methods) that a ``stabkit``
 module names in ``__all__``, sorted::
 
     <module>.<name> <parameter>=<default>
+
+The ``all`` mode prints every digest, each under a ``== <mode>`` header:
+``scan`` and ``desk`` for seeds 1-3, ``propagate`` for seeds 1-2, then
+``parse``, ``w3``, ``codegen`` and ``options``, so that one ``diff``
+compares two checkouts::
+
+    python tests/report_digest.py all > all.txt
 """
 
 from __future__ import annotations
@@ -303,7 +310,17 @@ def digest_options() -> list[str]:
     return sorted(lines)
 
 
+#: the runs of the ``all`` mode, in order
+ALL = (["scan", "1", "2", "3"], ["desk", "1", "2", "3"],
+       ["propagate", "1", "2"], ["parse"], ["w3"], ["codegen"], ["options"])
+
+
 def main(argv: list[str]) -> int:
+    if argv == ["all"]:
+        for run in ALL:
+            print(f"== {' '.join(run)}", flush=True)
+            main(run)
+        return 0
     if argv == ["options"]:
         for line in digest_options():
             print(line)

@@ -186,6 +186,33 @@ def delta_values(sys, v, X, k: int):
     return v_vals, d_vals
 
 
+def composed_deltas(sys, v, X, k: int):
+    """V and Delta V at the rows of ``X`` by two compiled evaluators
+    chained: V's batch evaluator at the rows and at their update
+    (``sys.steps``), then the difference, as the library computed Delta V
+    before it was one tree.  Run it under strict flags to fail as a scan."""
+    v_vals = v.values(X, float(k))
+    return v_vals, v.values(sys.steps(X, float(k)), float(k + 1)) - v_vals
+
+
+def walker(exprs):
+    """A stand-in for ``expr.compile_expr_vec``: the bound trees walked row
+    by row with :func:`evaluate`, ``t`` one time or one per row; one tree
+    gives ``(N,)``, a sequence of ``m`` trees ``(N, m)``."""
+    single = isinstance(exprs, ex._NODES)
+    trees = (exprs,) if single else tuple(exprs)
+
+    def rows(X, t):
+        X = np.asarray(X, dtype=float)
+        times = np.broadcast_to(np.asarray(t, dtype=float), len(X))
+        out = np.array([[evaluate(e, EvalContext(tuple(x), float(s)))
+                         for e in trees] for x, s in zip(X.tolist(), times)])
+        out = out.reshape(len(X), len(trees))
+        return out[:, 0] if single else out
+
+    return rows
+
+
 def matrix_at(q, x, t: float) -> np.ndarray:
     """Coefficient matrix of a quadratic form at one point."""
     ctx = EvalContext(tuple(map(float, x)), t, q.params)

@@ -7,11 +7,14 @@ ball sampler bit for bit, V and Vdot within rtol 1e-12, verdicts equal, and
 a domain error named at the first sample where the oracle meets one.  The
 samples are stored component-major; the evaluators give the same bits on a
 row-major copy.  The W3 minors, one jet evaluation of Vdot, equal those of
-the symbolic route (``scalar_oracle.w3_minors``) bit for bit.
+the symbolic route (``scalar_oracle.w3_minors``) bit for bit, and the one
+Delta V tree has the bits of V's evaluator composed with the update's
+(``scalar_oracle.composed_deltas``).
 """
 
 import functools
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
@@ -143,8 +146,8 @@ def test_scan_evaluators_give_the_same_bits_on_a_row_major_copy():
         ("-x1 + x2*x3*sin(t)", "-x2 + exp(-x4^2)*x1", "-x3 + x5^3",
          "-x4*(1 + x1^2)", "-x5 + x1*x2*x3*x4")))
     v = CandidateV("x1^2 + 2*x2^2 + x3^2*(1 + cos(t)) + x4^4 + x5^2")
-    both = ex.compile_expr_vec(ly._trees(sysd, v))
-    _same_bits(ly._batch_values(both, X, T), ly._batch_values(both, C, T))
+    vdot = ex.compile_expr_vec(ly._trees(sysd, v)[1])
+    _same_bits([ly._by_block(vdot, X, T)], [ly._by_block(vdot, C, T)])
     _same_bits([v.values(X, T)], [v.values(C, T)])
     _same_bits([sampling.column_norms(X.T)], [sampling.column_norms(C.T)])
     H = halton(1000, 12)  # past 8 components numpy's row sums pair them up
@@ -156,7 +159,8 @@ def test_scan_evaluators_give_the_same_bits_on_a_row_major_copy():
         ly._fit_lower_bound(values, norms, C)
     step = dc.DiscreteSystem(n, ("0.5*x1 + x2^2", "0.5*x2 - x3*x1",
                                  "0.25*sin(x3)", "x4*x5", "0.5*x5"))
-    _same_bits(dc._batch_deltas(step, v, X, 0), dc._batch_deltas(step, v, C, 0))
+    delta = ex.compile_expr_vec(dc._delta_tree(step, v, 0))
+    _same_bits([delta(X, 0.0)], [delta(C, 0.0)])
     form = ly.QuadraticFormTV([[f"{1 + i + j} + x{i + 1}*x{j + 1}*cos(t)"
                                 for j in range(n)] for i in range(n)])
     times = np.linspace(0.0, 5.0, 7)
@@ -174,8 +178,8 @@ def test_batched_v_and_vdot_match_scalar_loop(monkeypatch, name, expression,
     sysd = candidate_system(name)
     v = CandidateV(expression, params=params)
     X, T = ly._scan_points(2, radius, FAST_SCAN, ly._time_dependent(sysd, v))
-    v_batch, vd_batch = ly._batch_values(
-        ex.compile_expr_vec(ly._trees(sysd, v)), X, T)
+    v_batch = ly._by_block(v.values, X, T)
+    vd_batch = ly._by_block(ex.compile_expr_vec(ly._trees(sysd, v)[1]), X, T)
     v_loop, vd_loop = oracle.sample_values(sysd, v, X, T)
     np.testing.assert_allclose(v_batch, v_loop, rtol=1e-12, atol=0.0)
     # numpy's exp/log/pow may differ from libm's in the last bits, and a
@@ -191,9 +195,9 @@ def test_batched_candidate_report_matches_scalar_loop(monkeypatch, name,
     sysd = candidate_system(name)
     v = CandidateV(expression, params=params)
     batch = ly.check_candidate(sysd, v, radius=radius, scan=FAST_SCAN)
-    monkeypatch.setattr(ly, "_batch_values",
-                        lambda both, X, T: oracle.sample_values(sysd, v, X, T))
-    loop = ly.check_candidate(sysd, v, radius=radius, scan=FAST_SCAN)
+    monkeypatch.setattr(ex, "compile_expr_vec", oracle.walker)
+    loop = ly.check_candidate(sysd, CandidateV(expression, params=params),
+                              radius=radius, scan=FAST_SCAN)
     assert batch.conclusion is loop.conclusion
     assert batch.vdot_verdict is loop.vdot_verdict
     _same_report(batch, loop)
@@ -207,30 +211,121 @@ def test_batched_instability_report_matches_scalar_loop(monkeypatch, name,
     sysd = gallery_system(name)
     v = CandidateV(expression)
     batch = ly.check_instability(sysd, v, scan=FAST_SCAN)
-    monkeypatch.setattr(ly, "_batch_values",
-                        lambda both, X, T: oracle.sample_values(sysd, v, X, T))
-    loop = ly.check_instability(sysd, v, scan=FAST_SCAN)
+    monkeypatch.setattr(ex, "compile_expr_vec", oracle.walker)
+    loop = ly.check_instability(sysd, CandidateV(expression), scan=FAST_SCAN)
     assert batch.unstable == loop.unstable
     _same_report(batch, loop)
 
 
 @pytest.mark.parametrize("name", ["cubic_map", "cubic_map_neutral"])
 def test_batched_delta_v_matches_scalar_loop(monkeypatch, name):
-    monkeypatch.setattr(dc, "BLOCK", 300)
+    monkeypatch.setattr(ly, "BLOCK", 300)
     sysd = gallery_system(name)
     v = CandidateV(DISCRETE_V)
     X = ball_points(1024, 2, 0.3, exclude=0.3e-9)
-    v_batch, d_batch = dc._batch_deltas(sysd, v, X, 0)
+    v_batch = v.values(X, 0.0)
+    d_batch = ex.compile_expr_vec(dc._delta_tree(sysd, v, 0))(X, 0.0)
     v_loop, d_loop = oracle.delta_values(sysd, v, X, 0)
     np.testing.assert_allclose(v_batch, v_loop, rtol=1e-12, atol=0.0)
     # Delta V is a difference of two V values, each within a few ulps
     np.testing.assert_allclose(d_batch, d_loop, rtol=1e-12,
                                atol=4.0 * EPS * np.abs(v_loop).max())
     batch = dc.classify_discrete(sysd, v, samples=1024)
-    monkeypatch.setattr(dc, "_batch_deltas", oracle.delta_values)
-    loop = dc.classify_discrete(sysd, v, samples=1024)
+    monkeypatch.setattr(ex, "compile_expr_vec", oracle.walker)
+    loop = dc.classify_discrete(sysd, CandidateV(DISCRETE_V), samples=1024)
     assert batch.conclusion is loop.conclusion
     _same_report(batch, loop)
+
+
+# --- Delta V, one tree --------------------------------------------------------
+
+def _delta_pair(sysd, v, X, k):
+    """Delta V at the rows of ``X``: the one tree ``classify_discrete``
+    evaluates, and the composition of two evaluators it replaced."""
+    with np.errstate(all="raise", under="ignore"):
+        tree = ex.compile_expr_vec(dc._delta_tree(sysd, v, k))(X, float(k))
+        return tree, oracle.composed_deltas(sysd, v, X, k)[1]
+
+
+DELTA_VS = [DISCRETE_V, "x1^2 + x2^2", "x1^4 + 3*x2^2 + x1*x2",
+            "log(1 + x1^2) + sqrt(1 + x2^2) - 1 + x1^2*x2^2",
+            "(1 + 0.5*sin(k))*x1^2 + exp(-t/10)*x2^2 + tan(k)*x1^4"]
+
+
+@pytest.mark.parametrize("k", [0, 3])
+@pytest.mark.parametrize("expression", DELTA_VS)
+@pytest.mark.parametrize("name", ["cubic_map", "cubic_map_neutral"])
+def test_delta_v_tree_has_the_bits_of_the_composition(name, expression, k):
+    sysd = gallery_system(name)
+    v = CandidateV(expression, params=dict(sysd.params))
+    tree, composed = _delta_pair(sysd, v, ball_points(2048, 2, 0.3), k)
+    assert tree.tobytes() == composed.tobytes()
+
+
+def test_delta_v_tree_has_the_bits_of_the_composition_on_scan_ops():
+    generate, cases = _load_generate(), 0
+    for seed in (1, 2, 3):
+        files, ops = generate.generate("scan", seed)
+        for index, op in enumerate(ops):
+            argv = op["argv"]
+            if argv[0] != "discrete":
+                continue
+            name = argv[argv.index("--system") + 1].replace("{work}/", "")
+            sysd = load_system(json.loads(files[name])).build()
+            v = CandidateV(argv[argv.index("--candidate") + 1],
+                           params=dict(sysd.params))
+            scan = ScanConfig(points=int(argv[argv.index("--samples") + 1]),
+                              time_span=0.0)
+            X = ly._scan_points(2, 0.3, scan, False)[0]
+            tree, composed = _delta_pair(sysd, v, X, 0)
+            assert tree.tobytes() == composed.tobytes(), (seed, index)
+            cases += 1
+    assert cases == 12
+
+
+@pytest.mark.parametrize("expression, params", [
+    ("x1^2 + k*x2^2", {"k": 2.0}),  # k a parameter of V too
+    ("x1^2 + (2 + cos(k))*x2^2", {})])  # k the step of V
+def test_delta_v_tree_binds_a_parameter_named_k(expression, params):
+    sysd = dc.DiscreteSystem(2, ("k*x1 + 0.1*x2*cos(t)", "0.5*x2 - x1^3"),
+                             params={"k": 0.7})
+    v = CandidateV(expression, params=params)
+    X = ball_points(1024, 2, 0.3)
+    for k in (0, 4):
+        tree, composed = _delta_pair(sysd, v, X, k)
+        assert tree.tobytes() == composed.tobytes()
+
+
+@pytest.mark.parametrize("update, expression", [
+    (("x1 + x2 + 0*log(0.1 - x1)", "-pow(x1,3) + 0.5*x2"), "x1^2 + x2^2"),
+    (("x1 + x2", "-pow(x1,3) + 0.5*x2"), "x1^2 + x2^2 + 0*log(0.35 - x1)")],
+    ids=["update", "V-after-the-update"])
+def test_delta_v_tree_fails_at_the_row_and_reason_of_the_composition(
+        update, expression):
+    sysd = dc.DiscreteSystem(2, update)
+    v = CandidateV(expression)
+    X = ball_points(1024, 2, 0.3, exclude=0.3e-9)
+    delta = ex.compile_expr_vec(dc._delta_tree(sysd, v, 0))
+    failures = []
+    for fn in (lambda r: delta(X[r], 0.0),
+               lambda r: oracle.composed_deltas(sysd, v, X[r], 0)[1]):
+        with pytest.raises(DomainError) as err:
+            ex.strict_rows(fn, len(X), str)
+        failures.append((err.value.row, err.value.reason))
+    assert failures[0] == failures[1] and failures[0][0] > 0
+
+
+def test_delta_v_tree_powers_a_component_that_reads_no_state_within_4_ulps():
+    # the tree computes 0.3*cos(k) once, as a scalar, and its cube and
+    # fourth power by pow; the composition takes products on every row
+    sysd = dc.DiscreteSystem(2, ("0.5*x1 + x2", "0.3*cos(k)"))
+    v = CandidateV("x1^2 + x2^3 + x2^4")
+    X = ball_points(2048, 2, 0.3)
+    tree, composed = _delta_pair(sysd, v, X, 0)
+    size = np.maximum(np.abs(v.values(X, 0.0)),
+                      np.abs(v.values(sysd.steps(X, 0.0), 1.0)))
+    assert np.all(np.abs(tree - composed) <= 4.0 * np.spacing(size))
+    assert tree.tobytes() != composed.tobytes()  # the case is real
 
 
 # --- domain errors --------------------------------------------------------------
@@ -699,18 +794,32 @@ def test_candidate_scan_compiles_v_and_vdot_once(monkeypatch, check, field,
     v = CandidateV(candidate)
     sysd.batch_field  # compiled on first use, once per system
     v.values(np.zeros((1, 2)), 0.0)  # and V alone, once per candidate
-    compiles, compile_vec = [], ex.compile_expr_vec
-    monkeypatch.setattr(ex, "compile_expr_vec",
-                        lambda *a: compiles.append(a) or compile_vec(*a))
-    evaluations, batch_values = [], ly._batch_values
-    monkeypatch.setattr(ly, "_batch_values", lambda *a: evaluations.append(
-        a) or batch_values(*a))
+    compiles, evaluations, compile_vec = [], [], ex.compile_expr_vec
+
+    def counted(*a):  # each call of the evaluator is one evaluation
+        f = compile_vec(*a)
+        compiles.append(a)
+        return lambda *b: evaluations.append(b) or f(*b)
+
+    monkeypatch.setattr(ex, "compile_expr_vec", counted)
     if isinstance(field, str):
         check(sysd, v, scan=FAST_SCAN)
     else:  # strict_rows halves the failing batch down to its first row
         with pytest.raises(DomainError):
             check(sysd, v, scan=FAST_SCAN)
     assert len(compiles) == 1 and len(evaluations) >= calls
+
+
+@pytest.mark.parametrize("check", [ly.check_candidate, ly.check_instability])
+def test_candidate_scan_compiles_the_tree_of_v_into_one_evaluator(monkeypatch,
+                                                                 check):
+    sysd = gallery_system("exponential_feedback")  # reads t: a ladder
+    v = CandidateV("x1^2 + (1 + exp(-2*t))*x2^2")
+    generated, generate = [], ex._generate
+    monkeypatch.setattr(ex, "_generate", lambda exprs, *a: generated.append(
+        tuple(exprs)) or generate(exprs, *a))
+    check(sysd, v, scan=FAST_SCAN)
+    assert sum(v.tree in trees for trees in generated) == 1
 
 
 def test_attraction_failing_level_wins_over_later_domain_error():

@@ -269,6 +269,26 @@ def test_batch_of_trees_fills_one_column_per_tree():
     assert err.value.reason == "invalid value encountered in log"
 
 
+@pytest.mark.parametrize("text, x", [
+    ("log(x1)", -1.0), ("sqrt(x1)", -1.0), ("1/x1", 0.0),
+    ("exp(x1*1e308*10)", 1.0), ("pow(x1*1e308*10, 0)", 1.0)],
+    ids=["log", "sqrt", "div", "exp", "pow"])
+def test_every_form_names_the_tree_of_a_failing_checked_function(text, x):
+    import numpy as np
+
+    trees = (ex.parse("-x2"), ex.parse(text))  # the second component fails
+    point = [x, 0.5]
+    runs = {"scalar": lambda: ex.compile_vector(trees)(point, 0.0),
+            "rk4": lambda: ex._generate(trees, "rk4")(point, 0.0, 0.1, 0, 1,
+                                                       0.1, []),
+            "batch": lambda: ex.compile_expr_vec(trees)(np.array([point]),
+                                                        0.0)}
+    for form, run in runs.items():
+        with pytest.raises(DomainError) as err:
+            run()
+        assert err.value.node is trees[1], form
+
+
 def test_vectorized_underflow_is_not_an_error():
     import numpy as np
 

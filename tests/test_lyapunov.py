@@ -52,12 +52,11 @@ def test_solve_lyapunov_round_trip_property():
 
 def _vdot(sysd, v):
     """Vdot at one point through the batched scan evaluator."""
-    both = ex.compile_expr_vec(ly._trees(sysd, v))
+    vdot = ex.compile_expr_vec(ly._trees(sysd, v)[1])
 
     def at(x, t=0.0):
-        return float(ly._batch_values(both,
-                                      np.array([x], dtype=float),
-                                      np.array([t]))[1][0])
+        return float(ly._by_block(vdot, np.array([x], dtype=float),
+                                  np.array([t]))[0])
     return at
 
 

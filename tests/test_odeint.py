@@ -316,6 +316,20 @@ def test_coefficient_grid_names_the_constant_entry_that_fails(entry, reason):
     assert str(got.value) == f"coefficient entry {entry!r}: {reason}"
 
 
+@pytest.mark.parametrize("entry, reason", [
+    ("1/0", "division by zero"), ("exp(1000)", "math range error")])
+def test_coefficient_grid_names_a_failing_entry_from_one_compile(monkeypatch,
+                                                                 entry,
+                                                                 reason):
+    generated, generate = [], ex._generate
+    monkeypatch.setattr(ex, "_generate", lambda exprs, *a: generated.append(
+        tuple(exprs)) or generate(exprs, *a))
+    with pytest.raises(DomainError) as got:
+        odeint.coefficient_grid([["2", entry], ["1", "exp(800)"]], 2, {})
+    assert str(got.value) == f"coefficient entry {entry!r}: {reason}"
+    assert got.value.node == ex.parse(entry) and len(generated) == 1
+
+
 @pytest.mark.parametrize("entries", [
     [1.0, 2.0], 3.0, [[1.0, 2.0]], [["t", "0"]], np.zeros((2, 3)),
 ])
@@ -755,6 +769,12 @@ def test_rk4_kernel_domain_errors_match_stage_loop(comps, t1, node):
     else:  # a finite-looking field whose value is not finite
         assert str(got.value) == "non-finite evaluation result"
         assert got.value.node == sysd.field_trees[node]
+
+
+def test_integrate_leaves_the_scalar_field_uncompiled():
+    sysd = _chain(3)
+    integrate(sysd, [0.1, 0.2, 0.3], 0.0, 1.0005, 1e-3)  # a partial step too
+    assert "rk4_kernel" in vars(sysd) and "scalar_field" not in vars(sysd)
 
 
 def test_rk4_kernel_compiles_once_per_system(monkeypatch):
