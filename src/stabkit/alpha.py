@@ -42,7 +42,6 @@ from .errors import (
 from .lyapunov import solve_lyapunov
 from .odeint import (
     HistoryFn,
-    Nonlinear,
     SystemDef,
     Trajectory,
     _at,
@@ -70,9 +69,6 @@ def _check_delay_system(sys: SystemDef) -> None:
     if not sys.delays:
         raise InvalidArgumentError("alpha certificates need a delay system; "
                                    "this system has no delays")
-    if isinstance(sys.rhs, Nonlinear):
-        raise InvalidArgumentError("alpha certificates need a linear "
-                                   "right-hand side")
 
 
 def _varies(sys: SystemDef, delayed: bool = True) -> bool:

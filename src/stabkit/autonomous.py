@@ -29,7 +29,7 @@ from .odeint import SystemDef
 __all__ = [
     "StabilityKind", "StabilityVerdict", "CriticalPointKind", "Equilibrium",
     "LocalStabilityReport", "classify_linear", "classify_critical_point_2d",
-    "equilibrium_affine", "jacobian_fd", "find_equilibria", "local_stability",
+    "jacobian_fd", "find_equilibria", "local_stability",
 ]
 
 
@@ -158,23 +158,6 @@ def classify_critical_point_2d(a, tol: float = linalg.DEFAULT_TOL,
     if r1 * r2 < 0.0:
         return CriticalPointKind.SADDLE
     return CriticalPointKind.IMPROPER_NODE
-
-
-def equilibrium_affine(a, b, ue) -> np.ndarray:
-    """Equilibrium ``x_e`` of ``x' = A x + B u`` under the constant input ``ue``.
-
-    Solves ``A x_e + B ue = 0``; a singular ``A`` means the equilibrium set
-    is a continuum, raised as :class:`ContinuumOfEquilibriaError`.
-    """
-    m = linalg.as_matrix(a, square=True)
-    bm = np.asarray(b, dtype=float)
-    u = np.atleast_1d(np.asarray(ue, dtype=float))
-    rhs = -(bm @ u) if bm.ndim == 2 else -(bm * u)
-    try:
-        return linalg.solve_dense(m, rhs)
-    except SingularError:
-        raise ContinuumOfEquilibriaError(
-            "singular state matrix: continuum of equilibria") from None
 
 
 def jacobian_fd(sys: SystemDef, x, t: float = 0.0) -> np.ndarray:

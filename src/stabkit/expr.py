@@ -43,7 +43,7 @@ from .errors import (
 
 __all__ = [
     "Number", "Var", "Unary", "Binary", "Call", "Expr",
-    "parse", "to_string", "free_vars", "reads_time", "substitute", "bind",
+    "parse", "to_string", "free_vars", "reads_time", "bind",
     "fold", "total", "derivative", "compile_vector", "compile_expr",
     "compile_expr_vec", "hessian", "strict_rows", "FUNCTIONS",
 ]
@@ -394,11 +394,6 @@ def max_state_index(e: Expr) -> int:
         if m:
             best = max(best, int(m.group(1)))
     return best
-
-
-def substitute(e: Expr, name: str, replacement: Expr) -> Expr:
-    """Return a copy of ``e`` with every ``Var(name)`` replaced."""
-    return bind(e, {name: replacement})
 
 
 def bind(e: Expr, values: Mapping[str, "Expr | float"]) -> Expr:
@@ -974,9 +969,10 @@ def _generate(exprs: Sequence[Expr], form: str = "scalar"):
     ``f(x, t0, h, lo, hi, dt, rows)`` of ``x' = f(x, t)``: steps ``lo`` to
     ``hi - 1`` of ``dt`` from ``x``, step ``k`` from ``t0 + k*h``, each new
     state appended to ``rows``, the four stages inline on the components as
-    locals in ``odeint._rk4``'s arithmetic; with "jet", as the scalar form
-    on a list ``x`` of second-order jets (see :func:`hessian`), where only
-    a non-finite Hessian fails.  The first failure raises.
+    locals in the order of ``scalar_oracle.stage_loop``, RK4 on numpy
+    arrays; with "jet", as the scalar form on a list ``x`` of second-order
+    jets (see :func:`hessian`), where only a non-finite Hessian fails.  The
+    first failure raises.
 
     A non-leaf subtree whose code occurs more than once among the trees is
     computed once (:func:`_shared`), in each RK4 stage anew, as ``t`` and
@@ -1040,13 +1036,14 @@ def compile_vector(exprs: Sequence[Expr],
                    ) -> Callable[[Sequence[float], float], list[float]]:
     """Compile trees to one fused scalar ``f(x, t) -> [f_1, ..., f_n]``.
 
-    The evaluator of the marches (RK4 stage loops, orbits, Newton, a grid
-    at one time) on Python floats; :func:`compile_expr_vec` runs the same
-    code over numpy.  Trees come with parameters bound (:func:`bind`): a
-    name other than ``t``, ``k`` (time too) or ``xK`` is unbound.  Each
-    component runs once, in order, and the first failing one raises
-    :class:`DomainError` naming its tree: an invalid operand, or (see
-    ``_SCALAR_NS``) any non-finite intermediate.
+    The evaluator of orbits, Newton and a coefficient grid at one time (a
+    linear step whose maps fail) on Python floats; the RK4 kernel inlines
+    the same code, and :func:`compile_expr_vec` runs it over numpy.  Trees
+    come with parameters bound (:func:`bind`): a name other than ``t``,
+    ``k`` (time too) or ``xK`` is unbound.  Each component runs once, in
+    order, and the first failing one raises :class:`DomainError` naming its
+    tree: an invalid operand, or (see ``_SCALAR_NS``) any non-finite
+    intermediate.
     """
     return _generate(exprs)
 

@@ -2,17 +2,19 @@
 
 Classical RK4 for vector ODEs and fundamental-matrix ODEs, plus the method
 of steps for linear multi-delay equations.  Fixed step, no adaptivity.
-All three run one march with three step sources.  A linear system (one
-:class:`Linear` right-hand side, whether or not ``A`` varies) steps on
-per-step RK4 maps ``W_k``, formed from the coefficients at whole chunks of
-stage times at once: a block of steps per prefix scan of their products,
-one product a step past ``SCAN_WIDTH``.  An undelayed nonlinear system steps
-on its RK4 kernel, generated once per system: the four stages inline on the
-components as Python locals, a chunk of steps per call.  Every other step
-(a delayed field, a linear chunk whose maps fail, a linear trailing partial
-step) is one RK4 stage loop on Python floats of the fused field.  Kernel
-and stage loop keep numpy's operation order, so they give the same bits;
-stage times are ``t0 + k*h + s``.  The maps agree with them to within
+All three run one march with two step sources.  A linear system (one
+:class:`Linear` right-hand side, delayed or not, whether or not ``A``
+varies) steps on per-step RK4 maps ``W_k``, formed from the coefficients at
+whole chunks of stage times at once: a block of steps per prefix scan of
+their products, one product a step past ``SCAN_WIDTH``; a trailing partial
+step is one more map.  A chunk whose maps do not form takes the same four
+stages on each state in turn, the coefficients at one time, so a failing
+coefficient raises at the stage that reads it.  An undelayed nonlinear
+system steps on its RK4 kernel, generated once per system: the four stages
+inline on the components as Python locals, a chunk of steps per call.
+Delays take a linear right-hand side.  The kernel keeps numpy's operation
+order, so it gives the bits of RK4 taken stage by stage on arrays; stage
+times are ``t0 + k*h + s``.  The maps agree with such stages to within
 rounding, below 1e-12 of the state's scale after 1e4 steps.  A state
 component beyond ``ESCAPE_THRESHOLD`` (or non-finite) aborts the run with
 :class:`NonFiniteStateError` at the first escaping step, the finite-time-
@@ -220,6 +222,9 @@ class SystemDef:
                 raise DimensionMismatchError("B must have n rows")
             self.rhs = Linear(a, b)
         elif isinstance(rhs, Nonlinear):
+            if self.delays:
+                raise InvalidArgumentError(
+                    "delays need a linear right-hand side")
             self.rhs = Nonlinear(_components(rhs.components, n, self.params,
                                              "component"))
         else:
@@ -332,9 +337,11 @@ class SystemDef:
 
     def rhs_callable(self) -> Callable[[np.ndarray, float], np.ndarray]:
         """Compiled evaluator of the undelayed right-hand side."""
-        f = _field(self, (self.dimension,))[1]
-        return lambda x, t: np.array(
-            f(np.asarray(x, dtype=float).tolist(), float(t), 0, 0.0))
+        a = self.linear_coefficient
+        if a is not None:
+            return lambda x, t: _at(a, float(t)) @ np.asarray(x, dtype=float)
+        return lambda x, t: np.array(self.scalar_field(
+            np.asarray(x, dtype=float).tolist(), float(t)))
 
 
 # --- trajectories ---------------------------------------------------------------
@@ -458,48 +465,40 @@ def _check_rows(rows: np.ndarray, t_of: Callable[[int], float]) -> None:
         raise NonFiniteStateError(t_of(int(bad.argmax())))
 
 
-def _rk4(f, x: list, k: int, tk: float, dt: float) -> list:
-    """One RK4 step of ``dt`` from step ``k``'s start ``tk`` on a flat list,
-    in numpy's order; ``f(x, t, k, s)`` is the field ``s`` into the step."""
-    half = 0.5 * dt
-    k1 = f(x, tk, k, 0.0)
-    k2 = f([a + half * b for a, b in zip(x, k1)], tk + half, k, half)
-    k3 = f([a + half * b for a, b in zip(x, k2)], tk + half, k, half)
-    k4 = f([a + dt * b for a, b in zip(x, k3)], tk + dt, k, dt)
-    return [a + dt / 6.0 * (p + 2.0 * q + 2.0 * r + s)
-            for a, p, q, r, s in zip(x, k1, k2, k3, k4)]
-
-
-def _march(buf: np.ndarray, base: int, t0: float, t1: float, h: float, f,
+def _march(buf: np.ndarray, base: int, t0: float, t1: float, h: float,
            a=None, delays: Sequence = (), lags: Sequence[int] = (),
            kernel=None) -> int:
     """Advance ``buf[base]`` from ``t0`` to ``t1``; returns the final row.
 
     Step ``k`` writes ``buf[base + k + 1]`` (a shorter buffer restarts at
-    ``buf[base]`` each chunk).  Linear full steps (``a``, ``delays`` at
-    ``lags`` steps back) are :func:`_linear_steps`; the other steps run on
-    ``kernel`` (a ``SystemDef.rk4_kernel``) if given, else on :func:`_rk4`.
+    ``buf[base]`` each chunk).  A nonlinear field steps on ``kernel`` (a
+    ``SystemDef.rk4_kernel``); a linear one (``a``, ``delays`` at ``lags``
+    steps back) on the maps of :func:`_step_maps` by :func:`_linear_steps`,
+    or, in a chunk whose maps do not form, on its states one step at a time.
     """
     t0, h = float(t0), float(h)
     n_full, rem = _grid(t0, t1, h)
     flat = buf.reshape(len(buf), -1)
     states = buf.reshape(len(buf), buf.shape[1], -1)  # a vector is (n, 1)
+    reads = np.array([0, *(o for b in lags for o in (-b, 1 - b))], dtype=int)
     row = base  # the row of the latest state
 
-    def run(k: int, stop: int, dt: float, maps=None) -> None:
+    def run(k: int, stop: int, dt: float) -> None:
         # steps k .. stop-1, then one escape check of their rows
         nonlocal row
-        lo, x, rows = row + 1, flat[row].tolist(), []
+        lo, rows, frac = row + 1, [], dt / h
         try:
-            if maps is not None:
+            if kernel:
+                kernel(flat[row].tolist(), t0, h, k, stop, dt, rows)
+            elif (maps := _step_maps(a, delays, t0 + np.arange(k, stop) * h,
+                                     dt, frac)) is not None:
                 row = _linear_steps(states, row, stop - k, maps, lags)
-            elif kernel:
-                kernel(x, t0, h, k, stop, dt, rows)
-            else:
+            else:  # a failing coefficient raises at the stage that reads it
                 for j in range(k, stop):
-                    x = _rk4(f, x, j, t0 + j * h, dt)
+                    z = states[row + reads].reshape(-1, states.shape[2])
+                    states[row + 1] = _step_maps(a, delays, t0 + j * h, dt,
+                                                 frac, z)
                     row += 1
-                    flat[row] = x  # a delayed field reads it
         finally:  # an escape before a domain error wins
             if rows:
                 flat[lo:lo + len(rows)] = rows
@@ -509,11 +508,10 @@ def _march(buf: np.ndarray, base: int, t0: float, t1: float, h: float, f,
 
     with np.errstate(all="ignore"):  # the row checks catch what overflows
         for start in range(0, n_full, CHUNK):
-            tk = t0 + np.arange(start, min(start + CHUNK, n_full)) * h
-            if row + len(tk) >= len(buf):
+            stop = min(start + CHUNK, n_full)
+            if row + stop - start >= len(buf):
                 buf[base], row = buf[row], base
-            run(start, start + len(tk), h, None if a is None else
-                _step_maps(a, delays, (tk, tk + 0.5 * h, tk + h), h))
+            run(start, stop, h)
         if rem > 0.0:
             run(n_full, n_full + 1, rem)
     return row
@@ -572,22 +570,12 @@ def integrate(sys: SystemDef, x0, t0: float, t1: float, h: float) -> Trajectory:
     if x.shape != (sys.dimension,):
         raise DimensionMismatchError(
             f"x0 must have length {sys.dimension}, got shape {x.shape}")
-    a, f = _field(sys, x.shape)
+    a = sys.linear_coefficient
     times = _times(t0, t1, h)
     buf = np.empty((len(times), sys.dimension))
     buf[0] = x
-    _march(buf, 0, t0, t1, h, f, a, kernel=a is None and sys.rk4_kernel)
+    _march(buf, 0, t0, t1, h, a, kernel=a is None and sys.rk4_kernel)
     return Trajectory(times, buf, h)
-
-
-def _field(sys: SystemDef, shape: tuple[int, ...]):
-    """``(A, f)``: the linear coefficient (None if nonlinear) and the
-    undelayed field ``f(x, t, k, s)`` of :func:`_rk4` on flat ``shape``."""
-    a = sys.linear_coefficient
-    if a is not None:
-        return a, lambda x, t, k, s: \
-            (_at(a, t) @ np.reshape(x, shape)).ravel().tolist()
-    return None, lambda x, t, k, s: sys.scalar_field(x, t)  # compiled on use
 
 
 def _at(coeff, t):
@@ -595,52 +583,59 @@ def _at(coeff, t):
     return coeff if isinstance(coeff, np.ndarray) else coeff(t)
 
 
-def _step_maps(a, delays: Sequence, stages, h: float) -> np.ndarray | None:
-    """RK4 step maps for ``x' = A(t) x + sum_i D_i(t) x(t - lag_i)``.
+def _step_maps(a, delays: Sequence, tk, dt: float, frac: float, z=None):
+    """RK4 steps of ``dt`` (``frac`` of a whole step ``h``) from the step
+    starts ``tk`` for ``x' = A(t) x + sum_i D_i(t) x(t - lag_i)``.
 
-    ``stages`` holds the step starts, midpoints and ends; coefficients that
-    vary are evaluated there in one batch each.  Returns ``W`` of shape
-    ``(..., n, n (1 + 2m))`` with ``x_{k+1} = W_k [x_k, y_1, y_1', ...]``,
-    where ``y_i`` and ``y_i'`` are the grid nodes at ``t_k - lag_i`` and one
-    step later (the midpoint stages read their mean, as the stage loop does).
-    Without varying coefficients ``W`` is one ``(n, M)`` matrix.  None when
-    a coefficient raises :class:`DomainError` or ``W`` is not finite.
+    The coefficients are evaluated in stage order, at the starts, midpoints
+    and ends, ``A`` before each ``D_i``; one that varies, in one batch at
+    each.  ``y_i`` and ``y_i'`` are the grid nodes at ``t_k - lag_i`` and
+    one step later; a stage ``c h`` into the step reads them at weights
+    ``1 - c`` and ``c``.  Without ``z``, the stages act on the identity and
+    give the maps ``W`` of shape ``(..., n, n (1 + 2m))`` with ``x_{k+1} =
+    W_k [x_k, y_1, y_1', ...]`` (one ``(n, M)`` matrix without varying
+    coefficients), or None when a coefficient raises :class:`DomainError`
+    or ``W`` is not finite.  Given one step's state ``z = [x_k, y_1, y_1',
+    ...]``, they act on it and give ``x_{k+1}``; a failing coefficient
+    raises.
     """
-    t_now, t_mid, t_end = stages
     try:
-        a_mid = _at(a, t_mid)
-        n = a_mid.shape[-1]
-        width = n * (1 + 2 * len(delays))
-        eye = np.eye(n, width)
-
-        def delayed(t, w_now: float, w_next: float):
-            if not delays:
-                return 0.0
-            values = [_at(d, t) for d in delays]
-            out = np.zeros(np.broadcast_shapes(*(v.shape for v in values))[:-2]
-                           + (n, width))
-            for i, v in enumerate(values):
-                lo = n * (1 + 2 * i)
-                if w_now:
-                    out[..., lo:lo + n] = w_now * v
-                if w_next:
-                    out[..., lo + n:lo + 2 * n] = w_next * v
-            return out
-
-        # k1 + 2 k2 + 2 k3 + k4 accumulates in place to keep the stacks few
-        b_mid = delayed(t_mid, 0.5, 0.5)
-        k = _at(a, t_now) @ eye + delayed(t_now, 1.0, 0.0)
-        total = k.copy()
-        k = a_mid @ (eye + 0.5 * h * k) + b_mid
-        total += 2.0 * k
-        k = a_mid @ (eye + 0.5 * h * k) + b_mid
-        total += 2.0 * k
-        k = _at(a, t_end) @ (eye + h * k) + delayed(t_end, 0.0, 1.0)
-        total += k
+        stages = [(_at(a, t), [_at(d, t) for d in delays], c) for t, c in
+                  ((tk, 0.0), (tk + 0.5 * dt, 0.5 * frac), (tk + dt, frac))]
     except DomainError:
-        return None
-    w = eye + (h / 6.0) * total
-    return w if np.isfinite(w).all() else None
+        if z is None:
+            return None
+        raise
+    (a_now, d_now, _), (a_mid, d_mid, c_mid), (a_end, d_end, c_end) = stages
+    n = a_now.shape[-1]
+    width = n * (1 + 2 * len(delays))
+    x = np.eye(n, width) if z is None else z[:n]
+
+    def delayed(values, c: float):  # the delayed terms on the operand
+        if not values:
+            return 0.0
+        out = np.zeros(np.broadcast_shapes(*(v.shape for v in values))[:-2]
+                       + (n, width))
+        for i, v in enumerate(values):
+            lo = n * (1 + 2 * i)
+            for w, cols in ((1.0 - c, slice(lo, lo + n)),
+                            (c, slice(lo + n, lo + 2 * n))):
+                if w:
+                    out[..., cols] = w * v
+        return out if z is None else out @ z
+
+    # k1 + 2 k2 + 2 k3 + k4 accumulates in place to keep the stacks few
+    b_mid = delayed(d_mid, c_mid)
+    k = a_now @ x + delayed(d_now, 0.0)
+    total = k.copy()
+    k = a_mid @ (x + 0.5 * dt * k) + b_mid
+    total += 2.0 * k
+    k = a_mid @ (x + 0.5 * dt * k) + b_mid
+    total += 2.0 * k
+    k = a_end @ (x + dt * k) + delayed(d_end, c_end)
+    total += k
+    w = x + (dt / 6.0) * total
+    return w if z is not None or np.isfinite(w).all() else None
 
 
 def integrate_matrix(sys: SystemDef, t0: float, t1: float, h: float) -> np.ndarray:
@@ -654,10 +649,9 @@ def integrate_matrix(sys: SystemDef, t0: float, t1: float, h: float) -> np.ndarr
         raise InvalidArgumentError("integrate_matrix requires a linear system")
     sys.check_undelayed("integrate_matrix")
     n = sys.dimension
-    a, f = _field(sys, (n, n))
     buf = np.empty((min(_grid(t0, t1, h)[0], CHUNK) + 2, n, n))
     buf[0] = np.eye(n)
-    return buf[_march(buf, 0, t0, t1, h, f, a)].copy()
+    return buf[_march(buf, 0, t0, t1, h, sys.linear_coefficient)].copy()
 
 
 def dde_step(lags: Sequence[float]) -> float:
@@ -694,23 +688,10 @@ def integrate_dde(sys: SystemDef, history: HistoryFn, t1: float,
         raise HistoryGapError(
             f"history covers [{-history.span}, 0] but max lag is {sys.max_lag}")
 
-    a, f0 = _field(sys, (sys.dimension,))
-    coeffs = sys.delay_coefficients
     base = round(sys.max_lag / h)  # index of the t=0 grid node
     _cap_samples(base + len(times), "trajectory")
     buf = np.empty((base + len(times), sys.dimension))
     buf[:base + 1] = history(-(base - np.arange(base + 1)) * h)
-
-    def f(x, t, k, s):
-        # delayed values at (k + c)*h - lag: nodes, or within a partial step
-        dx = np.array(f0(x, t, k, s))
-        c = s / h
-        for coeff, back in zip(coeffs, lag_steps):
-            pos = base + k - back
-            y = buf[pos] if c <= 0.0 else buf[pos + 1] if c >= 1.0 else \
-                (1.0 - c) * buf[pos] + c * buf[pos + 1]
-            dx = dx + _at(coeff, t) @ y
-        return dx.tolist()
-
-    _march(buf, base, 0.0, t1, h, f, a, coeffs, lag_steps)
+    _march(buf, base, 0.0, t1, h, sys.linear_coefficient,
+           sys.delay_coefficients, lag_steps)
     return Trajectory(times, buf[base:], h)

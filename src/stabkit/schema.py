@@ -27,8 +27,7 @@ from .discrete import DiscreteSystem
 from .errors import SchemaError, StabkitError
 from .odeint import Delay, Linear, Nonlinear, SystemDef
 
-__all__ = ["SystemFile", "load_system", "save_system", "build_report",
-           "to_jsonable", "KINDS"]
+__all__ = ["SystemFile", "load_system", "build_report", "to_jsonable", "KINDS"]
 
 KINDS = ("linear", "nonlinear", "delay", "periodic", "discrete")
 #: the fields of every kind, then those each kind takes besides them
@@ -186,11 +185,6 @@ def load_system(source) -> SystemFile:
     except (StabkitError, ValueError, OverflowError) as exc:
         raise SchemaError(f"{_INVALID}{exc}") from None
     return sf
-
-
-def save_system(sf: SystemFile) -> dict:
-    """Serialize back to the document form (field-for-field round trip)."""
-    return dict(sf.document)
 
 
 # --- reports ----------------------------------------------------------------------

@@ -67,6 +67,23 @@ module names in ``__all__``, sorted::
 
     <module>.<name> <parameter>=<default>
 
+The ``api`` mode lists the callers of the public API::
+
+    python tests/report_digest.py api > api.txt
+
+It prints one line per name that a ``stabkit`` module puts in ``__all__``,
+sorted, with every file of ``src/stabkit``, ``demos`` and ``perfbench``
+(its tests aside) that names it, or ``-`` when none does::
+
+    <module>.<name> <path> ...
+
+A file names it by an identifier, an attribute, an import or a whole
+string (the tracer patches ``"SystemDef.rhs_callable"`` by its string);
+the ``__all__`` entry and the name's own definition do not count.  The one
+name without a caller is ``alpha.fit_envelope``: the ``envelope_*``
+goldens and the acceptance suite call it.  This mode is not part of
+``all``.
+
 The ``all`` mode prints every digest, each under a ``== <mode>`` header:
 ``scan`` and ``desk`` for seeds 1-3, ``propagate`` for seeds 1-2, then
 ``parse``, ``w3``, ``codegen`` and ``options``, so that one ``diff``
@@ -310,6 +327,48 @@ def digest_options() -> list[str]:
     return sorted(lines)
 
 
+def _named(tree: ast.Module) -> list[tuple[str, str | None]]:
+    """``(name, owner)`` for each name a module's code reads, ``owner`` the
+    top-level definition it is read in (None outside one); ``__all__`` is
+    skipped, and a string counts for each of its dotted parts."""
+    out = []
+    for stmt in tree.body:
+        targets = getattr(stmt, "targets", [getattr(stmt, "target", None)])
+        names = {t.id for t in targets if isinstance(t, ast.Name)}
+        if "__all__" in names:
+            continue
+        owner = getattr(stmt, "name", None) or next(iter(names), None)
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                out.append((node.id, owner))
+            elif isinstance(node, ast.Attribute):
+                out.append((node.attr, owner))
+            elif isinstance(node, ast.alias):
+                out.append((node.name, owner))
+            elif isinstance(node, ast.Constant) and isinstance(node.value,
+                                                               str):
+                out += [(part, owner) for part in node.value.split(".")]
+    return out
+
+
+def digest_api() -> list[str]:
+    """One line per ``__all__`` name with the files that name it, sorted."""
+    files = sorted(path for where in ("src/stabkit", "demos", "perfbench")
+                   for path in (ROOT / where).rglob("*.py")
+                   if "tests" not in path.relative_to(ROOT).parts)
+    named = {path: _named(ast.parse(path.read_text("utf-8")))
+             for path in files}
+    lines = []
+    for path in sorted((ROOT / "src/stabkit").glob("[!_]*.py")):
+        module = importlib.import_module(f"stabkit.{path.stem}")
+        for name in getattr(module, "__all__", ()):
+            callers = [str(other.relative_to(ROOT)) for other in files
+                       if any(n == name and (other != path or owner != name)
+                              for n, owner in named[other])]
+            lines.append(f"{path.stem}.{name} {' '.join(callers) or '-'}")
+    return sorted(lines)
+
+
 #: the runs of the ``all`` mode, in order
 ALL = (["scan", "1", "2", "3"], ["desk", "1", "2", "3"],
        ["propagate", "1", "2"], ["parse"], ["w3"], ["codegen"], ["options"])
@@ -321,8 +380,8 @@ def main(argv: list[str]) -> int:
             print(f"== {' '.join(run)}", flush=True)
             main(run)
         return 0
-    if argv == ["options"]:
-        for line in digest_options():
+    if argv in (["options"], ["api"]):
+        for line in digest_options() if argv == ["options"] else digest_api():
             print(line)
         return 0
     if argv in (["parse"], ["w3"], ["codegen"]):

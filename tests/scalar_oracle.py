@@ -6,9 +6,9 @@ evaluator.  These reference implementations evaluate one point at a time
 with Python floats and libm, checking every intermediate for finiteness, so
 the tests can pin the batches to an independent evaluator: same values
 within rounding, and the same first failing sample.  The integrators march
-on step maps and a Python-float stage loop with one escape check per
-chunk; :func:`stage_loop` is RK4 on numpy arrays with a check after every
-step, as the integrators once were.
+on step maps and a generated kernel with one escape check per chunk;
+:func:`stage_loop` and :func:`dde_stage_loop` are RK4 on numpy arrays with
+a check after every step, as the integrators once were.
 """
 
 from __future__ import annotations
@@ -448,6 +448,38 @@ def stage_loop(sys, x0, t0: float, t1: float, h: float, f=None) -> np.ndarray:
         _check_state(x, t1)
         states.append(x)
     return np.array(states)
+
+
+def dde_stage_loop(sys, history, t1: float, h: float) -> np.ndarray:
+    """States of a linear delayed ``sys`` on ``[0, t1]`` from ``history``:
+    numpy RK4 stage by stage, each state checked.  A stage ``s`` into step
+    ``k`` reads each delayed state between the grid nodes ``lag`` before
+    ``t_k`` and one step later, at weights ``1 - s/h`` and ``s/h``, and
+    evaluates ``A`` before each ``D_i``."""
+    a, coeffs = sys.linear_coefficient, sys.delay_coefficients
+    backs = [round(d.lag / h) for d in sys.delays]
+    base = max(backs)
+    grid = list(history(-(base - np.arange(base + 1)) * h))
+    n_full, rem = odeint._grid(0.0, t1, h)
+    for k in range(n_full + (rem > 0.0)):
+        tk, dt = k * h, h if k < n_full else rem
+
+        def f(x, s):  # the field s into step k
+            dx = odeint._at(a, tk + s) @ x
+            for d, back in zip(coeffs, backs):
+                y = ((1.0 - s / h) * grid[base + k - back]
+                     + s / h * grid[base + k - back + 1])
+                dx = dx + odeint._at(d, tk + s) @ y
+            return dx
+
+        x, half = grid[-1], 0.5 * dt
+        k1 = f(x, 0.0)
+        k2 = f(x + half * k1, half)
+        k3 = f(x + half * k2, half)
+        k4 = f(x + dt * k3, dt)
+        grid.append(x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+        _check_state(grid[-1], t1 if k == n_full else (k + 1) * h)
+    return np.array(grid[base:])
 
 
 def _stage_loop_matrix(sysd, t0, t1, h):

@@ -287,7 +287,7 @@ def test_criterion_10_integrator_properties():
     ratio = err(0.02) / err(0.01)
     c.expect(14.0 <= ratio <= 18.0, f"order ratio {ratio}")
 
-    dde = odeint.SystemDef(1, odeint.Nonlinear(("0",)),
+    dde = odeint.SystemDef(1, odeint.Linear([[0.0]]),
                            delays=(odeint.Delay(1.0, [[-1.0]]),))
     traj_d = odeint.integrate_dde(dde, odeint.HistoryFn.constant([1.0], 1.0),
                                   1.0, 1e-3)

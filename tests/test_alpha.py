@@ -340,12 +340,7 @@ def test_rate_bound_inputs_match_per_time_scan():
 # --- systems the certificates refuse --------------------------------------------
 
 A_STABLE = np.array([[-2.0, 0.5], [-1.0, -4.0]])
-REFUSED = {
-    "no delays": odeint.SystemDef(2, odeint.Linear(A_STABLE)),
-    "nonlinear": odeint.SystemDef(
-        2, odeint.Nonlinear(("-2*x1 + x2^3", "-4*x2")),
-        delays=(odeint.Delay(0.5, np.eye(2) / 10),)),
-}
+REFUSED = {"no delays": odeint.SystemDef(2, odeint.Linear(A_STABLE))}
 
 
 @pytest.mark.parametrize("name", sorted(REFUSED))

@@ -88,17 +88,6 @@ def test_degenerate_node():
     assert aut.classify_critical_point_2d([[-1, 1], [0, -1]]) is CP.DEGENERATE
 
 
-def test_equilibrium_affine():
-    assert np.allclose(
-        aut.equilibrium_affine(-np.eye(2), np.zeros((2, 2)), [1.0, 2.0]),
-        [0.0, 0.0])
-    x = aut.equilibrium_affine(-np.eye(2), np.eye(2), [1.0, 2.0])
-    assert np.allclose(-np.eye(2) @ x + np.eye(2) @ np.array([1.0, 2.0]), 0.0)
-    assert np.allclose(x, [1.0, 2.0])
-    with pytest.raises(ContinuumOfEquilibriaError):
-        aut.equilibrium_affine([[1, 1], [1, 1]], np.eye(2), [1.0, 0.0])
-
-
 def test_jacobian_quadratic_drag_origin():
     sysd = gallery_system("quadratic_drag")
     jac = aut.jacobian_fd(sysd, [0.0, 0.0])

@@ -9,7 +9,7 @@ import pytest
 
 from stabkit import cli
 from stabkit.odeint import SAMPLE_CAP
-from stabkit.schema import load_system, report_schema, save_system, system_schema
+from stabkit.schema import load_system, report_schema, system_schema
 from conftest import GALLERY, deadline, gallery_file
 
 
@@ -26,7 +26,7 @@ def test_gallery_round_trip():
     for name in ALL_GALLERY:
         original = json.loads(gallery_file(name).read_text())
         sf = load_system(gallery_file(name))
-        assert save_system(sf) == original  # field-for-field
+        assert sf.document == original  # field-for-field
         sf.build()
 
 

@@ -66,7 +66,7 @@ def test_euler_discretize_binds_a_parameter_named_k():
 
 
 def test_euler_discretize_refuses_delays():
-    sysd = odeint.SystemDef(1, odeint.Nonlinear(("-x1",)),
+    sysd = odeint.SystemDef(1, odeint.Linear([[-1.0]]),
                             delays=(odeint.Delay(1.0, [[5.0]]),))
     with pytest.raises(InvalidArgumentError, match="delays"):
         dc.euler_discretize(sysd, 0.1)

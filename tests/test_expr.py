@@ -395,7 +395,7 @@ def test_cubic_chain_scan_calls_no_libm_cube(monkeypatch):
 
 def test_substitute():
     tree = ex.parse("t + x1")
-    replaced = ex.substitute(tree, "t", ex.parse("2*k"))
+    replaced = ex.bind(tree, {"t": ex.parse("2*k")})
     assert evaluate(replaced, EvalContext((3.0,), 9.0)) == 21.0  # k=9
 
 

@@ -78,7 +78,7 @@ def ladder(report: ly.LyapunovReport) -> tuple:
 
 
 # The one sign test of the direct-method scans accepts a rate D <= 1e-9 *
-# (1 + max |D|): the absolute part does not scale with V (ROADMAP item 3a).
+# (1 + max |D|): the absolute part does not scale with V (ROADMAP item 2a).
 # Scaled down, the growth of an unstable system reads as semidefinite, and
 # "stable"; an instability witness W scaled down reads as trivial.
 SCALE_DEFECTS = {("uniform_growth", 1e-10), ("growth", 1e-10)}
@@ -89,7 +89,7 @@ def scaled_cases(cases, name=lambda case: case[0]):
     return [pytest.param(*case, c, id=f"{name(case)}-{c:g}",
                          marks=pytest.mark.xfail(
                              strict=True, reason="sign floor with an absolute "
-                             "part (ROADMAP item 3a)")
+                             "part (ROADMAP item 2a)")
                          if (case[0], c) in SCALE_DEFECTS else ())
             for case in cases for c in SCALES]
 

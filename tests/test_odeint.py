@@ -31,7 +31,7 @@ from stabkit.odeint import (
 )
 from stabkit.schema import load_system
 from conftest import GALLERY, gallery_system
-from scalar_oracle import _stage_loop_matrix, rhs, stage_loop
+from scalar_oracle import _stage_loop_matrix, dde_stage_loop, rhs, stage_loop
 
 
 def scalar_decay():
@@ -137,7 +137,7 @@ def test_integrate_matrix_zero_coefficients():
 
 def test_dde_single_interval_closed_form():
     # x'(t) = -x(t-1), constant unit history: x(t) = 1 - t on [0, 1]
-    sysd = SystemDef(1, Nonlinear(("0",)), delays=(Delay(1.0, [[-1.0]]),))
+    sysd = SystemDef(1, Linear([[0.0]]), delays=(Delay(1.0, [[-1.0]]),))
     traj = integrate_dde(sysd, HistoryFn.constant([1.0], 1.0), 1.0, 1e-3)
     idx = np.argmin(np.abs(traj.times - 0.5))
     assert abs(traj.states[idx][0] - 0.5) < 1e-6
@@ -145,20 +145,20 @@ def test_dde_single_interval_closed_form():
 
 
 def test_dde_zero_coefficients_reduce_to_ode():
-    sysd = SystemDef(1, Nonlinear(("-x1",)), delays=(Delay(0.5, [[0.0]]),))
+    sysd = SystemDef(1, Linear([[-1.0]]), delays=(Delay(0.5, [[0.0]]),))
     traj = integrate_dde(sysd, HistoryFn.constant([1.0], 0.5), 2.0, 1e-3)
     plain = integrate(scalar_decay(), [1.0], 0.0, 2.0, 1e-3)
     assert np.allclose(traj.states[:, 0], plain.states[:, 0], atol=1e-12)
 
 
 def test_dde_step_must_divide_lags():
-    sysd = SystemDef(1, Nonlinear(("0",)), delays=(Delay(1.0, [[-1.0]]),))
+    sysd = SystemDef(1, Linear([[0.0]]), delays=(Delay(1.0, [[-1.0]]),))
     with pytest.raises(ValueError):
         integrate_dde(sysd, HistoryFn.constant([1.0], 1.0), 1.0, 0.3)
 
 
 def test_dde_history_must_cover_lags():
-    sysd = SystemDef(1, Nonlinear(("0",)), delays=(Delay(1.0, [[-1.0]]),))
+    sysd = SystemDef(1, Linear([[0.0]]), delays=(Delay(1.0, [[-1.0]]),))
     with pytest.raises(HistoryGapError):
         integrate_dde(sysd, HistoryFn.constant([1.0], 0.25), 1.0, 1e-3)
 
@@ -230,9 +230,17 @@ def test_csv_writers_keep_their_bytes(tmp_path):
 
 
 def test_delays_must_be_sorted():
-    with pytest.raises(Exception):
-        SystemDef(1, Nonlinear(("0",)),
+    with pytest.raises(DimensionMismatchError, match="sorted"):
+        SystemDef(1, Linear([[0.0]]),
                   delays=(Delay(1.0, [[1.0]]), Delay(0.5, [[1.0]])))
+
+
+def test_delays_need_a_linear_right_hand_side():
+    # no file kind builds one, and every delayed step is a linear step map
+    with pytest.raises(InvalidArgumentError,
+                       match="delays need a linear right-hand side"):
+        SystemDef(2, Nonlinear(("-2*x1 + x2^3", "-4*x2")),
+                  delays=(Delay(0.5, np.eye(2) / 10),))
 
 
 # --- argument checks ------------------------------------------------------------
@@ -510,28 +518,23 @@ LAGS = (Delay(0.5, [[0.3, 0.0], [0.1, 0.2]]),
 
 def test_dde_step_maps_match_stage_loop():
     history = HistoryFn.constant([1.0, -0.5], 1.25)
-    general = SystemDef(2, Nonlinear(("-x1 + 0.5*x2", "-0.3*x1 - 2*x2")),
-                        delays=LAGS)
     linear = SystemDef(2, Linear(A_TEST), delays=LAGS)
     t1 = 3.0005  # over two chunks of steps, plus a trailing partial step
-    want = integrate_dde(general, history, t1, 1e-3)
+    want = dde_stage_loop(linear, history, t1, 1e-3)
     got = integrate_dde(linear, history, t1, 1e-3)
     assert len(got.times) > 2 * odeint.CHUNK
-    assert np.array_equal(got.times, want.times)
     # atol covers components passing through zero; the states are O(1)
-    np.testing.assert_allclose(got.states, want.states, rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(got.states, want, rtol=1e-12, atol=1e-14)
 
 
 def test_time_varying_dde_step_maps_match_stage_loop():
     lags = (Delay(0.5, [["0.3*sin(t)", "0"], ["0.1", "0.2*cos(2*t)"]]),)
     history = HistoryFn.constant([1.0, -0.5], 0.5)
-    general = SystemDef(2, Nonlinear(("-x1 + sin(t)*x2", "-0.3*x1 - 2*x2")),
-                        delays=lags)
     linear = SystemDef(2, Linear((("-1", "sin(t)"),
                                   ("-0.3", "-2"))), delays=lags)
-    want = integrate_dde(general, history, 2.5, 1e-3)
+    want = dde_stage_loop(linear, history, 2.5, 1e-3)
     got = integrate_dde(linear, history, 2.5, 1e-3)
-    np.testing.assert_allclose(got.states, want.states, rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(got.states, want, rtol=1e-12, atol=1e-14)
 
 
 def test_matrix_step_maps_match_stage_loop():
@@ -584,6 +587,25 @@ def test_step_maps_fall_back_to_stage_loop_when_a_map_overflows():
     assert not traj.states.any()
 
 
+@pytest.mark.parametrize("a, value", [
+    ("-1", -2e-4),  # the delay coefficient, at the midpoint of step 2000
+    ("log(2.0004 - t)", -1e-4),  # A first, at the same stage
+], ids=["delay", "a-before-delay"])
+def test_a_failing_delay_coefficient_raises_at_its_stage(a, value):
+    # log(2.0003 - t) fails at t = 2.0005, in the second chunk of 1024 steps
+    sysd = SystemDef(1, Linear([[a]]),
+                     delays=(Delay(0.5, [["log(2.0003 - t)"]]),))
+    history = HistoryFn.constant([1.0], 0.5)
+    with pytest.raises(DomainError) as want:
+        dde_stage_loop(sysd, history, 3.0, 1e-3)
+    with pytest.raises(DomainError) as got:
+        integrate_dde(sysd, history, 3.0, 1e-3)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith("log of non-positive value")
+    assert float(str(got.value).split()[-1]) == pytest.approx(value, abs=1e-12)
+
+
 def test_delay_rotating_escape_time_unchanged():
     ds = gallery_system("delay_rotating")
     with pytest.raises(NonFiniteStateError) as err:
@@ -614,16 +636,13 @@ def test_saddle_on_its_stable_manifold_does_not_escape(rate):
     ids=["one-step-lag", "short-lag-partial-step"])
 def test_dde_blocks_shorter_than_a_chunk_match_stage_loop(lags, t1):
     # a block holds at most the shortest lag: one step, or 100 of a chunk's
-    # 1024 steps, then a trailing partial step on the stage loop
+    # 1024 steps, then a trailing partial step of one more map
     delays = tuple(Delay(lag, [[0.3, -0.2], [0.1, 0.25]]) for lag in lags)
     history = HistoryFn.constant([1.0, -0.5], max(lags))
-    general = SystemDef(2, Nonlinear(("-x1 + 0.5*x2", "-0.3*x1 - 2*x2")),
-                        delays=delays)
     linear = SystemDef(2, Linear(A_TEST), delays=delays)
-    want = integrate_dde(general, history, t1, 1e-3)
+    want = dde_stage_loop(linear, history, t1, 1e-3)
     got = integrate_dde(linear, history, t1, 1e-3)
-    assert np.array_equal(got.times, want.times)
-    np.testing.assert_allclose(got.states, want.states, rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(got.states, want, rtol=1e-12, atol=1e-14)
 
 
 @pytest.mark.parametrize("lag, h", [(1e-10, 1e-3), (5e-10, 1e-9)])
@@ -656,11 +675,6 @@ A_WIDE = np.diag([-1.0, -0.5, -2.0, -0.8, -1.5, -0.3, -1.2, -0.9]) + 0.1 * (
     np.eye(8, k=1) - np.eye(8, k=-3))
 
 
-def _linear_terms(a) -> tuple[str, ...]:
-    return tuple(" + ".join(f"({v!r})*x{j + 1}" for j, v in enumerate(row))
-                 for row in np.asarray(a).tolist())
-
-
 def test_wide_states_step_one_product_at_a_time():
     # n + 1 and 2n past SCAN_WIDTH: vector, fundamental-matrix and delayed
     # states step on one product a step, and still agree with the stage loop
@@ -678,11 +692,11 @@ def test_wide_states_step_one_product_at_a_time():
                                rtol=1e-12, atol=1e-14)
     delays = (Delay(0.1, 0.2 * np.eye(8, k=2)), Delay(0.35, -0.1 * np.eye(8)))
     history = HistoryFn.constant(x0, 0.35)
-    want = integrate_dde(SystemDef(8, Nonlinear(_linear_terms(A_WIDE)),
-                                   delays=delays), history, 1.5005, 1e-3)
-    got = integrate_dde(SystemDef(8, Linear(A_WIDE), delays=delays),
-                        history, 1.5005, 1e-3)
-    np.testing.assert_allclose(got.states, want.states, rtol=1e-12, atol=1e-14)
+    wide = SystemDef(8, Linear(A_WIDE), delays=delays)
+    got = integrate_dde(wide, history, 1.5005, 1e-3)
+    np.testing.assert_allclose(got.states,
+                               dde_stage_loop(wide, history, 1.5005, 1e-3),
+                               rtol=1e-12, atol=1e-14)
 
 
 # --- the march against the stage-by-stage oracle --------------------------------
