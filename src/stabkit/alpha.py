@@ -171,7 +171,7 @@ def _defect(sys: SystemDef, p, alpha: float | None = None) -> float:
             d = d + q @ (a @ np.swapaxes(a, -1, -2)) @ np.swapaxes(q, -1, -2)
     if not np.all(np.isfinite(d)):
         return math.inf
-    return float(np.max(linalg.spectral_norm(d)))
+    return linalg.spectral_norm(d)
 
 
 def rde_residual(sys: SystemDef, alpha: float, p,
@@ -245,14 +245,14 @@ def rate_bound_inputs(sys: SystemDef, p) -> RateInputs:
     """
     _check_delay_system(sys)
     times = np.linspace(*SUP_GRID)
-    eta = np.max(linalg.matrix_measure(_at(sys.linear_coefficient, times)))
-    a_norm = max(float(np.max(linalg.spectral_norm(_at(c, times))))
+    eta = linalg.matrix_measure(_at(sys.linear_coefficient, times))
+    a_norm = max(linalg.spectral_norm(_at(c, times))
                  for c in sys.delay_coefficients)
     a_norm_sq = a_norm * a_norm  # saturates to inf where ** raises
     pv = _as_p(p, sys.dimension)
     pv = pv.values if isinstance(pv, SampledMatrixFunction) else pv
-    p_norm = np.max(linalg.spectral_norm(pv + np.eye(sys.dimension)))
-    return RateInputs(float(eta), float(p_norm), float(a_norm_sq),
+    p_norm = linalg.spectral_norm(pv + np.eye(sys.dimension))
+    return RateInputs(eta, p_norm, a_norm_sq,
                       len(sys.delays), sys.max_lag)
 
 

@@ -26,6 +26,7 @@ import argparse
 import contextlib
 import dataclasses
 import functools
+import itertools
 import json
 import sys
 import time
@@ -104,24 +105,43 @@ def _orbit(system, args, steps: int) -> dict:
             "final_state": orbit.states[-1], "csv": args.csv}
 
 
+def _json_numbers(value, depth: int) -> np.ndarray:
+    """Lists nested ``depth`` deep, of equal length at each depth, whose
+    leaves are all JSON numbers (a bool or a string is not), as a float
+    array; ValueError or TypeError otherwise.  A container that is not a
+    list yields strings (a dict its keys, a string its characters) or
+    raises when iterated, so the leaf check refuses it."""
+    shape, level = [len(value)], value
+    for _ in range(depth - 1):
+        sizes = set(map(len, level))
+        if len(sizes) != 1:
+            raise ValueError("ragged")
+        shape.append(sizes.pop())
+        level = list(itertools.chain.from_iterable(level))
+    if not set(map(type, level)) <= {int, float}:
+        raise ValueError("not a number")
+    return np.array(level, dtype=float).reshape(shape)
+
+
 def _load_p_file(path: str, n: int):
     """``--p-file``: ``{"matrix": n x n}``, or ``{"times": [...], "values":
     [...]}`` with n x n values (the grid rules are
-    :class:`alpha.SampledMatrixFunction`'s); every number finite."""
+    :class:`alpha.SampledMatrixFunction`'s); every entry a finite JSON
+    number."""
     with _named_file("p-file", path), open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise SchemaError(f"--p-file is not JSON: {exc}") from None
     doc = doc if isinstance(doc, dict) else {}
-    try:  # numpy refuses ragged, non-numeric and oversized entries
+    try:
         if "matrix" in doc:
-            p = np.array(doc["matrix"], dtype=float)
+            p = _json_numbers(doc["matrix"], 2)
             if p.shape == (n, n) and np.isfinite(p).all():
                 return p
         elif "times" in doc and "values" in doc:
-            times = np.array(doc["times"], dtype=float)
-            values = np.array(doc["values"], dtype=float)
+            times = _json_numbers(doc["times"], 1)
+            values = _json_numbers(doc["values"], 3)
             if values.shape[-2:] == (n, n) and \
                     np.isfinite(times).all() and np.isfinite(values).all():
                 return alpha_mod.SampledMatrixFunction(times, values)

@@ -93,8 +93,10 @@ def solve_lyapunov(a, q) -> np.ndarray:
     :class:`SingularLyapunovOperatorError` when A and -A share an
     eigenvalue, that is when the singular values of the Kronecker operator
     ``L = I (x) A' + A' (x) I`` (``L vec(P) = -vec(Q)``) have
-    ``sigma_min <= 1e-12 sigma_max`` (no unique solution), and
-    :class:`DimensionMismatchError` for an empty A or a Q of another size.
+    ``sigma_min <= 1e-12 sigma_max`` (no unique solution),
+    :class:`InvalidArgumentError` when an entry of L is past float range,
+    and :class:`DimensionMismatchError` for an empty A or a Q of another
+    size.
 
     With ``A = V diag(lam) V^-1``, L is similar to the diagonal of the sums
     ``lam_i + lam_j``, which gives ``sigma_min(L) >= min |lam_i + lam_j| /
@@ -125,7 +127,12 @@ def solve_lyapunov(a, q) -> np.ndarray:
     p = None if basis is None else _eigenbasis_solve(am, qm, *basis)
     if p is None:
         eye = np.eye(n)
-        op = np.kron(eye, am.T) + np.kron(am.T, eye)
+        with np.errstate(over="ignore"):
+            op = np.kron(eye, am.T) + np.kron(am.T, eye)
+        if not np.isfinite(op).all():
+            raise InvalidArgumentError(
+                "A is too large: its Lyapunov operator has entries past "
+                "float range")
         if basis is None:
             sv = np.linalg.svd(op, compute_uv=False)
             if sv[0] == 0.0 or sv[-1] <= 1e-12 * sv[0]:
@@ -149,7 +156,8 @@ def _separation_certified(am: np.ndarray):
     if not sv[-1] > 0.0:
         return None
     kappa = float(sv[0]) / float(sv[-1])  # Python floats: inf, no warning
-    sep = float(np.abs(lam[:, None] + lam[None, :]).min())
+    with np.errstate(over="ignore"):  # an eigen-sum past float range: inf
+        sep = float(np.abs(lam[:, None] + lam[None, :]).min())
     if sep > SKIP_MARGIN * kappa * kappa * 2.0 * float(np.linalg.norm(am, 2)):
         return lam, vecs
     return None

@@ -84,6 +84,20 @@ name without a caller is ``alpha.fit_envelope``: the ``envelope_*``
 goldens and the acceptance suite call it.  This mode is not part of
 ``all``.
 
+The ``stacks`` mode counts the work of the stack suprema::
+
+    python tests/report_digest.py stacks > stacks.txt
+
+For each ``alpha`` op of the ``propagate`` passes of seeds 1-3 it prints
+one line per call of ``linalg.spectral_norm``, ``linalg.matrix_measure``
+or ``linalg.semidefinite_nodes`` on an ``(N, r, c)`` stack, in call order,
+with the node count and the number of nodes ``eigvalsh`` was given (the
+nodes evaluated exactly)::
+
+    <seed> <op index> <function> nodes=<N> exact=<count>  <argv>
+
+This mode is not part of ``all``.
+
 The ``all`` mode prints every digest, each under a ``== <mode>`` header:
 ``scan`` and ``desk`` for seeds 1-3, ``propagate`` for seeds 1-2, then
 ``parse``, ``w3``, ``codegen`` and ``options``, so that one ``diff``
@@ -199,6 +213,46 @@ def digest_codegen(stabkit: dict) -> list[str]:
                     seen.clear()
     finally:
         expr._generate, expr._compiled = generate_, compile_
+    return lines
+
+
+def digest_stacks(stabkit: dict) -> list[str]:
+    """One line per stack reduction of each ``alpha`` op of ``propagate``."""
+    import numpy as np
+
+    linalg, inner = stabkit["linalg"], np.linalg.eigvalsh
+    names = ("spectral_norm", "matrix_measure", "semidefinite_nodes")
+    originals = {name: getattr(linalg, name) for name in names}
+    exact, calls = [0], []
+
+    def eigvalsh(a, *args, **kwargs):
+        exact[0] += int(np.prod(np.shape(a)[:-2]))
+        return inner(a, *args, **kwargs)
+
+    def counted(name):
+        def call(a):
+            exact[0] = 0
+            value = originals[name](a)
+            if np.ndim(a) == 3:
+                calls.append(f"{name} nodes={len(a)} exact={exact[0]}")
+            return value
+        return call
+
+    np.linalg.eigvalsh = eigvalsh
+    for name in names:
+        setattr(linalg, name, counted(name))
+    lines = []
+    try:
+        for seed in (1, 2, 3):
+            for index, label, *_ in run_pass("propagate", seed, stabkit):
+                if label.startswith("alpha "):
+                    lines += [f"{seed} {index} {call}  {label}"
+                              for call in calls]
+                calls.clear()
+    finally:
+        np.linalg.eigvalsh = inner
+        for name in names:
+            setattr(linalg, name, originals[name])
     return lines
 
 
@@ -384,10 +438,11 @@ def main(argv: list[str]) -> int:
         for line in digest_options() if argv == ["options"] else digest_api():
             print(line)
         return 0
-    if argv in (["parse"], ["w3"], ["codegen"]):
+    if argv in (["parse"], ["w3"], ["codegen"], ["stacks"]):
         stabkit = bench.load_stabkit()
         lines = digest_parse(stabkit["expr"]) if argv == ["parse"] else \
             digest_w3(stabkit["lyapunov"]) if argv == ["w3"] else \
+            digest_stacks(stabkit) if argv == ["stacks"] else \
             digest_codegen(stabkit)
         for line in lines:
             print(line)

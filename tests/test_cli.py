@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import jsonschema
 import numpy as np
@@ -721,8 +722,15 @@ def test_derivatives_beyond_the_bounds_exit_0_or_2(tmp_path, capsys, shape):
     {"matrix": [[1e400, 0], [0, 1]]}, {"times": [0, 1, 2], "values": "abc"},
     {"times": [0, 1, 2], "values": [[[1, 0], [0, 1]]] * 2},
     {"times": [0, 1, 5], "values": [[[1, 0], [0, 1]]] * 3},
+    {"matrix": [["1_0", 0], [0, 1]]}, {"matrix": [[True, 0], [0, 1]]},
+    {"times": [0, 1, 2], "values": [[[1, 0], [0, "1"]]] * 3},
+    {"times": [0, 1, 2], "values": [[[1, 0], [0, False]]] * 3},
+    {"times": ["0", 1, 2], "values": [[[1, 0], [0, 1]]] * 3},
+    {"times": [0, 1, 2], "values": [[[1, 0, 0], [1]]] * 3},
 ], ids=["vector", "number", "string", "ragged", "3x3", "inf", "values-string",
-        "values-count", "uneven-times"])
+        "values-count", "uneven-times", "string-entry", "bool-entry",
+        "values-string-entry", "values-bool-entry", "times-string-entry",
+        "values-ragged"])
 def test_malformed_p_file_exits_2_naming_the_flag(tmp_path, capsys, doc):
     pfile = tmp_path / "p.json"
     pfile.write_text(json.dumps(doc))
@@ -733,6 +741,49 @@ def test_malformed_p_file_exits_2_naming_the_flag(tmp_path, capsys, doc):
     assert captured.out == ""
     assert "--p-file" in captured.err
     assert not any(text in captured.err for text in NUMPY_TEXT)
+
+
+BIG_LINEAR = {"name": "big_linear", "kind": "linear", "dimension": 2,
+              "a": [[-1e308, 0], [0, -1]]}
+BIG_DELAY = {"name": "big_delay", "kind": "delay", "dimension": 2,
+             "a": [[1e308, 0], [0, -1]],
+             "delays": [{"lag": 1, "coefficients": [[0.1, 0], [0, 0.1]]}]}
+
+
+@pytest.mark.parametrize("doc,argv", [
+    (BIG_LINEAR, ["lyapunov", "--solve"]),
+    (BIG_DELAY, ["alpha", "--alpha", "0.1", "--route", "rate-inequality",
+                 "--horizon", "0"]),
+], ids=["lyapunov-solve", "alpha-rate"])
+def test_lyapunov_operator_past_float_range_exits_2(tmp_path, capsys, doc,
+                                                    argv):
+    # A finite A near 1e308: A' (+) A' overflows, and so do the eigen-sums
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = cli.run([argv[0], "--system", str(path), *argv[1:]])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.startswith("stabkit: input error: A is too large")
+    assert "Warning" not in captured.err and caught == []
+
+
+def test_measure_of_a_huge_delay_system_is_finite(tmp_path, capsys):
+    # the measure halves before it sums: eta is 1e308, not NaN
+    path, pfile = tmp_path / "big.json", tmp_path / "p.json"
+    path.write_text(json.dumps(BIG_DELAY))
+    pfile.write_text(json.dumps({"matrix": [[1, 0], [0, 1]]}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, rep = run_cli(["alpha", "--system", path, "--alpha", "0.1",
+                           "--route", "rate-inequality", "--horizon", "0",
+                           "--p-file", pfile], capsys)
+    assert rc == 0 and caught == []
+    certificate = rep["result"]["certificate"]
+    assert certificate["inputs"]["eta"] == 1e308
+    assert certificate["inequality_margin"] > 0.0
+    assert rep["result"]["valid"] is False
 
 
 def test_sampled_p_file_is_read(tmp_path, capsys):
