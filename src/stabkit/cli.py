@@ -219,11 +219,15 @@ def _lyapunov(args, system):
         p = lyap_mod.solve_lyapunov(a, q)
         residual = linalg.spectral_norm(a.T @ p + p @ a + q)
         verdict = linalg.definiteness(p)
+        # P > 0 shows A Hurwitz only where Q + Q' > 0 (the converse
+        # theorem), as for the default Q = I
+        q_positive = args.q is None or linalg.definiteness(
+            linalg.symmetric_part(q)).is_positive_definite
         return {
             "p": p,
             "residual": residual,
             "p_definiteness": verdict.kind,
-            "asymptotically_stable": verdict.is_positive_definite,
+            "asymptotically_stable": verdict.is_positive_definite and q_positive,
             "q": q,
         }, {"residual_tol": 1e-9}
     scan = lyap_mod.ScanConfig(points=args.samples, t0=args.t0,

@@ -3,11 +3,12 @@ discrete direct method.
 
 The derivative of the continuous theory is replaced by the one-step
 difference ``Delta V(x, k) = V(f(x, k), k+1) - V(x, k)`` (Kalman &
-Bertram, "Second method of Lyapunov, II", *J. Basic Eng.* 1960), one tree
-as Vdot is.  Classification by a candidate V runs on the continuous
-module's scan core (``lyapunov._direct_scan`` and ``lyapunov._sign_test``):
-the same sampler, checks, one-sided semantics and sign floor; this module
-supplies only the fixed-point check and the ``Delta V`` tree.
+Bertram, "Second method of Lyapunov, II", *J. Basic Eng.* 1960): V's batch
+evaluator at the update's batch evaluator, less V, each compiled once.
+Classification by a candidate V runs on the continuous module's scan core
+(``lyapunov._direct_scan`` and ``lyapunov._sign_test``): the same sampler,
+checks, one-sided semantics and sign floor; this module supplies only the
+fixed-point check and ``Delta V``.
 """
 
 from __future__ import annotations
@@ -131,28 +132,20 @@ def iterate(sys: DiscreteSystem, x0, K: int) -> Orbit:
 
 
 def delta_v(sys: DiscreteSystem, v: CandidateV, x, k: int = 0) -> float:
-    """One-step difference of the candidate: ``V(f(x,k), k+1) - V(x, k)``,
-    the tree of :func:`_delta_tree` compiled on each call.  It has the bits
-    of V at ``x`` and at the update of ``x``, but for a power 3-16 of an
-    update component that reads no state: the tree computes it once, as a
-    scalar, by ``pow`` rather than by products: within 4 ulps of the
-    larger V."""
-    delta = ex.compile_expr_vec(_delta_tree(sys, v, k))
-    return float(delta(np.asarray(x, dtype=float)[None], float(k))[0])
+    """One-step difference of the candidate: ``V(f(x,k), k+1) - V(x, k)``
+    at the state ``x`` (length ``sys.dimension``, else
+    :class:`DimensionMismatchError`, as for a V that reads a state past it)."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (sys.dimension,):
+        raise DimensionMismatchError(f"x must have length {sys.dimension}")
+    v.check_dimension(sys.dimension)
+    return float(_delta(sys, v)(x[None], float(k))[0])
 
 
-def _delta_tree(sys: DiscreteSystem, v: CandidateV, k: int) -> ex.Expr:
-    """``Delta V`` at step ``k`` as one tree: V with each ``xi`` replaced by
-    the update's component and its time by ``k + 1``, less V, every time
-    slot a number.  A tree beyond the parser's bounds raises
-    :class:`InvalidArgumentError`."""
-    now, after = ex.Number(float(k)), ex.Number(float(k + 1))
-    step = {f"x{i + 1}": ex.bind(c, {"t": now, "k": now})
-            for i, c in enumerate(sys._bound)}
-    tree = ex.Binary("-", ex.bind(v.tree, {**step, "t": after, "k": after}),
-                     ex.bind(v.tree, {"t": now, "k": now}))
-    ex._bounded(tree, InvalidArgumentError)
-    return tree
+def _delta(sys: DiscreteSystem, v: CandidateV):
+    """``Delta V`` as a batch evaluator ``f(X, k)``, ``k`` one step or one
+    per row: V at the update of each row and step ``k + 1``, less V."""
+    return lambda X, k: v.values(sys.steps(X, k), k + 1.0) - v.values(X, k)
 
 
 class DiscreteConclusion(Enum):
@@ -191,11 +184,10 @@ def classify_discrete(sys: DiscreteSystem, v: CandidateV, radius: float = 0.3,
             raise NotAFixedPointError(
                 "update(0) != 0: origin is not a fixed point")
 
-    X, norms, v_vals, d_vals, *_ = _direct_scan(
+    X, norms, v_vals, d_vals, _ = _direct_scan(
         v, sys.dimension, radius,
         ScanConfig(points=samples, t0=float(k0), time_span=0.0), False,
-        fixed_point, lambda: _delta_tree(sys, v, k0), lambda t: f"k={k0}",
-        "k")
+        fixed_point, lambda: _delta(sys, v), lambda t: f"k={k0}", "k")
     v_positive = _fit_lower_bound(v_vals, norms, X)
     verdict, margin = _sign_test(d_vals, norms, X)
     if not v_positive.established or verdict is SignVerdict.INDEFINITE:

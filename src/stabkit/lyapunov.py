@@ -22,11 +22,11 @@ per candidate, per form and per system), each batch under
 :func:`~stabkit.expr.strict_rows`: V and its rate, the Sylvester minors,
 the attraction ladder, the origin checks and the radial rays.  A domain
 error names the first failing sample in the order of a point-by-point
-scan.  Each quantity is one tree compiled into one evaluator: V once per
-candidate, and its rate once per scan.  Vdot is exact, one tree from the
-derivative trees of V (for attraction, x'Px) and the system's field
-trees; the W3 minors come from its exact Hessian at the origin, one
-evaluation of that tree on second-order jets
+scan.  Each quantity has one evaluator: V's is compiled once per
+candidate and Vdot's once per scan; Delta V composes the update's and V's.
+Vdot is exact, one tree from the derivative trees of V (for attraction,
+x'Px) and the system's field trees; the W3 minors come from its exact
+Hessian at the origin, one evaluation of that tree on second-order jets
 (:func:`~stabkit.expr.hessian`), with no second derivative tree built.
 
 The module also owns the continuous Lyapunov matrix equation (solved in
@@ -206,6 +206,7 @@ class CandidateV:
         self.expression = ex.as_expr(self.expression, set(self.params))
         self.tree = ex.bind(self.expression, self.params)
         self.time_dependent = ex.reads_time(self.expression, self.params)
+        self._max_state_index = ex.max_state_index(self.expression)
 
     @classmethod
     def quadratic(cls, p) -> "CandidateV":
@@ -229,8 +230,11 @@ class CandidateV:
         call: the origin checks, the radial rays and the scans read it."""
         return ex.compile_expr_vec(self.tree)
 
-    def max_state_index(self) -> int:
-        return ex.max_state_index(self.expression)
+    def check_dimension(self, n: int) -> None:
+        """:class:`DimensionMismatchError` if V reads a state past ``xn``."""
+        if self._max_state_index > n:
+            raise DimensionMismatchError("candidate references state "
+                                         "variables beyond the system dimension")
 
 
 def _trees(sys: SystemDef, v: CandidateV) -> tuple[ex.Expr, ex.Expr]:
@@ -396,22 +400,20 @@ def _direct_scan(v: CandidateV, n: int, radius: float, scan: ScanConfig,
                  time_dep: bool, at_origin, rate, clock=_time_label,
                  zero: str | None = "t"):
     """The sampled scan of every direct-method ladder, continuous or
-    discrete: ``(X, norms, V, D, ladder, tree)`` on the samples ``X`` of
+    discrete: ``(X, norms, V, D, ladder)`` on the samples ``X`` of
     :func:`_scan_points`, with their norms.
 
     Checks come first: the sample count, the dimension, the window,
     ``at_origin()`` (the equilibrium or fixed-point check) and, unless
     ``zero`` is None, ``V(0, zero) = 0`` at 16 times of the window.  Then
-    ``rate()`` builds ``tree``, the rate D (Vdot, or Delta V), compiled
-    into one evaluator; V (``v.values``) over all samples and then D, each
-    in its own :func:`~stabkit.expr.strict_rows` pass; ``clock`` labels a
+    ``rate()`` gives the batch evaluator of the rate D (Vdot, or Delta V);
+    V (``v.values``) over all samples and then D, each in its own
+    :func:`~stabkit.expr.strict_rows` pass; ``clock`` labels a
     sample's time.  ``ladder`` is :func:`_ladder` of both if ``time_dep``,
     else ``(None, None, "")``.
     """
     _require_samples(scan.points)
-    if v.max_state_index() > n:
-        raise DimensionMismatchError(
-            "candidate references state variables beyond the system dimension")
+    v.check_dimension(n)
     _check_window(scan.t0, scan.time_span, time_dep)
     at_origin()
     if zero is not None:
@@ -420,13 +422,12 @@ def _direct_scan(v: CandidateV, n: int, radius: float, scan: ScanConfig,
             raise InvalidCandidateError(
                 f"candidate must satisfy V(0, {zero}) = 0")
     X, T = _scan_points(n, radius, scan, time_dep)
-    tree = rate()
-    fns = v.values, ex.compile_expr_vec(tree)
+    fns = v.values, rate()
     v_vals, d_vals = (ex.strict_rows(
         lambda r: _by_block(f, X[r], T[r]), len(X),
         lambda k: _sample_label(X[k], T[k], clock)) for f in fns)
     return X, column_norms(X.T), v_vals, d_vals, \
-        _ladder(fns, X, T, scan) if time_dep else (None, None, ""), tree
+        _ladder(fns, X, T, scan) if time_dep else (None, None, "")
 
 
 def _ladder(fns, X, T, scan: ScanConfig):
@@ -456,12 +457,14 @@ def _ladder(fns, X, T, scan: ScanConfig):
 
 def _scan(sys: SystemDef, v: CandidateV, radius: float, scan: ScanConfig,
           zero: str | None):
-    """:func:`_direct_scan` of V and Vdot along the trajectories of ``sys``."""
+    """:func:`_direct_scan` of V and Vdot along the trajectories of ``sys``,
+    then the Vdot tree (for the W3 minors), built after the checks."""
     sys.check_undelayed("a candidate scan")
-    return _direct_scan(v, sys.dimension, radius, scan,
-                        _time_dependent(sys, v),
-                        lambda: _check_origin_equilibrium(sys, scan),
-                        lambda: _trees(sys, v)[1], zero=zero)
+    vdot = functools.cache(lambda: _trees(sys, v)[1])
+    return *_direct_scan(v, sys.dimension, radius, scan,
+                         _time_dependent(sys, v),
+                         lambda: _check_origin_equilibrium(sys, scan),
+                         lambda: ex.compile_expr_vec(vdot()), zero=zero), vdot()
 
 
 def _above_floor(values: np.ndarray) -> bool:

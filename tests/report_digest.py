@@ -82,7 +82,8 @@ string (the tracer patches ``"SystemDef.rhs_callable"`` by its string);
 the ``__all__`` entry and the name's own definition do not count.  The one
 name without a caller is ``alpha.fit_envelope``: the ``envelope_*``
 goldens and the acceptance suite call it.  This mode is not part of
-``all``.
+``all``.  ``tests/test_listings.py`` holds the ``api`` and ``options``
+listings to their copies under ``tests/listings/``.
 
 The ``stacks`` mode counts the work of the stack suprema::
 

@@ -23,7 +23,6 @@ import numpy as np
 from stabkit import expr as ex
 from stabkit import linalg, lyapunov, odeint
 from stabkit.errors import (
-    DimensionMismatchError,
     DomainError,
     InvalidArgumentError,
     NonFiniteStateError,
@@ -160,9 +159,7 @@ def vdot_along(sys, v):
     library's Vdot tree (``grad_x V . f(x, t) + dV/dt``, parameters bound)
     walked point by point.  ``test_expr`` checks the derivative trees it is
     built from against central differences of the walker."""
-    if v.max_state_index() > sys.dimension:
-        raise DimensionMismatchError(
-            "candidate references state variables beyond the system dimension")
+    v.check_dimension(sys.dimension)
     tree = lyapunov._trees(sys, v)[1]
     return lambda x, t=0.0: evaluate(tree, EvalContext(tuple(map(float, x)), t))
 
@@ -189,8 +186,9 @@ def delta_values(sys, v, X, k: int):
 def composed_deltas(sys, v, X, k: int):
     """V and Delta V at the rows of ``X`` by two compiled evaluators
     chained: V's batch evaluator at the rows and at their update
-    (``sys.steps``), then the difference, as the library computed Delta V
-    before it was one tree.  Run it under strict flags to fail as a scan."""
+    (``sys.steps``), then the difference, written out apart from the
+    library's ``discrete._delta``.  Run it under strict flags to fail as a
+    scan."""
     v_vals = v.values(X, float(k))
     return v_vals, v.values(sys.steps(X, float(k)), float(k + 1)) - v_vals
 

@@ -7,9 +7,9 @@ ball sampler bit for bit, V and Vdot within rtol 1e-12, verdicts equal, and
 a domain error named at the first sample where the oracle meets one.  The
 samples are stored component-major; the evaluators give the same bits on a
 row-major copy.  The W3 minors, one jet evaluation of Vdot, equal those of
-the symbolic route (``scalar_oracle.w3_minors``) bit for bit, and the one
-Delta V tree has the bits of V's evaluator composed with the update's
-(``scalar_oracle.composed_deltas``).
+the symbolic route (``scalar_oracle.w3_minors``) bit for bit, and Delta V at
+per-row steps, as the scan runs it, has the bits of V's evaluator composed
+with the update's at one step (``scalar_oracle.composed_deltas``).
 """
 
 import functools
@@ -159,7 +159,7 @@ def test_scan_evaluators_give_the_same_bits_on_a_row_major_copy():
         ly._fit_lower_bound(values, norms, C)
     step = dc.DiscreteSystem(n, ("0.5*x1 + x2^2", "0.5*x2 - x3*x1",
                                  "0.25*sin(x3)", "x4*x5", "0.5*x5"))
-    delta = ex.compile_expr_vec(dc._delta_tree(step, v, 0))
+    delta = dc._delta(step, v)
     _same_bits([delta(X, 0.0)], [delta(C, 0.0)])
     form = ly.QuadraticFormTV([[f"{1 + i + j} + x{i + 1}*x{j + 1}*cos(t)"
                                 for j in range(n)] for i in range(n)])
@@ -224,7 +224,7 @@ def test_batched_delta_v_matches_scalar_loop(monkeypatch, name):
     v = CandidateV(DISCRETE_V)
     X = ball_points(1024, 2, 0.3, exclude=0.3e-9)
     v_batch = v.values(X, 0.0)
-    d_batch = ex.compile_expr_vec(dc._delta_tree(sysd, v, 0))(X, 0.0)
+    d_batch = dc._delta(sysd, v)(X, 0.0)
     v_loop, d_loop = oracle.delta_values(sysd, v, X, 0)
     np.testing.assert_allclose(v_batch, v_loop, rtol=1e-12, atol=0.0)
     # Delta V is a difference of two V values, each within a few ulps
@@ -232,19 +232,21 @@ def test_batched_delta_v_matches_scalar_loop(monkeypatch, name):
                                atol=4.0 * EPS * np.abs(v_loop).max())
     batch = dc.classify_discrete(sysd, v, samples=1024)
     monkeypatch.setattr(ex, "compile_expr_vec", oracle.walker)
-    loop = dc.classify_discrete(sysd, CandidateV(DISCRETE_V), samples=1024)
+    loop = dc.classify_discrete(gallery_system(name), CandidateV(DISCRETE_V),
+                                samples=1024)
     assert batch.conclusion is loop.conclusion
     _same_report(batch, loop)
 
 
-# --- Delta V, one tree --------------------------------------------------------
+# --- Delta V, one composition -------------------------------------------------
 
 def _delta_pair(sysd, v, X, k):
-    """Delta V at the rows of ``X``: the one tree ``classify_discrete``
-    evaluates, and the composition of two evaluators it replaced."""
+    """Delta V at the rows of ``X``: the evaluator ``classify_discrete``
+    runs, at per-row steps as the scan passes them, and the oracle's
+    composition at one step."""
     with np.errstate(all="raise", under="ignore"):
-        tree = ex.compile_expr_vec(dc._delta_tree(sysd, v, k))(X, float(k))
-        return tree, oracle.composed_deltas(sysd, v, X, k)[1]
+        scan = dc._delta(sysd, v)(X, np.full(len(X), float(k)))
+        return scan, oracle.composed_deltas(sysd, v, X, k)[1]
 
 
 DELTA_VS = [DISCRETE_V, "x1^2 + x2^2", "x1^4 + 3*x2^2 + x1*x2",
@@ -258,8 +260,8 @@ DELTA_VS = [DISCRETE_V, "x1^2 + x2^2", "x1^4 + 3*x2^2 + x1*x2",
 def test_delta_v_tree_has_the_bits_of_the_composition(name, expression, k):
     sysd = gallery_system(name)
     v = CandidateV(expression, params=dict(sysd.params))
-    tree, composed = _delta_pair(sysd, v, ball_points(2048, 2, 0.3), k)
-    assert tree.tobytes() == composed.tobytes()
+    scan, composed = _delta_pair(sysd, v, ball_points(2048, 2, 0.3), k)
+    assert scan.tobytes() == composed.tobytes()
 
 
 def test_delta_v_tree_has_the_bits_of_the_composition_on_scan_ops():
@@ -274,11 +276,11 @@ def test_delta_v_tree_has_the_bits_of_the_composition_on_scan_ops():
             sysd = load_system(json.loads(files[name])).build()
             v = CandidateV(argv[argv.index("--candidate") + 1],
                            params=dict(sysd.params))
-            scan = ScanConfig(points=int(argv[argv.index("--samples") + 1]),
-                              time_span=0.0)
-            X = ly._scan_points(2, 0.3, scan, False)[0]
-            tree, composed = _delta_pair(sysd, v, X, 0)
-            assert tree.tobytes() == composed.tobytes(), (seed, index)
+            config = ScanConfig(
+                points=int(argv[argv.index("--samples") + 1]), time_span=0.0)
+            X = ly._scan_points(2, 0.3, config, False)[0]
+            scan, composed = _delta_pair(sysd, v, X, 0)
+            assert scan.tobytes() == composed.tobytes(), (seed, index)
             cases += 1
     assert cases == 12
 
@@ -292,8 +294,8 @@ def test_delta_v_tree_binds_a_parameter_named_k(expression, params):
     v = CandidateV(expression, params=params)
     X = ball_points(1024, 2, 0.3)
     for k in (0, 4):
-        tree, composed = _delta_pair(sysd, v, X, k)
-        assert tree.tobytes() == composed.tobytes()
+        scan, composed = _delta_pair(sysd, v, X, k)
+        assert scan.tobytes() == composed.tobytes()
 
 
 @pytest.mark.parametrize("update, expression", [
@@ -305,9 +307,9 @@ def test_delta_v_tree_fails_at_the_row_and_reason_of_the_composition(
     sysd = dc.DiscreteSystem(2, update)
     v = CandidateV(expression)
     X = ball_points(1024, 2, 0.3, exclude=0.3e-9)
-    delta = ex.compile_expr_vec(dc._delta_tree(sysd, v, 0))
+    delta = dc._delta(sysd, v)
     failures = []
-    for fn in (lambda r: delta(X[r], 0.0),
+    for fn in (lambda r: delta(X[r], np.zeros(len(X))[r]),
                lambda r: oracle.composed_deltas(sysd, v, X[r], 0)[1]):
         with pytest.raises(DomainError) as err:
             ex.strict_rows(fn, len(X), str)
@@ -315,17 +317,15 @@ def test_delta_v_tree_fails_at_the_row_and_reason_of_the_composition(
     assert failures[0] == failures[1] and failures[0][0] > 0
 
 
-def test_delta_v_tree_powers_a_component_that_reads_no_state_within_4_ulps():
-    # the tree computes 0.3*cos(k) once, as a scalar, and its cube and
-    # fourth power by pow; the composition takes products on every row
+def test_delta_v_tree_powers_a_component_that_reads_no_state_as_the_composition():
+    # the update's second component reads only k, so V cubes and raises to
+    # the fourth a column of one value: by products on every row, as the
+    # composition does
     sysd = dc.DiscreteSystem(2, ("0.5*x1 + x2", "0.3*cos(k)"))
     v = CandidateV("x1^2 + x2^3 + x2^4")
-    X = ball_points(2048, 2, 0.3)
-    tree, composed = _delta_pair(sysd, v, X, 0)
-    size = np.maximum(np.abs(v.values(X, 0.0)),
-                      np.abs(v.values(sysd.steps(X, 0.0), 1.0)))
-    assert np.all(np.abs(tree - composed) <= 4.0 * np.spacing(size))
-    assert tree.tobytes() != composed.tobytes()  # the case is real
+    for k in (0, 3):
+        scan, composed = _delta_pair(sysd, v, ball_points(2048, 2, 0.3), k)
+        assert scan.tobytes() == composed.tobytes()
 
 
 # --- domain errors --------------------------------------------------------------

@@ -75,6 +75,23 @@ def test_lyapunov_solve_command(capsys):
     jsonschema.validate(rep, report_schema())
 
 
+def test_lyapunov_solve_claims_nothing_unless_q_is_positive_definite(capsys):
+    # x' = x with Q = -2I solves to P = I, positive definite, yet the origin
+    # is unstable: the converse theorem needs Q > 0
+    rc, rep = run_cli(["lyapunov", "--system", gallery_file("uniform_growth"),
+                       "--solve", "--q=-2,0;0,-2"], capsys)
+    assert rc == 0
+    assert rep["result"]["p_definiteness"] == "positive-definite"
+    assert np.allclose(rep["result"]["p"], np.eye(2))
+    assert rep["result"]["asymptotically_stable"] is False
+
+
+def test_lyapunov_solve_reads_an_asymmetric_q_by_its_symmetric_part(capsys):
+    rc, rep = run_cli(["lyapunov", "--system", gallery_file("damped_spring"),
+                       "--solve", "--q", "1,0.5;-0.5,1"], capsys)
+    assert rc == 0 and rep["result"]["asymptotically_stable"] is True
+
+
 def test_lyapunov_solve_singular_exits_3(capsys):
     # pure-imaginary spectrum: the Lyapunov operator is singular
     rc, _ = run_cli(["lyapunov", "--system", gallery_file("harmonic_center"),

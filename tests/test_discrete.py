@@ -1,11 +1,17 @@
+import functools
+import json
+import timeit
+
 import numpy as np
 import pytest
 
 from stabkit import discrete as dc
 from stabkit import expr as ex
 from stabkit import odeint
-from stabkit.errors import (InvalidArgumentError, InvalidCandidateError,
-                            NotAFixedPointError, SampleCapError)
+from stabkit import cli
+from stabkit.errors import (DimensionMismatchError, InvalidArgumentError,
+                            InvalidCandidateError, NotAFixedPointError,
+                            SampleCapError)
 from stabkit.lyapunov import CandidateV
 from stabkit.odeint import SAMPLE_CAP
 from conftest import gallery_system
@@ -168,6 +174,60 @@ def test_delta_v_closed_form_grid(a):
     for x1, x2 in pts:
         got = dc.delta_v(sysd, v, [x1, x2])
         assert abs(got - closed_form_delta(a, x1, x2)) < 1e-12
+
+
+@pytest.mark.parametrize("x, candidate", [
+    ([0.5, 0.5, 0.5], CUBIC_V), ([0.5], CUBIC_V), ([[0.5, 0.5]], CUBIC_V),
+    ([0.5, 0.5], "x1^2 + x2^2 + x3^2")],
+    ids=["long-x", "short-x", "row-x", "V-reads-x3"])
+def test_delta_v_refuses_what_does_not_fit_the_map(x, candidate):
+    with pytest.raises(DimensionMismatchError):
+        dc.delta_v(cubic_map(-1.0), CandidateV(candidate), x)
+
+
+def test_delta_v_compiles_only_on_its_first_call(monkeypatch):
+    generated, generate = [], ex._generate
+    monkeypatch.setattr(ex, "_generate", lambda exprs, *a: generated.append(
+        tuple(exprs)) or generate(exprs, *a))
+    sysd, v = gallery_system("cubic_map"), CandidateV(CUBIC_V)
+    first = dc.delta_v(sysd, v, [0.1, 0.2])
+    compiled = len(generated)
+    assert compiled == 2  # the update and V, one batch evaluator each
+    for k in range(5):
+        assert dc.delta_v(sysd, v, [0.1, 0.2], k) == first  # reads no k
+    assert len(generated) == compiled
+
+
+def test_delta_v_costs_at_most_82_us_per_call():
+    # 82 us per call was the cost of delta_v on a 2-core host before Delta V
+    # was compiled as one tree on each call; the best of 20 rounds, with the
+    # collector off as in timeit
+    sysd, v = gallery_system("cubic_map"), CandidateV(CUBIC_V)
+    dc.delta_v(sysd, v, [0.1, 0.2])
+    call = functools.partial(dc.delta_v, sysd, v, [0.1, 0.2])
+    assert min(timeit.repeat(call, number=50, repeat=20)) / 50 <= 82e-6
+
+
+SIN60 = "sin(" * 60 + "x1" + ")" * 60
+
+
+def test_classify_composes_parts_each_within_the_bounds():
+    # V at the update nests 120 sin calls, V and the update 60 each
+    rep = dc.classify_discrete(dc.DiscreteSystem(2, (SIN60, "0.5*x2")),
+                               CandidateV(f"{SIN60}^2 + x2^2"))
+    assert rep.conclusion is dc.DiscreteConclusion.ASYMPTOTICALLY_STABLE
+
+
+def test_cli_discrete_composes_parts_each_within_the_bounds(tmp_path, capsys):
+    path = tmp_path / "sin60.json"
+    path.write_text(json.dumps({"name": "sin60", "kind": "discrete",
+                                "dimension": 2,
+                                "expressions": [SIN60, "0.5*x2"]}))
+    rc = cli.run(["discrete", "--system", str(path), "--candidate",
+                  f"{SIN60}^2 + x2^2"])
+    assert rc == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["result"]["conclusion"] == "asymptotically-stable"
 
 
 def test_classify_contracting_cubic():
