@@ -28,6 +28,7 @@ import dataclasses
 import functools
 import itertools
 import json
+import re
 import sys
 import time
 
@@ -39,7 +40,7 @@ from .errors import (ArityMismatchError, DimensionMismatchError,
                      InvalidArgumentError, NonFiniteStateError, ParseError,
                      SchemaError, StabkitError, UnknownIdentifierError)
 from .odeint import HistoryFn, dde_step, integrate, integrate_dde
-from .schema import KINDS, build_report, load_system
+from .schema import KINDS, _dumps, build_report, load_system
 
 SCHEMA_POINTER = "see stabkit/schemas/system.schema.json for the file format"
 
@@ -76,6 +77,28 @@ def _numbers(flag: str, text: str, n: int, rows: int | None = 1) -> np.ndarray:
     return np.array(values[0] if rows == 1 else values)
 
 
+#: the flags :func:`_numbers` reads
+_NUMBER_FLAGS = frozenset({"--x0", "--history", "--seeds", "--point", "--q",
+                           "--p"})
+
+
+def _glued(argv: list[str]) -> list[str]:
+    """``argv`` with a vector or matrix flag (or a prefix argparse reads as
+    one) and a value that starts like a negative number joined into one
+    argument (``--x0 -0.5,0`` becomes ``--x0=-0.5,0``), since argparse
+    takes ``-0.5,0`` for an option."""
+    out: list[str] = []
+    for arg in argv:
+        flag = out[-1] if out else ""
+        if len(flag) > 2 and flag.startswith("--") and \
+                re.match(r"-[\d.]", arg) and \
+                any(name.startswith(flag) for name in _NUMBER_FLAGS):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 @contextlib.contextmanager
 def _named_file(flag: str, path: str):
     """Report an ``OSError`` on the file ``--flag`` names as an input error."""
@@ -86,7 +109,7 @@ def _named_file(flag: str, path: str):
 
 
 def _emit(report: dict, out: str | None) -> None:
-    payload = json.dumps(report, indent=2, sort_keys=True)
+    payload = _dumps(report)
     if out:
         with _named_file("out", out), open(out, "w", encoding="utf-8") as fh:
             fh.write(payload + "\n")
@@ -433,7 +456,7 @@ def run(argv: list[str]) -> int:
     """Entry point used by tests: parse, load, analyse, write the report."""
     parser = make_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_glued(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     kinds, handler = _COMMANDS[args.cmd]

@@ -69,10 +69,6 @@ class DiscreteSystem:
     def _batch(self):
         return ex.compile_expr_vec(self._bound)
 
-    def step(self, x, k: float = 0.0) -> np.ndarray:
-        return np.array(self._fused(np.asarray(x, dtype=float).tolist(),
-                                    float(k)))
-
     def steps(self, X: np.ndarray, k: float = 0.0) -> np.ndarray:
         """The update applied to every row of ``X`` (strict batch evaluation)."""
         return self._batch(X, k)
@@ -88,7 +84,8 @@ class Orbit:
 
     def to_csv(self, target) -> None:
         """Write ``k,x1,...,xn`` rows at full precision."""
-        _write_csv(target, "k", map(int, self.indices.tolist()), self.states)
+        _write_csv(target, "k", map(str, map(int, self.indices.tolist())),
+                   self.states)
 
 
 def euler_discretize(sys: SystemDef, T: float) -> DiscreteSystem:

@@ -25,6 +25,7 @@ over a later domain error.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence, Union
@@ -367,22 +368,32 @@ class Trajectory:
         _write_csv(target, "t", map(repr, times), self.states)
 
 
+#: rows formatted and written at a time, so that the text held at once is
+#: bounded by a block, not by the trajectory
+CSV_BLOCK_ROWS = 2048
+
+
 def _write_csv(target, index_name: str, labels, states) -> None:
     """Write ``index_name,x1,...,xn`` and one row per state, led by its label.
 
-    ``target`` is a path or an open text file; values print as
-    ``repr(float)``, the shortest string that reads back to the same double.
+    ``target`` is a path or an open text file and ``labels`` one string per
+    row; values print as ``repr(float)``, the shortest string that reads
+    back to the same double.  Each block of :data:`CSV_BLOCK_ROWS` rows is
+    formatted column by column and joined into one write.
     """
-    rows = np.asarray(states, dtype=float)
-    names = ",".join(f"x{i + 1}" for i in range(rows.shape[1]))
-    lines = [f"{index_name},{names}\n"]
-    lines += [f"{label},{','.join(map(repr, row))}\n"
-              for label, row in zip(labels, rows.tolist())]
     if isinstance(target, (str, bytes)) or hasattr(target, "__fspath__"):
         with open(target, "w", encoding="utf-8") as fh:
-            fh.writelines(lines)
-    else:
-        target.writelines(lines)
+            _write_csv(fh, index_name, labels, states)
+        return
+    rows, labels = np.asarray(states, dtype=float), iter(labels)
+    names = ",".join(f"x{i + 1}" for i in range(rows.shape[1]))
+    target.write(f"{index_name},{names}\n")
+    for start in range(0, len(rows), CSV_BLOCK_ROWS):
+        block = rows[start:start + CSV_BLOCK_ROWS]
+        columns = (map(repr, column) for column in block.T.tolist())
+        lines = map(",".join, zip(itertools.islice(labels, len(block)),
+                                  *columns))
+        target.write("\n".join(lines) + "\n")
 
 
 @dataclass(frozen=True)

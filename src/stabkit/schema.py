@@ -12,7 +12,9 @@ builds one :class:`~stabkit.odeint.SystemDef`; ``discrete`` builds a
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, is_dataclass
 from enum import Enum
@@ -90,6 +92,13 @@ def _check_grid(value, n: int, what: str, allow_expr: bool, square=True):
     shape = f"a {n}x{n} array" if square else f"{n} rows of equal length"
     rows = value if isinstance(value, list) and len(value) == n else [None]
     width = len(rows[0]) if not square and isinstance(rows[0], list) else n
+    # one pass over the types of all rows and cells; the loop below runs
+    # only to name the first fault
+    if width and set(map(type, rows)) == {list} and \
+            set(map(len, rows)) == {width} and \
+            set(map(type, itertools.chain.from_iterable(rows))) <= \
+            ({int, float, str} if allow_expr else {int, float}):
+        return
     for row in rows:
         if not isinstance(row, list) or len(row) != width or not row:
             raise SchemaError(f"{_INVALID}{what} must be {shape}")
@@ -212,6 +221,52 @@ def to_jsonable(value: Any) -> Any:
     if isinstance(value, float) and not np.isfinite(value):
         return repr(value)
     return value
+
+
+#: the leaf types of a list encoded as one join (exact types: not bool)
+_NUMBERS = frozenset({int, float})
+_quote = json.encoder.encode_basestring_ascii  # json's own string encoder
+
+
+def _dumps(value: Any, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` for the values
+    :func:`to_jsonable` returns: dicts with str keys, lists, str, int,
+    finite float, bool and None.  Any other type raises TypeError, a
+    non-finite float ValueError.  A list of plain ints and floats is one
+    join of their ``repr``; ``indent`` is the newline and indentation that
+    lead ``value``'s line."""
+    kind = type(value)
+    if kind is list or kind is dict:
+        if not value:
+            return "[]" if kind is list else "{}"
+        inner = indent + "  "
+        sep = "," + inner
+        if kind is dict:
+            if set(map(type, value)) != {str}:
+                raise TypeError("report keys must be str")
+            body = sep.join([f"{_quote(key)}: {_dumps(value[key], inner)}"
+                             for key in sorted(value)])
+            return "{" + inner + body + indent + "}"
+        if set(map(type, value)) <= _NUMBERS:
+            body = sep.join(map(repr, value))
+            if "n" in body:  # 'inf' or 'nan': no finite number reads so
+                raise ValueError("non-finite float in a report")
+        else:
+            body = sep.join([_dumps(item, inner) for item in value])
+        return "[" + inner + body + indent + "]"
+    if kind is str:
+        return _quote(value)
+    if kind is int:
+        return repr(value)
+    if kind is float:
+        if math.isfinite(value):
+            return repr(value)
+        raise ValueError("non-finite float in a report")
+    if kind is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def build_report(analysis: str, command: list[str], system_meta: dict | None,

@@ -10,13 +10,17 @@ seed)`` and runs every op in this process, CLI ops through
 ``stabkit.cli.run`` and ``sylvester`` ops through ``run.run_sylvester``.
 Each op prints one line::
 
-    <seed> <op index> <exit code> report=<sha256> csv=<sha256 or ->  <argv>
+    <seed> <op index> <exit code> report=<sha256> raw=<sha256 or -> csv=<sha256 or ->  <argv>
 
 The report hash is taken over the report without ``wall_time_s``,
 ``command`` and ``result.csv`` (the path, which differs per run), dumped
-with sorted keys; the CSV hash is over the bytes of the ``--csv`` file the
-op wrote.  Two checkouts give the same reports and CSVs on a pass exactly
-when ``diff`` finds nothing between their outputs.
+with sorted keys, so it shows what a report says.  The raw hash shows how
+it is written: it is taken over the bytes of the report file, less the
+``wall_time_s`` line and with the pass's work directory written
+``{work}``; a ``sylvester`` op writes no file and prints ``-``.  The CSV
+hash is over the bytes of the ``--csv`` file the op wrote.  Two checkouts
+give the same reports and CSVs on a pass exactly when ``diff`` finds
+nothing between their outputs.
 
 The ``parse`` mode digests the expression front end instead::
 
@@ -134,7 +138,9 @@ def _sha(data: bytes) -> str:
 
 def run_pass(workload: str, seed: int, stabkit: dict):
     """Run one pass in this process, yielding ``(op index, label, exit
-    code, report, CSV bytes or None)`` after each op."""
+    code, report, CSV bytes or None, report file bytes or None)`` after
+    each op; the report file's bytes have their ``wall_time_s`` line
+    dropped and the work directory masked."""
     files, ops = generate.generate(workload, seed)
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
@@ -145,29 +151,37 @@ def run_pass(workload: str, seed: int, stabkit: dict):
             argv = [a.replace("{work}", str(work)) for a in op["argv"]]
             for path in (out, csv):
                 path.unlink(missing_ok=True)
+            raw = None
             if op["kind"] == "cli":
                 rc = stabkit["cli"].run(argv + ["--out", str(out)])
                 report = json.loads(out.read_text(encoding="utf-8")) \
                     if out.exists() else {}
+                if out.exists():
+                    raw = b"\n".join(
+                        line for line in out.read_bytes().split(b"\n")
+                        if not line.lstrip().startswith(b'"wall_time_s":')
+                    ).replace(str(work).encode(), b"{work}")
             else:
                 rc, report = 0, bench.run_sylvester(stabkit, *argv)
             label = " ".join(op["argv"]).replace("{work}/", "")
             yield (index, label, rc, report,
-                   csv.read_bytes() if csv.exists() else None)
+                   csv.read_bytes() if csv.exists() else None, raw)
 
 
 def digest_pass(workload: str, seed: int, stabkit: dict) -> list[str]:
     """One line per op of the pass, in pass order."""
     lines = []
-    for index, label, rc, report, csv in run_pass(workload, seed, stabkit):
+    for index, label, rc, report, csv, raw in run_pass(workload, seed,
+                                                      stabkit):
         report.pop("wall_time_s", None)
         report.pop("command", None)
         if isinstance(report.get("result"), dict):
             report["result"].pop("csv", None)
         body = json.dumps(report, sort_keys=True).encode()
+        raw_sha = "-" if raw is None else _sha(raw)
         csv_sha = "-" if csv is None else _sha(csv)
         lines.append(f"{seed} {index} {rc} report={_sha(body)} "
-                     f"csv={csv_sha}  {label}")
+                     f"raw={raw_sha} csv={csv_sha}  {label}")
     return lines
 
 

@@ -8,7 +8,8 @@ the tests can pin the batches to an independent evaluator: same values
 within rounding, and the same first failing sample.  The integrators march
 on step maps and a generated kernel with one escape check per chunk;
 :func:`stage_loop` and :func:`dde_stage_loop` are RK4 on numpy arrays with
-a check after every step, as the integrators once were.
+a check after every step, as the integrators once were.  :func:`csv_rows`
+formats a CSV row by row, as the writer once did.
 """
 
 from __future__ import annotations
@@ -411,6 +412,20 @@ def first_failure(fn, rows):
         except DomainError as exc:
             return k, exc
     return None
+
+
+# --- CSV rows one by one ------------------------------------------------------------
+
+def csv_rows(index_name: str, labels, states) -> str:
+    """The CSV text of ``odeint._write_csv`` as it was formatted row by row:
+    ``index_name,x1,...,xn``, then each label (formatted as by an f-string,
+    so an int prints as itself) and the ``repr`` of its row's values."""
+    rows = np.asarray(states, dtype=float)
+    names = ",".join(f"x{i + 1}" for i in range(rows.shape[1]))
+    lines = [f"{index_name},{names}\n"]
+    lines += [f"{label},{','.join(map(repr, row))}\n"
+              for label, row in zip(labels, rows.tolist())]
+    return "".join(lines)
 
 
 # --- RK4 stage by stage ------------------------------------------------------------

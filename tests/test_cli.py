@@ -631,6 +631,36 @@ def test_vector_and_matrix_flags_are_checked_against_the_dimension(
     assert not any(text in captured.err for text in NUMPY_TEXT)
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--system", "pendulum", "--x0", "-0.5,0", "--t1", "0.1"],
+    ["simulate", "--system", "delay_coupled", "--x0", "1,1",
+     "--history", "-1,0.5", "--t1", "0.5"],
+    ["simulate", "--system", "delay_coupled", "--x0", "1,1",
+     "--hist", "-1,0.5", "--t1", "0.5"],
+    ["lyapunov", "--system", "uniform_growth", "--solve", "--q", "-2,0;0,-2"],
+    ["linearize", "--system", "pendulum", "--seeds", "-0.1,0;3,0"],
+    ["linearize", "--system", "pendulum", "--point", "-3.141592653589793,0"],
+    ["attraction", "--system", "vanderpol", "--cmax", "1", "--p", "-1,0;0,-1"],
+    ["discrete", "--system", "cubic_map", "--iterate", "3", "--x0", "-.2,0.1"],
+], ids=lambda v: " ".join(v[0:1] + v[3:]))
+def test_number_flags_take_a_value_that_starts_with_a_minus(capsys, argv):
+    # `--x0 -0.5,0` reads as `--x0=-0.5,0`; the report keeps the argv given
+    argv = [str(gallery_file(a)) if i == 2 else a for i, a in enumerate(argv)]
+    at = next(i for i, a in enumerate(argv)
+              if a.startswith("-") and not a.startswith("--"))
+    joined = argv[:at - 1] + [f"{argv[at - 1]}={argv[at]}"] + argv[at + 1:]
+    outcomes = []
+    for given in (argv, joined):
+        rc = cli.run(given)
+        captured = capsys.readouterr()
+        rep = json.loads(captured.out) if captured.out.strip() else {}
+        assert rep.pop("command", given) == given
+        rep.pop("wall_time_s", None)
+        outcomes.append((rc, rep, captured.err))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == (2 if argv[0] == "attraction" else 0)
+
+
 @pytest.mark.parametrize("argv,flag", [
     (["linearize", "--system", "pendulum", "--seeds", "1e308,1e308"], "--seeds"),
     (["lyapunov", "--system", "damped_spring", "--solve",

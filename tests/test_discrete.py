@@ -46,14 +46,14 @@ def test_euler_discretize_linear_system():
     disc = dc.euler_discretize(sysd, 0.01)
     x = np.array([0.3, -0.2])
     want = x + 0.01 * np.array([x[1], -2 * x[0] - x[1]])
-    assert np.allclose(disc.step(x), want, atol=1e-15)
+    assert np.allclose(disc.steps(x[None])[0], want, atol=1e-15)
 
 
 def test_euler_discretize_time_becomes_index():
     sysd = odeint.SystemDef(1, odeint.Nonlinear(("cos(t) - x1",)))
     disc = dc.euler_discretize(sysd, 0.5)
     # at k = 3 the continuous time is kT = 1.5
-    got = disc.step(np.array([0.2]), 3.0)
+    got = disc.steps(np.array([[0.2]]), 3.0)[0]
     assert got[0] == pytest.approx(0.2 + 0.5 * (np.cos(1.5) - 0.2))
 
 
@@ -64,11 +64,11 @@ def test_euler_discretize_binds_a_parameter_named_k():
                             params={"k": 2.0})
     disc = dc.euler_discretize(sysd, 0.5)
     assert disc.params == {}
-    assert disc.step([0.0], 4.0)[0] == 1.0
+    assert disc.steps(np.array([[0.0]]), 4.0)[0, 0] == 1.0
     # with no parameter k, a continuous k is time and becomes T*k too
     plain = dc.euler_discretize(odeint.SystemDef(1, odeint.Nonlinear(
         ("k*x1",))), 0.5)
-    assert plain.step([1.0], 4.0)[0] == 2.0
+    assert plain.steps(np.array([[1.0]]), 4.0)[0, 0] == 2.0
 
 
 def test_euler_discretize_refuses_delays():
@@ -85,7 +85,7 @@ def test_euler_discretize_time_varying_linear_system():
     x = np.array([0.3, -0.2])
     for k in (0.0, 3.0, 17.0):
         a = sysd.linear_coefficient(0.1 * k)
-        np.testing.assert_allclose(disc.step(x, k), x + 0.1 * a @ x,
+        np.testing.assert_allclose(disc.steps(x[None], k)[0], x + 0.1 * a @ x,
                                    rtol=1e-15, atol=1e-16)
 
 
@@ -104,7 +104,7 @@ def test_euler_first_order_defect():
     def one_step_defect(T):
         disc = dc.euler_discretize(sysd, T)
         idx = np.argmin(np.abs(reference.times - T))
-        return np.linalg.norm(disc.step(np.array([0.3, 0.1]))
+        return np.linalg.norm(disc.steps(np.array([[0.3, 0.1]]))[0]
                               - reference.states[idx])
 
     big, small = one_step_defect(0.2), one_step_defect(0.1)

@@ -31,7 +31,8 @@ from stabkit.odeint import (
 )
 from stabkit.schema import load_system
 from conftest import GALLERY, gallery_system
-from scalar_oracle import _stage_loop_matrix, dde_stage_loop, rhs, stage_loop
+from scalar_oracle import (_stage_loop_matrix, csv_rows, dde_stage_loop, rhs,
+                           stage_loop)
 
 
 def scalar_decay():
@@ -204,29 +205,57 @@ def test_trajectory_csv():
     assert t == traj.times[-1] and x == traj.states[-1][0]
 
 
-def _csv_reference(index_name, labels, states) -> str:
-    """The row format both CSV writers have always produced."""
-    names = ",".join(f"x{i + 1}" for i in range(states.shape[1]))
-    rows = [f"{index_name},{names}\n"]
-    rows += [f"{label},{','.join(repr(float(v)) for v in row)}\n"
-             for label, row in zip(labels, states)]
-    return "".join(rows)
-
-
 def test_csv_writers_keep_their_bytes(tmp_path):
     traj = integrate(gallery_system("pendulum"), [1.0, 0.0], 0.0, 2.0, 1e-3)
     orbit = dc.iterate(gallery_system("cubic_map"), [0.2, -0.1], 50)
     traj.to_csv(tmp_path / "trajectory.csv")
     orbit.to_csv(tmp_path / "orbit.csv")
-    want = _csv_reference("t", [repr(float(t)) for t in traj.times],
-                          traj.states)
+    want = csv_rows("t", traj.times.tolist(), traj.states)
     assert (tmp_path / "trajectory.csv").read_bytes() == want.encode()
     buf = io.StringIO()
     traj.to_csv(buf)
     assert buf.getvalue() == want
-    want = _csv_reference("k", [str(int(k)) for k in orbit.indices],
-                          orbit.states)
+    want = csv_rows("k", orbit.indices.tolist(), orbit.states)
     assert (tmp_path / "orbit.csv").read_bytes() == want.encode()
+
+
+def _csv_case(case: str):
+    """``(writer, index name, labels)``: a trajectory or an orbit to write,
+    and what the row formatter takes for it."""
+    if case == "orbit":
+        orbit = dc.iterate(gallery_system("cubic_map"), [0.2, -0.1], 50)
+        return orbit, "k", orbit.indices.tolist()
+    if case == "escaped orbit":
+        inf = math.inf
+        states = [[0.5, -0.0], [1e300, 5e-324], [inf, -inf], [math.nan, 1.0]]
+        orbit = dc.Orbit(np.arange(4), np.array(states), True)
+        return orbit, "k", orbit.indices.tolist()
+    if case == "n=1, partial step":  # 4,002 rows, the last one 5e-4 on
+        traj = integrate(scalar_decay(), [1.0], 0.0, 4.0005, 1e-3)
+        assert traj.times[-1] - traj.times[-2] < 1e-3
+    else:  # n = 6
+        a = -np.eye(6) + 0.3 * np.eye(6, k=1) - 0.2 * np.eye(6, k=-2)
+        traj = integrate(SystemDef(6, Linear(a)), np.linspace(-1.0, 1.5, 6),
+                         0.0, 1.0, 1e-3)
+    return traj, "t", traj.times.tolist()
+
+
+@pytest.mark.parametrize("block", [
+    None, lambda rows: 1, lambda rows: rows - 1, lambda rows: rows,
+    lambda rows: rows + 1], ids=["default", "1", "rows-1", "rows", "rows+1"])
+@pytest.mark.parametrize("case", ["n=1, partial step", "n=6", "orbit",
+                                  "escaped orbit"])
+def test_csv_writer_has_the_bytes_of_the_row_formatter(tmp_path, monkeypatch,
+                                                        case, block):
+    writer, index_name, labels = _csv_case(case)
+    if block is not None:
+        monkeypatch.setattr(odeint, "CSV_BLOCK_ROWS", block(len(labels)))
+    want = csv_rows(index_name, labels, writer.states)
+    writer.to_csv(tmp_path / "out.csv")
+    assert (tmp_path / "out.csv").read_bytes() == want.encode()
+    buf = io.StringIO()
+    writer.to_csv(buf)
+    assert buf.getvalue() == want
 
 
 def test_delays_must_be_sorted():

@@ -1,13 +1,15 @@
 import importlib.util
 import json
+import math
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from stabkit.errors import SchemaError
-from stabkit.schema import (bundled_names, bundled_system, load_system,
+from stabkit.schema import (_dumps, bundled_names, bundled_system, load_system,
                             system_schema, to_jsonable)
 
 
@@ -259,3 +261,54 @@ def test_non_finite_values_serialize_as_strict_json(value, want):
     got = to_jsonable(value)
     assert got == want
     json.dumps(got, allow_nan=False)
+
+
+# --- the report encoder ------------------------------------------------------
+
+_KEYS = st.text(max_size=6)  # any code point: non-ASCII, quotes, controls
+_NUMBER = st.one_of(st.integers(), st.integers(-2**200, 2**200),
+                    st.floats(allow_nan=False, allow_infinity=False))
+_LEAF = st.one_of(st.none(), st.booleans(), _NUMBER, st.text(max_size=8))
+_JSON = st.recursive(
+    _LEAF,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=6),
+        st.lists(st.one_of(_NUMBER, st.booleans()), max_size=8),
+        st.dictionaries(_KEYS, inner, max_size=6)),
+    max_leaves=40)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_JSON)
+@example({"é\"\\\x00\x1f\x7f \U0001f600": ["é", "\"", "\\",
+                                                   "\x07\n\t", "\ud800"]})
+@example([-0.0, 5e-324, 1e16, 1e-5, 1e22, 1e-7, 1.5e300, 0.1])
+@example([10**40, -10**40, 0, 2**63, 10**300])
+@example([1, 2.5, True, False, -3, 0.0])
+@example([[1, 2.5], [True, 1.0], [None, 1], []])
+@example({"": {}, "a": [], "b": [{}, []], "c": [[[]]]})
+@example([])
+@example({})
+@example(-0.0)
+def test_report_encoder_writes_the_bytes_of_json_dumps(value):
+    assert _dumps(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("value,error", [
+    ((1.0, 2.0), TypeError),
+    ([1.0, (2.0,)], TypeError),
+    ({"a": {1, 2}}, TypeError),
+    ({1: 2.0}, TypeError),
+    (np.float64(1.0), TypeError),
+    ([np.float64(1.0), 2.0], TypeError),
+    (np.bool_(True), TypeError),
+    (b"bytes", TypeError),
+    (float("nan"), ValueError),
+    ([1.0, float("inf")], ValueError),
+    ({"rate": [2, -math.inf]}, ValueError),
+], ids=["tuple", "tuple-in-list", "set", "int-key", "float64",
+        "float64-in-list", "bool_", "bytes", "nan", "inf-in-list",
+        "inf-nested"])
+def test_report_encoder_refuses_what_to_jsonable_does_not_return(value, error):
+    with pytest.raises(error):
+        _dumps(value)
