@@ -327,6 +327,9 @@ def _simulate(args, system):
     step = 1e-3 if args.step is None else args.step  # the integrators refuse 0
     try:
         if system.delays:
+            if args.t0 != 0.0:  # the history runs up to t = 0
+                raise InvalidArgumentError(
+                    f"--t0 must be 0 for a delay system, got {args.t0!r}")
             history = HistoryFn.constant(
                 x0 if args.history is None else
                 _numbers("history", args.history, system.dimension),
@@ -428,7 +431,9 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = add("simulate", "integrate and export a trajectory")
     p.add_argument("--x0", required=True, help="initial state 'a,b'")
-    p.add_argument("--t0", type=float, default=0.0)
+    p.add_argument("--t0", type=float, default=0.0,
+                   help="start time (default 0; a delay system starts at 0, "
+                        "after its history)")
     p.add_argument("--t1", type=float, default=10.0)
     p.add_argument("--step", type=float, help="fixed step (default 1e-3)")
     p.add_argument("--steps", type=int, help="iteration count (discrete systems)")

@@ -547,6 +547,32 @@ def _shared(codes: list[str], parts: list) -> list[str]:
             for code in codes]
 
 
+def _whole_power(b: str) -> bool:
+    """Whether ``b``, the code of an exponent, is a literal of an integer
+    value >= 2 (only a literal starts with a digit).  There Python's float
+    ``**`` calls libm ``pow`` as ``math.pow`` does, with its bits and its
+    ``OverflowError`` (``test_expr`` pins both), and an inf or nan base
+    gives inf or nan, which the checked power would refuse."""
+    return b[:1].isdigit() and float(b) >= 2.0 and float(b).is_integer()
+
+
+def _inline_powers(codes: list[str], parts: list) -> tuple[list, list]:
+    """``codes`` and ``parts`` (see :func:`_codegen`) with each ``_pow(a,
+    b)`` of a :func:`_whole_power` ``b`` written ``(a ** b)``, a negative
+    literal ``a`` in parentheses."""
+    new: dict[str, str] = {}
+    out = []
+    for code, pieces in parts:  # children first
+        pieces = [new.get(p, p) if i % 2 else p for i, p in enumerate(pieces)]
+        if pieces[0] == "_pow(" and _whole_power(pieces[3]):
+            minus = pieces[1][:1] == "-"  # -2.0 ** 2.0 is -4.0
+            pieces = ["((" if minus else "(", pieces[1],
+                      ") ** " if minus else " ** ", pieces[3], ")"]
+        new[code] = text = "".join(pieces)
+        out.append((text, pieces))
+    return [new.get(c, c) for c in codes], out
+
+
 def _checked_div(a: float, b: float) -> float:
     if b == 0.0:
         raise DomainError("division by zero")
@@ -967,12 +993,24 @@ def _generate(exprs: Sequence[Expr], form: str = "scalar"):
     """The trees in order, as ``f(x, t) -> list``; with ``form`` "batch", as
     ``f(x, t, out)`` filling columns of ``out``; with "rk4", as the RK4 kernel
     ``f(x, t0, h, lo, hi, dt, rows)`` of ``x' = f(x, t)``: steps ``lo`` to
-    ``hi - 1`` of ``dt`` from ``x``, step ``k`` from ``t0 + k*h``, each new
-    state appended to ``rows``, the four stages inline on the components as
-    locals in the order of ``scalar_oracle.stage_loop``, RK4 on numpy
-    arrays; with "jet", as the scalar form on a list ``x`` of second-order
-    jets (see :func:`hessian`), where only a non-finite Hessian fails.  The
-    first failure raises.
+    ``hi - 1`` of ``dt`` from ``x``, step ``k`` from ``t0 + k*h``, the
+    components of each new state appended to the flat list ``rows``, the
+    four stages inline on the components as locals in the order of
+    ``scalar_oracle.stage_loop``, RK4 on numpy arrays; with "jet", as the
+    scalar form on a list ``x`` of second-order jets (see :func:`hessian`),
+    where only a non-finite Hessian fails.  The first failure raises.
+
+    The RK4 loop checks nothing but the new state, once a step (``n0 - n0
+    or n1 - n1 ...``).  It sets ``t`` only when a tree reads the time, and
+    it writes a power to a :func:`_whole_power` literal as ``a ** b``, with
+    the bits of ``math.pow``.  A step that raises one of ``_ERRORS`` or
+    ends non-finite is taken again by ``_step``, the same stages with every
+    tree checked and ``_pow`` throughout, which raises the first failure or
+    returns the state (a final sum that overflows from finite stages).
+    That is exact: every stage value enters the new state, and the
+    namespace raises wherever an inf or nan operand could be absorbed (a
+    divisor, ``exp``, ``sin`` of inf, a power not inline), so a step whose
+    checked code fails raises or ends non-finite unchecked.
 
     A non-leaf subtree whose code occurs more than once among the trees is
     computed once (:func:`_shared`), in each RK4 stage anew, as ``t`` and
@@ -981,6 +1019,7 @@ def _generate(exprs: Sequence[Expr], form: str = "scalar"):
     exprs = tuple(exprs)
     bad = "{0} - {0}" if form in ("scalar", "rk4") else "not _finite({0})"
     literal = "_lit({!r})" if form == "jet" else "{!r}"  # see _Lit
+    ahead = ""  # code before f: the checked step that the RK4 loop calls
 
     def each(line: str, pad: str = "\n    ") -> str:  # one per component
         return "".join(pad + line.format(i) for i in range(len(exprs)))
@@ -996,19 +1035,43 @@ def _generate(exprs: Sequence[Expr], form: str = "scalar"):
                        f"\n    if {bad.format(slot.format(i))}:"
                        f"\n        _fail(None, {i})" for i, c in enumerate(codes))
 
-    if form == "rk4":  # one step, then indented into the loop
-        ys = code("y{}")  # the stages on y, each binding its own locals
-        step = ("\n    tk = t = t0 + k * h" + stage("p{}", code("x{}"))
-                + each("y{0} = x{0} + half * p{0}") + "\n    t = tk + half"
-                + stage("q{}", ys) + each("y{0} = x{0} + half * q{0}")
-                + stage("r{}", ys) + each("y{0} = x{0} + dt * r{0}")
-                + "\n    t = tk + dt" + stage("s{}", ys)
-                + each("x{0} = x{0} + sixth * (p{0} + 2.0 * q{0} + 2.0 * r{0}"
-                       " + s{0})") + f"\n    rows.append(({each('x{}, ', '')}))")
+    def plain(slot: str, codes: list[str]) -> str:  # each tree, unchecked
+        return "".join(f"\n    {slot.format(i)} = {c}"
+                       for i, c in enumerate(codes))
+
+    if form == "rk4":
+        timed = any(reads_time(e, ()) for e in exprs)
+        clock = "\n    t = tk + {}" if timed else ""
+
+        def codes(state: str) -> tuple[list, list]:  # checked, and fast
+            parts: list = []
+            out = [_codegen(e, parts, state, literal=literal) for e in exprs]
+            return _shared(out, parts), _shared(*_inline_powers(out, parts))
+
+        def step(fill, at_x: list, at_y: list) -> str:  # x to n, step k
+            return (("\n    tk = t = t0 + k * h" if timed else "")
+                    + fill("p{}", at_x)
+                    + each("y{0} = x{0} + half * p{0}") + clock.format("half")
+                    + fill("q{}", at_y) + each("y{0} = x{0} + half * q{0}")
+                    + fill("r{}", at_y) + each("y{0} = x{0} + dt * r{0}")
+                    + clock.format("dt") + fill("s{}", at_y)
+                    + each("n{0} = x{0} + sixth * (p{0} + 2.0 * q{0}"
+                           " + 2.0 * r{0} + s{0})"))
+
+        (checked_x, fast_x), (checked_y, fast_y) = codes("x{}"), codes("y{}")
+        xs, ns = each("x{}, ", ""), each("n{}, ", "")
+        ahead = (f"def _step({xs}t0, h, k, dt):\n    half, sixth = 0.5 * dt,"
+                 f" dt / 6.0{step(stage, checked_x, checked_y)}"
+                 f"\n    return {ns}\n\n\n")
         head, result = "x, t0, h, lo, hi, dt, rows", "rows"
-        body = (f"\n    {each('x{}, ', '')}= x\n    half, sixth = 0.5 * dt, "
-                "dt / 6.0\n    for k in range(lo, hi):"
-                + step.replace("\n", "\n    "))
+        body = (f"\n    {xs}= x\n    half, sixth = 0.5 * dt, dt / 6.0"
+                "\n    for k in range(lo, hi):\n        try:"
+                + step(plain, fast_x, fast_y).replace("\n", "\n        ")
+                + "\n        except _ERRORS:\n            n0 = _NAN"
+                + "\n        if " + " or ".join(f"n{i} - n{i}"
+                                                 for i in range(len(exprs)))
+                + f":\n            {ns}= _step({xs}t0, h, k, dt)"
+                + f"\n        {xs}= {ns}\n        rows += ({xs})")
     elif form == "batch":
         head, body, result = "x, t, out", stage("out[:, {}]", code()), "out"
     else:
@@ -1020,8 +1083,9 @@ def _generate(exprs: Sequence[Expr], form: str = "scalar"):
                           exprs[i]) from None
 
     namespace = dict(_NAMESPACES.get(form, _SCALAR_NS), _fail=fail,
-                     range=range, __builtins__={})
-    exec(_compiled(f"def f({head}):{body}\n    return {result}"), namespace)
+                     _NAN=math.nan, range=range, __builtins__={})
+    exec(_compiled(f"{ahead}def f({head}):{body}\n    return {result}"),
+         namespace)
     return namespace["f"]
 
 

@@ -11,7 +11,10 @@ step is one more map.  A chunk whose maps do not form takes the same four
 stages on each state in turn, the coefficients at one time, so a failing
 coefficient raises at the stage that reads it.  An undelayed nonlinear
 system steps on its RK4 kernel, generated once per system: the four stages
-inline on the components as Python locals, a chunk of steps per call.
+inline on the components as Python locals, a chunk of steps per call, the
+new state the one value checked in a step.  A step that raises or ends
+non-finite is taken again with every stage checked, which raises the
+failure where the stages would or returns the state for the escape check.
 Delays take a linear right-hand side.  The kernel keeps numpy's operation
 order, so it gives the bits of RK4 taken stage by stage on arrays; stage
 times are ``t0 + k*h + s``.  The maps agree with such stages to within
@@ -483,9 +486,11 @@ def _march(buf: np.ndarray, base: int, t0: float, t1: float, h: float,
 
     Step ``k`` writes ``buf[base + k + 1]`` (a shorter buffer restarts at
     ``buf[base]`` each chunk).  A nonlinear field steps on ``kernel`` (a
-    ``SystemDef.rk4_kernel``); a linear one (``a``, ``delays`` at ``lags``
-    steps back) on the maps of :func:`_step_maps` by :func:`_linear_steps`,
-    or, in a chunk whose maps do not form, on its states one step at a time.
+    ``SystemDef.rk4_kernel``), whose states arrive as one flat list and are
+    written with one reshape a chunk; a linear one (``a``, ``delays`` at
+    ``lags`` steps back) on the maps of :func:`_step_maps` by
+    :func:`_linear_steps`, or, in a chunk whose maps do not form, on its
+    states one step at a time.
     """
     t0, h = float(t0), float(h)
     n_full, rem = _grid(t0, t1, h)
@@ -511,9 +516,9 @@ def _march(buf: np.ndarray, base: int, t0: float, t1: float, h: float,
                                                  frac, z)
                     row += 1
         finally:  # an escape before a domain error wins
-            if rows:
-                flat[lo:lo + len(rows)] = rows
-                row += len(rows)
+            if rows:  # the kernel's states, one flat list
+                row += len(rows) // flat.shape[1]
+                flat[lo:row + 1] = np.reshape(rows, (-1, flat.shape[1]))
             _check_rows(flat[lo:row + 1], lambda j: t1 if k + j == n_full
                         else t0 + (k + j + 1) * h)
 

@@ -342,6 +342,19 @@ def test_simulate_delay_system(capsys):
     assert rep["result"]["final_norm"] < 0.2
 
 
+@pytest.mark.parametrize("t0", ["5", "--t0=-1", "1e-9", "nan"])
+def test_simulate_refuses_a_start_time_on_a_delay_system(capsys, t0):
+    # the history of a delay system ends at t = 0, where its integration
+    # starts: any other --t0 would be silently ignored
+    flag = [t0] if t0.startswith("--") else ["--t0", t0]
+    rc = cli.run(["simulate", "--system", str(gallery_file("delay_coupled")),
+                  "--x0", "1,1", *flag, "--t1", "6"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert "input error" in captured.err
+    assert "--t0 must be 0 for a delay system" in captured.err
+
+
 def test_out_file(tmp_path, capsys):
     out = tmp_path / "report.json"
     rc, _ = run_cli(["classify", "--system", gallery_file("saddle"),

@@ -369,6 +369,55 @@ def test_batch_power_errors_keep_message_and_row(text, bad, clock):
     assert err.value.row == (0 if clock is not None else 7)
 
 
+# --- inline integer powers of the RK4 kernel ----------------------------------------
+
+#: exponents that the RK4 kernel writes as ``a ** k`` (``expr._whole_power``)
+WHOLE_EXPONENTS = [float(k) for k in range(2, 65)] + [
+    2.0 ** 52 + 1.0, 2.0 ** 53, 2.0 ** 63, 1e300, 1.7976931348623157e308]
+
+
+def _whole_power_bases(k: float) -> list[float]:
+    """Finite bases of ``a ** k`` of both signs: zeros, subnormals, the
+    neighbours of 1, ordinary ones, and the neighbours of the bases whose
+    power overflows, leaves the normal range or rounds to zero."""
+    edges = [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-160, 0.5,
+             math.nextafter(1.0, 0.0), 1.0, math.nextafter(1.0, 2.0), 1.5,
+             2.0, 3.7, 10.0, 1e154, 1.7976931348623157e308]
+    for limit in (1.7976931348623157e308, 2.0 ** -1022, 5e-324):
+        edge = limit ** (1.0 / k)
+        edges += [math.nextafter(edge, 0.0), edge,
+                  math.nextafter(edge, math.inf)]
+    return edges + [-a for a in edges]
+
+
+def _power_bits(f, a: float, k: float) -> str:
+    try:
+        return f(a, k).hex()  # tells -0.0 from 0.0
+    except OverflowError:
+        return "OverflowError"
+
+
+@pytest.mark.parametrize("k", WHOLE_EXPONENTS)
+def test_float_power_has_the_bits_of_math_pow_at_whole_exponents(k):
+    """The identity the kernel's inline powers rest on: at an integer k >= 2
+    and a finite base, Python's float ``**`` gives the bits of
+    ``math.pow`` (the checked power's libm call) and overflows where it
+    does; an inf or nan base gives inf or nan, never a finite power.  If
+    this fails on a platform, the inline form is wrong there."""
+    assert ex._whole_power(repr(k))
+    for a in _whole_power_bases(k):
+        assert _power_bits(lambda a, k: a ** k, a, k) \
+            == _power_bits(math.pow, a, k), (a, k)
+    for a in (math.inf, -math.inf, math.nan):
+        assert not math.isfinite(a ** k)
+
+
+@pytest.mark.parametrize("code", ["1.0", "2.5", "0.0", "-2.0", "(-2.0)",
+                                  "x0", "t", "_c0", "(x0 * 2.0)"])
+def test_other_exponents_keep_the_checked_power(code):
+    assert not ex._whole_power(code)
+
+
 def test_cubic_chain_scan_calls_no_libm_cube(monkeypatch):
     import numpy as np
 
@@ -892,6 +941,13 @@ try:
             min_size=len(tokens) + 1, max_size=len(tokens) + 1))
         text = "".join(g + tok for g, tok in zip(gaps, tokens)) + gaps[-1]
         assert ex.parse(text) == tree, repr(text)
+
+    @settings(max_examples=1000, derandomize=True, deadline=None)
+    @given(st.floats(allow_nan=False, allow_infinity=False),
+           st.sampled_from(WHOLE_EXPONENTS))
+    def test_float_power_has_the_bits_of_math_pow_on_any_finite_base(a, k):
+        assert _power_bits(lambda a, k: a ** k, a, k) \
+            == _power_bits(math.pow, a, k)
 
 except ImportError:  # pragma: no cover - hypothesis is a test extra
     pass

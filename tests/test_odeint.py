@@ -3,8 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from stabkit import autonomous
+from stabkit import autonomous, cli
 from stabkit import discrete as dc
 from stabkit import expr as ex
 from stabkit import lyapunov as ly
@@ -33,6 +34,7 @@ from stabkit.schema import load_system
 from conftest import GALLERY, gallery_system
 from scalar_oracle import (_stage_loop_matrix, csv_rows, dde_stage_loop, rhs,
                            stage_loop)
+from test_lyapunov_solve import perfbench_generate
 
 
 def scalar_decay():
@@ -730,12 +732,32 @@ def test_wide_states_step_one_product_at_a_time():
 
 # --- the march against the stage-by-stage oracle --------------------------------
 
-def _outcome(run):
-    """The states a run returns, or the type and message of what it raises."""
+def _checked_march(sysd, x0, t0: float, t1: float, h: float,
+                   states: list | None = None) -> np.ndarray:
+    """The states of ``integrate`` taken by the kernel's checked step alone
+    (``_step``: the stages with every tree checked, every power by
+    ``_pow``), one call and one escape check a step, each appended to
+    ``states`` as it is taken."""
+    step = sysd.rk4_kernel.__globals__["_step"]
+    n_full, rem = odeint._grid(t0, t1, h)
+    states = [] if states is None else states
+    states.append([float(v) for v in x0])
+    for k in range(n_full + (rem > 0.0)):
+        x = list(step(*states[-1], t0, h, k, h if k < n_full else rem))
+        odeint._check_rows(np.array([x]), lambda j: t1 if k == n_full
+                           else t0 + (k + 1) * h)
+        states.append(x)
+    return np.array(states)
+
+
+def _result(run):
+    """The bits of the states ``run()`` returns, or the type, message, node
+    and time of the failure it raises."""
     try:
-        return run()
+        return run().tobytes()
     except (NonFiniteStateError, DomainError) as exc:
-        return type(exc), str(exc)
+        return (type(exc), str(exc), getattr(exc, "node", None),
+                getattr(exc, "t", None))
 
 
 NONLINEAR_GALLERY = sorted(path.stem for path in GALLERY.glob("*.json")
@@ -747,12 +769,10 @@ def test_nonlinear_gallery_integrate_matches_stage_loop(name):
     sysd = gallery_system(name)
     x0 = np.full(sysd.dimension, 0.5)
     t1 = 2.1005  # 2100 steps, over two chunks, then a partial step
-    want = _outcome(lambda: stage_loop(sysd, x0, 0.0, t1, 1e-3))
-    got = _outcome(lambda: integrate(sysd, x0, 0.0, t1, 1e-3).states)
-    if isinstance(want, tuple):
-        assert got == want
-    else:
-        assert len(want) == 2102 and np.array_equal(got, want)
+    want = _result(lambda: stage_loop(sysd, x0, 0.0, t1, 1e-3))
+    assert _result(lambda: integrate(sysd, x0, 0.0, t1, 1e-3).states) \
+        == _result(lambda: _checked_march(sysd, x0, 0.0, t1, 1e-3)) == want
+    assert isinstance(want, tuple) or len(want) == 2102 * 8 * sysd.dimension
 
 
 def test_nonlinear_gallery_is_covered():
@@ -874,6 +894,144 @@ def test_domain_error_message_matches_stage_loop(rhs):
         integrate(sysd, [1.0], 0.0, 3.0, 1e-3)
     assert str(got.value) == str(want.value)
     assert str(got.value).startswith("log of non-positive value")
+
+
+# --- the fast RK4 loop against its checked step -----------------------------------
+
+def _x1_read(x: float, h: float, k: int, stage: int) -> float:
+    """The x1 that stage ``stage`` (0-3) of step ``k`` reads under x1' = x1
+    from x1 = ``x``, rounded as the kernel rounds: a literal equal to it
+    plants a failure there and nowhere else."""
+    half, sixth = 0.5 * h, h / 6.0
+    for _ in range(k + 1):
+        p = x
+        q = x + half * p
+        r = x + half * q
+        s = x + h * r
+        x = x + sixth * (p + 2.0 * q + 2.0 * r + s)
+    return (p, q, r, s)[stage]
+
+
+#: terms of x2' that the planted failures ride on
+_TERMS = ("x1^2", "0.1*x2^3", "0.5*sin(t)*x2", "pow(x1, 2)", "exp(-x2^2)",
+          "x1*x2", "sqrt(1 + x1^2)", "1/(2 + cos(x2))", "-x2", "abs(x2)^2.5")
+#: each failure of x2' where x1 = c, and the message the checked step gives
+_PLANTED = {
+    "log": ("log(abs(x1 - {c}))", "log of non-positive value 0.0"),
+    "div": ("1e-3/(x1 - {c})", "division by zero"),
+    "sin": ("sin(1e300*(1e300*pow(0, abs(x1 - {c}))))", "math domain error"),
+    "inf": ("1e300*(1e300*pow(0, abs(x1 - {c})))",
+            "non-finite evaluation result"),
+    "pow": ("(1e300*(1e300*pow(0, abs(x1 - {c}))))^2",
+            "power of non-finite operands inf, 2.0"),
+    "pow0": ("pow(1e300*(1e300*pow(0, abs(x1 - {c}))), 0)",
+             "power of non-finite operands inf, 0.0"),
+    "range": ("(1e160*pow(0, abs(x1 - {c})))^3", "math range error"),
+}
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(kind=st.sampled_from(sorted(_PLANTED)), stage=st.integers(0, 3),
+       k=st.integers(0, 40), x1=st.floats(0.25, 2.0),
+       x2=st.floats(-1.0, 1.0),
+       terms=st.lists(st.sampled_from(_TERMS), max_size=3, unique=True),
+       third=st.booleans())
+def test_fast_kernel_fails_where_its_checked_step_does(kind, stage, k, x1, x2,
+                                                       terms, third):
+    """A failure planted at one stage of step ``k``: the fast loop raises
+    there or later, or ends the step non-finite, and the checked step
+    raises the parent's error, as the stage-by-stage oracle does."""
+    h = 1.0 / 64.0
+    term, message = _PLANTED[kind]
+    c = _x1_read(x1, h, k, stage)
+    comps = ["x1", " + ".join([*terms, term.format(c=repr(c))])]
+    if third:
+        comps.append("-x3 + 0.1*x2")
+    sysd = SystemDef(len(comps), Nonlinear(tuple(comps)))
+    x0 = [x1, x2, 0.5][:len(comps)]
+    t1 = (k + 3) * h
+    states: list = []
+    checked = _result(lambda: _checked_march(sysd, x0, 0.0, t1, h, states))
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _result(lambda: stage_loop(sysd, x0, 0.0, t1, h))
+    assert _result(lambda: integrate(sysd, x0, 0.0, t1, h).states) \
+        == checked == want
+    assert checked == (DomainError, message, sysd.field_trees[1], None)
+    assert len(states) == k + 1  # the failure is where it was planted
+
+
+@pytest.mark.parametrize("stage", [1, 2])
+@pytest.mark.parametrize("terms", ["", "x1^2 + 0.5*sin(t)*x1 + "])
+def test_a_final_sum_overflowing_from_finite_stages_is_an_escape(stage, terms):
+    """Twice a finite stage value of 1e308 overflows in the new state: the
+    fast step and the checked one end non-finite alike, and the march
+    reports the escape, not a domain error."""
+    h, k = 1.0 / 64.0, 5
+    c = _x1_read(1.0, h, k, stage)
+    sysd = SystemDef(3, Nonlinear((
+        "x1", f"{terms}1e308*pow(0, abs(x1 - {c!r}))", "-x3 + 0.1*x2")))
+    x0, t1 = [1.0, 0.0, 0.5], (k + 3) * h
+    checked = _result(lambda: _checked_march(sysd, x0, 0.0, t1, h))
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _result(lambda: stage_loop(sysd, x0, 0.0, t1, h))
+    assert _result(lambda: integrate(sysd, x0, 0.0, t1, h).states) \
+        == checked == want
+    assert checked == (NonFiniteStateError, str(NonFiniteStateError(6 * h)),
+                       None, 6 * h)
+
+
+def test_rk4_kernel_writes_whole_literal_powers_inline(monkeypatch):
+    """``a ^ k`` and ``pow(a, k)`` to a literal integer k >= 2 are
+    ``(a ** k)`` in the fast loop, a negative literal base in parentheses
+    (``-2.0 ** 2.0`` is -4.0); every other power, and every power of the
+    checked step, calls ``_pow``.  The states are the stage loop's."""
+    sources = []
+    compiled = ex._compiled
+    monkeypatch.setattr(ex, "_compiled",
+                        lambda src: sources.append(src) or compiled(src))
+    sysd = SystemDef(2, Nonlinear(("c^2*x2 - pow(c, 3)*x1^3",
+                                   "-x1*abs(x2)^1.5 + x2^-2 - 0.1*pow(x2, 2)"
+                                   " + sin(x2)^1e300")), params={"c": -0.75})
+    x0 = [0.5, 1.25]
+    got = integrate(sysd, x0, 0.0, 1.0005, 1e-3).states
+    assert got.tobytes() == stage_loop(sysd, x0, 0.0, 1.0005, 1e-3).tobytes()
+    kernel, = (src for src in sources if "def _step(" in src)
+    checked, fast = kernel.split("def f(")
+    assert fast.count(" ** ") == 4 * 5 and "((-0.75) ** 2.0)" in fast
+    assert "((-0.75) ** 3.0)" in fast and "(_sin(y1) ** 1e+300)" in fast
+    assert fast.count("_pow(") == 4 * 2 and "_pow(y1, (-2.0))" in fast
+    assert " ** " not in checked and checked.count("_pow(") == 4 * 7
+
+
+def test_the_checked_step_never_runs_on_the_benchmark_simulations(
+        monkeypatch, tmp_path):
+    """The ``simulate`` ops of ``propagate`` seeds 1-3 take every step
+    on the fast loop; the spy sees the one step of a failing field."""
+    calls = []
+    generate = ex._generate
+
+    def spied(exprs, form="scalar"):
+        f = generate(exprs, form)
+        if form == "rk4":
+            step = f.__globals__["_step"]
+            f.__globals__["_step"] = lambda *a: calls.append(a) or step(*a)
+        return f
+
+    monkeypatch.setattr(ex, "_generate", spied)
+    ran = 0
+    for seed in (1, 2, 3):
+        files, ops = perfbench_generate().generate("propagate", seed)
+        for name, data in files.items():
+            (tmp_path / name).write_bytes(data)
+        for op in (op for op in ops if op["argv"][0] == "simulate"):
+            argv = [a.replace("{work}", str(tmp_path)) for a in op["argv"]]
+            assert cli.run([*argv, "--out", str(tmp_path / "r.json")]) == 0
+            ran += 1
+    assert ran == 60 and calls == []
+    with pytest.raises(DomainError):
+        integrate(SystemDef(1, Nonlinear(("log(1 - t)*x1",))), [1.0], 0.0,
+                  2.0, 1e-3)
+    assert len(calls) == 1
 
 
 def test_integrate_matrix_keeps_one_chunk_of_states():
