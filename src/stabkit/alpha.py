@@ -141,7 +141,7 @@ def _as_p(p, n: int, grid: tuple[float, float, int] = RDE_GRID):
     is sampled on ``grid``) or a finite square matrix."""
     p = SampledMatrixFunction.from_callable(p, *grid) if callable(p) else p
     sampled = isinstance(p, SampledMatrixFunction)
-    m = p.values if sampled else linalg.as_matrix(p, square=True)
+    m = p.values if sampled else linalg.as_matrix(p)
     if m.shape[-1] != n:
         raise DimensionMismatchError(
             f"P must be {n}x{n}, got {m.shape[-1]}x{m.shape[-1]}")
@@ -188,7 +188,7 @@ def rde_residual(sys: SystemDef, alpha: float, p,
 
 def solve_delay_lyapunov(a0, m: int) -> np.ndarray:
     """Solve ``A0' P + P A0 + m I = 0`` for the delay-count right-hand side."""
-    a0m = linalg.as_matrix(a0, square=True)
+    a0m = linalg.as_matrix(a0)
     return solve_lyapunov(a0m, m * np.eye(a0m.shape[0]))
 
 

@@ -95,7 +95,7 @@ def classify_linear(a, tol: float = linalg.DEFAULT_TOL) -> StabilityVerdict:
     and travels with the verdict.
     """
     linalg.check_nonnegative(tol)
-    m = linalg.as_matrix(a, square=True)
+    m = linalg.as_matrix(a)
     vals = linalg.eigenvalues(m)
     band = tol * (1.0 + float(np.linalg.norm(m, "fro")))
     signs = tuple(
@@ -132,7 +132,7 @@ def classify_critical_point_2d(a, tol: float = linalg.DEFAULT_TOL,
     a continuum of points, reported as
     :class:`ContinuumOfEquilibriaError`.
     """
-    m = linalg.as_matrix(a, square=True)
+    m = linalg.as_matrix(a)
     if m.shape != (2, 2):
         raise InvalidArgumentError(
             "critical-point taxonomy is defined for 2x2 systems")
@@ -160,11 +160,11 @@ def classify_critical_point_2d(a, tol: float = linalg.DEFAULT_TOL,
     return CriticalPointKind.IMPROPER_NODE
 
 
-def jacobian_fd(sys: SystemDef, x, t: float = 0.0) -> np.ndarray:
-    """Jacobian of the right-hand side at ``(x, t)``, from its derivative
-    trees (:attr:`SystemDef.jacobian`); a :class:`DomainError` where the
-    field has no derivative."""
-    return sys.jacobian(x, t)
+def jacobian_fd(sys: SystemDef, x) -> np.ndarray:
+    """Jacobian of the right-hand side at ``x`` and ``t = 0``, from its
+    derivative trees (:attr:`SystemDef.jacobian`); a :class:`DomainError`
+    where the field has no derivative."""
+    return sys.jacobian(x)
 
 
 def _residual(fx) -> float:

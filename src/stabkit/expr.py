@@ -989,6 +989,18 @@ def hessian(e: Expr, x: Sequence[float], t: float) -> np.ndarray:
     return h
 
 
+def _rk4_step(f, x, t0: float, h: float, k: int, dt: float) -> list[float]:
+    """Step ``k`` of ``dt`` from ``x`` on the scalar evaluator ``f`` in the
+    RK4 loop's operation order, so with its bits, or ``f``'s first error."""
+    half, sixth, tk = 0.5 * dt, dt / 6.0, t0 + k * h
+    p = f(x, tk)
+    q = f([a + half * b for a, b in zip(x, p)], tk + half)
+    r = f([a + half * b for a, b in zip(x, q)], tk + half)
+    s = f([a + dt * b for a, b in zip(x, r)], tk + dt)
+    return [a + sixth * (b + 2.0 * c + 2.0 * d + e)
+            for a, b, c, d, e in zip(x, p, q, r, s)]
+
+
 def _generate(exprs: Sequence[Expr], form: str = "scalar"):
     """The trees in order, as ``f(x, t) -> list``; with ``form`` "batch", as
     ``f(x, t, out)`` filling columns of ``out``; with "rk4", as the RK4 kernel
@@ -1003,13 +1015,13 @@ def _generate(exprs: Sequence[Expr], form: str = "scalar"):
     The RK4 loop checks nothing but the new state, once a step (``n0 - n0
     or n1 - n1 ...``).  It sets ``t`` only when a tree reads the time, and
     it writes a power to a :func:`_whole_power` literal as ``a ** b``, with
-    the bits of ``math.pow``.  A step that raises one of ``_ERRORS`` or
-    ends non-finite is taken again by ``_step``, the same stages with every
-    tree checked and ``_pow`` throughout, which raises the first failure or
-    returns the state (a final sum that overflows from finite stages).
-    That is exact: every stage value enters the new state, and the
-    namespace raises wherever an inf or nan operand could be absorbed (a
-    divisor, ``exp``, ``sin`` of inf, a power not inline), so a step whose
+    the bits of ``math.pow``; the source holds that loop alone.  A step that
+    raises one of ``_ERRORS`` or ends non-finite is taken again on the scalar
+    form by :func:`_rk4_step`, compiled on the first such step, which raises
+    the first failure or returns the state (a final sum that overflows from
+    finite stages).  That is exact: every stage value enters the new state,
+    and the namespace raises wherever an inf or nan operand could be absorbed
+    (a divisor, ``exp``, ``sin`` of inf, a power not inline), so a step whose
     checked code fails raises or ends non-finite unchecked.
 
     A non-leaf subtree whose code occurs more than once among the trees is
@@ -1017,17 +1029,25 @@ def _generate(exprs: Sequence[Expr], form: str = "scalar"):
     the state change between stages.  No function of a namespace changes
     an operand in place, so a shared value is the value of each copy."""
     exprs = tuple(exprs)
-    bad = "{0} - {0}" if form in ("scalar", "rk4") else "not _finite({0})"
+    bad = "{0} - {0}" if form == "scalar" else "not _finite({0})"
     literal = "_lit({!r})" if form == "jet" else "{!r}"  # see _Lit
-    ahead = ""  # code before f: the checked step that the RK4 loop calls
+
+    def fail(exc, i):  # names the tree, for a checked function's error too
+        raise DomainError(str(exc or "non-finite evaluation result"),
+                          exprs[i]) from None
+
+    namespace = dict(_NAMESPACES.get(form, _SCALAR_NS), _fail=fail,
+                     _NAN=math.nan, range=range, __builtins__={})
 
     def each(line: str, pad: str = "\n    ") -> str:  # one per component
         return "".join(pad + line.format(i) for i in range(len(exprs)))
 
     def code(state: str = "x[{}]") -> list[str]:  # the trees, shared
         parts: list = []
-        return _shared([_codegen(e, parts, state, literal=literal)
-                        for e in exprs], parts)
+        out = [_codegen(e, parts, state, literal=literal) for e in exprs]
+        if form == "rk4":  # powers inline: the loop checks the new state
+            out, parts = _inline_powers(out, parts)
+        return _shared(out, parts)
 
     def stage(slot: str, codes: list[str]) -> str:  # each tree, checked
         return "".join(f"\n    try:\n        {slot.format(i)} = {c}"
@@ -1042,35 +1062,26 @@ def _generate(exprs: Sequence[Expr], form: str = "scalar"):
     if form == "rk4":
         timed = any(reads_time(e, ()) for e in exprs)
         clock = "\n    t = tk + {}" if timed else ""
-
-        def codes(state: str) -> tuple[list, list]:  # checked, and fast
-            parts: list = []
-            out = [_codegen(e, parts, state, literal=literal) for e in exprs]
-            return _shared(out, parts), _shared(*_inline_powers(out, parts))
-
-        def step(fill, at_x: list, at_y: list) -> str:  # x to n, step k
-            return (("\n    tk = t = t0 + k * h" if timed else "")
-                    + fill("p{}", at_x)
-                    + each("y{0} = x{0} + half * p{0}") + clock.format("half")
-                    + fill("q{}", at_y) + each("y{0} = x{0} + half * q{0}")
-                    + fill("r{}", at_y) + each("y{0} = x{0} + dt * r{0}")
-                    + clock.format("dt") + fill("s{}", at_y)
-                    + each("n{0} = x{0} + sixth * (p{0} + 2.0 * q{0}"
-                           " + 2.0 * r{0} + s{0})"))
-
-        (checked_x, fast_x), (checked_y, fast_y) = codes("x{}"), codes("y{}")
+        at_x, at_y = code("x{}"), code("y{}")
+        scalar = functools.cache(lambda: _generate(exprs))  # on first retake
+        namespace["_step"] = lambda x, *at: _rk4_step(scalar(), x, *at)
+        step = (("\n    tk = t = t0 + k * h" if timed else "")
+                + plain("p{}", at_x)
+                + each("y{0} = x{0} + half * p{0}") + clock.format("half")
+                + plain("q{}", at_y) + each("y{0} = x{0} + half * q{0}")
+                + plain("r{}", at_y) + each("y{0} = x{0} + dt * r{0}")
+                + clock.format("dt") + plain("s{}", at_y)
+                + each("n{0} = x{0} + sixth * (p{0} + 2.0 * q{0}"
+                       " + 2.0 * r{0} + s{0})"))
         xs, ns = each("x{}, ", ""), each("n{}, ", "")
-        ahead = (f"def _step({xs}t0, h, k, dt):\n    half, sixth = 0.5 * dt,"
-                 f" dt / 6.0{step(stage, checked_x, checked_y)}"
-                 f"\n    return {ns}\n\n\n")
         head, result = "x, t0, h, lo, hi, dt, rows", "rows"
         body = (f"\n    {xs}= x\n    half, sixth = 0.5 * dt, dt / 6.0"
                 "\n    for k in range(lo, hi):\n        try:"
-                + step(plain, fast_x, fast_y).replace("\n", "\n        ")
+                + step.replace("\n", "\n        ")
                 + "\n        except _ERRORS:\n            n0 = _NAN"
                 + "\n        if " + " or ".join(f"n{i} - n{i}"
                                                  for i in range(len(exprs)))
-                + f":\n            {ns}= _step({xs}t0, h, k, dt)"
+                + f":\n            {ns}= _step(({xs}), t0, h, k, dt)"
                 + f"\n        {xs}= {ns}\n        rows += ({xs})")
     elif form == "batch":
         head, body, result = "x, t, out", stage("out[:, {}]", code()), "out"
@@ -1078,14 +1089,7 @@ def _generate(exprs: Sequence[Expr], form: str = "scalar"):
         head, body, result = "x, t", stage("v{}", code()), \
             f"[{each('v{}, ', '')}]"
 
-    def fail(exc, i):  # names the tree, for a checked function's error too
-        raise DomainError(str(exc or "non-finite evaluation result"),
-                          exprs[i]) from None
-
-    namespace = dict(_NAMESPACES.get(form, _SCALAR_NS), _fail=fail,
-                     _NAN=math.nan, range=range, __builtins__={})
-    exec(_compiled(f"{ahead}def f({head}):{body}\n    return {result}"),
-         namespace)
+    exec(_compiled(f"def f({head}):{body}\n    return {result}"), namespace)
     return namespace["f"]
 
 

@@ -46,9 +46,9 @@ def check_nonnegative(value: float, name: str = "tolerance") -> None:
             f"{name} must be finite and nonnegative, got {value!r}")
 
 
-def as_matrix(a, square: bool = False) -> np.ndarray:
-    """Validate and return ``a`` as a float64 2-D array with finite entries."""
-    return _checked(a, square, stack=False)
+def as_matrix(a) -> np.ndarray:
+    """``a`` as a square float64 2-D array with finite entries, validated."""
+    return _checked(a, square=True, stack=False)
 
 
 def _checked(a, square: bool, stack: bool) -> np.ndarray:
@@ -84,7 +84,7 @@ def eigenvalues(m) -> list[complex]:
     The spectrum of a real matrix is closed under conjugation; values are
     returned sorted by (real, imag) for reproducibility, to LAPACK accuracy.
     """
-    a = as_matrix(m, square=True)
+    a = as_matrix(m)
     try:
         vals = np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:  # iteration cap exceeded
@@ -124,7 +124,7 @@ def definiteness(s) -> DefinitenessVerdict:
     near-symmetric results); anything farther raises
     :class:`AsymmetricError`.  The zero matrix reports positive-semidefinite.
     Norms and signs compare on ``s`` rescaled exactly by a power of two."""
-    a = as_matrix(s, square=True)
+    a = as_matrix(s)
     e, m, band = _band(a)
     e, band = e.item(), band.item()
     if float(np.linalg.norm(m - m.T, "fro")) > band:
@@ -244,7 +244,7 @@ def _largest(nodes: np.ndarray, bounds, exact) -> float:
 
 def principal_minors(s) -> np.ndarray:
     """Leading principal minors D_1 .. D_n (determinants of top-left blocks)."""
-    a = as_matrix(s, square=True)
+    a = as_matrix(s)
     n = a.shape[0]
     return np.array([float(np.linalg.det(a[:k, :k])) for k in range(1, n + 1)])
 
@@ -316,7 +316,7 @@ def _norms(m: np.ndarray) -> np.ndarray:
 def solve_dense(a, b):
     """Solve ``a x = b`` for square ``a``; :class:`SingularError` when the
     smallest singular value is at most ``NORM_FLOOR`` times the largest."""
-    m = as_matrix(a, square=True)
+    m = as_matrix(a)
     rhs = np.asarray(b, dtype=float)
     sv = np.linalg.svd(m, compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0 or sv[-1] <= NORM_FLOOR * sv[0]:

@@ -116,8 +116,8 @@ def solve_lyapunov(a, q) -> np.ndarray:
     which inputs are refused.  So the refused inputs do not depend on the
     path, and P from either path solves the same equation.
     """
-    am = linalg.as_matrix(a, square=True)
-    qm = linalg.as_matrix(q, square=True)
+    am = linalg.as_matrix(a)
+    qm = linalg.as_matrix(q)
     n = am.shape[0]
     if n == 0:
         raise DimensionMismatchError("A must be at least 1 x 1")
@@ -211,14 +211,11 @@ class CandidateV:
     @classmethod
     def quadratic(cls, p) -> "CandidateV":
         """Build V(x) = x' P x as an expression tree."""
-        m = linalg.as_matrix(p, square=True)
+        m = linalg.as_matrix(p)
         x = [ex.Var(f"x{i + 1}") for i in range(m.shape[0])]
         return cls(ex.total(
             ex.fold("*", ex.fold("*", ex.Number(float(m[i, j])), xi), xj)
             for i, xi in enumerate(x) for j, xj in enumerate(x)))
-
-    def value(self, x, t: float = 0.0) -> float:  # one row of ``values``
-        return float(self.values(np.asarray(x, dtype=float)[None], t)[0])
 
     def values(self, X: np.ndarray, t) -> np.ndarray:
         """V over the rows of ``X`` at one time or at per-row times ``t``."""
@@ -870,7 +867,7 @@ def attraction_region(sys: SystemDef, p, cmax: float, levels: int = 48,
         raise InvalidArgumentError(
             "attraction regions need an autonomous system: this one reads t "
             "or has delays")
-    pm = linalg.as_matrix(p, square=True)
+    pm = linalg.as_matrix(p)
     if not linalg.definiteness(pm).is_positive_definite:
         raise InvalidArgumentError("P must be positive definite")
     _check_origin_equilibrium(sys, ScanConfig())

@@ -13,7 +13,7 @@ coefficient raises at the stage that reads it.  An undelayed nonlinear
 system steps on its RK4 kernel, generated once per system: the four stages
 inline on the components as Python locals, a chunk of steps per call, the
 new state the one value checked in a step.  A step that raises or ends
-non-finite is taken again with every stage checked, which raises the
+non-finite is taken again on the scalar evaluator, which raises the
 failure where the stages would or returns the state for the escape check.
 Delays take a linear right-hand side.  The kernel keeps numpy's operation
 order, so it gives the bits of RK4 taken stage by stage on arrays; stage
@@ -458,9 +458,14 @@ def _grid(t0: float, t1: float, h: float) -> tuple[int, float]:
     # overflowing span (inf) fails here too
     if not span / h + 1e-9 < SAMPLE_CAP - 1:
         raise SampleCapError(f"trajectory would exceed {SAMPLE_CAP} samples")
+    # t_k + h/2 must pass t_k; drop only the floor's fudge or span rounding
+    spacing = 4.0 * math.ulp(max(abs(t0), abs(t1)))
+    if h <= spacing:
+        raise InvalidArgumentError(f"step must exceed the float spacing of "
+                                   f"the times, {spacing!r}, got {h!r}")
     n_full = int(math.floor(span / h + 1e-9))
     rem = span - n_full * h
-    if rem < 1e-9 * max(1.0, abs(t1)):
+    if rem <= max(1e-9 * h, spacing):
         rem = 0.0
     return n_full, rem
 
@@ -486,11 +491,11 @@ def _march(buf: np.ndarray, base: int, t0: float, t1: float, h: float,
 
     Step ``k`` writes ``buf[base + k + 1]`` (a shorter buffer restarts at
     ``buf[base]`` each chunk).  A nonlinear field steps on ``kernel`` (a
-    ``SystemDef.rk4_kernel``), whose states arrive as one flat list and are
-    written with one reshape a chunk; a linear one (``a``, ``delays`` at
-    ``lags`` steps back) on the maps of :func:`_step_maps` by
-    :func:`_linear_steps`, or, in a chunk whose maps do not form, on its
-    states one step at a time.
+    ``SystemDef.rk4_kernel``, a failing step retaken on the scalar
+    evaluator), whose states arrive as one flat list and are written with
+    one reshape a chunk; a linear one (``a``, ``delays`` at ``lags`` steps
+    back) on the maps of :func:`_step_maps` by :func:`_linear_steps`, or,
+    in a chunk whose maps do not form, on its states one step at a time.
     """
     t0, h = float(t0), float(h)
     n_full, rem = _grid(t0, t1, h)

@@ -355,6 +355,36 @@ def test_simulate_refuses_a_start_time_on_a_delay_system(capsys, t0):
     assert "--t0 must be 0 for a delay system" in captured.err
 
 
+def test_simulate_refuses_a_step_below_the_float_spacing_of_t(tmp_path,
+                                                              capsys):
+    # at t ~ 1e16 floats are 2.0 apart: t0 + k*h could not move by 1e-3
+    rc = cli.run(["simulate", "--system", str(gallery_file("cosine_forced")),
+                  "--x0", "1", "--t0", "1e16", "--t1", "10000000000000004",
+                  "--csv", str(tmp_path / "t.csv")])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert "step must exceed the float spacing" in captured.err
+    assert "got 0.001" in captured.err and not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize("t0", ["0", "1000000"])
+def test_simulate_keeps_a_trailing_half_step_at_any_start(capsys, t0):
+    t1 = repr(float(t0) + 0.0015)
+    rc, rep = run_cli(["simulate", "--system", gallery_file("cosine_forced"),
+                       "--x0", "1", "--t0", t0, "--t1", t1], capsys)
+    assert rc == 0
+    assert rep["result"]["samples"] == 3
+    assert rep["result"]["t_end"] == float(t1)
+
+
+def test_simulate_at_a_late_start_keeps_the_default_grid(capsys):
+    rc, rep = run_cli(["simulate", "--system", gallery_file("pendulum"),
+                       "--x0", "0.5,0", "--t0", "1e6", "--t1", "1000002"],
+                      capsys)
+    assert rc == 0 and rep["result"]["samples"] == 2001
+    assert rep["result"]["t_end"] == 1000002.0
+
+
 def test_out_file(tmp_path, capsys):
     out = tmp_path / "report.json"
     rc, _ = run_cli(["classify", "--system", gallery_file("saddle"),

@@ -43,8 +43,8 @@ def kron_solve(am, qm) -> np.ndarray:
 
 def oracle_solve(a, q) -> np.ndarray:
     """Kronecker solve gated by the operator's singular values, always."""
-    am = linalg.as_matrix(a, square=True)
-    qm = linalg.as_matrix(q, square=True)
+    am = linalg.as_matrix(a)
+    qm = linalg.as_matrix(q)
     n = am.shape[0]
     eye = np.eye(n)
     sv = np.linalg.svd(np.kron(eye, am.T) + np.kron(am.T, eye),

@@ -1,3 +1,4 @@
+import ast
 import io
 import math
 
@@ -321,6 +322,32 @@ def test_overflowing_span_hits_the_sample_cap():
         integrate(scalar_decay(), [1.0], -1e308, 1e308, 1.0)
     with pytest.raises(SampleCapError):
         integrate(scalar_decay(), [1.0], 0.0, 1.0, 1e-320)
+
+
+@pytest.mark.parametrize("rhs", [Nonlinear(("-x1 + 0.1*x1^3",)),
+                                 Linear(np.array([[-1.0]]))],
+                         ids=["stages", "maps"])
+@pytest.mark.parametrize("tau", [0.0, 1e3, 1e6, 1e9])
+def test_a_time_shift_keeps_the_grid_of_an_autonomous_field(rhs, tau):
+    # 1000 steps and a half step from tau: the remainder is a step of its
+    # own at every shift, and the final state moves only with the rounding
+    # of t1 - t0
+    sysd, t1 = SystemDef(1, rhs), tau + 1.0005
+    base = integrate(sysd, [1.0], 0.0, 1.0005, 1e-3)
+    got = integrate(sysd, [1.0], tau, t1, 1e-3)
+    assert len(got.times) == len(base.times) == 1002
+    assert got.times[-1] == t1
+    assert abs(got.states[-1, 0] - base.states[-1, 0]) \
+        <= 2.0 * abs((t1 - tau) - 1.0005) + 1e-15
+
+
+def test_a_step_below_the_float_spacing_of_the_times_is_refused():
+    # t0 + k*h cannot move by 1e-3 at 1e16, where floats are 2.0 apart
+    with pytest.raises(InvalidArgumentError, match="float spacing.*0.001"):
+        integrate(scalar_decay(), [1.0], 1e16, 1e16 + 4.0, 1e-3)
+    with pytest.raises(InvalidArgumentError, match="float spacing"):
+        odeint._grid(1e16, 1e16 + 64.0, 8.0)
+    assert odeint._grid(1e16, 1e16 + 64.0, 16.0) == (4, 0.0)
 
 
 # --- coefficient grids ------------------------------------------------------------
@@ -735,15 +762,15 @@ def test_wide_states_step_one_product_at_a_time():
 def _checked_march(sysd, x0, t0: float, t1: float, h: float,
                    states: list | None = None) -> np.ndarray:
     """The states of ``integrate`` taken by the kernel's checked step alone
-    (``_step``: the stages with every tree checked, every power by
-    ``_pow``), one call and one escape check a step, each appended to
-    ``states`` as it is taken."""
+    (``_step``: the stages on the scalar evaluator, every tree checked,
+    every power by ``_pow``), one call and one escape check a step, each
+    appended to ``states`` as it is taken."""
     step = sysd.rk4_kernel.__globals__["_step"]
     n_full, rem = odeint._grid(t0, t1, h)
     states = [] if states is None else states
     states.append([float(v) for v in x0])
     for k in range(n_full + (rem > 0.0)):
-        x = list(step(*states[-1], t0, h, k, h if k < n_full else rem))
+        x = list(step(states[-1], t0, h, k, h if k < n_full else rem))
         odeint._check_rows(np.array([x]), lambda j: t1 if k == n_full
                            else t0 + (k + 1) * h)
         states.append(x)
@@ -984,7 +1011,8 @@ def test_rk4_kernel_writes_whole_literal_powers_inline(monkeypatch):
     """``a ^ k`` and ``pow(a, k)`` to a literal integer k >= 2 are
     ``(a ** k)`` in the fast loop, a negative literal base in parentheses
     (``-2.0 ** 2.0`` is -4.0); every other power, and every power of the
-    checked step, calls ``_pow``.  The states are the stage loop's."""
+    scalar evaluator that retakes a failing step, calls ``_pow``.  The
+    states are the stage loop's."""
     sources = []
     compiled = ex._compiled
     monkeypatch.setattr(ex, "_compiled",
@@ -995,27 +1023,51 @@ def test_rk4_kernel_writes_whole_literal_powers_inline(monkeypatch):
     x0 = [0.5, 1.25]
     got = integrate(sysd, x0, 0.0, 1.0005, 1e-3).states
     assert got.tobytes() == stage_loop(sysd, x0, 0.0, 1.0005, 1e-3).tobytes()
-    kernel, = (src for src in sources if "def _step(" in src)
-    checked, fast = kernel.split("def f(")
+    fast, = (src for src in sources if "rows" in src)
     assert fast.count(" ** ") == 4 * 5 and "((-0.75) ** 2.0)" in fast
     assert "((-0.75) ** 3.0)" in fast and "(_sin(y1) ** 1e+300)" in fast
     assert fast.count("_pow(") == 4 * 2 and "_pow(y1, (-2.0))" in fast
-    assert " ** " not in checked and checked.count("_pow(") == 4 * 7
+    sources.clear()
+    ex.compile_vector(sysd.field_trees)  # the retake's evaluator
+    checked, = sources
+    assert " ** " not in checked and checked.count("_pow(") == 7
+
+
+@pytest.mark.parametrize("name", NONLINEAR_GALLERY)
+def test_rk4_source_defines_one_function_and_no_checked_code(name,
+                                                             monkeypatch):
+    sources = []
+    compiled = ex._compiled
+    monkeypatch.setattr(ex, "_compiled",
+                        lambda src: sources.append(src) or compiled(src))
+    gallery_system(name).rk4_kernel
+    src, = sources
+    assert [node.name for node in ast.walk(ast.parse(src))
+            if isinstance(node, ast.FunctionDef)] == ["f"]
+    assert "_fail" not in src
 
 
 def test_the_checked_step_never_runs_on_the_benchmark_simulations(
         monkeypatch, tmp_path):
     """The ``simulate`` ops of ``propagate`` seeds 1-3 take every step
-    on the fast loop; the spy sees the one step of a failing field."""
-    calls = []
+    on the fast loop and compile no retake; the spy sees the one step of a
+    failing field, which compiles its scalar evaluator once, and a second
+    failing run of the same system compiles nothing new."""
+    calls, made = [], []
     generate = ex._generate
 
     def spied(exprs, form="scalar"):
         f = generate(exprs, form)
+        made.append((tuple(exprs), form))
         if form == "rk4":
             step = f.__globals__["_step"]
             f.__globals__["_step"] = lambda *a: calls.append(a) or step(*a)
         return f
+
+    def retakes() -> int:  # scalar evaluators of the trees of a kernel
+        kernels = {exprs for exprs, form in made if form == "rk4"}
+        return len([1 for exprs, form in made
+                    if form == "scalar" and exprs in kernels])
 
     monkeypatch.setattr(ex, "_generate", spied)
     ran = 0
@@ -1027,11 +1079,12 @@ def test_the_checked_step_never_runs_on_the_benchmark_simulations(
             argv = [a.replace("{work}", str(tmp_path)) for a in op["argv"]]
             assert cli.run([*argv, "--out", str(tmp_path / "r.json")]) == 0
             ran += 1
-    assert ran == 60 and calls == []
-    with pytest.raises(DomainError):
-        integrate(SystemDef(1, Nonlinear(("log(1 - t)*x1",))), [1.0], 0.0,
-                  2.0, 1e-3)
-    assert len(calls) == 1
+    assert ran == 60 and calls == [] and retakes() == 0
+    failing = SystemDef(1, Nonlinear(("log(1 - t)*x1",)))
+    for runs in (1, 2):
+        with pytest.raises(DomainError):
+            integrate(failing, [1.0], 0.0, 2.0, 1e-3)
+        assert len(calls) == runs and retakes() == 1
 
 
 def test_integrate_matrix_keeps_one_chunk_of_states():
@@ -1087,7 +1140,7 @@ def test_k_and_other_names_stay_parameters():
     assert sysd.is_autonomous()
     assert sysd.rhs_callable()(np.array([1.0]), 5.0).tolist() == [-2.0]
     assert ly.CandidateV("t*x1^2").time_dependent
-    assert ly.CandidateV("t*x1^2").value([1.0], 5.0) == 5.0
+    assert ly.CandidateV("t*x1^2").values(np.array([[1.0]]), 5.0) == 5.0
     assert ly.QuadraticFormTV((("t",),)).time_dependent
 
 
