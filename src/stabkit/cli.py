@@ -465,19 +465,20 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     kinds, handler = _COMMANDS[args.cmd]
+    sf = None
     try:
         started = time.perf_counter()
         sf = load_system(args.system)
-        system = sf.build()
         kinds = kinds(args) if callable(kinds) else kinds
         if sf.kind not in kinds:
             raise SchemaError(f"subcommand needs a {' or '.join(kinds)} "
                               f"system, got {sf.kind!r}")
-        result, tolerances = handler(args, system)
+        result, tolerances = handler(args, sf.build())
         _emit(build_report(args.cmd, argv, sf.meta(), result, tolerances,
                            started), args.out)
     except _INPUT_ERRORS as exc:
-        print(f"stabkit: input error: {exc}\n{SCHEMA_POINTER}", file=sys.stderr)
+        pointer = f"\n{SCHEMA_POINTER}" if sf is None else ""
+        print(f"stabkit: input error: {exc}{pointer}", file=sys.stderr)
         return 2
     except StabkitError as exc:
         print(f"stabkit: analysis error: {type(exc).__name__}: {exc}",

@@ -1094,7 +1094,7 @@ def _generate(exprs: Sequence[Expr], form: str = "scalar"):
 
 
 # One code cache for every namespace: a system compiles its fields once, but
-# a CLI call builds its system twice and the scans compile a candidate per call
+# the scans compile a candidate per call
 @functools.lru_cache(maxsize=256)
 def _compiled(src: str):
     return compile(src, "<stabkit-expr>", "exec")

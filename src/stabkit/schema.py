@@ -12,6 +12,7 @@ builds one :class:`~stabkit.odeint.SystemDef`; ``discrete`` builds a
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -49,9 +50,15 @@ class SystemFile:
     document: dict
 
     def build(self):
-        """Instantiate the toolkit object this file describes: a
+        """The toolkit object this file describes: a
         :class:`~stabkit.odeint.SystemDef` for every continuous kind, a
-        :class:`~stabkit.discrete.DiscreteSystem` for ``discrete``."""
+        :class:`~stabkit.discrete.DiscreteSystem` for ``discrete``.  The
+        first call that succeeds builds it; every later call returns that
+        object, which callers treat as immutable."""
+        return self._system
+
+    @functools.cached_property
+    def _system(self):
         doc = self.document
         params = dict(doc.get("params", {}))
         n = self.dimension
@@ -113,7 +120,8 @@ def _check_grid(value, n: int, what: str, allow_expr: bool, square=True):
 def load_system(source) -> SystemFile:
     """Load and validate a system file (path, JSON text, or dict):
     :class:`SchemaError` where the schema (:func:`system_schema`) refuses
-    it, or where its sizes, expressions or periodicity do not hold."""
+    it, or where its sizes, expressions or periodicity do not hold.  It
+    validates by building, and :meth:`SystemFile.build` returns that build."""
     if isinstance(source, dict):
         doc = source
     else:
@@ -189,8 +197,6 @@ def load_system(source) -> SystemFile:
     sf = SystemFile(name, kind, dimension, dict(doc))
     try:
         sf.build()
-    except SchemaError:
-        raise
     except (StabkitError, ValueError, OverflowError) as exc:
         raise SchemaError(f"{_INVALID}{exc}") from None
     return sf

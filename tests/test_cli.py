@@ -8,7 +8,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from stabkit import cli
+from stabkit import cli, discrete, odeint
 from stabkit.odeint import SAMPLE_CAP
 from stabkit.schema import load_system, report_schema, system_schema
 from conftest import GALLERY, deadline, gallery_file
@@ -52,6 +52,59 @@ def test_classify_command(capsys):
 def test_classify_rejects_wrong_kind(capsys):
     rc, _ = run_cli(["classify", "--system", gallery_file("pendulum")], capsys)
     assert rc == 2
+
+
+def test_schema_pointer_follows_a_refused_file(tmp_path, capsys):
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps({"name": "x", "kind": "linear",
+                                "dimension": 2}))
+    assert cli.run(["classify", "--system", str(path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "stabkit: input error: kind 'linear' requires field 'a'",
+        cli.SCHEMA_POINTER]
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--system", "delay_coupled", "--x0", "1,0", "--t0", "1",
+     "--t1", "2"],
+    ["linearize", "--system", "pendulum"],
+    ["floquet", "--system", "periodic_rotation", "--period", "1.0"],
+    ["classify", "--system", "pendulum"],
+])
+def test_a_refused_flag_or_mode_on_a_valid_file_prints_one_line(argv, capsys):
+    argv[2] = str(gallery_file(argv[2]))
+    assert cli.run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("stabkit: input error: ")
+    assert captured.err.count("\n") == 1 and "schema" not in captured.err
+
+
+@pytest.mark.parametrize("argv, systems", [
+    (["classify", "--system", "coupled_decay"], 1),
+    (["linearize", "--system", "pendulum", "--seeds", "0.1,0.1"], 1),
+    (["alpha", "--system", "delay_coupled", "--alpha", "0.4",
+      "--horizon", "0"], 1),
+    (["floquet", "--system", "periodic_rotation", "--step", "1e-2"], 1),
+    (["floquet", "--system", "periodic_rotation", "--step", "1e-2",
+      "--period", "12.566370614359172"], 2),
+    (["discrete", "--system", "cubic_map", "--iterate", "3",
+      "--x0", "0.1,0"], 1),
+])
+def test_an_op_constructs_its_system_once(argv, systems, monkeypatch,
+                                          capsys):
+    # load_system validates by building; the op runs on that build, and
+    # only --period makes a second system, its own copy
+    made = []
+    for cls in (odeint.SystemDef, discrete.DiscreteSystem):
+        def counted(self, init=cls.__post_init__):
+            made.append(type(self))
+            init(self)
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    argv[2] = str(gallery_file(argv[2]))
+    assert cli.run(argv) == 0
+    assert len(made) == systems
+    capsys.readouterr()
 
 
 def test_linearize_command(capsys):

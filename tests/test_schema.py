@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import json
 import math
@@ -8,9 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from stabkit.errors import SchemaError
-from stabkit.schema import (_dumps, bundled_names, bundled_system, load_system,
-                            system_schema, to_jsonable)
+from stabkit.errors import DimensionMismatchError, SchemaError
+from stabkit.schema import (SystemFile, _dumps, bundled_names, bundled_system,
+                            load_system, system_schema, to_jsonable)
 
 
 BASE = {"name": "x", "kind": "linear", "dimension": 2, "a": [[1, 0], [0, 1]]}
@@ -169,6 +170,29 @@ def test_unknown_parameter_in_expression():
                          expressions=["x1", "omega*x2"],
                          params={"omega": 2.0}))
     assert ok.build().params["omega"] == 2.0
+
+
+def test_a_file_builds_once_and_a_replaced_file_builds_afresh():
+    sf = load_system(doc())
+    assert sf.build() is sf.build()
+    other = dataclasses.replace(sf, document=doc(a=[[-2, 0], [0, -3]]))
+    assert other.build() is not sf.build()
+    assert other.build().rhs.a.tolist() == [[-2.0, 0.0], [0.0, -3.0]]
+    assert sf.build().rhs.a.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+
+
+def test_a_build_that_fails_is_not_kept():
+    broken = doc(kind="nonlinear", a=None, expressions=["x1", "x9"])
+    sf = SystemFile("x", "nonlinear", 2, broken)
+    messages = []
+    for _ in range(2):
+        with pytest.raises(DimensionMismatchError) as info:
+            sf.build()
+        messages.append(str(info.value))
+    assert messages[0] == messages[1] and "x9" in messages[0]
+    for _ in range(2):
+        with pytest.raises(SchemaError, match="beyond dimension 2"):
+            load_system(broken)
 
 
 def test_bundled_gallery_access():
